@@ -419,6 +419,7 @@ class VaspNode:
         self.directory_views: dict[str, DirectoryView] = {}
         self.records: dict[bytes, TravelRuleRecord] = {}
         self._records_by_binding: dict[bytes, list[bytes]] = {}
+        self._records_by_tx_id: dict[bytes, list[bytes]] = {}
         self._pending: dict[bytes, PendingTransfer] = {}
         self._handled_notices: set[bytes] = set()
         self._publish_version = 0
@@ -1302,10 +1303,6 @@ class VaspNode:
         sender cannot be authenticated.
         """
         now = self.env.now
-        if notice.notice_id in self._handled_notices:
-            return None
-        self._handled_notices.add(notice.notice_id)
-
         originator_cert = self._peer_certificate(notice.originator_vasp_id)
         if originator_cert is None or not crypto.verify(
             originator_cert.subject_public_key, notice.signed_payload(),
@@ -1314,6 +1311,11 @@ class VaspNode:
             self.env.log(self.vasp_id, "notice_dropped",
                          origin=notice.originator_vasp_id, reason="bad-signature")
             return None
+        # Deduplicate only after authenticating, so a forged notice reusing a
+        # genuine id cannot suppress the genuine one.
+        if notice.notice_id in self._handled_notices:
+            return None
+        self._handled_notices.add(notice.notice_id)
         originator_check = self._validator()(originator_cert)
         if not originator_check.ok:
             return self._reject_notice(notice, RejectReason.CERT_INVALID, now)
@@ -1483,6 +1485,7 @@ class VaspNode:
             self._deny(pending.outcome, DenialCode.CHAIN_REJECTED)
             return
         record.chain_tx_id = tx_id
+        self._records_by_tx_id.setdefault(tx_id, []).append(record.record_id)
         record.advance(RecordStatus.PENDING_CHAIN, now)
         pending.outcome.status = OutcomeStatus.BROADCAST
         pending.outcome.chain_tx_id = tx_id
@@ -1541,13 +1544,12 @@ class VaspNode:
             self.env.log(self.vasp_id, "record_confirmed", record=record_id.hex(),
                          role=record.role.value, tx=recomputed.hex())
         # A confirmation matching a stored tx id but not the notice binding is
-        # a tampered-content signal.
-        for record_id in sorted(self.records):
+        # a tampered-content signal. tx.tx_id is digest(tx.to_bytes()), so the
+        # records to check are those filed under ``recomputed``.
+        for record_id in sorted(self._records_by_tx_id.get(recomputed, ())):
             record = self.records[record_id]
             if (
                 record.status is RecordStatus.PENDING_CHAIN
-                and record.chain_tx_id is not None
-                and record.chain_tx_id == tx.tx_id
                 and record.notice.intended_chain_tx_binding != recomputed
             ):
                 record.advance(RecordStatus.FAILED, now, "BindingMismatch")

@@ -396,6 +396,16 @@ def test_08_determinism_and_seed_variation():
           "20/20 distinct digests across seeds")
 
 
+# Event-log digest of the flagship run. A change meant to keep behaviour the
+# same must leave it byte-identical; a change that alters the log re-pins it
+# and says why.
+FLAGSHIP_DIGEST = "b2922217a52f03b2dd805bf0a0955832bf1a79a097fc20550a498f56368b2a5e"
+
+
+def test_08_flagship_digest_pinned():
+    assert Simulation(flagship_scenario()).run().digest_hex == FLAGSHIP_DIGEST
+
+
 def test_09_ledger_immutability():
     sim = Simulation(flagship_scenario())
     result = sim.run()

@@ -139,6 +139,84 @@ class TestSignVerify:
         assert verify(pair.public_key, b"m", b"") is False
 
 
+class TestVerifyMemo:
+    """Successful verifies are memoised; nothing else may change a verdict."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        crypto._verified.clear()
+
+    def test_hit_does_not_vouch_for_altered_inputs(self):
+        pair = generate_keypair(digest(b"memo"))
+        other = generate_keypair(digest(b"memo-other"))
+        message = b"certificate bytes"
+        signature = sign(pair, message)
+        assert verify(pair.public_key, message, signature)
+        assert verify(pair.public_key, message, signature)
+        flipped_message = bytes([message[0] ^ 1]) + message[1:]
+        flipped_signature = bytes([signature[0] ^ 1]) + signature[1:]
+        assert not verify(pair.public_key, flipped_message, signature)
+        assert not verify(pair.public_key, message, flipped_signature)
+        assert not verify(other.public_key, message, signature)
+
+    def test_failure_not_memoised(self):
+        pair = generate_keypair(digest(b"memo-fail"))
+        signature = sign(pair, b"m")
+        verify(pair.public_key, b"m", signature)
+        size = len(crypto._verified)
+        assert not verify(pair.public_key, b"n", signature)
+        assert not verify(pair.public_key, b"m", signature[:63])
+        assert not verify(b"not-a-key", b"m", signature)
+        assert len(crypto._verified) == size
+
+    def test_memo_bounded_least_recently_used_evicted(self):
+        pair = generate_keypair(digest(b"memo-bound"))
+        triples = []
+        for i in range(crypto.VERIFY_MEMO_SIZE + 50):
+            message = i.to_bytes(4, "big")
+            triples.append((pair.public_key, message, sign(pair, message)))
+        assert verify(*triples[0])
+        assert verify(*triples[1])
+        assert verify(*triples[0])  # hit: now more recent than triples[1]
+        for triple in triples[2:]:
+            assert verify(*triple)
+            assert len(crypto._verified) <= crypto.VERIFY_MEMO_SIZE
+        assert len(crypto._verified) == crypto.VERIFY_MEMO_SIZE
+        keys = {(pk, sig, digest(msg)) for pk, msg, sig in triples}
+        assert set(crypto._verified) <= keys
+        assert (pair.public_key, triples[1][2], digest(triples[1][1])) not in crypto._verified
+        assert verify(*triples[1])  # evicted entries still verify
+
+    def test_non_bytes_arguments_bypass_memo(self):
+        pair = generate_keypair(digest(b"memo-types"))
+        zeros = bytes(32)
+        signature = sign(pair, zeros)
+        assert verify(pair.public_key, zeros, signature)
+        size = len(crypto._verified)
+        # bytes(32) == zeros: an int must not be mistaken for the memoised message
+        assert verify(pair.public_key, 32, signature) is False
+        assert verify(pair.public_key, "0" * 32, signature) is False
+        assert verify(pair.public_key.hex(), zeros, signature) is False
+        assert verify(pair.public_key, zeros, 64) is False
+        assert verify(bytearray(pair.public_key), zeros, signature) in (True, False)
+        assert verify(pair.public_key, bytearray(zeros), bytearray(signature))
+        assert not verify(pair.public_key, bytearray(b"x" * 32), bytearray(signature))
+        assert len(crypto._verified) == size
+
+    def test_hits_agree_with_independent_oracle(self):
+        rng = random.Random(0xBEEF)
+        for _ in range(4):
+            pair = generate_keypair(rng.randbytes(32))
+            message = rng.randbytes(rng.randrange(0, 48))
+            signature = sign(pair, message)
+            forged = signature[:-1] + bytes([signature[-1] ^ 0x40])
+            for sig in (signature, forged):
+                expected = ed25519_ref.verify(pair.public_key, message, sig)
+                assert verify(pair.public_key, message, sig) == expected
+                assert verify(pair.public_key, message, sig) == expected
+            assert (pair.public_key, signature, digest(message)) in crypto._verified
+
+
 class TestDigest:
     @pytest.mark.parametrize("data,expected", SHA256_VECTORS)
     def test_published_vectors(self, data, expected):

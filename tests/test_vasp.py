@@ -284,6 +284,28 @@ class TestNoticeHandling:
         assert ack is None
         assert len(v2.records) == before
 
+    def test_forged_notice_reusing_id_does_not_suppress_genuine(self):
+        sim = open_and_enroll([
+            {"tick": 15, "action": "transfer", "origin": "alice",
+             "target": {"customer": "bob"}, "amount": 100, "asset": "coin"},
+        ])
+        sim.advance_to(15)
+        queued = [m.payload for due in sim._queue.values() for m in due
+                  if m.kind == "transfer_notice"]
+        assert len(queued) == 1, "the genuine notice must still be in flight"
+        genuine = queued[0]
+        forged = TransferNotice(**{**genuine.__dict__, "amount": genuine.amount + 1})
+        v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
+        v2.on_message("transfer_notice", forged, "v1")
+        sim.run()
+        acks = [e for e in sim.log_.entries if e.event == "ack_sent"
+                and dict(e.details)["notice"] == genuine.notice_id.hex()]
+        assert len(acks) == 1
+        assert sim.scripted_transfers[0].outcome.status is OutcomeStatus.BROADCAST
+        for node in (v1, v2):
+            assert [r.notice.notice_id for r in node.records.values()
+                    if r.status is RecordStatus.CONFIRMED] == [genuine.notice_id]
+
 
 class TestSuspectScreening:
     def test_empty_refs_pass(self):
