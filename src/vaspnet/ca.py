@@ -407,9 +407,6 @@ class RevocationView:
                 self._numbers[issuer_id] = number
                 self._entries[issuer_id] = dict(other._entries[issuer_id])
 
-    def issuers(self) -> list[str]:
-        return sorted(self._numbers)
-
 
 def validate_certificate(
     cert: Certificate,
@@ -711,9 +708,6 @@ class CertificateAuthority:
 
     def registered_attributes(self, serial: bytes) -> Mapping[str, str]:
         return self._issued[serial].registration.submitted_attributes
-
-    def issued_serials(self) -> list[bytes]:
-        return sorted(self._issued)
 
     def revoked_serials(self) -> frozenset[bytes]:
         return frozenset(self._revoked)

@@ -25,7 +25,7 @@ from .ca import CertificateAuthority, CertClass, Certificate, RevocationReason
 from .chain import ChainTransaction, SimChain, SubmitResult, build_transaction
 from .crypto import KeyPair, canonical_encode, digest, enc_str, enc_u64, encode_str_map
 from .network import OperatingRules, PeeringLink, TrustNetwork
-from .scenario import Scenario, ScriptAction
+from .scenario import CustomerSpec, Scenario, ScriptAction
 from .vasp import CustodyModel, TransferOutcome, TransferTarget, VaspNode
 
 ROOT_VALIDITY = 1_000_000
@@ -69,9 +69,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def select(self, event: str) -> list[EventRecord]:
-        return [e for e in self.entries if e.event == event]
 
 
 @dataclass
@@ -205,9 +202,7 @@ class Simulation:
         self.cas: dict[str, CertificateAuthority] = {}
         self.networks: dict[str, TrustNetwork] = {}
         self.vasps: dict[str, VaspNode] = {}
-        self._customer_home: dict[str, str] = {}
-        self._customer_model: dict[str, CustodyModel] = {}
-        self._customer_class: dict[str, CertClass] = {}
+        self._customers: dict[str, CustomerSpec] = {}
         self._build()
 
     # -- environment interface ------------------------------------------------
@@ -329,10 +324,7 @@ class Simulation:
             self.networks[spec.network_a].peering_links.append(link)
             self.networks[spec.network_b].peering_links.append(link)
 
-        for customer in scenario.customers:
-            self._customer_home[customer.customer_id] = customer.vasp
-            self._customer_model[customer.customer_id] = customer.custody_model
-            self._customer_class[customer.customer_id] = customer.requested_class
+        self._customers = {c.customer_id: c for c in scenario.customers}
 
         for suspect in scenario.suspects:
             if suspect.account_id is not None:
@@ -343,7 +335,7 @@ class Simulation:
                 # Account refs resolve when the account opens; the key hash is
                 # derivable now since keys are label-seeded.
                 self._blocklist(self._account_id_for(suspect.customer))
-                model = self._customer_model[suspect.customer]
+                model = self._customers[suspect.customer].custody_model
                 if model is not CustodyModel.COMMINGLED:
                     wallet = self._customer_keypair(suspect.customer)
                     if wallet is not None:
@@ -386,7 +378,8 @@ class Simulation:
         return f"acct-{customer_id}"
 
     def _customer_keypair(self, customer_id: str) -> Optional[KeyPair]:
-        model = self._customer_model.get(customer_id)
+        spec = self._customers.get(customer_id)
+        model = spec.custody_model if spec is not None else None
         if model is CustodyModel.COMMINGLED:
             return None
         if model is CustodyModel.KEY_CUSTODY:
@@ -407,17 +400,17 @@ class Simulation:
         if action.action == "open_account":
             self._open_customer(str(params["customer"]))
         elif action.action == "enroll":
-            customer = str(params["customer"])
-            vasp = self.vasps[self._customer_home[customer]]
+            spec = self._customers[str(params["customer"])]
+            vasp = self.vasps[spec.vasp]
             vasp.enroll_customer_certificate(
-                self._account_id_for(customer),
-                self._customer_class[customer],
+                self._account_id_for(spec.customer_id),
+                spec.requested_class,
                 self.now,
                 CUSTOMER_CERT_VALIDITY,
             )
         elif action.action == "transfer":
             origin = str(params["origin"])
-            vasp = self.vasps[self._customer_home[origin]]
+            vasp = self.vasps[self._customers[origin].vasp]
             target = self._build_target(params["target"])
             outcome = vasp.initiate_transfer(
                 self._account_id_for(origin), target,
@@ -428,7 +421,7 @@ class Simulation:
             self._p2p_transfer(params)
         elif action.action == "revoke_cert":
             customer = str(params["customer"])
-            vasp = self.vasps[self._customer_home[customer]]
+            vasp = self.vasps[self._customers[customer].vasp]
             account = vasp.accounts[self._account_id_for(customer)]
             if account.certificate_serial is None:
                 raise ValueError(f"customer {customer} has no certificate to revoke")
@@ -445,8 +438,8 @@ class Simulation:
             pass
 
     def _open_customer(self, customer_id: str) -> None:
-        vasp = self.vasps[self._customer_home[customer_id]]
-        spec = next(c for c in self.scenario.customers if c.customer_id == customer_id)
+        spec = self._customers[customer_id]
+        vasp = self.vasps[spec.vasp]
         wallet = self._customer_keypair(customer_id)
         vasp.open_account(
             subject_id=customer_id,
@@ -460,9 +453,10 @@ class Simulation:
     def _build_target(self, raw) -> TransferTarget:
         if "customer" in raw:
             customer = str(raw["customer"])
-            model = self._customer_model[customer]
+            spec = self._customers[customer]
+            model = spec.custody_model
             if model is CustodyModel.COMMINGLED or model is CustodyModel.KEY_CUSTODY:
-                home = self._customer_home[customer]
+                home = spec.vasp
                 if model is CustodyModel.KEY_CUSTODY:
                     account = self.vasps[home].accounts.get(self._account_id_for(customer))
                     if account is not None and account.customer_public_key is not None:
@@ -475,7 +469,7 @@ class Simulation:
             customer = str(raw["customer_key"])
             wallet = self._customer_keypair(customer)
             if wallet is None:
-                home = self._customer_home[customer]
+                home = self._customers[customer].vasp
                 account = self.vasps[home].accounts[self._account_id_for(customer)]
                 if account.customer_public_key is None:
                     raise ValueError(f"customer {customer} has no key")

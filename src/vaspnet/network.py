@@ -8,6 +8,16 @@ gateways advertise the union of their network's key hashes with an explicit
 network path; loop prevention and route preference follow path-vector
 discipline. Advertisements carry key hashes only; names, serials, and
 attributes require a routed query answered under disclosure policy.
+
+Directory digests are computed once per thing they describe. A publisher
+keeps the digest of its last published snapshot beside the snapshot and
+re-sends it in every heartbeat. A ``DirectoryView`` holds its entries as a
+frozenset, and ``entries_digest()`` caches the digest together with the set
+it was computed from. Every write replaces the set: ``install_snapshot``,
+``apply_delta``, the revocation prune in ``VaspNode.prune_directory_views``
+and the stale-entry drop in ``query_certificate``. A replaced set makes the
+next ``entries_digest()`` recompute; a frozenset cannot change in place, so
+no write can leave a stale digest behind.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from .ca import (
     RevocationView,
     validate_certificate,
 )
-from .crypto import canonical_encode, enc_str, enc_u64, encode_bytes_list
+from .crypto import canonical_encode, digest, enc_str, enc_u64, encode_bytes_list
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .vasp import VaspNode
@@ -88,6 +98,11 @@ class DirectoryEntry:
 
 def _entries_bytes(entries: Iterable[DirectoryEntry]) -> bytes:
     return encode_bytes_list(e.to_bytes() for e in sorted(entries))
+
+
+def directory_digest(entries: Iterable[DirectoryEntry]) -> bytes:
+    """Digest of an entry set, as carried by a ``DirectoryAnnounce``."""
+    return digest(_entries_bytes(entries))
 
 
 @dataclass(frozen=True)
@@ -158,27 +173,37 @@ class ApplyResult(enum.Enum):
 
 @dataclass
 class DirectoryView:
-    """One member's view of one publisher's directory."""
+    """One member's view of one publisher's directory.
+
+    Writers replace ``entries`` with a new frozenset; the cached digest is
+    keyed by the identity of the set it was computed from.
+    """
 
     version: int = 0
-    entries: set[DirectoryEntry] = field(default_factory=set)
+    entries: frozenset[DirectoryEntry] = frozenset()
+    _digested: Optional[frozenset[DirectoryEntry]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _digest: bytes = field(default=b"", init=False, repr=False, compare=False)
 
     def install_snapshot(self, snapshot: DirectorySnapshot) -> bool:
         if snapshot.version < self.version:
             return False
         self.version = snapshot.version
-        self.entries = set(snapshot.entries)
+        self.entries = frozenset(snapshot.entries)
         return True
 
-    def as_snapshot(self, owner_vasp_id: str) -> DirectorySnapshot:
-        return DirectorySnapshot(owner_vasp_id, self.version, frozenset(self.entries))
+    def entries_digest(self) -> bytes:
+        if self._digested is not self.entries:
+            self._digest = directory_digest(self.entries)
+            self._digested = self.entries
+        return self._digest
 
 
 def apply_delta(view: DirectoryView, delta: DirectoryDelta) -> ApplyResult:
     """Fold an in-order delta into the view; gaps demand a full resync."""
     if delta.from_version != view.version:
         return ApplyResult.RESYNC_REQUIRED
-    view.entries = (view.entries - set(delta.removed)) | set(delta.added)
+    view.entries = (view.entries - delta.removed) | delta.added
     view.version = delta.to_version
     return ApplyResult.APPLIED
 
@@ -462,7 +487,7 @@ def query_certificate(
             env.log(requester.vasp_id, "directory_inconsistency", owner=owner_id)
             continue
         if response.status == "revoked":
-            view.entries = {e for e in view.entries if e.public_key_hash != key_hash}
+            view.entries = frozenset(e for e in view.entries if e.public_key_hash != key_hash)
             env.log(requester.vasp_id, "directory_stale_entry", owner=owner_id)
             result = result or response
             continue

@@ -43,6 +43,7 @@ from .chain import ChainTransaction, build_transaction
 from .crypto import KeyPair, canonical_encode, digest, enc_str, enc_u64
 from .network import (
     ApplyResult,
+    DirectoryAnnounce,
     DirectoryDelta,
     DirectoryEntry,
     DirectorySnapshot,
@@ -51,7 +52,10 @@ from .network import (
     ReachabilityAdvertisement,
     TrustNetwork,
     apply_delta,
+    build_advertisement,
+    directory_digest,
     process_advertisement,
+    query_certificate,
     route_cross_network_query,
 )
 
@@ -412,6 +416,7 @@ class VaspNode:
         self.accounts: dict[str, Account] = {}
         self._wallets: dict[str, KeyPair] = {}
         self._accounts_by_key_hash: dict[bytes, str] = {}
+        self._known_keys: frozenset[bytes] = frozenset((keypair.public_key,))
         self.suspect_list = SuspectList()
         self.revocation = RevocationView()
         self.trust_anchors: dict[str, Certificate] = {}
@@ -424,6 +429,7 @@ class VaspNode:
         self._handled_notices: set[bytes] = set()
         self._publish_version = 0
         self._last_snapshot: Optional[DirectorySnapshot] = None
+        self._last_snapshot_digest = b""
 
     # -- identity and membership --------------------------------------------
 
@@ -590,6 +596,7 @@ class VaspNode:
         self.accounts[account_id] = account
         if customer_public_key is not None:
             self._accounts_by_key_hash[digest(customer_public_key)] = account_id
+            self._known_keys = self._known_keys | {customer_public_key}
         if customer_wallet is not None:
             self._wallets[account_id] = customer_wallet
         self.env.log(self.vasp_id, "account_opened",
@@ -664,6 +671,7 @@ class VaspNode:
         )
         delta = replace(delta, owner_signature=self.sign_bytes(delta.signed_payload()))
         self._last_snapshot = snapshot
+        self._last_snapshot_digest = directory_digest(entries)
         own_view = self.directory_views.setdefault(self.vasp_id, DirectoryView())
         own_view.install_snapshot(snapshot)
         for member_id in self.co_member_ids():
@@ -699,21 +707,17 @@ class VaspNode:
         """Heartbeat the current directory version to all co-members."""
         if self._last_snapshot is None:
             return
-        from .network import DirectoryAnnounce, _entries_bytes
-
         unsigned = DirectoryAnnounce(
             owner_vasp_id=self.vasp_id,
             version=self._last_snapshot.version,
-            entries_digest=digest(_entries_bytes(self._last_snapshot.entries)),
+            entries_digest=self._last_snapshot_digest,
         )
         announce = replace(unsigned,
                            owner_signature=self.sign_bytes(unsigned.signed_payload()))
         for member_id in self.co_member_ids():
             self.env.send(self.vasp_id, member_id, "dir_announce", announce)
 
-    def on_dir_announce(self, announce, src: str) -> None:
-        from .network import _entries_bytes
-
+    def on_dir_announce(self, announce: DirectoryAnnounce, src: str) -> None:
         cert = self.member_certificate(announce.owner_vasp_id)
         if cert is None or not crypto.verify(
             cert.subject_public_key, announce.signed_payload(), announce.owner_signature
@@ -721,9 +725,7 @@ class VaspNode:
             return
         view = self.directory_views.get(announce.owner_vasp_id)
         held_version = view.version if view is not None else 0
-        held_digest = (
-            digest(_entries_bytes(view.entries)) if view is not None else b""
-        )
+        held_digest = view.entries_digest() if view is not None else b""
         if held_version < announce.version or (
             held_version == announce.version and held_digest != announce.entries_digest
         ):
@@ -745,10 +747,13 @@ class VaspNode:
 
     def prune_directory_views(self) -> None:
         for view in self.directory_views.values():
-            view.entries = {
+            kept = frozenset(
                 entry for entry in view.entries
                 if not self.revocation.is_revoked(entry.issuer_ca_id, entry.serial)
-            }
+            )
+            # Replace only on removal: a new set drops the view's cached digest.
+            if len(kept) != len(view.entries):
+                view.entries = kept
 
     def find_directory_owner(self, key_hash: bytes) -> Optional[str]:
         for owner_id in sorted(self.directory_views):
@@ -932,8 +937,6 @@ class VaspNode:
         )
 
     def _resolve_via_directory(self, key_hash: bytes, now: int) -> Optional[ResolvedBeneficiary]:
-        from .network import query_certificate
-
         response = query_certificate(self, key_hash, self.env)
         if response is None:
             return None
@@ -1526,45 +1529,43 @@ class VaspNode:
     def on_chain_confirmation(self, tx: ChainTransaction, confirmed_tick: int) -> None:
         """Advance records whose binding digest matches the confirmed tx."""
         now = self.env.now
-        recomputed = digest(tx.to_bytes())
+        tx_id = tx.tx_id
         matched = False
-        for record_id in list(self._records_by_binding.get(recomputed, [])):
+        for record_id in list(self._records_by_binding.get(tx_id, [])):
             record = self.records[record_id]
             if record.status is not RecordStatus.PENDING_CHAIN:
                 continue
             expected = record.notice.intended_chain_tx_binding
-            if expected != recomputed:
+            if expected != tx_id:
                 record.advance(RecordStatus.FAILED, now, "BindingMismatch")
                 self.env.log(self.vasp_id, "record_failed", record=record_id.hex(),
                              reason="BindingMismatch")
                 continue
-            record.chain_tx_id = recomputed
+            record.chain_tx_id = tx_id
             record.advance(RecordStatus.CONFIRMED, now)
             matched = True
             self.env.log(self.vasp_id, "record_confirmed", record=record_id.hex(),
-                         role=record.role.value, tx=recomputed.hex())
+                         role=record.role.value, tx=tx_id.hex())
         # A confirmation matching a stored tx id but not the notice binding is
-        # a tampered-content signal. tx.tx_id is digest(tx.to_bytes()), so the
-        # records to check are those filed under ``recomputed``.
-        for record_id in sorted(self._records_by_tx_id.get(recomputed, ())):
+        # a tampered-content signal; the records to check are those filed
+        # under this tx id.
+        for record_id in sorted(self._records_by_tx_id.get(tx_id, ())):
             record = self.records[record_id]
             if (
                 record.status is RecordStatus.PENDING_CHAIN
-                and record.notice.intended_chain_tx_binding != recomputed
+                and record.notice.intended_chain_tx_binding != tx_id
             ):
                 record.advance(RecordStatus.FAILED, now, "BindingMismatch")
                 self.env.log(self.vasp_id, "record_failed", record=record_id.hex(),
                              reason="BindingMismatch")
         if not matched and self._involves_my_keys(tx):
-            if recomputed not in self._records_by_binding:
-                self.env.log(self.vasp_id, "confirmation_unmatched", tx=recomputed.hex())
+            if tx_id not in self._records_by_binding:
+                self.env.log(self.vasp_id, "confirmation_unmatched", tx=tx_id.hex())
 
-    def known_keys(self) -> set[bytes]:
-        keys = {self._keypair.public_key}
-        for account in self.accounts.values():
-            if account.customer_public_key is not None:
-                keys.add(account.customer_public_key)
-        return keys
+    def known_keys(self) -> frozenset[bytes]:
+        """This node's own key and every account's customer key; replaced,
+        never mutated, by ``open_account``."""
+        return self._known_keys
 
     def _involves_my_keys(self, tx: ChainTransaction) -> bool:
         keys = self.known_keys()
@@ -1688,8 +1689,6 @@ class VaspNode:
 
     def advertise_reachability(self, now: int) -> None:
         """Send this network's directory summary over our peering links."""
-        from .network import build_advertisement
-
         for network in self.networks_sorted():
             for link in network.links_of(self.vasp_id):
                 adv = build_advertisement(network, self)

@@ -35,6 +35,16 @@ class TestSubmission:
         assert not result.accepted and result.reason == "BadSignature"
 
 
+class TestTxId:
+    def test_forged_copy_gets_its_own_tx_id(self):
+        tx = make_tx()
+        original = tx.tx_id
+        forged = ChainTransaction(**{**tx.__dict__, "amount": tx.amount + 1})
+        assert forged.tx_id != original
+        assert forged.tx_id == crypto.digest(forged.to_bytes())
+        assert tx.tx_id == original == crypto.digest(tx.to_bytes())
+
+
 class TestTicks:
     def test_no_block_for_empty_pending(self):
         chain = SimChain()

@@ -10,13 +10,16 @@ from vaspnet.network import (
     ApplyResult,
     DirectoryDelta,
     DirectoryEntry,
+    DirectorySnapshot,
     DirectoryView,
     MembershipDenied,
     OperatingRules,
     ReachabilityAdvertisement,
     RulesVersionMismatch,
     TrustNetwork,
+    _entries_bytes,
     apply_delta,
+    directory_digest,
     exchange_crl,
 )
 from vaspnet.vasp import CustodyModel, TransferTarget
@@ -198,6 +201,84 @@ class TestCrlExchange:
         crl = v1.ca.generate_crl(sim.now)
         v2.ingest_crls([crl])
         assert not any(e.serial == serial for e in v2.directory_views["v1"].entries)
+
+
+class TestDirectoryDigestCache:
+    """A view's cached digest must follow every write to its entries."""
+
+    @staticmethod
+    def capture_sends(sim, monkeypatch):
+        sent = []
+        monkeypatch.setattr(sim, "send", lambda src, dst, kind, payload:
+                            sent.append((src, dst, kind, payload)))
+        return sent
+
+    @staticmethod
+    def announce_to(publisher, receiver, sent):
+        """Deliver the publisher's next heartbeat to the receiver; return the
+        messages the receiver sends in answer."""
+        publisher.announce_directory(publisher.env.now)
+        announce = next(p for s, d, k, p in sent
+                        if k == "dir_announce" and d == receiver.vasp_id)
+        sent.clear()
+        receiver.on_dir_announce(announce, publisher.vasp_id)
+        answer = [(s, d, k) for s, d, k, _ in sent]
+        sent.clear()
+        return announce, answer
+
+    def test_digest_follows_install_and_delta(self):
+        view = DirectoryView()
+        entry = DirectoryEntry(b"\x01" * 16, b"\x02" * 32, "ca-1")
+        assert view.entries_digest() == directory_digest(frozenset())
+        apply_delta(view, DirectoryDelta("v9", 0, 1, frozenset({entry}), frozenset()))
+        assert view.entries_digest() == directory_digest({entry})
+        apply_delta(view, DirectoryDelta("v9", 1, 2, frozenset(), frozenset({entry})))
+        assert view.entries_digest() == directory_digest(frozenset())
+        assert view.install_snapshot(DirectorySnapshot("v9", 3, frozenset({entry})))
+        assert view.entries_digest() == directory_digest({entry})
+
+    def test_view_pruned_by_crl_merge(self, monkeypatch):
+        sim = two_network_sim()
+        sim.advance_to(20)
+        v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
+        view = v2.directory_views["v1"]
+        sent = self.capture_sends(sim, monkeypatch)
+        announce, answer = self.announce_to(v1, v2, sent)
+        assert view.version == announce.version and answer == []
+        serial = v1.accounts["acct-alice"].certificate_serial
+        v1.ca.revoke(serial, RevocationReason.KEY_COMPROMISE, sim.now)
+        v2.ingest_crls([v1.ca.generate_crl(sim.now)])
+        assert not any(e.serial == serial for e in view.entries)
+        assert view.entries_digest() == crypto.digest(_entries_bytes(view.entries))
+        # The publisher has not republished: same version, its digest still
+        # covers the revoked entry, so the pruned view pulls once.
+        announce, answer = self.announce_to(v1, v2, sent)
+        assert view.version == announce.version
+        assert answer == [("v2", "v1", "dir_pull")]
+
+    def test_view_trimmed_by_revoked_query_response(self, monkeypatch):
+        sim = two_network_sim()
+        sim.advance_to(20)
+        v3, v4 = sim.vasps["v3"], sim.vasps["v4"]
+        view = v3.directory_views["v4"]
+        sent = self.capture_sends(sim, monkeypatch)
+        bob_hash = crypto.digest(v4.accounts["acct-bob"].customer_public_key)
+        v4.ca.revoke(v4.accounts["acct-bob"].certificate_serial,
+                     RevocationReason.KEY_COMPROMISE, sim.now)
+        v4.ingest_crls([v4.ca.generate_crl(sim.now)])
+        announce, answer = self.announce_to(v4, v3, sent)
+        # The heartbeat carries the published snapshot's digest, not that of
+        # the publisher's own view, which the CRL merge has pruned.
+        assert announce.entries_digest == directory_digest(v4._last_snapshot.entries)
+        assert announce.entries_digest != v4.directory_views["v4"].entries_digest()
+        assert view.version == announce.version and answer == []
+        resolved = v3._resolve_via_directory(bob_hash, sim.now)
+        assert resolved is not None and resolved.revoked
+        assert not any(e.public_key_hash == bob_hash for e in view.entries)
+        assert view.entries_digest() == crypto.digest(_entries_bytes(view.entries))
+        announce, answer = self.announce_to(v4, v3, sent)
+        assert view.version == announce.version
+        assert answer == [("v3", "v4", "dir_pull")]
 
 
 class TestIntraNetworkQuery:

@@ -76,6 +76,28 @@ class TestAccounts:
             node.open_account("x", {"name": "X"}, CustodyModel.KEY_CUSTODY,
                               customer_public_key=b"\x01" * 32)
 
+    @pytest.mark.parametrize("model", [CustodyModel.MEDIATED, CustodyModel.KEY_CUSTODY,
+                                       CustodyModel.COMMINGLED])
+    def test_known_keys_include_late_opened_account(self, model):
+        sim = open_and_enroll()
+        sim.advance_to(2)
+        node = sim.vasps["v1"]
+        before = node.known_keys()
+        wallet = crypto.keypair_from_label("late", "carol")
+        account = node.open_account(
+            "carol", {"name": "Carol"}, model,
+            customer_wallet=wallet if model is CustodyModel.MEDIATED else None,
+        )
+        keys = node.known_keys()
+        assert keys == {node.public_key} | {
+            a.customer_public_key for a in node.accounts.values()
+            if a.customer_public_key is not None
+        }
+        if model is CustodyModel.COMMINGLED:
+            assert keys == before
+        else:
+            assert account.customer_public_key in keys - before
+
 
 class TestEnrollment:
     def test_evidence_hash_is_cert_digest(self):
