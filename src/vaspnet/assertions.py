@@ -2,14 +2,16 @@
 
 An assertion bundles customer attributes, is signed by the issuing VASP, and
 links to the customer's public-key certificate by the digest of the full
-certificate bytes. Disclosure filtering produces a fresh assertion re-signed
-by the filtering VASP so recipients can hold the discloser accountable.
+certificate bytes. A disclosure is signed by the discloser so recipients can
+hold it accountable, and it is signed once: ``issue_assertion`` with a
+``policy`` signs only the attributes the policy passes on, never the full set
+first. ``filter_attributes`` re-discloses an assertion already held.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping, Optional
 
 from . import crypto
 from .ca import Certificate, ValidationResult
@@ -127,13 +129,17 @@ def issue_assertion(
     attributes: Mapping[str, str],
     registered_attributes: Mapping[str, str],
     validator: Callable[[Certificate], ValidationResult],
-    assertion_id: bytes,
+    assertion_id: bytes | Callable[[], bytes],
     issued_at: int,
+    policy: Optional[DisclosurePolicy] = None,
 ) -> AttributeAssertion:
     """Sign an attribute bundle about a certified subject.
 
     The subject certificate must validate, and every asserted attribute must
     already be registered for the account (a VASP attests only what it holds).
+    With a ``policy``, only the attributes it allows are signed, and an empty
+    intersection raises ``EmptyDisclosure`` after the certificate check. A
+    callable ``assertion_id`` is called only once the certificate validated.
     """
     result = validator(subject_certificate)
     if not result.ok:
@@ -141,7 +147,11 @@ def issue_assertion(
     unknown = set(attributes) - set(registered_attributes)
     if unknown:
         raise AttributeNotRegistered(",".join(sorted(unknown)))
-    unsigned = AttributeAssertion(
+    if callable(assertion_id):
+        assertion_id = assertion_id()
+    if policy is not None:
+        attributes = _disclosed(attributes, policy)
+    return _signed(signing_key, AttributeAssertion(
         assertion_id=assertion_id,
         issuer_vasp_id=issuer_vasp_id,
         subject_id=subject_id,
@@ -149,9 +159,7 @@ def issue_assertion(
         attributes=dict(attributes),
         issued_at=issued_at,
         vasp_signature=b"",
-    )
-    signature = crypto.sign(signing_key, unsigned.signed_payload())
-    return AttributeAssertion(**{**unsigned.__dict__, "vasp_signature": signature})
+    ))
 
 
 def verify_assertion(
@@ -185,19 +193,24 @@ def filter_attributes(
     The output is re-signed by the discloser; the input is untouched. An empty
     intersection is an error rather than an empty disclosure.
     """
-    kept = {k: v for k, v in assertion.attributes.items() if k in policy.allowed_attributes}
-    if not kept:
-        raise EmptyDisclosure(
-            f"no overlap between {sorted(assertion.attributes)} and policy"
-        )
-    unsigned = AttributeAssertion(
+    return _signed(signing_key, AttributeAssertion(
         assertion_id=assertion_id,
         issuer_vasp_id=discloser_vasp_id,
         subject_id=assertion.subject_id,
         linked_certificate_hash=assertion.linked_certificate_hash,
-        attributes=kept,
+        attributes=_disclosed(assertion.attributes, policy),
         issued_at=issued_at,
         vasp_signature=b"",
-    )
+    ))
+
+
+def _disclosed(attributes: Mapping[str, str], policy: DisclosurePolicy) -> dict[str, str]:
+    kept = {k: v for k, v in attributes.items() if k in policy.allowed_attributes}
+    if not kept:
+        raise EmptyDisclosure(f"no overlap between {sorted(attributes)} and policy")
+    return kept
+
+
+def _signed(signing_key: KeyPair, unsigned: AttributeAssertion) -> AttributeAssertion:
     signature = crypto.sign(signing_key, unsigned.signed_payload())
-    return AttributeAssertion(**{**unsigned.__dict__, "vasp_signature": signature})
+    return replace(unsigned, vasp_signature=signature)

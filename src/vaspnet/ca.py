@@ -5,11 +5,20 @@ Certificates are X.509-style bindings of a subject identity to an Ed25519
 public key, serialized with the canonical TLV encoding and signed by the
 issuing CA. Chains are depth one: a self-signed root signs subject
 certificates directly.
+
+Every peer re-validates the same certificates on every transfer, so a
+certificate's encodings (``signed_payload`` and ``to_bytes``) are read
+through a module-level memo keyed by the frozen ``Certificate`` itself:
+equal fields, equal bytes. It holds at most ``CERT_MEMO_SIZE`` certificates,
+least recently used evicted first. Nothing is stored on the instance, so a
+copy made with ``Certificate(**{**cert.__dict__, ...})`` carries only its
+fields and gets its own bytes.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
@@ -28,6 +37,10 @@ from .crypto import (
 
 SERIAL_LEN = 16
 SIGNATURE_ALGORITHM = "Ed25519-SHA256"
+
+# Above the certificates of the largest benchmark workload, counting the
+# unsigned drafts the CA encodes to sign them (1,684 on mesh).
+CERT_MEMO_SIZE = 4096
 
 
 class CaError(Exception):
@@ -170,21 +183,10 @@ class Certificate:
         return digest(self.subject_public_key)
 
     def signed_payload(self) -> bytes:
-        return canonical_encode([
-            (1, enc_u64(self.version)),
-            (2, self.serial),
-            (3, enc_str(self.signature_algorithm)),
-            (4, enc_str(self.issuer_id)),
-            (5, enc_u64(self.validity_not_before)),
-            (6, enc_u64(self.validity_not_after)),
-            (7, enc_str(self.subject_id)),
-            (8, self.subject_public_key),
-            (9, self.profile.to_bytes()),
-            (10, enc_str(self.cert_class.label)),
-        ])
+        return _certificate_encodings(self)[0]
 
     def to_bytes(self) -> bytes:
-        return self.signed_payload() + canonical_encode([(11, self.issuer_signature)])
+        return _certificate_encodings(self)[1]
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Certificate":
@@ -206,6 +208,24 @@ class Certificate:
     def fingerprint(self) -> bytes:
         """Digest of the full certificate bytes (the evidence/link hash)."""
         return digest(self.to_bytes())
+
+
+@functools.lru_cache(maxsize=CERT_MEMO_SIZE)
+def _certificate_encodings(cert: Certificate) -> tuple[bytes, bytes]:
+    """(signed payload, full bytes) of a certificate."""
+    payload = canonical_encode([
+        (1, enc_u64(cert.version)),
+        (2, cert.serial),
+        (3, enc_str(cert.signature_algorithm)),
+        (4, enc_str(cert.issuer_id)),
+        (5, enc_u64(cert.validity_not_before)),
+        (6, enc_u64(cert.validity_not_after)),
+        (7, enc_str(cert.subject_id)),
+        (8, cert.subject_public_key),
+        (9, cert.profile.to_bytes()),
+        (10, enc_str(cert.cert_class.label)),
+    ])
+    return payload, payload + canonical_encode([(11, cert.issuer_signature)])
 
 
 @dataclass(frozen=True)

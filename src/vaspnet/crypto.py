@@ -17,6 +17,11 @@ verdict. The memo caches only the signature check; certificate validity,
 revocation, expiry and policy are still evaluated by every caller. The
 private-key objects ``sign`` builds are cached the same way, and signatures
 stay identical because Ed25519 signing is deterministic too.
+
+``canonical_encode`` is the most-called function of the stack. It packs each
+field header with one precompiled ``struct.Struct`` and joins the parts once
+at the end. Field by field it checks tag order (``NonCanonicalOrder``), then
+tag range, then value length (both ``MalformedRecord``).
 """
 
 from __future__ import annotations
@@ -148,22 +153,26 @@ def digest(data: bytes) -> bytes:
 
 _MAX_TAG = 0xFFFF
 _MAX_LEN = 0xFFFFFFFF
+_FIELD_HEADER = struct.Struct(">HI")
 
 
 def canonical_encode(fields: Sequence[tuple[int, bytes]]) -> bytes:
-    out = bytearray()
+    parts: list[bytes] = []
+    append = parts.append
+    pack_header = _FIELD_HEADER.pack
     prev = -1
     for tag, value in fields:
         if tag <= prev:
             raise NonCanonicalOrder(f"tag {tag} after {prev}")
         if not 0 <= tag <= _MAX_TAG:
             raise MalformedRecord(f"tag {tag} out of range")
-        if len(value) > _MAX_LEN:
+        length = len(value)
+        if length > _MAX_LEN:
             raise MalformedRecord("value too long")
-        out += struct.pack(">HI", tag, len(value))
-        out += value
+        append(pack_header(tag, length))
+        append(value)
         prev = tag
-    return bytes(out)
+    return b"".join(parts)
 
 
 def canonical_decode(data: bytes) -> list[tuple[int, bytes]]:
@@ -174,7 +183,7 @@ def canonical_decode(data: bytes) -> list[tuple[int, bytes]]:
     while pos < len(data):
         if pos + 6 > len(data):
             raise MalformedRecord("truncated field header")
-        tag, length = struct.unpack_from(">HI", data, pos)
+        tag, length = _FIELD_HEADER.unpack_from(data, pos)
         pos += 6
         if pos + length > len(data):
             raise MalformedRecord("truncated field value")

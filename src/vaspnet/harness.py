@@ -556,16 +556,7 @@ class Simulation:
                 for member_id in network.member_ids():
                     if member_id in published:
                         continue
-                    node = self.vasps[member_id]
-                    # Push a versioned delta on change; otherwise heartbeat the
-                    # current version so lagging members pull (anti-entropy).
-                    if (
-                        node._last_snapshot is None
-                        or node.directory_entries(tick) != node._last_snapshot.entries
-                    ):
-                        node.publish_directory(tick)
-                    else:
-                        node.announce_directory(tick)
+                    self.vasps[member_id].sync_directory(tick)
                     published.add(member_id)
         advertised: set[str] = set()
         for network_id in sorted(self.networks):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import crypto
@@ -22,7 +22,6 @@ from .assertions import (
     AttributeAssertion,
     DisclosurePolicy,
     TRAVEL_RULE_POLICY,
-    filter_attributes,
     issue_assertion,
     verify_assertion,
 )
@@ -112,6 +111,11 @@ class Account:
     certificate: Optional[Certificate] = None
     key_ownership_evidence: Optional[bytes] = None
     key_operator_evidence: Optional[KeyOperatorEvidence] = None
+    customer_public_key_hash: Optional[bytes] = field(init=False)
+
+    def __post_init__(self) -> None:
+        key = self.customer_public_key
+        self.customer_public_key_hash = digest(key) if key is not None else None
 
     def check_invariants(self) -> None:
         if self.custody_model is CustodyModel.MEDIATED:
@@ -429,7 +433,8 @@ class VaspNode:
         self._handled_notices: set[bytes] = set()
         self._publish_version = 0
         self._last_snapshot: Optional[DirectorySnapshot] = None
-        self._last_snapshot_digest = b""
+        # Signed heartbeat for ``_last_snapshot``; built on its first announce.
+        self._last_announce: Optional[DirectoryAnnounce] = None
 
     # -- identity and membership --------------------------------------------
 
@@ -595,7 +600,7 @@ class VaspNode:
         account.check_invariants()
         self.accounts[account_id] = account
         if customer_public_key is not None:
-            self._accounts_by_key_hash[digest(customer_public_key)] = account_id
+            self._accounts_by_key_hash[account.customer_public_key_hash] = account_id
             self._known_keys = self._known_keys | {customer_public_key}
         if customer_wallet is not None:
             self._wallets[account_id] = customer_wallet
@@ -650,14 +655,30 @@ class VaspNode:
                 continue
             entries.append(DirectoryEntry(
                 serial=cert.serial,
-                public_key_hash=digest(account.customer_public_key),
+                public_key_hash=account.customer_public_key_hash,
                 issuer_ca_id=cert.issuer_id,
             ))
         return frozenset(entries)
 
-    def publish_directory(self, now: int) -> DirectorySnapshot:
-        """Publish the next snapshot version and broadcast the delta to members."""
+    def sync_directory(self, now: int) -> None:
+        """One sync period: publish a new version if the live entries changed
+        (or nothing was published yet), else heartbeat the current one so
+        lagging members pull (anti-entropy)."""
         entries = self.directory_entries(now)
+        if self._last_snapshot is not None and entries == self._last_snapshot.entries:
+            self.announce_directory(now)
+        else:
+            self.publish_directory(now, entries)
+
+    def publish_directory(
+        self, now: int, entries: Optional[frozenset[DirectoryEntry]] = None
+    ) -> DirectorySnapshot:
+        """Publish the next snapshot version and broadcast the delta to members.
+
+        ``entries`` defaults to the current ``directory_entries(now)``.
+        """
+        if entries is None:
+            entries = self.directory_entries(now)
         previous = self._last_snapshot.entries if self._last_snapshot else frozenset()
         self._publish_version += 1
         snapshot = DirectorySnapshot(self.vasp_id, self._publish_version, entries)
@@ -671,7 +692,7 @@ class VaspNode:
         )
         delta = replace(delta, owner_signature=self.sign_bytes(delta.signed_payload()))
         self._last_snapshot = snapshot
-        self._last_snapshot_digest = directory_digest(entries)
+        self._last_announce = None
         own_view = self.directory_views.setdefault(self.vasp_id, DirectoryView())
         own_view.install_snapshot(snapshot)
         for member_id in self.co_member_ids():
@@ -704,18 +725,26 @@ class VaspNode:
             self.env.send(self.vasp_id, src, "dir_snapshot", self._last_snapshot)
 
     def announce_directory(self, now: int) -> None:
-        """Heartbeat the current directory version to all co-members."""
+        """Heartbeat the current directory version to all co-members.
+
+        The announce is built and signed on the first heartbeat of a version
+        and re-sent unchanged on later ones. It carries the digest of the
+        *published* snapshot, not of the own view, which
+        ``prune_directory_views`` may prune.
+        """
         if self._last_snapshot is None:
             return
-        unsigned = DirectoryAnnounce(
-            owner_vasp_id=self.vasp_id,
-            version=self._last_snapshot.version,
-            entries_digest=self._last_snapshot_digest,
-        )
-        announce = replace(unsigned,
-                           owner_signature=self.sign_bytes(unsigned.signed_payload()))
+        if self._last_announce is None:
+            unsigned = DirectoryAnnounce(
+                owner_vasp_id=self.vasp_id,
+                version=self._last_snapshot.version,
+                entries_digest=directory_digest(self._last_snapshot.entries),
+            )
+            self._last_announce = replace(
+                unsigned, owner_signature=self.sign_bytes(unsigned.signed_payload())
+            )
         for member_id in self.co_member_ids():
-            self.env.send(self.vasp_id, member_id, "dir_announce", announce)
+            self.env.send(self.vasp_id, member_id, "dir_announce", self._last_announce)
 
     def on_dir_announce(self, announce: DirectoryAnnounce, src: str) -> None:
         cert = self.member_certificate(announce.owner_vasp_id)
@@ -853,15 +882,7 @@ class VaspNode:
         if subject_cert is None:
             return None
         try:
-            full = issue_assertion(
-                self._keypair, self.vasp_id, account.subject_id, subject_cert,
-                account.attributes, account.attributes, self._validator(),
-                self._fresh_id(), now,
-            )
-            return filter_attributes(
-                full, self.disclosure_policy, self._keypair, self.vasp_id,
-                self._fresh_id(), now,
-            )
+            return self._disclosure(account.subject_id, subject_cert, account.attributes, now)
         except Exception:
             return None
 
@@ -1186,8 +1207,8 @@ class VaspNode:
 
     def _account_refs(self, account: Account) -> list[bytes | str]:
         refs: list[bytes | str] = [account.account_id]
-        if account.customer_public_key is not None:
-            refs.append(digest(account.customer_public_key))
+        if account.customer_public_key_hash is not None:
+            refs.append(account.customer_public_key_hash)
         return refs
 
     def _target_refs(self, target: TransferTarget) -> list[bytes | str]:
@@ -1225,28 +1246,27 @@ class VaspNode:
             return "beneficiary-customer:revoked"
         return None
 
+    def _disclosure(
+        self, subject_id: str, subject_cert: Certificate,
+        registered: Mapping[str, str], now: int,
+    ) -> AttributeAssertion:
+        """Sign, once, the part of ``registered`` the disclosure policy passes on."""
+        self._fresh_id()  # unused: keeps the id stream of the full-set-then-filter signing
+        return issue_assertion(
+            self._keypair, self.vasp_id, subject_id, subject_cert,
+            registered, registered, self._validator(), self._fresh_id, now,
+            policy=self.disclosure_policy,
+        )
+
     def _originator_assertion(
         self, account: Account, origin_cert: Certificate, now: int
     ) -> AttributeAssertion:
-        full = issue_assertion(
-            self._keypair, self.vasp_id, account.subject_id, origin_cert,
-            account.attributes, account.attributes, self._validator(), self._fresh_id(), now,
-        )
-        return filter_attributes(
-            full, self.disclosure_policy, self._keypair, self.vasp_id, self._fresh_id(), now
-        )
+        return self._disclosure(account.subject_id, origin_cert, account.attributes, now)
 
     def _pool_assertion(self, now: int) -> AttributeAssertion:
         if self.certificate is None:
             raise VaspError("VASP certificate required")
-        attrs = self.vasp_attributes()
-        full = issue_assertion(
-            self._keypair, self.vasp_id, self.vasp_id, self.certificate,
-            attrs, attrs, self._validator(), self._fresh_id(), now,
-        )
-        return filter_attributes(
-            full, self.disclosure_policy, self._keypair, self.vasp_id, self._fresh_id(), now
-        )
+        return self._disclosure(self.vasp_id, self.certificate, self.vasp_attributes(), now)
 
     def _build_transfer_tx(
         self,

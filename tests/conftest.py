@@ -23,6 +23,19 @@ def root_ca(rng):
     return ca
 
 
+def count_calls(monkeypatch, target, name):
+    """Wrap ``target.name`` for the test; return the list of call arguments."""
+    calls = []
+    real = getattr(target, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, counting)
+    return calls
+
+
 def make_scenario(
     seed=7,
     networks=("net-a",),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import count_calls
 from vaspnet import crypto
 from vaspnet.assertions import (
     AttributeAssertion,
@@ -173,3 +174,44 @@ class TestFiltering:
     def test_empty_policy_invalid(self):
         with pytest.raises(ValueError):
             DisclosurePolicy(frozenset())
+
+
+class TestDisclosureSignedOnce:
+    POLICY = DisclosurePolicy(TRAVEL_RULE_ATTRIBUTES)
+
+    def disclose(self, world, assertion_id, policy=POLICY):
+        return issue_assertion(
+            world["vasp_key"], "v1", "alice", world["customer_cert"], ATTRS, ATTRS,
+            world["validator"], assertion_id=assertion_id, issued_at=5, policy=policy,
+        )
+
+    def test_one_signature_same_bytes_as_filtering_the_full_set(self, world, monkeypatch):
+        two_step = filter_attributes(make_assertion(world), self.POLICY, world["vasp_key"],
+                                     "v1", assertion_id=b"\x07" * 16, issued_at=5)
+        signed = count_calls(monkeypatch, crypto, "sign")
+        once = self.disclose(world, b"\x07" * 16)
+        assert [message for _, message in signed] == [once.signed_payload()]
+        assert once.to_bytes() == two_step.to_bytes()
+        assert once.attributes == {k: v for k, v in ATTRS.items() if k in TRAVEL_RULE_ATTRIBUTES}
+        assert verify_assertion(once, world["vasp_cert"], world["customer_cert"],
+                                world["validator"])
+
+    def test_callable_id_drawn_once_after_validation(self, world):
+        drawn = []
+        once = self.disclose(world, lambda: drawn.append(1) or b"\x08" * 16)
+        assert drawn == [1] and once.assertion_id == b"\x08" * 16
+
+    def test_invalid_subject_cert_wins_over_empty_disclosure(self, world):
+        world["ca"].revoke(world["customer_cert"].serial, RevocationReason.KEY_COMPROMISE, 1)
+        world["view"].merge_crl(world["ca"].generate_crl(2))
+        drawn = []
+        with pytest.raises(SubjectCertInvalid):
+            self.disclose(world, lambda: drawn.append(1) or bytes(16),
+                          policy=DisclosurePolicy(frozenset({"nonexistent"})))
+        assert drawn == []
+
+    def test_empty_disclosure_after_valid_cert(self, world, monkeypatch):
+        signed = count_calls(monkeypatch, crypto, "sign")
+        with pytest.raises(EmptyDisclosure):
+            self.disclose(world, bytes(16), policy=DisclosurePolicy(frozenset({"nonexistent"})))
+        assert signed == []

@@ -1,9 +1,11 @@
 import random
+from dataclasses import fields
 
 import pytest
 
 from vaspnet import crypto
 from vaspnet.ca import (
+    CERT_MEMO_SIZE,
     AlreadyRevoked,
     CertClass,
     CertStatus,
@@ -21,6 +23,7 @@ from vaspnet.ca import (
     UnknownBase,
     UnknownSerial,
     ValidationStatus,
+    _certificate_encodings,
     apply_delta_crl,
     validate_certificate,
 )
@@ -374,3 +377,31 @@ class TestLookup:
         assert lookup is not None
         assert lookup.status is CertStatus.REVOKED
         assert lookup.certificate.serial == cert.serial
+
+
+class TestEncodingMemo:
+    def test_forged_copy_after_genuine_gets_own_bytes(self):
+        ca = make_ca()
+        cert = issue(ca)
+        anchors = {ca.ca_id: ca.root_certificate}
+        assert validate_certificate(cert, anchors, now=5).ok
+        genuine = cert.to_bytes()
+        # The memo stores nothing on the instance, so the copy carries only fields.
+        assert set(vars(cert)) == {f.name for f in fields(Certificate)}
+        for change in ({"subject_id": "evil"}, {"issuer_signature": bytes(64)}):
+            forged = Certificate(**{**cert.__dict__, **change})
+            assert forged.to_bytes() != genuine
+            assert Certificate.from_bytes(forged.to_bytes()) == forged
+            status = validate_certificate(forged, anchors, now=5).status
+            assert status is ValidationStatus.BAD_SIGNATURE
+        assert cert.to_bytes() == genuine
+        assert validate_certificate(cert, anchors, now=5).ok
+
+    def test_memo_stays_within_bound(self):
+        cert = issue(make_ca())
+        for i in range(CERT_MEMO_SIZE + 16):
+            copy = Certificate(**{**cert.__dict__, "serial": i.to_bytes(16, "big")})
+            assert copy.signed_payload() != cert.signed_payload()
+        info = _certificate_encodings.cache_info()
+        assert info.maxsize == CERT_MEMO_SIZE
+        assert info.currsize <= CERT_MEMO_SIZE

@@ -7,14 +7,16 @@ FIPS 180 vectors.
 """
 
 import random
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ed25519_ref
 from vaspnet import crypto
 from vaspnet.crypto import (
+    CryptoError,
     InvalidSeed,
     MalformedRecord,
     NonCanonicalOrder,
@@ -288,3 +290,48 @@ class TestCanonicalEncoding:
         a = encode_str_map({"x": "1", "a": "2"})
         b = encode_str_map({"a": "2", "x": "1"})
         assert a == b
+
+
+def reference_encode(fields):
+    """The byte-at-a-time encoder ``canonical_encode`` must match, kept as an oracle."""
+    out = bytearray()
+    prev = -1
+    for tag, value in fields:
+        if tag <= prev:
+            raise NonCanonicalOrder(f"tag {tag} after {prev}")
+        if not 0 <= tag <= 0xFFFF:
+            raise MalformedRecord(f"tag {tag} out of range")
+        if len(value) > 0xFFFFFFFF:
+            raise MalformedRecord("value too long")
+        out += struct.pack(">HI", tag, len(value))
+        out += value
+        prev = tag
+    return bytes(out)
+
+
+def encode_outcome(encode, fields):
+    try:
+        return encode(fields)
+    except CryptoError as exc:
+        return type(exc), str(exc)
+
+
+any_tags = st.one_of(st.integers(-3, 4), st.integers(0xFFFD, 0x10002),
+                     st.integers(-0x10000, 0x20000))
+any_values = st.one_of(st.binary(max_size=12), st.binary(max_size=12).map(bytearray))
+any_fields = st.lists(st.tuples(any_tags, any_values), max_size=6)
+# Mostly well-formed records: unique tags in increasing order.
+ordered_fields = any_fields.map(lambda fields: sorted(dict(fields).items()))
+
+
+class TestEncoderMatchesReference:
+    @given(st.one_of(any_fields, ordered_fields))
+    @settings(max_examples=300)
+    @example([(1, b"a"), (0xFFFF, b"b")])
+    @example([(2, b"a"), (1, b"b")])
+    @example([(-1, b"a")])
+    @example([(0, b""), (-4, b"a")])
+    @example([(1, b"a"), (0x10000, b"b")])
+    @example([(3, b"a"), (3, b"b"), (0x10000, b"c")])
+    def test_same_bytes_and_same_errors(self, fields):
+        assert encode_outcome(canonical_encode, fields) == encode_outcome(reference_encode, fields)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from conftest import make_scenario, standard_script
+import vaspnet.vasp
+from conftest import count_calls, make_scenario, standard_script
 from vaspnet import crypto
 from vaspnet.ca import CertClass, RevocationReason
 from vaspnet.harness import Simulation
@@ -279,6 +280,54 @@ class TestDirectoryDigestCache:
         announce, answer = self.announce_to(v4, v3, sent)
         assert view.version == announce.version
         assert answer == [("v3", "v4", "dir_pull")]
+
+
+class TestDirectorySync:
+    def test_heartbeat_signed_once_per_version(self, monkeypatch):
+        sim = two_network_sim()
+        sim.advance_to(20)
+        v1 = sim.vasps["v1"]
+        sent = TestDirectoryDigestCache.capture_sends(sim, monkeypatch)
+        signed = count_calls(monkeypatch, crypto, "sign")
+        for _round in range(2):  # each published version is signed once
+            v1.publish_directory(sim.now)
+            signed.clear()
+            sent.clear()
+            for _beat in range(3):
+                v1.announce_directory(sim.now)
+            assert len(signed) == 1
+            announces = [p for _, _, kind, p in sent if kind == "dir_announce"]
+            assert len(announces) == 3 * len(v1.co_member_ids())
+            announce = announces[0]
+            assert all(a == announce for a in announces)
+            snapshot = v1._last_snapshot
+            assert announce.version == snapshot.version
+            assert announce.entries_digest == directory_digest(snapshot.entries)
+            assert crypto.verify(v1.public_key, announce.signed_payload(),
+                                 announce.owner_signature)
+
+    def test_sync_reads_entries_once_and_hashes_no_key(self, monkeypatch):
+        sim = two_network_sim()
+        sim.advance_to(20)
+        v1 = sim.vasps["v1"]
+        v1.open_account("zed", {"name": "Zed", "email": "z@x"}, CustodyModel.MEDIATED,
+                        customer_wallet=crypto.generate_keypair(crypto.digest(b"zed")),
+                        account_id="acct-zed", now=sim.now)
+        v1.enroll_customer_certificate("acct-zed", CertClass.CLASS1, sim.now)
+        sent = TestDirectoryDigestCache.capture_sends(sim, monkeypatch)
+        reads = count_calls(monkeypatch, v1, "directory_entries")
+        hashed = count_calls(monkeypatch, vaspnet.vasp, "digest")
+        version = v1._last_snapshot.version
+        v1.sync_directory(sim.now)
+        assert len(reads) == 1 and v1._last_snapshot.version == version + 1
+        assert {kind for _, _, kind, _ in sent} == {"dir_delta"}
+        sent.clear()
+        v1.sync_directory(sim.now)
+        assert len(reads) == 2 and v1._last_snapshot.version == version + 1
+        assert {kind for _, _, kind, _ in sent} == {"dir_announce"}
+        assert hashed == []
+        zed_hash = crypto.digest(v1.accounts["acct-zed"].customer_public_key)
+        assert zed_hash in {e.public_key_hash for e in v1._last_snapshot.entries}
 
 
 class TestIntraNetworkQuery:

@@ -1,8 +1,22 @@
 import textwrap
+from pathlib import Path
 
 import pytest
 
+from vaspnet.harness import Simulation
 from vaspnet.scenario import SchemaError, load_scenario, parse_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+# Event-log digests of the tracked scenarios. A change meant to keep behaviour
+# the same must leave them byte-identical; one that alters a log re-pins the
+# digest and says why.
+SCENARIO_DIGESTS = {
+    "demo": "0975f9f58855f0e4dc948739934ad44a23ed554e8c94bc1c90d649e4a8bc99c1",
+    "denials": "89f2d475ae5fb703d73ae80c9413807c3a3433f9f5db5a6e8f7ff1b77f9dadc7",
+    "four_networks": "b7a75adb87f5b083580e370608b1887e849041f05e0bde5569c40e16433d5506",
+}
+
 
 MINIMAL = textwrap.dedent("""
     seed: 5
@@ -125,3 +139,13 @@ class TestReferenceValidation:
                 {"tick": 0, "action": "transfer", "origin": "a",
                  "target": {"key_hash_hex": "zz"}, "amount": 1},
             ]})
+
+
+def test_every_tracked_scenario_is_pinned():
+    assert sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")) == sorted(SCENARIO_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_DIGESTS))
+def test_scenario_digest_pinned(name):
+    scenario = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+    assert Simulation(scenario).run().digest_hex == SCENARIO_DIGESTS[name]

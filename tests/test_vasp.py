@@ -4,8 +4,16 @@ import random
 
 import pytest
 
-from conftest import make_scenario, standard_script
+import vaspnet.vasp
+from conftest import count_calls, make_scenario, standard_script
 from vaspnet import crypto
+from vaspnet.assertions import (
+    DisclosurePolicy,
+    EmptyDisclosure,
+    SubjectCertInvalid,
+    filter_attributes,
+    issue_assertion,
+)
 from vaspnet.ca import CertClass, RevocationReason
 from vaspnet.harness import Simulation
 from vaspnet.vasp import (
@@ -549,3 +557,64 @@ class TestRecordTransitions:
         assert record.status is RecordStatus.CONFIRMED
         with pytest.raises(VaspError):
             record.advance(RecordStatus.PENDING_ACK, 99)
+
+
+class TestDisclosure:
+    """Each disclosure is signed once, and equals, in its bytes and in the ids
+    it draws, signing the full attribute set and then filtering it."""
+
+    @staticmethod
+    def ids_after(node, draws):
+        """The node's rng state after ``draws`` fresh ids, and those ids; the
+        node's own state is left untouched."""
+        start = node._rng.getstate()
+        ids = [node._fresh_id() for _ in range(draws)]
+        state = node._rng.getstate()
+        node._rng.setstate(start)
+        return state, ids
+
+    @pytest.mark.parametrize("kind", ["originator", "customer", "pool"])
+    def test_signed_once_same_bytes_same_ids(self, kind, monkeypatch):
+        sim = open_and_enroll()
+        sim.advance_to(2)
+        node, now = sim.vasps["v1"], sim.now
+        account = node.accounts["acct-alice"]
+        if kind == "pool":
+            subject_id, cert, attrs = node.vasp_id, node.certificate, node.vasp_attributes()
+        else:
+            subject_id, cert, attrs = account.subject_id, account.certificate, account.attributes
+        disclose = {
+            "originator": lambda: node._originator_assertion(account, cert, now),
+            "customer": lambda: node._customer_assertion(account, now),
+            "pool": lambda: node._pool_assertion(now),
+        }[kind]
+        state, ids = self.ids_after(node, 2)
+        full = issue_assertion(node._keypair, node.vasp_id, subject_id, cert, attrs, attrs,
+                               node._validator(), ids[0], now)
+        expected = filter_attributes(full, node.disclosure_policy, node._keypair,
+                                     node.vasp_id, ids[1], now)
+        signed = count_calls(monkeypatch, crypto, "sign")
+        validated = count_calls(monkeypatch, vaspnet.vasp, "validate_certificate")
+        disclosed = disclose()
+        assert len(signed) == 1 and len(validated) == 1
+        assert disclosed.to_bytes() == expected.to_bytes()
+        assert node._rng.getstate() == state
+
+    def test_refused_disclosures_draw_ids_as_before(self):
+        sim = open_and_enroll()
+        sim.advance_to(2)
+        node, now = sim.vasps["v1"], sim.now
+        account = node.accounts["acct-alice"]
+        # A valid certificate with nothing to disclose: both ids drawn.
+        state, _ = self.ids_after(node, 2)
+        node.disclosure_policy = DisclosurePolicy(frozenset({"nonexistent"}))
+        with pytest.raises(EmptyDisclosure):
+            node._originator_assertion(account, account.certificate, now)
+        assert node._rng.getstate() == state
+        # A revoked certificate: the certificate check wins, one id drawn.
+        node.ca.revoke(account.certificate_serial, RevocationReason.KEY_COMPROMISE, now)
+        node.ingest_crls([node.ca.generate_crl(now)])
+        state, _ = self.ids_after(node, 1)
+        with pytest.raises(SubjectCertInvalid):
+            node._originator_assertion(account, account.certificate, now)
+        assert node._rng.getstate() == state
