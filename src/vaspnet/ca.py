@@ -12,7 +12,8 @@ through a module-level memo keyed by the frozen ``Certificate`` itself:
 equal fields, equal bytes. It holds at most ``CERT_MEMO_SIZE`` certificates,
 least recently used evicted first. Nothing is stored on the instance, so a
 copy made with ``Certificate(**{**cert.__dict__, ...})`` carries only its
-fields and gets its own bytes.
+fields and gets its own bytes. The unsigned draft the CA signs is encoded
+outside the memo.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from .crypto import (
 SERIAL_LEN = 16
 SIGNATURE_ALGORITHM = "Ed25519-SHA256"
 
-# Above the certificates of the largest benchmark workload, counting the
-# unsigned drafts the CA encodes to sign them (1,684 on mesh).
+# Above the certificates of the largest benchmark workload (840 on mesh).
 CERT_MEMO_SIZE = 4096
 
 
@@ -377,11 +377,29 @@ class ValidationResult:
         return self.status is ValidationStatus.VALID
 
 
+@dataclass(frozen=True)
+class MergeResult:
+    """What one merge into a ``RevocationView`` did. It is true when the view
+    adopted the list; ``revoked`` holds the (issuer id, serial) pairs the
+    merge revoked that the view did not hold before."""
+
+    applied: bool
+    revoked: frozenset[tuple[str, bytes]] = frozenset()
+
+    def __bool__(self) -> bool:
+        return self.applied
+
+
+NOT_APPLIED = MergeResult(False)
+
+
 class RevocationView:
     """A relying party's merged view of issuer CRLs.
 
     Holds, per issuer, the entry set at the highest CRL number seen. Stale
     (lower-numbered) lists are ignored; deltas apply only on their exact base.
+    A CA never un-revokes and every CRL carries all its revoked serials, so a
+    merge only ever adds serials; each merge reports the ones it added.
     """
 
     def __init__(self) -> None:
@@ -400,32 +418,46 @@ class RevocationView:
     def revocation_entry(self, issuer_id: str, serial: bytes) -> Optional[RevocationEntry]:
         return self._entries.get(issuer_id, {}).get(serial)
 
-    def merge_crl(self, crl: Crl) -> bool:
-        """Adopt a full CRL if newer than the held one. Returns True if applied."""
+    def merge_crl(self, crl: Crl) -> MergeResult:
+        """Adopt a full CRL if newer than the held one."""
         if crl.crl_number <= self._numbers.get(crl.issuer_id, 0):
-            return False
+            return NOT_APPLIED
+        held = self._entries.get(crl.issuer_id, {})
+        entries = {e.serial: e for e in crl.entries}
         self._numbers[crl.issuer_id] = crl.crl_number
-        self._entries[crl.issuer_id] = {e.serial: e for e in crl.entries}
-        return True
+        self._entries[crl.issuer_id] = entries
+        return _merged(crl.issuer_id, entries.keys() - held.keys())
 
-    def merge_delta(self, delta: DeltaCrl) -> bool:
-        """Apply a delta if its base matches the held number. Returns True if applied."""
+    def merge_delta(self, delta: DeltaCrl) -> MergeResult:
+        """Apply a delta if its base matches the held number."""
         if delta.base_crl_number != self._numbers.get(delta.issuer_id, 0):
-            return False
+            return NOT_APPLIED
         if delta.crl_number <= self._numbers.get(delta.issuer_id, 0):
-            return False
+            return NOT_APPLIED
         held = self._entries.setdefault(delta.issuer_id, {})
+        added = {entry.serial for entry in delta.entries} - held.keys()
         for entry in delta.entries:
             held[entry.serial] = entry
         self._numbers[delta.issuer_id] = delta.crl_number
-        return True
+        return _merged(delta.issuer_id, added)
 
-    def merge_view(self, other: "RevocationView") -> None:
+    def merge_view(self, other: "RevocationView") -> MergeResult:
         """Union with another view, keeping the highest CRL number per issuer."""
+        applied = False
+        revoked: set[tuple[str, bytes]] = set()
         for issuer_id, number in other._numbers.items():
             if number > self._numbers.get(issuer_id, 0):
+                theirs = other._entries[issuer_id]
+                ours = self._entries.get(issuer_id, {})
+                revoked |= {(issuer_id, serial) for serial in theirs.keys() - ours.keys()}
                 self._numbers[issuer_id] = number
-                self._entries[issuer_id] = dict(other._entries[issuer_id])
+                self._entries[issuer_id] = dict(theirs)
+                applied = True
+        return MergeResult(applied, frozenset(revoked))
+
+
+def _merged(issuer_id: str, serials: Iterable[bytes]) -> MergeResult:
+    return MergeResult(True, frozenset((issuer_id, serial) for serial in serials))
 
 
 def validate_certificate(
@@ -625,7 +657,9 @@ class CertificateAuthority:
             cert_class=cert_class,
             issuer_signature=b"",
         )
-        signature = crypto.sign(self._keypair, unsigned.signed_payload())
+        # The draft is encoded outside the memo: it is never read again.
+        payload = _certificate_encodings.__wrapped__(unsigned)[0]
+        signature = crypto.sign(self._keypair, payload)
         return Certificate(**{**unsigned.__dict__, "issuer_signature": signature})
 
     def _fresh_serial(self) -> bytes:

@@ -5,9 +5,11 @@ Time is integer ticks. Per tick, processing order is fixed: scripted actions,
 then due message deliveries (ascending destination actor id, then send
 sequence), then periodic protocol duties (directory gossip, CRL exchange,
 reachability advertisements), then ack-timeout sweeps, then the chain tick
-with confirmation fan-out. One message hop costs a latency drawn from a
-seeded per-link PRNG in [1, max_latency]; links can drop probabilistically
-or be forced down for a scripted period.
+with confirmation fan-out to the VASPs watching each transaction (those
+holding one of its keys or a record filed under its tx id), then the
+invariant sweep. One message hop costs a latency drawn from a seeded
+per-link PRNG in [1, max_latency]; links can drop probabilistically or be
+forced down for a scripted period.
 
 Actor key material derives from (seed, actor name) so construction order
 never affects any byte of the run.
@@ -177,7 +179,8 @@ class Simulation:
     """Build the world from a scenario and run it tick by tick.
 
     The instance doubles as the environment interface handed to every actor:
-    ``now``, ``send``, ``node``, ``link_ok``, ``log``, ``submit_tx``, ``chain``.
+    ``now``, ``send``, ``node``, ``link_ok``, ``log``, ``submit_tx``, ``chain``,
+    ``watch``.
     """
 
     def __init__(self, scenario: Scenario, seed: Optional[int] = None) -> None:
@@ -192,6 +195,8 @@ class Simulation:
         self._seq = 0
         self._links: dict[tuple[str, str], _Link] = {}
         self._ca_crl_cache: dict[tuple[str, int], Any] = {}
+        # Public key or tx id -> the VASPs its confirmations are delivered to.
+        self._watchers: dict[bytes, set[str]] = {}
         self._wallets: dict[str, KeyPair] = {}
         self.scripted_transfers: list[ScriptedTransfer] = []
         self._last_view_change = 0
@@ -232,6 +237,11 @@ class Simulation:
         deliver = self.now + link.draw_latency()
         message = _Message(self._seq, src, dst, kind, payload, self.now, deliver)
         self._queue.setdefault(deliver, []).append(message)
+
+    def watch(self, ref: bytes, vasp_id: str) -> None:
+        """Deliver to ``vasp_id`` the confirmation of every transaction that
+        has ``ref`` as its tx id or as one of its keys."""
+        self._watchers.setdefault(ref, set()).add(vasp_id)
 
     def submit_tx(self, actor: str, tx: ChainTransaction) -> SubmitResult:
         result = self.chain.submit_transaction(tx, self.now)
@@ -517,13 +527,19 @@ class Simulation:
         for vasp_id in sorted(self.vasps):
             self.vasps[vasp_id].sweep_ack_timeouts(tick)
         for event in self.chain.tick(tick):
-            self.log("chain", "chain_confirmed",
-                     tx=event.transaction.tx_id.hex(), block=event.block_index)
-            for vasp_id in sorted(self.vasps):
-                self.vasps[vasp_id].on_chain_confirmation(
-                    event.transaction, event.confirmed_tick
-                )
+            tx = event.transaction
+            self.log("chain", "chain_confirmed", tx=tx.tx_id.hex(), block=event.block_index)
+            for vasp_id in sorted(self._confirmation_watchers(tx)):
+                self.vasps[vasp_id].on_chain_confirmation(tx, event.confirmed_tick)
         self._check_invariants(tick)
+
+    def _confirmation_watchers(self, tx: ChainTransaction) -> set[str]:
+        """The VASPs holding a key of ``tx`` or a record filed under its tx
+        id. Any other VASP's ``on_chain_confirmation`` would do nothing."""
+        none: frozenset[str] = frozenset()
+        get = self._watchers.get
+        return (get(tx.tx_id, none) | get(tx.from_public_key, none)
+                | get(tx.to_public_key, none))
 
     def run(self) -> "RunResult":
         self.advance_to(self.scenario.horizon())

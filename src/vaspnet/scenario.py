@@ -247,9 +247,12 @@ def validate_scenario(scenario: Scenario) -> None:
         (scenario.networks, "network_id"), (scenario.cas, "ca_id"),
         (scenario.vasps, "vasp_id"), (scenario.customers, "customer_id"),
     ):
-        ids = [getattr(item, name) for item in collection]
-        for dup in {i for i in ids if ids.count(i) > 1}:
-            raise SchemaError(f"duplicate {name} {dup!r}")
+        seen: set[str] = set()
+        for item in collection:
+            item_id = getattr(item, name)
+            if item_id in seen:
+                raise SchemaError(f"duplicate {name} {item_id!r}")
+            seen.add(item_id)
 
     vasp_networks = {v.vasp_id: set(v.networks) for v in scenario.vasps}
     for vasp in scenario.vasps:

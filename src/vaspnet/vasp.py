@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from . import crypto
 from .assertions import (
@@ -99,8 +99,11 @@ class KeyOperatorEvidence:
     since_tick: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Account:
+    """One customer account. Slotted, so that the per-tick invariant sweep,
+    which reads the key fields of every account, finds them in the object."""
+
     account_id: str
     subject_id: str
     attributes: dict[str, str]
@@ -421,6 +424,7 @@ class VaspNode:
         self._wallets: dict[str, KeyPair] = {}
         self._accounts_by_key_hash: dict[bytes, str] = {}
         self._known_keys: frozenset[bytes] = frozenset((keypair.public_key,))
+        env.watch(keypair.public_key, vasp_id)
         self.suspect_list = SuspectList()
         self.revocation = RevocationView()
         self.trust_anchors: dict[str, Certificate] = {}
@@ -431,6 +435,14 @@ class VaspNode:
         self._records_by_tx_id: dict[bytes, list[bytes]] = {}
         self._pending: dict[bytes, PendingTransfer] = {}
         self._handled_notices: set[bytes] = set()
+        # Unrevoked customer certificates: (issuer, serial) -> (entry, not-after).
+        self._certified: dict[tuple[str, bytes], tuple[DirectoryEntry, int]] = {}
+        # ``directory_entries`` at any tick of [_live_from, _live_until];
+        # None after enrolment or revocation.
+        self._live_entries: Optional[frozenset[DirectoryEntry]] = None
+        self._live_from = self._live_until = 0.0
+        # Network id -> (member entry sets summarised, signed advertisement).
+        self._advertisements: dict[str, tuple[tuple, ReachabilityAdvertisement]] = {}
         self._publish_version = 0
         self._last_snapshot: Optional[DirectorySnapshot] = None
         # Signed heartbeat for ``_last_snapshot``; built on its first announce.
@@ -602,6 +614,7 @@ class VaspNode:
         if customer_public_key is not None:
             self._accounts_by_key_hash[account.customer_public_key_hash] = account_id
             self._known_keys = self._known_keys | {customer_public_key}
+            self.env.watch(customer_public_key, self.vasp_id)
         if customer_wallet is not None:
             self._wallets[account_id] = customer_wallet
         self.env.log(self.vasp_id, "account_opened",
@@ -626,6 +639,14 @@ class VaspNode:
             registration, account.customer_public_key, DEFAULT_PROFILE,
             now, now + validity_ticks, now,
         )
+        previous = account.certificate
+        if previous is not None:
+            self._certified.pop((previous.issuer_id, previous.serial), None)
+        self._certified[(cert.issuer_id, cert.serial)] = (
+            DirectoryEntry(cert.serial, account.customer_public_key_hash, cert.issuer_id),
+            cert.validity_not_after,
+        )
+        self._live_entries = None
         account.certificate_serial = cert.serial
         account.certificate = cert
         account.key_ownership_evidence = cert.fingerprint()
@@ -642,23 +663,23 @@ class VaspNode:
     # -- directory gossip -----------------------------------------------------
 
     def directory_entries(self, now: int) -> frozenset[DirectoryEntry]:
-        """Current live customer certificate entries (revoked/expired excluded)."""
-        entries = []
-        for account_id in sorted(self.accounts):
-            account = self.accounts[account_id]
-            cert = account.certificate
-            if cert is None or account.customer_public_key is None:
-                continue
-            if self.revocation.is_revoked(cert.issuer_id, cert.serial):
-                continue
-            if now > cert.validity_not_after:
-                continue
-            entries.append(DirectoryEntry(
-                serial=cert.serial,
-                public_key_hash=account.customer_public_key_hash,
-                issuer_ca_id=cert.issuer_id,
-            ))
-        return frozenset(entries)
+        """Current live customer certificate entries (revoked/expired excluded).
+
+        The set is kept between calls. Enrolment and revocation reset it; it
+        is rebuilt from the unrevoked certificates when ``now`` leaves the
+        ticks it holds for, that is, when a certificate expires.
+        """
+        if self._live_entries is None or not self._live_from <= now <= self._live_until:
+            live = []
+            self._live_from, self._live_until = float("-inf"), float("inf")
+            for entry, not_after in self._certified.values():
+                if now > not_after:
+                    self._live_from = max(self._live_from, not_after + 1)
+                else:
+                    live.append(entry)
+                    self._live_until = min(self._live_until, not_after)
+            self._live_entries = frozenset(live)
+        return self._live_entries
 
     def sync_directory(self, now: int) -> None:
         """One sync period: publish a new version if the live entries changed
@@ -716,7 +737,7 @@ class VaspNode:
                          held=view.version, offered=delta.to_version)
             self.env.send(self.vasp_id, delta.owner_vasp_id, "dir_pull", None)
             return
-        self.prune_directory_views()
+        self._drop_revoked(view, delta.added)
         self.env.log(self.vasp_id, "directory_applied", owner=delta.owner_vasp_id,
                      version=view.version)
 
@@ -770,19 +791,33 @@ class VaspNode:
             return
         view = self.directory_views.setdefault(snapshot.owner_vasp_id, DirectoryView())
         if view.install_snapshot(snapshot):
-            self.prune_directory_views()
+            self._drop_revoked(view, view.entries)
             self.env.log(self.vasp_id, "directory_applied", owner=snapshot.owner_vasp_id,
                          version=view.version)
 
-    def prune_directory_views(self) -> None:
+    def prune_directory_views(self, revoked: Collection[tuple[str, bytes]]) -> None:
+        """Follow newly revoked (issuer id, serial) pairs: drop them from this
+        node's live entries and from every held view.
+
+        Every view write is followed by a prune, so a view never holds an
+        entry revoked earlier and only the new pairs need looking for.
+        """
+        if not revoked:
+            return
+        for pair in revoked:
+            if self._certified.pop(pair, None) is not None:
+                self._live_entries = None
         for view in self.directory_views.values():
-            kept = frozenset(
-                entry for entry in view.entries
-                if not self.revocation.is_revoked(entry.issuer_ca_id, entry.serial)
-            )
+            gone = {e for e in view.entries if (e.issuer_ca_id, e.serial) in revoked}
             # Replace only on removal: a new set drops the view's cached digest.
-            if len(kept) != len(view.entries):
-                view.entries = kept
+            if gone:
+                view.entries = view.entries - gone
+
+    def _drop_revoked(self, view: DirectoryView, written: Iterable[DirectoryEntry]) -> None:
+        """Remove from ``view`` the entries just written to it that are revoked."""
+        gone = {e for e in written if self.revocation.is_revoked(e.issuer_ca_id, e.serial)}
+        if gone:
+            view.entries = view.entries - gone
 
     def find_directory_owner(self, key_hash: bytes) -> Optional[str]:
         for owner_id in sorted(self.directory_views):
@@ -795,6 +830,7 @@ class VaspNode:
     def ingest_crls(self, crls: Sequence[Crl | DeltaCrl], broadcast: bool = False) -> None:
         """Merge issuer CRLs into the local view; optionally forward to members."""
         applied = []
+        revoked: set[tuple[str, bytes]] = set()
         for crl in crls:
             anchor = self.trust_anchors.get(crl.issuer_id)
             if anchor is None or not crypto.verify(
@@ -805,12 +841,14 @@ class VaspNode:
                              reason="bad-signature")
                 continue
             if isinstance(crl, DeltaCrl):
-                if self.revocation.merge_delta(crl):
-                    applied.append(crl)
-            elif self.revocation.merge_crl(crl):
+                merged = self.revocation.merge_delta(crl)
+            else:
+                merged = self.revocation.merge_crl(crl)
+            if merged:
                 applied.append(crl)
+                revoked |= merged.revoked
         if applied:
-            self.prune_directory_views()
+            self.prune_directory_views(revoked)
             for crl in applied:
                 self.env.log(self.vasp_id, "crl_merged", issuer=crl.issuer_id,
                              number=crl.crl_number)
@@ -1185,9 +1223,7 @@ class VaspNode:
             originator_account_ids=account_ids,
         )
         self.records[record.record_id] = record
-        self._records_by_binding.setdefault(notice.intended_chain_tx_binding, []).append(
-            record.record_id
-        )
+        self._file_record(self._records_by_binding, notice.intended_chain_tx_binding, record)
         outcome.record_id = record.record_id
         self._pending[notice.notice_id] = PendingTransfer(
             notice=notice, outcome=outcome, record_id=record.record_id,
@@ -1198,6 +1234,13 @@ class VaspNode:
         self.env.log(self.vasp_id, "notice_sent", notice=notice.notice_id.hex(),
                      beneficiary=notice.beneficiary_vasp_id,
                      binding=notice.intended_chain_tx_binding.hex())
+
+    def _file_record(
+        self, index: dict[bytes, list[bytes]], tx_id: bytes, record: TravelRuleRecord
+    ) -> None:
+        """File a record under a tx id; its confirmation is then delivered here."""
+        index.setdefault(tx_id, []).append(record.record_id)
+        self.env.watch(tx_id, self.vasp_id)
 
     def _deny(self, outcome: TransferOutcome, code: DenialCode, detail: str = "") -> TransferOutcome:
         outcome.status = OutcomeStatus.DENIED
@@ -1391,9 +1434,7 @@ class VaspNode:
         record.ack = ack
         record.advance(RecordStatus.PENDING_CHAIN, now)
         self.records[record.record_id] = record
-        self._records_by_binding.setdefault(notice.intended_chain_tx_binding, []).append(
-            record.record_id
-        )
+        self._file_record(self._records_by_binding, notice.intended_chain_tx_binding, record)
         self.env.send(self.vasp_id, notice.originator_vasp_id, "transfer_ack", ack)
         self.env.log(self.vasp_id, "ack_sent", notice=notice.notice_id.hex(),
                      decision="accept",
@@ -1508,7 +1549,7 @@ class VaspNode:
             self._deny(pending.outcome, DenialCode.CHAIN_REJECTED)
             return
         record.chain_tx_id = tx_id
-        self._records_by_tx_id.setdefault(tx_id, []).append(record.record_id)
+        self._file_record(self._records_by_tx_id, tx_id, record)
         record.advance(RecordStatus.PENDING_CHAIN, now)
         pending.outcome.status = OutcomeStatus.BROADCAST
         pending.outcome.chain_tx_id = tx_id
@@ -1666,7 +1707,23 @@ class VaspNode:
         return AuditReport(records_checked=checked, violations=tuple(violations))
 
     def check_account_invariants(self) -> None:
+        """Check every account. The inline test is ``Account.check_invariants``
+        without the messages; an account failing it gets the full check,
+        which raises with the message."""
+        mediated, key_custody = CustodyModel.MEDIATED, CustodyModel.KEY_CUSTODY
         for account in self.accounts.values():
+            model = account.custody_model
+            if model is mediated:
+                if (account.customer_public_key is not None
+                        and account.custodied_private_key is None):
+                    continue
+            elif model is key_custody:
+                if (account.customer_public_key is not None
+                        and account.custodied_private_key is not None
+                        and account.key_operator_evidence is not None):
+                    continue
+            elif account.customer_public_key is None and account.custodied_private_key is None:
+                continue
             account.check_invariants()
 
     # -- message dispatch --------------------------------------------------------
@@ -1711,9 +1768,26 @@ class VaspNode:
         """Send this network's directory summary over our peering links."""
         for network in self.networks_sorted():
             for link in network.links_of(self.vasp_id):
-                adv = build_advertisement(network, self)
+                adv = self._advertisement(network)
                 far_gateway, _far_network = link.far_side(network.network_id)
                 self.env.send(self.vasp_id, far_gateway, "reach_adv", adv)
                 self.env.log(self.vasp_id, "advertisement_sent",
                              network=network.network_id, to=far_gateway,
                              hashes=len(adv.advertised_hashes))
+
+    def _advertisement(self, network: TrustNetwork) -> ReachabilityAdvertisement:
+        """The signed advertisement of ``network``, rebuilt only when a member
+        view's entry set changed. Views replace their frozenset on every
+        write, so an unchanged view compares by identity; Ed25519 is
+        deterministic, so a reused advertisement has the bytes a rebuilt one
+        would have."""
+        sources = tuple(
+            view.entries if view is not None else None
+            for view in map(self.directory_views.get, network.member_ids())
+        )
+        cached = self._advertisements.get(network.network_id)
+        if cached is not None and cached[0] == sources:
+            return cached[1]
+        adv = build_advertisement(network, self)
+        self._advertisements[network.network_id] = (sources, adv)
+        return adv

@@ -397,6 +397,16 @@ class TestEncodingMemo:
         assert cert.to_bytes() == genuine
         assert validate_certificate(cert, anchors, now=5).ok
 
+    def test_issuing_memoises_only_the_issued_certificate(self):
+        ca = make_ca()
+        _certificate_encodings.cache_clear()
+        cert = issue(ca)
+        cert.signed_payload()
+        cert.to_bytes()
+        assert _certificate_encodings.cache_info().currsize == 1
+        anchors = {ca.ca_id: ca.root_certificate}
+        assert validate_certificate(cert, anchors, now=5).ok
+
     def test_memo_stays_within_bound(self):
         cert = issue(make_ca())
         for i in range(CERT_MEMO_SIZE + 16):

@@ -5,9 +5,10 @@ import pytest
 import vaspnet.vasp
 from conftest import count_calls, make_scenario, standard_script
 from vaspnet import crypto
-from vaspnet.ca import CertClass, RevocationReason
+from vaspnet.ca import CertClass, RevocationReason, RevocationView
 from vaspnet.harness import Simulation
 from vaspnet.network import (
+    ENTRY_MEMO_SIZE,
     ApplyResult,
     DirectoryDelta,
     DirectoryEntry,
@@ -19,7 +20,9 @@ from vaspnet.network import (
     RulesVersionMismatch,
     TrustNetwork,
     _entries_bytes,
+    _entry_bytes,
     apply_delta,
+    build_advertisement,
     directory_digest,
     exchange_crl,
 )
@@ -527,3 +530,171 @@ class TestPathVectorRouting:
             assert network_id.startswith("net-")
             assert len(hash_prefix) == 16
             assert ">" not in home
+
+
+class TestLiveDirectorySet:
+    """``directory_entries`` is kept between sync periods, not rebuilt."""
+
+    @staticmethod
+    def scan(node, now):
+        """The live entries recomputed from every account."""
+        return frozenset(
+            DirectoryEntry(a.certificate.serial, a.customer_public_key_hash,
+                           a.certificate.issuer_id)
+            for a in node.accounts.values()
+            if a.certificate is not None and a.customer_public_key is not None
+            and not node.revocation.is_revoked(a.certificate.issuer_id, a.certificate.serial)
+            and now <= a.certificate.validity_not_after
+        )
+
+    def test_equals_a_scan_at_every_sync_period(self, monkeypatch):
+        people = [("alice", "v1"), ("carol", "v1"), ("dave", "v1"), ("bob", "v4")]
+        sim = two_network_sim(customers=[
+            {"customer_id": name, "vasp": vasp, "custody_model": "mediated",
+             "attributes": {"name": name, "email": f"{name}@x"}}
+            for name, vasp in people
+        ], script=[
+            {"tick": 0, "action": "open_account", "customer": name}
+            for name in ("alice", "carol", "bob")
+        ] + [
+            {"tick": 1, "action": "enroll", "customer": "alice"},
+            {"tick": 1, "action": "enroll", "customer": "bob"},
+            {"tick": 22, "action": "open_account", "customer": "dave"},
+            {"tick": 23, "action": "enroll", "customer": "dave"},
+            {"tick": 31, "action": "revoke_cert", "customer": "bob"},
+        ])
+        sizes = {}
+        real = vaspnet.vasp.VaspNode.directory_entries
+
+        def checked(node, now):
+            entries = real(node, now)
+            assert entries == self.scan(node, now), (node.vasp_id, now)
+            sizes.setdefault(node.vasp_id, {})[now] = len(entries)
+            return entries
+
+        monkeypatch.setattr(vaspnet.vasp.VaspNode, "directory_entries", checked)
+        v1 = sim.vasps["v1"]
+        sim.advance_to(11)
+        # Valid through tick 36: it expires between two sync periods.
+        v1.enroll_customer_certificate("acct-carol", CertClass.CLASS1, 11, validity_ticks=25)
+        sim.advance_to(44)
+        v1.enroll_customer_certificate("acct-alice", CertClass.CLASS1, 44)  # replaces
+        sim.advance_to(70)
+        # Enrolments at 11 and 23, expiry after 36, re-enrolment at 44.
+        assert sizes["v1"] == {0: 0, 10: 1, 20: 2, 30: 3, 40: 2, 50: 2, 60: 2, 70: 2}
+        # Revoked at 31; v4 merges the CRL at 40, after that tick's sync.
+        assert sizes["v4"] == {0: 0, 10: 1, 20: 1, 30: 1, 40: 1, 50: 0, 60: 0, 70: 0}
+
+
+class TestAdvertisementReuse:
+    def test_changed_member_view_gets_a_fresh_advertisement(self, monkeypatch):
+        sim = two_network_sim()
+        sim.advance_to(12)
+        v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
+        network = sim.networks["net-a"]
+        sent = TestDirectoryDigestCache.capture_sends(sim, monkeypatch)
+        signed = count_calls(monkeypatch, crypto, "sign")
+
+        def advertise():
+            sent.clear()
+            signed.clear()
+            v2.advertise_reachability(sim.now)
+            (adv,) = [p for _, _, kind, p in sent if kind == "reach_adv"]
+            fresh = build_advertisement(network, v2)
+            assert adv == fresh
+            return adv, len(signed) - 1  # signatures beyond the reference's
+
+        first, _ = advertise()
+        again, signatures = advertise()
+        assert again is first and signatures == 0
+
+        # A delta adds an entry to v2's view of v1.
+        v1.open_account("zed", {"name": "Zed", "email": "z@x"}, CustodyModel.MEDIATED,
+                        customer_wallet=crypto.generate_keypair(crypto.digest(b"zed")),
+                        account_id="acct-zed", now=sim.now)
+        v1.enroll_customer_certificate("acct-zed", CertClass.CLASS1, sim.now)
+        sent.clear()
+        v1.publish_directory(sim.now)
+        delta = next(p for _, dst, kind, p in sent if kind == "dir_delta" and dst == "v2")
+        v2.on_dir_delta(delta, "v1")
+        added, signatures = advertise()
+        zed_hash = v1.accounts["acct-zed"].customer_public_key_hash
+        assert signatures == 1 and zed_hash in added.advertised_hashes - first.advertised_hashes
+
+        # A revocation prunes v2's view of v1.
+        v1.ca.revoke(v1.accounts["acct-zed"].certificate_serial,
+                     RevocationReason.KEY_COMPROMISE, sim.now)
+        v2.ingest_crls([v1.ca.generate_crl(sim.now)])
+        pruned, signatures = advertise()
+        assert signatures == 1 and pruned.advertised_hashes == first.advertised_hashes
+
+
+class TestPruneByChange:
+    def test_merge_reports_only_new_revocations(self):
+        sim = two_network_sim()
+        sim.advance_to(2)
+        ca = sim.vasps["v1"].ca
+        serial = sim.vasps["v1"].accounts["acct-alice"].certificate_serial
+        view = RevocationView()
+        base = ca.generate_crl(2)
+        assert view.merge_crl(base).revoked == frozenset()
+        ca.revoke(serial, RevocationReason.KEY_COMPROMISE, 3)
+        delta = ca.generate_delta_crl(base.crl_number, 3)
+        assert view.merge_delta(delta).revoked == {("ca-1", serial)}
+        assert not view.merge_delta(delta)
+        full = ca.generate_crl(4)
+        merged = view.merge_crl(full)
+        assert merged and merged.revoked == frozenset()
+        fresh = RevocationView()
+        assert fresh.merge_crl(full).revoked == {("ca-1", serial)}
+        assert not fresh.merge_crl(full)
+
+    def test_views_untouched_by_crls_revoking_nothing(self):
+        sim = two_network_sim()
+        sim.advance_to(20)
+        v2 = sim.vasps["v2"]
+        views = {owner: view.entries for owner, view in v2.directory_views.items()}
+        assert views["v1"]
+        v2.ingest_crls([sim.vasps["v1"].ca.generate_crl(sim.now)])
+        assert all(v2.directory_views[o].entries is e for o, e in views.items())
+
+    def test_delta_adding_a_revoked_entry_is_pruned(self, monkeypatch):
+        sim = two_network_sim()
+        sim.advance_to(14)
+        v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
+        v1.open_account("zed", {"name": "Zed", "email": "z@x"}, CustodyModel.MEDIATED,
+                        customer_wallet=crypto.generate_keypair(crypto.digest(b"zed")),
+                        account_id="acct-zed", now=sim.now)
+        v1.enroll_customer_certificate("acct-zed", CertClass.CLASS1, sim.now)
+        sent = TestDirectoryDigestCache.capture_sends(sim, monkeypatch)
+        v1.publish_directory(sim.now)
+        delta = next(p for _, dst, kind, p in sent if kind == "dir_delta" and dst == "v2")
+        # v2 learns of the revocation before the delta that lists the entry.
+        serial = v1.accounts["acct-zed"].certificate_serial
+        v1.ca.revoke(serial, RevocationReason.KEY_COMPROMISE, sim.now)
+        v2.ingest_crls([v1.ca.generate_crl(sim.now)])
+        view = v2.directory_views["v1"]
+        before = view.entries
+        v2.on_dir_delta(delta, "v1")
+        assert view.version == delta.to_version
+        assert {e.serial for e in delta.added} == {serial}
+        assert view.entries == before
+
+
+class TestEntryEncodingMemo:
+    def test_forged_copy_gets_its_own_bytes(self):
+        entry = DirectoryEntry(b"\x01" * 16, b"\x02" * 32, "ca-1")
+        forged = DirectoryEntry(**{**entry.__dict__, "issuer_ca_id": "ca-evil"})
+        assert entry.to_bytes() == entry.to_bytes()
+        assert forged.to_bytes() != entry.to_bytes()
+        assert forged.to_bytes() == crypto.canonical_encode([
+            (1, b"\x01" * 16), (2, b"\x02" * 32), (3, crypto.enc_str("ca-evil")),
+        ])
+        assert set(vars(entry)) == {"serial", "public_key_hash", "issuer_ca_id"}
+
+    def test_bound_holds(self):
+        for n in range(ENTRY_MEMO_SIZE + 10):
+            DirectoryEntry(n.to_bytes(16, "big"), b"\x03" * 32, "ca-1").to_bytes()
+        info = _entry_bytes.cache_info()
+        assert info.maxsize == ENTRY_MEMO_SIZE
+        assert info.currsize == ENTRY_MEMO_SIZE

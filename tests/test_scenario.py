@@ -1,8 +1,11 @@
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
+import vaspnet
 from vaspnet.harness import Simulation
 from vaspnet.scenario import SchemaError, load_scenario, parse_scenario
 
@@ -112,6 +115,27 @@ class TestReferenceValidation:
                 "seed": 1, "networks": [{"network_id": "n"}, {"network_id": "n"}],
                 "cas": [{"ca_id": "ca-1"}], "vasps": [],
             })
+
+    def test_first_duplicate_named_under_every_hash_seed(self):
+        # Two ids repeat; the one repeated first is named, in every process.
+        code = (
+            "from vaspnet.scenario import SchemaError, parse_scenario\n"
+            "ids = ('n-b', 'n-a', 'n-b', 'n-a')\n"
+            "try:\n"
+            "    parse_scenario({'seed': 1, 'cas': [], 'vasps': [],\n"
+            "                    'networks': [{'network_id': i} for i in ids]})\n"
+            "except SchemaError as exc:\n"
+            "    print(exc)\n"
+        )
+        import_root = str(Path(vaspnet.__file__).resolve().parent.parent)
+        for hash_seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin",
+                     "PYTHONPATH": import_root},
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == "duplicate network_id 'n-b'", hash_seed
 
     def test_unknown_action(self):
         with pytest.raises(SchemaError, match="unknown action"):

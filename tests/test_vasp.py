@@ -1,6 +1,7 @@
 """VASP node behavior through small scripted simulations."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,9 @@ from vaspnet.assertions import (
     issue_assertion,
 )
 from vaspnet.ca import CertClass, RevocationReason
+from vaspnet.chain import build_transaction
 from vaspnet.harness import Simulation
+from vaspnet.scenario import load_scenario
 from vaspnet.vasp import (
     Account,
     BeneficiaryRef,
@@ -31,6 +34,9 @@ from vaspnet.vasp import (
     TransferTarget,
     VaspError,
 )
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def build_sim(**kwargs):
@@ -618,3 +624,126 @@ class TestDisclosure:
         with pytest.raises(SubjectCertInvalid):
             node._originator_assertion(account, account.certificate, now)
         assert node._rng.getstate() == state
+
+
+class TestInvariantSweep:
+    """The per-tick sweep checks every account: a key field changed between
+    ticks is a breach at the next tick and at every tick while it lasts."""
+
+    CUSTOMERS = [
+        {"customer_id": "alice", "vasp": "v1", "custody_model": "mediated",
+         "attributes": {"name": "Alice", "email": "a@x"}},
+        {"customer_id": "kay", "vasp": "v1", "custody_model": "key-custody",
+         "attributes": {"name": "Kay", "email": "k@x"}},
+        {"customer_id": "pool", "vasp": "v2", "custody_model": "commingled",
+         "attributes": {"name": "Pool", "email": "p@x"}},
+        {"customer_id": "bob", "vasp": "v2", "custody_model": "mediated",
+         "attributes": {"name": "Bob", "email": "b@x"}},
+    ]
+
+    @pytest.mark.parametrize("vasp_id, account_id, field, value, message", [
+        ("v1", "acct-alice", "custodied_private_key", b"\x01" * 32,
+         "mediated accounts hold the public key only"),
+        ("v1", "acct-kay", "key_operator_evidence", None,
+         "key-custody accounts carry operator evidence"),
+        ("v1", "acct-kay", "custodied_private_key", None,
+         "key-custody accounts hold both keys"),
+        ("v2", "acct-pool", "customer_public_key", b"\x02" * 32,
+         "commingled accounts store no customer keys"),
+    ])
+    def test_breach_reported_from_the_next_tick_on(
+        self, vasp_id, account_id, field, value, message
+    ):
+        sim = build_sim(customers=self.CUSTOMERS, script=[
+            {"tick": 0, "action": "open_account", "customer": c["customer_id"]}
+            for c in self.CUSTOMERS
+        ])
+        sim.advance_to(5)
+        assert sim.breaches == []
+        account = sim.vasps[vasp_id].accounts[account_id]
+        setattr(account, field, value)
+        with pytest.raises(ModelKeyMismatch, match=message):
+            account.check_invariants()
+        sim.advance_to(8)
+        assert sim.breaches == [f"tick {t}: {vasp_id}: {message}" for t in (6, 7, 8)]
+
+
+class TestConfirmationFanOut:
+    """A confirmation goes only to the VASPs watching its transaction; the
+    event log equals the one from delivering it to every VASP."""
+
+    @staticmethod
+    def foreign_tx(label, to_public_key):
+        wallet = crypto.keypair_from_label("foreign", label)
+        return build_transaction(wallet, wallet.public_key, to_public_key, 5, "coin",
+                                 crypto.digest(label.encode())[:8])
+
+    @staticmethod
+    def pending_record(sim, vasp_id, last_tick=30):
+        for tick in range(sim.now + 1, last_tick):
+            sim.advance_to(tick)
+            for record in sim.vasps[vasp_id].records.values():
+                if record.status is RecordStatus.PENDING_CHAIN:
+                    return record
+        raise AssertionError("transfer never reached pending-chain")
+
+    TRANSFER = [{"tick": 15, "action": "transfer", "origin": "alice",
+                 "target": {"customer": "bob"}, "amount": 100, "asset": "coin"}]
+
+    def case_demo(self):
+        sim = Simulation(load_scenario(SCENARIO_DIR / "demo.yaml"))
+        sim.run()
+        return sim, "chain_confirmed"
+
+    def case_p2p_to_customer_key(self):
+        sim = open_and_enroll([{"tick": 12, "action": "p2p_transfer",
+                                "from_wallet": "w", "to_customer": "bob", "amount": 3}])
+        sim.run()
+        return sim, "confirmation_unmatched"
+
+    def case_tx_paying_vasp_key(self):
+        sim = open_and_enroll()
+        sim.advance_to(3)
+        sim.submit_tx("outsider", self.foreign_tx("pay-v2", sim.vasps["v2"].public_key))
+        sim.run()
+        return sim, "confirmation_unmatched"
+
+    def case_forged_binding(self):
+        sim = open_and_enroll(self.TRANSFER)
+        record = self.pending_record(sim, "v1")
+        record.notice = TransferNotice(**{
+            **record.notice.__dict__, "intended_chain_tx_binding": b"\x00" * 32,
+        })
+        sim.run()
+        return sim, "record_failed"
+
+    def case_record_filed_under_foreign_tx(self):
+        # v2 holds no key of the foreign tx, only a record filed under its id.
+        sim = open_and_enroll(self.TRANSFER)
+        record = self.pending_record(sim, "v2")
+        outsider = crypto.keypair_from_label("foreign", "payee")
+        tx = self.foreign_tx("payer", outsider.public_key)
+        sim.vasps["v2"]._file_record(sim.vasps["v2"]._records_by_binding, tx.tx_id, record)
+        sim.submit_tx("outsider", tx)
+        sim.run()
+        return sim, "record_failed"
+
+    @pytest.mark.parametrize("case", [
+        "demo", "p2p_to_customer_key", "tx_paying_vasp_key", "forged_binding",
+        "record_filed_under_foreign_tx",
+    ])
+    def test_log_equals_delivery_to_every_vasp(self, case, monkeypatch):
+        build = getattr(self, f"case_{case}")
+        calls = count_calls(monkeypatch, vaspnet.vasp.VaspNode, "on_chain_confirmation")
+        sim, event = build()
+        targeted = [record.line() for record in sim.log_.entries]
+        assert any(f" {event} " in f"{line} " for line in targeted)
+        delivered = len(calls)
+        calls.clear()
+        monkeypatch.setattr(Simulation, "_confirmation_watchers",
+                            lambda self, tx: set(self.vasps))
+        reference, _ = build()
+        assert targeted == [record.line() for record in reference.log_.entries]
+        assert reference.breaches == sim.breaches
+        # Each case but the forged binding confirms a tx some VASP does not watch.
+        assert delivered < len(calls) or case == "forged_binding"
