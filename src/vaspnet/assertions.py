@@ -6,6 +6,17 @@ certificate bytes. A disclosure is signed by the discloser so recipients can
 hold it accountable, and it is signed once: ``issue_assertion`` with a
 ``policy`` signs only the attributes the policy passes on, never the full set
 first. ``filter_attributes`` re-discloses an assertion already held.
+
+An assertion is an attribute certificate in the sense of RFC 5755: it names
+no transfer and no recipient, and it is valid while the certificate it links
+to validates. The signed notice or ack that carries it is what binds it to
+one transfer. A VASP therefore signs one assertion per subject and hands it
+out again (``HeldDisclosure``) until the certificate, the policy or the
+disclosed attributes change; every use still validates the certificate.
+Reusing it exposes no identifier beyond the disclosed ``public_key_hash``:
+a repeated ``assertion_id`` links transfers that the key hash, and the
+linked certificate digest every assertion about the subject carries,
+already link.
 """
 
 from __future__ import annotations
@@ -71,6 +82,16 @@ class DisclosurePolicy:
 
 
 TRAVEL_RULE_POLICY = DisclosurePolicy(TRAVEL_RULE_ATTRIBUTES)
+
+
+def require_valid_subject(
+    subject_certificate: Certificate,
+    validator: Callable[[Certificate], ValidationResult],
+) -> None:
+    """Raise ``SubjectCertInvalid`` unless the subject certificate validates."""
+    result = validator(subject_certificate)
+    if not result.ok:
+        raise SubjectCertInvalid(f"{result.status.value}: {result.detail}")
 
 
 @dataclass(frozen=True)
@@ -141,9 +162,7 @@ def issue_assertion(
     intersection raises ``EmptyDisclosure`` after the certificate check. A
     callable ``assertion_id`` is called only once the certificate validated.
     """
-    result = validator(subject_certificate)
-    if not result.ok:
-        raise SubjectCertInvalid(f"{result.status.value}: {result.detail}")
+    require_valid_subject(subject_certificate, validator)
     unknown = set(attributes) - set(registered_attributes)
     if unknown:
         raise AttributeNotRegistered(",".join(sorted(unknown)))
@@ -204,8 +223,38 @@ def filter_attributes(
     ))
 
 
+@dataclass(frozen=True)
+class HeldDisclosure:
+    """A signed disclosure and the certificate and policy it was issued under.
+
+    The holder may hand ``assertion`` out again, instead of signing a new one,
+    while ``covers`` holds and ``certificate`` still validates.
+    """
+
+    certificate: Certificate
+    policy: DisclosurePolicy
+    assertion: AttributeAssertion
+
+    def covers(
+        self, certificate: Certificate, policy: DisclosurePolicy,
+        registered: Mapping[str, str],
+    ) -> bool:
+        """True iff ``assertion`` was signed about ``certificate`` under
+        ``policy``, over exactly the attributes ``policy`` passes on from
+        ``registered``."""
+        return (
+            self.certificate == certificate
+            and self.policy == policy
+            and self.assertion.attributes == _kept(registered, policy)
+        )
+
+
+def _kept(attributes: Mapping[str, str], policy: DisclosurePolicy) -> dict[str, str]:
+    return {k: v for k, v in attributes.items() if k in policy.allowed_attributes}
+
+
 def _disclosed(attributes: Mapping[str, str], policy: DisclosurePolicy) -> dict[str, str]:
-    kept = {k: v for k, v in attributes.items() if k in policy.allowed_attributes}
+    kept = _kept(attributes, policy)
     if not kept:
         raise EmptyDisclosure(f"no overlap between {sorted(attributes)} and policy")
     return kept

@@ -19,10 +19,13 @@ from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from . import crypto
 from .assertions import (
+    AssertionServiceError,
     AttributeAssertion,
     DisclosurePolicy,
+    HeldDisclosure,
     TRAVEL_RULE_POLICY,
     issue_assertion,
+    require_valid_subject,
     verify_assertion,
 )
 from .ca import (
@@ -435,6 +438,8 @@ class VaspNode:
         self._records_by_tx_id: dict[bytes, list[bytes]] = {}
         self._pending: dict[bytes, PendingTransfer] = {}
         self._handled_notices: set[bytes] = set()
+        # Subject id -> the last disclosure signed about it (``_disclosure``).
+        self._held_disclosures: dict[str, HeldDisclosure] = {}
         # Unrevoked customer certificates: (issuer, serial) -> (entry, not-after).
         self._certified: dict[tuple[str, bytes], tuple[DirectoryEntry, int]] = {}
         # ``directory_entries`` at any tick of [_live_from, _live_until];
@@ -921,7 +926,7 @@ class VaspNode:
             return None
         try:
             return self._disclosure(account.subject_id, subject_cert, account.attributes, now)
-        except Exception:
+        except AssertionServiceError:
             return None
 
     # -- beneficiary resolution ---------------------------------------------------
@@ -1035,7 +1040,15 @@ class VaspNode:
         account_id: Optional[str] = None,
         revoked: bool = False,
     ) -> ResolvedBeneficiary:
-        attributes = dict(response.assertion.attributes) if response.assertion else None
+        """Attributes come only from an answer's assertion that verifies against
+        the responder's certificate and links to the answered certificate."""
+        assertion = response.assertion
+        if assertion is not None and not verify_assertion(
+            assertion, response.responder_certificate, response.certificate,
+            self._validator(),
+        ):
+            assertion = None
+        attributes = dict(assertion.attributes) if assertion else None
         if attributes:
             account_id = account_id or attributes.get("account_id")
         return ResolvedBeneficiary(
@@ -1046,7 +1059,7 @@ class VaspNode:
             account_id=account_id,
             custody_model=attributes.get("custody_model") if attributes else None,
             attributes=attributes,
-            assertion=response.assertion,
+            assertion=assertion,
             revoked=revoked,
         )
 
@@ -1097,7 +1110,7 @@ class VaspNode:
 
         try:
             assertion = self._originator_assertion(account, origin_cert, now)
-        except Exception as exc:
+        except AssertionServiceError as exc:
             return self._deny(outcome, DenialCode.CERT_INVALID,
                               f"originator-customer:{exc}")
 
@@ -1293,13 +1306,29 @@ class VaspNode:
         self, subject_id: str, subject_cert: Certificate,
         registered: Mapping[str, str], now: int,
     ) -> AttributeAssertion:
-        """Sign, once, the part of ``registered`` the disclosure policy passes on."""
+        """The part of ``registered`` the disclosure policy passes on, signed
+        once per subject.
+
+        The assertion signed about a subject is held and returned again while
+        the certificate, the policy and the disclosed attributes equal those it
+        was signed over. Every call validates the certificate first, so a
+        revoked or expired one raises ``SubjectCertInvalid`` as a fresh signing
+        would, and every call draws the ids a fresh signing draws.
+        """
         self._fresh_id()  # unused: keeps the id stream of the full-set-then-filter signing
-        return issue_assertion(
+        policy = self.disclosure_policy
+        held = self._held_disclosures.get(subject_id)
+        if held is not None and held.covers(subject_cert, policy, registered):
+            require_valid_subject(subject_cert, self._validator())
+            self._fresh_id()  # the id a fresh assertion would carry
+            return held.assertion
+        assertion = issue_assertion(
             self._keypair, self.vasp_id, subject_id, subject_cert,
             registered, registered, self._validator(), self._fresh_id, now,
-            policy=self.disclosure_policy,
+            policy=policy,
         )
+        self._held_disclosures[subject_id] = HeldDisclosure(subject_cert, policy, assertion)
+        return assertion
 
     def _originator_assertion(
         self, account: Account, origin_cert: Certificate, now: int

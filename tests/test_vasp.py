@@ -1,6 +1,7 @@
 """VASP node behavior through small scripted simulations."""
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -624,6 +625,152 @@ class TestDisclosure:
         with pytest.raises(SubjectCertInvalid):
             node._originator_assertion(account, account.certificate, now)
         assert node._rng.getstate() == state
+
+
+class TestHeldDisclosures:
+    """One assertion is signed per subject and handed out again while the
+    certificate, the policy and the disclosed attributes are those it was
+    signed over; every use validates the certificate and draws the ids a
+    fresh signing draws."""
+
+    @staticmethod
+    def alice():
+        sim = open_and_enroll()
+        sim.advance_to(2)
+        node = sim.vasps["v1"]
+        return sim, node, node.accounts["acct-alice"]
+
+    @staticmethod
+    def disclose(node, account):
+        return node._originator_assertion(account, account.certificate, node.env.now)
+
+    @pytest.mark.parametrize("kind", ["originator", "customer", "pool"])
+    def test_hit_signs_nothing_and_draws_the_same_ids(self, kind, monkeypatch):
+        sim, node, account = self.alice()
+        disclose = {
+            "originator": lambda: self.disclose(node, account),
+            "customer": lambda: node._customer_assertion(account, sim.now),
+            "pool": lambda: node._pool_assertion(sim.now),
+        }[kind]
+        first = disclose()
+        sim.advance_to(3)
+        state, _ = TestDisclosure.ids_after(node, 2)
+        signed = count_calls(monkeypatch, crypto, "sign")
+        validated = count_calls(monkeypatch, vaspnet.vasp, "validate_certificate")
+        again = disclose()
+        assert signed == [] and len(validated) == 1
+        assert again.to_bytes() == first.to_bytes()
+        assert node._rng.getstate() == state
+
+    @pytest.mark.parametrize("cause", ["revoked", "expired"])
+    def test_invalid_certificate_refused_on_a_hit(self, cause):
+        sim, node, account = self.alice()
+        if cause == "expired":
+            node.enroll_customer_certificate("acct-alice", CertClass.CLASS1, 2, validity_ticks=3)
+        cert = account.certificate
+        self.disclose(node, account)
+        if cause == "revoked":
+            node.ca.revoke(account.certificate_serial, RevocationReason.KEY_COMPROMISE, 2)
+            node.ingest_crls([node.ca.generate_crl(2)])
+        else:
+            sim.advance_to(cert.validity_not_after + 1)
+        state, _ = TestDisclosure.ids_after(node, 1)
+        with pytest.raises(SubjectCertInvalid, match=cause):
+            node._originator_assertion(account, cert, sim.now)
+        assert node._rng.getstate() == state
+
+    @pytest.mark.parametrize("change", ["reenrolled", "policy", "attribute"])
+    def test_changed_input_signs_a_new_assertion(self, change, monkeypatch):
+        sim, node, account = self.alice()
+        first = self.disclose(node, account)
+        if change == "reenrolled":
+            node.enroll_customer_certificate("acct-alice", CertClass.CLASS1, 2)
+        elif change == "policy":
+            # Not registered: the disclosed attributes stay the same.
+            node.disclosure_policy = DisclosurePolicy(
+                node.disclosure_policy.allowed_attributes | {"nickname"})
+        else:
+            account.attributes["name"] = "Alice Liddell"
+        signed = count_calls(monkeypatch, crypto, "sign")
+        second = self.disclose(node, account)
+        assert len(signed) == 1
+        assert second.assertion_id != first.assertion_id
+        assert second.linked_certificate_hash == crypto.digest(account.certificate.to_bytes())
+        assert second.attributes["name"] == account.attributes["name"]
+        assert list(node._held_disclosures) == [account.subject_id]
+        assert self.disclose(node, account) is second
+        assert len(signed) == 1
+
+
+class TestQueryAnswers:
+    """Attributes come only from a query answer whose assertion verifies
+    against the responder's certificate."""
+
+    @pytest.mark.parametrize("answer", ["genuine", "tampered", "wrong-signer"])
+    def test_unverified_assertion_dropped(self, answer, monkeypatch):
+        sim = build_sim(
+            cas=("ca-1", "ca-2"),
+            vasps=[
+                {"vasp_id": "v1", "ca": "ca-1", "networks": ["net-a"]},
+                {"vasp_id": "v2", "ca": "ca-2", "networks": ["net-a"]},
+            ],
+            script=standard_script(),
+        )
+        sim.advance_to(20)  # one gossip period past enrollment
+        v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
+        real = v2.respond_certificate_query
+        mallory = crypto.keypair_from_label("vasp", "mallory")
+
+        def respond(requester_id, key_hash, now):
+            response = real(requester_id, key_hash, now)
+            genuine = response.assertion
+            if answer == "tampered":
+                forged = replace(genuine, attributes={**genuine.attributes,
+                                                      "account_id": "acct-mallory"})
+            elif answer == "wrong-signer":
+                forged = replace(genuine, vasp_signature=crypto.sign(
+                    mallory, genuine.signed_payload()))
+            else:
+                forged = genuine
+            return replace(response, assertion=forged)
+
+        monkeypatch.setattr(v2, "respond_certificate_query", respond)
+        bob_key = v2.accounts["acct-bob"].customer_public_key
+        resolved = v1.resolve_beneficiary(
+            TransferTarget.from_key_hash(crypto.digest(bob_key)), sim.now
+        )
+        assert resolved.resolution_path == ("v1", "v2")
+        if answer == "genuine":
+            assert resolved.assertion is not None
+            assert resolved.account_id == "acct-bob"
+            assert resolved.attributes["account_id"] == "acct-bob"
+        else:
+            assert resolved.assertion is None and resolved.attributes is None
+            assert resolved.account_id is None and resolved.custody_model is None
+
+
+class TestDisclosureErrors:
+    """A refused disclosure denies the transfer or leaves the answer without
+    an assertion; an error of another kind inside one propagates."""
+
+    @pytest.mark.parametrize("caller", ["initiate_transfer", "respond_certificate_query"])
+    def test_unexpected_error_propagates(self, caller, monkeypatch):
+        sim = open_and_enroll()
+        sim.advance_to(2)
+        v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug inside a disclosure")
+
+        monkeypatch.setattr(vaspnet.vasp, "issue_assertion", broken)
+        with pytest.raises(RuntimeError, match="bug inside a disclosure"):
+            if caller == "initiate_transfer":
+                bob_key = v2.accounts["acct-bob"].customer_public_key
+                v1.initiate_transfer("acct-alice", TransferTarget.from_public_key(bob_key),
+                                     100, "coin")
+            else:
+                alice_key = v1.accounts["acct-alice"].customer_public_key
+                v1.respond_certificate_query("v2", crypto.digest(alice_key), sim.now)
 
 
 class TestInvariantSweep:

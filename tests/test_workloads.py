@@ -3,14 +3,18 @@
 The workloads carry what the tracked scenarios do not: revocation churn
 under loss (``churn-lossy``) and 24-VASP gossip around a ring (``mesh``).
 A change meant to keep behaviour the same must leave them byte-identical.
+The ``pipeline`` run also holds an Ed25519 budget.
 """
 
 import importlib.util
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
 
+from conftest import count_calls
+from vaspnet import crypto
 from vaspnet.harness import Simulation
 from vaspnet.scenario import parse_scenario
 
@@ -44,3 +48,24 @@ def test_workload_digest_pinned(workloads, name):
     result = Simulation(parse_scenario(workloads[name].scenario(7))).run()
     assert result.breaches == []
     assert result.digest_hex == WORKLOAD_DIGESTS[name]
+
+
+# Ed25519 operations in the ``pipeline`` seed-7 transfer window (set-up
+# excluded) with one disclosure signed per subject and held while its
+# certificate validates: 1,309 disclosures about 60 subjects.
+PIPELINE_SIGN_BUDGET = 1_578
+PIPELINE_VERIFY_MISS_BUDGET = 1_618
+
+
+def test_pipeline_ed25519_budget(workloads, monkeypatch):
+    """Signs, and verifies that miss the memo, stay within budget."""
+    workload = workloads["pipeline"]
+    monkeypatch.setattr(crypto, "_verified", OrderedDict())
+    sim = Simulation(parse_scenario(workload.scenario(7)))
+    for tick in range(workload.first_transfer_tick):
+        sim.advance_to(tick)
+    signs = count_calls(monkeypatch, crypto, "sign")
+    misses = count_calls(monkeypatch, crypto.Ed25519PublicKey, "from_public_bytes")
+    sim.run()
+    assert len(signs) <= PIPELINE_SIGN_BUDGET
+    assert len(misses) <= PIPELINE_VERIFY_MISS_BUDGET
