@@ -17,12 +17,19 @@ Reusing it exposes no identifier beyond the disclosed ``public_key_hash``:
 a repeated ``assertion_id`` links transfers that the key hash, and the
 linked certificate digest every assertion about the subject carries,
 already link.
+
+An assertion's encodings (``signed_payload`` and ``to_bytes``) are read
+through a module-level memo keyed by the frozen assertion, as certificates'
+are. Its attributes are a ``FrozenAttributes``, immutable and hashable, so
+the key covers every field; a copy with one attribute changed is another key
+and gets its own bytes. The unsigned draft is encoded outside the memo.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from . import crypto
 from .ca import Certificate, ValidationResult
@@ -40,6 +47,10 @@ from .crypto import (
 )
 
 ASSERTION_ID_LEN = 16
+
+# Above the assertions live in the largest benchmark workload (one per
+# subject and per re-disclosure; about 500 on churn-lossy).
+ASSERTION_MEMO_SIZE = 4096
 
 # The attribute names a travel-rule disclosure carries. Amounts and execution
 # dates travel in the transfer notice, not in the identity assertion.
@@ -94,6 +105,41 @@ def require_valid_subject(
         raise SubjectCertInvalid(f"{result.status.value}: {result.detail}")
 
 
+class FrozenAttributes(Mapping[str, str]):
+    """An immutable, hashable attribute map; equal to any mapping with the
+    same items."""
+
+    __slots__ = ("_items", "_hash")
+
+    def __init__(self, items: Mapping[str, str]) -> None:
+        self._items = dict(items)
+        self._hash: Optional[int] = None
+
+    def __getitem__(self, key: str) -> str:
+        return self._items[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, FrozenAttributes):
+            return self._items == other._items
+        if isinstance(other, Mapping):
+            return self._items == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._items.items()))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"FrozenAttributes({self._items!r})"
+
+
 @dataclass(frozen=True)
 class AttributeAssertion:
     assertion_id: bytes
@@ -104,18 +150,15 @@ class AttributeAssertion:
     issued_at: int
     vasp_signature: bytes
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.attributes, FrozenAttributes):
+            object.__setattr__(self, "attributes", FrozenAttributes(self.attributes))
+
     def signed_payload(self) -> bytes:
-        return canonical_encode([
-            (1, self.assertion_id),
-            (2, enc_str(self.issuer_vasp_id)),
-            (3, enc_str(self.subject_id)),
-            (4, self.linked_certificate_hash),
-            (5, encode_str_map(self.attributes)),
-            (6, enc_u64(self.issued_at)),
-        ])
+        return _assertion_encodings(self)[0]
 
     def to_bytes(self) -> bytes:
-        return self.signed_payload() + canonical_encode([(7, self.vasp_signature)])
+        return _assertion_encodings(self)[1]
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AttributeAssertion":
@@ -140,6 +183,24 @@ class AttributeAssertion:
         ]
         lines += [f"attr.{k}={v}" for k, v in sorted(self.attributes.items())]
         return lines
+
+
+def _assertion_payload(assertion: AttributeAssertion) -> bytes:
+    return canonical_encode([
+        (1, assertion.assertion_id),
+        (2, enc_str(assertion.issuer_vasp_id)),
+        (3, enc_str(assertion.subject_id)),
+        (4, assertion.linked_certificate_hash),
+        (5, encode_str_map(assertion.attributes)),
+        (6, enc_u64(assertion.issued_at)),
+    ])
+
+
+@functools.lru_cache(maxsize=ASSERTION_MEMO_SIZE)
+def _assertion_encodings(assertion: AttributeAssertion) -> tuple[bytes, bytes]:
+    """(signed payload, full bytes) of an assertion."""
+    payload = _assertion_payload(assertion)
+    return payload, payload + canonical_encode([(7, assertion.vasp_signature)])
 
 
 def issue_assertion(
@@ -175,7 +236,7 @@ def issue_assertion(
         issuer_vasp_id=issuer_vasp_id,
         subject_id=subject_id,
         linked_certificate_hash=digest(subject_certificate.to_bytes()),
-        attributes=dict(attributes),
+        attributes=attributes,
         issued_at=issued_at,
         vasp_signature=b"",
     ))
@@ -261,5 +322,6 @@ def _disclosed(attributes: Mapping[str, str], policy: DisclosurePolicy) -> dict[
 
 
 def _signed(signing_key: KeyPair, unsigned: AttributeAssertion) -> AttributeAssertion:
-    signature = crypto.sign(signing_key, unsigned.signed_payload())
+    # The draft is encoded outside the memo: it is never read again.
+    signature = crypto.sign(signing_key, _assertion_payload(unsigned))
     return replace(unsigned, vasp_signature=signature)

@@ -19,9 +19,9 @@ GENESIS_HASH = bytes(crypto.HASH_LEN)
 
 DEFAULT_CONFIRMATION_DELAY = 3
 
-# Transactions whose id is kept. Every VASP reads the id of every confirmed
-# transaction; the benchmark workloads submit at most 800.
-TX_ID_MEMO_SIZE = 4096
+# Transactions whose encodings and id are kept. Every VASP reads the id of
+# every confirmed transaction; the benchmark workloads submit at most 800.
+TX_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -34,28 +34,37 @@ class ChainTransaction:
     submitter_signature: bytes
 
     def signed_payload(self) -> bytes:
-        return canonical_encode([
-            (1, self.from_public_key),
-            (2, self.to_public_key),
-            (3, enc_u64(self.amount)),
-            (4, enc_str(self.asset_type)),
-            (5, self.nonce),
-        ])
+        return _tx_encodings(self)[0]
 
     def to_bytes(self) -> bytes:
-        return self.signed_payload() + canonical_encode([(6, self.submitter_signature)])
+        return _tx_encodings(self)[1]
 
     @property
     def tx_id(self) -> bytes:
-        return _tx_id(self)
+        return _tx_encodings(self)[2]
 
 
-@functools.lru_cache(maxsize=TX_ID_MEMO_SIZE)
-def _tx_id(tx: ChainTransaction) -> bytes:
-    # Keyed by the frozen transaction itself: equal fields, equal bytes. The
-    # id is not stored on the instance, so ``ChainTransaction(**tx.__dict__)``
-    # copies carry nothing but the fields.
-    return digest(tx.to_bytes())
+def _tx_payload(tx: ChainTransaction) -> bytes:
+    return canonical_encode([
+        (1, tx.from_public_key),
+        (2, tx.to_public_key),
+        (3, enc_u64(tx.amount)),
+        (4, enc_str(tx.asset_type)),
+        (5, tx.nonce),
+    ])
+
+
+@functools.lru_cache(maxsize=TX_MEMO_SIZE)
+def _tx_encodings(tx: ChainTransaction) -> tuple[bytes, bytes, bytes]:
+    """(signed payload, full bytes, tx id) of a transaction.
+
+    Keyed by the frozen transaction itself: equal fields, equal bytes.
+    Nothing is stored on the instance, so ``ChainTransaction(**tx.__dict__)``
+    copies carry nothing but the fields.
+    """
+    payload = _tx_payload(tx)
+    data = payload + canonical_encode([(6, tx.submitter_signature)])
+    return payload, data, digest(data)
 
 
 def build_transaction(
@@ -75,7 +84,8 @@ def build_transaction(
         nonce=nonce,
         submitter_signature=b"",
     )
-    signature = crypto.sign(signing_key, unsigned.signed_payload())
+    # The draft is encoded outside the memo: it is never read again.
+    signature = crypto.sign(signing_key, _tx_payload(unsigned))
     return ChainTransaction(**{**unsigned.__dict__, "submitter_signature": signature})
 
 

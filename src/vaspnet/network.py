@@ -20,7 +20,11 @@ cannot change in place, so no write can leave a stale digest behind. The
 same identity lets a gateway re-send its last signed advertisement while no
 member view's set has been replaced. A ``DirectoryEntry``'s bytes come from
 a module-level memo of at most ``ENTRY_MEMO_SIZE`` entries keyed by the
-frozen entry; nothing is stored on the instance.
+frozen entry; nothing is stored on the instance. A
+``ReachabilityAdvertisement``'s signed payload, which encodes its sorted hash
+set, comes the same way from a memo of at most ``ADVERTISEMENT_MEMO_SIZE``
+advertisements, so a forwarded or re-sent one is encoded once however often
+it is verified; the unsigned drafts gateways sign are encoded outside it.
 """
 
 from __future__ import annotations
@@ -51,6 +55,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # Above the directory entries of the largest benchmark workload (816 on
 # mesh) and of a 96-VASP ring with 50 customers per VASP (3,200).
 ENTRY_MEMO_SIZE = 4096
+
+# Above the signed advertisements live at once in a 96-VASP ring (16
+# networks: each gateway's own plus those it forwards; mesh makes about 70).
+ADVERTISEMENT_MEMO_SIZE = 512
 
 
 class NetworkError(Exception):
@@ -262,13 +270,26 @@ class ReachabilityAdvertisement:
     gateway_signature: bytes = b""
 
     def signed_payload(self) -> bytes:
-        return canonical_encode([
-            (1, encode_bytes_list(sorted(self.advertised_hashes))),
-            (2, enc_str(self.home_vasp_id)),
-            (3, enc_str(self.origin_network_id)),
-            (4, encode_bytes_list(enc_str(n) for n in self.network_path)),
-            (5, enc_str(self.advertising_gateway_id)),
-        ])
+        return _advertisement_payload(self)
+
+
+@functools.lru_cache(maxsize=ADVERTISEMENT_MEMO_SIZE)
+def _advertisement_payload(adv: ReachabilityAdvertisement) -> bytes:
+    return canonical_encode([
+        (1, encode_bytes_list(sorted(adv.advertised_hashes))),
+        (2, enc_str(adv.home_vasp_id)),
+        (3, enc_str(adv.origin_network_id)),
+        (4, encode_bytes_list(enc_str(n) for n in adv.network_path)),
+        (5, enc_str(adv.advertising_gateway_id)),
+    ])
+
+
+def _signed_advertisement(
+    gateway: "VaspNode", unsigned: ReachabilityAdvertisement
+) -> ReachabilityAdvertisement:
+    # The draft is encoded outside the memo: it is never read again.
+    signature = gateway.sign_bytes(_advertisement_payload.__wrapped__(unsigned))
+    return replace(unsigned, gateway_signature=signature)
 
 
 @dataclass(frozen=True)
@@ -391,15 +412,13 @@ def build_advertisement(
         view = gateway.directory_views.get(member_id)
         if view is not None:
             hashes.update(entry.public_key_hash for entry in view.entries)
-    unsigned = ReachabilityAdvertisement(
+    return _signed_advertisement(gateway, ReachabilityAdvertisement(
         advertised_hashes=frozenset(hashes),
         home_vasp_id=gateway.vasp_id,
         origin_network_id=network.network_id,
         network_path=(network.network_id,),
         advertising_gateway_id=gateway.vasp_id,
-    )
-    signature = gateway.sign_bytes(unsigned.signed_payload())
-    return replace(unsigned, gateway_signature=signature)
+    ))
 
 
 def process_advertisement(
@@ -460,17 +479,14 @@ def process_advertisement(
         if out_link == link or far_network in extended_path:
             continue
         local_gateway = env.node(out_link.near_gateway(network.network_id))
-        forwarded = ReachabilityAdvertisement(
+        forwarded = _signed_advertisement(local_gateway, ReachabilityAdvertisement(
             advertised_hashes=adv.advertised_hashes,
             home_vasp_id=adv.home_vasp_id,
             origin_network_id=adv.origin_network_id,
             network_path=extended_path,
             advertising_gateway_id=local_gateway.vasp_id,
-        )
-        signed = replace(
-            forwarded, gateway_signature=local_gateway.sign_bytes(forwarded.signed_payload())
-        )
-        env.send(local_gateway.vasp_id, far_gateway, "reach_adv", signed)
+        ))
+        env.send(local_gateway.vasp_id, far_gateway, "reach_adv", forwarded)
     return "accept", ""
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -7,13 +8,16 @@ from hypothesis import strategies as st
 from conftest import count_calls
 from vaspnet import crypto
 from vaspnet.assertions import (
+    ASSERTION_MEMO_SIZE,
     AttributeAssertion,
+    FrozenAttributes,
     AttributeNotRegistered,
     DisclosurePolicy,
     EmptyDisclosure,
     SubjectCertInvalid,
     TRAVEL_RULE_ATTRIBUTES,
     filter_attributes,
+    _assertion_encodings,
     issue_assertion,
     verify_assertion,
 )
@@ -215,3 +219,51 @@ class TestDisclosureSignedOnce:
         with pytest.raises(EmptyDisclosure):
             self.disclose(world, bytes(16), policy=DisclosurePolicy(frozenset({"nonexistent"})))
         assert signed == []
+
+
+class TestEncodingMemo:
+    def test_copy_with_one_attribute_changed_gets_own_bytes(self, world):
+        genuine = make_assertion(world)
+        payload, data = genuine.signed_payload(), genuine.to_bytes()
+        # The memo stores nothing on the instance, so the copy carries only fields.
+        assert set(vars(genuine)) == {f.name for f in fields(AttributeAssertion)}
+        forged = AttributeAssertion(**{
+            **genuine.__dict__, "attributes": {**genuine.attributes, "address": "2 Elm"},
+        })
+        assert (forged.assertion_id, forged.vasp_signature) == (
+            genuine.assertion_id, genuine.vasp_signature)
+        assert forged.signed_payload() != payload and forged.to_bytes() != data
+        assert AttributeAssertion.from_bytes(forged.to_bytes()) == forged
+        assert not verify_assertion(forged, world["vasp_cert"], world["customer_cert"],
+                                    world["validator"])
+        assert genuine.to_bytes() == data
+        assert verify_assertion(genuine, world["vasp_cert"], world["customer_cert"],
+                                world["validator"])
+
+    def test_attributes_cannot_change_under_the_memo(self, world):
+        source = dict(ATTRS)
+        assertion = make_assertion(world, attributes=source)
+        payload = assertion.signed_payload()
+        source["name"] = "Mallory"  # the caller's dict is not the assertion's
+        assert assertion.attributes["name"] == "Alice"
+        with pytest.raises(TypeError):
+            assertion.attributes["name"] = "Mallory"
+        assert isinstance(assertion.attributes, FrozenAttributes)
+        assert assertion.attributes == ATTRS and hash(assertion)
+        assert assertion.signed_payload() == payload
+
+    def test_issuing_memoises_only_the_signed_assertion(self, world):
+        _assertion_encodings.cache_clear()
+        assertion = make_assertion(world)
+        assertion.signed_payload()
+        assertion.to_bytes()
+        assert _assertion_encodings.cache_info().currsize == 1
+
+    def test_memo_stays_within_bound(self, world):
+        assertion = make_assertion(world)
+        for i in range(ASSERTION_MEMO_SIZE + 16):
+            copy = AttributeAssertion(**{**assertion.__dict__, "issued_at": i + 100})
+            assert copy.signed_payload() != assertion.signed_payload()
+        info = _assertion_encodings.cache_info()
+        assert info.maxsize == ASSERTION_MEMO_SIZE
+        assert info.currsize <= ASSERTION_MEMO_SIZE

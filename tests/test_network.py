@@ -8,6 +8,7 @@ from vaspnet import crypto
 from vaspnet.ca import CertClass, RevocationReason, RevocationView
 from vaspnet.harness import Simulation
 from vaspnet.network import (
+    ADVERTISEMENT_MEMO_SIZE,
     ENTRY_MEMO_SIZE,
     ApplyResult,
     DirectoryDelta,
@@ -19,6 +20,7 @@ from vaspnet.network import (
     ReachabilityAdvertisement,
     RulesVersionMismatch,
     TrustNetwork,
+    _advertisement_payload,
     _entries_bytes,
     _entry_bytes,
     apply_delta,
@@ -698,3 +700,30 @@ class TestEntryEncodingMemo:
         info = _entry_bytes.cache_info()
         assert info.maxsize == ENTRY_MEMO_SIZE
         assert info.currsize == ENTRY_MEMO_SIZE
+
+
+class TestAdvertisementEncodingMemo:
+    def test_forged_copy_gets_its_own_payload(self):
+        sim = two_network_sim()
+        sim.advance_to(13)
+        _advertisement_payload.cache_clear()
+        adv = build_advertisement(sim.networks["net-a"], sim.vasps["v2"])
+        payload = adv.signed_payload()
+        assert _advertisement_payload.cache_info().currsize == 1  # no draft kept
+        forged = ReachabilityAdvertisement(**{
+            **adv.__dict__, "advertised_hashes": adv.advertised_hashes | {b"\x01" * 32},
+        })
+        assert forged.signed_payload() != payload
+        assert not crypto.verify(sim.vasps["v2"].public_key, forged.signed_payload(),
+                                 forged.gateway_signature)
+        assert adv.signed_payload() == payload
+        assert crypto.verify(sim.vasps["v2"].public_key, payload, adv.gateway_signature)
+
+    def test_bound_holds(self):
+        adv = ReachabilityAdvertisement(frozenset({b"\x02" * 32}), "v1", "net-a",
+                                        ("net-a",), "v1")
+        for n in range(ADVERTISEMENT_MEMO_SIZE + 10):
+            ReachabilityAdvertisement(**{**adv.__dict__, "home_vasp_id": f"v{n}"}).signed_payload()
+        info = _advertisement_payload.cache_info()
+        assert info.maxsize == ADVERTISEMENT_MEMO_SIZE
+        assert info.currsize == ADVERTISEMENT_MEMO_SIZE
