@@ -400,11 +400,17 @@ class RevocationView:
     (lower-numbered) lists are ignored; deltas apply only on their exact base.
     A CA never un-revokes and every CRL carries all its revoked serials, so a
     merge only ever adds serials; each merge reports the ones it added.
+
+    It also keeps the last CA-signed full CRL it adopted per issuer, to hand
+    to a peer that pulls it, and the digest of that CRL's entries for each
+    issuer whose CRL revokes anything: what a directory heartbeat carries.
     """
 
     def __init__(self) -> None:
         self._numbers: dict[str, int] = {}
         self._entries: dict[str, dict[bytes, RevocationEntry]] = {}
+        self._crls: dict[str, Crl] = {}
+        self._revoked_digests: dict[str, bytes] = {}
 
     def crl_number(self, issuer_id: str) -> int:
         return self._numbers.get(issuer_id, 0)
@@ -418,6 +424,19 @@ class RevocationView:
     def revocation_entry(self, issuer_id: str, serial: bytes) -> Optional[RevocationEntry]:
         return self._entries.get(issuer_id, {}).get(serial)
 
+    def signed_crl(self, issuer_id: str) -> Optional[Crl]:
+        """The last full CRL of the issuer this view adopted, as the CA signed it."""
+        return self._crls.get(issuer_id)
+
+    def revoked_digest(self, issuer_id: str) -> Optional[bytes]:
+        """Digest of the entries of ``signed_crl(issuer_id)``; None while that
+        CRL is missing or revokes nothing."""
+        return self._revoked_digests.get(issuer_id)
+
+    def revoked_digests(self) -> tuple[tuple[str, bytes], ...]:
+        """Every (issuer id, ``revoked_digest``) pair held, by issuer id."""
+        return tuple(sorted(self._revoked_digests.items()))
+
     def merge_crl(self, crl: Crl) -> MergeResult:
         """Adopt a full CRL if newer than the held one."""
         if crl.crl_number <= self._numbers.get(crl.issuer_id, 0):
@@ -426,6 +445,13 @@ class RevocationView:
         entries = {e.serial: e for e in crl.entries}
         self._numbers[crl.issuer_id] = crl.crl_number
         self._entries[crl.issuer_id] = entries
+        previous = self._crls.get(crl.issuer_id)
+        self._crls[crl.issuer_id] = crl
+        if previous is None or previous.entries != crl.entries:
+            if crl.entries:
+                self._revoked_digests[crl.issuer_id] = digest(_entries_payload(crl.entries))
+            else:
+                self._revoked_digests.pop(crl.issuer_id, None)
         return _merged(crl.issuer_id, entries.keys() - held.keys())
 
     def merge_delta(self, delta: DeltaCrl) -> MergeResult:
@@ -440,20 +466,6 @@ class RevocationView:
             held[entry.serial] = entry
         self._numbers[delta.issuer_id] = delta.crl_number
         return _merged(delta.issuer_id, added)
-
-    def merge_view(self, other: "RevocationView") -> MergeResult:
-        """Union with another view, keeping the highest CRL number per issuer."""
-        applied = False
-        revoked: set[tuple[str, bytes]] = set()
-        for issuer_id, number in other._numbers.items():
-            if number > self._numbers.get(issuer_id, 0):
-                theirs = other._entries[issuer_id]
-                ours = self._entries.get(issuer_id, {})
-                revoked |= {(issuer_id, serial) for serial in theirs.keys() - ours.keys()}
-                self._numbers[issuer_id] = number
-                self._entries[issuer_id] = dict(theirs)
-                applied = True
-        return MergeResult(applied, frozenset(revoked))
 
 
 def _merged(issuer_id: str, serials: Iterable[bytes]) -> MergeResult:

@@ -239,7 +239,3 @@ def decode_str_map(data: bytes) -> dict[str, str]:
 def encode_bytes_list(items: Iterable[bytes]) -> bytes:
     """Encode a sequence of byte strings as a record with tags 1..n."""
     return canonical_encode([(i + 1, item) for i, item in enumerate(items)])
-
-
-def decode_bytes_list(data: bytes) -> list[bytes]:
-    return [value for _, value in canonical_decode(data)]

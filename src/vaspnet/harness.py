@@ -3,13 +3,21 @@ peering links, the chain, and scripted actors.
 
 Time is integer ticks. Per tick, processing order is fixed: scripted actions,
 then due message deliveries (ascending destination actor id, then send
-sequence), then periodic protocol duties (directory gossip, CRL exchange,
-reachability advertisements), then ack-timeout sweeps, then the chain tick
-with confirmation fan-out to the VASPs watching each transaction (those
-holding one of its keys or a record filed under its tx id), then the
+sequence), then periodic protocol duties, then ack-timeout sweeps, then the
+chain tick with confirmation fan-out to the VASPs watching each transaction
+(those holding one of its keys or a record filed under its tx id), then the
 invariant sweep. One message hop costs a latency drawn from a seeded
 per-link PRNG in [1, max_latency]; links can drop probabilistically or be
 forced down for a scripted period.
+
+The periodic duties run in this order. Every directory sync period, each
+member publishes a new directory version or, if its live entries are
+unchanged, sends its heartbeat, which also carries the digests of the revoked
+sets it holds; then each gateway sends its reachability advertisements.
+Every CRL period, each member then fetches its own CA's current CRL, the
+only way it gets that one. No CRL is pushed: a member gets another CA's CRL
+only by pulling it from a co-member whose heartbeat shows a revoked set of
+that CA other than the one it holds.
 
 Actor key material derives from (seed, actor name) so construction order
 never affects any byte of the run.
@@ -591,7 +599,7 @@ class Simulation:
                     if member_id in refreshed:
                         continue
                     node = self.vasps[member_id]
-                    node.ingest_crls([self._latest_crl(node.ca, tick)], broadcast=True)
+                    node.ingest_crls([self._latest_crl(node.ca, tick)])
                     refreshed.add(member_id)
 
     def _latest_crl(self, ca: CertificateAuthority, tick: int):

@@ -1,9 +1,17 @@
 """Trust networks: membership under operating rules, known-good-key
-directory gossip with deltas, CRL exchange, and cross-network path-vector
-reachability advertisements through peering gateways.
+directory gossip with deltas, revocation state on the directory heartbeat,
+and cross-network path-vector reachability advertisements through peering
+gateways.
 
 Inside a network, each member publishes its own directory of live customer
-certificates and every member keeps a per-publisher view. Across networks,
+certificates and every member keeps a per-publisher view. One signed
+heartbeat per sync period (``DirectoryAnnounce``) carries both replicated
+feeds: the publisher's directory version and digest, and per CA the digest of
+the revoked set it holds. A member holding a different directory pulls the
+snapshot; one holding a different revoked set pulls the CA-signed CRL, which
+the holder sends only if it is newer than the puller's (anti-entropy by
+digest comparison, Demers et al., PODC 1987; CRL numbers order freshness,
+RFC 5280 section 5.2.3). No CRL is pushed. Across networks,
 gateways advertise the union of their network's key hashes with an explicit
 network path; loop prevention and route preference follow path-vector
 discipline. Advertisements carry key hashes only; names, serials, and
@@ -172,12 +180,22 @@ class DirectoryDelta:
 
 @dataclass(frozen=True)
 class DirectoryAnnounce:
-    """Periodic anti-entropy heartbeat: the publisher's current version and
-    entry digest. A member holding less pulls the full snapshot."""
+    """Periodic anti-entropy heartbeat of both feeds: the publisher's current
+    directory version and entry digest, and ``revocations``, the
+    publisher's ``RevocationView.revoked_digests()``. A member holding another
+    directory pulls the snapshot; one holding another revoked set of an issuer
+    pulls that issuer's CRL.
+
+    The revocation feed is summarised by digest rather than CRL number: a CA
+    numbers a new CRL every period whether or not it revoked anything, so
+    numbers would change the heartbeat, and cost a signature, every CRL
+    period, while the digest of the revoked set changes only with a
+    revocation. Issuers whose CRL revokes nothing are left out."""
 
     owner_vasp_id: str
     version: int
     entries_digest: bytes
+    revocations: tuple[tuple[str, bytes], ...] = ()
     owner_signature: bytes = b""
 
     def signed_payload(self) -> bytes:
@@ -185,6 +203,10 @@ class DirectoryAnnounce:
             (1, enc_str(self.owner_vasp_id)),
             (2, enc_u64(self.version)),
             (3, self.entries_digest),
+            (4, encode_bytes_list(
+                canonical_encode([(1, enc_str(issuer_id)), (2, revoked_digest)])
+                for issuer_id, revoked_digest in self.revocations
+            )),
         ])
 
 
@@ -523,15 +545,6 @@ def query_certificate(
             continue
         return response
     return result
-
-
-def exchange_crl(member_a: "VaspNode", member_b: "VaspNode") -> None:
-    """Pairwise CRL exchange: both parties end at the union of their views,
-    per issuer at the highest CRL number seen."""
-    revoked_a = member_a.revocation.merge_view(member_b.revocation).revoked
-    revoked_b = member_b.revocation.merge_view(member_a.revocation).revoked
-    member_a.prune_directory_views(revoked_a)
-    member_b.prune_directory_views(revoked_b)
 
 
 def route_cross_network_query(

@@ -450,7 +450,8 @@ class VaspNode:
         self._advertisements: dict[str, tuple[tuple, ReachabilityAdvertisement]] = {}
         self._publish_version = 0
         self._last_snapshot: Optional[DirectorySnapshot] = None
-        # Signed heartbeat for ``_last_snapshot``; built on its first announce.
+        # Signed heartbeat for ``_last_snapshot`` and the held revocation
+        # digests; built on the first announce after either changes.
         self._last_announce: Optional[DirectoryAnnounce] = None
 
     # -- identity and membership --------------------------------------------
@@ -751,20 +752,24 @@ class VaspNode:
             self.env.send(self.vasp_id, src, "dir_snapshot", self._last_snapshot)
 
     def announce_directory(self, now: int) -> None:
-        """Heartbeat the current directory version to all co-members.
+        """Heartbeat the current directory version and the held revocation
+        digests to all co-members.
 
-        The announce is built and signed on the first heartbeat of a version
-        and re-sent unchanged on later ones. It carries the digest of the
-        *published* snapshot, not of the own view, which
-        ``prune_directory_views`` may prune.
+        The announce is built and signed on the first heartbeat after the
+        published version or the revocation digests changed, and re-sent
+        unchanged on later ones; a run without revocations signs one per
+        version. It carries the digest of the *published* snapshot, not of
+        the own view, which ``prune_directory_views`` may prune.
         """
         if self._last_snapshot is None:
             return
-        if self._last_announce is None:
+        revocations = self.revocation.revoked_digests()
+        if self._last_announce is None or self._last_announce.revocations != revocations:
             unsigned = DirectoryAnnounce(
                 owner_vasp_id=self.vasp_id,
                 version=self._last_snapshot.version,
                 entries_digest=directory_digest(self._last_snapshot.entries),
+                revocations=revocations,
             )
             self._last_announce = replace(
                 unsigned, owner_signature=self.sign_bytes(unsigned.signed_payload())
@@ -773,18 +778,47 @@ class VaspNode:
             self.env.send(self.vasp_id, member_id, "dir_announce", self._last_announce)
 
     def on_dir_announce(self, announce: DirectoryAnnounce, src: str) -> None:
-        cert = self.member_certificate(announce.owner_vasp_id)
+        """Compare a verified heartbeat with what this node holds, per feed,
+        and pull from its sender what differs.
+
+        A CRL pull names each issuer whose revoked set differs, with the CRL
+        number held, so only a newer CRL comes back. The node's own CA is
+        never pulled from a peer: the node fetches that CRL from the CA every
+        CRL period, the same tick its co-members certified by that CA do, so
+        revocation of its own CA's certificates keeps the CA's timing.
+        """
+        owner = announce.owner_vasp_id
+        cert = self.member_certificate(owner)
         if cert is None or not crypto.verify(
             cert.subject_public_key, announce.signed_payload(), announce.owner_signature
         ):
             return
-        view = self.directory_views.get(announce.owner_vasp_id)
+        view = self.directory_views.get(owner)
         held_version = view.version if view is not None else 0
         held_digest = view.entries_digest() if view is not None else b""
         if held_version < announce.version or (
             held_version == announce.version and held_digest != announce.entries_digest
         ):
-            self.env.send(self.vasp_id, announce.owner_vasp_id, "dir_pull", None)
+            self.env.send(self.vasp_id, owner, "dir_pull", None)
+        wanted = tuple(
+            (issuer_id, self.revocation.crl_number(issuer_id))
+            for issuer_id, revoked_digest in announce.revocations
+            if issuer_id != self.ca.ca_id and issuer_id in self.trust_anchors
+            and self.revocation.revoked_digest(issuer_id) != revoked_digest
+        )
+        if wanted:
+            self.env.send(self.vasp_id, owner, "crl_pull", wanted)
+
+    def on_crl_pull(self, wanted: Sequence[tuple[str, int]], src: str) -> None:
+        """Answer a CRL pull with each requested issuer's signed CRL that is
+        newer than the number the puller holds; nothing when there is none."""
+        newer = []
+        for issuer_id, held_number in wanted:
+            crl = self.revocation.signed_crl(issuer_id)
+            if crl is not None and crl.crl_number > held_number:
+                newer.append(crl)
+        if newer:
+            self.env.send(self.vasp_id, src, "crl", newer)
 
     def on_dir_snapshot(self, snapshot: DirectorySnapshot, src: str) -> None:
         cert = self.member_certificate(snapshot.owner_vasp_id)
@@ -830,10 +864,11 @@ class VaspNode:
                 return owner_id
         return None
 
-    # -- CRL exchange -----------------------------------------------------------
+    # -- revocation ---------------------------------------------------------------
 
-    def ingest_crls(self, crls: Sequence[Crl | DeltaCrl], broadcast: bool = False) -> None:
-        """Merge issuer CRLs into the local view; optionally forward to members."""
+    def ingest_crls(self, crls: Sequence[Crl | DeltaCrl]) -> None:
+        """Merge issuer CRLs, from the CA or pulled from a peer, into the local
+        view after checking each one's CA signature."""
         applied = []
         revoked: set[tuple[str, bytes]] = set()
         for crl in crls:
@@ -857,12 +892,6 @@ class VaspNode:
             for crl in applied:
                 self.env.log(self.vasp_id, "crl_merged", issuer=crl.issuer_id,
                              number=crl.crl_number)
-        if broadcast and applied:
-            for member_id in self.co_member_ids():
-                self.env.send(self.vasp_id, member_id, "crl_update", list(applied))
-
-    def on_crl_update(self, crls: Sequence[Crl | DeltaCrl], src: str) -> None:
-        self.ingest_crls(crls, broadcast=False)
 
     # -- queries (synchronous, pair-wise channels) -------------------------------
 
@@ -1770,8 +1799,10 @@ class VaspNode:
             self.on_dir_pull(src)
         elif kind == "dir_announce":
             self.on_dir_announce(payload, src)
-        elif kind == "crl_update":
-            self.on_crl_update(payload, src)
+        elif kind == "crl_pull":
+            self.on_crl_pull(payload, src)
+        elif kind == "crl":
+            self.ingest_crls(payload)
         elif kind == "reach_adv":
             self.on_reachability_advertisement(payload, src)
         else:

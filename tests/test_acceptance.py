@@ -230,7 +230,7 @@ def test_04_delta_crl_and_directory_equivalence():
                 serial = v1.accounts[account_id].certificate_serial
                 if serial not in v1.ca.revoked_serials():
                     v1.ca.revoke(serial, RevocationReason.UNSPECIFIED, sim.now)
-                    v1.ingest_crls([v1.ca.generate_crl(sim.now)], broadcast=True)
+                    v1.ingest_crls([v1.ca.generate_crl(sim.now)])
             elif roll < 0.85:
                 # gap injection: the member loses its view and must resync
                 if rng.random() < 0.5 and v1.vasp_id in v2.directory_views:
@@ -399,7 +399,7 @@ def test_08_determinism_and_seed_variation():
 # Event-log digest of the flagship run. A change meant to keep behaviour the
 # same must leave it byte-identical; a change that alters the log re-pins it
 # and says why.
-FLAGSHIP_DIGEST = "b2922217a52f03b2dd805bf0a0955832bf1a79a097fc20550a498f56368b2a5e"
+FLAGSHIP_DIGEST = "88596461c3a7fa1e46afebe1add679d6bca6f1a947072d23ed9c8b94507e2444"
 
 
 def test_08_flagship_digest_pinned():

@@ -1,4 +1,6 @@
-"""Trust network behavior: membership, gossip, CRL exchange, path-vector routes."""
+"""Trust network behavior: membership, gossip, the revocation feed, path-vector routes."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +28,6 @@ from vaspnet.network import (
     apply_delta,
     build_advertisement,
     directory_digest,
-    exchange_crl,
 )
 from vaspnet.vasp import CustodyModel, TransferTarget
 
@@ -54,6 +55,32 @@ def two_network_sim(**overrides):
     )
     defaults.update(overrides)
     return Simulation(make_scenario(**defaults))
+
+
+def mixed_ca_sim(extra_script=()):
+    """One network whose members hold certificates from two CAs: v1 and v3
+    from ca-1, v2 and v4 from ca-2. Alice banks at v1, bob at v2."""
+    vasps = [
+        {"vasp_id": "v1", "ca": "ca-1", "networks": ["net-a"]},
+        {"vasp_id": "v2", "ca": "ca-2", "networks": ["net-a"]},
+        {"vasp_id": "v3", "ca": "ca-1", "networks": ["net-a"]},
+        {"vasp_id": "v4", "ca": "ca-2", "networks": ["net-a"]},
+    ]
+    customers = [
+        {"customer_id": "alice", "vasp": "v1", "custody_model": "mediated",
+         "attributes": {"name": "Alice", "email": "a@x"}},
+        {"customer_id": "bob", "vasp": "v2", "custody_model": "mediated",
+         "attributes": {"name": "Bob", "email": "b@x"}},
+    ]
+    return Simulation(make_scenario(cas=("ca-1", "ca-2"), vasps=vasps, customers=customers,
+                                    script=standard_script(extra_script)))
+
+
+def capture_sends(sim, monkeypatch):
+    sent = []
+    monkeypatch.setattr(sim, "send", lambda src, dst, kind, payload:
+                        sent.append((src, dst, kind, payload)))
+    return sent
 
 
 class TestMembership:
@@ -171,8 +198,8 @@ class TestDirectoryGossip:
 
 
 class TestCrlExchange:
-    def test_pairwise_exchange_unions_views(self):
-        sim = two_network_sim()
+    def test_heartbeat_pull_brings_newer_crl(self):
+        sim = mixed_ca_sim()
         sim.advance_to(2)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
         serial = v1.accounts["acct-alice"].certificate_serial
@@ -180,7 +207,9 @@ class TestCrlExchange:
         crl = v1.ca.generate_crl(3)
         v1.ingest_crls([crl])
         assert not v2.revocation.is_revoked("ca-1", serial)
-        exchange_crl(v1, v2)
+        # v1 heartbeats at tick 10; v2, certified by ca-2, can learn ca-1's
+        # CRL only by pulling it. v1 fetches a newer one at tick 20.
+        sim.advance_to(19)
         assert v2.revocation.is_revoked("ca-1", serial)
         assert v1.revocation.crl_number("ca-1") == v2.revocation.crl_number("ca-1")
 
@@ -209,15 +238,95 @@ class TestCrlExchange:
         assert not any(e.serial == serial for e in v2.directory_views["v1"].entries)
 
 
+class TestRevocationFeed:
+    """Revocation state rides on the directory heartbeat; CRLs move only on pull."""
+
+    REVOKE_BOB = {"tick": 21, "action": "revoke_cert", "customer": "bob",
+                  "reason": "keyCompromise"}
+
+    def test_foreign_revocation_reaches_member_within_two_sync_periods(self):
+        sim = mixed_ca_sim([self.REVOKE_BOB])
+        rules = sim.networks["net-a"].rules
+        sim.advance_to(2)
+        serial = sim.vasps["v2"].accounts["acct-bob"].certificate_serial
+        issued = 2 * rules.crl_exchange_period  # ca-2's first CRL after the revocation
+        sim.advance_to(issued)
+        assert sim.vasps["v4"].revocation.is_revoked("ca-2", serial)
+        assert not sim.vasps["v1"].revocation.is_revoked("ca-2", serial)
+        sim.advance_to(issued + 2 * rules.directory_sync_period)
+        for member in ("v1", "v3"):
+            assert sim.vasps[member].revocation.is_revoked("ca-2", serial)
+
+    def test_replayed_heartbeat_or_older_crl_never_rolls_back(self, monkeypatch):
+        sim = mixed_ca_sim([self.REVOKE_BOB])
+        sim.advance_to(50)
+        v1, v2, v4 = sim.vasps["v1"], sim.vasps["v2"], sim.vasps["v4"]
+        bob = v2.accounts["acct-bob"].certificate_serial
+        # ca-2 revokes a second serial; its CRL of tick 60 carries both.
+        second = v2.open_account("carol", {"name": "Carol", "email": "c@x"},
+                                 CustodyModel.MEDIATED,
+                                 customer_wallet=crypto.generate_keypair(crypto.digest(b"carol")),
+                                 account_id="acct-carol", now=sim.now)
+        v2.enroll_customer_certificate(second.account_id, CertClass.CLASS1, sim.now)
+        stale_announce = v4._last_announce
+        stale_crl = v4.revocation.signed_crl("ca-2")
+        assert dict(stale_announce.revocations)["ca-2"] == v4.revocation.revoked_digest("ca-2")
+        v2.ca.revoke(second.certificate_serial, RevocationReason.KEY_COMPROMISE, sim.now)
+        sim.advance_to(80)
+        carol = second.certificate_serial
+        number = v1.revocation.crl_number("ca-2")
+        assert number > stale_crl.crl_number
+        assert v1.revocation.is_revoked("ca-2", bob) and v1.revocation.is_revoked("ca-2", carol)
+        sent = capture_sends(sim, monkeypatch)
+        v1.on_message("dir_announce", stale_announce, "v4")
+        while sent:  # deliver the pull and whatever answers it
+            src, dst, kind, payload = sent.pop(0)
+            sim.vasps[dst].on_message(kind, payload, src)
+        v1.on_message("crl", [stale_crl], "v4")
+        assert v1.revocation.crl_number("ca-2") >= number
+        assert v1.revocation.is_revoked("ca-2", bob) and v1.revocation.is_revoked("ca-2", carol)
+
+    def test_heartbeat_with_bad_signature_triggers_no_pull(self, monkeypatch):
+        sim = mixed_ca_sim([self.REVOKE_BOB])
+        sim.advance_to(41)  # v2 and v4 hold ca-2's CRL revoking bob; v1 does not
+        v1, v4 = sim.vasps["v1"], sim.vasps["v4"]
+        sent = capture_sends(sim, monkeypatch)
+        v4.announce_directory(sim.now)
+        genuine = next(p for _, d, k, p in sent if k == "dir_announce" and d == "v1")
+        assert [issuer for issuer, _ in genuine.revocations] == ["ca-2"]
+        sent.clear()
+        v1.on_message("dir_announce", replace(genuine, owner_signature=bytes(64)), "v4")
+        assert sent == []
+        v1.on_message("dir_announce", genuine, "v4")
+        assert [(s, d, k) for s, d, k, _ in sent] == [("v1", "v4", "crl_pull")]
+
+    def test_holder_without_the_issuer_answers_nothing(self, monkeypatch):
+        sim = mixed_ca_sim()
+        sim.advance_to(20)
+        v1 = sim.vasps["v1"]  # holds ca-1's CRL only
+        held = v1.revocation.crl_number("ca-1")
+        sent = capture_sends(sim, monkeypatch)
+        v1.on_message("crl_pull", (("ca-2", 0),), "v2")
+        v1.on_message("crl_pull", (("ca-1", held),), "v2")  # nothing newer either
+        assert sent == []
+        v1.on_message("crl_pull", (("ca-1", held - 1), ("ca-2", 0)), "v2")
+        assert [(d, k, [crl.issuer_id for crl in p]) for _, d, k, p in sent] == [
+            ("v2", "crl", ["ca-1"])]
+        assert sent[0][3][0] is v1.revocation.signed_crl("ca-1")
+
+    def test_run_without_revocations_heartbeats_no_revocations(self, monkeypatch):
+        sim = mixed_ca_sim()
+        sent = capture_sends(sim, monkeypatch)
+        sim.advance_to(60)
+        announces = [p for _, _, k, p in sent if k == "dir_announce"]
+        assert announces and all(a.revocations == () for a in announces)
+        assert not [k for _, _, k, _ in sent if k in ("crl_pull", "crl")]
+
+
 class TestDirectoryDigestCache:
     """A view's cached digest must follow every write to its entries."""
 
-    @staticmethod
-    def capture_sends(sim, monkeypatch):
-        sent = []
-        monkeypatch.setattr(sim, "send", lambda src, dst, kind, payload:
-                            sent.append((src, dst, kind, payload)))
-        return sent
+    capture_sends = staticmethod(capture_sends)
 
     @staticmethod
     def announce_to(publisher, receiver, sent):

@@ -15,8 +15,8 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # the same must leave them byte-identical; one that alters a log re-pins the
 # digest and says why.
 SCENARIO_DIGESTS = {
-    "demo": "0975f9f58855f0e4dc948739934ad44a23ed554e8c94bc1c90d649e4a8bc99c1",
-    "denials": "89f2d475ae5fb703d73ae80c9413807c3a3433f9f5db5a6e8f7ff1b77f9dadc7",
+    "demo": "9e41271199e9c5e36ae24b84584af1c1ce953d0cb4f292503c7fe1e9823a2a40",
+    "denials": "80a25cb6a1b6b4b0b75f2370c6c77fed9b1f08a4fd1080c63ceb2ca9355e52d1",
     "four_networks": "b7a75adb87f5b083580e370608b1887e849041f05e0bde5569c40e16433d5506",
 }
 

@@ -3,12 +3,13 @@
 The workloads carry what the tracked scenarios do not: revocation churn
 under loss (``churn-lossy``) and 24-VASP gossip around a ring (``mesh``).
 A change meant to keep behaviour the same must leave them byte-identical.
-The ``pipeline`` run also holds an Ed25519 budget.
+Each run's messages per kind are pinned too, so a gossip change shows its
+traffic here, and the ``pipeline`` and ``mesh`` runs hold Ed25519 budgets.
 """
 
 import importlib.util
 import sys
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from pathlib import Path
 
 import pytest
@@ -21,9 +22,9 @@ from vaspnet.scenario import parse_scenario
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
 
 WORKLOAD_DIGESTS = {
-    "pipeline": "1accc90fbf94af0089d2f9cbde0ce20e1a8b0b037c2e9c3c8db4d784c657386a",
-    "mesh": "88f559a6978c35469e41e5a2d4913d9058a5835be619d4753f5b588be5f87052",
-    "churn-lossy": "ddaea4c0370d3bb91a6b76d0cec5b58ed98cb147a41719c88ce5dc946ea0a7fb",
+    "pipeline": "50326556ceba72306ae10a7799e2794fbb1439d44a50a3b04eb046798a3d8a51",
+    "mesh": "d4c18f0349b2ee1ce21890e4c92c6509710839edea4e6923daef373e0f353c52",
+    "churn-lossy": "2a3296e803b825150753f9a2157c962cca1e33465c2376b619af6b01cdb36bf9",
 }
 
 
@@ -69,3 +70,53 @@ def test_pipeline_ed25519_budget(workloads, monkeypatch):
     sim.run()
     assert len(signs) <= PIPELINE_SIGN_BUDGET
     assert len(misses) <= PIPELINE_VERIFY_MISS_BUDGET
+
+
+# Messages sent per kind over each whole seed-7 run, dropped ones included.
+# No CRL is pushed; one is pulled only when a heartbeat shows a co-member
+# holding another revoked set of a CA not its own, which these single-CA
+# networks never do.
+WORKLOAD_MESSAGES = {
+    "pipeline": {"crl_update": 0, "crl_pull": 0, "crl": 0,
+                 "dir_announce": 232, "dir_delta": 20, "reach_adv": 42,
+                 "transfer_ack": 500, "transfer_notice": 500},
+    "mesh": {"crl_update": 0, "crl_pull": 0, "crl": 0,
+             "dir_announce": 2_160, "dir_delta": 240, "reach_adv": 199,
+             "transfer_ack": 200, "transfer_notice": 200},
+    "churn-lossy": {"crl_update": 0, "crl_pull": 0, "crl": 0,
+                    "dir_announce": 873, "dir_delta": 279, "dir_pull": 62,
+                    "dir_snapshot": 56, "reach_adv": 96,
+                    "transfer_ack": 636, "transfer_notice": 710},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_MESSAGES))
+def test_workload_traffic_pinned(workloads, name, monkeypatch):
+    sim = Simulation(parse_scenario(workloads[name].scenario(7)))
+    sent = Counter()
+    send = sim.send
+
+    def counting_send(src, dst, kind, payload):
+        sent[kind] += 1
+        send(src, dst, kind, payload)
+
+    monkeypatch.setattr(sim, "send", counting_send)
+    sim.run()
+    pinned = WORKLOAD_MESSAGES[name]
+    assert {kind: sent[kind] for kind in pinned} == pinned
+    assert sum(sent.values()) == sum(pinned.values())
+
+
+# Ed25519 signs in the ``mesh`` seed-7 transfer window: no revocation, so the
+# heartbeats carry no revocation digest and are signed once per version.
+MESH_SIGN_BUDGET = 967
+
+
+def test_mesh_sign_budget(workloads, monkeypatch):
+    workload = workloads["mesh"]
+    sim = Simulation(parse_scenario(workload.scenario(7)))
+    for tick in range(workload.first_transfer_tick):
+        sim.advance_to(tick)
+    signs = count_calls(monkeypatch, crypto, "sign")
+    sim.run()
+    assert len(signs) <= MESH_SIGN_BUDGET
