@@ -316,11 +316,18 @@ class TestRevocationFeed:
 
     def test_run_without_revocations_heartbeats_no_revocations(self, monkeypatch):
         sim = mixed_ca_sim()
-        sent = capture_sends(sim, monkeypatch)
+        sent = []
+        send = sim.send
+
+        def recording_send(src, dst, kind, payload):
+            sent.append((kind, payload))
+            send(src, dst, kind, payload)
+
+        monkeypatch.setattr(sim, "send", recording_send)
         sim.advance_to(60)
-        announces = [p for _, _, k, p in sent if k == "dir_announce"]
+        announces = [payload for kind, payload in sent if kind == "dir_announce"]
         assert announces and all(a.revocations == () for a in announces)
-        assert not [k for _, _, k, _ in sent if k in ("crl_pull", "crl")]
+        assert {kind for kind, _ in sent} == {"dir_announce", "dir_delta"}
 
 
 class TestDirectoryDigestCache:
