@@ -64,8 +64,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # mesh) and of a 96-VASP ring with 50 customers per VASP (3,200).
 ENTRY_MEMO_SIZE = 4096
 
-# Above the signed advertisements live at once in a 96-VASP ring (16
-# networks: each gateway's own plus those it forwards; mesh makes about 70).
+# A 96-VASP ring of 16 networks has 32 gateways, each sending its own
+# advertisement and forwarding the last one installed per origin network
+# (15): 512 entries. A mesh run makes 63.
 ADVERTISEMENT_MEMO_SIZE = 512
 
 
