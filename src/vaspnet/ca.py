@@ -393,6 +393,19 @@ class MergeResult:
 NOT_APPLIED = MergeResult(False)
 
 
+@dataclass(frozen=True)
+class _IssuerRevocations:
+    """A view's record of one issuer, replaced whole on every merge: the CRL
+    number reached, the revoked entries by serial, the CA-signed lists they
+    were merged from (the last full CRL adopted, then each delta applied on
+    it, in order) and the digest of the entries, None when there are none."""
+
+    number: int
+    entries: Mapping[bytes, RevocationEntry]
+    evidence: tuple[Crl | DeltaCrl, ...]
+    digest: Optional[bytes]
+
+
 class RevocationView:
     """A relying party's merged view of issuer CRLs.
 
@@ -401,71 +414,83 @@ class RevocationView:
     A CA never un-revokes and every CRL carries all its revoked serials, so a
     merge only ever adds serials; each merge reports the ones it added.
 
-    It also keeps the last CA-signed full CRL it adopted per issuer, to hand
-    to a peer that pulls it, and the digest of that CRL's entries for each
-    issuer whose CRL revokes anything: what a directory heartbeat carries.
+    Each issuer's number, entries, the signed lists behind them (to hand to a
+    peer that pulls them) and the digest of the entries (what a directory
+    heartbeat carries) sit in one record, written only by ``_adopt``, so the
+    digest a node sends always describes the set it holds and can serve.
     """
 
     def __init__(self) -> None:
-        self._numbers: dict[str, int] = {}
-        self._entries: dict[str, dict[bytes, RevocationEntry]] = {}
-        self._crls: dict[str, Crl] = {}
-        self._revoked_digests: dict[str, bytes] = {}
+        self._held: dict[str, _IssuerRevocations] = {}
 
     def crl_number(self, issuer_id: str) -> int:
-        return self._numbers.get(issuer_id, 0)
+        held = self._held.get(issuer_id)
+        return held.number if held is not None else 0
+
+    def _entries(self, issuer_id: str) -> Mapping[bytes, RevocationEntry]:
+        held = self._held.get(issuer_id)
+        return held.entries if held is not None else {}
 
     def entries(self, issuer_id: str) -> frozenset[RevocationEntry]:
-        return frozenset(self._entries.get(issuer_id, {}).values())
+        return frozenset(self._entries(issuer_id).values())
 
     def is_revoked(self, issuer_id: str, serial: bytes) -> bool:
-        return serial in self._entries.get(issuer_id, {})
+        held = self._held.get(issuer_id)
+        return held is not None and serial in held.entries
 
     def revocation_entry(self, issuer_id: str, serial: bytes) -> Optional[RevocationEntry]:
-        return self._entries.get(issuer_id, {}).get(serial)
+        return self._entries(issuer_id).get(serial)
 
-    def signed_crl(self, issuer_id: str) -> Optional[Crl]:
-        """The last full CRL of the issuer this view adopted, as the CA signed it."""
-        return self._crls.get(issuer_id)
+    def evidence(self, issuer_id: str) -> tuple[Crl | DeltaCrl, ...]:
+        """The CA-signed lists the held entries of the issuer were merged
+        from, in merge order; empty for an issuer not held."""
+        held = self._held.get(issuer_id)
+        return held.evidence if held is not None else ()
 
     def revoked_digest(self, issuer_id: str) -> Optional[bytes]:
-        """Digest of the entries of ``signed_crl(issuer_id)``; None while that
-        CRL is missing or revokes nothing."""
-        return self._revoked_digests.get(issuer_id)
+        """Digest of the held entries of the issuer; None while it revokes nothing."""
+        held = self._held.get(issuer_id)
+        return held.digest if held is not None else None
 
     def revoked_digests(self) -> tuple[tuple[str, bytes], ...]:
-        """Every (issuer id, ``revoked_digest``) pair held, by issuer id."""
-        return tuple(sorted(self._revoked_digests.items()))
+        """Every (issuer id, ``revoked_digest``) pair that is not None, by issuer id."""
+        return tuple(sorted(
+            (issuer_id, held.digest) for issuer_id, held in self._held.items()
+            if held.digest is not None
+        ))
 
     def merge_crl(self, crl: Crl) -> MergeResult:
-        """Adopt a full CRL if newer than the held one."""
-        if crl.crl_number <= self._numbers.get(crl.issuer_id, 0):
+        """Adopt a full CRL if newer than the held number."""
+        if crl.crl_number <= self.crl_number(crl.issuer_id):
             return NOT_APPLIED
-        held = self._entries.get(crl.issuer_id, {})
-        entries = {e.serial: e for e in crl.entries}
-        self._numbers[crl.issuer_id] = crl.crl_number
-        self._entries[crl.issuer_id] = entries
-        previous = self._crls.get(crl.issuer_id)
-        self._crls[crl.issuer_id] = crl
-        if previous is None or previous.entries != crl.entries:
-            if crl.entries:
-                self._revoked_digests[crl.issuer_id] = digest(_entries_payload(crl.entries))
-            else:
-                self._revoked_digests.pop(crl.issuer_id, None)
-        return _merged(crl.issuer_id, entries.keys() - held.keys())
+        return self._adopt(crl, {e.serial: e for e in crl.entries}, (crl,))
 
     def merge_delta(self, delta: DeltaCrl) -> MergeResult:
         """Apply a delta if its base matches the held number."""
-        if delta.base_crl_number != self._numbers.get(delta.issuer_id, 0):
+        held = self._held.get(delta.issuer_id)
+        number = held.number if held is not None else 0
+        if delta.base_crl_number != number or delta.crl_number <= number:
             return NOT_APPLIED
-        if delta.crl_number <= self._numbers.get(delta.issuer_id, 0):
-            return NOT_APPLIED
-        held = self._entries.setdefault(delta.issuer_id, {})
-        added = {entry.serial for entry in delta.entries} - held.keys()
-        for entry in delta.entries:
-            held[entry.serial] = entry
-        self._numbers[delta.issuer_id] = delta.crl_number
-        return _merged(delta.issuer_id, added)
+        entries = dict(held.entries) if held is not None else {}
+        entries.update((entry.serial, entry) for entry in delta.entries)
+        evidence = held.evidence if held is not None else ()
+        return self._adopt(delta, entries, evidence + (delta,))
+
+    def _adopt(
+        self,
+        crl: Crl | DeltaCrl,
+        entries: dict[bytes, RevocationEntry],
+        evidence: tuple[Crl | DeltaCrl, ...],
+    ) -> MergeResult:
+        held = self._held.get(crl.issuer_id)
+        before = held.entries if held is not None else {}
+        if held is not None and entries == before:
+            revoked_digest = held.digest
+        else:
+            revoked_digest = digest(_entries_payload(entries.values())) if entries else None
+        self._held[crl.issuer_id] = _IssuerRevocations(
+            crl.crl_number, entries, evidence, revoked_digest)
+        return _merged(crl.issuer_id, entries.keys() - before.keys())
 
 
 def _merged(issuer_id: str, serials: Iterable[bytes]) -> MergeResult:

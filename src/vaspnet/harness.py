@@ -12,12 +12,13 @@ forced down for a scripted period.
 
 The periodic duties run in this order. Every directory sync period, each
 member publishes a new directory version or, if its live entries are
-unchanged, sends its heartbeat, which also carries the digests of the revoked
-sets it holds; then each gateway sends its reachability advertisements.
+unchanged, sends its heartbeat; either message also carries the digests of
+the revoked sets it holds; then each gateway sends its reachability
+advertisements.
 Every CRL period, each member then fetches its own CA's current CRL, the
 only way it gets that one. No CRL is pushed: a member gets another CA's CRL
-only by pulling it from a co-member whose heartbeat shows a revoked set of
-that CA other than the one it holds.
+only by pulling it from a co-member whose delta or heartbeat shows a revoked
+set of that CA other than the one it holds.
 
 Actor key material derives from (seed, actor name) so construction order
 never affects any byte of the run.

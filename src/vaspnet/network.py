@@ -4,12 +4,14 @@ and cross-network path-vector reachability advertisements through peering
 gateways.
 
 Inside a network, each member publishes its own directory of live customer
-certificates and every member keeps a per-publisher view. One signed
-heartbeat per sync period (``DirectoryAnnounce``) carries both replicated
-feeds: the publisher's directory version and digest, and per CA the digest of
-the revoked set it holds. A member holding a different directory pulls the
-snapshot; one holding a different revoked set pulls the CA-signed CRL, which
-the holder sends only if it is newer than the puller's (anti-entropy by
+certificates and every member keeps a per-publisher view. Each sync
+period a member sends one signed message to its co-members that carries both
+replicated feeds: a delta (``DirectoryDelta``) when its directory changed,
+else a heartbeat (``DirectoryAnnounce``) of its directory version and
+digest; both carry, per CA, the digest of the revoked set it holds. A member
+holding a different directory pulls the snapshot; one holding a different
+revoked set pulls the CA-signed lists behind the holder's set, which the
+holder sends only if they are newer than the puller's (anti-entropy by
 digest comparison, Demers et al., PODC 1987; CRL numbers order freshness,
 RFC 5280 section 5.2.3). No CRL is pushed. Across networks,
 gateways advertise the union of their network's key hashes with an explicit
@@ -156,11 +158,17 @@ class DirectorySnapshot:
 
 @dataclass(frozen=True)
 class DirectoryDelta:
+    """One published directory version as a change to the previous one. It
+    also carries the publisher's ``revocations``, as ``DirectoryAnnounce``
+    does, so a sync period in which a member publishes instead of
+    heartbeating still carries its revocation feed."""
+
     owner_vasp_id: str
     from_version: int
     to_version: int
     added: frozenset[DirectoryEntry]
     removed: frozenset[DirectoryEntry]
+    revocations: tuple[tuple[str, bytes], ...] = ()
     owner_signature: bytes = b""
 
     def __post_init__(self) -> None:
@@ -176,6 +184,7 @@ class DirectoryDelta:
             (3, enc_u64(self.to_version)),
             (4, _entries_bytes(self.added)),
             (5, _entries_bytes(self.removed)),
+            (6, _revocations_bytes(self.revocations)),
         ])
 
 
@@ -204,11 +213,15 @@ class DirectoryAnnounce:
             (1, enc_str(self.owner_vasp_id)),
             (2, enc_u64(self.version)),
             (3, self.entries_digest),
-            (4, encode_bytes_list(
-                canonical_encode([(1, enc_str(issuer_id)), (2, revoked_digest)])
-                for issuer_id, revoked_digest in self.revocations
-            )),
+            (4, _revocations_bytes(self.revocations)),
         ])
+
+
+def _revocations_bytes(revocations: tuple[tuple[str, bytes], ...]) -> bytes:
+    return encode_bytes_list(
+        canonical_encode([(1, enc_str(issuer_id)), (2, revoked_digest)])
+        for issuer_id, revoked_digest in revocations
+    )
 
 
 class ApplyResult(enum.Enum):

@@ -716,6 +716,7 @@ class VaspNode:
             to_version=self._publish_version,
             added=frozenset(entries - previous),
             removed=frozenset(previous - entries),
+            revocations=self.revocation.revoked_digests(),
         )
         delta = replace(delta, owner_signature=self.sign_bytes(delta.signed_payload()))
         self._last_snapshot = snapshot
@@ -742,10 +743,11 @@ class VaspNode:
             self.env.log(self.vasp_id, "directory_resync", owner=delta.owner_vasp_id,
                          held=view.version, offered=delta.to_version)
             self.env.send(self.vasp_id, delta.owner_vasp_id, "dir_pull", None)
-            return
-        self._drop_revoked(view, delta.added)
-        self.env.log(self.vasp_id, "directory_applied", owner=delta.owner_vasp_id,
-                     version=view.version)
+        else:
+            self._drop_revoked(view, delta.added)
+            self.env.log(self.vasp_id, "directory_applied", owner=delta.owner_vasp_id,
+                         version=view.version)
+        self._pull_revocations(delta.owner_vasp_id, delta.revocations)
 
     def on_dir_pull(self, src: str) -> None:
         if self._last_snapshot is not None:
@@ -779,14 +781,7 @@ class VaspNode:
 
     def on_dir_announce(self, announce: DirectoryAnnounce, src: str) -> None:
         """Compare a verified heartbeat with what this node holds, per feed,
-        and pull from its sender what differs.
-
-        A CRL pull names each issuer whose revoked set differs, with the CRL
-        number held, so only a newer CRL comes back. The node's own CA is
-        never pulled from a peer: the node fetches that CRL from the CA every
-        CRL period, the same tick its co-members certified by that CA do, so
-        revocation of its own CA's certificates keeps the CA's timing.
-        """
+        and pull from its sender what differs."""
         owner = announce.owner_vasp_id
         cert = self.member_certificate(owner)
         if cert is None or not crypto.verify(
@@ -800,9 +795,21 @@ class VaspNode:
             held_version == announce.version and held_digest != announce.entries_digest
         ):
             self.env.send(self.vasp_id, owner, "dir_pull", None)
+        self._pull_revocations(owner, announce.revocations)
+
+    def _pull_revocations(self, owner: str, revocations: Sequence[tuple[str, bytes]]) -> None:
+        """Pull from a co-member, whose signed delta or heartbeat carried
+        ``revocations``, each issuer whose revoked set differs from the held one.
+
+        The pull names the CRL number held, so only newer lists come back.
+        The node's own CA is never pulled from a peer: the node fetches that
+        CRL from the CA every CRL period, the same tick its co-members
+        certified by that CA do, so revocation of its own CA's certificates
+        keeps the CA's timing.
+        """
         wanted = tuple(
             (issuer_id, self.revocation.crl_number(issuer_id))
-            for issuer_id, revoked_digest in announce.revocations
+            for issuer_id, revoked_digest in revocations
             if issuer_id != self.ca.ca_id and issuer_id in self.trust_anchors
             and self.revocation.revoked_digest(issuer_id) != revoked_digest
         )
@@ -810,13 +817,13 @@ class VaspNode:
             self.env.send(self.vasp_id, owner, "crl_pull", wanted)
 
     def on_crl_pull(self, wanted: Sequence[tuple[str, int]], src: str) -> None:
-        """Answer a CRL pull with each requested issuer's signed CRL that is
-        newer than the number the puller holds; nothing when there is none."""
-        newer = []
+        """Answer a CRL pull with the signed lists behind each requested
+        issuer's held set (``RevocationView.evidence``) when this node holds a
+        newer number than the puller; nothing when it holds none."""
+        newer: list[Crl | DeltaCrl] = []
         for issuer_id, held_number in wanted:
-            crl = self.revocation.signed_crl(issuer_id)
-            if crl is not None and crl.crl_number > held_number:
-                newer.append(crl)
+            if self.revocation.crl_number(issuer_id) > held_number:
+                newer.extend(self.revocation.evidence(issuer_id))
         if newer:
             self.env.send(self.vasp_id, src, "crl", newer)
 

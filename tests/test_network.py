@@ -57,20 +57,25 @@ def two_network_sim(**overrides):
     return Simulation(make_scenario(**defaults))
 
 
-def mixed_ca_sim(extra_script=()):
+def mixed_ca_sim(extra_script=(), v4_ca="ca-2", v2_customers=()):
     """One network whose members hold certificates from two CAs: v1 and v3
-    from ca-1, v2 and v4 from ca-2. Alice banks at v1, bob at v2."""
+    from ca-1, v2 from ca-2 and v4 from ``v4_ca``. Alice banks at v1, bob and
+    the named ``v2_customers`` at v2."""
     vasps = [
         {"vasp_id": "v1", "ca": "ca-1", "networks": ["net-a"]},
         {"vasp_id": "v2", "ca": "ca-2", "networks": ["net-a"]},
         {"vasp_id": "v3", "ca": "ca-1", "networks": ["net-a"]},
-        {"vasp_id": "v4", "ca": "ca-2", "networks": ["net-a"]},
+        {"vasp_id": "v4", "ca": v4_ca, "networks": ["net-a"]},
     ]
     customers = [
         {"customer_id": "alice", "vasp": "v1", "custody_model": "mediated",
          "attributes": {"name": "Alice", "email": "a@x"}},
         {"customer_id": "bob", "vasp": "v2", "custody_model": "mediated",
          "attributes": {"name": "Bob", "email": "b@x"}},
+    ] + [
+        {"customer_id": name, "vasp": "v2", "custody_model": "mediated",
+         "attributes": {"name": name, "email": f"{name}@x"}}
+        for name in v2_customers
     ]
     return Simulation(make_scenario(cas=("ca-1", "ca-2"), vasps=vasps, customers=customers,
                                     script=standard_script(extra_script)))
@@ -257,6 +262,55 @@ class TestRevocationFeed:
         for member in ("v1", "v3"):
             assert sim.vasps[member].revocation.is_revoked("ca-2", serial)
 
+    def test_revocation_reaches_members_when_its_only_holder_publishes(self):
+        # v2 is ca-2's only member. Its sync right after the CRL that revokes
+        # bob publishes the delta dropping bob, not a heartbeat.
+        sim = mixed_ca_sim([self.REVOKE_BOB], v4_ca="ca-1")
+        rules = sim.networks["net-a"].rules
+        sim.advance_to(2)
+        v2 = sim.vasps["v2"]
+        serial = v2.accounts["acct-bob"].certificate_serial
+        issued = 2 * rules.crl_exchange_period
+        sim.advance_to(issued)
+        version = v2._publish_version
+        sim.advance_to(issued + rules.directory_sync_period)
+        assert v2._publish_version == version + 1  # bob's removal was published
+        sim.advance_to(issued + 2 * rules.directory_sync_period)
+        for member in ("v1", "v3", "v4"):
+            assert sim.vasps[member].revocation.is_revoked("ca-2", serial), member
+
+    def test_every_sync_period_carries_the_revocation_feed(self, monkeypatch):
+        # ca-2's only member publishes in consecutive sync periods (bob's
+        # removal, then two enrolments) and never heartbeats in them.
+        script = [{"tick": 1, "action": "open_account", "customer": name}
+                  for name in ("dave", "erin")] + [
+            self.REVOKE_BOB,
+            {"tick": 55, "action": "enroll", "customer": "dave"},
+            {"tick": 65, "action": "enroll", "customer": "erin"}]
+        sim = mixed_ca_sim(script, v4_ca="ca-1", v2_customers=("dave", "erin"))
+        rules = sim.networks["net-a"].rules
+        issued = 2 * rules.crl_exchange_period
+        sim.advance_to(issued)
+        v2 = sim.vasps["v2"]
+        held = v2.revocation.revoked_digests()
+        assert [issuer for issuer, _ in held] == ["ca-2"]
+        sent = []
+        send = sim.send
+
+        def recording_send(src, dst, kind, payload):
+            sent.append((src, dst, kind, payload))
+            send(src, dst, kind, payload)
+
+        monkeypatch.setattr(sim, "send", recording_send)
+        sim.advance_to(issued + 3 * rules.directory_sync_period)
+        feed = [(kind, payload) for src, dst, kind, payload in sent
+                if src == "v2" and dst == "v1" and kind in ("dir_delta", "dir_announce")]
+        assert [kind for kind, _ in feed] == ["dir_delta"] * 3
+        assert all(payload.revocations == held for _, payload in feed)
+        for member in ("v1", "v3", "v4"):
+            assert sim.vasps[member].revocation.is_revoked(
+                "ca-2", v2.accounts["acct-bob"].certificate_serial), member
+
     def test_replayed_heartbeat_or_older_crl_never_rolls_back(self, monkeypatch):
         sim = mixed_ca_sim([self.REVOKE_BOB])
         sim.advance_to(50)
@@ -269,7 +323,7 @@ class TestRevocationFeed:
                                  account_id="acct-carol", now=sim.now)
         v2.enroll_customer_certificate(second.account_id, CertClass.CLASS1, sim.now)
         stale_announce = v4._last_announce
-        stale_crl = v4.revocation.signed_crl("ca-2")
+        (stale_crl,) = v4.revocation.evidence("ca-2")
         assert dict(stale_announce.revocations)["ca-2"] == v4.revocation.revoked_digest("ca-2")
         v2.ca.revoke(second.certificate_serial, RevocationReason.KEY_COMPROMISE, sim.now)
         sim.advance_to(80)
@@ -300,6 +354,21 @@ class TestRevocationFeed:
         v1.on_message("dir_announce", genuine, "v4")
         assert [(s, d, k) for s, d, k, _ in sent] == [("v1", "v4", "crl_pull")]
 
+    def test_delta_with_altered_revocations_triggers_no_pull(self, monkeypatch):
+        sim = mixed_ca_sim([self.REVOKE_BOB])
+        sim.advance_to(41)  # v2 holds ca-2's CRL revoking bob; v1 does not
+        v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
+        sent = capture_sends(sim, monkeypatch)
+        v2.publish_directory(sim.now)
+        genuine = next(p for _, d, k, p in sent if k == "dir_delta" and d == "v1")
+        assert [issuer for issuer, _ in genuine.revocations] == ["ca-2"]
+        sent.clear()
+        forged = replace(genuine, revocations=(("ca-2", bytes(32)),))
+        v1.on_message("dir_delta", forged, "v2")
+        assert sent == []
+        v1.on_message("dir_delta", genuine, "v2")
+        assert [(s, d, k) for s, d, k, _ in sent] == [("v1", "v2", "crl_pull")]
+
     def test_holder_without_the_issuer_answers_nothing(self, monkeypatch):
         sim = mixed_ca_sim()
         sim.advance_to(20)
@@ -312,7 +381,27 @@ class TestRevocationFeed:
         v1.on_message("crl_pull", (("ca-1", held - 1), ("ca-2", 0)), "v2")
         assert [(d, k, [crl.issuer_id for crl in p]) for _, d, k, p in sent] == [
             ("v2", "crl", ["ca-1"])]
-        assert sent[0][3][0] is v1.revocation.signed_crl("ca-1")
+        assert sent[0][3] == list(v1.revocation.evidence("ca-1"))
+
+    def test_node_that_merged_a_delta_heartbeats_and_serves_its_held_set(self, monkeypatch):
+        sim = mixed_ca_sim()
+        sim.advance_to(20)  # v4 holds ca-2's CRL of tick 20, which revokes nothing
+        v1, v2, v4 = sim.vasps["v1"], sim.vasps["v2"], sim.vasps["v4"]
+        serial = v2.accounts["acct-bob"].certificate_serial
+        v4.ca.revoke(serial, RevocationReason.KEY_COMPROMISE, sim.now)
+        v4.ingest_crls([v4.ca.generate_delta_crl(v4.revocation.crl_number("ca-2"), sim.now)])
+        sent = capture_sends(sim, monkeypatch)
+        v4.announce_directory(sim.now)
+        announce = next(p for _, d, k, p in sent if k == "dir_announce" and d == "v1")
+        assert announce.revocations == (("ca-2", v4.revocation.revoked_digest("ca-2")),)
+        sent.clear()
+        v1.on_message("dir_announce", announce, "v4")
+        while sent:  # deliver the pull and whatever answers it
+            src, dst, kind, payload = sent.pop(0)
+            sim.vasps[dst].on_message(kind, payload, src)
+        assert v1.revocation.is_revoked("ca-2", serial)
+        assert v1.revocation.crl_number("ca-2") == v4.revocation.crl_number("ca-2")
+        assert v1.revocation.revoked_digest("ca-2") == v4.revocation.revoked_digest("ca-2")
 
     def test_run_without_revocations_heartbeats_no_revocations(self, monkeypatch):
         sim = mixed_ca_sim()
