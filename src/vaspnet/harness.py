@@ -11,10 +11,15 @@ per-link PRNG in [1, max_latency]; links can drop probabilistically or be
 forced down for a scripted period.
 
 The periodic duties run in this order. Every directory sync period, each
-member publishes a new directory version or, if its live entries are
-unchanged, sends its heartbeat; either message also carries the digests of
-the revoked sets it holds; then each gateway sends its reachability
-advertisements.
+member publishes a new directory version if its live entries changed; else
+it sends its heartbeat if the revoked sets it holds changed since its last
+delta or heartbeat, or if its keepalive is due. Either message carries the
+digests of the revoked sets it holds. Then each gateway sends, over each of
+its peering links, its network's advertisement if that changed, else, when
+the link's keepalive is due, every advertisement it holds for the link: its
+own and those it forwarded. A keepalive is due in the first two quiet sync
+periods after a change and in every second one after them
+(``network.Keepalive``).
 Every CRL period, each member then fetches its own CA's current CRL, the
 only way it gets that one. No CRL is pushed: a member gets another CA's CRL
 only by pulling it from a co-member whose delta or heartbeat shows a revoked
@@ -274,24 +279,27 @@ class Simulation:
         return link
 
     def _tally(self, record: EventRecord) -> None:
-        details = dict(record.details)
+        # Most events are tallied by kind alone; details are read only for
+        # the four kinds below that need them.
         event = record.event
         if event == "transfer_initiated":
             self.metrics.transfers_attempted += 1
         elif event == "transfer_denied":
-            reason = details.get("reason", "?")
+            reason = dict(record.details).get("reason", "?")
             self.metrics.transfers_denied[reason] = (
                 self.metrics.transfers_denied.get(reason, 0) + 1
             )
-        elif event == "record_confirmed" and details.get("role") == "originator":
-            self.metrics.transfers_confirmed += 1
+        elif event == "record_confirmed":
+            if dict(record.details).get("role") == "originator":
+                self.metrics.transfers_confirmed += 1
         elif event == "resolve":
+            details = dict(record.details)
             self.metrics.resolution_attempts += 1
             if details.get("outcome") == "resolved":
                 self.metrics.resolution_successes += 1
                 self.metrics.resolution_hops_total += int(details.get("hops", 0))
         elif event == "advertisement":
-            if details.get("verdict") == "accept":
+            if dict(record.details).get("verdict") == "accept":
                 self.metrics.advertisements_accepted += 1
             else:
                 self.metrics.advertisements_dropped += 1
@@ -641,9 +649,11 @@ class Simulation:
         with the same binding digest."""
         accepted_bindings: dict[str, int] = {}
         for record in self.log_.entries:
-            if record.event == "ack_sent" and dict(record.details).get("decision") == "accept":
-                binding = dict(record.details)["binding"]
-                accepted_bindings.setdefault(binding, record.tick)
+            if record.event != "ack_sent":
+                continue
+            details = dict(record.details)
+            if details.get("decision") == "accept":
+                accepted_bindings.setdefault(details["binding"], record.tick)
         problems = []
         for record in self.log_.entries:
             if record.event != "tx_submitted" or record.actor not in self.vasps:

@@ -4,11 +4,11 @@ and cross-network path-vector reachability advertisements through peering
 gateways.
 
 Inside a network, each member publishes its own directory of live customer
-certificates and every member keeps a per-publisher view. Each sync
-period a member sends one signed message to its co-members that carries both
-replicated feeds: a delta (``DirectoryDelta``) when its directory changed,
-else a heartbeat (``DirectoryAnnounce``) of its directory version and
-digest; both carry, per CA, the digest of the revoked set it holds. A member
+certificates and every member keeps a per-publisher view. A member sends
+its co-members one kind of signed message for both replicated feeds: a
+delta (``DirectoryDelta``) in the sync period its directory changed, else a
+heartbeat (``DirectoryAnnounce``) of its directory version and digest; both
+carry, per CA, the digest of the revoked set it holds. A member
 holding a different directory pulls the snapshot; one holding a different
 revoked set pulls the CA-signed lists behind the holder's set, which the
 holder sends only if they are newer than the puller's (anti-entropy by
@@ -19,6 +19,18 @@ network path; loop prevention and route preference follow path-vector
 discipline. Advertisements carry key hashes only; names, serials, and
 attributes require a routed query answered under disclosure policy.
 
+Both feeds are sent on change, then kept alive (the UPDATE/KEEPALIVE split
+of RFC 4271). A heartbeat goes out in the sync period after a delta or a
+change of the held revoked sets, and then on the ``Keepalive`` schedule:
+in the first two quiet sync periods and every second one after them. A
+gateway keeps, per peering link, the last signed advertisement it sent
+there per origin network, its own and those it forwarded (``AdjRibOut``).
+A new or changed one goes out at once; on the link's keepalive periods the
+gateway re-sends what it holds, signing nothing. So a forwarded route lost
+in flight comes back within two sync periods; without the re-send it never
+would, since the forwarding network drops every later copy of the route it
+installed as a duplicate and forwards only what it installs.
+
 Directory digests are computed once per thing they describe. A publisher
 signs one heartbeat per published version and re-sends it. A
 ``DirectoryView`` holds its entries as a frozenset, and ``entries_digest()``
@@ -27,7 +39,7 @@ replaces the set: ``install_snapshot``, ``apply_delta``, the revocation
 prunes in ``VaspNode`` and the stale-entry drop in ``query_certificate``. A
 replaced set makes the next ``entries_digest()`` recompute; a frozenset
 cannot change in place, so no write can leave a stale digest behind. The
-same identity lets a gateway re-send its last signed advertisement while no
+same identity lets a gateway reuse its last signed advertisement while no
 member view's set has been replaced. A ``DirectoryEntry``'s bytes come from
 a module-level memo of at most ``ENTRY_MEMO_SIZE`` entries keyed by the
 frozen entry; nothing is stored on the instance. A
@@ -320,6 +332,42 @@ def _advertisement_payload(adv: ReachabilityAdvertisement) -> bytes:
     ])
 
 
+class Keepalive:
+    """Send-on-change schedule of both gossip feeds: a member's directory
+    heartbeat and what a gateway advertises over one peering link (the
+    UPDATE/KEEPALIVE split of RFC 4271).
+
+    A change goes out at once and restarts the schedule. Of the quiet sync
+    periods after it, numbered from 1, periods 1 and 2 and every even one
+    after them carry a keepalive; the odd ones from 3 on are skipped. So an
+    unchanged feed is re-sent at least every second sync period, and a
+    receiver that lost it is back in step within about two."""
+
+    __slots__ = ("quiet",)
+
+    def __init__(self) -> None:
+        self.quiet = 0
+
+    def changed(self) -> None:
+        self.quiet = 0
+
+    def due(self) -> bool:
+        """Count one quiet sync period; True if it carries a keepalive."""
+        self.quiet += 1
+        return self.quiet < 3 or self.quiet % 2 == 0
+
+
+@dataclass
+class AdjRibOut:
+    """What a gateway advertises over one peering link: the last signed
+    advertisement it sent there per origin network, its own and those it
+    forwarded (RFC 4271's Adj-RIB-Out), and the link's keepalive schedule.
+    A keepalive re-sends what it holds; nothing is signed for it."""
+
+    sent: dict[str, ReachabilityAdvertisement] = field(default_factory=dict)
+    keepalive: Keepalive = field(default_factory=Keepalive)
+
+
 def _signed_advertisement(
     gateway: "VaspNode", unsigned: ReachabilityAdvertisement
 ) -> ReachabilityAdvertisement:
@@ -467,7 +515,10 @@ def process_advertisement(
     """Install or drop an incoming advertisement; returns (verdict, reason).
 
     On install the advertisement is re-signed with the local network appended
-    to its path and forwarded over the network's other peering links.
+    to its path and forwarded over the network's other peering links, each
+    by its gateway, which holds it for that link's keepalives. A link it is
+    not forwarded over (the one it came in on, or one leading back into its
+    path) stops holding a route to that origin.
     """
     link = network.find_link_from(sender_gateway_id, receiving_gateway.vasp_id)
     if link is None:
@@ -511,10 +562,11 @@ def process_advertisement(
 
     extended_path = adv.network_path + (network.network_id,)
     for out_link in network.peering_links:
-        far_gateway, far_network = out_link.far_side(network.network_id)
-        if out_link == link or far_network in extended_path:
-            continue
+        _, far_network = out_link.far_side(network.network_id)
         local_gateway = env.node(out_link.near_gateway(network.network_id))
+        if out_link == link or far_network in extended_path:
+            local_gateway.withdraw_advertisement(out_link, adv.origin_network_id)
+            continue
         forwarded = _signed_advertisement(local_gateway, ReachabilityAdvertisement(
             advertised_hashes=adv.advertised_hashes,
             home_vasp_id=adv.home_vasp_id,
@@ -522,7 +574,7 @@ def process_advertisement(
             network_path=extended_path,
             advertising_gateway_id=local_gateway.vasp_id,
         ))
-        env.send(local_gateway.vasp_id, far_gateway, "reach_adv", forwarded)
+        local_gateway.advertise(out_link, forwarded)
     return "accept", ""
 
 

@@ -44,12 +44,15 @@ from .ca import (
 from .chain import ChainTransaction, build_transaction
 from .crypto import KeyPair, canonical_encode, digest, enc_str, enc_u64
 from .network import (
+    AdjRibOut,
     ApplyResult,
     DirectoryAnnounce,
     DirectoryDelta,
     DirectoryEntry,
     DirectorySnapshot,
     DirectoryView,
+    Keepalive,
+    PeeringLink,
     QueryResponse,
     ReachabilityAdvertisement,
     TrustNetwork,
@@ -448,11 +451,16 @@ class VaspNode:
         self._live_from = self._live_until = 0.0
         # Network id -> (member entry sets summarised, signed advertisement).
         self._advertisements: dict[str, tuple[tuple, ReachabilityAdvertisement]] = {}
+        # What this gateway advertises over each of its peering links.
+        self._adj_rib_out: dict[PeeringLink, AdjRibOut] = {}
         self._publish_version = 0
         self._last_snapshot: Optional[DirectorySnapshot] = None
         # Signed heartbeat for ``_last_snapshot`` and the held revocation
         # digests; built on the first announce after either changes.
         self._last_announce: Optional[DirectoryAnnounce] = None
+        # Revocation digests on the last delta or heartbeat sent.
+        self._sent_revocations: tuple[tuple[str, bytes], ...] = ()
+        self._heartbeat = Keepalive()
 
     # -- identity and membership --------------------------------------------
 
@@ -689,13 +697,18 @@ class VaspNode:
 
     def sync_directory(self, now: int) -> None:
         """One sync period: publish a new version if the live entries changed
-        (or nothing was published yet), else heartbeat the current one so
-        lagging members pull (anti-entropy)."""
+        (or nothing was published yet). Else heartbeat the current one, so
+        lagging members pull (anti-entropy): at once if the held revocation
+        digests changed since the last delta or heartbeat, otherwise when
+        the ``Keepalive`` schedule has one due."""
         entries = self.directory_entries(now)
-        if self._last_snapshot is not None and entries == self._last_snapshot.entries:
-            self.announce_directory(now)
-        else:
+        if self._last_snapshot is None or entries != self._last_snapshot.entries:
             self.publish_directory(now, entries)
+        elif self.revocation.revoked_digests() != self._sent_revocations:
+            self._heartbeat.changed()
+            self.announce_directory(now)
+        elif self._heartbeat.due():
+            self.announce_directory(now)
 
     def publish_directory(
         self, now: int, entries: Optional[frozenset[DirectoryEntry]] = None
@@ -721,6 +734,8 @@ class VaspNode:
         delta = replace(delta, owner_signature=self.sign_bytes(delta.signed_payload()))
         self._last_snapshot = snapshot
         self._last_announce = None
+        self._sent_revocations = delta.revocations
+        self._heartbeat.changed()
         own_view = self.directory_views.setdefault(self.vasp_id, DirectoryView())
         own_view.install_snapshot(snapshot)
         for member_id in self.co_member_ids():
@@ -776,6 +791,7 @@ class VaspNode:
             self._last_announce = replace(
                 unsigned, owner_signature=self.sign_bytes(unsigned.signed_payload())
             )
+        self._sent_revocations = revocations
         for member_id in self.co_member_ids():
             self.env.send(self.vasp_id, member_id, "dir_announce", self._last_announce)
 
@@ -1832,15 +1848,44 @@ class VaspNode:
                      path=">".join(adv.network_path), hashes=len(adv.advertised_hashes))
 
     def advertise_reachability(self, now: int) -> None:
-        """Send this network's directory summary over our peering links."""
+        """One sync period of advertisements over this gateway's peering
+        links: a link is sent its network's directory summary if that
+        changed, else, when the link's ``Keepalive`` has one due, everything
+        its Adj-RIB-Out holds (this summary and the routes forwarded)."""
         for network in self.networks_sorted():
             for link in network.links_of(self.vasp_id):
-                adv = self._advertisement(network)
-                far_gateway, _far_network = link.far_side(network.network_id)
-                self.env.send(self.vasp_id, far_gateway, "reach_adv", adv)
-                self.env.log(self.vasp_id, "advertisement_sent",
-                             network=network.network_id, to=far_gateway,
-                             hashes=len(adv.advertised_hashes))
+                if self.advertise(link, self._advertisement(network)):
+                    continue
+                out = self._adj_rib_out[link]
+                if out.keepalive.due():
+                    for adv in out.sent.values():
+                        self._send_advertisement(link, adv)
+
+    def advertise(self, link: PeeringLink, adv: ReachabilityAdvertisement) -> bool:
+        """Send ``adv`` over ``link`` and hold it there for keepalives if it
+        differs from what the link holds for its origin network; returns
+        whether it did."""
+        out = self._adj_rib_out.setdefault(link, AdjRibOut())
+        if out.sent.get(adv.origin_network_id) == adv:
+            return False
+        out.sent[adv.origin_network_id] = adv
+        out.keepalive.changed()
+        self._send_advertisement(link, adv)
+        return True
+
+    def withdraw_advertisement(self, link: PeeringLink, origin_network_id: str) -> None:
+        """Stop holding a route to ``origin_network_id`` for ``link``."""
+        out = self._adj_rib_out.get(link)
+        if out is not None:
+            out.sent.pop(origin_network_id, None)
+
+    def _send_advertisement(self, link: PeeringLink, adv: ReachabilityAdvertisement) -> None:
+        """The one sender of ``reach_adv`` messages."""
+        far_gateway = (link.gateway_vasp_b if link.gateway_vasp_a == self.vasp_id
+                       else link.gateway_vasp_a)
+        self.env.send(self.vasp_id, far_gateway, "reach_adv", adv)
+        self.env.log(self.vasp_id, "advertisement_sent", origin=adv.origin_network_id,
+                     to=far_gateway, hashes=len(adv.advertised_hashes))
 
     def _advertisement(self, network: TrustNetwork) -> ReachabilityAdvertisement:
         """The signed advertisement of ``network``, rebuilt only when a member

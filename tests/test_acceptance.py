@@ -399,7 +399,7 @@ def test_08_determinism_and_seed_variation():
 # Event-log digest of the flagship run. A change meant to keep behaviour the
 # same must leave it byte-identical; a change that alters the log re-pins it
 # and says why.
-FLAGSHIP_DIGEST = "88596461c3a7fa1e46afebe1add679d6bca6f1a947072d23ed9c8b94507e2444"
+FLAGSHIP_DIGEST = "78313c5f2ea639197eca622e84afa75b1dc42c8a9344ea1bfc502188a3708d57"
 
 
 def test_08_flagship_digest_pinned():

@@ -29,7 +29,7 @@ from vaspnet.network import (
     build_advertisement,
     directory_digest,
 )
-from vaspnet.vasp import CustodyModel, TransferTarget
+from vaspnet.vasp import CustodyModel, OutcomeStatus, TransferTarget
 
 
 def two_network_sim(**overrides):
@@ -540,6 +540,57 @@ class TestDirectorySync:
         assert zed_hash in {e.public_key_hash for e in v1._last_snapshot.entries}
 
 
+class TestHeartbeatSchedule:
+    """An unchanged heartbeat follows the ``Keepalive`` schedule; a change
+    goes out at the next sync period."""
+
+    @staticmethod
+    def announce_ticks(sim, monkeypatch, src, dst, until):
+        """Ticks of the heartbeats ``src`` sends ``dst`` up to ``until``."""
+        ticks = []
+        send = sim.send
+
+        def recording_send(s, d, kind, payload):
+            if (s, d, kind) == (src, dst, "dir_announce"):
+                ticks.append(sim.now)
+            send(s, d, kind, payload)
+
+        monkeypatch.setattr(sim, "send", recording_send)
+        sim.advance_to(until)
+        return ticks
+
+    def test_first_quiet_period_then_every_second_one(self, monkeypatch):
+        sim = two_network_sim()
+        # v1 publishes at tick 0 and at 10 (alice's enrolment); from 20 on
+        # its sync periods are quiet.
+        ticks = self.announce_ticks(sim, monkeypatch, "v1", "v2", 120)
+        assert ticks == [20, 30, 50, 70, 90, 110]
+
+    def test_revocation_digest_change_goes_out_off_schedule(self, monkeypatch):
+        # v4 has no customers: it publishes at tick 0 only. It merges ca-2's
+        # CRL revoking bob at tick 40, after that tick's sync, so its next
+        # sync period (50, the fifth quiet one) must carry the new digest.
+        quiet = self.announce_ticks(mixed_ca_sim(), monkeypatch, "v4", "v1", 90)
+        assert quiet == [10, 20, 40, 60, 80]
+        monkeypatch.undo()
+        sim = mixed_ca_sim([TestRevocationFeed.REVOKE_BOB])
+        ticks = self.announce_ticks(sim, monkeypatch, "v4", "v1", 90)
+        assert ticks == [10, 20, 40, 50, 60, 70, 90]
+        assert [issuer for issuer, _ in sim.vasps["v4"]._last_announce.revocations] == ["ca-2"]
+
+    def test_view_wiped_after_quiet_periods_resyncs_within_three(self):
+        sim = two_network_sim()
+        rules = sim.networks["net-a"].rules
+        sim.advance_to(90)  # v1's keepalive of its eighth quiet period is out
+        v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
+        assert v1._heartbeat.quiet == 8
+        v2.directory_views["v1"] = DirectoryView()
+        sim.advance_to(90 + 3 * rules.directory_sync_period)
+        view = v2.directory_views["v1"]
+        assert view.version == v1._last_snapshot.version
+        assert view.entries == v1._last_snapshot.entries
+
+
 class TestIntraNetworkQuery:
     def test_query_hits_owning_peer(self):
         sim = two_network_sim()
@@ -737,6 +788,87 @@ class TestPathVectorRouting:
             assert network_id.startswith("net-")
             assert len(hash_prefix) == 16
             assert ">" not in home
+
+
+def line_topology(extra_script=()):
+    """Three networks in a line, a-b-c: a1 peers with b1, and b2 with c1, so
+    net-b's route to net-a reaches net-c only as b2's forward. Per-network
+    CAs; one customer each at a1 and c1."""
+    vasps = [
+        {"vasp_id": "a1", "ca": "ca-a", "networks": ["net-a"]},
+        {"vasp_id": "b1", "ca": "ca-b", "networks": ["net-b"]},
+        {"vasp_id": "b2", "ca": "ca-b", "networks": ["net-b"]},
+        {"vasp_id": "c1", "ca": "ca-c", "networks": ["net-c"]},
+    ]
+    peering = [
+        {"vasp_a": "a1", "network_a": "net-a", "vasp_b": "b1", "network_b": "net-b"},
+        {"vasp_a": "b2", "network_a": "net-b", "vasp_b": "c1", "network_b": "net-c"},
+    ]
+    customers = [
+        {"customer_id": f"cust-{v}", "vasp": v, "custody_model": "mediated",
+         "attributes": {"name": v, "email": f"{v}@x"}}
+        for v in ("a1", "c1")
+    ]
+    script = [
+        {"tick": 0, "action": "open_account", "customer": c["customer_id"]} for c in customers
+    ] + [
+        {"tick": 1, "action": "enroll", "customer": c["customer_id"]} for c in customers
+    ] + list(extra_script)
+    return Simulation(make_scenario(
+        networks=("net-a", "net-b", "net-c"), cas=("ca-a", "ca-b", "ca-c"),
+        vasps=vasps, peering=peering, customers=customers, script=script,
+    ))
+
+
+class TestAdjRibOut:
+    """A gateway holds what it advertised over each link and re-sends it."""
+
+    def test_forwarded_route_lost_in_flight_is_refreshed(self):
+        # b1 installs a1's route carrying cust-a1 at tick 11 to 13 and b2
+        # forwards it to c1 while their link is down. Every later copy from
+        # a1 is a duplicate at b1, so only b2's keepalive can bring it.
+        sim = line_topology([
+            {"tick": 11, "action": "drop_link", "a": "b2", "b": "c1", "period": 4},
+            {"tick": 200, "action": "transfer", "origin": "cust-c1",
+             "target": {"customer": "cust-a1"}, "amount": 5},
+        ])
+        sim.run()
+        lost = [e for e in sim.log_.entries if e.event == "message_dropped"
+                and dict(e.details)["kind"] == "reach_adv" and e.actor == "b2"]
+        assert lost and all(11 <= e.tick < 15 for e in lost)
+        outcome = sim.scripted_transfers[0].outcome
+        assert outcome.status is OutcomeStatus.BROADCAST, outcome.denial
+        a_hash = crypto.digest(sim.vasps["a1"].accounts["acct-cust-a1"].customer_public_key)
+        assert a_hash in sim.networks["net-c"].route_table["net-a"].hashes
+
+    def test_keepalive_resends_own_and_forwarded_without_signing(self, monkeypatch):
+        sim = line_topology()
+        # b2's last change is its forward of tick 12; its keepalives of ticks
+        # 20 and 30 (quiet periods 1 and 2) are past, the rest fall on even ones.
+        sim.advance_to(35)
+        b2 = sim.vasps["b2"]
+        (link,) = sim.networks["net-b"].links_of("b2")
+        held = dict(b2._adj_rib_out[link].sent)
+        assert sorted(held) == ["net-a", "net-b"]
+        assert held["net-a"].network_path == ("net-a", "net-b")
+        sent = []
+        send = sim.send
+
+        def recording_send(src, dst, kind, payload):
+            sent.append((sim.now, src, dst, kind, payload))
+            send(src, dst, kind, payload)
+
+        monkeypatch.setattr(sim, "send", recording_send)
+        signs = count_calls(monkeypatch, crypto, "sign")
+        sim.advance_to(100)
+        from_b2 = [(tick, payload) for tick, src, dst, kind, payload in sent
+                   if src == "b2" and kind == "reach_adv"]
+        assert [key for key, _ in signs if key.public_key == b2.public_key] == []
+        assert {tick for tick, _ in from_b2} == {50, 70, 90}
+        for tick in (50, 70, 90):
+            resent = [payload for t, payload in from_b2 if t == tick]
+            assert len(resent) == 2
+            assert all(payload is held[payload.origin_network_id] for payload in resent)
 
 
 class TestLiveDirectorySet:
