@@ -11,15 +11,12 @@ per-link PRNG in [1, max_latency]; links can drop probabilistically or be
 forced down for a scripted period.
 
 The periodic duties run in this order. Every directory sync period, each
-member publishes a new directory version if its live entries changed; else
-it sends its heartbeat if the revoked sets it holds changed since its last
-delta or heartbeat, or if its keepalive is due. Either message carries the
-digests of the revoked sets it holds. Then each gateway sends, over each of
-its peering links, its network's advertisement if that changed, else, when
-the link's keepalive is due, every advertisement it holds for the link: its
-own and those it forwarded. A keepalive is due in the first two quiet sync
-periods after a change and in every second one after them
-(``network.Keepalive``).
+member publishes a new directory version if its live entries changed, else
+sends its heartbeat if the revoked sets it holds changed or its keepalive is
+due; either message carries the digests of those sets. Then each gateway
+sends over each peering link its network's advertisement if that changed,
+else, when the link's keepalive is due, every advertisement it holds for the
+link (``network.Keepalive``, ``network.AdjRibOut``).
 Every CRL period, each member then fetches its own CA's current CRL, the
 only way it gets that one. No CRL is pushed: a member gets another CA's CRL
 only by pulling it from a co-member whose delta or heartbeat shows a revoked

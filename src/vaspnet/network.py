@@ -19,17 +19,12 @@ network path; loop prevention and route preference follow path-vector
 discipline. Advertisements carry key hashes only; names, serials, and
 attributes require a routed query answered under disclosure policy.
 
-Both feeds are sent on change, then kept alive (the UPDATE/KEEPALIVE split
-of RFC 4271). A heartbeat goes out in the sync period after a delta or a
-change of the held revoked sets, and then on the ``Keepalive`` schedule:
-in the first two quiet sync periods and every second one after them. A
-gateway keeps, per peering link, the last signed advertisement it sent
-there per origin network, its own and those it forwarded (``AdjRibOut``).
-A new or changed one goes out at once; on the link's keepalive periods the
-gateway re-sends what it holds, signing nothing. So a forwarded route lost
-in flight comes back within two sync periods; without the re-send it never
-would, since the forwarding network drops every later copy of the route it
-installed as a duplicate and forwards only what it installs.
+Both feeds are sent on change, then kept alive on the ``Keepalive``
+schedule (the UPDATE/KEEPALIVE split of RFC 4271). A gateway keeps, per
+peering link, the advertisements it sent there (``AdjRibOut``) and its
+keepalives re-send them, so a forwarded route lost in flight comes back; the
+forwarding network drops every later copy of the route it installed as a
+duplicate, so nothing else would resend it.
 
 Directory digests are computed once per thing they describe. A publisher
 signs one heartbeat per published version and re-sends it. A

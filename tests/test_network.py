@@ -581,11 +581,13 @@ class TestHeartbeatSchedule:
     def test_view_wiped_after_quiet_periods_resyncs_within_three(self):
         sim = two_network_sim()
         rules = sim.networks["net-a"].rules
-        sim.advance_to(90)  # v1's keepalive of its eighth quiet period is out
+        # v1's keepalive of tick 90, its eighth quiet period, has arrived
+        # (latency is at most 3 ticks).
+        sim.advance_to(95)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
         assert v1._heartbeat.quiet == 8
         v2.directory_views["v1"] = DirectoryView()
-        sim.advance_to(90 + 3 * rules.directory_sync_period)
+        sim.advance_to(95 + 3 * rules.directory_sync_period)
         view = v2.directory_views["v1"]
         assert view.version == v1._last_snapshot.version
         assert view.entries == v1._last_snapshot.entries
@@ -869,6 +871,25 @@ class TestAdjRibOut:
             resent = [payload for t, payload in from_b2 if t == tick]
             assert len(resent) == 2
             assert all(payload is held[payload.origin_network_id] for payload in resent)
+
+
+    def test_links_hold_only_the_installed_routes_forwarded(self):
+        sim = square_topology()
+        sim.run()
+        held_routes = 0
+        for network_id, network in sim.networks.items():
+            for link in network.peering_links:
+                gateway = sim.vasps[link.near_gateway(network_id)]
+                far_gateway, far_network = link.far_side(network_id)
+                for origin, adv in gateway._adj_rib_out[link].sent.items():
+                    if origin == network_id:
+                        continue
+                    route = network.route_table[origin]
+                    assert adv.network_path == route.network_path + (network_id,)
+                    assert route.next_hop_gateway != far_gateway
+                    assert far_network not in adv.network_path
+                    held_routes += 1
+        assert held_routes
 
 
 class TestLiveDirectorySet:
