@@ -1,5 +1,5 @@
 """Certificate authority services: registration, issuance, revocation,
-CRL/delta-CRL publication, status responses, and lookup by public key.
+CRL/delta-CRL publication, and lookup by public-key hash.
 
 Certificates are X.509-style bindings of a subject identity to an Ed25519
 public key, serialized with the canonical TLV encoding and signed by the
@@ -331,31 +331,6 @@ def apply_delta_crl(base: Crl, delta: DeltaCrl) -> frozenset[RevocationEntry]:
 class CertStatus(enum.Enum):
     GOOD = "good"
     REVOKED = "revoked"
-    UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class CertificateStatusResponse:
-    serial: bytes
-    status: CertStatus
-    reason: Optional[RevocationReason]
-    revoked_at: Optional[int]
-    produced_at: int
-    responder_id: str
-    responder_signature: bytes
-
-    def signed_payload(self) -> bytes:
-        fields: list[tuple[int, bytes]] = [
-            (1, self.serial),
-            (2, enc_str(self.status.value)),
-        ]
-        if self.reason is not None:
-            fields.append((3, enc_str(self.reason.value)))
-        if self.revoked_at is not None:
-            fields.append((4, enc_u64(self.revoked_at)))
-        fields.append((5, enc_u64(self.produced_at)))
-        fields.append((6, enc_str(self.responder_id)))
-        return canonical_encode(fields)
 
 
 class ValidationStatus(enum.Enum):
@@ -752,34 +727,7 @@ class CertificateAuthority:
         signature = crypto.sign(self._keypair, unsigned.signed_payload())
         return DeltaCrl(**{**unsigned.__dict__, "signature": signature})
 
-    def check_status(self, serial: bytes, now: int) -> CertificateStatusResponse:
-        """OCSP-style signed status: good, revoked(reason, tick), or unknown."""
-        known = serial in self._issued or (
-            self.root_certificate is not None and serial == self.root_certificate.serial
-        )
-        entry = self._revoked.get(serial)
-        if entry is not None:
-            status, reason, revoked_at = CertStatus.REVOKED, entry.reason, entry.revoked_at
-        elif known:
-            status, reason, revoked_at = CertStatus.GOOD, None, None
-        else:
-            status, reason, revoked_at = CertStatus.UNKNOWN, None, None
-        unsigned = CertificateStatusResponse(
-            serial=serial,
-            status=status,
-            reason=reason,
-            revoked_at=revoked_at,
-            produced_at=now,
-            responder_id=self.ca_id,
-            responder_signature=b"",
-        )
-        signature = crypto.sign(self._keypair, unsigned.signed_payload())
-        return CertificateStatusResponse(**{**unsigned.__dict__, "responder_signature": signature})
-
     # -- lookup --------------------------------------------------------------
-
-    def find_certificate_by_pubkey(self, public_key: bytes, now: int) -> Optional[CertificateLookup]:
-        return self.find_certificate_by_key_hash(digest(public_key), now)
 
     def find_certificate_by_key_hash(self, key_hash: bytes, now: int) -> Optional[CertificateLookup]:
         """Search the issuance database for a key; revoked matches are flagged."""
@@ -796,9 +744,6 @@ class CertificateAuthority:
             if k in self._disclosure
         }
         return CertificateLookup(certificate=record.certificate, attributes=shared, status=status)
-
-    def registered_attributes(self, serial: bytes) -> Mapping[str, str]:
-        return self._issued[serial].registration.submitted_attributes
 
     def revoked_serials(self) -> frozenset[bytes]:
         return frozenset(self._revoked)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from . import crypto
 from .assertions import DisclosurePolicy
@@ -579,34 +579,27 @@ class Simulation:
             target.on_message(message.kind, message.payload, message.src)
 
     def _periodic_duties(self, tick: int) -> None:
-        published: set[str] = set()
+        for vasp_id in self._due(tick, "directory_sync_period", TrustNetwork.member_ids):
+            self.vasps[vasp_id].sync_directory(tick)
+        for vasp_id in self._due(tick, "directory_sync_period", TrustNetwork.gateway_ids):
+            self.vasps[vasp_id].advertise_reachability(tick)
+        for vasp_id in self._due(tick, "crl_exchange_period", TrustNetwork.member_ids):
+            node = self.vasps[vasp_id]
+            node.ingest_crls([self._latest_crl(node.ca, tick)])
+
+    def _due(
+        self, tick: int, period: str, ids_of: Callable[[TrustNetwork], list[str]]
+    ) -> Iterator[str]:
+        """Each VASP once, in network order, that ``ids_of`` names in a
+        network whose ``period`` rule divides ``tick``."""
+        seen: set[str] = set()
         for network_id in sorted(self.networks):
             network = self.networks[network_id]
-            if tick % network.rules.directory_sync_period == 0:
-                for member_id in network.member_ids():
-                    if member_id in published:
-                        continue
-                    self.vasps[member_id].sync_directory(tick)
-                    published.add(member_id)
-        advertised: set[str] = set()
-        for network_id in sorted(self.networks):
-            network = self.networks[network_id]
-            if tick % network.rules.directory_sync_period == 0:
-                for gateway_id in network.gateway_ids():
-                    if gateway_id in advertised:
-                        continue
-                    self.vasps[gateway_id].advertise_reachability(tick)
-                    advertised.add(gateway_id)
-        refreshed: set[str] = set()
-        for network_id in sorted(self.networks):
-            network = self.networks[network_id]
-            if tick % network.rules.crl_exchange_period == 0:
-                for member_id in network.member_ids():
-                    if member_id in refreshed:
-                        continue
-                    node = self.vasps[member_id]
-                    node.ingest_crls([self._latest_crl(node.ca, tick)])
-                    refreshed.add(member_id)
+            if tick % getattr(network.rules, period) == 0:
+                for vasp_id in ids_of(network):
+                    if vasp_id not in seen:
+                        seen.add(vasp_id)
+                        yield vasp_id
 
     def _latest_crl(self, ca: CertificateAuthority, tick: int):
         key = (ca.ca_id, tick)

@@ -644,12 +644,14 @@ def route_cross_network_query(
             return None, hops
         hops.append(nxt)
         next_node = env.node(nxt)
-        _, far_network_id = _link_far_side(current_network, via, nxt)
+        # The entry was installed from an advertisement sent over this link.
+        link = current_network.find_link_from(nxt, via)
+        _, far_network_id = link.far_side(current_network.network_id)
         if far_network_id == current_entry.origin_network_id:
             response, owner_hops = _resolve_in_origin_network(next_node, key_hash, env)
             hops.extend(owner_hops)
             return response, hops
-        next_network = next_node.membership_network(far_network_id)
+        next_network = next_node.memberships.get(far_network_id)
         if next_network is None or far_network_id in visited:
             env.log(requester.vasp_id, "route_query_failed",
                     reason="routing-loop", partial_path=">".join(hops))
@@ -662,14 +664,6 @@ def route_cross_network_query(
             return None, hops
         current_network = next_network
         current_entry = next_entry
-
-
-def _link_far_side(network: TrustNetwork, near_gateway: str, far_gateway: str) -> tuple[str, str]:
-    for link in network.links_of(near_gateway):
-        candidate_gateway, candidate_network = link.far_side(network.network_id)
-        if candidate_gateway == far_gateway:
-            return candidate_gateway, candidate_network
-    raise NetworkError(f"no link between {near_gateway} and {far_gateway}")
 
 
 def _resolve_in_origin_network(

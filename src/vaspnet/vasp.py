@@ -21,7 +21,6 @@ from . import crypto
 from .assertions import (
     AssertionServiceError,
     AttributeAssertion,
-    DisclosurePolicy,
     HeldDisclosure,
     TRAVEL_RULE_POLICY,
     issue_assertion,
@@ -370,9 +369,8 @@ class ResolvedBeneficiary:
 
 @dataclass
 class PendingTransfer:
-    notice: TransferNotice
+    record: TravelRuleRecord
     outcome: TransferOutcome
-    record_id: bytes
     prepared_tx: ChainTransaction
     resolved: ResolvedBeneficiary
     deadline: int
@@ -413,8 +411,6 @@ class VaspNode:
         rng: random.Random,
         env,
         chain_id: str = "simchain",
-        ack_timeout: int = DEFAULT_ACK_TIMEOUT,
-        disclosure_policy: DisclosurePolicy = TRAVEL_RULE_POLICY,
     ) -> None:
         self.vasp_id = vasp_id
         self._keypair = keypair
@@ -422,8 +418,8 @@ class VaspNode:
         self._rng = rng
         self.env = env
         self.chain_id = chain_id
-        self.ack_timeout = ack_timeout
-        self.disclosure_policy = disclosure_policy
+        self.ack_timeout = DEFAULT_ACK_TIMEOUT
+        self.disclosure_policy = TRAVEL_RULE_POLICY
 
         self.certificate: Optional[Certificate] = None
         self.accounts: dict[str, Account] = {}
@@ -438,7 +434,6 @@ class VaspNode:
         self.directory_views: dict[str, DirectoryView] = {}
         self.records: dict[bytes, TravelRuleRecord] = {}
         self._records_by_binding: dict[bytes, list[bytes]] = {}
-        self._records_by_tx_id: dict[bytes, list[bytes]] = {}
         self._pending: dict[bytes, PendingTransfer] = {}
         self._handled_notices: set[bytes] = set()
         # Subject id -> the last disclosure signed about it (``_disclosure``).
@@ -506,9 +501,6 @@ class VaspNode:
 
     def networks_sorted(self) -> list[TrustNetwork]:
         return [self.memberships[nid] for nid in sorted(self.memberships)]
-
-    def membership_network(self, network_id: str) -> Optional[TrustNetwork]:
-        return self.memberships.get(network_id)
 
     def co_member_ids(self) -> list[str]:
         ids: set[str] = set()
@@ -745,10 +737,7 @@ class VaspNode:
         return snapshot
 
     def on_dir_delta(self, delta: DirectoryDelta, src: str) -> None:
-        cert = self.member_certificate(delta.owner_vasp_id)
-        if cert is None or not crypto.verify(
-            cert.subject_public_key, delta.signed_payload(), delta.owner_signature
-        ):
+        if not self._signed_by_owner(delta):
             self.env.log(self.vasp_id, "gossip_dropped", owner=delta.owner_vasp_id,
                          reason="bad-signature")
             return
@@ -798,12 +787,9 @@ class VaspNode:
     def on_dir_announce(self, announce: DirectoryAnnounce, src: str) -> None:
         """Compare a verified heartbeat with what this node holds, per feed,
         and pull from its sender what differs."""
-        owner = announce.owner_vasp_id
-        cert = self.member_certificate(owner)
-        if cert is None or not crypto.verify(
-            cert.subject_public_key, announce.signed_payload(), announce.owner_signature
-        ):
+        if not self._signed_by_owner(announce):
             return
+        owner = announce.owner_vasp_id
         view = self.directory_views.get(owner)
         held_version = view.version if view is not None else 0
         held_digest = view.entries_digest() if view is not None else b""
@@ -844,10 +830,7 @@ class VaspNode:
             self.env.send(self.vasp_id, src, "crl", newer)
 
     def on_dir_snapshot(self, snapshot: DirectorySnapshot, src: str) -> None:
-        cert = self.member_certificate(snapshot.owner_vasp_id)
-        if cert is None or not crypto.verify(
-            cert.subject_public_key, snapshot.signed_payload(), snapshot.owner_signature
-        ):
+        if not self._signed_by_owner(snapshot):
             self.env.log(self.vasp_id, "gossip_dropped", owner=snapshot.owner_vasp_id,
                          reason="bad-signature")
             return
@@ -856,6 +839,16 @@ class VaspNode:
             self._drop_revoked(view, view.entries)
             self.env.log(self.vasp_id, "directory_applied", owner=snapshot.owner_vasp_id,
                          version=view.version)
+
+    def _signed_by_owner(
+        self, message: DirectoryDelta | DirectoryAnnounce | DirectorySnapshot
+    ) -> bool:
+        """Whether a directory message verifies under its owner's certificate,
+        as held from a network both are members of."""
+        cert = self.member_certificate(message.owner_vasp_id)
+        return cert is not None and crypto.verify(
+            cert.subject_public_key, message.signed_payload(), message.owner_signature
+        )
 
     def prune_directory_views(self, revoked: Collection[tuple[str, bytes]]) -> None:
         """Follow newly revoked (issuer id, serial) pairs: drop them from this
@@ -922,58 +915,37 @@ class VaspNode:
         self, requester_id: str, key_hash: bytes, now: int
     ) -> Optional[QueryResponse]:
         account_id = self._accounts_by_key_hash.get(key_hash)
-        if account_id is None or self.certificate is None:
-            return None
-        account = self.accounts[account_id]
-        cert = account.certificate
-        if cert is None:
-            return None
-        check = self._validator()(cert)
-        if check.status is ValidationStatus.REVOKED:
-            return QueryResponse(
-                certificate=cert, assertion=None, responder_vasp_id=self.vasp_id,
-                responder_certificate=self.certificate, status="revoked",
-            )
-        if not check.ok:
-            return None
-        assertion = self._customer_assertion(account, now)
-        return QueryResponse(
-            certificate=cert, assertion=assertion, responder_vasp_id=self.vasp_id,
-            responder_certificate=self.certificate, status="ok",
-        )
+        return None if account_id is None else self._answer_query(self.accounts[account_id], now)
 
     def respond_account_query(
         self, requester_id: str, account_id: str, now: int
     ) -> Optional[QueryResponse]:
         account = self.accounts.get(account_id)
-        if account is None or self.certificate is None:
+        return None if account is None else self._answer_query(account, now)
+
+    def _answer_query(self, account: Account, now: int) -> Optional[QueryResponse]:
+        """The account's subject certificate with a disclosure about it. A
+        revoked certificate is answered "revoked" without one, an otherwise
+        invalid one not at all; a commingled pool's answer, this VASP's own
+        certificate, is not re-validated."""
+        cert = self._subject_certificate(account)
+        if cert is None or self.certificate is None:
             return None
-        if account.custody_model is CustodyModel.COMMINGLED:
-            cert = self.certificate
-        else:
-            cert = account.certificate
-            if cert is None:
-                return None
+        status = "ok"
+        if account.custody_model is not CustodyModel.COMMINGLED:
             check = self._validator()(cert)
             if check.status is ValidationStatus.REVOKED:
-                return QueryResponse(
-                    certificate=cert, assertion=None, responder_vasp_id=self.vasp_id,
-                    responder_certificate=self.certificate, status="revoked",
-                )
-            if not check.ok:
+                status = "revoked"
+            elif not check.ok:
                 return None
-        assertion = self._customer_assertion(account, now)
+        assertion = self._customer_assertion(account, now) if status == "ok" else None
         return QueryResponse(
             certificate=cert, assertion=assertion, responder_vasp_id=self.vasp_id,
-            responder_certificate=self.certificate, status="ok",
+            responder_certificate=self.certificate, status=status,
         )
 
     def _customer_assertion(self, account: Account, now: int) -> Optional[AttributeAssertion]:
-        subject_cert = (
-            self.certificate
-            if account.custody_model is CustodyModel.COMMINGLED
-            else account.certificate
-        )
+        subject_cert = self._subject_certificate(account)
         if subject_cert is None:
             return None
         try:
@@ -1018,11 +990,7 @@ class VaspNode:
             if account_id is None:
                 return None
             account = self.accounts[account_id]
-        cert = (
-            self.certificate
-            if account.custody_model is CustodyModel.COMMINGLED
-            else account.certificate
-        )
+        cert = self._subject_certificate(account)
         if cert is None:
             return None
         revoked = self.revocation.is_revoked(cert.issuer_id, cert.serial)
@@ -1152,7 +1120,7 @@ class VaspNode:
         if not self.screen_suspect(ben_refs):
             return self._deny(outcome, DenialCode.SUSPECT_PARTY, "beneficiary")
 
-        origin_cert = self._origin_certificate(account)
+        origin_cert = self._subject_certificate(account)
         if origin_cert is None:
             return self._deny(outcome, DenialCode.NO_ORIGINATOR_CERT)
 
@@ -1275,9 +1243,25 @@ class VaspNode:
         now: int,
         batch: bool = False,
     ) -> None:
+        record = self._open_record(RecordRole.ORIGINATOR_SIDE, notice, now, account_ids)
+        outcome.record_id = record.record_id
+        self._pending[notice.notice_id] = PendingTransfer(
+            record=record, outcome=outcome, prepared_tx=tx, resolved=resolved,
+            deadline=now + self.ack_timeout, batch=batch,
+        )
+        self.env.send(self.vasp_id, notice.beneficiary_vasp_id, "transfer_notice", notice)
+        self.env.log(self.vasp_id, "notice_sent", notice=notice.notice_id.hex(),
+                     beneficiary=notice.beneficiary_vasp_id,
+                     binding=notice.intended_chain_tx_binding.hex())
+
+    def _open_record(
+        self, role: RecordRole, notice: TransferNotice, now: int, account_ids: tuple[str, ...]
+    ) -> TravelRuleRecord:
+        """Draw a record id; store the notice's record, pending its ack, and
+        file it under the notice's binding."""
         record = TravelRuleRecord(
             record_id=self._fresh_id(RECORD_ID_LEN),
-            role=RecordRole.ORIGINATOR_SIDE,
+            role=role,
             notice=notice,
             ack=None,
             chain_tx_id=None,
@@ -1285,26 +1269,16 @@ class VaspNode:
             failure_reason=None,
             created_at=now,
             updated_at=now,
-            originator_account_ids=account_ids,
+            originator_account_ids=account_ids if role is RecordRole.ORIGINATOR_SIDE else (),
+            beneficiary_account_ids=account_ids if role is RecordRole.BENEFICIARY_SIDE else (),
         )
         self.records[record.record_id] = record
-        self._file_record(self._records_by_binding, notice.intended_chain_tx_binding, record)
-        outcome.record_id = record.record_id
-        self._pending[notice.notice_id] = PendingTransfer(
-            notice=notice, outcome=outcome, record_id=record.record_id,
-            prepared_tx=tx, resolved=resolved, deadline=now + self.ack_timeout,
-            batch=batch,
-        )
-        self.env.send(self.vasp_id, notice.beneficiary_vasp_id, "transfer_notice", notice)
-        self.env.log(self.vasp_id, "notice_sent", notice=notice.notice_id.hex(),
-                     beneficiary=notice.beneficiary_vasp_id,
-                     binding=notice.intended_chain_tx_binding.hex())
+        self._file_record(notice.intended_chain_tx_binding, record)
+        return record
 
-    def _file_record(
-        self, index: dict[bytes, list[bytes]], tx_id: bytes, record: TravelRuleRecord
-    ) -> None:
+    def _file_record(self, tx_id: bytes, record: TravelRuleRecord) -> None:
         """File a record under a tx id; its confirmation is then delivered here."""
-        index.setdefault(tx_id, []).append(record.record_id)
+        self._records_by_binding.setdefault(tx_id, []).append(record.record_id)
         self.env.watch(tx_id, self.vasp_id)
 
     def _deny(self, outcome: TransferOutcome, code: DenialCode, detail: str = "") -> TransferOutcome:
@@ -1327,7 +1301,9 @@ class VaspNode:
             refs.append(target.account_id)
         return refs
 
-    def _origin_certificate(self, account: Account) -> Optional[Certificate]:
+    def _subject_certificate(self, account: Account) -> Optional[Certificate]:
+        """The certificate binding the account's on-chain key: the customer's,
+        or this VASP's own for a commingled pool."""
         if account.custody_model is CustodyModel.COMMINGLED:
             return self.certificate
         return account.certificate
@@ -1481,11 +1457,7 @@ class VaspNode:
             return self._reject_notice(notice, RejectReason.SUSPECT_PARTY, now)
 
         for account in accounts:
-            cert = (
-                self.certificate
-                if account.custody_model is CustodyModel.COMMINGLED
-                else account.certificate
-            )
+            cert = self._subject_certificate(account)
             if cert is None or not self._validator(self.chain_id)(cert).ok:
                 return self._reject_notice(notice, RejectReason.CERT_INVALID, now)
 
@@ -1499,23 +1471,11 @@ class VaspNode:
             if assertion is None:
                 return self._reject_notice(notice, RejectReason.CERT_INVALID, now)
 
-        record = TravelRuleRecord(
-            record_id=self._fresh_id(RECORD_ID_LEN),
-            role=RecordRole.BENEFICIARY_SIDE,
-            notice=notice,
-            ack=None,
-            chain_tx_id=None,
-            status=RecordStatus.PENDING_ACK,
-            failure_reason=None,
-            created_at=now,
-            updated_at=now,
-            beneficiary_account_ids=tuple(a.account_id for a in accounts),
-        )
+        record = self._open_record(RecordRole.BENEFICIARY_SIDE, notice, now,
+                                   tuple(a.account_id for a in accounts))
         ack = self._signed_ack(notice.notice_id, AckDecision.ACCEPT, None, assertion)
         record.ack = ack
         record.advance(RecordStatus.PENDING_CHAIN, now)
-        self.records[record.record_id] = record
-        self._file_record(self._records_by_binding, notice.intended_chain_tx_binding, record)
         self.env.send(self.vasp_id, notice.originator_vasp_id, "transfer_ack", ack)
         self.env.log(self.vasp_id, "ack_sent", notice=notice.notice_id.hex(),
                      decision="accept",
@@ -1605,32 +1565,21 @@ class VaspNode:
                          reason="bad-signature")
             return
         del self._pending[ack.notice_id]
-        record = self.records[pending.record_id]
+        record = pending.record
+        record.ack = ack
         self.env.log(self.vasp_id, "ack_received", notice=ack.notice_id.hex(),
                      decision=ack.decision.value,
-                     binding=pending.notice.intended_chain_tx_binding.hex())
+                     binding=record.notice.intended_chain_tx_binding.hex())
 
         if ack.decision is AckDecision.REJECT:
             reason = ack.reject_reason.value if ack.reject_reason else "unspecified"
-            record.ack = ack
-            record.advance(RecordStatus.FAILED, now, f"AckRejected:{reason}")
-            self._deny(pending.outcome, DenialCode.ACK_REJECTED, reason)
-            return
-
+            return self._fail(pending, now, DenialCode.ACK_REJECTED, reason)
         if not self._accept_assertion_valid(ack, pending):
-            record.ack = ack
-            record.advance(RecordStatus.FAILED, now, "AckRejected:invalid-assertion")
-            self._deny(pending.outcome, DenialCode.ACK_REJECTED, "invalid-assertion")
-            return
-
-        record.ack = ack
+            return self._fail(pending, now, DenialCode.ACK_REJECTED, "invalid-assertion")
         tx_id = self.execute_onchain(pending)
         if tx_id is None:
-            record.advance(RecordStatus.FAILED, now, "ChainRejected")
-            self._deny(pending.outcome, DenialCode.CHAIN_REJECTED)
-            return
+            return self._fail(pending, now, DenialCode.CHAIN_REJECTED)
         record.chain_tx_id = tx_id
-        self._file_record(self._records_by_tx_id, tx_id, record)
         record.advance(RecordStatus.PENDING_CHAIN, now)
         pending.outcome.status = OutcomeStatus.BROADCAST
         pending.outcome.chain_tx_id = tx_id
@@ -1662,9 +1611,14 @@ class VaspNode:
             if now < pending.deadline:
                 continue
             del self._pending[notice_id]
-            record = self.records[pending.record_id]
-            record.advance(RecordStatus.FAILED, now, "ChannelTimeout")
-            self._deny(pending.outcome, DenialCode.CHANNEL_TIMEOUT)
+            self._fail(pending, now, DenialCode.CHANNEL_TIMEOUT)
+
+    def _fail(self, pending: PendingTransfer, now: int, code: DenialCode, detail: str = "") -> None:
+        """The one way an originator transfer fails after its notice went
+        out: its record fails with the reason its outcome is denied for."""
+        pending.record.advance(RecordStatus.FAILED, now,
+                               f"{code.value}:{detail}" if detail else code.value)
+        self._deny(pending.outcome, code, detail)
 
     # -- confirmations, reconciliation, audit ---------------------------------------
 
@@ -1688,18 +1642,6 @@ class VaspNode:
             matched = True
             self.env.log(self.vasp_id, "record_confirmed", record=record_id.hex(),
                          role=record.role.value, tx=tx_id.hex())
-        # A confirmation matching a stored tx id but not the notice binding is
-        # a tampered-content signal; the records to check are those filed
-        # under this tx id.
-        for record_id in sorted(self._records_by_tx_id.get(tx_id, ())):
-            record = self.records[record_id]
-            if (
-                record.status is RecordStatus.PENDING_CHAIN
-                and record.notice.intended_chain_tx_binding != tx_id
-            ):
-                record.advance(RecordStatus.FAILED, now, "BindingMismatch")
-                self.env.log(self.vasp_id, "record_failed", record=record_id.hex(),
-                             reason="BindingMismatch")
         if not matched and self._involves_my_keys(tx):
             if tx_id not in self._records_by_binding:
                 self.env.log(self.vasp_id, "confirmation_unmatched", tx=tx_id.hex())

@@ -156,8 +156,8 @@ class TestIssuance:
         first = issue(ca, subject="sub", key_label="k9")
         second = issue(ca, subject="sub", key_label="k9", now=1)
         assert first.serial != second.serial
-        assert ca.check_status(first.serial, 2).status is CertStatus.REVOKED
-        lookup = ca.find_certificate_by_pubkey(second.subject_public_key, 2)
+        assert first.serial in ca.revoked_serials()
+        lookup = ca.find_certificate_by_key_hash(crypto.digest(second.subject_public_key), 2)
         assert lookup.certificate.serial == second.serial
         assert lookup.status is CertStatus.GOOD
 
@@ -234,17 +234,6 @@ class TestValidationOrder:
 
 
 class TestRevocationAndStatus:
-    def test_revoke_then_status(self):
-        ca = make_ca()
-        cert = issue(ca)
-        ca.revoke(cert.serial, RevocationReason.KEY_COMPROMISE, 7)
-        response = ca.check_status(cert.serial, 8)
-        assert response.status is CertStatus.REVOKED
-        assert response.reason is RevocationReason.KEY_COMPROMISE
-        assert response.revoked_at == 7
-        assert crypto.verify(ca.root_certificate.subject_public_key,
-                             response.signed_payload(), response.responder_signature)
-
     def test_unknown_serial(self):
         with pytest.raises(UnknownSerial):
             make_ca().revoke(b"\x00" * 16, RevocationReason.UNSPECIFIED, 0)
@@ -255,12 +244,6 @@ class TestRevocationAndStatus:
         ca.revoke(cert.serial, RevocationReason.UNSPECIFIED, 0)
         with pytest.raises(AlreadyRevoked):
             ca.revoke(cert.serial, RevocationReason.UNSPECIFIED, 1)
-
-    def test_status_good_and_unknown(self):
-        ca = make_ca()
-        cert = issue(ca)
-        assert ca.check_status(cert.serial, 1).status is CertStatus.GOOD
-        assert ca.check_status(b"\xff" * 16, 1).status is CertStatus.UNKNOWN
 
 
 class TestCrl:
@@ -395,20 +378,20 @@ class TestLookup:
         registration = ca.register_subject("sub", attrs, CertClass.CLASS1, 0)
         key = crypto.keypair_from_label("subject", "lk")
         cert = ca.issue_certificate(registration, key.public_key, DEFAULT_PROFILE, 0, 100, 0)
-        lookup = ca.find_certificate_by_pubkey(key.public_key, 1)
+        lookup = ca.find_certificate_by_key_hash(crypto.digest(key.public_key), 1)
         assert lookup.certificate == cert
         assert lookup.attributes == {"address": "12 Main", "name": "N", "vasp_id": "v9"}
         assert lookup.status is CertStatus.GOOD
 
     def test_lookup_unknown_key(self):
         ca = make_ca()
-        assert ca.find_certificate_by_pubkey(b"\x07" * 32, 0) is None
+        assert ca.find_certificate_by_key_hash(crypto.digest(b"\x07" * 32), 0) is None
 
     def test_lookup_revoked_flagged(self):
         ca = make_ca()
         cert = issue(ca, key_label="rk")
         ca.revoke(cert.serial, RevocationReason.KEY_COMPROMISE, 1)
-        lookup = ca.find_certificate_by_pubkey(cert.subject_public_key, 2)
+        lookup = ca.find_certificate_by_key_hash(crypto.digest(cert.subject_public_key), 2)
         assert lookup is not None
         assert lookup.status is CertStatus.REVOKED
         assert lookup.certificate.serial == cert.serial

@@ -870,7 +870,7 @@ class TestConfirmationFanOut:
         record = self.pending_record(sim, "v2")
         outsider = crypto.keypair_from_label("foreign", "payee")
         tx = self.foreign_tx("payer", outsider.public_key)
-        sim.vasps["v2"]._file_record(sim.vasps["v2"]._records_by_binding, tx.tx_id, record)
+        sim.vasps["v2"]._file_record(tx.tx_id, record)
         sim.submit_tx("outsider", tx)
         sim.run()
         return sim, "record_failed"

@@ -17,7 +17,8 @@ import pytest
 from conftest import count_calls
 from vaspnet import crypto
 from vaspnet.harness import Simulation
-from vaspnet.scenario import parse_scenario
+from vaspnet.scenario import load_scenario, parse_scenario
+from vaspnet.vasp import OutcomeStatus, RecordRole, RecordStatus
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
 
@@ -121,3 +122,38 @@ def test_mesh_sign_budget(workloads, monkeypatch):
     signs = count_calls(monkeypatch, crypto, "sign")
     sim.run()
     assert len(signs) <= MESH_SIGN_BUDGET
+
+
+DENIALS_YAML = Path(__file__).resolve().parent.parent / "scenarios" / "denials.yaml"
+
+
+@pytest.mark.parametrize("name", [*sorted(WORKLOAD_DIGESTS), "denials"])
+def test_outcome_and_record_agree(workloads, name):
+    """Each scripted transfer's outcome and its originator record tell the
+    same story, and every record is filed once under its binding."""
+    if name == "denials":
+        scenario = load_scenario(DENIALS_YAML)
+    else:
+        scenario = parse_scenario(workloads[name].scenario(7))
+    sim = Simulation(scenario)
+    sim.run()
+    checked = 0
+    for scripted in sim.scripted_transfers:
+        outcome = scripted.outcome
+        if outcome.record_id is None:
+            continue
+        record = sim.vasps[scripted.origin_vasp].records[outcome.record_id]
+        assert record.role is RecordRole.ORIGINATOR_SIDE
+        if outcome.status is OutcomeStatus.DENIED:
+            assert record.status is RecordStatus.FAILED
+            assert record.failure_reason.startswith(outcome.denial.code.value)
+        elif outcome.status is OutcomeStatus.BROADCAST:
+            assert record.chain_tx_id == outcome.chain_tx_id
+            assert record.status in (RecordStatus.PENDING_CHAIN, RecordStatus.CONFIRMED)
+        else:
+            assert record.status is RecordStatus.PENDING_ACK
+        checked += 1
+    assert checked
+    for node in sim.vasps.values():
+        filed = Counter(rid for rids in node._records_by_binding.values() for rid in rids)
+        assert filed == dict.fromkeys(node.records, 1)
