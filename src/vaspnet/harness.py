@@ -29,6 +29,7 @@ never affects any byte of the run.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
@@ -36,7 +37,7 @@ from . import crypto
 from .assertions import DisclosurePolicy
 from .ca import CertificateAuthority, CertClass, Certificate, RevocationReason
 from .chain import ChainTransaction, SimChain, SubmitResult, build_transaction
-from .crypto import KeyPair, canonical_encode, digest, enc_str, enc_u64, encode_str_map
+from .crypto import KeyPair, digest
 from .network import OperatingRules, PeeringLink, TrustNetwork
 from .scenario import CustomerSpec, Scenario, ScriptAction
 from .vasp import CustodyModel, TransferOutcome, TransferTarget, VaspNode
@@ -44,6 +45,33 @@ from .vasp import CustodyModel, TransferOutcome, TransferTarget, VaspNode
 ROOT_VALIDITY = 1_000_000
 VASP_CERT_VALIDITY = 500_000
 CUSTOMER_CERT_VALIDITY = 100_000
+
+
+_FIELD_HEADER = struct.Struct(">HI")
+_TICK_FIELD = struct.Struct(">HIQ")
+
+
+def _event_bytes(tick: int, actor: str, event: str, details: tuple[tuple[str, str], ...]) -> bytes:
+    """The canonical record of an event, built in one pass: tick, actor,
+    event, then the details as ``encode_str_map`` encodes them. ``details``
+    must be sorted by key, with each key once, as ``EventLog.append`` makes
+    them; the bytes then equal ``canonical_encode`` of the four fields with
+    ``encode_str_map(dict(details))`` as the fourth."""
+    pack = _FIELD_HEADER.pack
+    parts: list[bytes] = []
+    tag = 1
+    for key, value in details:
+        key_bytes, value_bytes = key.encode(), value.encode()
+        parts += (pack(tag, len(key_bytes)), key_bytes, pack(tag + 1, len(value_bytes)), value_bytes)
+        tag += 2
+    detail_bytes = b"".join(parts)
+    actor_bytes, event_bytes = actor.encode(), event.encode()
+    return b"".join((
+        _TICK_FIELD.pack(1, 8, tick),
+        pack(2, len(actor_bytes)), actor_bytes,
+        pack(3, len(event_bytes)), event_bytes,
+        pack(4, len(detail_bytes)), detail_bytes,
+    ))
 
 
 @dataclass(frozen=True)
@@ -54,12 +82,7 @@ class EventRecord:
     details: tuple[tuple[str, str], ...]
 
     def to_bytes(self) -> bytes:
-        return canonical_encode([
-            (1, enc_u64(self.tick)),
-            (2, enc_str(self.actor)),
-            (3, enc_str(self.event)),
-            (4, encode_str_map(dict(self.details))),
-        ])
+        return _event_bytes(self.tick, self.actor, self.event, self.details)
 
     def line(self) -> str:
         detail = " ".join(f"{k}={v}" for k, v in self.details)
@@ -67,7 +90,9 @@ class EventRecord:
 
 
 class EventLog:
-    """Ordered event records plus a running digest over their canonical bytes."""
+    """Ordered event records plus a running digest over their canonical
+    bytes. Each record's details are sorted and encoded once, when it is
+    appended."""
 
     def __init__(self) -> None:
         self.entries: list[EventRecord] = []

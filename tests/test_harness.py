@@ -8,11 +8,15 @@ from pathlib import Path
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vaspnet
 from conftest import make_scenario, standard_script
 from vaspnet.cli import main as cli_main
-from vaspnet.harness import Simulation
+from vaspnet import crypto
+from vaspnet.crypto import canonical_encode, enc_str, enc_u64, encode_str_map
+from vaspnet.harness import EventLog, Simulation
 from vaspnet.report import (
     ReplayMismatch,
     decode_events,
@@ -105,6 +109,41 @@ class TestDeterminism:
         assert len(digests) == 1
         expected = Simulation(load_scenario(scenario_path)).run().digest_hex
         assert digests == {expected}
+
+
+def reference_event_bytes(tick, actor, event, details):
+    """The event encoding as a plain composition of the crypto encoders."""
+    return canonical_encode([
+        (1, enc_u64(tick)),
+        (2, enc_str(actor)),
+        (3, enc_str(event)),
+        (4, encode_str_map(dict(details))),
+    ])
+
+
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+class TestEventEncoding:
+    """``EventLog`` encodes each event in one pass; bytes and running digest
+    must equal the composition of ``canonical_encode`` and ``encode_str_map``."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(0, 2**64 - 1), _text, _text,
+        st.dictionaries(st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+                        st.one_of(_text, st.integers(), st.booleans()), max_size=6),
+    ), max_size=5))
+    def test_matches_reference_encoding(self, events):
+        log = EventLog()
+        running = bytes(crypto.HASH_LEN)
+        for tick, actor, event, details in events:
+            record = log.append(tick, actor, event, **details)
+            expected = reference_event_bytes(
+                tick, actor, event, {k: str(v) for k, v in details.items()})
+            assert record.to_bytes() == expected
+            running = crypto.digest(running + expected)
+        assert log.running_digest == running
 
 
 class TestConservation:
