@@ -17,8 +17,7 @@ from .report import (
     ReplayMismatch,
     dump_ledger_lines,
     dump_route_lines,
-    render_canonical,
-    render_text,
+    emit_report,
     replay_canonical,
 )
 from .scenario import SchemaError, load_scenario
@@ -52,10 +51,7 @@ def main() -> None:
 def run(scenario_path: str, seed, report_format: str, out_path) -> None:
     """Run a scenario and emit its report."""
     result = _run(scenario_path, seed)
-    if report_format == "text":
-        payload = render_text(result).encode()
-    else:
-        payload = render_canonical(result)
+    payload = emit_report(result, report_format)
     if out_path:
         Path(out_path).write_bytes(payload)
         click.echo(f"report written to {out_path} (digest {result.digest_hex})")

@@ -11,12 +11,15 @@ per-link PRNG in [1, max_latency]; links can drop probabilistically or be
 forced down for a scripted period.
 
 The periodic duties run in this order. Every directory sync period, each
-member publishes a new directory version if its live entries changed, else
-sends its heartbeat if the revoked sets it holds changed or its keepalive is
-due; either message carries the digests of those sets. Then each gateway
-sends over each peering link its network's advertisement if that changed,
-else, when the link's keepalive is due, every advertisement it holds for the
-link (``network.Keepalive``, ``network.AdjRibOut``).
+member publishes a new directory version to every co-member if its live
+entries changed. Else it sends its heartbeat: to every co-member if the
+revoked sets it holds changed, otherwise to one partner per network, which
+rotates so that each member receives one heartbeat per network per period
+(``network.heartbeat_partner``). Either message carries the digests of
+those sets. Then each gateway sends over each peering link its network's
+advertisement if that changed; else, in every other period and if nothing
+went over the link since the last one, a signed digest of the routes it
+holds for the link and received over it (``network.RouteDigest``).
 Every CRL period, each member then fetches its own CA's current CRL, the
 only way it gets that one. No CRL is pushed: a member gets another CA's CRL
 only by pulling it from a co-member whose delta or heartbeat shows a revoked

@@ -4,32 +4,46 @@ and cross-network path-vector reachability advertisements through peering
 gateways.
 
 Inside a network, each member publishes its own directory of live customer
-certificates and every member keeps a per-publisher view. A member sends
-its co-members one kind of signed message for both replicated feeds: a
-delta (``DirectoryDelta``) in the sync period its directory changed, else a
-heartbeat (``DirectoryAnnounce``) of its directory version and digest; both
-carry, per CA, the digest of the revoked set it holds. A member
-holding a different directory pulls the snapshot; one holding a different
-revoked set pulls the CA-signed lists behind the holder's set, which the
-holder sends only if they are newer than the puller's (anti-entropy by
-digest comparison, Demers et al., PODC 1987; CRL numbers order freshness,
-RFC 5280 section 5.2.3). No CRL is pushed. Across networks,
-gateways advertise the union of their network's key hashes with an explicit
-network path; loop prevention and route preference follow path-vector
-discipline. Advertisements carry key hashes only; names, serials, and
-attributes require a routed query answered under disclosure policy.
+certificates and every member keeps a per-publisher view. Both gossip feeds
+follow one rule: each sync period, a relation carries exactly one message,
+its change if there is one, else one signed digest, and a digest that
+differs from what the receiver holds makes it pull (push-pull anti-entropy,
+Demers et al., PODC 1987).
 
-Both feeds are sent on change, then kept alive on the ``Keepalive``
-schedule (the UPDATE/KEEPALIVE split of RFC 4271). A gateway keeps, per
-peering link, the advertisements it sent there (``AdjRibOut``) and its
-keepalives re-send them, so a forwarded route lost in flight comes back; the
-forwarding network drops every later copy of the route it installed as a
-duplicate, so nothing else would resend it.
+Inside a network the feeds are the directory and revocation state. A member
+sends its co-members a delta (``DirectoryDelta``) in the sync period its
+directory changed, and a heartbeat (``DirectoryAnnounce``) to all of them in
+the period after its revoked sets changed; otherwise it sends one heartbeat
+per network to a partner that rotates (``heartbeat_partner``), so each
+member receives one per network per period. Both messages carry, per CA,
+the digest of the revoked set the sender holds; a heartbeat also carries its
+directory version and digest and the version of each view the sender holds
+of that network's members. A member holding a lower version of a view pulls
+the snapshot from that view's owner; one holding a different revoked set
+pulls the CA-signed lists behind the sender's set, which the sender sends
+only if they are newer than the puller's (CRL numbers order freshness, RFC
+5280 section 5.2.3). No CRL is pushed. While the other members are quiet, a
+lost delta is pulled one sync period later, plus the latency of heartbeat,
+pull and snapshot.
 
-Directory digests are computed once per thing they describe. A publisher
-signs one heartbeat per published version and re-sends it. A
-``DirectoryView`` holds its entries as a frozenset, and ``entries_digest()``
-caches the digest together with the set it was computed from. Every write
+Across networks, gateways advertise the union of their network's key hashes
+with an explicit network path; loop prevention and route preference follow
+path-vector discipline. Advertisements carry key hashes only; names,
+serials, and attributes require a routed query answered under disclosure
+policy. A changed advertisement goes out at once (RFC 4271's UPDATE). A
+gateway keeps, per peering link, the advertisements it sent there
+(``AdjRibOut``) and the last one it received per origin (its Adj-RIB-In). A
+link over which nothing went in a period carries one ``RouteDigest`` of both,
+sent by its two gateways in turn; a mismatch brings a route refresh (RFC
+2918, RFC 7313). So a forwarded route lost in flight comes back, although
+the forwarding network drops every later copy of the route it installed as
+a duplicate and nothing else would resend it.
+
+Directory digests are computed once per thing they describe. A member signs
+a heartbeat when its content changes and re-sends it; its payload is
+encoded once. A ``DirectoryView`` holds its entries as a frozenset, and
+``entries_digest()`` and ``key_hashes()`` cache the digest and the key-hash
+set together with the set they were computed from. Every write
 replaces the set: ``install_snapshot``, ``apply_delta``, the revocation
 prunes in ``VaspNode`` and the stale-entry drop in ``query_certificate``. A
 replaced set makes the next ``entries_digest()`` recompute; a frozenset
@@ -49,7 +63,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from . import crypto
 from .assertions import (
@@ -72,6 +86,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # Above the directory entries of the largest benchmark workload (816 on
 # mesh) and of a 96-VASP ring with 50 customers per VASP (3,200).
 ENTRY_MEMO_SIZE = 4096
+
+# One heartbeat per member and network is current at a time: 96 on a
+# 96-VASP ring, 24 on mesh.
+ANNOUNCE_MEMO_SIZE = 512
 
 # A 96-VASP ring of 16 networks has 32 gateways, each sending its own
 # advertisement and forwarding the last one installed per origin network
@@ -197,31 +215,47 @@ class DirectoryDelta:
 
 @dataclass(frozen=True)
 class DirectoryAnnounce:
-    """Periodic anti-entropy heartbeat of both feeds: the publisher's current
-    directory version and entry digest, and ``revocations``, the
-    publisher's ``RevocationView.revoked_digests()``. A member holding another
-    directory pulls the snapshot; one holding another revoked set of an issuer
-    pulls that issuer's CRL.
+    """Anti-entropy heartbeat of both feeds, sent inside one network: the
+    publisher's current directory version and entry digest, ``revocations``
+    (the publisher's ``RevocationView.revoked_digests()``) and ``views``, the
+    version of each view the publisher holds of that network's other
+    members. A receiver pulls the snapshot from the publisher when it holds
+    another directory of it, from the owner of each listed view it holds at a
+    lower version, and an issuer's CRL from the publisher when it holds
+    another revoked set of that issuer. Snapshots are owner-signed and
+    install only forwards, so a relayed version adds no trust.
 
     The revocation feed is summarised by digest rather than CRL number: a CA
     numbers a new CRL every period whether or not it revoked anything, so
     numbers would change the heartbeat, and cost a signature, every CRL
     period, while the digest of the revoked set changes only with a
-    revocation. Issuers whose CRL revokes nothing are left out."""
+    revocation. Issuers whose CRL revokes nothing are left out. The signed
+    payload names no recipient; it comes from a memo of at most
+    ``ANNOUNCE_MEMO_SIZE`` heartbeats, so a re-sent one is encoded once."""
 
     owner_vasp_id: str
     version: int
     entries_digest: bytes
     revocations: tuple[tuple[str, bytes], ...] = ()
+    views: tuple[tuple[str, int], ...] = ()
     owner_signature: bytes = b""
 
     def signed_payload(self) -> bytes:
-        return canonical_encode([
-            (1, enc_str(self.owner_vasp_id)),
-            (2, enc_u64(self.version)),
-            (3, self.entries_digest),
-            (4, _revocations_bytes(self.revocations)),
-        ])
+        return _announce_payload(self)
+
+
+@functools.lru_cache(maxsize=ANNOUNCE_MEMO_SIZE)
+def _announce_payload(announce: DirectoryAnnounce) -> bytes:
+    return canonical_encode([
+        (1, enc_str(announce.owner_vasp_id)),
+        (2, enc_u64(announce.version)),
+        (3, announce.entries_digest),
+        (4, _revocations_bytes(announce.revocations)),
+        (5, encode_bytes_list(
+            canonical_encode([(1, enc_str(member_id)), (2, enc_u64(version))])
+            for member_id, version in announce.views
+        )),
+    ])
 
 
 def _revocations_bytes(revocations: tuple[tuple[str, bytes], ...]) -> bytes:
@@ -240,8 +274,9 @@ class ApplyResult(enum.Enum):
 class DirectoryView:
     """One member's view of one publisher's directory.
 
-    Writers replace ``entries`` with a new frozenset; the cached digest is
-    keyed by the identity of the set it was computed from.
+    Writers replace ``entries`` with a new frozenset. The cached digest and
+    key-hash set are each kept with the set they were computed from and
+    recomputed when ``entries`` is another object.
     """
 
     version: int = 0
@@ -249,6 +284,10 @@ class DirectoryView:
     _digested: Optional[frozenset[DirectoryEntry]] = field(
         default=None, init=False, repr=False, compare=False)
     _digest: bytes = field(default=b"", init=False, repr=False, compare=False)
+    _hashed: Optional[frozenset[DirectoryEntry]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _key_hashes: frozenset[bytes] = field(
+        default=frozenset(), init=False, repr=False, compare=False)
 
     def install_snapshot(self, snapshot: DirectorySnapshot) -> bool:
         if snapshot.version < self.version:
@@ -262,6 +301,13 @@ class DirectoryView:
             self._digest = directory_digest(self.entries)
             self._digested = self.entries
         return self._digest
+
+    def key_hashes(self) -> frozenset[bytes]:
+        """The public-key hashes of ``entries``."""
+        if self._hashed is not self.entries:
+            self._key_hashes = frozenset(e.public_key_hash for e in self.entries)
+            self._hashed = self.entries
+        return self._key_hashes
 
 
 def apply_delta(view: DirectoryView, delta: DirectoryDelta) -> ApplyResult:
@@ -327,40 +373,81 @@ def _advertisement_payload(adv: ReachabilityAdvertisement) -> bytes:
     ])
 
 
-class Keepalive:
-    """Send-on-change schedule of both gossip feeds: a member's directory
-    heartbeat and what a gateway advertises over one peering link (the
-    UPDATE/KEEPALIVE split of RFC 4271).
+def heartbeat_partner(network: "TrustNetwork", vasp_id: str, period: int) -> Optional[str]:
+    """The member ``vasp_id`` sends its heartbeat in ``network`` to in sync
+    period ``period``. With the members sorted as m0..m(n-1), mi sends to
+    m((i + 1 + period mod (n - 1)) mod n): the offset is never 0 and is the
+    same for every sender, so each member receives exactly one heartbeat of
+    the network per period, and over n - 1 periods hears from every other
+    member (push-pull anti-entropy with one partner per round, Demers et al.,
+    PODC 1987)."""
+    members = network.member_ids()
+    if len(members) < 2:
+        return None
+    offset = 1 + period % (len(members) - 1)
+    return members[(members.index(vasp_id) + offset) % len(members)]
 
-    A change goes out at once and restarts the schedule. Of the quiet sync
-    periods after it, numbered from 1, periods 1 and 2 and every even one
-    after them carry a keepalive; the odd ones from 3 on are skipped. So an
-    unchanged feed is re-sent at least every second sync period, and a
-    receiver that lost it is back in step within about two."""
 
-    __slots__ = ("quiet",)
+@functools.lru_cache(maxsize=ADVERTISEMENT_MEMO_SIZE)
+def _advertisement_digest(adv: ReachabilityAdvertisement) -> bytes:
+    return digest(_advertisement_payload(adv))
 
-    def __init__(self) -> None:
-        self.quiet = 0
 
-    def changed(self) -> None:
-        self.quiet = 0
+def routes_digest(held: Mapping[str, ReachabilityAdvertisement]) -> bytes:
+    """Digest of the advertisements held per origin network for one link:
+    origin, path, hashes, home and gateway of each route."""
+    return digest(encode_bytes_list(_advertisement_digest(held[origin]) for origin in sorted(held)))
 
-    def due(self) -> bool:
-        """Count one quiet sync period; True if it carries a keepalive."""
-        self.quiet += 1
-        return self.quiet < 3 or self.quiet % 2 == 0
+
+@dataclass(frozen=True)
+class RouteDigest:
+    """Reachability keepalive of one peering link, sent by its two gateways
+    in turn: the digest of what the sender holds for the link (``held``, its
+    ``AdjRibOut``) and of what it received over it (``received``, its
+    Adj-RIB-In). The receiver compares ``held`` with what it received and
+    asks for a route refresh on a mismatch (RFC 2918, RFC 7313); it compares
+    ``received`` with what it holds and sends those routes on a mismatch. So
+    one message per period checks both directions of the link (push-pull)."""
+
+    gateway_id: str
+    held: bytes
+    received: bytes
+    gateway_signature: bytes = b""
+
+    def signed_payload(self) -> bytes:
+        return canonical_encode([
+            (1, enc_str(self.gateway_id)), (2, self.held), (3, self.received)])
 
 
 @dataclass
 class AdjRibOut:
     """What a gateway advertises over one peering link: the last signed
     advertisement it sent there per origin network, its own and those it
-    forwarded (RFC 4271's Adj-RIB-Out), and the link's keepalive schedule.
-    A keepalive re-sends what it holds; nothing is signed for it."""
+    forwarded (RFC 4271's Adj-RIB-Out), and the tick of the last one sent. A
+    route refresh re-sends ``sent``; nothing is signed for it."""
 
     sent: dict[str, ReachabilityAdvertisement] = field(default_factory=dict)
-    keepalive: Keepalive = field(default_factory=Keepalive)
+    sent_at: int = -1
+    _keepalive: Optional[RouteDigest] = None
+
+    def keepalive(
+        self, gateway: "VaspNode", received: Mapping[str, ReachabilityAdvertisement]
+    ) -> RouteDigest:
+        """The link's signed ``RouteDigest``, signed again only when one of
+        its two digests changed."""
+        held_digest, received_digest = routes_digest(self.sent), routes_digest(received)
+        last = self._keepalive
+        if last is None or (last.held, last.received) != (held_digest, received_digest):
+            unsigned = RouteDigest(gateway.vasp_id, held_digest, received_digest)
+            self._keepalive = replace(
+                unsigned, gateway_signature=gateway.sign_bytes(unsigned.signed_payload()))
+        return self._keepalive
+
+
+def signed_announce(owner: "VaspNode", unsigned: DirectoryAnnounce) -> DirectoryAnnounce:
+    # The draft is encoded outside the memo: it is never read again.
+    signature = owner.sign_bytes(_announce_payload.__wrapped__(unsigned))
+    return replace(unsigned, owner_signature=signature)
 
 
 def _signed_advertisement(
@@ -490,7 +577,7 @@ def build_advertisement(
     for member_id in network.member_ids():
         view = gateway.directory_views.get(member_id)
         if view is not None:
-            hashes.update(entry.public_key_hash for entry in view.entries)
+            hashes |= view.key_hashes()
     return _signed_advertisement(gateway, ReachabilityAdvertisement(
         advertised_hashes=frozenset(hashes),
         home_vasp_id=gateway.vasp_id,
@@ -534,6 +621,9 @@ def process_advertisement(
         sender.certificate.subject_public_key, adv.signed_payload(), adv.gateway_signature
     ):
         return "drop", "bad-signature"
+    # The link's Adj-RIB-In: what the far gateway holds for it, once
+    # received, whether or not it is installed.
+    receiving_gateway.adj_rib_in.setdefault(link, {})[adv.origin_network_id] = adv
 
     candidate = RouteEntry(
         origin_network_id=adv.origin_network_id,
@@ -590,7 +680,7 @@ def query_certificate(
         if owner_id == requester.vasp_id:
             continue
         view = requester.directory_views[owner_id]
-        if not any(e.public_key_hash == key_hash for e in view.entries):
+        if key_hash not in view.key_hashes():
             continue
         if not env.link_ok(requester.vasp_id, owner_id):
             continue

@@ -50,17 +50,20 @@ from .network import (
     DirectoryEntry,
     DirectorySnapshot,
     DirectoryView,
-    Keepalive,
     PeeringLink,
     QueryResponse,
     ReachabilityAdvertisement,
+    RouteDigest,
     TrustNetwork,
     apply_delta,
     build_advertisement,
     directory_digest,
+    heartbeat_partner,
     process_advertisement,
     query_certificate,
     route_cross_network_query,
+    routes_digest,
+    signed_announce,
 )
 
 NOTICE_ID_LEN = 16
@@ -446,16 +449,17 @@ class VaspNode:
         self._live_from = self._live_until = 0.0
         # Network id -> (member entry sets summarised, signed advertisement).
         self._advertisements: dict[str, tuple[tuple, ReachabilityAdvertisement]] = {}
-        # What this gateway advertises over each of its peering links.
+        # What this gateway advertises over each of its peering links, and
+        # what it received over each: origin network -> last advertisement.
         self._adj_rib_out: dict[PeeringLink, AdjRibOut] = {}
+        self.adj_rib_in: dict[PeeringLink, dict[str, ReachabilityAdvertisement]] = {}
         self._publish_version = 0
         self._last_snapshot: Optional[DirectorySnapshot] = None
-        # Signed heartbeat for ``_last_snapshot`` and the held revocation
-        # digests; built on the first announce after either changes.
-        self._last_announce: Optional[DirectoryAnnounce] = None
+        # Network id -> the signed heartbeat last built for it; rebuilt when
+        # its content would change.
+        self._announces: dict[str, DirectoryAnnounce] = {}
         # Revocation digests on the last delta or heartbeat sent.
         self._sent_revocations: tuple[tuple[str, bytes], ...] = ()
-        self._heartbeat = Keepalive()
 
     # -- identity and membership --------------------------------------------
 
@@ -689,17 +693,12 @@ class VaspNode:
 
     def sync_directory(self, now: int) -> None:
         """One sync period: publish a new version if the live entries changed
-        (or nothing was published yet). Else heartbeat the current one, so
-        lagging members pull (anti-entropy): at once if the held revocation
-        digests changed since the last delta or heartbeat, otherwise when
-        the ``Keepalive`` schedule has one due."""
+        (or nothing was published yet), else heartbeat the current one
+        (``announce_directory``)."""
         entries = self.directory_entries(now)
         if self._last_snapshot is None or entries != self._last_snapshot.entries:
             self.publish_directory(now, entries)
-        elif self.revocation.revoked_digests() != self._sent_revocations:
-            self._heartbeat.changed()
-            self.announce_directory(now)
-        elif self._heartbeat.due():
+        else:
             self.announce_directory(now)
 
     def publish_directory(
@@ -725,9 +724,7 @@ class VaspNode:
         )
         delta = replace(delta, owner_signature=self.sign_bytes(delta.signed_payload()))
         self._last_snapshot = snapshot
-        self._last_announce = None
         self._sent_revocations = delta.revocations
-        self._heartbeat.changed()
         own_view = self.directory_views.setdefault(self.vasp_id, DirectoryView())
         own_view.install_snapshot(snapshot)
         for member_id in self.co_member_ids():
@@ -758,45 +755,69 @@ class VaspNode:
             self.env.send(self.vasp_id, src, "dir_snapshot", self._last_snapshot)
 
     def announce_directory(self, now: int) -> None:
-        """Heartbeat the current directory version and the held revocation
-        digests to all co-members.
+        """Heartbeat the current directory in each network: to every
+        co-member when the held revocation digests changed since the last
+        delta or heartbeat, else to the network's ``heartbeat_partner`` for
+        this sync period, so each member receives one heartbeat per network
+        per period.
 
-        The announce is built and signed on the first heartbeat after the
-        published version or the revocation digests changed, and re-sent
-        unchanged on later ones; a run without revocations signs one per
-        version. It carries the digest of the *published* snapshot, not of
-        the own view, which ``prune_directory_views`` may prune.
+        A network's heartbeat is built and signed when its content changed
+        (version, revocation digests or the versions of the views held) and
+        re-sent unchanged otherwise. It carries the digest of the *published*
+        snapshot, not of the own view, which ``prune_directory_views`` may
+        prune.
         """
-        if self._last_snapshot is None:
+        snapshot = self._last_snapshot
+        if snapshot is None:
             return
         revocations = self.revocation.revoked_digests()
-        if self._last_announce is None or self._last_announce.revocations != revocations:
-            unsigned = DirectoryAnnounce(
-                owner_vasp_id=self.vasp_id,
-                version=self._last_snapshot.version,
-                entries_digest=directory_digest(self._last_snapshot.entries),
-                revocations=revocations,
-            )
-            self._last_announce = replace(
-                unsigned, owner_signature=self.sign_bytes(unsigned.signed_payload())
-            )
+        changed = revocations != self._sent_revocations
         self._sent_revocations = revocations
-        for member_id in self.co_member_ids():
-            self.env.send(self.vasp_id, member_id, "dir_announce", self._last_announce)
+        for network in self.networks_sorted():
+            views = tuple(
+                (member_id, view.version) for member_id in network.member_ids()
+                if member_id != self.vasp_id
+                and (view := self.directory_views.get(member_id)) is not None
+            )
+            held = self._announces.get(network.network_id)
+            if held is None or (held.version, held.revocations, held.views) != (
+                snapshot.version, revocations, views
+            ):
+                held = signed_announce(self, DirectoryAnnounce(
+                    owner_vasp_id=self.vasp_id,
+                    version=snapshot.version,
+                    entries_digest=directory_digest(snapshot.entries),
+                    revocations=revocations,
+                    views=views,
+                ))
+                self._announces[network.network_id] = held
+            if changed:
+                targets = [m for m in network.member_ids() if m != self.vasp_id]
+            else:
+                period = now // network.rules.directory_sync_period
+                targets = [heartbeat_partner(network, self.vasp_id, period)]
+            for member_id in targets:
+                if member_id is not None:
+                    self.env.send(self.vasp_id, member_id, "dir_announce", held)
 
     def on_dir_announce(self, announce: DirectoryAnnounce, src: str) -> None:
-        """Compare a verified heartbeat with what this node holds, per feed,
-        and pull from its sender what differs."""
+        """Compare a verified heartbeat with what this node holds and pull
+        what differs: the snapshot of its sender, or of the owner of any view
+        it lists at a higher version than the one held here (never from the
+        sender on the owner's behalf), and the CRLs behind differing revoked
+        sets from the sender."""
         if not self._signed_by_owner(announce):
             return
         owner = announce.owner_vasp_id
         view = self.directory_views.get(owner)
-        held_version = view.version if view is not None else 0
-        held_digest = view.entries_digest() if view is not None else b""
-        if held_version < announce.version or (
-            held_version == announce.version and held_digest != announce.entries_digest
+        if view is None or view.version < announce.version or (
+            view.version == announce.version and view.entries_digest() != announce.entries_digest
         ):
             self.env.send(self.vasp_id, owner, "dir_pull", None)
+        for member_id, version in announce.views:
+            held = self.directory_views.get(member_id)
+            if member_id != self.vasp_id and (held.version if held else 0) < version:
+                self.env.send(self.vasp_id, member_id, "dir_pull", None)
         self._pull_revocations(owner, announce.revocations)
 
     def _pull_revocations(self, owner: str, revocations: Sequence[tuple[str, bytes]]) -> None:
@@ -876,7 +897,7 @@ class VaspNode:
 
     def find_directory_owner(self, key_hash: bytes) -> Optional[str]:
         for owner_id in sorted(self.directory_views):
-            if any(e.public_key_hash == key_hash for e in self.directory_views[owner_id].entries):
+            if key_hash in self.directory_views[owner_id].key_hashes():
                 return owner_id
         return None
 
@@ -1770,49 +1791,110 @@ class VaspNode:
             self.ingest_crls(payload)
         elif kind == "reach_adv":
             self.on_reachability_advertisement(payload, src)
+        elif kind == "reach_digest":
+            self.on_route_digest(payload, src)
+        elif kind == "route_refresh":
+            self.on_route_refresh(src)
+        elif kind == "refreshed_routes":
+            self.on_refreshed_routes(payload, src)
         else:
             self.env.log(self.vasp_id, "message_ignored", kind=kind)
 
-    def on_reachability_advertisement(self, adv: ReachabilityAdvertisement, src: str) -> None:
+    def _link_from(self, gateway_id: str) -> tuple[Optional[TrustNetwork], Optional[PeeringLink]]:
+        """The first network, in id order, with a peering link from
+        ``gateway_id`` to this gateway, and that link."""
         for network in self.networks_sorted():
-            if network.find_link_from(src, self.vasp_id) is None:
-                continue
-            verdict, reason = process_advertisement(network, self, adv, src, self.env)
-            self.env.log(self.vasp_id, "advertisement",
-                         verdict=verdict, reason=reason,
-                         origin=adv.origin_network_id,
-                         network=network.network_id,
-                         path=">".join(adv.network_path),
-                         hashes=len(adv.advertised_hashes))
+            link = network.find_link_from(gateway_id, self.vasp_id)
+            if link is not None:
+                return network, link
+        return None, None
+
+    def on_reachability_advertisement(self, adv: ReachabilityAdvertisement, src: str) -> None:
+        network, _ = self._link_from(src)
+        if network is None:
+            self.env.log(self.vasp_id, "advertisement", verdict="drop",
+                         reason="no-link", origin=adv.origin_network_id,
+                         path=">".join(adv.network_path), hashes=len(adv.advertised_hashes))
             return
-        self.env.log(self.vasp_id, "advertisement", verdict="drop",
-                     reason="no-link", origin=adv.origin_network_id,
-                     path=">".join(adv.network_path), hashes=len(adv.advertised_hashes))
+        verdict, reason = process_advertisement(network, self, adv, src, self.env)
+        self.env.log(self.vasp_id, "advertisement",
+                     verdict=verdict, reason=reason,
+                     origin=adv.origin_network_id,
+                     network=network.network_id,
+                     path=">".join(adv.network_path),
+                     hashes=len(adv.advertised_hashes))
 
     def advertise_reachability(self, now: int) -> None:
-        """One sync period of advertisements over this gateway's peering
-        links: a link is sent its network's directory summary if that
-        changed, else, when the link's ``Keepalive`` has one due, everything
-        its Adj-RIB-Out holds (this summary and the routes forwarded)."""
+        """One sync period over each of this gateway's peering links: the
+        link is sent its network's directory summary if that changed. Else
+        its signed ``RouteDigest`` is brought up to date, and sent in every
+        other period (the two gateways of a link take turns) if no
+        advertisement went over the link since the last period. A digest is
+        thus signed in the period its content settled, not in the later one
+        that sends it."""
         for network in self.networks_sorted():
+            period = network.rules.directory_sync_period
             for link in network.links_of(self.vasp_id):
                 if self.advertise(link, self._advertisement(network)):
                     continue
                 out = self._adj_rib_out[link]
-                if out.keepalive.due():
-                    for adv in out.sent.values():
-                        self._send_advertisement(link, adv)
+                keepalive = out.keepalive(self, self.adj_rib_in.get(link, {}))
+                turn = (now // period) % 2 == (link.gateway_vasp_a != self.vasp_id)
+                if turn and out.sent_at <= now - period:
+                    self.env.send(self.vasp_id, self._far_gateway(link), "reach_digest", keepalive)
+
+    def on_route_digest(self, keepalive: RouteDigest, src: str) -> None:
+        """Compare the far gateway's digests with this side of the link: ask
+        for a route refresh when what it holds differs from what was
+        received here, and send the held routes when what it received
+        differs from what is held here. A digest that matches asks for
+        nothing, so only one that differs is verified."""
+        _, link = self._link_from(src)
+        if link is None:
+            return
+        out = self._adj_rib_out.get(link)
+        pull = routes_digest(self.adj_rib_in.get(link, {})) != keepalive.held
+        push = routes_digest(out.sent if out else {}) != keepalive.received
+        if not (pull or push) or keepalive.gateway_id != src or not crypto.verify(
+            self.env.node(src).certificate.subject_public_key, keepalive.signed_payload(),
+            keepalive.gateway_signature,
+        ):
+            return
+        if pull:
+            self.env.send(self.vasp_id, src, "route_refresh", None)
+        if push:
+            self.on_route_refresh(src)
+
+    def on_route_refresh(self, src: str) -> None:
+        """Send the far gateway of the link every advertisement held for it."""
+        _, link = self._link_from(src)
+        if link is not None and link in self._adj_rib_out:
+            routes = tuple(self._adj_rib_out[link].sent.values())
+            self.env.send(self.vasp_id, src, "refreshed_routes", routes)
+            self.env.log(self.vasp_id, "routes_refreshed", to=src, routes=len(routes))
+
+    def on_refreshed_routes(self, routes: Sequence[ReachabilityAdvertisement], src: str) -> None:
+        """Replace what was received over the link with a refresh's routes,
+        each processed as an advertisement (RFC 7313: routes the refresh
+        leaves out are stale)."""
+        _, link = self._link_from(src)
+        if link is not None:
+            self.adj_rib_in[link] = {}
+        for adv in routes:
+            self.on_reachability_advertisement(adv, src)
 
     def advertise(self, link: PeeringLink, adv: ReachabilityAdvertisement) -> bool:
-        """Send ``adv`` over ``link`` and hold it there for keepalives if it
-        differs from what the link holds for its origin network; returns
-        whether it did."""
+        """Send ``adv`` over ``link`` and hold it there if it differs from
+        what the link holds for its origin network; returns whether it did."""
         out = self._adj_rib_out.setdefault(link, AdjRibOut())
         if out.sent.get(adv.origin_network_id) == adv:
             return False
         out.sent[adv.origin_network_id] = adv
-        out.keepalive.changed()
-        self._send_advertisement(link, adv)
+        out.sent_at = self.env.now
+        far_gateway = self._far_gateway(link)
+        self.env.send(self.vasp_id, far_gateway, "reach_adv", adv)
+        self.env.log(self.vasp_id, "advertisement_sent", origin=adv.origin_network_id,
+                     to=far_gateway, hashes=len(adv.advertised_hashes))
         return True
 
     def withdraw_advertisement(self, link: PeeringLink, origin_network_id: str) -> None:
@@ -1821,13 +1903,8 @@ class VaspNode:
         if out is not None:
             out.sent.pop(origin_network_id, None)
 
-    def _send_advertisement(self, link: PeeringLink, adv: ReachabilityAdvertisement) -> None:
-        """The one sender of ``reach_adv`` messages."""
-        far_gateway = (link.gateway_vasp_b if link.gateway_vasp_a == self.vasp_id
-                       else link.gateway_vasp_a)
-        self.env.send(self.vasp_id, far_gateway, "reach_adv", adv)
-        self.env.log(self.vasp_id, "advertisement_sent", origin=adv.origin_network_id,
-                     to=far_gateway, hashes=len(adv.advertised_hashes))
+    def _far_gateway(self, link: PeeringLink) -> str:
+        return link.gateway_vasp_b if link.gateway_vasp_a == self.vasp_id else link.gateway_vasp_a
 
     def _advertisement(self, network: TrustNetwork) -> ReachabilityAdvertisement:
         """The signed advertisement of ``network``, rebuilt only when a member

@@ -399,7 +399,7 @@ def test_08_determinism_and_seed_variation():
 # Event-log digest of the flagship run. A change meant to keep behaviour the
 # same must leave it byte-identical; a change that alters the log re-pins it
 # and says why.
-FLAGSHIP_DIGEST = "78313c5f2ea639197eca622e84afa75b1dc42c8a9344ea1bfc502188a3708d57"
+FLAGSHIP_DIGEST = "dae69b1e63435681e9bd5ce78d43fa4a4572303ea227d3eebdebfe552c767a9b"
 
 
 def test_08_flagship_digest_pinned():

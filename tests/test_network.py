@@ -1,5 +1,6 @@
 """Trust network behavior: membership, gossip, the revocation feed, path-vector routes."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -28,6 +29,7 @@ from vaspnet.network import (
     apply_delta,
     build_advertisement,
     directory_digest,
+    routes_digest,
 )
 from vaspnet.vasp import CustodyModel, OutcomeStatus, TransferTarget
 
@@ -322,7 +324,7 @@ class TestRevocationFeed:
                                  customer_wallet=crypto.generate_keypair(crypto.digest(b"carol")),
                                  account_id="acct-carol", now=sim.now)
         v2.enroll_customer_certificate(second.account_id, CertClass.CLASS1, sim.now)
-        stale_announce = v4._last_announce
+        stale_announce = v4._announces["net-a"]
         (stale_crl,) = v4.revocation.evidence("ca-2")
         assert dict(stale_announce.revocations)["ca-2"] == v4.revocation.revoked_digest("ca-2")
         v2.ca.revoke(second.certificate_serial, RevocationReason.KEY_COMPROMISE, sim.now)
@@ -353,6 +355,20 @@ class TestRevocationFeed:
         assert sent == []
         v1.on_message("dir_announce", genuine, "v4")
         assert [(s, d, k) for s, d, k, _ in sent] == [("v1", "v4", "crl_pull")]
+
+    def test_heartbeat_with_altered_views_triggers_no_pull(self, monkeypatch):
+        sim = mixed_ca_sim()
+        sim.advance_to(20)
+        v1, v4 = sim.vasps["v1"], sim.vasps["v4"]
+        genuine = v4._announces["net-a"]
+        assert dict(genuine.views)["v2"] == v1.directory_views["v2"].version
+        sent = capture_sends(sim, monkeypatch)
+        forged = replace(genuine, views=tuple(
+            (member_id, version + 1) for member_id, version in genuine.views))
+        v1.on_message("dir_announce", forged, "v4")
+        assert sent == []
+        v1.on_message("dir_announce", genuine, "v4")
+        assert sent == []
 
     def test_delta_with_altered_revocations_triggers_no_pull(self, monkeypatch):
         sim = mixed_ca_sim([self.REVOKE_BOB])
@@ -448,6 +464,31 @@ class TestDirectoryDigestCache:
         assert view.install_snapshot(DirectorySnapshot("v9", 3, frozenset({entry})))
         assert view.entries_digest() == directory_digest({entry})
 
+    def test_key_hashes_follow_install_and_delta(self):
+        view = DirectoryView()
+        entry = DirectoryEntry(b"\x01" * 16, b"\x02" * 32, "ca-1")
+        other = DirectoryEntry(b"\x03" * 16, b"\x04" * 32, "ca-1")
+        assert view.key_hashes() == frozenset()
+        apply_delta(view, DirectoryDelta("v9", 0, 1, frozenset({entry, other}), frozenset()))
+        assert view.key_hashes() == {entry.public_key_hash, other.public_key_hash}
+        assert view.key_hashes() is view.key_hashes()
+        apply_delta(view, DirectoryDelta("v9", 1, 2, frozenset(), frozenset({entry})))
+        assert view.key_hashes() == {other.public_key_hash}
+        assert view.install_snapshot(DirectorySnapshot("v9", 3, frozenset({entry})))
+        assert view.key_hashes() == {entry.public_key_hash}
+
+    def test_lookups_follow_a_pruned_view(self):
+        sim = two_network_sim()
+        sim.advance_to(20)
+        v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
+        alice = v1.accounts["acct-alice"].customer_public_key_hash
+        assert v2.find_directory_owner(alice) == "v1"
+        v1.ca.revoke(v1.accounts["acct-alice"].certificate_serial,
+                     RevocationReason.KEY_COMPROMISE, sim.now)
+        v2.ingest_crls([v1.ca.generate_crl(sim.now)])
+        assert v2.find_directory_owner(alice) is None
+        assert alice not in v2.directory_views["v1"].key_hashes()
+
     def test_view_pruned_by_crl_merge(self, monkeypatch):
         sim = two_network_sim()
         sim.advance_to(20)
@@ -540,52 +581,132 @@ class TestDirectorySync:
         assert zed_hash in {e.public_key_hash for e in v1._last_snapshot.entries}
 
 
+def two_overlapping_networks_sim(extra_script=()):
+    """net-a: v1, v2, v3, v4; net-b: v4, v5, v6, so v4 is a member of both.
+    One customer at v1, enrolled at tick 1: every member publishes at tick 0
+    and v1 again at 10; from tick 20 on every sync period is quiet."""
+    vasps = [{"vasp_id": f"v{i}", "ca": "ca-1", "networks": ["net-a"]} for i in (1, 2, 3)]
+    vasps += [{"vasp_id": "v4", "ca": "ca-1", "networks": ["net-a", "net-b"]}]
+    vasps += [{"vasp_id": f"v{i}", "ca": "ca-1", "networks": ["net-b"]} for i in (5, 6)]
+    customers = [{"customer_id": "alice", "vasp": "v1", "custody_model": "mediated",
+                  "attributes": {"name": "Alice", "email": "a@x"}}]
+    script = [{"tick": 0, "action": "open_account", "customer": "alice"},
+              {"tick": 1, "action": "enroll", "customer": "alice"}, *extra_script]
+    return Simulation(make_scenario(networks=("net-a", "net-b"), vasps=vasps,
+                                    customers=customers, script=script))
+
+
+def record_sends(sim, monkeypatch, kinds):
+    """Record (tick, src, dst, kind, payload) of every send of ``kinds``;
+    the sends still go out."""
+    sent = []
+    send = sim.send
+
+    def recording_send(src, dst, kind, payload):
+        if kind in kinds:
+            sent.append((sim.now, src, dst, kind, payload))
+        send(src, dst, kind, payload)
+
+    monkeypatch.setattr(sim, "send", recording_send)
+    return sent
+
+
 class TestHeartbeatSchedule:
-    """An unchanged heartbeat follows the ``Keepalive`` schedule; a change
-    goes out at the next sync period."""
+    """In a quiet sync period each member receives exactly one heartbeat per
+    network it is in, from a partner that rotates; a change goes out at the
+    next sync period."""
 
     @staticmethod
-    def announce_ticks(sim, monkeypatch, src, dst, until):
-        """Ticks of the heartbeats ``src`` sends ``dst`` up to ``until``."""
-        ticks = []
-        send = sim.send
-
-        def recording_send(s, d, kind, payload):
-            if (s, d, kind) == (src, dst, "dir_announce"):
-                ticks.append(sim.now)
-            send(s, d, kind, payload)
-
-        monkeypatch.setattr(sim, "send", recording_send)
+    def announce_ticks(sim, monkeypatch, src, until):
+        """Tick -> the members ``src`` heartbeats, up to ``until``."""
+        sent = record_sends(sim, monkeypatch, {"dir_announce"})
         sim.advance_to(until)
+        ticks = {}
+        for tick, s, d, _, _ in sent:
+            if s == src:
+                ticks.setdefault(tick, []).append(d)
         return ticks
 
-    def test_first_quiet_period_then_every_second_one(self, monkeypatch):
-        sim = two_network_sim()
-        # v1 publishes at tick 0 and at 10 (alice's enrolment); from 20 on
-        # its sync periods are quiet.
-        ticks = self.announce_ticks(sim, monkeypatch, "v1", "v2", 120)
-        assert ticks == [20, 30, 50, 70, 90, 110]
+    def test_each_member_receives_one_heartbeat_per_network_per_quiet_period(self, monkeypatch):
+        sim = two_overlapping_networks_sim()
+        sent = record_sends(sim, monkeypatch, {"dir_announce", "dir_delta"})
+        sim.advance_to(102)
+        networks = sim.networks
+        assert {(tick, kind) for tick, _, _, kind, _ in sent if tick >= 20} == {
+            (tick, "dir_announce") for tick in range(20, 101, 10)}
+        heard: dict[tuple[str, str], set[str]] = {}
+        for tick in range(20, 101, 10):
+            received = Counter()
+            for t, src, dst, _, payload in sent:
+                if t != tick:
+                    continue
+                (network_id,) = [n for n, net in networks.items()
+                                 if src in net.members and dst in net.members]
+                # The heartbeat lists the views its sender holds of that network.
+                assert [m for m, _ in payload.views] == [
+                    m for m in networks[network_id].member_ids() if m != src]
+                received[dst, network_id] += 1
+                heard.setdefault((dst, network_id), set()).add(src)
+            assert received == {(m, n): 1 for n, net in networks.items() for m in net.members}
+        # Over n - 1 periods every member hears from every other member.
+        for network_id, network in networks.items():
+            for member in network.members:
+                assert heard[member, network_id] == set(network.members) - {member}
 
-    def test_revocation_digest_change_goes_out_off_schedule(self, monkeypatch):
+    def test_revocation_digest_change_goes_out_at_next_sync_period(self, monkeypatch):
         # v4 has no customers: it publishes at tick 0 only. It merges ca-2's
         # CRL revoking bob at tick 40, after that tick's sync, so its next
-        # sync period (50, the fifth quiet one) must carry the new digest.
-        quiet = self.announce_ticks(mixed_ca_sim(), monkeypatch, "v4", "v1", 90)
-        assert quiet == [10, 20, 40, 60, 80]
+        # sync period (50) sends the new digest to every co-member.
+        quiet = self.announce_ticks(mixed_ca_sim(), monkeypatch, "v4", 90)
+        assert sorted(quiet) == list(range(10, 91, 10))
+        assert all(len(targets) == 1 for targets in quiet.values())
         monkeypatch.undo()
         sim = mixed_ca_sim([TestRevocationFeed.REVOKE_BOB])
-        ticks = self.announce_ticks(sim, monkeypatch, "v4", "v1", 90)
-        assert ticks == [10, 20, 40, 50, 60, 70, 90]
-        assert [issuer for issuer, _ in sim.vasps["v4"]._last_announce.revocations] == ["ca-2"]
+        ticks = self.announce_ticks(sim, monkeypatch, "v4", 90)
+        assert sorted(ticks) == list(range(10, 91, 10))
+        assert sorted(ticks.pop(50)) == ["v1", "v2", "v3"]
+        assert ticks == {tick: targets for tick, targets in quiet.items() if tick != 50}
+        assert [issuer for issuer, _ in sim.vasps["v4"]._announces["net-a"].revocations] == [
+            "ca-2"]
+
+    def test_lost_delta_is_pulled_from_its_owner_within_one_sync_period(self, monkeypatch):
+        # v1 publishes at 30 (alice enrolled at 25); the delta to v2 is lost.
+        # At tick 40 v2's partner is v4, which relays v1's version, so v2
+        # pulls v1's snapshot from v1.
+        vasps = [{"vasp_id": f"v{i}", "ca": "ca-1", "networks": ["net-a"]} for i in (1, 2, 3, 4)]
+        customers = [{"customer_id": "alice", "vasp": "v1", "custody_model": "mediated",
+                      "attributes": {"name": "Alice", "email": "a@x"}}]
+        sim = Simulation(make_scenario(vasps=vasps, customers=customers, script=[
+            {"tick": 0, "action": "open_account", "customer": "alice"},
+            {"tick": 25, "action": "enroll", "customer": "alice"},
+            {"tick": 30, "action": "drop_link", "a": "v1", "b": "v2", "period": 4},
+        ]))
+        sent = record_sends(sim, monkeypatch, {"dir_announce", "dir_pull", "dir_delta"})
+        sync = sim.networks["net-a"].rules.directory_sync_period
+        # Heartbeat, pull and snapshot each take at most max_latency ticks.
+        sim.advance_to(30 + sync + 3 * sim.scenario.max_latency)
+        v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
+        assert v1._publish_version == 2
+        lost = [e for e in sim.log_.entries if e.event == "message_dropped"]
+        assert [(e.tick, e.actor, dict(e.details)["to"], dict(e.details)["kind"])
+                for e in lost] == [(30, "v1", "v2", "dir_delta")]
+        assert [(src, dst) for tick, src, dst, kind, _ in sent
+                if tick == 40 and kind == "dir_announce" and dst == "v2"] == [("v4", "v2")]
+        pulls = [(tick, dst) for tick, src, dst, kind, _ in sent
+                 if src == "v2" and kind == "dir_pull"]
+        assert [dst for _, dst in pulls] == ["v1"]
+        assert 40 < pulls[0][0] <= 40 + sim.scenario.max_latency
+        assert v2.directory_views["v1"].version == 2
+        assert v2.directory_views["v1"].entries == v1._last_snapshot.entries
 
     def test_view_wiped_after_quiet_periods_resyncs_within_three(self):
         sim = two_network_sim()
         rules = sim.networks["net-a"].rules
-        # v1's keepalive of tick 90, its eighth quiet period, has arrived
+        # v1's heartbeat of tick 90, its eighth quiet period, has arrived
         # (latency is at most 3 ticks).
         sim.advance_to(95)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
-        assert v1._heartbeat.quiet == 8
+        assert v1._publish_version == 2  # published at ticks 0 and 10 only
         v2.directory_views["v1"] = DirectoryView()
         sim.advance_to(95 + 3 * rules.directory_sync_period)
         view = v2.directory_views["v1"]
@@ -843,35 +964,81 @@ class TestAdjRibOut:
         a_hash = crypto.digest(sim.vasps["a1"].accounts["acct-cust-a1"].customer_public_key)
         assert a_hash in sim.networks["net-c"].route_table["net-a"].hashes
 
-    def test_keepalive_resends_own_and_forwarded_without_signing(self, monkeypatch):
+    def test_keepalive_is_one_signed_digest_per_period(self, monkeypatch):
         sim = line_topology()
-        # b2's last change is its forward of tick 12; its keepalives of ticks
-        # 20 and 30 (quiet periods 1 and 2) are past, the rest fall on even ones.
+        # The last change over the b2-c1 link is b2's forward of tick 12;
+        # from then on each sync period the link carries one digest, sent by
+        # its two gateways in turn, and nothing is signed for it again.
         sim.advance_to(35)
-        b2 = sim.vasps["b2"]
+        b2, c1 = sim.vasps["b2"], sim.vasps["c1"]
         (link,) = sim.networks["net-b"].links_of("b2")
         held = dict(b2._adj_rib_out[link].sent)
         assert sorted(held) == ["net-a", "net-b"]
         assert held["net-a"].network_path == ("net-a", "net-b")
-        sent = []
-        send = sim.send
-
-        def recording_send(src, dst, kind, payload):
-            sent.append((sim.now, src, dst, kind, payload))
-            send(src, dst, kind, payload)
-
-        monkeypatch.setattr(sim, "send", recording_send)
+        assert c1.adj_rib_in[link] == held
+        sent = record_sends(sim, monkeypatch, {"reach_adv", "reach_digest", "route_refresh",
+                                               "refreshed_routes"})
         signs = count_calls(monkeypatch, crypto, "sign")
         sim.advance_to(100)
-        from_b2 = [(tick, payload) for tick, src, dst, kind, payload in sent
-                   if src == "b2" and kind == "reach_adv"]
-        assert [key for key, _ in signs if key.public_key == b2.public_key] == []
-        assert {tick for tick, _ in from_b2} == {50, 70, 90}
-        for tick in (50, 70, 90):
-            resent = [payload for t, payload in from_b2 if t == tick]
-            assert len(resent) == 2
-            assert all(payload is held[payload.origin_network_id] for payload in resent)
+        on_link = [(tick, src, kind) for tick, src, dst, kind, _ in sent
+                   if {src, dst} == {"b2", "c1"}]
+        assert [(tick, kind) for tick, _, kind in on_link] == [
+            (tick, "reach_digest") for tick in range(40, 101, 10)]
+        senders = [src for _, src, _ in on_link]
+        assert all(a != b for a, b in zip(senders, senders[1:]))
+        from_b2 = {id(p): p for _, src, _, _, p in sent if src == "b2"}
+        (keepalive,) = from_b2.values()
+        assert keepalive.held == routes_digest(held) == routes_digest(c1.adj_rib_in[link])
+        assert keepalive.received == routes_digest(b2.adj_rib_in[link]) == routes_digest(
+            c1._adj_rib_out[link].sent)
+        assert crypto.verify(b2.public_key, keepalive.signed_payload(),
+                             keepalive.gateway_signature)
+        assert [key for key, _ in signs if key.public_key in (b2.public_key, c1.public_key)] == []
+        # A digest that differs is acted on only if b2 signed it.
+        sent.clear()
+        c1.on_message("reach_digest", replace(keepalive, held=bytes(32)), "b2")
+        assert sent == []
 
+    def test_refresh_drops_a_route_the_sender_no_longer_holds(self):
+        sim = line_topology()
+        sim.advance_to(35)
+        b2, c1 = sim.vasps["b2"], sim.vasps["c1"]
+        (link,) = sim.networks["net-b"].links_of("b2")
+        held = b2._adj_rib_out[link].sent
+        c1.adj_rib_in[link]["net-x"] = replace(held["net-a"], origin_network_id="net-x")
+        sim.advance_to(60)
+        assert c1.adj_rib_in[link] == held
+
+    def test_lost_forward_is_repaired_by_digest_and_refresh(self, monkeypatch):
+        # As in the first test, b2's forward of a1's route to c1 is lost, and
+        # so is c1's changed advertisement of tick 10. The link's next
+        # quiet-period digest (c1's, at 30) shows both: b2 sends c1 the
+        # routes it holds and asks c1 for a refresh, which c1 answers. After
+        # that the link carries one matching digest per period.
+        sim = line_topology([
+            {"tick": 11, "action": "drop_link", "a": "b2", "b": "c1", "period": 4}])
+        sent = record_sends(sim, monkeypatch, {"reach_adv", "reach_digest", "route_refresh",
+                                               "refreshed_routes"})
+        sim.advance_to(60)
+        b2, c1 = sim.vasps["b2"], sim.vasps["c1"]
+        (link,) = sim.networks["net-b"].links_of("b2")
+        held = b2._adj_rib_out[link].sent
+        lost = [e.tick for e in sim.log_.entries if e.event == "message_dropped"]
+        assert lost and all(11 <= tick < 15 for tick in lost)
+        exchange = [(tick, src, kind) for tick, src, dst, kind, _ in sent
+                    if {src, dst} == {"b2", "c1"} and tick > 15]
+        assert [(tick, src) for tick, src, kind in exchange if kind == "reach_digest"] == [
+            (30, "c1"), (40, "b2"), (50, "c1"), (60, "b2")]
+        repair = [(tick, src, kind) for tick, src, kind in exchange if kind != "reach_digest"]
+        assert sorted((src, kind) for _, src, kind in repair) == [
+            ("b2", "refreshed_routes"), ("b2", "route_refresh"), ("c1", "refreshed_routes")]
+        assert all(30 < tick < 40 for tick, _, _ in repair)
+        (reply,) = [payload for tick, src, dst, kind, payload in sent
+                    if (src, kind) == ("b2", "refreshed_routes")]
+        assert reply == tuple(held.values()) and "net-a" in held
+        assert "net-a" in sim.networks["net-c"].route_table
+        assert c1.adj_rib_in[link] == held
+        assert b2.adj_rib_in[link] == c1._adj_rib_out[link].sent
 
     def test_links_hold_only_the_installed_routes_forwarded(self):
         sim = square_topology()
@@ -958,6 +1125,7 @@ class TestAdvertisementReuse:
         def advertise():
             sent.clear()
             signed.clear()
+            v2._adj_rib_out.clear()  # so the link is sent the advertisement again
             v2.advertise_reachability(sim.now)
             (adv,) = [p for _, _, kind, p in sent if kind == "reach_adv"]
             fresh = build_advertisement(network, v2)

@@ -15,9 +15,9 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # the same must leave them byte-identical; one that alters a log re-pins the
 # digest and says why.
 SCENARIO_DIGESTS = {
-    "demo": "418f3b9c9fd93b2a06cebf01a27541bcb59193a31e24d70a5845f28a8ed0edbf",
+    "demo": "9e41271199e9c5e36ae24b84584af1c1ce953d0cb4f292503c7fe1e9823a2a40",
     "denials": "80a25cb6a1b6b4b0b75f2370c6c77fed9b1f08a4fd1080c63ceb2ca9355e52d1",
-    "four_networks": "58929fa0c829e910be6821a61626b46b78c71f543471fc1bd570b520793654e5",
+    "four_networks": "55a512bf179ec2fc10f094c2ebbe7ee4d9a315e895af3604e95565219bf10450",
 }
 
 

@@ -23,9 +23,9 @@ from vaspnet.vasp import OutcomeStatus, RecordRole, RecordStatus
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
 
 WORKLOAD_DIGESTS = {
-    "pipeline": "930e7416e1b9d304f7a2ff049bbbb4fe45dd2dd2e7a8d0b0aea5a7dcd6edb417",
-    "mesh": "1cb2559ecce055bb51a922f683e97a7bed79fee4db831bf05b3dee438f3eb3c5",
-    "churn-lossy": "0d4b118ff707751cb14fd52a0555addd430a8f2394e7adc06211f4f363f883af",
+    "pipeline": "2802d5c59309dc614bfe764144471a635013c6385dd790b02f16864cd527a468",
+    "mesh": "82692606d97881520b514f98ae50a7ef8d7f70cecb12b9ef3fba77d2b9529a25",
+    "churn-lossy": "e26a50b05babb70f26716ca38e2b87c1dd0b45e5b0b5434b0002d81036b358bc",
 }
 
 
@@ -76,19 +76,24 @@ def test_pipeline_ed25519_budget(workloads, monkeypatch):
 # Messages sent per kind over each whole seed-7 run, dropped ones included.
 # No CRL is pushed; one is pulled only when a heartbeat shows a co-member
 # holding another revoked set of a CA not its own, which these single-CA
-# networks never do. Heartbeats and advertisements go out on change and then
-# on the ``Keepalive`` schedule: an unchanged feed about every second period.
+# networks never do. A sync period sends each member one heartbeat per
+# network and each peering link one digest, unless a change went instead;
+# a digest that differs brings a route refresh (``route_refresh``, answered
+# or pushed as ``refreshed_routes``).
 WORKLOAD_MESSAGES = {
-    "pipeline": {"crl_update": 0, "crl_pull": 0, "crl": 0,
-                 "dir_announce": 124, "dir_delta": 20, "reach_adv": 26,
+    "pipeline": {"crl_pull": 0, "crl": 0,
+                 "dir_announce": 116, "dir_delta": 20, "reach_adv": 5, "reach_digest": 18,
+                 "route_refresh": 0, "refreshed_routes": 0,
                  "transfer_ack": 500, "transfer_notice": 500},
-    "mesh": {"crl_update": 0, "crl_pull": 0, "crl": 0,
-             "dir_announce": 1_200, "dir_delta": 240, "reach_adv": 243,
+    "mesh": {"crl_pull": 0, "crl": 0,
+             "dir_announce": 432, "dir_delta": 240, "reach_adv": 63, "reach_digest": 64,
+             "route_refresh": 2, "refreshed_routes": 3,
              "transfer_ack": 200, "transfer_notice": 200},
-    "churn-lossy": {"crl_update": 0, "crl_pull": 0, "crl": 0,
-                    "dir_announce": 672, "dir_delta": 279, "dir_pull": 65,
-                    "dir_snapshot": 61, "reach_adv": 93,
-                    "transfer_ack": 637, "transfer_notice": 710},
+    "churn-lossy": {"crl_pull": 0, "crl": 0,
+                    "dir_announce": 359, "dir_delta": 279, "dir_pull": 47,
+                    "dir_snapshot": 43, "reach_adv": 64, "reach_digest": 14,
+                    "route_refresh": 1, "refreshed_routes": 9,
+                    "transfer_ack": 640, "transfer_notice": 713},
 }
 
 
