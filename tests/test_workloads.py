@@ -114,8 +114,9 @@ def test_workload_traffic_pinned(workloads, name, monkeypatch):
     assert sum(sent.values()) == sum(pinned.values())
 
 
-# Ed25519 signs in the ``mesh`` seed-7 transfer window: no revocation, so the
-# heartbeats carry no revocation digest and are signed once per version.
+# Ed25519 signs in the ``mesh`` seed-7 transfer window: no directory changes
+# and no revocation, so heartbeats and link digests, signed when their content
+# changes, are signed before it.
 MESH_SIGN_BUDGET = 967
 
 
