@@ -246,6 +246,10 @@ class Simulation:
         self.cas: dict[str, CertificateAuthority] = {}
         self.networks: dict[str, TrustNetwork] = {}
         self.vasps: dict[str, VaspNode] = {}
+        # Both dicts are filled only by ``_build``; every loop over them
+        # visits these, sorted by id there once.
+        self._network_order: tuple[TrustNetwork, ...] = ()
+        self._vasp_order: tuple[VaspNode, ...] = ()
         self._customers: dict[str, CustomerSpec] = {}
         self._build()
 
@@ -352,6 +356,7 @@ class Simulation:
         for spec in sorted(scenario.networks, key=lambda n: n.network_id):
             rules = self._parse_rules(spec.rules)
             self.networks[spec.network_id] = TrustNetwork(spec.network_id, rules, anchors)
+        self._network_order = tuple(self.networks[n] for n in sorted(self.networks))
 
         for spec in sorted(scenario.vasps, key=lambda v: v.vasp_id):
             keypair = crypto.keypair_from_label(f"vasp:{self.seed}", spec.vasp_id)
@@ -367,6 +372,7 @@ class Simulation:
             for network_id in spec.networks:
                 node.join(self.networks[network_id], 0)
             self.vasps[spec.vasp_id] = node
+        self._vasp_order = tuple(self.vasps[v] for v in sorted(self.vasps))
 
         for spec in scenario.peering_links:
             link = PeeringLink(
@@ -423,8 +429,8 @@ class Simulation:
         return random.Random(int.from_bytes(seed_bytes, "big"))
 
     def _blocklist(self, ref) -> None:
-        for vasp_id in sorted(self.vasps):
-            self.vasps[vasp_id].suspect_list.add(ref)
+        for node in self._vasp_order:
+            node.suspect_list.add(ref)
 
     def _account_id_for(self, customer_id: str) -> str:
         return f"acct-{customer_id}"
@@ -566,8 +572,8 @@ class Simulation:
             self._script_cursor += 1
         self._deliver_messages(tick)
         self._periodic_duties(tick)
-        for vasp_id in sorted(self.vasps):
-            self.vasps[vasp_id].sweep_ack_timeouts(tick)
+        for node in self._vasp_order:
+            node.sweep_ack_timeouts(tick)
         for event in self.chain.tick(tick):
             tx = event.transaction
             self.log("chain", "chain_confirmed", tx=tx.tx_id.hex(), block=event.block_index)
@@ -621,8 +627,7 @@ class Simulation:
         """Each VASP once, in network order, that ``ids_of`` names in a
         network whose ``period`` rule divides ``tick``."""
         seen: set[str] = set()
-        for network_id in sorted(self.networks):
-            network = self.networks[network_id]
+        for network in self._network_order:
             if tick % getattr(network.rules, period) == 0:
                 for vasp_id in ids_of(network):
                     if vasp_id not in seen:
@@ -636,17 +641,17 @@ class Simulation:
         return self._ca_crl_cache[key]
 
     def _check_invariants(self, tick: int) -> None:
-        for vasp_id in sorted(self.vasps):
+        for node in self._vasp_order:
             try:
-                self.vasps[vasp_id].check_account_invariants()
+                node.check_account_invariants()
             except Exception as exc:
-                self.breaches.append(f"tick {tick}: {vasp_id}: {exc}")
+                self.breaches.append(f"tick {tick}: {node.vasp_id}: {exc}")
 
     def _finalize(self) -> None:
         if not self.chain.verify_chain():
             self.breaches.append("chain hash verification failed")
-        for vasp_id in sorted(self.vasps):
-            vasp = self.vasps[vasp_id]
+        for vasp in self._vasp_order:
+            vasp_id = vasp.vasp_id
             audit = vasp.audit_travel_rule()
             reconcile = vasp.reconcile()
             self.metrics.audit_violations += len(audit.violations)
@@ -685,10 +690,10 @@ class Simulation:
         return problems
 
     def audit_reports(self) -> dict[str, Any]:
-        return {vasp_id: self.vasps[vasp_id].audit_travel_rule() for vasp_id in sorted(self.vasps)}
+        return {node.vasp_id: node.audit_travel_rule() for node in self._vasp_order}
 
     def reconcile_reports(self) -> dict[str, Any]:
-        return {vasp_id: self.vasps[vasp_id].reconcile() for vasp_id in sorted(self.vasps)}
+        return {node.vasp_id: node.reconcile() for node in self._vasp_order}
 
 
 @dataclass

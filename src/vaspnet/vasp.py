@@ -107,11 +107,25 @@ class KeyOperatorEvidence:
     since_tick: int
 
 
+# The fields ``Account.check_invariants`` reads.
+ACCOUNT_KEY_FIELDS = frozenset((
+    "custody_model", "customer_public_key", "custodied_private_key", "key_operator_evidence",
+))
+
+
 @dataclass(slots=True)
 class Account:
-    """One customer account. Slotted, so that the per-tick invariant sweep,
-    which reads the key fields of every account, finds them in the object."""
+    """One customer account.
 
+    Its key invariant (``check_invariants``) is checked when the account
+    opens, and by its node's per-tick sweep after each write to one of
+    ``ACCOUNT_KEY_FIELDS``: every such write, those in ``__init__``
+    included, files the account id in ``key_writes``, the node's set.
+    """
+
+    # Declared first, so it is assigned in ``__init__`` before the key
+    # fields, whose assignments file the new account.
+    key_writes: Optional[set[str]] = field(default=None, kw_only=True, repr=False, compare=False)
     account_id: str
     subject_id: str
     attributes: dict[str, str]
@@ -128,7 +142,14 @@ class Account:
         key = self.customer_public_key
         self.customer_public_key_hash = digest(key) if key is not None else None
 
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name in ACCOUNT_KEY_FIELDS and self.key_writes is not None:
+            self.key_writes.add(self.account_id)
+
     def check_invariants(self) -> None:
+        """Raise ``ModelKeyMismatch`` naming the rule of this account's
+        custody model that its key fields break."""
         if self.custody_model is CustodyModel.MEDIATED:
             if self.customer_public_key is None or self.custodied_private_key is not None:
                 raise ModelKeyMismatch("mediated accounts hold the public key only")
@@ -426,6 +447,10 @@ class VaspNode:
 
         self.certificate: Optional[Certificate] = None
         self.accounts: dict[str, Account] = {}
+        # Ids of the accounts whose key fields were written since the last
+        # sweep (filed by ``Account.__setattr__``), and of those failing now.
+        self._key_writes: set[str] = set()
+        self._failing_accounts: set[str] = set()
         self._wallets: dict[str, KeyPair] = {}
         self._accounts_by_key_hash: dict[bytes, str] = {}
         self._known_keys: frozenset[bytes] = frozenset((keypair.public_key,))
@@ -618,6 +643,7 @@ class VaspNode:
             customer_public_key=customer_public_key,
             custodied_private_key=custodied_private,
             key_operator_evidence=operator_evidence,
+            key_writes=self._key_writes,
         )
         account.check_invariants()
         self.accounts[account_id] = account
@@ -1751,24 +1777,28 @@ class VaspNode:
         return AuditReport(records_checked=checked, violations=tuple(violations))
 
     def check_account_invariants(self) -> None:
-        """Check every account. The inline test is ``Account.check_invariants``
-        without the messages; an account failing it gets the full check,
-        which raises with the message."""
-        mediated, key_custody = CustodyModel.MEDIATED, CustodyModel.KEY_CUSTODY
-        for account in self.accounts.values():
-            model = account.custody_model
-            if model is mediated:
-                if (account.customer_public_key is not None
-                        and account.custodied_private_key is None):
-                    continue
-            elif model is key_custody:
-                if (account.customer_public_key is not None
-                        and account.custodied_private_key is not None
-                        and account.key_operator_evidence is not None):
-                    continue
-            elif account.customer_public_key is None and account.custodied_private_key is None:
-                continue
-            account.check_invariants()
+        """The per-tick sweep of the accounts' key invariant.
+
+        Only the accounts filed in ``_key_writes`` since the last sweep are
+        checked, through ``Account.check_invariants``; an account that fails
+        stays failing until a later write makes it pass. While any account
+        fails, every sweep raises the message of the first failing one in
+        ``accounts`` order, so a breach is reported from the tick after the
+        write and at every tick while it lasts.
+        """
+        failing = self._failing_accounts
+        for account_id in self._key_writes:
+            try:
+                self.accounts[account_id].check_invariants()
+            except ModelKeyMismatch:
+                failing.add(account_id)
+            else:
+                failing.discard(account_id)
+        self._key_writes.clear()
+        if failing:
+            for account_id, account in self.accounts.items():
+                if account_id in failing:
+                    account.check_invariants()
 
     # -- message dispatch --------------------------------------------------------
 

@@ -774,8 +774,9 @@ class TestDisclosureErrors:
 
 
 class TestInvariantSweep:
-    """The per-tick sweep checks every account: a key field changed between
-    ticks is a breach at the next tick and at every tick while it lasts."""
+    """The per-tick sweep checks the accounts whose key fields were written:
+    a key field changed between ticks is a breach at the next tick and at
+    every tick while it lasts."""
 
     CUSTOMERS = [
         {"customer_id": "alice", "vasp": "v1", "custody_model": "mediated",
@@ -813,6 +814,67 @@ class TestInvariantSweep:
             account.check_invariants()
         sim.advance_to(8)
         assert sim.breaches == [f"tick {t}: {vasp_id}: {message}" for t in (6, 7, 8)]
+
+    def opened(self):
+        sim = build_sim(customers=self.CUSTOMERS, script=[
+            {"tick": 0, "action": "open_account", "customer": c["customer_id"]}
+            for c in self.CUSTOMERS
+        ])
+        sim.advance_to(5)
+        assert sim.breaches == []
+        return sim
+
+    def test_restoring_the_field_ends_the_breach_from_the_next_tick(self, monkeypatch):
+        sim = self.opened()
+        account = sim.vasps["v1"].accounts["acct-kay"]
+        evidence = account.key_operator_evidence
+        account.key_operator_evidence = None
+        sim.advance_to(7)
+        account.key_operator_evidence = evidence
+        checked = count_calls(monkeypatch, Account, "check_invariants")
+        sim.advance_to(10)
+        message = "key-custody accounts carry operator evidence"
+        assert sim.breaches == [f"tick {t}: v1: {message}" for t in (6, 7)]
+        assert checked == [(account,)]
+
+    def test_first_failing_account_in_opening_order_is_reported(self):
+        sim = self.opened()
+        accounts = sim.vasps["v1"].accounts
+        assert list(accounts) == ["acct-alice", "acct-kay"]
+        kay_message = "key-custody accounts hold both keys"
+        alice_message = "mediated accounts hold the public key only"
+        accounts["acct-kay"].custodied_private_key = None
+        sim.advance_to(6)
+        accounts["acct-alice"].custodied_private_key = b"\x01" * 32
+        sim.advance_to(8)
+        accounts["acct-alice"].custodied_private_key = None
+        sim.advance_to(9)
+        assert sim.breaches == [
+            f"tick 6: v1: {kay_message}",
+            f"tick 7: v1: {alice_message}",
+            f"tick 8: v1: {alice_message}",
+            f"tick 9: v1: {kay_message}",
+        ]
+
+    @pytest.mark.parametrize("field", ["certificate", "key_ownership_evidence"])
+    def test_write_to_a_non_key_field_files_nothing(self, field):
+        sim = self.opened()
+        node = sim.vasps["v1"]
+        setattr(node.accounts["acct-alice"], field, None)
+        assert node._key_writes == set()
+        node.accounts["acct-alice"].customer_public_key = None
+        assert node._key_writes == {"acct-alice"}
+
+    def test_idle_tick_checks_no_account(self, monkeypatch):
+        sim = self.opened()
+        checked = count_calls(monkeypatch, Account, "check_invariants")
+        sim.advance_to(7)
+        assert checked == []
+        account = sim.vasps["v2"].accounts["acct-bob"]
+        account.customer_public_key = account.customer_public_key
+        sim.advance_to(9)
+        assert checked == [(account,)]
+        assert sim.breaches == []
 
 
 class TestConfirmationFanOut:
