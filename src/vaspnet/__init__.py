@@ -1,11 +1,12 @@
 """Inter-VASP public key management and travel-rule compliance stack.
 
 Modules:
-  crypto      seeded Ed25519/SHA-256 primitives and the canonical TLV codec
-  ca          certificate authority services (issuance, revocation, CRLs, status)
+  crypto      seeded Ed25519/SHA-256 primitives, the canonical TLV codec, and
+              the one rule for signed objects (declare, seal, check, memo)
+  ca          certificate authority services (issuance, revocation, CRLs, lookup)
   assertions  VASP-signed attribute assertions with disclosure filtering
   vasp        the VASP node: accounts, custody models, transfer pipeline, audit
-  network     trust networks: gossip directories, CRL exchange, path-vector routes
+  network     trust networks: directory and revocation gossip, path-vector routes
   chain       append-only hash-chained ledger simulator
   scenario    scenario file schema and loader
   harness     deterministic discrete-event simulation

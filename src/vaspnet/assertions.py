@@ -18,17 +18,13 @@ a repeated ``assertion_id`` links transfers that the key hash, and the
 linked certificate digest every assertion about the subject carries,
 already link.
 
-An assertion's encodings (``signed_payload`` and ``to_bytes``) are read
-through a module-level memo keyed by the frozen assertion, as certificates'
-are. Its attributes are a ``FrozenAttributes``, immutable and hashable, so
-the key covers every field; a copy with one attribute changed is another key
-and gets its own bytes. The unsigned draft is encoded outside the memo.
+An assertion's attributes are a ``FrozenAttributes``, immutable and
+hashable, so the encoding memo's key covers every field.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional
 
 from . import crypto
@@ -36,21 +32,15 @@ from .ca import Certificate, ValidationResult
 from .crypto import (
     KeyPair,
     canonical_decode,
-    canonical_encode,
     dec_str,
     dec_u64,
     decode_str_map,
-    digest,
     enc_str,
     enc_u64,
     encode_str_map,
 )
 
 ASSERTION_ID_LEN = 16
-
-# Above the signed assertions of the largest benchmark workload (one per
-# subject and per re-disclosure: 339 on mesh).
-ASSERTION_MEMO_SIZE = 4096
 
 # The attribute names a travel-rule disclosure carries. Amounts and execution
 # dates travel in the transfer notice, not in the identity assertion.
@@ -141,24 +131,30 @@ class FrozenAttributes(Mapping[str, str]):
 
 
 @dataclass(frozen=True)
-class AttributeAssertion:
+class AttributeAssertion(crypto.Signed):
+    SIGNATURE_TAG = 7
+
     assertion_id: bytes
     issuer_vasp_id: str
     subject_id: str
     linked_certificate_hash: bytes
     attributes: Mapping[str, str]
     issued_at: int
-    vasp_signature: bytes
+    signature: bytes = b""
 
     def __post_init__(self) -> None:
         if not isinstance(self.attributes, FrozenAttributes):
             object.__setattr__(self, "attributes", FrozenAttributes(self.attributes))
 
-    def signed_payload(self) -> bytes:
-        return _assertion_encodings(self)[0]
-
-    def to_bytes(self) -> bytes:
-        return _assertion_encodings(self)[1]
+    def tlv_fields(self) -> list[tuple[int, bytes]]:
+        return [
+            (1, self.assertion_id),
+            (2, enc_str(self.issuer_vasp_id)),
+            (3, enc_str(self.subject_id)),
+            (4, self.linked_certificate_hash),
+            (5, encode_str_map(self.attributes)),
+            (6, enc_u64(self.issued_at)),
+        ]
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AttributeAssertion":
@@ -170,37 +166,8 @@ class AttributeAssertion:
             linked_certificate_hash=fields[4],
             attributes=decode_str_map(fields[5]),
             issued_at=dec_u64(fields[6]),
-            vasp_signature=fields[7],
+            signature=fields[7],
         )
-
-    def dump_lines(self) -> list[str]:
-        lines = [
-            f"assertion_id={self.assertion_id.hex()}",
-            f"issuer_vasp_id={self.issuer_vasp_id}",
-            f"subject_id={self.subject_id}",
-            f"linked_certificate_hash={self.linked_certificate_hash.hex()}",
-            f"issued_at={self.issued_at}",
-        ]
-        lines += [f"attr.{k}={v}" for k, v in sorted(self.attributes.items())]
-        return lines
-
-
-def _assertion_payload(assertion: AttributeAssertion) -> bytes:
-    return canonical_encode([
-        (1, assertion.assertion_id),
-        (2, enc_str(assertion.issuer_vasp_id)),
-        (3, enc_str(assertion.subject_id)),
-        (4, assertion.linked_certificate_hash),
-        (5, encode_str_map(assertion.attributes)),
-        (6, enc_u64(assertion.issued_at)),
-    ])
-
-
-@functools.lru_cache(maxsize=ASSERTION_MEMO_SIZE)
-def _assertion_encodings(assertion: AttributeAssertion) -> tuple[bytes, bytes]:
-    """(signed payload, full bytes) of an assertion."""
-    payload = _assertion_payload(assertion)
-    return payload, payload + canonical_encode([(7, assertion.vasp_signature)])
 
 
 def issue_assertion(
@@ -231,14 +198,13 @@ def issue_assertion(
         assertion_id = assertion_id()
     if policy is not None:
         attributes = _disclosed(attributes, policy)
-    return _signed(signing_key, AttributeAssertion(
+    return crypto.seal(signing_key, AttributeAssertion(
         assertion_id=assertion_id,
         issuer_vasp_id=issuer_vasp_id,
         subject_id=subject_id,
-        linked_certificate_hash=digest(subject_certificate.to_bytes()),
+        linked_certificate_hash=subject_certificate.fingerprint(),
         attributes=attributes,
         issued_at=issued_at,
-        vasp_signature=b"",
     ))
 
 
@@ -249,13 +215,9 @@ def verify_assertion(
     validator: Callable[[Certificate], ValidationResult],
 ) -> bool:
     """True iff the signature, the certificate link, and the issuer cert all hold."""
-    if not crypto.verify(
-        issuer_vasp_certificate.subject_public_key,
-        assertion.signed_payload(),
-        assertion.vasp_signature,
-    ):
+    if not crypto.check(issuer_vasp_certificate.subject_public_key, assertion):
         return False
-    if assertion.linked_certificate_hash != digest(subject_certificate.to_bytes()):
+    if assertion.linked_certificate_hash != subject_certificate.fingerprint():
         return False
     return validator(issuer_vasp_certificate).ok
 
@@ -273,14 +235,13 @@ def filter_attributes(
     The output is re-signed by the discloser; the input is untouched. An empty
     intersection is an error rather than an empty disclosure.
     """
-    return _signed(signing_key, AttributeAssertion(
+    return crypto.seal(signing_key, AttributeAssertion(
         assertion_id=assertion_id,
         issuer_vasp_id=discloser_vasp_id,
         subject_id=assertion.subject_id,
         linked_certificate_hash=assertion.linked_certificate_hash,
         attributes=_disclosed(assertion.attributes, policy),
         issued_at=issued_at,
-        vasp_signature=b"",
     ))
 
 
@@ -320,8 +281,3 @@ def _disclosed(attributes: Mapping[str, str], policy: DisclosurePolicy) -> dict[
         raise EmptyDisclosure(f"no overlap between {sorted(attributes)} and policy")
     return kept
 
-
-def _signed(signing_key: KeyPair, unsigned: AttributeAssertion) -> AttributeAssertion:
-    # The draft is encoded outside the memo: it is never read again.
-    signature = crypto.sign(signing_key, _assertion_payload(unsigned))
-    return replace(unsigned, vasp_signature=signature)

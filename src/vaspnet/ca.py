@@ -5,23 +5,13 @@ Certificates are X.509-style bindings of a subject identity to an Ed25519
 public key, serialized with the canonical TLV encoding and signed by the
 issuing CA. Chains are depth one: a self-signed root signs subject
 certificates directly.
-
-Every peer re-validates the same certificates on every transfer, so a
-certificate's encodings (``signed_payload`` and ``to_bytes``) are read
-through a module-level memo keyed by the frozen ``Certificate`` itself:
-equal fields, equal bytes. It holds at most ``CERT_MEMO_SIZE`` certificates,
-least recently used evicted first. Nothing is stored on the instance, so a
-copy made with ``Certificate(**{**cert.__dict__, ...})`` carries only its
-fields and gets its own bytes. The unsigned draft the CA signs is encoded
-outside the memo.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from . import crypto
@@ -38,9 +28,6 @@ from .crypto import (
 
 SERIAL_LEN = 16
 SIGNATURE_ALGORITHM = "Ed25519-SHA256"
-
-# Above the certificates of the largest benchmark workload (840 on mesh).
-CERT_MEMO_SIZE = 4096
 
 
 class CaError(Exception):
@@ -159,8 +146,11 @@ ROOT_PROFILE = CertificateProfile(profile_id="ca-root", minimum_class=CertClass.
 
 
 @dataclass(frozen=True)
-class Certificate:
-    """Signed binding of a subject identity to a public key."""
+class Certificate(crypto.Signed):
+    """Signed binding of a subject identity to a public key. Its
+    ``fingerprint()`` is the evidence/link hash."""
+
+    SIGNATURE_TAG = 11
 
     version: int
     serial: bytes
@@ -172,7 +162,7 @@ class Certificate:
     subject_public_key: bytes
     profile: CertificateProfile
     cert_class: CertClass
-    issuer_signature: bytes
+    signature: bytes = b""
 
     @property
     def serial_hex(self) -> str:
@@ -182,11 +172,19 @@ class Certificate:
     def public_key_hash(self) -> bytes:
         return digest(self.subject_public_key)
 
-    def signed_payload(self) -> bytes:
-        return _certificate_encodings(self)[0]
-
-    def to_bytes(self) -> bytes:
-        return _certificate_encodings(self)[1]
+    def tlv_fields(self) -> list[tuple[int, bytes]]:
+        return [
+            (1, enc_u64(self.version)),
+            (2, self.serial),
+            (3, enc_str(self.signature_algorithm)),
+            (4, enc_str(self.issuer_id)),
+            (5, enc_u64(self.validity_not_before)),
+            (6, enc_u64(self.validity_not_after)),
+            (7, enc_str(self.subject_id)),
+            (8, self.subject_public_key),
+            (9, self.profile.to_bytes()),
+            (10, enc_str(self.cert_class.label)),
+        ]
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Certificate":
@@ -202,30 +200,8 @@ class Certificate:
             subject_public_key=fields[8],
             profile=CertificateProfile.from_bytes(fields[9]),
             cert_class=CertClass.from_label(dec_str(fields[10])),
-            issuer_signature=fields[11],
+            signature=fields[11],
         )
-
-    def fingerprint(self) -> bytes:
-        """Digest of the full certificate bytes (the evidence/link hash)."""
-        return digest(self.to_bytes())
-
-
-@functools.lru_cache(maxsize=CERT_MEMO_SIZE)
-def _certificate_encodings(cert: Certificate) -> tuple[bytes, bytes]:
-    """(signed payload, full bytes) of a certificate."""
-    payload = canonical_encode([
-        (1, enc_u64(cert.version)),
-        (2, cert.serial),
-        (3, enc_str(cert.signature_algorithm)),
-        (4, enc_str(cert.issuer_id)),
-        (5, enc_u64(cert.validity_not_before)),
-        (6, enc_u64(cert.validity_not_after)),
-        (7, enc_str(cert.subject_id)),
-        (8, cert.subject_public_key),
-        (9, cert.profile.to_bytes()),
-        (10, enc_str(cert.cert_class.label)),
-    ])
-    return payload, payload + canonical_encode([(11, cert.issuer_signature)])
 
 
 @dataclass(frozen=True)
@@ -266,25 +242,24 @@ def _entries_payload(entries: Iterable[RevocationEntry]) -> bytes:
 
 
 @dataclass(frozen=True)
-class Crl:
+class Crl(crypto.Signed):
     """Full revocation list; ``crl_number`` strictly increases per issuer."""
+
+    SIGNATURE_TAG = 5
 
     issuer_id: str
     crl_number: int
     entries: frozenset[RevocationEntry]
     issued_at: int
-    signature: bytes
+    signature: bytes = b""
 
-    def signed_payload(self) -> bytes:
-        return canonical_encode([
+    def tlv_fields(self) -> list[tuple[int, bytes]]:
+        return [
             (1, enc_str(self.issuer_id)),
             (2, enc_u64(self.crl_number)),
             (3, _entries_payload(self.entries)),
             (4, enc_u64(self.issued_at)),
-        ])
-
-    def to_bytes(self) -> bytes:
-        return self.signed_payload() + canonical_encode([(5, self.signature)])
+        ]
 
     def report_lines(self) -> list[str]:
         return [
@@ -294,27 +269,26 @@ class Crl:
 
 
 @dataclass(frozen=True)
-class DeltaCrl:
+class DeltaCrl(crypto.Signed):
     """Additions since a base CRL number."""
+
+    SIGNATURE_TAG = 6
 
     issuer_id: str
     crl_number: int
     base_crl_number: int
     entries: frozenset[RevocationEntry]
     issued_at: int
-    signature: bytes
+    signature: bytes = b""
 
-    def signed_payload(self) -> bytes:
-        return canonical_encode([
+    def tlv_fields(self) -> list[tuple[int, bytes]]:
+        return [
             (1, enc_str(self.issuer_id)),
             (2, enc_u64(self.crl_number)),
             (3, enc_u64(self.base_crl_number)),
             (4, _entries_payload(self.entries)),
             (5, enc_u64(self.issued_at)),
-        ])
-
-    def to_bytes(self) -> bytes:
-        return self.signed_payload() + canonical_encode([(6, self.signature)])
+        ]
 
 
 def apply_delta_crl(base: Crl, delta: DeltaCrl) -> frozenset[RevocationEntry]:
@@ -487,7 +461,7 @@ def validate_certificate(
     anchor = trust_anchors.get(cert.issuer_id)
     if anchor is None:
         return ValidationResult(ValidationStatus.UNKNOWN_ISSUER, cert.issuer_id)
-    if not crypto.verify(anchor.subject_public_key, cert.signed_payload(), cert.issuer_signature):
+    if not crypto.check(anchor.subject_public_key, cert):
         return ValidationResult(ValidationStatus.BAD_SIGNATURE)
     if not cert.validity_not_before <= now <= cert.validity_not_after:
         return ValidationResult(ValidationStatus.EXPIRED, f"now={now}")
@@ -656,7 +630,7 @@ class CertificateAuthority:
         cert_class: CertClass,
         validity: tuple[int, int],
     ) -> Certificate:
-        unsigned = Certificate(
+        return crypto.seal(self._keypair, Certificate(
             version=3,
             serial=self._fresh_serial(),
             signature_algorithm=SIGNATURE_ALGORITHM,
@@ -667,12 +641,7 @@ class CertificateAuthority:
             subject_public_key=subject_public_key,
             profile=profile,
             cert_class=cert_class,
-            issuer_signature=b"",
-        )
-        # The draft is encoded outside the memo: it is never read again.
-        payload = _certificate_encodings.__wrapped__(unsigned)[0]
-        signature = crypto.sign(self._keypair, payload)
-        return Certificate(**{**unsigned.__dict__, "issuer_signature": signature})
+        ))
 
     def _fresh_serial(self) -> bytes:
         while True:
@@ -700,15 +669,12 @@ class CertificateAuthority:
         self._crl_number += 1
         entries = frozenset(self._revoked.values())
         self._crl_history[self._crl_number] = entries
-        unsigned = Crl(
+        return crypto.seal(self._keypair, Crl(
             issuer_id=self.ca_id,
             crl_number=self._crl_number,
             entries=entries,
             issued_at=now,
-            signature=b"",
-        )
-        signature = crypto.sign(self._keypair, unsigned.signed_payload())
-        return Crl(**{**unsigned.__dict__, "signature": signature})
+        ))
 
     def generate_delta_crl(self, base_number: int, now: int) -> DeltaCrl:
         if base_number not in self._crl_history:
@@ -716,16 +682,13 @@ class CertificateAuthority:
         self._crl_number += 1
         entries = frozenset(self._revoked.values()) - self._crl_history[base_number]
         self._crl_history[self._crl_number] = frozenset(self._revoked.values())
-        unsigned = DeltaCrl(
+        return crypto.seal(self._keypair, DeltaCrl(
             issuer_id=self.ca_id,
             crl_number=self._crl_number,
             base_crl_number=base_number,
             entries=entries,
             issued_at=now,
-            signature=b"",
-        )
-        signature = crypto.sign(self._keypair, unsigned.signed_payload())
-        return DeltaCrl(**{**unsigned.__dict__, "signature": signature})
+        ))
 
     # -- lookup --------------------------------------------------------------
 

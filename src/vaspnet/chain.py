@@ -7,64 +7,41 @@ enforced; the ledger records identity and amount flows, nothing else.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
 from . import crypto
-from .crypto import KeyPair, canonical_encode, digest, enc_str, enc_u64
+from .crypto import KeyPair, digest, enc_str, enc_u64
 
 NONCE_LEN = 8
 GENESIS_HASH = bytes(crypto.HASH_LEN)
 
 DEFAULT_CONFIRMATION_DELAY = 3
 
-# Transactions whose encodings and id are kept. Every VASP reads the id of
-# every confirmed transaction; the benchmark workloads submit at most 800.
-TX_MEMO_SIZE = 4096
-
 
 @dataclass(frozen=True)
-class ChainTransaction:
+class ChainTransaction(crypto.Signed):
+    SIGNATURE_TAG = 6
+
     from_public_key: bytes
     to_public_key: bytes
     amount: int
     asset_type: str
     nonce: bytes
-    submitter_signature: bytes
+    signature: bytes = b""
 
-    def signed_payload(self) -> bytes:
-        return _tx_encodings(self)[0]
-
-    def to_bytes(self) -> bytes:
-        return _tx_encodings(self)[1]
+    def tlv_fields(self) -> list[tuple[int, bytes]]:
+        return [
+            (1, self.from_public_key),
+            (2, self.to_public_key),
+            (3, enc_u64(self.amount)),
+            (4, enc_str(self.asset_type)),
+            (5, self.nonce),
+        ]
 
     @property
     def tx_id(self) -> bytes:
-        return _tx_encodings(self)[2]
-
-
-def _tx_payload(tx: ChainTransaction) -> bytes:
-    return canonical_encode([
-        (1, tx.from_public_key),
-        (2, tx.to_public_key),
-        (3, enc_u64(tx.amount)),
-        (4, enc_str(tx.asset_type)),
-        (5, tx.nonce),
-    ])
-
-
-@functools.lru_cache(maxsize=TX_MEMO_SIZE)
-def _tx_encodings(tx: ChainTransaction) -> tuple[bytes, bytes, bytes]:
-    """(signed payload, full bytes, tx id) of a transaction.
-
-    Keyed by the frozen transaction itself: equal fields, equal bytes.
-    Nothing is stored on the instance, so ``ChainTransaction(**tx.__dict__)``
-    copies carry nothing but the fields.
-    """
-    payload = _tx_payload(tx)
-    data = payload + canonical_encode([(6, tx.submitter_signature)])
-    return payload, data, digest(data)
+        return self.fingerprint()
 
 
 def build_transaction(
@@ -76,17 +53,13 @@ def build_transaction(
     nonce: bytes,
 ) -> ChainTransaction:
     """Assemble and sign a transaction with the sender's key."""
-    unsigned = ChainTransaction(
+    return crypto.seal(signing_key, ChainTransaction(
         from_public_key=from_public_key,
         to_public_key=to_public_key,
         amount=amount,
         asset_type=asset_type,
         nonce=nonce,
-        submitter_signature=b"",
-    )
-    # The draft is encoded outside the memo: it is never read again.
-    signature = crypto.sign(signing_key, _tx_payload(unsigned))
-    return ChainTransaction(**{**unsigned.__dict__, "submitter_signature": signature})
+    ))
 
 
 @dataclass(frozen=True)
@@ -133,7 +106,7 @@ class SimChain:
         self._seen: set[bytes] = set()
 
     def submit_transaction(self, tx: ChainTransaction, now: int) -> SubmitResult:
-        if not crypto.verify(tx.from_public_key, tx.signed_payload(), tx.submitter_signature):
+        if not crypto.check(tx.from_public_key, tx):
             return SubmitResult(accepted=False, reason="BadSignature")
         tx_id = tx.tx_id
         if tx_id in self._seen:
@@ -176,7 +149,7 @@ class SimChain:
             if _block_hash(previous, block.tick, block.transactions) != block.block_hash:
                 return False
             for tx in block.transactions:
-                if not crypto.verify(tx.from_public_key, tx.signed_payload(), tx.submitter_signature):
+                if not crypto.check(tx.from_public_key, tx):
                     return False
             previous = block.block_hash
         return True

@@ -18,6 +18,21 @@ revocation, expiry and policy are still evaluated by every caller. The
 private-key objects ``sign`` builds are cached the same way, and signatures
 stay identical because Ed25519 signing is deterministic too.
 
+Every signed object follows one rule, X.509's to-be-signed body plus a
+signature (RFC 5280 section 4.1). A frozen ``Signed`` type declares its signed
+fields once, as TLV pairs in ``tlv_fields``, and keeps its signature in the
+field ``signature``. ``seal`` signs an unsigned draft and ``check`` verifies a
+signed object, through ``sign`` and ``verify``. A type with a
+``SIGNATURE_TAG`` also has a full-bytes form, the payload followed by the
+signature under that tag, and a ``fingerprint``, the digest of those bytes.
+The payload, full bytes and fingerprint come from one memo keyed by the
+frozen object itself: equal fields of one type, equal bytes. Nothing is
+stored on the instance, so a copy with one field changed is another key and
+gets its own bytes, and two types with equal field values are never equal.
+The memo holds at most ``ENCODING_MEMO_SIZE`` objects, least recently used
+evicted first. A draft is encoded outside it, since it is never read again.
+A ``Record`` (a directory entry) is encoded through the same memo, unsigned.
+
 ``canonical_encode`` is the most-called function of the stack. It packs each
 field header with one precompiled ``struct.Struct`` and joins the parts once
 at the end. Field by field it checks tag order (``NonCanonicalOrder``), then
@@ -30,8 +45,8 @@ import functools
 import hashlib
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import ClassVar, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -47,6 +62,11 @@ SIGNATURE_LEN = 64
 # Above the distinct successful verifies of the largest benchmark workload
 # (about 3.5k on churn-lossy), so a run's working set stays resident.
 VERIFY_MEMO_SIZE = 4096
+
+# Above the objects any benchmark workload encodes, drafts excluded (seed 7,
+# whole run: 2,817 on churn-lossy, 2,773 on mesh, 1,691 on pipeline), so a
+# run's working set stays resident.
+ENCODING_MEMO_SIZE = 4096
 
 _RAW = serialization.Encoding.Raw
 _RAW_PUB = serialization.PublicFormat.Raw
@@ -153,13 +173,13 @@ def digest(data: bytes) -> bytes:
 
 _MAX_TAG = 0xFFFF
 _MAX_LEN = 0xFFFFFFFF
-_FIELD_HEADER = struct.Struct(">HI")
+FIELD_HEADER = struct.Struct(">HI")
 
 
 def canonical_encode(fields: Sequence[tuple[int, bytes]]) -> bytes:
     parts: list[bytes] = []
     append = parts.append
-    pack_header = _FIELD_HEADER.pack
+    pack_header = FIELD_HEADER.pack
     prev = -1
     for tag, value in fields:
         if tag <= prev:
@@ -183,7 +203,7 @@ def canonical_decode(data: bytes) -> list[tuple[int, bytes]]:
     while pos < len(data):
         if pos + 6 > len(data):
             raise MalformedRecord("truncated field header")
-        tag, length = _FIELD_HEADER.unpack_from(data, pos)
+        tag, length = FIELD_HEADER.unpack_from(data, pos)
         pos += 6
         if pos + length > len(data):
             raise MalformedRecord("truncated field value")
@@ -239,3 +259,67 @@ def decode_str_map(data: bytes) -> dict[str, str]:
 def encode_bytes_list(items: Iterable[bytes]) -> bytes:
     """Encode a sequence of byte strings as a record with tags 1..n."""
     return canonical_encode([(i + 1, item) for i, item in enumerate(items)])
+
+
+# ---------------------------------------------------------------------------
+# Signed objects
+# ---------------------------------------------------------------------------
+
+
+class Record:
+    """A frozen dataclass encoded as one canonical TLV record, its fields
+    declared once in ``tlv_fields``; its bytes come from the encoding memo."""
+
+    def tlv_fields(self) -> list[tuple[int, bytes]]:
+        raise NotImplementedError
+
+    def to_bytes(self) -> bytes:
+        return _encoding(self)[0]
+
+
+class Signed(Record):
+    """A frozen dataclass signed over the fields ``tlv_fields`` declares; the
+    signature is its field ``signature``. A type without a ``SIGNATURE_TAG``
+    has no full-bytes form."""
+
+    SIGNATURE_TAG: ClassVar[Optional[int]] = None
+
+    def signed_payload(self) -> bytes:
+        return _encoding(self)[0]
+
+    def to_bytes(self) -> bytes:
+        encoding = _encoding(self)
+        if encoding[1] is None:
+            if self.SIGNATURE_TAG is None:
+                raise TypeError(f"{type(self).__name__} has no full-bytes form")
+            encoding[1] = encoding[0] + canonical_encode([(self.SIGNATURE_TAG, self.signature)])
+        return encoding[1]
+
+    def fingerprint(self) -> bytes:
+        """Digest of the full bytes: a certificate's link hash, a transaction's
+        id, an advertisement's part of a route digest."""
+        encoding = _encoding(self)
+        if encoding[2] is None:
+            encoding[2] = digest(self.to_bytes())
+        return encoding[2]
+
+
+@functools.lru_cache(maxsize=ENCODING_MEMO_SIZE)
+def _encoding(record: Record) -> list[Optional[bytes]]:
+    """[payload, full bytes, fingerprint] of ``record``; the last two are
+    filled in on first use."""
+    return [canonical_encode(record.tlv_fields()), None, None]
+
+
+S = TypeVar("S", bound=Signed)
+
+
+def seal(private_key: bytes | KeyPair, unsigned: S) -> S:
+    """``unsigned`` with ``signature`` set to the signature by ``private_key``
+    over its signed fields. The draft is encoded outside the memo."""
+    return replace(unsigned, signature=sign(private_key, canonical_encode(unsigned.tlv_fields())))
+
+
+def check(public_key: bytes, signed: Signed) -> bool:
+    """True iff ``signed.signature`` is valid for its payload under ``public_key``."""
+    return verify(public_key, signed.signed_payload(), signed.signature)

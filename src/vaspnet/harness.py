@@ -40,7 +40,7 @@ from . import crypto
 from .assertions import DisclosurePolicy
 from .ca import CertificateAuthority, CertClass, Certificate, RevocationReason
 from .chain import ChainTransaction, SimChain, SubmitResult, build_transaction
-from .crypto import KeyPair, digest
+from .crypto import FIELD_HEADER, KeyPair, digest
 from .network import OperatingRules, PeeringLink, TrustNetwork
 from .scenario import CustomerSpec, Scenario, ScriptAction
 from .vasp import CustodyModel, TransferOutcome, TransferTarget, VaspNode
@@ -50,8 +50,7 @@ VASP_CERT_VALIDITY = 500_000
 CUSTOMER_CERT_VALIDITY = 100_000
 
 
-_FIELD_HEADER = struct.Struct(">HI")
-_TICK_FIELD = struct.Struct(">HIQ")
+_TICK_FIELD = struct.Struct(FIELD_HEADER.format + "Q")
 
 
 def _event_bytes(tick: int, actor: str, event: str, details: tuple[tuple[str, str], ...]) -> bytes:
@@ -60,7 +59,7 @@ def _event_bytes(tick: int, actor: str, event: str, details: tuple[tuple[str, st
     must be sorted by key, with each key once, as ``EventLog.append`` makes
     them; the bytes then equal ``canonical_encode`` of the four fields with
     ``encode_str_map(dict(details))`` as the fourth."""
-    pack = _FIELD_HEADER.pack
+    pack = FIELD_HEADER.pack
     parts: list[bytes] = []
     tag = 1
     for key, value in details:

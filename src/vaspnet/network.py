@@ -49,20 +49,13 @@ prunes in ``VaspNode`` and the stale-entry drop in ``query_certificate``. A
 replaced set makes the next ``entries_digest()`` recompute; a frozenset
 cannot change in place, so no write can leave a stale digest behind. The
 same identity lets a gateway reuse its last signed advertisement while no
-member view's set has been replaced. A ``DirectoryEntry``'s bytes come from
-a module-level memo of at most ``ENTRY_MEMO_SIZE`` entries keyed by the
-frozen entry; nothing is stored on the instance. A
-``ReachabilityAdvertisement``'s signed payload, which encodes its sorted hash
-set, comes the same way from a memo of at most ``ADVERTISEMENT_MEMO_SIZE``
-advertisements, so a forwarded or re-sent one is encoded once however often
-it is verified; the unsigned drafts gateways sign are encoded outside it.
+member view's set has been replaced.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
 from . import crypto
@@ -81,20 +74,6 @@ from .crypto import canonical_encode, digest, enc_str, enc_u64, encode_bytes_lis
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .vasp import VaspNode
-
-
-# Above the directory entries of the largest benchmark workload (816 on
-# mesh) and of a 96-VASP ring with 50 customers per VASP (3,200).
-ENTRY_MEMO_SIZE = 4096
-
-# One heartbeat per member and network is current at a time: 96 on a
-# 96-VASP ring, 24 on mesh.
-ANNOUNCE_MEMO_SIZE = 512
-
-# A 96-VASP ring of 16 networks has 32 gateways, each sending its own
-# advertisement and forwarding the last one installed per origin network
-# (15): 512 entries. A mesh run makes 63.
-ADVERTISEMENT_MEMO_SIZE = 512
 
 
 class NetworkError(Exception):
@@ -136,22 +115,13 @@ class MemberRecord:
 
 
 @dataclass(frozen=True, order=True)
-class DirectoryEntry:
+class DirectoryEntry(crypto.Record):
     serial: bytes
     public_key_hash: bytes
     issuer_ca_id: str
 
-    def to_bytes(self) -> bytes:
-        return _entry_bytes(self)
-
-
-@functools.lru_cache(maxsize=ENTRY_MEMO_SIZE)
-def _entry_bytes(entry: DirectoryEntry) -> bytes:
-    return canonical_encode([
-        (1, entry.serial),
-        (2, entry.public_key_hash),
-        (3, enc_str(entry.issuer_ca_id)),
-    ])
+    def tlv_fields(self) -> list[tuple[int, bytes]]:
+        return [(1, self.serial), (2, self.public_key_hash), (3, enc_str(self.issuer_ca_id))]
 
 
 def _entries_bytes(entries: Iterable[DirectoryEntry]) -> bytes:
@@ -164,25 +134,24 @@ def directory_digest(entries: Iterable[DirectoryEntry]) -> bytes:
 
 
 @dataclass(frozen=True)
-class DirectorySnapshot:
+class DirectorySnapshot(crypto.Signed):
+    SIGNATURE_TAG = 4
+
     owner_vasp_id: str
     version: int
     entries: frozenset[DirectoryEntry]
-    owner_signature: bytes = b""
+    signature: bytes = b""
 
-    def signed_payload(self) -> bytes:
-        return canonical_encode([
+    def tlv_fields(self) -> list[tuple[int, bytes]]:
+        return [
             (1, enc_str(self.owner_vasp_id)),
             (2, enc_u64(self.version)),
             (3, _entries_bytes(self.entries)),
-        ])
-
-    def to_bytes(self) -> bytes:
-        return self.signed_payload() + canonical_encode([(4, self.owner_signature)])
+        ]
 
 
 @dataclass(frozen=True)
-class DirectoryDelta:
+class DirectoryDelta(crypto.Signed):
     """One published directory version as a change to the previous one. It
     also carries the publisher's ``revocations``, as ``DirectoryAnnounce``
     does, so a sync period in which a member publishes instead of
@@ -194,7 +163,7 @@ class DirectoryDelta:
     added: frozenset[DirectoryEntry]
     removed: frozenset[DirectoryEntry]
     revocations: tuple[tuple[str, bytes], ...] = ()
-    owner_signature: bytes = b""
+    signature: bytes = b""
 
     def __post_init__(self) -> None:
         if self.to_version != self.from_version + 1:
@@ -202,19 +171,19 @@ class DirectoryDelta:
         if self.added & self.removed:
             raise ValueError("added and removed entry sets overlap")
 
-    def signed_payload(self) -> bytes:
-        return canonical_encode([
+    def tlv_fields(self) -> list[tuple[int, bytes]]:
+        return [
             (1, enc_str(self.owner_vasp_id)),
             (2, enc_u64(self.from_version)),
             (3, enc_u64(self.to_version)),
             (4, _entries_bytes(self.added)),
             (5, _entries_bytes(self.removed)),
             (6, _revocations_bytes(self.revocations)),
-        ])
+        ]
 
 
 @dataclass(frozen=True)
-class DirectoryAnnounce:
+class DirectoryAnnounce(crypto.Signed):
     """Anti-entropy heartbeat of both feeds, sent inside one network: the
     publisher's current directory version and entry digest, ``revocations``
     (the publisher's ``RevocationView.revoked_digests()``) and ``views``, the
@@ -230,32 +199,26 @@ class DirectoryAnnounce:
     numbers would change the heartbeat, and cost a signature, every CRL
     period, while the digest of the revoked set changes only with a
     revocation. Issuers whose CRL revokes nothing are left out. The signed
-    payload names no recipient; it comes from a memo of at most
-    ``ANNOUNCE_MEMO_SIZE`` heartbeats, so a re-sent one is encoded once."""
+    payload names no recipient, so a re-sent heartbeat is encoded once."""
 
     owner_vasp_id: str
     version: int
     entries_digest: bytes
     revocations: tuple[tuple[str, bytes], ...] = ()
     views: tuple[tuple[str, int], ...] = ()
-    owner_signature: bytes = b""
+    signature: bytes = b""
 
-    def signed_payload(self) -> bytes:
-        return _announce_payload(self)
-
-
-@functools.lru_cache(maxsize=ANNOUNCE_MEMO_SIZE)
-def _announce_payload(announce: DirectoryAnnounce) -> bytes:
-    return canonical_encode([
-        (1, enc_str(announce.owner_vasp_id)),
-        (2, enc_u64(announce.version)),
-        (3, announce.entries_digest),
-        (4, _revocations_bytes(announce.revocations)),
-        (5, encode_bytes_list(
-            canonical_encode([(1, enc_str(member_id)), (2, enc_u64(version))])
-            for member_id, version in announce.views
-        )),
-    ])
+    def tlv_fields(self) -> list[tuple[int, bytes]]:
+        return [
+            (1, enc_str(self.owner_vasp_id)),
+            (2, enc_u64(self.version)),
+            (3, self.entries_digest),
+            (4, _revocations_bytes(self.revocations)),
+            (5, encode_bytes_list(
+                canonical_encode([(1, enc_str(member_id)), (2, enc_u64(version))])
+                for member_id, version in self.views
+            )),
+        ]
 
 
 def _revocations_bytes(revocations: tuple[tuple[str, bytes], ...]) -> bytes:
@@ -348,29 +311,26 @@ class PeeringLink:
 
 
 @dataclass(frozen=True)
-class ReachabilityAdvertisement:
+class ReachabilityAdvertisement(crypto.Signed):
     """Path-vector claim that a set of key hashes is reachable via a VASP."""
+
+    SIGNATURE_TAG = 6
 
     advertised_hashes: frozenset[bytes]
     home_vasp_id: str
     origin_network_id: str
     network_path: tuple[str, ...]
     advertising_gateway_id: str
-    gateway_signature: bytes = b""
+    signature: bytes = b""
 
-    def signed_payload(self) -> bytes:
-        return _advertisement_payload(self)
-
-
-@functools.lru_cache(maxsize=ADVERTISEMENT_MEMO_SIZE)
-def _advertisement_payload(adv: ReachabilityAdvertisement) -> bytes:
-    return canonical_encode([
-        (1, encode_bytes_list(sorted(adv.advertised_hashes))),
-        (2, enc_str(adv.home_vasp_id)),
-        (3, enc_str(adv.origin_network_id)),
-        (4, encode_bytes_list(enc_str(n) for n in adv.network_path)),
-        (5, enc_str(adv.advertising_gateway_id)),
-    ])
+    def tlv_fields(self) -> list[tuple[int, bytes]]:
+        return [
+            (1, encode_bytes_list(sorted(self.advertised_hashes))),
+            (2, enc_str(self.home_vasp_id)),
+            (3, enc_str(self.origin_network_id)),
+            (4, encode_bytes_list(enc_str(n) for n in self.network_path)),
+            (5, enc_str(self.advertising_gateway_id)),
+        ]
 
 
 def heartbeat_partner(network: "TrustNetwork", vasp_id: str, period: int) -> Optional[str]:
@@ -388,19 +348,15 @@ def heartbeat_partner(network: "TrustNetwork", vasp_id: str, period: int) -> Opt
     return members[(members.index(vasp_id) + offset) % len(members)]
 
 
-@functools.lru_cache(maxsize=ADVERTISEMENT_MEMO_SIZE)
-def _advertisement_digest(adv: ReachabilityAdvertisement) -> bytes:
-    return digest(_advertisement_payload(adv))
-
-
 def routes_digest(held: Mapping[str, ReachabilityAdvertisement]) -> bytes:
     """Digest of the advertisements held per origin network for one link:
-    origin, path, hashes, home and gateway of each route."""
-    return digest(encode_bytes_list(_advertisement_digest(held[origin]) for origin in sorted(held)))
+    the ``fingerprint`` of each route, which covers its origin, path, hashes,
+    home, gateway and signature."""
+    return digest(encode_bytes_list(held[origin].fingerprint() for origin in sorted(held)))
 
 
 @dataclass(frozen=True)
-class RouteDigest:
+class RouteDigest(crypto.Signed):
     """Reachability keepalive of one peering link, sent by its two gateways
     in turn: the digest of what the sender holds for the link (``held``, its
     ``AdjRibOut``) and of what it received over it (``received``, its
@@ -412,11 +368,10 @@ class RouteDigest:
     gateway_id: str
     held: bytes
     received: bytes
-    gateway_signature: bytes = b""
+    signature: bytes = b""
 
-    def signed_payload(self) -> bytes:
-        return canonical_encode([
-            (1, enc_str(self.gateway_id)), (2, self.held), (3, self.received)])
+    def tlv_fields(self) -> list[tuple[int, bytes]]:
+        return [(1, enc_str(self.gateway_id)), (2, self.held), (3, self.received)]
 
 
 @dataclass
@@ -438,24 +393,9 @@ class AdjRibOut:
         held_digest, received_digest = routes_digest(self.sent), routes_digest(received)
         last = self._keepalive
         if last is None or (last.held, last.received) != (held_digest, received_digest):
-            unsigned = RouteDigest(gateway.vasp_id, held_digest, received_digest)
-            self._keepalive = replace(
-                unsigned, gateway_signature=gateway.sign_bytes(unsigned.signed_payload()))
+            self._keepalive = gateway.seal(
+                RouteDigest(gateway.vasp_id, held_digest, received_digest))
         return self._keepalive
-
-
-def signed_announce(owner: "VaspNode", unsigned: DirectoryAnnounce) -> DirectoryAnnounce:
-    # The draft is encoded outside the memo: it is never read again.
-    signature = owner.sign_bytes(_announce_payload.__wrapped__(unsigned))
-    return replace(unsigned, owner_signature=signature)
-
-
-def _signed_advertisement(
-    gateway: "VaspNode", unsigned: ReachabilityAdvertisement
-) -> ReachabilityAdvertisement:
-    # The draft is encoded outside the memo: it is never read again.
-    signature = gateway.sign_bytes(_advertisement_payload.__wrapped__(unsigned))
-    return replace(unsigned, gateway_signature=signature)
 
 
 @dataclass(frozen=True)
@@ -578,7 +518,7 @@ def build_advertisement(
         view = gateway.directory_views.get(member_id)
         if view is not None:
             hashes |= view.key_hashes()
-    return _signed_advertisement(gateway, ReachabilityAdvertisement(
+    return gateway.seal(ReachabilityAdvertisement(
         advertised_hashes=frozenset(hashes),
         home_vasp_id=gateway.vasp_id,
         origin_network_id=network.network_id,
@@ -617,9 +557,7 @@ def process_advertisement(
     sender_check = validate_certificate(
         sender.certificate, receiving_gateway.trust_anchors, env.now, receiving_gateway.revocation
     )
-    if not sender_check.ok or not crypto.verify(
-        sender.certificate.subject_public_key, adv.signed_payload(), adv.gateway_signature
-    ):
+    if not sender_check.ok or not crypto.check(sender.certificate.subject_public_key, adv):
         return "drop", "bad-signature"
     # The link's Adj-RIB-In: what the far gateway holds for it, once
     # received, whether or not it is installed.
@@ -652,7 +590,7 @@ def process_advertisement(
         if out_link == link or far_network in extended_path:
             local_gateway.withdraw_advertisement(out_link, adv.origin_network_id)
             continue
-        forwarded = _signed_advertisement(local_gateway, ReachabilityAdvertisement(
+        forwarded = local_gateway.seal(ReachabilityAdvertisement(
             advertised_hashes=adv.advertised_hashes,
             home_vasp_id=adv.home_vasp_id,
             origin_network_id=adv.origin_network_id,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from . import crypto
@@ -63,7 +63,6 @@ from .network import (
     query_certificate,
     route_cross_network_query,
     routes_digest,
-    signed_announce,
 )
 
 NOTICE_ID_LEN = 16
@@ -219,7 +218,7 @@ class TransferTarget:
 
 
 @dataclass(frozen=True)
-class TransferNotice:
+class TransferNotice(crypto.Signed):
     notice_id: bytes
     originator_vasp_id: str
     beneficiary_vasp_id: str
@@ -230,7 +229,7 @@ class TransferNotice:
     execution_tick: int
     intended_chain_tx_binding: bytes
     batch_entries: Optional[tuple[tuple[BeneficiaryRef, int], ...]]
-    originator_vasp_signature: bytes = b""
+    signature: bytes = b""
 
     def __post_init__(self) -> None:
         if self.batch_entries is not None:
@@ -238,7 +237,7 @@ class TransferNotice:
             if total != self.amount:
                 raise ValueError("batch entry amounts must sum to the notice amount")
 
-    def signed_payload(self) -> bytes:
+    def tlv_fields(self) -> list[tuple[int, bytes]]:
         fields: list[tuple[int, bytes]] = [
             (1, self.notice_id),
             (2, enc_str(self.originator_vasp_id)),
@@ -255,7 +254,7 @@ class TransferNotice:
                 ref.to_bytes() + enc_u64(amount) for ref, amount in self.batch_entries
             )
             fields.append((10, encoded))
-        return canonical_encode(fields)
+        return fields
 
     def all_refs(self) -> tuple[BeneficiaryRef, ...]:
         if self.batch_entries is not None:
@@ -276,14 +275,14 @@ class RejectReason(enum.Enum):
 
 
 @dataclass(frozen=True)
-class TransferAck:
+class TransferAck(crypto.Signed):
     notice_id: bytes
     decision: AckDecision
     reject_reason: Optional[RejectReason]
     beneficiary_assertion: Optional[AttributeAssertion]
-    beneficiary_vasp_signature: bytes = b""
+    signature: bytes = b""
 
-    def signed_payload(self) -> bytes:
+    def tlv_fields(self) -> list[tuple[int, bytes]]:
         fields: list[tuple[int, bytes]] = [
             (1, self.notice_id),
             (2, enc_str(self.decision.value)),
@@ -292,7 +291,7 @@ class TransferAck:
             fields.append((3, enc_str(self.reject_reason.value)))
         if self.beneficiary_assertion is not None:
             fields.append((4, self.beneficiary_assertion.to_bytes()))
-        return canonical_encode(fields)
+        return fields
 
 
 class RecordRole(enum.Enum):
@@ -496,8 +495,9 @@ class VaspNode:
     def public_key_hash(self) -> bytes:
         return self._keypair.public_key_hash
 
-    def sign_bytes(self, payload: bytes) -> bytes:
-        return crypto.sign(self._keypair, payload)
+    def seal(self, unsigned: crypto.S) -> crypto.S:
+        """``unsigned`` signed with this node's key (``crypto.seal``)."""
+        return crypto.seal(self._keypair, unsigned)
 
     def enroll_vasp_certificate(
         self,
@@ -738,17 +738,15 @@ class VaspNode:
             entries = self.directory_entries(now)
         previous = self._last_snapshot.entries if self._last_snapshot else frozenset()
         self._publish_version += 1
-        snapshot = DirectorySnapshot(self.vasp_id, self._publish_version, entries)
-        snapshot = replace(snapshot, owner_signature=self.sign_bytes(snapshot.signed_payload()))
-        delta = DirectoryDelta(
+        snapshot = self.seal(DirectorySnapshot(self.vasp_id, self._publish_version, entries))
+        delta = self.seal(DirectoryDelta(
             owner_vasp_id=self.vasp_id,
             from_version=self._publish_version - 1,
             to_version=self._publish_version,
             added=frozenset(entries - previous),
             removed=frozenset(previous - entries),
             revocations=self.revocation.revoked_digests(),
-        )
-        delta = replace(delta, owner_signature=self.sign_bytes(delta.signed_payload()))
+        ))
         self._last_snapshot = snapshot
         self._sent_revocations = delta.revocations
         own_view = self.directory_views.setdefault(self.vasp_id, DirectoryView())
@@ -809,7 +807,7 @@ class VaspNode:
             if held is None or (held.version, held.revocations, held.views) != (
                 snapshot.version, revocations, views
             ):
-                held = signed_announce(self, DirectoryAnnounce(
+                held = self.seal(DirectoryAnnounce(
                     owner_vasp_id=self.vasp_id,
                     version=snapshot.version,
                     entries_digest=directory_digest(snapshot.entries),
@@ -893,9 +891,7 @@ class VaspNode:
         """Whether a directory message verifies under its owner's certificate,
         as held from a network both are members of."""
         cert = self.member_certificate(message.owner_vasp_id)
-        return cert is not None and crypto.verify(
-            cert.subject_public_key, message.signed_payload(), message.owner_signature
-        )
+        return cert is not None and crypto.check(cert.subject_public_key, message)
 
     def prune_directory_views(self, revoked: Collection[tuple[str, bytes]]) -> None:
         """Follow newly revoked (issuer id, serial) pairs: drop them from this
@@ -936,10 +932,7 @@ class VaspNode:
         revoked: set[tuple[str, bytes]] = set()
         for crl in crls:
             anchor = self.trust_anchors.get(crl.issuer_id)
-            if anchor is None or not crypto.verify(
-                anchor.subject_public_key, crl.signed_payload(),
-                crl.signature,
-            ):
+            if anchor is None or not crypto.check(anchor.subject_public_key, crl):
                 self.env.log(self.vasp_id, "crl_dropped", issuer=crl.issuer_id,
                              reason="bad-signature")
                 continue
@@ -1449,7 +1442,7 @@ class VaspNode:
         binding: bytes,
         batch_entries: Optional[tuple[tuple[BeneficiaryRef, int], ...]],
     ) -> TransferNotice:
-        unsigned = TransferNotice(
+        return self.seal(TransferNotice(
             notice_id=self._fresh_id(NOTICE_ID_LEN),
             originator_vasp_id=self.vasp_id,
             beneficiary_vasp_id=beneficiary_vasp_id,
@@ -1460,9 +1453,7 @@ class VaspNode:
             execution_tick=now,
             intended_chain_tx_binding=binding,
             batch_entries=batch_entries,
-        )
-        return replace(unsigned,
-                       originator_vasp_signature=self.sign_bytes(unsigned.signed_payload()))
+        ))
 
     # -- beneficiary side --------------------------------------------------------
 
@@ -1474,10 +1465,7 @@ class VaspNode:
         """
         now = self.env.now
         originator_cert = self._peer_certificate(notice.originator_vasp_id)
-        if originator_cert is None or not crypto.verify(
-            originator_cert.subject_public_key, notice.signed_payload(),
-            notice.originator_vasp_signature,
-        ):
+        if originator_cert is None or not crypto.check(originator_cert.subject_public_key, notice):
             self.env.log(self.vasp_id, "notice_dropped",
                          origin=notice.originator_vasp_id, reason="bad-signature")
             return None
@@ -1541,10 +1529,7 @@ class VaspNode:
         self, notice: TransferNotice, originator_cert: Certificate
     ) -> bool:
         assertion = notice.originator_assertion
-        if not crypto.verify(
-            originator_cert.subject_public_key, assertion.signed_payload(),
-            assertion.vasp_signature,
-        ):
+        if not crypto.check(originator_cert.subject_public_key, assertion):
             return False
         rules = self._rules_for_peer(notice.originator_vasp_id)
         required = rules.required_disclosure_policy.allowed_attributes if rules else set()
@@ -1589,12 +1574,10 @@ class VaspNode:
         reason: Optional[RejectReason],
         assertion: Optional[AttributeAssertion],
     ) -> TransferAck:
-        unsigned = TransferAck(
+        return self.seal(TransferAck(
             notice_id=notice_id, decision=decision, reject_reason=reason,
             beneficiary_assertion=assertion,
-        )
-        return replace(unsigned,
-                       beneficiary_vasp_signature=self.sign_bytes(unsigned.signed_payload()))
+        ))
 
     # -- ack handling and on-chain execution ----------------------------------------
 
@@ -1605,9 +1588,7 @@ class VaspNode:
             self.env.log(self.vasp_id, "ack_ignored", notice=ack.notice_id.hex())
             return
         home_cert = pending.resolved.home_vasp_certificate
-        if home_cert is None or not crypto.verify(
-            home_cert.subject_public_key, ack.signed_payload(), ack.beneficiary_vasp_signature
-        ):
+        if home_cert is None or not crypto.check(home_cert.subject_public_key, ack):
             self.env.log(self.vasp_id, "ack_dropped", notice=ack.notice_id.hex(),
                          reason="bad-signature")
             return
@@ -1885,9 +1866,8 @@ class VaspNode:
         out = self._adj_rib_out.get(link)
         pull = routes_digest(self.adj_rib_in.get(link, {})) != keepalive.held
         push = routes_digest(out.sent if out else {}) != keepalive.received
-        if not (pull or push) or keepalive.gateway_id != src or not crypto.verify(
-            self.env.node(src).certificate.subject_public_key, keepalive.signed_payload(),
-            keepalive.gateway_signature,
+        if not (pull or push) or keepalive.gateway_id != src or not crypto.check(
+            self.env.node(src).certificate.subject_public_key, keepalive
         ):
             return
         if pull:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import count_calls
 from vaspnet import crypto
 from vaspnet.assertions import (
-    ASSERTION_MEMO_SIZE,
     AttributeAssertion,
     FrozenAttributes,
     AttributeNotRegistered,
@@ -17,7 +16,6 @@ from vaspnet.assertions import (
     SubjectCertInvalid,
     TRAVEL_RULE_ATTRIBUTES,
     filter_attributes,
-    _assertion_encodings,
     issue_assertion,
     verify_assertion,
 )
@@ -123,11 +121,6 @@ class TestIssueAndVerify:
         decoded = AttributeAssertion.from_bytes(assertion.to_bytes())
         assert decoded == assertion
 
-    def test_dump_lines(self, world):
-        lines = make_assertion(world).dump_lines()
-        assert "issuer_vasp_id=v1" in lines
-        assert any(line.startswith("attr.name=") for line in lines)
-
 
 class TestFiltering:
     def test_identity_filter_keeps_attributes(self, world):
@@ -136,7 +129,7 @@ class TestFiltering:
         filtered = filter_attributes(assertion, policy, world["vasp_key"], "v1",
                                      assertion_id=b"\x01" * 16, issued_at=6)
         assert filtered.attributes == dict(assertion.attributes)
-        assert filtered.vasp_signature != assertion.vasp_signature
+        assert filtered.signature != assertion.signature
 
     def test_subset_filter(self, world):
         assertion = make_assertion(world)
@@ -230,8 +223,8 @@ class TestEncodingMemo:
         forged = AttributeAssertion(**{
             **genuine.__dict__, "attributes": {**genuine.attributes, "address": "2 Elm"},
         })
-        assert (forged.assertion_id, forged.vasp_signature) == (
-            genuine.assertion_id, genuine.vasp_signature)
+        assert (forged.assertion_id, forged.signature) == (
+            genuine.assertion_id, genuine.signature)
         assert forged.signed_payload() != payload and forged.to_bytes() != data
         assert AttributeAssertion.from_bytes(forged.to_bytes()) == forged
         assert not verify_assertion(forged, world["vasp_cert"], world["customer_cert"],
@@ -251,19 +244,3 @@ class TestEncodingMemo:
         assert isinstance(assertion.attributes, FrozenAttributes)
         assert assertion.attributes == ATTRS and hash(assertion)
         assert assertion.signed_payload() == payload
-
-    def test_issuing_memoises_only_the_signed_assertion(self, world):
-        _assertion_encodings.cache_clear()
-        assertion = make_assertion(world)
-        assertion.signed_payload()
-        assertion.to_bytes()
-        assert _assertion_encodings.cache_info().currsize == 1
-
-    def test_memo_stays_within_bound(self, world):
-        assertion = make_assertion(world)
-        for i in range(ASSERTION_MEMO_SIZE + 16):
-            copy = AttributeAssertion(**{**assertion.__dict__, "issued_at": i + 100})
-            assert copy.signed_payload() != assertion.signed_payload()
-        info = _assertion_encodings.cache_info()
-        assert info.maxsize == ASSERTION_MEMO_SIZE
-        assert info.currsize <= ASSERTION_MEMO_SIZE

@@ -1,9 +1,7 @@
 from vaspnet import crypto
 from vaspnet.chain import (
-    TX_MEMO_SIZE,
     ChainTransaction,
     SimChain,
-    _tx_encodings,
     build_transaction,
 )
 
@@ -55,24 +53,9 @@ class TestTxId:
         payload, data = tx.signed_payload(), tx.to_bytes()
         forged = ChainTransaction(**{**tx.__dict__, "nonce": b"\x01" * 8})
         assert forged.signed_payload() != payload and forged.to_bytes() != data
-        assert not crypto.verify(forged.from_public_key, forged.signed_payload(),
-                                 forged.submitter_signature)
-        assert crypto.verify(tx.from_public_key, tx.signed_payload(), tx.submitter_signature)
+        assert not crypto.check(forged.from_public_key, forged)
+        assert crypto.check(tx.from_public_key, tx)
         assert (tx.signed_payload(), tx.to_bytes()) == (payload, data)
-
-    def test_building_memoises_only_the_signed_transaction(self):
-        _tx_encodings.cache_clear()
-        tx = make_tx()
-        tx.signed_payload(), tx.to_bytes(), tx.tx_id
-        assert _tx_encodings.cache_info().currsize == 1
-
-    def test_memo_stays_within_bound(self):
-        tx = make_tx()
-        for i in range(TX_MEMO_SIZE + 16):
-            ChainTransaction(**{**tx.__dict__, "amount": i + 1}).tx_id
-        info = _tx_encodings.cache_info()
-        assert info.maxsize == TX_MEMO_SIZE
-        assert info.currsize <= TX_MEMO_SIZE
 
 
 class TestTicks:

@@ -8,6 +8,7 @@ FIPS 180 vectors.
 
 import random
 import struct
+from dataclasses import dataclass, fields, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,11 +16,23 @@ from hypothesis import strategies as st
 
 import ed25519_ref
 from vaspnet import crypto
+from vaspnet.assertions import AttributeAssertion
+from vaspnet.ca import (
+    DEFAULT_PROFILE,
+    CertClass,
+    Certificate,
+    Crl,
+    DeltaCrl,
+    RevocationEntry,
+    RevocationReason,
+)
+from vaspnet.chain import ChainTransaction
 from vaspnet.crypto import (
     CryptoError,
     InvalidSeed,
     MalformedRecord,
     NonCanonicalOrder,
+    SIGNATURE_LEN,
     canonical_decode,
     canonical_encode,
     decode_str_map,
@@ -29,6 +42,15 @@ from vaspnet.crypto import (
     sign,
     verify,
 )
+from vaspnet.network import (
+    DirectoryAnnounce,
+    DirectoryDelta,
+    DirectoryEntry,
+    DirectorySnapshot,
+    ReachabilityAdvertisement,
+    RouteDigest,
+)
+from vaspnet.vasp import AckDecision, BeneficiaryRef, TransferAck, TransferNotice
 
 # RFC 8032 section 7.1, tests 1-3: (secret, public, message, signature)
 RFC8032_VECTORS = [
@@ -335,3 +357,110 @@ class TestEncoderMatchesReference:
     @example([(3, b"a"), (3, b"b"), (0x10000, b"c")])
     def test_same_bytes_and_same_errors(self, fields):
         assert encode_outcome(canonical_encode, fields) == encode_outcome(reference_encode, fields)
+
+
+# ---------------------------------------------------------------------------
+# Signed objects: one memo, one seal, one check
+# ---------------------------------------------------------------------------
+
+SIGNER = generate_keypair(digest(b"signed-objects"))
+_ENTRY = DirectoryEntry(b"\x01" * 16, b"\x02" * 32, "ca-1")
+_REVOKED = RevocationEntry(b"\x01" * 16, RevocationReason.KEY_COMPROMISE, 3)
+_ASSERTION_DRAFT = AttributeAssertion(bytes(16), "v1", "alice", bytes(32), {"name": "Alice"}, 5)
+_ASSERTION = crypto.seal(SIGNER, _ASSERTION_DRAFT)
+
+# Each signed type: an unsigned draft, and one signed field with another value.
+SIGNED_DRAFTS = [
+    (Certificate(3, b"\x01" * 16, "Ed25519-SHA256", "ca-1", 0, 100, "alice",
+                 SIGNER.public_key, DEFAULT_PROFILE, CertClass.CLASS1),
+     "subject_id", "mallory"),
+    (Crl("ca-1", 1, frozenset({_REVOKED}), 5), "crl_number", 2),
+    (DeltaCrl("ca-1", 2, 1, frozenset({_REVOKED}), 5), "entries", frozenset()),
+    (_ASSERTION_DRAFT, "attributes", {"name": "Mallory"}),
+    (ChainTransaction(SIGNER.public_key, bytes(32), 10, "coin", bytes(8)), "amount", 11),
+    (DirectorySnapshot("v1", 1, frozenset({_ENTRY})), "version", 2),
+    (DirectoryDelta("v1", 0, 1, frozenset({_ENTRY}), frozenset()), "added", frozenset()),
+    (DirectoryAnnounce("v1", 1, bytes(32), views=(("v2", 1),)), "views", (("v2", 2),)),
+    (ReachabilityAdvertisement(frozenset({bytes(32)}), "v1", "net-a", ("net-a",), "v1"),
+     "network_path", ("net-a", "net-b")),
+    (RouteDigest("v1", bytes(32), bytes(32)), "held", b"\x01" * 32),
+    (TransferNotice(b"\x02" * 16, "v1", "v2", _ASSERTION, BeneficiaryRef(bytes(32)),
+                    "coin", 10, 5, bytes(32), None), "amount", 11),
+    (TransferAck(b"\x02" * 16, AckDecision.ACCEPT, None, _ASSERTION),
+     "decision", AckDecision.REJECT),
+]
+signed_drafts = pytest.mark.parametrize(
+    "draft,name,value", SIGNED_DRAFTS, ids=[type(d).__name__ for d, _, _ in SIGNED_DRAFTS])
+
+
+def test_every_signed_type_is_covered_and_keeps_its_signature_tag():
+    tags = {type(draft): type(draft).SIGNATURE_TAG for draft, _, _ in SIGNED_DRAFTS}
+    assert len(tags) == 12
+    assert all(issubclass(cls, crypto.Signed) for cls in tags)
+    assert all("signature" in {f.name for f in fields(cls)} for cls in tags)
+    assert {cls.__name__: tag for cls, tag in tags.items() if tag is not None} == {
+        "Certificate": 11, "AttributeAssertion": 7, "ChainTransaction": 6, "Crl": 5,
+        "DeltaCrl": 6, "DirectorySnapshot": 4, "ReachabilityAdvertisement": 6,
+    }
+
+
+class TestSignedObjects:
+    @signed_drafts
+    def test_copy_with_a_signed_field_changed_gets_own_bytes_and_fails(self, draft, name, value):
+        genuine = crypto.seal(SIGNER, draft)
+        payload = genuine.signed_payload()
+        assert payload == canonical_encode(draft.tlv_fields())
+        assert crypto.check(SIGNER.public_key, genuine)
+        # Nothing is stored on the instance, so a copy carries only its fields.
+        assert set(vars(genuine)) == {f.name for f in fields(genuine)}
+        forged = replace(genuine, **{name: value})
+        assert forged.signature == genuine.signature
+        assert forged.signed_payload() != payload
+        assert not crypto.check(SIGNER.public_key, forged)
+        tag = type(genuine).SIGNATURE_TAG
+        if tag is None:
+            with pytest.raises(TypeError):
+                genuine.to_bytes()
+        else:
+            data = genuine.to_bytes()
+            assert data == payload + canonical_encode([(tag, genuine.signature)])
+            assert genuine.fingerprint() == digest(data)
+            assert forged.to_bytes() != data and forged.fingerprint() != genuine.fingerprint()
+            assert genuine.to_bytes() == data
+        assert genuine.signed_payload() == payload
+        assert crypto.check(SIGNER.public_key, genuine)
+
+    @signed_drafts
+    def test_sealing_memoises_only_the_signed_object(self, draft, name, value):
+        crypto._encoding.cache_clear()
+        draft.tlv_fields()  # memoises the records nested in the draft
+        before = crypto._encoding.cache_info().currsize
+        genuine = crypto.seal(SIGNER, draft)
+        assert crypto._encoding.cache_info().currsize == before
+        genuine.signed_payload()
+        if genuine.SIGNATURE_TAG is not None:
+            genuine.to_bytes(), genuine.fingerprint()
+        assert crypto._encoding.cache_info().currsize == before + 1
+
+    @signed_drafts
+    def test_memo_stays_within_bound(self, draft, name, value):
+        genuine = crypto.seal(SIGNER, draft)
+        for i in range(crypto.ENCODING_MEMO_SIZE + 16):
+            replace(genuine, signature=i.to_bytes(SIGNATURE_LEN, "big")).signed_payload()
+        info = crypto._encoding.cache_info()
+        assert info.maxsize == crypto.ENCODING_MEMO_SIZE
+        assert info.currsize == crypto.ENCODING_MEMO_SIZE
+
+    @signed_drafts
+    def test_two_types_with_equal_field_values_never_share_an_entry(self, draft, name, value):
+        cls = type(draft)
+        twin_cls = dataclass(frozen=True)(type("Twin", (cls,), {
+            "tlv_fields": lambda self: [(tag + 100, v) for tag, v in cls.tlv_fields(self)],
+        }))
+        genuine = crypto.seal(SIGNER, draft)
+        twin = twin_cls(**{f.name: getattr(genuine, f.name) for f in fields(genuine)})
+        assert hash(twin) == hash(genuine) and twin != genuine
+        payload = genuine.signed_payload()
+        assert twin.signed_payload() != payload
+        assert twin.signed_payload() == canonical_encode(twin.tlv_fields())
+        assert genuine.signed_payload() == payload

@@ -728,7 +728,7 @@ class TestQueryAnswers:
                 forged = replace(genuine, attributes={**genuine.attributes,
                                                       "account_id": "acct-mallory"})
             elif answer == "wrong-signer":
-                forged = replace(genuine, vasp_signature=crypto.sign(
+                forged = replace(genuine, signature=crypto.sign(
                     mallory, genuine.signed_payload()))
             else:
                 forged = genuine
