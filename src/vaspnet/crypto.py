@@ -5,18 +5,12 @@ so signatures and digests are bit-exact across runs. Signatures are Ed25519
 (deterministic, 64 bytes); digests are SHA-256 (32 bytes). Key generation is
 seeded, never from OS randomness, so simulations replay exactly.
 
-Successful verifies are memoised. Peers check the same certificates,
-assertions, notices, acks and directory entries again on every transfer, so
-most verifies repeat one already made. The memo holds successes only, keyed
-by the full public key, the full signature and the SHA-256 of the message,
-all as ``bytes``; at most ``VERIFY_MEMO_SIZE`` entries, least recently used
-evicted first. A failure is never stored, and arguments that are not
-``bytes`` bypass the memo. This is sound because Ed25519 verification is
-deterministic: the same (key, message, signature) always gets the same
-verdict. The memo caches only the signature check; certificate validity,
-revocation, expiry and policy are still evaluated by every caller. The
-private-key objects ``sign`` builds are cached the same way, and signatures
-stay identical because Ed25519 signing is deterministic too.
+Each key is parsed once. ``generate_keypair`` and ``sign`` share one bounded
+cache of parsed private-key objects, and ``verify`` keeps one of parsed
+public-key objects, each keyed by the key's ``bytes`` and holding at most
+``KEY_CACHE_SIZE`` keys, least recently used evicted first. A malformed key
+raises while it is parsed and so is never cached. Signatures stay identical
+because Ed25519 signing is deterministic.
 
 Every signed object follows one rule, X.509's to-be-signed body plus a
 signature (RFC 5280 section 4.1). A frozen ``Signed`` type declares its signed
@@ -33,6 +27,18 @@ The memo holds at most ``ENCODING_MEMO_SIZE`` objects, least recently used
 evicted first. A draft is encoded outside it, since it is never read again.
 A ``Record`` (a directory entry) is encoded through the same memo, unsigned.
 
+The same memo entry remembers the public keys the object's signature has
+verified under. Peers check the same certificates, assertions, notices, acks
+and directory entries again on every transfer, so most checks repeat one
+already made; ``check`` runs ``verify``, a plain Ed25519 verification, only
+for a key the entry does not hold. Only a success is recorded, and only for
+a key of type ``bytes``; any other key bypasses the memo. This is sound
+because Ed25519 verification is deterministic (RFC 8032 section 5.1.7): the
+same key, payload and signature always get the same verdict, and the entry
+belongs to one frozen object, so to one payload and one signature. The memo
+caches only the signature check; certificate validity, revocation, expiry
+and policy are still evaluated by every caller.
+
 ``canonical_encode`` is the most-called function of the stack. It packs each
 field header with one precompiled ``struct.Struct`` and joins the parts once
 at the end. Field by field it checks tag order (``NonCanonicalOrder``), then
@@ -44,8 +50,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
-from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from cryptography.exceptions import InvalidSignature
@@ -59,14 +64,15 @@ HASH_LEN = 32
 KEY_LEN = 32
 SIGNATURE_LEN = 64
 
-# Above the distinct successful verifies of the largest benchmark workload
-# (about 3.5k on churn-lossy), so a run's working set stays resident.
-VERIFY_MEMO_SIZE = 4096
-
 # Above the objects any benchmark workload encodes, drafts excluded (seed 7,
 # whole run: 2,817 on churn-lossy, 2,773 on mesh, 1,691 on pipeline), so a
 # run's working set stays resident.
 ENCODING_MEMO_SIZE = 4096
+
+# Above the distinct keys any benchmark workload parses (seed 7, whole run:
+# 844 private and 158 public on mesh, 144 and 120 on churn-lossy, 48 and 48
+# on pipeline), so each key is parsed once a run.
+KEY_CACHE_SIZE = 4096
 
 _RAW = serialization.Encoding.Raw
 _RAW_PUB = serialization.PublicFormat.Raw
@@ -104,8 +110,7 @@ def generate_keypair(seed: bytes) -> KeyPair:
     """Derive an Ed25519 keypair from a 32-byte seed, deterministically."""
     if not isinstance(seed, (bytes, bytearray)) or len(seed) != KEY_LEN:
         raise InvalidSeed(f"seed must be exactly {KEY_LEN} bytes")
-    sk = Ed25519PrivateKey.from_private_bytes(bytes(seed))
-    public = sk.public_key().public_bytes(_RAW, _RAW_PUB)
+    public = _private_key(bytes(seed)).public_key().public_bytes(_RAW, _RAW_PUB)
     return KeyPair(public_key=public, private_key=bytes(seed))
 
 
@@ -118,10 +123,14 @@ def keypair_from_label(namespace: str, label: str) -> KeyPair:
     return generate_keypair(digest(f"{namespace}:{label}".encode()))
 
 
-# The benchmark workloads sign with at most about 160 distinct keys.
-@functools.lru_cache(maxsize=1024)
-def _signing_key(private_key: bytes) -> Ed25519PrivateKey:
-    return Ed25519PrivateKey.from_private_bytes(private_key)
+@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
+def _private_key(seed: bytes) -> Ed25519PrivateKey:
+    return Ed25519PrivateKey.from_private_bytes(seed)
+
+
+@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
+def _public_key(public_key: bytes) -> Ed25519PublicKey:
+    return Ed25519PublicKey.from_public_bytes(public_key)
 
 
 def sign(private_key: bytes | KeyPair, message: bytes) -> bytes:
@@ -130,11 +139,7 @@ def sign(private_key: bytes | KeyPair, message: bytes) -> bytes:
         private_key = private_key.private_key
     if len(private_key) != KEY_LEN:
         raise InvalidSeed(f"private key must be exactly {KEY_LEN} bytes")
-    return _signing_key(bytes(private_key)).sign(message)
-
-
-# (public key, signature, SHA-256 of message) of successful verifies, oldest first.
-_verified: OrderedDict[tuple[bytes, bytes, bytes], None] = OrderedDict()
+    return _private_key(bytes(private_key)).sign(message)
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -142,20 +147,14 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
 
     Malformed inputs of any kind return False; this never raises.
     """
-    memo_key = None
-    if type(public_key) is bytes and type(message) is bytes and type(signature) is bytes:
-        memo_key = (public_key, signature, hashlib.sha256(message).digest())
-        if memo_key in _verified:
-            _verified.move_to_end(memo_key)
-            return True
     try:
-        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
+        if type(public_key) is bytes:
+            key = _public_key(public_key)
+        else:
+            key = Ed25519PublicKey.from_public_bytes(public_key)
+        key.verify(signature, message)
     except (InvalidSignature, ValueError, TypeError):
         return False
-    if memo_key is not None:
-        _verified[memo_key] = None
-        if len(_verified) > VERIFY_MEMO_SIZE:
-            _verified.popitem(last=False)
     return True
 
 
@@ -305,10 +304,10 @@ class Signed(Record):
 
 
 @functools.lru_cache(maxsize=ENCODING_MEMO_SIZE)
-def _encoding(record: Record) -> list[Optional[bytes]]:
-    """[payload, full bytes, fingerprint] of ``record``; the last two are
-    filled in on first use."""
-    return [canonical_encode(record.tlv_fields()), None, None]
+def _encoding(record: Record) -> list:
+    """[payload, full bytes, fingerprint, keys its signature verified under]
+    of ``record``; the full bytes and fingerprint are filled in on first use."""
+    return [canonical_encode(record.tlv_fields()), None, None, ()]
 
 
 S = TypeVar("S", bound=Signed)
@@ -317,9 +316,18 @@ S = TypeVar("S", bound=Signed)
 def seal(private_key: bytes | KeyPair, unsigned: S) -> S:
     """``unsigned`` with ``signature`` set to the signature by ``private_key``
     over its signed fields. The draft is encoded outside the memo."""
-    return replace(unsigned, signature=sign(private_key, canonical_encode(unsigned.tlv_fields())))
+    signature = sign(private_key, canonical_encode(unsigned.tlv_fields()))
+    return type(unsigned)(**{**vars(unsigned), "signature": signature})
 
 
 def check(public_key: bytes, signed: Signed) -> bool:
     """True iff ``signed.signature`` is valid for its payload under ``public_key``."""
-    return verify(public_key, signed.signed_payload(), signed.signature)
+    encoding = _encoding(signed)
+    memoised = type(public_key) is bytes
+    if memoised and public_key in encoding[3]:
+        return True
+    if not verify(public_key, encoding[0], signed.signature):
+        return False
+    if memoised:
+        encoding[3] += (public_key,)
+    return True

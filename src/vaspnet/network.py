@@ -55,6 +55,7 @@ member view's set has been replaced.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
@@ -114,7 +115,7 @@ class MemberRecord:
     acked_rules_version: int
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class DirectoryEntry(crypto.Record):
     serial: bytes
     public_key_hash: bytes
@@ -124,8 +125,12 @@ class DirectoryEntry(crypto.Record):
         return [(1, self.serial), (2, self.public_key_hash), (3, enc_str(self.issuer_ca_id))]
 
 
+# Every directory digest depends on this order.
+_ENTRY_ORDER = operator.attrgetter("serial", "public_key_hash", "issuer_ca_id")
+
+
 def _entries_bytes(entries: Iterable[DirectoryEntry]) -> bytes:
-    return encode_bytes_list(e.to_bytes() for e in sorted(entries))
+    return encode_bytes_list(e.to_bytes() for e in sorted(entries, key=_ENTRY_ORDER))
 
 
 def directory_digest(entries: Iterable[DirectoryEntry]) -> bytes:

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ed25519_ref
+from conftest import count_calls
 from vaspnet import crypto
 from vaspnet.assertions import AttributeAssertion
 from vaspnet.ca import (
@@ -163,61 +164,45 @@ class TestSignVerify:
         assert verify(pair.public_key, b"m", b"") is False
 
 
-class TestVerifyMemo:
-    """Successful verifies are memoised; nothing else may change a verdict."""
+class TestKeyCaches:
+    """Each key is parsed once; the caches are bounded and hold no bad key."""
 
     @pytest.fixture(autouse=True)
-    def empty_memo(self):
-        crypto._verified.clear()
+    def empty_caches(self):
+        crypto._private_key.cache_clear()
+        crypto._public_key.cache_clear()
 
-    def test_hit_does_not_vouch_for_altered_inputs(self):
-        pair = generate_keypair(digest(b"memo"))
-        other = generate_keypair(digest(b"memo-other"))
-        message = b"certificate bytes"
-        signature = sign(pair, message)
-        assert verify(pair.public_key, message, signature)
-        assert verify(pair.public_key, message, signature)
-        flipped_message = bytes([message[0] ^ 1]) + message[1:]
-        flipped_signature = bytes([signature[0] ^ 1]) + signature[1:]
-        assert not verify(pair.public_key, flipped_message, signature)
-        assert not verify(pair.public_key, message, flipped_signature)
-        assert not verify(other.public_key, message, signature)
+    def test_caches_stay_within_bound(self):
+        seeds = [digest(i.to_bytes(4, "big")) for i in range(crypto.KEY_CACHE_SIZE + 16)]
+        for seed in seeds:
+            pair = generate_keypair(seed)
+            assert verify(pair.public_key, b"m", sign(pair, b"m"))
+        for cache in (crypto._private_key, crypto._public_key):
+            info = cache.cache_info()
+            assert info.maxsize == crypto.KEY_CACHE_SIZE
+            assert info.currsize == crypto.KEY_CACHE_SIZE
+        pair = generate_keypair(seeds[0])  # evicted keys still sign and verify
+        assert verify(pair.public_key, b"m", sign(pair, b"m"))
 
-    def test_failure_not_memoised(self):
-        pair = generate_keypair(digest(b"memo-fail"))
+    def test_malformed_key_never_cached_and_verifies_false(self):
+        pair = generate_keypair(digest(b"malformed"))
         signature = sign(pair, b"m")
-        verify(pair.public_key, b"m", signature)
-        size = len(crypto._verified)
-        assert not verify(pair.public_key, b"n", signature)
-        assert not verify(pair.public_key, b"m", signature[:63])
-        assert not verify(b"not-a-key", b"m", signature)
-        assert len(crypto._verified) == size
+        before = crypto._public_key.cache_info().currsize
+        for bad in (b"", b"not-a-key", pair.public_key[:31], pair.public_key + b"\x00"):
+            assert verify(bad, b"m", signature) is False
+            assert verify(bad, b"m", signature) is False
+        assert crypto._public_key.cache_info().currsize == before
+        for bad in (b"", bytes(31), bytes(33)):
+            with pytest.raises(InvalidSeed):
+                sign(bad, b"m")
+        assert crypto._private_key.cache_info().currsize == 1
 
-    def test_memo_bounded_least_recently_used_evicted(self):
-        pair = generate_keypair(digest(b"memo-bound"))
-        triples = []
-        for i in range(crypto.VERIFY_MEMO_SIZE + 50):
-            message = i.to_bytes(4, "big")
-            triples.append((pair.public_key, message, sign(pair, message)))
-        assert verify(*triples[0])
-        assert verify(*triples[1])
-        assert verify(*triples[0])  # hit: now more recent than triples[1]
-        for triple in triples[2:]:
-            assert verify(*triple)
-            assert len(crypto._verified) <= crypto.VERIFY_MEMO_SIZE
-        assert len(crypto._verified) == crypto.VERIFY_MEMO_SIZE
-        keys = {(pk, sig, digest(msg)) for pk, msg, sig in triples}
-        assert set(crypto._verified) <= keys
-        assert (pair.public_key, triples[1][2], digest(triples[1][1])) not in crypto._verified
-        assert verify(*triples[1])  # evicted entries still verify
-
-    def test_non_bytes_arguments_bypass_memo(self):
-        pair = generate_keypair(digest(b"memo-types"))
+    def test_non_bytes_arguments_false_and_uncached(self):
         zeros = bytes(32)
+        pair = generate_keypair(digest(b"key-types"))
         signature = sign(pair, zeros)
         assert verify(pair.public_key, zeros, signature)
-        size = len(crypto._verified)
-        # bytes(32) == zeros: an int must not be mistaken for the memoised message
+        before = crypto._public_key.cache_info().currsize
         assert verify(pair.public_key, 32, signature) is False
         assert verify(pair.public_key, "0" * 32, signature) is False
         assert verify(pair.public_key.hex(), zeros, signature) is False
@@ -225,20 +210,16 @@ class TestVerifyMemo:
         assert verify(bytearray(pair.public_key), zeros, signature) in (True, False)
         assert verify(pair.public_key, bytearray(zeros), bytearray(signature))
         assert not verify(pair.public_key, bytearray(b"x" * 32), bytearray(signature))
-        assert len(crypto._verified) == size
+        assert crypto._public_key.cache_info().currsize == before
 
-    def test_hits_agree_with_independent_oracle(self):
-        rng = random.Random(0xBEEF)
-        for _ in range(4):
-            pair = generate_keypair(rng.randbytes(32))
-            message = rng.randbytes(rng.randrange(0, 48))
-            signature = sign(pair, message)
-            forged = signature[:-1] + bytes([signature[-1] ^ 0x40])
-            for sig in (signature, forged):
-                expected = ed25519_ref.verify(pair.public_key, message, sig)
-                assert verify(pair.public_key, message, sig) == expected
-                assert verify(pair.public_key, message, sig) == expected
-            assert (pair.public_key, signature, digest(message)) in crypto._verified
+    def test_keypair_from_label_then_sign_parses_the_key_once(self, monkeypatch):
+        parses = count_calls(monkeypatch, crypto.Ed25519PrivateKey, "from_private_bytes")
+        pair = crypto.keypair_from_label("memo", "alice")
+        signature = sign(pair, b"m")
+        assert sign(pair.private_key, b"m") == signature
+        assert crypto.keypair_from_label("memo", "alice") == pair
+        assert len(parses) == 1
+        assert signature == ed25519_ref.sign(pair.private_key, b"m")
 
 
 class TestDigest:
@@ -442,6 +423,17 @@ class TestSignedObjects:
             genuine.to_bytes(), genuine.fingerprint()
         assert crypto._encoding.cache_info().currsize == before + 1
 
+    def test_sealing_runs_post_init(self):
+        seen = []
+
+        @dataclass(frozen=True)
+        class Validated(RouteDigest):
+            def __post_init__(self):
+                seen.append(self.signature)
+
+        sealed = crypto.seal(SIGNER, Validated("v1", bytes(32), bytes(32)))
+        assert seen == [b"", sealed.signature]
+
     @signed_drafts
     def test_memo_stays_within_bound(self, draft, name, value):
         genuine = crypto.seal(SIGNER, draft)
@@ -464,3 +456,92 @@ class TestSignedObjects:
         assert twin.signed_payload() != payload
         assert twin.signed_payload() == canonical_encode(twin.tlv_fields())
         assert genuine.signed_payload() == payload
+
+
+def route_digest(i: int):
+    """A sealed ``RouteDigest`` whose ``held`` field is ``i``."""
+    return crypto.seal(SIGNER, RouteDigest("v1", i.to_bytes(32, "big"), bytes(32)))
+
+
+class TestCheckMemo:
+    """A success of ``check`` is remembered in the object's encoding-memo
+    entry; nothing else may change a verdict."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        crypto._encoding.cache_clear()
+
+    @staticmethod
+    def keys_of(signed):
+        return crypto._encoding(signed)[3]
+
+    def test_hit_does_not_vouch_for_a_changed_object_or_another_key(self, monkeypatch):
+        other = generate_keypair(digest(b"memo-other"))
+        genuine = route_digest(1)
+        assert crypto.check(SIGNER.public_key, genuine)
+        verifies = count_calls(monkeypatch, crypto, "verify")
+        assert crypto.check(SIGNER.public_key, genuine)
+        assert verifies == []
+        flipped = bytes([genuine.signature[0] ^ 1]) + genuine.signature[1:]
+        assert not crypto.check(SIGNER.public_key, replace(genuine, held=bytes(32)))
+        assert not crypto.check(SIGNER.public_key, replace(genuine, signature=flipped))
+        assert not crypto.check(other.public_key, genuine)
+        assert len(verifies) == 3
+
+    def test_failure_not_memoised(self):
+        other = generate_keypair(digest(b"memo-fail"))
+        genuine = route_digest(2)
+        forged = replace(genuine, held=bytes(32))
+        assert not crypto.check(other.public_key, genuine)
+        assert not crypto.check(SIGNER.public_key, forged)
+        assert not crypto.check(b"not-a-key", genuine)
+        assert self.keys_of(genuine) == () and self.keys_of(forged) == ()
+        assert crypto.check(SIGNER.public_key, genuine)
+        assert self.keys_of(genuine) == (SIGNER.public_key,)
+
+    def test_memo_bounded_least_recently_used_evicted(self, monkeypatch):
+        signed = [route_digest(i) for i in range(crypto.ENCODING_MEMO_SIZE + 1)]
+        assert crypto.check(SIGNER.public_key, signed[0])
+        assert crypto.check(SIGNER.public_key, signed[1])
+        assert crypto.check(SIGNER.public_key, signed[0])  # hit: now more recent than signed[1]
+        for obj in signed[2:]:
+            assert crypto.check(SIGNER.public_key, obj)
+            assert crypto._encoding.cache_info().currsize <= crypto.ENCODING_MEMO_SIZE
+        assert crypto._encoding.cache_info().currsize == crypto.ENCODING_MEMO_SIZE
+        verifies = count_calls(monkeypatch, crypto, "verify")
+        assert crypto.check(SIGNER.public_key, signed[0])
+        assert verifies == []
+        assert crypto.check(SIGNER.public_key, signed[1])  # evicted: verified again
+        assert len(verifies) == 1
+
+    def test_non_bytes_key_bypasses_memo(self, monkeypatch):
+        genuine = route_digest(3)
+        assert crypto.check(SIGNER.public_key, genuine)
+
+        class EqualToAll(bytes):
+            __hash__ = bytes.__hash__
+
+            def __eq__(self, other):
+                return True
+
+        verifies = count_calls(monkeypatch, crypto, "verify")
+        assert crypto.check(bytearray(SIGNER.public_key), genuine) in (True, False)
+        assert crypto.check(SIGNER.public_key.hex(), genuine) is False
+        assert crypto.check(32, genuine) is False
+        assert crypto.check(EqualToAll(bytes(32)), genuine) is False
+        assert len(verifies) == 4
+        assert self.keys_of(genuine) == (SIGNER.public_key,)
+
+    def test_verdicts_agree_with_independent_oracle(self):
+        rng = random.Random(0xBEEF)
+        for _ in range(4):
+            pair = generate_keypair(rng.randbytes(32))
+            genuine = crypto.seal(pair, RouteDigest("v1", rng.randbytes(32), rng.randbytes(32)))
+            forged = replace(genuine, signature=genuine.signature[:-1]
+                             + bytes([genuine.signature[-1] ^ 0x40]))
+            for obj in (genuine, forged):
+                expected = ed25519_ref.verify(pair.public_key, obj.signed_payload(), obj.signature)
+                assert crypto.check(pair.public_key, obj) == expected
+                assert crypto.check(pair.public_key, obj) == expected
+            assert self.keys_of(genuine) == (pair.public_key,)
+            assert self.keys_of(forged) == ()

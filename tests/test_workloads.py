@@ -9,7 +9,7 @@ traffic here, and the ``pipeline`` and ``mesh`` runs hold Ed25519 budgets.
 
 import importlib.util
 import sys
-from collections import Counter, OrderedDict
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -52,25 +52,36 @@ def test_workload_digest_pinned(workloads, name):
     assert result.digest_hex == WORKLOAD_DIGESTS[name]
 
 
-# Ed25519 operations in the ``pipeline`` seed-7 transfer window (set-up
-# excluded) with one disclosure signed per subject and held while its
-# certificate validates: 1,309 disclosures about 60 subjects.
-PIPELINE_SIGN_BUDGET = 1_578
-PIPELINE_VERIFY_MISS_BUDGET = 1_618
+# Ed25519 signs and verifications in each seed-7 transfer window (set-up
+# excluded). ``pipeline`` signs one disclosure per subject and holds it while
+# its certificate validates: 1,309 disclosures about 60 subjects. ``mesh`` has
+# no directory change and no revocation, so heartbeats and link digests, signed
+# when their content changes, are signed before it. ``crypto.verify`` runs
+# only when ``crypto.check`` misses its memo, so its calls are the
+# verifications.
+ED25519_BUDGETS = {
+    "pipeline": {"signs": 1_578, "verifies": 1_618},
+    "mesh": {"signs": 967, "verifies": 1_205},
+}
 
 
-def test_pipeline_ed25519_budget(workloads, monkeypatch):
-    """Signs, and verifies that miss the memo, stay within budget."""
-    workload = workloads["pipeline"]
-    monkeypatch.setattr(crypto, "_verified", OrderedDict())
+@pytest.mark.parametrize("name", sorted(ED25519_BUDGETS))
+def test_ed25519_budget(workloads, name, monkeypatch):
+    """Signs and verifications stay within budget, and every private key the
+    window signs or derives with was parsed in set-up."""
+    workload = workloads[name]
+    crypto._encoding.cache_clear()
+    crypto._private_key.cache_clear()
     sim = Simulation(parse_scenario(workload.scenario(7)))
     for tick in range(workload.first_transfer_tick):
         sim.advance_to(tick)
     signs = count_calls(monkeypatch, crypto, "sign")
-    misses = count_calls(monkeypatch, crypto.Ed25519PublicKey, "from_public_bytes")
+    verifies = count_calls(monkeypatch, crypto, "verify")
+    parses = count_calls(monkeypatch, crypto.Ed25519PrivateKey, "from_private_bytes")
     sim.run()
-    assert len(signs) <= PIPELINE_SIGN_BUDGET
-    assert len(misses) <= PIPELINE_VERIFY_MISS_BUDGET
+    assert len(signs) <= ED25519_BUDGETS[name]["signs"]
+    assert len(verifies) <= ED25519_BUDGETS[name]["verifies"]
+    assert parses == []
 
 
 # Messages sent per kind over each whole seed-7 run, dropped ones included.
@@ -112,22 +123,6 @@ def test_workload_traffic_pinned(workloads, name, monkeypatch):
     pinned = WORKLOAD_MESSAGES[name]
     assert {kind: sent[kind] for kind in pinned} == pinned
     assert sum(sent.values()) == sum(pinned.values())
-
-
-# Ed25519 signs in the ``mesh`` seed-7 transfer window: no directory changes
-# and no revocation, so heartbeats and link digests, signed when their content
-# changes, are signed before it.
-MESH_SIGN_BUDGET = 967
-
-
-def test_mesh_sign_budget(workloads, monkeypatch):
-    workload = workloads["mesh"]
-    sim = Simulation(parse_scenario(workload.scenario(7)))
-    for tick in range(workload.first_transfer_tick):
-        sim.advance_to(tick)
-    signs = count_calls(monkeypatch, crypto, "sign")
-    sim.run()
-    assert len(signs) <= MESH_SIGN_BUDGET
 
 
 DENIALS_YAML = Path(__file__).resolve().parent.parent / "scenarios" / "denials.yaml"
