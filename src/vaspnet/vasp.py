@@ -50,6 +50,7 @@ from .network import (
     DirectoryEntry,
     DirectorySnapshot,
     DirectoryView,
+    OperatingRules,
     PeeringLink,
     QueryResponse,
     ReachabilityAdvertisement,
@@ -67,8 +68,6 @@ from .network import (
 
 NOTICE_ID_LEN = 16
 RECORD_ID_LEN = 16
-
-DEFAULT_ACK_TIMEOUT = 10
 
 
 class VaspError(Exception):
@@ -131,7 +130,6 @@ class Account:
     custody_model: CustodyModel
     customer_public_key: Optional[bytes] = None
     custodied_private_key: Optional[bytes] = None
-    certificate_serial: Optional[bytes] = None
     certificate: Optional[Certificate] = None
     key_ownership_evidence: Optional[bytes] = None
     key_operator_evidence: Optional[KeyOperatorEvidence] = None
@@ -145,6 +143,10 @@ class Account:
         object.__setattr__(self, name, value)
         if name in ACCOUNT_KEY_FIELDS and self.key_writes is not None:
             self.key_writes.add(self.account_id)
+
+    @property
+    def certificate_serial(self) -> Optional[bytes]:
+        return self.certificate.serial if self.certificate is not None else None
 
     def check_invariants(self) -> None:
         """Raise ``ModelKeyMismatch`` naming the rule of this account's
@@ -316,7 +318,10 @@ _ALLOWED_TRANSITIONS = {
 
 @dataclass
 class TravelRuleRecord:
-    """Append-only compliance record for one transfer, per side."""
+    """Append-only compliance record for one transfer, per side, and the one
+    state of that transfer on its side: ``_ALLOWED_TRANSITIONS`` is its
+    table, ``VaspNode._open_record`` its entry edge and ``VaspNode._fail``
+    the originator's failure edge once the notice went out."""
 
     record_id: bytes
     role: RecordRole
@@ -327,8 +332,7 @@ class TravelRuleRecord:
     failure_reason: Optional[str]
     created_at: int
     updated_at: int
-    originator_account_ids: tuple[str, ...] = ()
-    beneficiary_account_ids: tuple[str, ...] = ()
+    account_ids: tuple[str, ...] = ()  # this side's accounts
 
     def advance(self, status: RecordStatus, now: int, failure_reason: Optional[str] = None) -> None:
         if status not in _ALLOWED_TRANSITIONS[self.status]:
@@ -365,16 +369,27 @@ class OutcomeStatus(enum.Enum):
 
 @dataclass
 class TransferOutcome:
-    """Resolves over simulation time: pending until acked, timed out, or denied."""
+    """A transfer as its originator's caller sees it: the originator record
+    (None if denied before the notice went out) and the denial, if any."""
 
-    status: OutcomeStatus = OutcomeStatus.PENDING
+    record: Optional[TravelRuleRecord] = None
     denial: Optional[DenialReason] = None
-    chain_tx_id: Optional[bytes] = None
-    record_id: Optional[bytes] = None
 
     @property
-    def resolved(self) -> bool:
-        return self.status is not OutcomeStatus.PENDING
+    def status(self) -> OutcomeStatus:
+        if self.denial is not None:
+            return OutcomeStatus.DENIED
+        if self.record is None or self.record.status is RecordStatus.PENDING_ACK:
+            return OutcomeStatus.PENDING
+        return OutcomeStatus.BROADCAST
+
+    @property
+    def chain_tx_id(self) -> Optional[bytes]:
+        return self.record.chain_tx_id if self.record is not None else None
+
+    @property
+    def record_id(self) -> Optional[bytes]:
+        return self.record.record_id if self.record is not None else None
 
 
 @dataclass(frozen=True)
@@ -392,12 +407,10 @@ class ResolvedBeneficiary:
 
 @dataclass
 class PendingTransfer:
-    record: TravelRuleRecord
     outcome: TransferOutcome
     prepared_tx: ChainTransaction
     resolved: ResolvedBeneficiary
     deadline: int
-    batch: bool = False
 
 
 @dataclass(frozen=True)
@@ -441,7 +454,6 @@ class VaspNode:
         self._rng = rng
         self.env = env
         self.chain_id = chain_id
-        self.ack_timeout = DEFAULT_ACK_TIMEOUT
         self.disclosure_policy = TRAVEL_RULE_POLICY
 
         self.certificate: Optional[Certificate] = None
@@ -477,7 +489,6 @@ class VaspNode:
         # what it received over each: origin network -> last advertisement.
         self._adj_rib_out: dict[PeeringLink, AdjRibOut] = {}
         self.adj_rib_in: dict[PeeringLink, dict[str, ReachabilityAdvertisement]] = {}
-        self._publish_version = 0
         self._last_snapshot: Optional[DirectorySnapshot] = None
         # Network id -> the signed heartbeat last built for it; rebuilt when
         # its content would change.
@@ -525,7 +536,6 @@ class VaspNode:
         )
         self.memberships[network.network_id] = network
         self.trust_anchors.update(network.recognized_anchors)
-        self.ack_timeout = network.rules.ack_timeout
         return record
 
     def networks_sorted(self) -> list[TrustNetwork]:
@@ -683,7 +693,6 @@ class VaspNode:
             cert.validity_not_after,
         )
         self._live_entries = None
-        account.certificate_serial = cert.serial
         account.certificate = cert
         account.key_ownership_evidence = cert.fingerprint()
         self.env.log(self.vasp_id, "customer_enrolled",
@@ -736,13 +745,14 @@ class VaspNode:
         """
         if entries is None:
             entries = self.directory_entries(now)
-        previous = self._last_snapshot.entries if self._last_snapshot else frozenset()
-        self._publish_version += 1
-        snapshot = self.seal(DirectorySnapshot(self.vasp_id, self._publish_version, entries))
+        last = self._last_snapshot
+        previous = last.entries if last else frozenset()
+        version = last.version + 1 if last else 1
+        snapshot = self.seal(DirectorySnapshot(self.vasp_id, version, entries))
         delta = self.seal(DirectoryDelta(
             owner_vasp_id=self.vasp_id,
-            from_version=self._publish_version - 1,
-            to_version=self._publish_version,
+            from_version=version - 1,
+            to_version=version,
             added=frozenset(entries - previous),
             removed=frozenset(previous - entries),
             revocations=self.revocation.revoked_digests(),
@@ -754,7 +764,7 @@ class VaspNode:
         for member_id in self.co_member_ids():
             self.env.send(self.vasp_id, member_id, "dir_delta", delta)
         self.env.log(self.vasp_id, "directory_published",
-                     version=self._publish_version, entries=len(entries))
+                     version=version, entries=len(entries))
         return snapshot
 
     def on_dir_delta(self, delta: DirectoryDelta, src: str) -> None:
@@ -1142,37 +1152,35 @@ class VaspNode:
             raise ValueError("amount must be positive")
         now = self.env.now
         account = self.accounts[account_id]
-        outcome = TransferOutcome()
         self.env.log(self.vasp_id, "transfer_initiated", account=account_id,
                      amount=amount, asset=asset_type)
 
         originator_refs = self._account_refs(account)
         if not self.screen_suspect(originator_refs + self._target_refs(target)):
-            return self._deny(outcome, DenialCode.SUSPECT_PARTY, "screening")
+            return self._deny(DenialCode.SUSPECT_PARTY, "screening")
 
         resolved = self.resolve_beneficiary(target, now)
         if resolved is None or resolved.home_vasp_id is None or resolved.home_vasp_certificate is None:
-            return self._deny(outcome, DenialCode.BENEFICIARY_UNRESOLVED)
+            return self._deny(DenialCode.BENEFICIARY_UNRESOLVED)
 
         ben_refs: list[bytes | str] = [resolved.certificate.public_key_hash]
         if resolved.account_id:
             ben_refs.append(resolved.account_id)
         if not self.screen_suspect(ben_refs):
-            return self._deny(outcome, DenialCode.SUSPECT_PARTY, "beneficiary")
+            return self._deny(DenialCode.SUSPECT_PARTY, "beneficiary")
 
         origin_cert = self._subject_certificate(account)
         if origin_cert is None:
-            return self._deny(outcome, DenialCode.NO_ORIGINATOR_CERT)
+            return self._deny(DenialCode.NO_ORIGINATOR_CERT)
 
         failure = self._validate_transfer_certificates(origin_cert, resolved)
         if failure is not None:
-            return self._deny(outcome, DenialCode.CERT_INVALID, failure)
+            return self._deny(DenialCode.CERT_INVALID, failure)
 
         try:
             assertion = self._originator_assertion(account, origin_cert, now)
         except AssertionServiceError as exc:
-            return self._deny(outcome, DenialCode.CERT_INVALID,
-                              f"originator-customer:{exc}")
+            return self._deny(DenialCode.CERT_INVALID, f"originator-customer:{exc}")
 
         tx = self._build_transfer_tx(account, resolved.certificate.subject_public_key,
                                      amount, asset_type)
@@ -1185,8 +1193,7 @@ class VaspNode:
             assertion=assertion, ref=ref, asset_type=asset_type, amount=amount,
             now=now, binding=tx.tx_id, batch_entries=None,
         )
-        self._dispatch_notice(notice, tx, resolved, outcome, (account_id,), now)
-        return outcome
+        return self._dispatch_notice(notice, tx, resolved, (account_id,), now)
 
     def build_commingled_batch(
         self,
@@ -1246,7 +1253,6 @@ class VaspNode:
     ) -> TransferOutcome:
         """Pipeline for a commingled batch: screen, validate, notice, ack, one tx."""
         now = self.env.now
-        outcome = TransferOutcome()
         self.env.log(self.vasp_id, "transfer_initiated", batch=len(requests),
                      amount=sum(a for _, _, a in requests), asset=asset_type)
 
@@ -1255,62 +1261,65 @@ class VaspNode:
             refs.extend(self._account_refs(self.accounts[account_id]))
             refs.extend(self._target_refs(target))
         if not self.screen_suspect(refs):
-            return self._deny(outcome, DenialCode.SUSPECT_PARTY, "screening")
+            return self._deny(DenialCode.SUSPECT_PARTY, "screening")
 
         try:
             notice, tx, home, account_ids = self.build_commingled_batch(requests, asset_type)
         except (VaspError, ValueError) as exc:
             if isinstance(exc, MixedDestination):
                 raise
-            return self._deny(outcome, DenialCode.BENEFICIARY_UNRESOLVED, str(exc))
+            return self._deny(DenialCode.BENEFICIARY_UNRESOLVED, str(exc))
 
         if self.certificate is None:
-            return self._deny(outcome, DenialCode.NO_ORIGINATOR_CERT)
+            return self._deny(DenialCode.NO_ORIGINATOR_CERT)
         failure = self._validate_transfer_certificates(self.certificate, home)
         if failure is not None:
-            return self._deny(outcome, DenialCode.CERT_INVALID, failure)
+            return self._deny(DenialCode.CERT_INVALID, failure)
 
-        self._dispatch_notice(notice, tx, home, outcome, account_ids, now, batch=True)
-        return outcome
+        return self._dispatch_notice(notice, tx, home, account_ids, now)
 
     def _dispatch_notice(
         self,
         notice: TransferNotice,
         tx: ChainTransaction,
         resolved: ResolvedBeneficiary,
-        outcome: TransferOutcome,
         account_ids: tuple[str, ...],
         now: int,
-        batch: bool = False,
-    ) -> None:
-        record = self._open_record(RecordRole.ORIGINATOR_SIDE, notice, now, account_ids)
-        outcome.record_id = record.record_id
+    ) -> TransferOutcome:
+        """Open the originator record and send the notice, its ack due within
+        the ``ack_timeout`` of the beneficiary VASP's network."""
+        outcome = TransferOutcome(
+            self._open_record(RecordRole.ORIGINATOR_SIDE, notice, now, account_ids)
+        )
+        rules = self._rules_for_peer(notice.beneficiary_vasp_id)
+        ack_timeout = rules.ack_timeout if rules else OperatingRules.ack_timeout
         self._pending[notice.notice_id] = PendingTransfer(
-            record=record, outcome=outcome, prepared_tx=tx, resolved=resolved,
-            deadline=now + self.ack_timeout, batch=batch,
+            outcome=outcome, prepared_tx=tx, resolved=resolved, deadline=now + ack_timeout,
         )
         self.env.send(self.vasp_id, notice.beneficiary_vasp_id, "transfer_notice", notice)
         self.env.log(self.vasp_id, "notice_sent", notice=notice.notice_id.hex(),
                      beneficiary=notice.beneficiary_vasp_id,
                      binding=notice.intended_chain_tx_binding.hex())
+        return outcome
 
     def _open_record(
-        self, role: RecordRole, notice: TransferNotice, now: int, account_ids: tuple[str, ...]
+        self, role: RecordRole, notice: TransferNotice, now: int, account_ids: tuple[str, ...],
+        ack: Optional[TransferAck] = None,
     ) -> TravelRuleRecord:
-        """Draw a record id; store the notice's record, pending its ack, and
-        file it under the notice's binding."""
+        """Draw a record id; store the notice's record and file it under the
+        notice's binding. It opens pending the ack, or, on the beneficiary
+        side, with the accepting ack sent, pending the chain."""
         record = TravelRuleRecord(
             record_id=self._fresh_id(RECORD_ID_LEN),
             role=role,
             notice=notice,
-            ack=None,
+            ack=ack,
             chain_tx_id=None,
-            status=RecordStatus.PENDING_ACK,
+            status=RecordStatus.PENDING_ACK if ack is None else RecordStatus.PENDING_CHAIN,
             failure_reason=None,
             created_at=now,
             updated_at=now,
-            originator_account_ids=account_ids if role is RecordRole.ORIGINATOR_SIDE else (),
-            beneficiary_account_ids=account_ids if role is RecordRole.BENEFICIARY_SIDE else (),
+            account_ids=account_ids,
         )
         self.records[record.record_id] = record
         self._file_record(notice.intended_chain_tx_binding, record)
@@ -1321,8 +1330,13 @@ class VaspNode:
         self._records_by_binding.setdefault(tx_id, []).append(record.record_id)
         self.env.watch(tx_id, self.vasp_id)
 
-    def _deny(self, outcome: TransferOutcome, code: DenialCode, detail: str = "") -> TransferOutcome:
-        outcome.status = OutcomeStatus.DENIED
+    def _deny(
+        self, code: DenialCode, detail: str = "", outcome: Optional[TransferOutcome] = None
+    ) -> TransferOutcome:
+        """Deny ``outcome``; by default a new one, of a transfer whose notice
+        never went out."""
+        if outcome is None:
+            outcome = TransferOutcome()
         outcome.denial = DenialReason(code, detail)
         self.env.log(self.vasp_id, "transfer_denied", reason=code.value, detail=detail)
         return outcome
@@ -1506,11 +1520,9 @@ class VaspNode:
             if assertion is None:
                 return self._reject_notice(notice, RejectReason.CERT_INVALID, now)
 
-        record = self._open_record(RecordRole.BENEFICIARY_SIDE, notice, now,
-                                   tuple(a.account_id for a in accounts))
         ack = self._signed_ack(notice.notice_id, AckDecision.ACCEPT, None, assertion)
-        record.ack = ack
-        record.advance(RecordStatus.PENDING_CHAIN, now)
+        self._open_record(RecordRole.BENEFICIARY_SIDE, notice, now,
+                          tuple(a.account_id for a in accounts), ack)
         self.env.send(self.vasp_id, notice.originator_vasp_id, "transfer_ack", ack)
         self.env.log(self.vasp_id, "ack_sent", notice=notice.notice_id.hex(),
                      decision="accept",
@@ -1593,7 +1605,7 @@ class VaspNode:
                          reason="bad-signature")
             return
         del self._pending[ack.notice_id]
-        record = pending.record
+        record = pending.outcome.record
         record.ack = ack
         self.env.log(self.vasp_id, "ack_received", notice=ack.notice_id.hex(),
                      decision=ack.decision.value,
@@ -1604,34 +1616,24 @@ class VaspNode:
             return self._fail(pending, now, DenialCode.ACK_REJECTED, reason)
         if not self._accept_assertion_valid(ack, pending):
             return self._fail(pending, now, DenialCode.ACK_REJECTED, "invalid-assertion")
-        tx_id = self.execute_onchain(pending)
-        if tx_id is None:
+        result = self.env.submit_tx(self.vasp_id, pending.prepared_tx)
+        if not result.accepted:
+            self.env.log(self.vasp_id, "chain_reject", reason=result.reason or "")
             return self._fail(pending, now, DenialCode.CHAIN_REJECTED)
-        record.chain_tx_id = tx_id
+        record.chain_tx_id = result.tx_id
         record.advance(RecordStatus.PENDING_CHAIN, now)
-        pending.outcome.status = OutcomeStatus.BROADCAST
-        pending.outcome.chain_tx_id = tx_id
 
     def _accept_assertion_valid(self, ack: TransferAck, pending: PendingTransfer) -> bool:
         if ack.beneficiary_assertion is None:
             return False
         home_cert = pending.resolved.home_vasp_certificate
-        subject_cert = home_cert if pending.batch else pending.resolved.certificate
+        batch = pending.outcome.record.notice.batch_entries is not None
+        subject_cert = home_cert if batch else pending.resolved.certificate
         if home_cert is None or subject_cert is None:
             return False
         return verify_assertion(
             ack.beneficiary_assertion, home_cert, subject_cert, self._validator()
         )
-
-    def execute_onchain(self, pending: PendingTransfer) -> Optional[bytes]:
-        """Broadcast the prepared transaction after an accepting ack."""
-        if pending.outcome.status is not OutcomeStatus.PENDING:
-            raise VaspError("transfer already resolved")
-        result = self.env.submit_tx(self.vasp_id, pending.prepared_tx)
-        if not result.accepted:
-            self.env.log(self.vasp_id, "chain_reject", reason=result.reason or "")
-            return None
-        return result.tx_id
 
     def sweep_ack_timeouts(self, now: int) -> None:
         for notice_id in sorted(self._pending):
@@ -1644,9 +1646,9 @@ class VaspNode:
     def _fail(self, pending: PendingTransfer, now: int, code: DenialCode, detail: str = "") -> None:
         """The one way an originator transfer fails after its notice went
         out: its record fails with the reason its outcome is denied for."""
-        pending.record.advance(RecordStatus.FAILED, now,
-                               f"{code.value}:{detail}" if detail else code.value)
-        self._deny(pending.outcome, code, detail)
+        pending.outcome.record.advance(RecordStatus.FAILED, now,
+                                       f"{code.value}:{detail}" if detail else code.value)
+        self._deny(code, detail, pending.outcome)
 
     # -- confirmations, reconciliation, audit ---------------------------------------
 
@@ -1654,25 +1656,24 @@ class VaspNode:
         """Advance records whose binding digest matches the confirmed tx."""
         now = self.env.now
         tx_id = tx.tx_id
-        matched = False
-        for record_id in list(self._records_by_binding.get(tx_id, [])):
+        record_ids = self._records_by_binding.get(tx_id)
+        if record_ids is None:
+            if self._involves_my_keys(tx):
+                self.env.log(self.vasp_id, "confirmation_unmatched", tx=tx_id.hex())
+            return
+        for record_id in record_ids:
             record = self.records[record_id]
             if record.status is not RecordStatus.PENDING_CHAIN:
                 continue
-            expected = record.notice.intended_chain_tx_binding
-            if expected != tx_id:
+            if record.notice.intended_chain_tx_binding != tx_id:
                 record.advance(RecordStatus.FAILED, now, "BindingMismatch")
                 self.env.log(self.vasp_id, "record_failed", record=record_id.hex(),
                              reason="BindingMismatch")
                 continue
             record.chain_tx_id = tx_id
             record.advance(RecordStatus.CONFIRMED, now)
-            matched = True
             self.env.log(self.vasp_id, "record_confirmed", record=record_id.hex(),
                          role=record.role.value, tx=tx_id.hex())
-        if not matched and self._involves_my_keys(tx):
-            if tx_id not in self._records_by_binding:
-                self.env.log(self.vasp_id, "confirmation_unmatched", tx=tx_id.hex())
 
     def known_keys(self) -> frozenset[bytes]:
         """This node's own key and every account's customer key; replaced,
@@ -1736,12 +1737,7 @@ class VaspNode:
                 violations.append((rid, "execution_tick"))
             if not notice.originator_vasp_id or not notice.beneficiary_vasp_id:
                 violations.append((rid, "vasp_identities"))
-            local_accounts = (
-                record.originator_account_ids
-                if record.role is RecordRole.ORIGINATOR_SIDE
-                else record.beneficiary_account_ids
-            )
-            for account_id in local_accounts:
+            for account_id in record.account_ids:
                 account = self.accounts.get(account_id)
                 if account is None:
                     violations.append((rid, f"account:{account_id}"))

@@ -270,9 +270,9 @@ class TestRevocationFeed:
         serial = v2.accounts["acct-bob"].certificate_serial
         issued = 2 * rules.crl_exchange_period
         sim.advance_to(issued)
-        version = v2._publish_version
+        version = v2._last_snapshot.version
         sim.advance_to(issued + rules.directory_sync_period)
-        assert v2._publish_version == version + 1  # bob's removal was published
+        assert v2._last_snapshot.version == version + 1  # bob's removal was published
         sim.advance_to(issued + 2 * rules.directory_sync_period)
         for member in ("v1", "v3", "v4"):
             assert sim.vasps[member].revocation.is_revoked("ca-2", serial), member
@@ -681,7 +681,7 @@ class TestHeartbeatSchedule:
         # Heartbeat, pull and snapshot each take at most max_latency ticks.
         sim.advance_to(30 + sync + 3 * sim.scenario.max_latency)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
-        assert v1._publish_version == 2
+        assert v1._last_snapshot.version == 2
         lost = [e for e in sim.log_.entries if e.event == "message_dropped"]
         assert [(e.tick, e.actor, dict(e.details)["to"], dict(e.details)["kind"])
                 for e in lost] == [(30, "v1", "v2", "dir_delta")]
@@ -701,7 +701,7 @@ class TestHeartbeatSchedule:
         # (latency is at most 3 ticks).
         sim.advance_to(95)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
-        assert v1._publish_version == 2  # published at ticks 0 and 10 only
+        assert v1._last_snapshot.version == 2  # published at ticks 0 and 10 only
         v2.directory_views["v1"] = DirectoryView()
         sim.advance_to(95 + 3 * rules.directory_sync_period)
         view = v2.directory_views["v1"]

@@ -17,13 +17,16 @@ from vaspnet.assertions import (
     issue_assertion,
 )
 from vaspnet.ca import CertClass, RevocationReason
-from vaspnet.chain import build_transaction
+from vaspnet.chain import SubmitResult, build_transaction
 from vaspnet.harness import Simulation
 from vaspnet.scenario import load_scenario
 from vaspnet.vasp import (
     Account,
+    AckDecision,
     BeneficiaryRef,
     CustodyModel,
+    DenialCode,
+    DenialReason,
     MixedDestination,
     ModelKeyMismatch,
     NoCustomerKey,
@@ -31,6 +34,7 @@ from vaspnet.vasp import (
     RecordRole,
     RecordStatus,
     SuspectList,
+    TransferAck,
     TransferNotice,
     TransferTarget,
     VaspError,
@@ -564,6 +568,114 @@ class TestRecordTransitions:
         assert record.status is RecordStatus.CONFIRMED
         with pytest.raises(VaspError):
             record.advance(RecordStatus.PENDING_ACK, 99)
+
+
+class TestPostNoticeEdges:
+    """Each way an originator transfer ends after its notice went out, and
+    the outcome and originator record agreeing on it."""
+
+    TRANSFER = [{"tick": 15, "action": "transfer", "origin": "alice",
+                 "target": {"customer": "bob"}, "amount": 100, "asset": "coin"}]
+
+    @staticmethod
+    def in_flight_ack(sim):
+        """Advance until the ack is queued; return its message."""
+        for tick in range(15, 30):
+            sim.advance_to(tick)
+            acks = [m for due in sim._queue.values() for m in due if m.kind == "transfer_ack"]
+            if acks:
+                return acks[0]
+        raise AssertionError("no ack was sent")
+
+    @staticmethod
+    def events(sim):
+        return [e.event for e in sim.log_.entries]
+
+    @staticmethod
+    def assert_failed(sim, code, detail=""):
+        outcome = sim.scripted_transfers[0].outcome
+        record = sim.vasps["v1"].records[outcome.record_id]
+        assert outcome.status is OutcomeStatus.DENIED
+        assert outcome.denial == DenialReason(code, detail)
+        assert outcome.chain_tx_id is None
+        assert record.status is RecordStatus.FAILED
+        assert record.failure_reason == (f"{code.value}:{detail}" if detail else code.value)
+        assert record.chain_tx_id is None
+        return record
+
+    def test_ack_with_bad_signature_dropped_then_times_out(self):
+        sim = open_and_enroll(self.TRANSFER)
+        message = self.in_flight_ack(sim)
+        message.payload = TransferAck(**{**message.payload.__dict__, "signature": bytes(64)})
+        sim.run()
+        assert "ack_dropped" in self.events(sim)
+        record = self.assert_failed(sim, DenialCode.CHANNEL_TIMEOUT)
+        assert record.ack is None
+        assert sim.chain.confirmed_transactions() == []
+
+    def test_ack_for_unknown_notice_ignored(self):
+        sim = open_and_enroll(self.TRANSFER)
+        self.in_flight_ack(sim)
+        v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
+        before = {rid: record.status for rid, record in v1.records.items()}
+        stray = v2.seal(TransferAck(b"\x01" * 16, AckDecision.ACCEPT, None, None))
+        v1.on_message("transfer_ack", stray, "v2")
+        assert self.events(sim)[-1] == "ack_ignored"
+        assert {rid: record.status for rid, record in v1.records.items()} == before
+        sim.run()
+        outcome = sim.scripted_transfers[0].outcome
+        record = v1.records[outcome.record_id]
+        assert outcome.status is OutcomeStatus.BROADCAST and outcome.denial is None
+        assert record.status is RecordStatus.CONFIRMED
+        assert record.chain_tx_id is not None
+        assert outcome.chain_tx_id == record.chain_tx_id
+
+    def test_accepting_ack_with_invalid_assertion_rejected(self):
+        sim = open_and_enroll(self.TRANSFER)
+        message = self.in_flight_ack(sim)
+        ack = message.payload
+        assert ack.decision is AckDecision.ACCEPT
+        v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
+        # Signed by the beneficiary VASP, but asserting the originator's customer.
+        notice = next(iter(v1.records.values())).notice
+        message.payload = v2.seal(TransferAck(
+            ack.notice_id, AckDecision.ACCEPT, None, notice.originator_assertion,
+        ))
+        sim.run()
+        record = self.assert_failed(sim, DenialCode.ACK_REJECTED, "invalid-assertion")
+        assert record.ack == message.payload
+        assert sim.chain.confirmed_transactions() == []
+
+    def test_chain_refusing_prepared_tx(self, monkeypatch):
+        sim = open_and_enroll(self.TRANSFER)
+        self.in_flight_ack(sim)
+        monkeypatch.setattr(sim.chain, "submit_transaction",
+                            lambda tx, now: SubmitResult(accepted=False, reason="Refused"))
+        sim.run()
+        assert "chain_reject" in self.events(sim)
+        record = self.assert_failed(sim, DenialCode.CHAIN_REJECTED)
+        assert record.ack is not None and record.ack.decision is AckDecision.ACCEPT
+        assert sim.chain.confirmed_transactions() == []
+
+    def test_ack_deadline_follows_the_beneficiarys_network(self):
+        # v1 is in net-a (ack_timeout 10) and net-b (30); v2 only in net-a.
+        sim = build_sim(
+            networks=({"network_id": "net-a", "rules": {"ack_timeout": 10}},
+                      {"network_id": "net-b", "rules": {"ack_timeout": 30}}),
+            vasps=[
+                {"vasp_id": "v1", "ca": "ca-1", "networks": ["net-a", "net-b"]},
+                {"vasp_id": "v2", "ca": "ca-1", "networks": ["net-a"]},
+            ],
+            script=standard_script([
+                {"tick": 14, "action": "drop_link", "a": "v1", "b": "v2", "period": 50},
+                *self.TRANSFER,
+            ]),
+        )
+        sim.advance_to(60)
+        assert "message_dropped" in self.events(sim)
+        record = self.assert_failed(sim, DenialCode.CHANNEL_TIMEOUT)
+        assert record.created_at == 15
+        assert record.updated_at == 25
 
 
 class TestDisclosure:
