@@ -291,17 +291,6 @@ class DeltaCrl(crypto.Signed):
         ]
 
 
-def apply_delta_crl(base: Crl, delta: DeltaCrl) -> frozenset[RevocationEntry]:
-    """Entry set obtained by folding a delta onto its base CRL."""
-    if delta.issuer_id != base.issuer_id:
-        raise UnknownBase("delta issuer does not match base")
-    if delta.base_crl_number != base.crl_number:
-        raise UnknownBase(
-            f"delta base {delta.base_crl_number} != crl_number {base.crl_number}"
-        )
-    return base.entries | delta.entries
-
-
 class CertStatus(enum.Enum):
     GOOD = "good"
     REVOKED = "revoked"

@@ -27,6 +27,11 @@ set of that CA other than the one it holds.
 
 Actor key material derives from (seed, actor name) so construction order
 never affects any byte of the run.
+
+Every event goes into one hash-chained ``EventLog``, and the run's
+``Metrics`` are counted from it when they are read, so a replay of a
+canonical report can count them again. Only the number of messages sent
+and the final tick are kept beside the log.
 """
 
 from __future__ import annotations
@@ -34,14 +39,13 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import crypto
-from .assertions import DisclosurePolicy
-from .ca import CertificateAuthority, CertClass, Certificate, RevocationReason
+from .ca import CertificateAuthority, Certificate, RevocationReason
 from .chain import ChainTransaction, SimChain, SubmitResult, build_transaction
 from .crypto import FIELD_HEADER, KeyPair, digest
-from .network import OperatingRules, PeeringLink, TrustNetwork
+from .network import PeeringLink, TrustNetwork
 from .scenario import CustomerSpec, Scenario, ScriptAction
 from .vasp import CustodyModel, TransferOutcome, TransferTarget, VaspNode
 
@@ -113,6 +117,11 @@ class EventLog:
 
 @dataclass
 class Metrics:
+    """The run's counters, each a count over its event log
+    (``from_events``). Two are kept beside the log: ``messages_sent``, since
+    a send is logged only when the message is dropped, and ``final_tick``,
+    the harness clock. A replay derives the rest from the log again."""
+
     transfers_attempted: int = 0
     transfers_confirmed: int = 0
     transfers_denied: dict[str, int] = field(default_factory=dict)
@@ -129,6 +138,42 @@ class Metrics:
     unconfirmed_records: int = 0
     directory_convergence_tick: int = 0
     final_tick: int = 0
+
+    @classmethod
+    def from_events(cls, entries: Iterable[EventRecord], messages_sent: int = 0,
+                    final_tick: int = 0) -> "Metrics":
+        """Count the events. Denial reasons keep the order they are first seen in."""
+        metrics = cls(messages_sent=messages_sent, final_tick=final_tick)
+        for record in entries:
+            event, details = record.event, dict(record.details)
+            if event == "transfer_initiated":
+                metrics.transfers_attempted += 1
+            elif event == "transfer_denied":
+                reason = details.get("reason", "?")
+                metrics.transfers_denied[reason] = metrics.transfers_denied.get(reason, 0) + 1
+            elif event == "record_confirmed" and details.get("role") == "originator":
+                metrics.transfers_confirmed += 1
+            elif event == "resolve":
+                metrics.resolution_attempts += 1
+                if details.get("outcome") == "resolved":
+                    metrics.resolution_successes += 1
+                    metrics.resolution_hops_total += int(details.get("hops", 0))
+            elif event == "advertisement" and details.get("verdict") == "accept":
+                metrics.advertisements_accepted += 1
+            elif event == "advertisement":
+                metrics.advertisements_dropped += 1
+            elif event == "message_dropped":
+                metrics.messages_dropped += 1
+            elif event == "tx_submitted":
+                metrics.ledger_transactions += 1
+            elif event == "audit_report":
+                metrics.audit_violations += int(details["violations"])
+            elif event == "reconcile_report":
+                metrics.reconciliation_orphans += int(details["orphans"])
+                metrics.unconfirmed_records += int(details["unconfirmed"])
+            elif event in ("directory_applied", "directory_published"):
+                metrics.directory_convergence_tick = record.tick
+        return metrics
 
     @property
     def denied_total(self) -> int:
@@ -183,8 +228,6 @@ class _Message:
     dst: str
     kind: str
     payload: Any
-    send_tick: int
-    deliver_tick: int
 
 
 class _Link:
@@ -226,19 +269,16 @@ class Simulation:
         self.seed = scenario.seed if seed is None else seed
         self.now = 0
         self.log_ = EventLog()
-        self.metrics = Metrics()
         self.breaches: list[str] = []
         self.chain = SimChain(scenario.chain_id, scenario.confirmation_delay)
         self._queue: dict[int, list[_Message]] = {}
-        self._seq = 0
+        self._seq = 0  # one per send, so also the count of messages sent
         self._links: dict[tuple[str, str], _Link] = {}
         self._ca_crl_cache: dict[tuple[str, int], Any] = {}
         # Public key or tx id -> the VASPs its confirmations are delivered to.
         self._watchers: dict[bytes, set[str]] = {}
         self._wallets: dict[str, KeyPair] = {}
         self.scripted_transfers: list[ScriptedTransfer] = []
-        self._last_view_change = 0
-        self._last_publish = 0
         self._next_tick = 0
         self._script_cursor = 0
 
@@ -252,11 +292,14 @@ class Simulation:
         self._customers: dict[str, CustomerSpec] = {}
         self._build()
 
+    @property
+    def metrics(self) -> Metrics:
+        return Metrics.from_events(self.log_.entries, messages_sent=self._seq, final_tick=self.now)
+
     # -- environment interface ------------------------------------------------
 
     def log(self, actor: str, event: str, **details: Any) -> None:
-        record = self.log_.append(self.now, actor, event, **details)
-        self._tally(record)
+        self.log_.append(self.now, actor, event, **details)
 
     def node(self, vasp_id: str) -> Optional[VaspNode]:
         return self.vasps.get(vasp_id)
@@ -267,17 +310,14 @@ class Simulation:
     def send(self, src: str, dst: str, kind: str, payload: Any) -> None:
         link = self._link(src, dst)
         self._seq += 1
-        self.metrics.messages_sent += 1
         if not link.up(self.now):
-            self.metrics.messages_dropped += 1
             self.log(src, "message_dropped", to=dst, kind=kind, reason="link-down")
             return
         if link.draw_drop():
-            self.metrics.messages_dropped += 1
             self.log(src, "message_dropped", to=dst, kind=kind, reason="loss")
             return
         deliver = self.now + link.draw_latency()
-        message = _Message(self._seq, src, dst, kind, payload, self.now, deliver)
+        message = _Message(self._seq, src, dst, kind, payload)
         self._queue.setdefault(deliver, []).append(message)
 
     def watch(self, ref: bytes, vasp_id: str) -> None:
@@ -288,7 +328,6 @@ class Simulation:
     def submit_tx(self, actor: str, tx: ChainTransaction) -> SubmitResult:
         result = self.chain.submit_transaction(tx, self.now)
         if result.accepted:
-            self.metrics.ledger_transactions += 1
             self.log(actor, "tx_submitted", tx=tx.tx_id.hex(),
                      binding=tx.tx_id.hex(), amount=tx.amount, asset=tx.asset_type)
         else:
@@ -305,36 +344,6 @@ class Simulation:
             link = _Link(rng, self.scenario.max_latency, self.scenario.drop_probability)
             self._links[key] = link
         return link
-
-    def _tally(self, record: EventRecord) -> None:
-        # Most events are tallied by kind alone; details are read only for
-        # the four kinds below that need them.
-        event = record.event
-        if event == "transfer_initiated":
-            self.metrics.transfers_attempted += 1
-        elif event == "transfer_denied":
-            reason = dict(record.details).get("reason", "?")
-            self.metrics.transfers_denied[reason] = (
-                self.metrics.transfers_denied.get(reason, 0) + 1
-            )
-        elif event == "record_confirmed":
-            if dict(record.details).get("role") == "originator":
-                self.metrics.transfers_confirmed += 1
-        elif event == "resolve":
-            details = dict(record.details)
-            self.metrics.resolution_attempts += 1
-            if details.get("outcome") == "resolved":
-                self.metrics.resolution_successes += 1
-                self.metrics.resolution_hops_total += int(details.get("hops", 0))
-        elif event == "advertisement":
-            if dict(record.details).get("verdict") == "accept":
-                self.metrics.advertisements_accepted += 1
-            else:
-                self.metrics.advertisements_dropped += 1
-        elif event in ("directory_applied", "directory_published"):
-            self._last_view_change = record.tick
-            if event == "directory_published":
-                self._last_publish = record.tick
 
     # -- world construction -----------------------------------------------------
 
@@ -353,8 +362,7 @@ class Simulation:
             if ca.root_certificate is not None
         }
         for spec in sorted(scenario.networks, key=lambda n: n.network_id):
-            rules = self._parse_rules(spec.rules)
-            self.networks[spec.network_id] = TrustNetwork(spec.network_id, rules, anchors)
+            self.networks[spec.network_id] = TrustNetwork(spec.network_id, spec.rules, anchors)
         self._network_order = tuple(self.networks[n] for n in sorted(self.networks))
 
         for spec in sorted(scenario.vasps, key=lambda v: v.vasp_id):
@@ -397,21 +405,6 @@ class Simulation:
                     wallet = self._customer_keypair(suspect.customer)
                     if wallet is not None:
                         self._blocklist(digest(wallet.public_key))
-
-    def _parse_rules(self, raw) -> OperatingRules:
-        kwargs: dict[str, Any] = {}
-        for key in ("rules_version", "directory_sync_period", "crl_exchange_period", "ack_timeout"):
-            if key in raw:
-                kwargs[key] = int(raw[key])
-        if "minimum_certificate_class" in raw:
-            kwargs["minimum_certificate_class"] = CertClass.from_label(
-                str(raw["minimum_certificate_class"])
-            )
-        if "required_disclosure" in raw:
-            kwargs["required_disclosure_policy"] = DisclosurePolicy(
-                frozenset(str(a) for a in raw["required_disclosure"])
-            )
-        return OperatingRules(**kwargs)
 
     def _vasp_registration_attributes(self, vasp_id: str) -> dict[str, str]:
         return {
@@ -590,8 +583,6 @@ class Simulation:
 
     def run(self) -> "RunResult":
         self.advance_to(self.scenario.horizon())
-        self.metrics.final_tick = self.now
-        self.metrics.directory_convergence_tick = self._last_view_change
         self._finalize()
         return RunResult(self)
 
@@ -601,7 +592,6 @@ class Simulation:
         for message in due:
             # In-flight messages die with the link.
             if not self._link(message.src, message.dst).up(tick):
-                self.metrics.messages_dropped += 1
                 self.log(message.src, "message_dropped", to=message.dst,
                          kind=message.kind, reason="link-down")
                 continue
@@ -653,9 +643,6 @@ class Simulation:
             vasp_id = vasp.vasp_id
             audit = vasp.audit_travel_rule()
             reconcile = vasp.reconcile()
-            self.metrics.audit_violations += len(audit.violations)
-            self.metrics.reconciliation_orphans += len(reconcile.orphan_chain_txs)
-            self.metrics.unconfirmed_records += len(reconcile.unconfirmed_records)
             self.log(vasp_id, "audit_report", records=audit.records_checked,
                      violations=len(audit.violations))
             self.log(vasp_id, "reconcile_report", matched=reconcile.matched,
@@ -698,10 +685,6 @@ class Simulation:
 @dataclass
 class RunResult:
     sim: Simulation
-
-    @property
-    def event_log(self) -> EventLog:
-        return self.sim.log_
 
     @property
     def metrics(self) -> Metrics:

@@ -2,8 +2,8 @@
 
 The canonical form is a stream of length-prefixed canonical records (header,
 one per event, trailer with metrics and the final log digest). Replaying a
-canonical report re-derives the digest from the event records and checks it
-against the embedded one.
+canonical report re-derives from its events the digest and all metrics but
+``messages_sent`` and ``final_tick``, and checks them against the trailer.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import struct
 
 from . import crypto
 from .crypto import (
+    CryptoError,
     canonical_decode,
     canonical_encode,
     dec_str,
@@ -22,7 +23,7 @@ from .crypto import (
     enc_u64,
     encode_str_map,
 )
-from .harness import EventRecord, RunResult
+from .harness import EventRecord, Metrics, RunResult
 
 FORMAT_LABEL = "vaspnet-report"
 FORMAT_VERSION = 1
@@ -110,10 +111,10 @@ def render_canonical(result: RunResult) -> bytes:
 
 
 def replay_canonical(data: bytes) -> tuple[str, dict[str, str]]:
-    """Recompute the digest from a canonical report; returns (digest_hex, metrics).
+    """Recompute the digest and metrics of a canonical report; returns (digest_hex, metrics).
 
-    Raises ReplayMismatch when the recomputed digest differs from the embedded
-    one or the stream is malformed.
+    Raises ReplayMismatch when the recomputed digest or a metric differs from
+    the embedded one or the stream is malformed.
     """
     frames = _unframe(data)
     if len(frames) < 2:
@@ -134,13 +135,20 @@ def replay_canonical(data: bytes) -> tuple[str, dict[str, str]]:
         raise ReplayMismatch(
             f"digest mismatch: recomputed {running.hex()}, embedded {embedded.hex()}"
         )
-    return running.hex(), decode_str_map(trailer[3])
+    stated = decode_str_map(trailer[3])
+    try:
+        derived = dict(Metrics.from_events(decode_events(data)).as_pairs())
+    except (CryptoError, KeyError, ValueError) as exc:
+        raise ReplayMismatch(f"undecodable event record: {exc!r}") from exc
+    for key in sorted((stated.keys() | derived.keys()) - {"messages_sent", "final_tick"}):
+        if stated.get(key) != derived.get(key):
+            raise ReplayMismatch(f"{key}: recomputed {derived.get(key)}, embedded {stated.get(key)}")
+    return running.hex(), stated
 
 
 def decode_events(data: bytes) -> list[EventRecord]:
-    frames = _unframe(data)
     events = []
-    for frame in frames[1:-1]:
+    for frame in _unframe(data)[1:-1]:
         fields = dict(canonical_decode(frame))
         events.append(EventRecord(
             tick=dec_u64(fields[1]),

@@ -2,8 +2,9 @@
 
 A scenario is a YAML key-value tree wiring networks, CAs, VASPs, peering
 links, customers, suspect entries, and a timed action script. Everything is
-validated up front; dangling references and decreasing script ticks are
-schema errors naming the offending reference.
+validated up front: dangling references, decreasing script ticks, unknown
+rule keys and numbers out of range are schema errors naming the offending
+key or reference.
 
 Schema (all ids are strings; every referenced id must be declared):
 
@@ -36,20 +37,41 @@ Schema (all ids are strings; every referenced id must be declared):
       - {tick: 30, action: drop_link, a: v1, b: v2, period: 15}
       - {tick: 60, action: advance, ticks: 20}
 
+Ranges: ``seed`` in [0, 2**64); ``confirmation_delay`` and ``max_latency``
+at least 1; ``drop_probability`` in [0, 1]; ``drain_ticks`` at least 0;
+script ticks at least 0; ``amount``, ``period`` and ``ticks`` at least 1.
+
+Network rules (each optional; the default in brackets) build the network's
+``OperatingRules``:
+
+    rules_version               integer >= 0 [1]
+    directory_sync_period       ticks >= 1 [10]
+    crl_exchange_period         ticks >= 1 [20]
+    ack_timeout                 ticks >= 1 [10]
+    minimum_certificate_class   class1 | class2 | class3 [class1]
+    required_disclosure         non-empty list of attribute names
+                                [the travel-rule core]
+
 Transfer targets: {customer: id} (beneficiary key hash; account reference for
 commingled customers), {customer_key: id} (raw public key), {vasp: id,
-account: id}, or {key_hash_hex: "..."} for arbitrary hashes.
+account: id}, or {key_hash_hex: "..."} for arbitrary hashes. A commingled
+customer has no key, so it cannot be a ``customer_key`` target; a
+``p2p_transfer`` to a customer needs a mediated one, the only kind that holds
+its wallet key.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
 import yaml
 
+from .assertions import DisclosurePolicy
 from .ca import CertClass
+from .network import OperatingRules
 from .vasp import CustodyModel
 
 VALID_ACTIONS = {
@@ -70,7 +92,7 @@ class SchemaError(Exception):
 @dataclass(frozen=True)
 class NetworkSpec:
     network_id: str
-    rules: Mapping[str, Any] = field(default_factory=dict)
+    rules: OperatingRules = field(default_factory=OperatingRules)
 
 
 @dataclass(frozen=True)
@@ -146,6 +168,50 @@ def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:
     return mapping[key]
 
 
+def _number(value: Any, kind: type, context: str, low: float, high: float = math.inf):
+    """``value`` as an int or float (``kind``) in [low, high]."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{context}: {value!r} is not a number") from None
+    if number != value and isinstance(value, float):
+        raise SchemaError(f"{context}: {value!r} is not an integer")
+    if not low <= number <= high:
+        raise SchemaError(f"{context}: {value!r} is out of range [{low}, {high}]")
+    return number
+
+
+# Each integer rule and its least value.
+_INT_RULES = {
+    "rules_version": 0, "directory_sync_period": 1, "crl_exchange_period": 1, "ack_timeout": 1,
+}
+_RULE_KEYS = frozenset({*_INT_RULES, "minimum_certificate_class", "required_disclosure"})
+
+
+def _parse_rules(raw: Any, context: str) -> OperatingRules:
+    if not isinstance(raw, Mapping):
+        raise SchemaError(f"{context}: rules must be a mapping")
+    for key in raw:
+        if key not in _RULE_KEYS:
+            raise SchemaError(f"{context}: unknown rule key {key!r}")
+    kwargs: dict[str, Any] = {
+        key: _number(raw[key], int, f"{context}.{key}", low)
+        for key, low in _INT_RULES.items() if key in raw
+    }
+    if "minimum_certificate_class" in raw:
+        kwargs["minimum_certificate_class"] = _parse_class(
+            raw["minimum_certificate_class"], f"{context}.minimum_certificate_class"
+        )
+    if "required_disclosure" in raw:
+        attributes = raw["required_disclosure"]
+        if not isinstance(attributes, list) or not attributes:
+            raise SchemaError(f"{context}.required_disclosure: must be a non-empty list")
+        kwargs["required_disclosure_policy"] = DisclosurePolicy(
+            frozenset(str(a) for a in attributes)
+        )
+    return OperatingRules(**kwargs)
+
+
 def _parse_class(value: Any, context: str) -> CertClass:
     try:
         return CertClass.from_label(str(value))
@@ -167,7 +233,7 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
     networks = tuple(
         NetworkSpec(
             network_id=str(_require(raw, "network_id", "networks[]")),
-            rules=dict(raw.get("rules", {})),
+            rules=_parse_rules(raw.get("rules", {}), f"network {raw['network_id']!r} rules"),
         )
         for raw in data.get("networks", [])
     )
@@ -209,7 +275,7 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
     )
     script = tuple(
         ScriptAction(
-            tick=int(_require(raw, "tick", "script[]")),
+            tick=_number(_require(raw, "tick", "script[]"), int, "script[].tick", 0),
             action=str(_require(raw, "action", "script[]")),
             params={k: v for k, v in raw.items() if k not in ("tick", "action")},
         )
@@ -219,7 +285,7 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
     chain_cfg = data.get("chain", {})
     defaults = data.get("defaults", {})
     scenario = Scenario(
-        seed=int(data.get("seed", 0)),
+        seed=_number(data.get("seed", 0), int, "seed", 0, 2**64 - 1),
         networks=networks,
         cas=cas,
         vasps=vasps,
@@ -228,10 +294,12 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
         suspects=suspects,
         script=script,
         chain_id=str(chain_cfg.get("chain_id", "simchain")),
-        confirmation_delay=int(chain_cfg.get("confirmation_delay", 3)),
-        max_latency=int(defaults.get("max_latency", 3)),
-        drop_probability=float(defaults.get("drop_probability", 0.0)),
-        drain_ticks=int(defaults.get("drain_ticks", 40)),
+        confirmation_delay=_number(
+            chain_cfg.get("confirmation_delay", 3), int, "chain.confirmation_delay", 1),
+        max_latency=_number(defaults.get("max_latency", 3), int, "defaults.max_latency", 1),
+        drop_probability=_number(
+            defaults.get("drop_probability", 0.0), float, "defaults.drop_probability", 0, 1),
+        drain_ticks=_number(defaults.get("drain_ticks", 40), int, "defaults.drain_ticks", 0),
     )
     validate_scenario(scenario)
     return scenario
@@ -241,7 +309,8 @@ def validate_scenario(scenario: Scenario) -> None:
     network_ids = {n.network_id for n in scenario.networks}
     ca_ids = {c.ca_id for c in scenario.cas}
     vasp_ids = {v.vasp_id for v in scenario.vasps}
-    customer_ids = {c.customer_id for c in scenario.customers}
+    customer_models = {c.customer_id: c.custody_model for c in scenario.customers}
+    customer_ids = customer_models.keys()
 
     for collection, name in (
         (scenario.networks, "network_id"), (scenario.cas, "ca_id"),
@@ -306,16 +375,21 @@ def validate_scenario(scenario: Scenario) -> None:
         elif action.action == "transfer":
             if params.get("origin") not in customer_ids:
                 raise SchemaError(f"{context}: unknown origin {params.get('origin')!r}")
-            _validate_target(params.get("target"), customer_ids, vasp_ids, context)
-            if int(params.get("amount", 0)) <= 0:
-                raise SchemaError(f"{context}: amount must be positive")
+            _validate_target(params.get("target"), customer_models, vasp_ids, context)
+            _number(params.get("amount", 0), int, f"{context}: amount", 1)
         elif action.action == "p2p_transfer":
             if "from_wallet" not in params:
                 raise SchemaError(f"{context}: from_wallet required")
-            if "to_wallet" not in params and params.get("to_customer") not in customer_ids:
-                raise SchemaError(f"{context}: to_wallet or a known to_customer required")
-            if int(params.get("amount", 0)) <= 0:
-                raise SchemaError(f"{context}: amount must be positive")
+            if "to_wallet" not in params:
+                model = customer_models.get(params.get("to_customer"))
+                if model is None:
+                    raise SchemaError(f"{context}: to_wallet or a known to_customer required")
+                if model is not CustodyModel.MEDIATED:
+                    raise SchemaError(
+                        f"{context}: to_customer {params['to_customer']!r} is {model.value}; "
+                        "only a mediated customer holds a wallet key"
+                    )
+            _number(params.get("amount", 0), int, f"{context}: amount", 1)
         elif action.action == "revoke_cert":
             if params.get("customer") not in customer_ids:
                 raise SchemaError(f"{context}: unknown customer {params.get('customer')!r}")
@@ -326,22 +400,25 @@ def validate_scenario(scenario: Scenario) -> None:
                 actor = params.get(side)
                 if actor not in vasp_ids and actor not in ca_ids:
                     raise SchemaError(f"{context}: unknown endpoint {actor!r}")
-            if int(params.get("period", 0)) <= 0:
-                raise SchemaError(f"{context}: period must be positive")
+            _number(params.get("period", 0), int, f"{context}: period", 1)
         elif action.action == "advance":
-            if int(params.get("ticks", 0)) <= 0:
-                raise SchemaError(f"{context}: ticks must be positive")
+            _number(params.get("ticks", 0), int, f"{context}: ticks", 1)
 
 
-def _validate_target(target: Any, customer_ids: set, vasp_ids: set, context: str) -> None:
+def _validate_target(
+    target: Any, customer_models: Mapping[str, CustodyModel], vasp_ids: set, context: str
+) -> None:
     if not isinstance(target, Mapping):
         raise SchemaError(f"{context}: target must be a mapping")
     if "customer" in target:
-        if target["customer"] not in customer_ids:
+        if target["customer"] not in customer_models:
             raise SchemaError(f"{context}: unknown target customer {target['customer']!r}")
     elif "customer_key" in target:
-        if target["customer_key"] not in customer_ids:
+        model = customer_models.get(target["customer_key"])
+        if model is None:
             raise SchemaError(f"{context}: unknown target customer {target['customer_key']!r}")
+        if model is CustodyModel.COMMINGLED:
+            raise SchemaError(f"{context}: commingled customer {target['customer_key']!r} has no key")
     elif "vasp" in target:
         if target["vasp"] not in vasp_ids:
             raise SchemaError(f"{context}: unknown target vasp {target['vasp']!r}")

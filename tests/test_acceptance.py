@@ -283,7 +283,8 @@ def test_05_gossip_convergence_random_topologies():
                 assert view is not None
                 assert view.version == snapshot.version, (member_id, publisher_id)
                 assert frozenset(view.entries) == snapshot.entries
-        assert sim._last_view_change - sim._last_publish <= bound
+        last_publish = max(e.tick for e in sim.log_.entries if e.event == "directory_published")
+        assert sim.metrics.directory_convergence_tick - last_publish <= bound
         checked += 1
     assert checked == 6
     print("\nCRITERION 5 PASS: 6 random topologies (3-12 VASPs) converged within "

@@ -22,7 +22,6 @@ from vaspnet.ca import (
     UnknownBase,
     UnknownSerial,
     ValidationStatus,
-    apply_delta_crl,
     validate_certificate,
 )
 
@@ -284,7 +283,10 @@ class TestCrl:
             final = ca.generate_crl(99)
             base = crls[rng.randrange(len(crls))]
             delta = ca.generate_delta_crl(base.crl_number, 100)
-            assert apply_delta_crl(base, delta) == final.entries
+            view = RevocationView()
+            assert view.merge_crl(base)
+            assert view.merge_delta(delta)
+            assert view.entries(ca.ca_id) == final.entries
 
     def test_report_lines_format(self):
         ca = make_ca()

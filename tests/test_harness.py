@@ -1,6 +1,7 @@
 """Harness determinism, reports, replay, and the CLI surface."""
 
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,14 @@ import vaspnet
 from conftest import make_scenario, standard_script
 from vaspnet.cli import main as cli_main
 from vaspnet import crypto
-from vaspnet.crypto import canonical_encode, enc_str, enc_u64, encode_str_map
+from vaspnet.crypto import (
+    canonical_decode,
+    canonical_encode,
+    decode_str_map,
+    enc_str,
+    enc_u64,
+    encode_str_map,
+)
 from vaspnet.harness import EventLog, Simulation
 from vaspnet.report import (
     ReplayMismatch,
@@ -25,6 +33,31 @@ from vaspnet.report import (
     replay_canonical,
 )
 from vaspnet.scenario import load_scenario
+
+
+DEMO_YAML = Path(__file__).resolve().parent.parent / "scenarios" / "demo.yaml"
+
+
+def split_frames(blob: bytes) -> list[bytes]:
+    frames, pos = [], 0
+    while pos < len(blob):
+        (length,) = struct.unpack_from(">I", blob, pos)
+        frames.append(blob[pos + 4:pos + 4 + length])
+        pos += 4 + length
+    return frames
+
+
+def reseal(frames: list[bytes], **metrics: str) -> bytes:
+    """A canonical report of these header and event frames, its trailer
+    re-encoded with their digest and the given metrics restated."""
+    running = bytes(crypto.HASH_LEN)
+    for frame in frames[1:-1]:
+        running = crypto.digest(running + frame)
+    trailer = dict(canonical_decode(frames[-1]))
+    stated = {**decode_str_map(trailer[3]), **metrics}
+    frames = [*frames[:-1], canonical_encode([(1, trailer[1]), (2, running),
+                                              (3, encode_str_map(stated))])]
+    return b"".join(struct.pack(">I", len(frame)) + frame for frame in frames)
 
 
 def transfer_scenario(seed=7):
@@ -194,8 +227,8 @@ class TestReports:
         assert digest_hex == result.digest_hex
         assert metrics["transfers_confirmed"] == str(result.metrics.transfers_confirmed)
         events = decode_events(blob)
-        assert len(events) == len(result.event_log.entries)
-        assert events[0] == result.event_log.entries[0]
+        assert len(events) == len(result.sim.log_.entries)
+        assert events[0] == result.sim.log_.entries[0]
 
     def test_replay_detects_tampering(self):
         result = Simulation(transfer_scenario()).run()
@@ -203,6 +236,16 @@ class TestReports:
         blob[len(blob) // 2] ^= 0x01
         with pytest.raises(ReplayMismatch):
             replay_canonical(bytes(blob))
+
+    def test_replay_checks_the_metrics(self):
+        frames = split_frames(render_canonical(Simulation(load_scenario(DEMO_YAML)).run()))
+        assert replay_canonical(reseal(frames))[1]["transfers_confirmed"] == "3"
+        with pytest.raises(ReplayMismatch, match="transfers_confirmed"):
+            replay_canonical(reseal(frames, transfers_confirmed="999"))
+        with pytest.raises(ReplayMismatch, match="denied.CertInvalid"):
+            replay_canonical(reseal(frames, **{"denied.CertInvalid": "0"}))
+        with pytest.raises(ReplayMismatch, match="undecodable"):
+            replay_canonical(reseal([frames[0], b"\x00\x01", *frames[1:]]))
 
 
 class TestChainIntegrity:
@@ -290,6 +333,17 @@ class TestCli:
         out.write_bytes(bytes(blob))
         replay = runner.invoke(cli_main, ["replay", "--log", str(out)])
         assert replay.exit_code == 2
+
+    def test_replay_forged_metrics_exit_2(self, tmp_path):
+        out = tmp_path / "demo.bin"
+        runner = CliRunner()
+        runner.invoke(cli_main, [
+            "run", "--scenario", str(DEMO_YAML), "--report", "canonical", "--out", str(out),
+        ])
+        out.write_bytes(reseal(split_frames(out.read_bytes()), transfers_confirmed="999"))
+        replay = runner.invoke(cli_main, ["replay", "--log", str(out)])
+        assert replay.exit_code == 2
+        assert "transfers_confirmed" in replay.output
 
     def test_dump_ledger(self, scenario_file):
         result = CliRunner().invoke(cli_main, ["dump-ledger", "--scenario", str(scenario_file)])

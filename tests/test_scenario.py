@@ -4,9 +4,14 @@ import textwrap
 from pathlib import Path
 
 import pytest
+import yaml
+from click.testing import CliRunner
 
 import vaspnet
+from vaspnet.ca import CertClass
+from vaspnet.cli import main as cli_main
 from vaspnet.harness import Simulation
+from vaspnet.network import OperatingRules
 from vaspnet.scenario import SchemaError, load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -18,6 +23,41 @@ SCENARIO_DIGESTS = {
     "demo": "9e41271199e9c5e36ae24b84584af1c1ce953d0cb4f292503c7fe1e9823a2a40",
     "denials": "80a25cb6a1b6b4b0b75f2370c6c77fed9b1f08a4fd1080c63ceb2ca9355e52d1",
     "four_networks": "55a512bf179ec2fc10f094c2ebbe7ee4d9a315e895af3604e95565219bf10450",
+}
+
+# ``Metrics.as_pairs()`` of each tracked scenario. The metrics are counted
+# from the event log, so a change that keeps the digests keeps these too.
+SCENARIO_METRICS = {
+    "demo": {
+        "transfers_attempted": "4", "transfers_confirmed": "3",
+        "transfers_denied_total": "1", "transfers_in_flight": "0",
+        "resolution_success_rate": "1.0000", "mean_resolution_hops": "1.0000",
+        "advertisements_accepted": "0", "advertisements_dropped": "0",
+        "messages_sent": "24", "messages_dropped": "0", "ledger_transactions": "4",
+        "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
+        "directory_convergence_tick": "51", "final_tick": "71", "denied.CertInvalid": "1",
+    },
+    "denials": {
+        "transfers_attempted": "5", "transfers_confirmed": "0",
+        "transfers_denied_total": "5", "transfers_in_flight": "0",
+        "resolution_success_rate": "0.7500", "mean_resolution_hops": "1.0000",
+        "advertisements_accepted": "0", "advertisements_dropped": "0",
+        "messages_sent": "17", "messages_dropped": "5", "ledger_transactions": "0",
+        "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
+        "directory_convergence_tick": "44", "final_tick": "61",
+        "denied.BeneficiaryUnresolved": "1", "denied.CertInvalid": "1",
+        "denied.ChannelTimeout": "1", "denied.NoOriginatorCert": "1",
+        "denied.SuspectParty": "1",
+    },
+    "four_networks": {
+        "transfers_attempted": "1", "transfers_confirmed": "1",
+        "transfers_denied_total": "0", "transfers_in_flight": "0",
+        "resolution_success_rate": "1.0000", "mean_resolution_hops": "2.0000",
+        "advertisements_accepted": "21", "advertisements_dropped": "18",
+        "messages_sent": "65", "messages_dropped": "0", "ledger_transactions": "1",
+        "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
+        "directory_convergence_tick": "10", "final_tick": "80",
+    },
 }
 
 
@@ -165,6 +205,78 @@ class TestReferenceValidation:
             ]})
 
 
+SMALL = {
+    "seed": 1,
+    "networks": [{"network_id": "net-a"}],
+    "cas": [{"ca_id": "ca-1"}],
+    "vasps": [{"vasp_id": "v1", "ca": "ca-1", "networks": ["net-a"]}],
+    "customers": [
+        {"customer_id": "alice", "vasp": "v1", "attributes": {"name": "A"}},
+        {"customer_id": "bora", "vasp": "v1", "custody_model": "key-custody",
+         "attributes": {"name": "B"}},
+        {"customer_id": "chen", "vasp": "v1", "custody_model": "commingled",
+         "attributes": {"name": "C"}},
+    ],
+}
+
+
+def with_rules(**rules):
+    return {"networks": [{"network_id": "net-a", "rules": rules}]}
+
+
+def with_action(**action):
+    return {"script": [{"tick": 0, **action}]}
+
+
+def p2p(**params):
+    return with_action(action="p2p_transfer", from_wallet="w1", amount=5, **params)
+
+
+# Each of these would fail only once the run starts, or run on a default in
+# its place; each must fail at parse, naming what is wrong.
+BAD_SCENARIOS = {
+    "sync-period-zero": (with_rules(directory_sync_period=0), "directory_sync_period"),
+    "sync-period-text": (with_rules(directory_sync_period="x"), "directory_sync_period"),
+    "ack-timeout-negative": (with_rules(ack_timeout=-5), "ack_timeout"),
+    "unknown-class": (with_rules(minimum_certificate_class="class9"), "class9"),
+    "unknown-rule-key": (with_rules(sync_period=10), "sync_period"),
+    "empty-disclosure": (with_rules(required_disclosure=[]), "required_disclosure"),
+    "max-latency-zero": ({"defaults": {"max_latency": 0}}, "max_latency"),
+    "drop-probability-above-one": ({"defaults": {"drop_probability": 2.0}}, "drop_probability"),
+    "confirmation-delay-zero": ({"chain": {"confirmation_delay": 0}}, "confirmation_delay"),
+    "p2p-to-commingled": (p2p(to_customer="chen"), "commingled"),
+    "p2p-to-key-custody": (p2p(to_customer="bora"), "key-custody"),
+    "amount-text": (with_action(action="transfer", origin="alice",
+                                target={"customer": "chen"}, amount="x"), "amount"),
+    "amount-fraction": (with_action(action="transfer", origin="alice",
+                                    target={"customer": "chen"}, amount=2.5), "amount"),
+    "key-of-commingled": (with_action(action="transfer", origin="alice",
+                                      target={"customer_key": "chen"}, amount=1), "commingled"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SCENARIOS))
+def test_bad_scenario_rejected_at_parse(name, tmp_path):
+    override, named = BAD_SCENARIOS[name]
+    data = {**SMALL, **override}
+    with pytest.raises(SchemaError, match=named):
+        parse_scenario(data)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(data))
+    result = CliRunner().invoke(cli_main, ["validate", "--scenario", str(path)])
+    assert result.exit_code == 1
+    assert "schema error" in result.output
+
+
+def test_rules_build_operating_rules():
+    scenario = parse_scenario({**SMALL, **with_rules(
+        directory_sync_period=5, ack_timeout=7, minimum_certificate_class="class2")})
+    assert scenario.networks[0].rules == OperatingRules(
+        directory_sync_period=5, ack_timeout=7, minimum_certificate_class=CertClass.CLASS2)
+    assert parse_scenario(SMALL).networks[0].rules == OperatingRules()
+    assert parse_scenario({**SMALL, **p2p(to_customer="alice")}).script[0].params["amount"] == 5
+
+
 def test_every_tracked_scenario_is_pinned():
     assert sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")) == sorted(SCENARIO_DIGESTS)
 
@@ -173,3 +285,9 @@ def test_every_tracked_scenario_is_pinned():
 def test_scenario_digest_pinned(name):
     scenario = load_scenario(SCENARIO_DIR / f"{name}.yaml")
     assert Simulation(scenario).run().digest_hex == SCENARIO_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_METRICS))
+def test_scenario_metrics_pinned(name):
+    scenario = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+    assert dict(Simulation(scenario).run().metrics.as_pairs()) == SCENARIO_METRICS[name]

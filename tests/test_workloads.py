@@ -29,6 +29,41 @@ WORKLOAD_DIGESTS = {
 }
 
 
+# ``Metrics.as_pairs()`` of each seed-7 run. The metrics are counted from the
+# event log, so a change that keeps the digests keeps these too.
+WORKLOAD_METRICS = {
+    "churn-lossy": {
+        "transfers_attempted": "800", "transfers_confirmed": "579",
+        "transfers_denied_total": "221", "transfers_in_flight": "0",
+        "resolution_success_rate": "0.9700", "mean_resolution_hops": "1.3338",
+        "advertisements_accepted": "56", "advertisements_dropped": "6",
+        "messages_sent": "2169", "messages_dropped": "218", "ledger_transactions": "579",
+        "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "61",
+        "directory_convergence_tick": "436", "final_tick": "479",
+        "denied.BeneficiaryUnresolved": "24", "denied.CertInvalid": "63",
+        "denied.ChannelTimeout": "134",
+    },
+    "mesh": {
+        "transfers_attempted": "200", "transfers_confirmed": "200",
+        "transfers_denied_total": "0", "transfers_in_flight": "0",
+        "resolution_success_rate": "1.0000", "mean_resolution_hops": "2.2800",
+        "advertisements_accepted": "40", "advertisements_dropped": "29",
+        "messages_sent": "1204", "messages_dropped": "0", "ledger_transactions": "200",
+        "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
+        "directory_convergence_tick": "13", "final_tick": "199",
+    },
+    "pipeline": {
+        "transfers_attempted": "500", "transfers_confirmed": "500",
+        "transfers_denied_total": "0", "transfers_in_flight": "0",
+        "resolution_success_rate": "1.0000", "mean_resolution_hops": "1.3400",
+        "advertisements_accepted": "5", "advertisements_dropped": "0",
+        "messages_sent": "1159", "messages_dropped": "0", "ledger_transactions": "500",
+        "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
+        "directory_convergence_tick": "13", "final_tick": "204",
+    },
+}
+
+
 @pytest.fixture(scope="module")
 def workloads():
     spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS_PY)
@@ -50,6 +85,12 @@ def test_workload_digest_pinned(workloads, name):
     result = Simulation(parse_scenario(workloads[name].scenario(7))).run()
     assert result.breaches == []
     assert result.digest_hex == WORKLOAD_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_METRICS))
+def test_workload_metrics_pinned(workloads, name):
+    result = Simulation(parse_scenario(workloads[name].scenario(7))).run()
+    assert dict(result.metrics.as_pairs()) == WORKLOAD_METRICS[name]
 
 
 # Ed25519 signs and verifications in each seed-7 transfer window (set-up
