@@ -102,6 +102,7 @@ class SimChain:
         self.chain_id = chain_id
         self.confirmation_delay = confirmation_delay
         self.blocks: list[Block] = []
+        self._confirmed: list[tuple[ChainTransaction, int]] = []
         self._pending: list[tuple[ChainTransaction, int]] = []
         self._seen: set[bytes] = set()
 
@@ -137,6 +138,7 @@ class SimChain:
             block_hash=_block_hash(previous, now, txs),
         )
         self.blocks.append(block)
+        self._confirmed.extend((tx, now) for tx in txs)
         index = len(self.blocks) - 1
         return [ConfirmationEvent(tx, now, index) for tx in txs]
 
@@ -155,7 +157,8 @@ class SimChain:
         return True
 
     def confirmed_transactions(self) -> list[tuple[ChainTransaction, int]]:
-        return [(tx, block.tick) for block in self.blocks for tx in block.transactions]
+        """The chain's own (tx, block tick) list, in ledger order; not a copy."""
+        return self._confirmed
 
     def export_lines(self) -> list[str]:
         return [

@@ -10,16 +10,19 @@ invariant sweep. One message hop costs a latency drawn from a seeded
 per-link PRNG in [1, max_latency]; links can drop probabilistically or be
 forced down for a scripted period.
 
-The periodic duties run in this order. Every directory sync period, each
-member publishes a new directory version to every co-member if its live
-entries changed. Else it sends its heartbeat: to every co-member if the
-revoked sets it holds changed, otherwise to one partner per network, which
-rotates so that each member receives one heartbeat per network per period
+The periodic duties run in this order. Gossip starts from directory version
+0 (empty) at every member and an empty Adj-RIB-Out on every link. Every
+directory sync period, each member publishes a new version to every
+co-member if its live entries differ from the last published set. Else it
+heartbeats its version: to every co-member if the revoked sets it holds
+changed, otherwise to one partner per network, which rotates so that each
+member receives one heartbeat per network per period from tick 0
 (``network.heartbeat_partner``). Either message carries the digests of
 those sets. Then each gateway sends over each peering link its network's
-advertisement if that changed; else, in every other period and if nothing
-went over the link since the last one, a signed digest of the routes it
-holds for the link and received over it (``network.RouteDigest``).
+advertisement if it differs from what the link holds (nothing counts as no
+key hashes); else, in every other period and if nothing went over the link
+since the last one, a signed digest of the routes it holds for the link and
+received over it (``network.RouteDigest``).
 Every CRL period, each member then fetches its own CA's current CRL, the
 only way it gets that one. No CRL is pushed: a member gets another CA's CRL
 only by pulling it from a co-member whose delta or heartbeat shows a revoked
@@ -429,19 +432,14 @@ class Simulation:
 
     def _customer_keypair(self, customer_id: str) -> Optional[KeyPair]:
         spec = self._customers.get(customer_id)
-        model = spec.custody_model if spec is not None else None
-        if model is CustodyModel.COMMINGLED:
-            return None
-        if model is CustodyModel.KEY_CUSTODY:
-            return None  # generated inside the VASP at open time
+        if spec is not None and spec.custody_model is not CustodyModel.MEDIATED:
+            return None  # none for commingled; key custody generates it in the VASP
         return crypto.keypair_from_label(f"customer:{self.seed}", customer_id)
 
     def _p2p_wallet(self, name: str) -> KeyPair:
-        wallet = self._wallets.get(name)
-        if wallet is None:
-            wallet = crypto.keypair_from_label(f"p2p:{self.seed}", name)
-            self._wallets[name] = wallet
-        return wallet
+        if name not in self._wallets:
+            self._wallets[name] = crypto.keypair_from_label(f"p2p:{self.seed}", name)
+        return self._wallets[name]
 
     # -- script execution ---------------------------------------------------------
 

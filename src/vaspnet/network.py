@@ -10,9 +10,10 @@ its change if there is one, else one signed digest, and a digest that
 differs from what the receiver holds makes it pull (push-pull anti-entropy,
 Demers et al., PODC 1987).
 
-Inside a network the feeds are the directory and revocation state. A member
-sends its co-members a delta (``DirectoryDelta``) in the sync period its
-directory changed, and a heartbeat (``DirectoryAnnounce``) to all of them in
+Inside a network the feeds are the directory and revocation state. Every
+member starts from version 0, the empty directory. A member sends its
+co-members a delta (``DirectoryDelta``) in the sync period its directory
+changed, and a heartbeat (``DirectoryAnnounce``) to all of them in
 the period after its revoked sets changed; otherwise it sends one heartbeat
 per network to a partner that rotates (``heartbeat_partner``), so each
 member receives one per network per period. Both messages carry, per CA,
@@ -32,32 +33,28 @@ path-vector discipline. Advertisements carry key hashes only; names,
 serials, and attributes require a routed query answered under disclosure
 policy. A changed advertisement goes out at once (RFC 4271's UPDATE). A
 gateway keeps, per peering link, the advertisements it sent there
-(``AdjRibOut``) and the last one it received per origin (its Adj-RIB-In). A
-link over which nothing went in a period carries one ``RouteDigest`` of both,
-sent by its two gateways in turn; a mismatch brings a route refresh (RFC
-2918, RFC 7313). So a forwarded route lost in flight comes back, although
-the forwarding network drops every later copy of the route it installed as
-a duplicate and nothing else would resend it.
+(``AdjRibOut``, empty at first) and the last one it received per origin
+(its Adj-RIB-In). A link over which nothing went in a period carries one
+``RouteDigest`` of both, sent by its two gateways in turn; a mismatch
+brings a route refresh (RFC 2918, RFC 7313). So a forwarded route lost in
+flight comes back, although the forwarding network drops every later copy
+of the route it installed as a duplicate and nothing else would resend it.
 
-Directory digests are computed once per thing they describe. A member signs
-a heartbeat when its content changes and re-sends it; its payload is
-encoded once. A ``DirectoryView`` holds its entries as a frozenset, and
-``entries_digest()`` and ``key_hashes()`` cache the digest and the key-hash
-set together with the set they were computed from. Every write
-replaces the set: ``install_snapshot``, ``apply_delta``, the revocation
-prunes in ``VaspNode`` and the stale-entry drop in ``query_certificate``. A
-replaced set makes the next ``entries_digest()`` recompute; a frozenset
-cannot change in place, so no write can leave a stale digest behind. The
-same identity lets a gateway reuse its last signed advertisement while no
-member view's set has been replaced.
+Digests are computed once per thing they describe and kept with it. A
+member signs a heartbeat when its content changes and re-sends it. A
+``DirectoryView``'s entry set and a ``Routes`` map are replaced on every
+write, never changed in place, so the digest (and a view's key-hash set)
+cached with one cannot go stale, and a gateway reuses its signed
+advertisement while no member view's set has been replaced.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
 
 from . import crypto
 from .assertions import (
@@ -360,6 +357,31 @@ def routes_digest(held: Mapping[str, ReachabilityAdvertisement]) -> bytes:
     return digest(encode_bytes_list(held[origin].fingerprint() for origin in sorted(held)))
 
 
+class Routes(Mapping[str, ReachabilityAdvertisement]):
+    """The advertisements held per origin network on one side of a peering
+    link (an ``AdjRibOut``'s or an Adj-RIB-In). A map is replaced, never
+    changed, so its ``digest``, computed on first use, cannot go stale."""
+
+    def __init__(self, routes: Optional[dict[str, ReachabilityAdvertisement]] = None) -> None:
+        self._routes = routes or {}
+
+    def __getitem__(self, origin: str) -> ReachabilityAdvertisement:
+        return self._routes[origin]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._routes)
+
+    def __len__(self) -> int:
+        return len(self._routes)
+
+    @functools.cached_property
+    def digest(self) -> bytes:
+        return routes_digest(self._routes)
+
+    def put(self, adv: ReachabilityAdvertisement) -> "Routes":
+        return Routes({**self._routes, adv.origin_network_id: adv})
+
+
 @dataclass(frozen=True)
 class RouteDigest(crypto.Signed):
     """Reachability keepalive of one peering link, sent by its two gateways
@@ -386,16 +408,14 @@ class AdjRibOut:
     forwarded (RFC 4271's Adj-RIB-Out), and the tick of the last one sent. A
     route refresh re-sends ``sent``; nothing is signed for it."""
 
-    sent: dict[str, ReachabilityAdvertisement] = field(default_factory=dict)
+    sent: Routes = field(default_factory=Routes)
     sent_at: int = -1
     _keepalive: Optional[RouteDigest] = None
 
-    def keepalive(
-        self, gateway: "VaspNode", received: Mapping[str, ReachabilityAdvertisement]
-    ) -> RouteDigest:
+    def keepalive(self, gateway: "VaspNode", received: Routes) -> RouteDigest:
         """The link's signed ``RouteDigest``, signed again only when one of
         its two digests changed."""
-        held_digest, received_digest = routes_digest(self.sent), routes_digest(received)
+        held_digest, received_digest = self.sent.digest, received.digest
         last = self._keepalive
         if last is None or (last.held, last.received) != (held_digest, received_digest):
             self._keepalive = gateway.seal(
@@ -520,9 +540,7 @@ def build_advertisement(
     """
     hashes: set[bytes] = set()
     for member_id in network.member_ids():
-        view = gateway.directory_views.get(member_id)
-        if view is not None:
-            hashes |= view.key_hashes()
+        hashes |= gateway.directory_views[member_id].key_hashes()
     return gateway.seal(ReachabilityAdvertisement(
         advertised_hashes=frozenset(hashes),
         home_vasp_id=gateway.vasp_id,
@@ -566,7 +584,7 @@ def process_advertisement(
         return "drop", "bad-signature"
     # The link's Adj-RIB-In: what the far gateway holds for it, once
     # received, whether or not it is installed.
-    receiving_gateway.adj_rib_in.setdefault(link, {})[adv.origin_network_id] = adv
+    receiving_gateway.adj_rib_in[link] = receiving_gateway.adj_rib_in[link].put(adv)
 
     candidate = RouteEntry(
         origin_network_id=adv.origin_network_id,

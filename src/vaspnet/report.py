@@ -114,20 +114,25 @@ def replay_canonical(data: bytes) -> tuple[str, dict[str, str]]:
     """Recompute the digest and metrics of a canonical report; returns (digest_hex, metrics).
 
     Raises ReplayMismatch when the recomputed digest or a metric differs from
-    the embedded one or the stream is malformed.
+    the embedded one or the stream is malformed: a header, trailer or event
+    field missing or undecodable included.
     """
     frames = _unframe(data)
     if len(frames) < 2:
         raise ReplayMismatch("report must contain a header and a trailer")
-    header = dict(canonical_decode(frames[0]))
-    if dec_str(header[1]) != FORMAT_LABEL:
+    try:
+        header, trailer = dict(canonical_decode(frames[0])), dict(canonical_decode(frames[-1]))
+        label, version = dec_str(header[1]), dec_u64(header[2])
+        trailer_label, embedded, stated = dec_str(trailer[1]), trailer[2], decode_str_map(trailer[3])
+        derived = dict(Metrics.from_events(decode_events(data)).as_pairs())
+    except (CryptoError, KeyError, ValueError) as exc:
+        raise ReplayMismatch(f"undecodable record: {exc!r}") from exc
+    if label != FORMAT_LABEL:
         raise ReplayMismatch("not a vaspnet canonical report")
-    if dec_u64(header[2]) != FORMAT_VERSION:
+    if version != FORMAT_VERSION:
         raise ReplayMismatch("unsupported report version")
-    trailer = dict(canonical_decode(frames[-1]))
-    if dec_str(trailer[1]) != "trailer":
+    if trailer_label != "trailer":
         raise ReplayMismatch("missing trailer record")
-    embedded = trailer[2]
     running = bytes(crypto.HASH_LEN)
     for frame in frames[1:-1]:
         running = digest(running + frame)
@@ -135,11 +140,6 @@ def replay_canonical(data: bytes) -> tuple[str, dict[str, str]]:
         raise ReplayMismatch(
             f"digest mismatch: recomputed {running.hex()}, embedded {embedded.hex()}"
         )
-    stated = decode_str_map(trailer[3])
-    try:
-        derived = dict(Metrics.from_events(decode_events(data)).as_pairs())
-    except (CryptoError, KeyError, ValueError) as exc:
-        raise ReplayMismatch(f"undecodable event record: {exc!r}") from exc
     for key in sorted((stated.keys() | derived.keys()) - {"messages_sent", "final_tick"}):
         if stated.get(key) != derived.get(key):
             raise ReplayMismatch(f"{key}: recomputed {derived.get(key)}, embedded {stated.get(key)}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
@@ -55,6 +56,7 @@ from .network import (
     QueryResponse,
     ReachabilityAdvertisement,
     RouteDigest,
+    Routes,
     TrustNetwork,
     apply_delta,
     build_advertisement,
@@ -63,7 +65,6 @@ from .network import (
     process_advertisement,
     query_certificate,
     route_cross_network_query,
-    routes_digest,
 )
 
 NOTICE_ID_LEN = 16
@@ -470,7 +471,8 @@ class VaspNode:
         self.revocation = RevocationView()
         self.trust_anchors: dict[str, Certificate] = {}
         self.memberships: dict[str, TrustNetwork] = {}
-        self.directory_views: dict[str, DirectoryView] = {}
+        # Publisher id -> its directory as held here, from version 0.
+        self.directory_views: defaultdict[str, DirectoryView] = defaultdict(DirectoryView)
         self.records: dict[bytes, TravelRuleRecord] = {}
         self._records_by_binding: dict[bytes, list[bytes]] = {}
         self._pending: dict[bytes, PendingTransfer] = {}
@@ -486,10 +488,11 @@ class VaspNode:
         # Network id -> (member entry sets summarised, signed advertisement).
         self._advertisements: dict[str, tuple[tuple, ReachabilityAdvertisement]] = {}
         # What this gateway advertises over each of its peering links, and
-        # what it received over each: origin network -> last advertisement.
-        self._adj_rib_out: dict[PeeringLink, AdjRibOut] = {}
-        self.adj_rib_in: dict[PeeringLink, dict[str, ReachabilityAdvertisement]] = {}
-        self._last_snapshot: Optional[DirectorySnapshot] = None
+        # what it received over each, both empty at first.
+        self._adj_rib_out: defaultdict[PeeringLink, AdjRibOut] = defaultdict(AdjRibOut)
+        self.adj_rib_in: defaultdict[PeeringLink, Routes] = defaultdict(Routes)
+        # Version 0, the empty directory, is never signed or sent.
+        self._last_snapshot = DirectorySnapshot(vasp_id, 0, frozenset())
         # Network id -> the signed heartbeat last built for it; rebuilt when
         # its content would change.
         self._announces: dict[str, DirectoryAnnounce] = {}
@@ -727,11 +730,12 @@ class VaspNode:
         return self._live_entries
 
     def sync_directory(self, now: int) -> None:
-        """One sync period: publish a new version if the live entries changed
-        (or nothing was published yet), else heartbeat the current one
-        (``announce_directory``)."""
+        """One sync period: publish a new version if the live entries differ
+        from the last published set, else heartbeat the current version
+        (``announce_directory``). Every member starts from version 0 and its
+        empty set, so a member that certifies no key never publishes."""
         entries = self.directory_entries(now)
-        if self._last_snapshot is None or entries != self._last_snapshot.entries:
+        if entries != self._last_snapshot.entries:
             self.publish_directory(now, entries)
         else:
             self.announce_directory(now)
@@ -746,21 +750,19 @@ class VaspNode:
         if entries is None:
             entries = self.directory_entries(now)
         last = self._last_snapshot
-        previous = last.entries if last else frozenset()
-        version = last.version + 1 if last else 1
+        version = last.version + 1
         snapshot = self.seal(DirectorySnapshot(self.vasp_id, version, entries))
         delta = self.seal(DirectoryDelta(
             owner_vasp_id=self.vasp_id,
-            from_version=version - 1,
+            from_version=last.version,
             to_version=version,
-            added=frozenset(entries - previous),
-            removed=frozenset(previous - entries),
+            added=frozenset(entries - last.entries),
+            removed=frozenset(last.entries - entries),
             revocations=self.revocation.revoked_digests(),
         ))
         self._last_snapshot = snapshot
         self._sent_revocations = delta.revocations
-        own_view = self.directory_views.setdefault(self.vasp_id, DirectoryView())
-        own_view.install_snapshot(snapshot)
+        self.directory_views[self.vasp_id].install_snapshot(snapshot)
         for member_id in self.co_member_ids():
             self.env.send(self.vasp_id, member_id, "dir_delta", delta)
         self.env.log(self.vasp_id, "directory_published",
@@ -769,10 +771,8 @@ class VaspNode:
 
     def on_dir_delta(self, delta: DirectoryDelta, src: str) -> None:
         if not self._signed_by_owner(delta):
-            self.env.log(self.vasp_id, "gossip_dropped", owner=delta.owner_vasp_id,
-                         reason="bad-signature")
             return
-        view = self.directory_views.setdefault(delta.owner_vasp_id, DirectoryView())
+        view = self.directory_views[delta.owner_vasp_id]
         result = apply_delta(view, delta)
         if result is ApplyResult.RESYNC_REQUIRED:
             self.env.log(self.vasp_id, "directory_resync", owner=delta.owner_vasp_id,
@@ -785,7 +785,7 @@ class VaspNode:
         self._pull_revocations(delta.owner_vasp_id, delta.revocations)
 
     def on_dir_pull(self, src: str) -> None:
-        if self._last_snapshot is not None:
+        if self._last_snapshot.version:
             self.env.send(self.vasp_id, src, "dir_snapshot", self._last_snapshot)
 
     def announce_directory(self, now: int) -> None:
@@ -793,7 +793,8 @@ class VaspNode:
         co-member when the held revocation digests changed since the last
         delta or heartbeat, else to the network's ``heartbeat_partner`` for
         this sync period, so each member receives one heartbeat per network
-        per period.
+        per period from the first period on. Until its first publish a
+        member heartbeats version 0 and the digest of the empty set.
 
         A network's heartbeat is built and signed when its content changed
         (version, revocation digests or the versions of the views held) and
@@ -802,16 +803,13 @@ class VaspNode:
         prune.
         """
         snapshot = self._last_snapshot
-        if snapshot is None:
-            return
         revocations = self.revocation.revoked_digests()
         changed = revocations != self._sent_revocations
         self._sent_revocations = revocations
         for network in self.networks_sorted():
             views = tuple(
-                (member_id, view.version) for member_id in network.member_ids()
-                if member_id != self.vasp_id
-                and (view := self.directory_views.get(member_id)) is not None
+                (member_id, self.directory_views[member_id].version)
+                for member_id in network.member_ids() if member_id != self.vasp_id
             )
             held = self._announces.get(network.network_id)
             if held is None or (held.version, held.revocations, held.views) != (
@@ -843,14 +841,13 @@ class VaspNode:
         if not self._signed_by_owner(announce):
             return
         owner = announce.owner_vasp_id
-        view = self.directory_views.get(owner)
-        if view is None or view.version < announce.version or (
+        view = self.directory_views[owner]
+        if view.version < announce.version or (
             view.version == announce.version and view.entries_digest() != announce.entries_digest
         ):
             self.env.send(self.vasp_id, owner, "dir_pull", None)
         for member_id, version in announce.views:
-            held = self.directory_views.get(member_id)
-            if member_id != self.vasp_id and (held.version if held else 0) < version:
+            if member_id != self.vasp_id and self.directory_views[member_id].version < version:
                 self.env.send(self.vasp_id, member_id, "dir_pull", None)
         self._pull_revocations(owner, announce.revocations)
 
@@ -886,10 +883,8 @@ class VaspNode:
 
     def on_dir_snapshot(self, snapshot: DirectorySnapshot, src: str) -> None:
         if not self._signed_by_owner(snapshot):
-            self.env.log(self.vasp_id, "gossip_dropped", owner=snapshot.owner_vasp_id,
-                         reason="bad-signature")
             return
-        view = self.directory_views.setdefault(snapshot.owner_vasp_id, DirectoryView())
+        view = self.directory_views[snapshot.owner_vasp_id]
         if view.install_snapshot(snapshot):
             self._drop_revoked(view, view.entries)
             self.env.log(self.vasp_id, "directory_applied", owner=snapshot.owner_vasp_id,
@@ -899,9 +894,14 @@ class VaspNode:
         self, message: DirectoryDelta | DirectoryAnnounce | DirectorySnapshot
     ) -> bool:
         """Whether a directory message verifies under its owner's certificate,
-        as held from a network both are members of."""
+        as held from a network both are members of; one that does not is
+        logged as dropped."""
         cert = self.member_certificate(message.owner_vasp_id)
-        return cert is not None and crypto.check(cert.subject_public_key, message)
+        if cert is not None and crypto.check(cert.subject_public_key, message):
+            return True
+        self.env.log(self.vasp_id, "gossip_dropped", owner=message.owner_vasp_id,
+                     reason="bad-signature")
+        return False
 
     def prune_directory_views(self, revoked: Collection[tuple[str, bytes]]) -> None:
         """Follow newly revoked (issuer id, serial) pairs: drop them from this
@@ -1027,23 +1027,16 @@ class VaspNode:
         return resolved
 
     def _resolve_local(self, target: TransferTarget, now: int) -> Optional[ResolvedBeneficiary]:
-        account: Optional[Account] = None
-        if target.kind == "account":
-            if target.vasp_id == self.vasp_id:
-                account = self.accounts.get(target.account_id or "")
-                if account is None:
-                    return None
-            else:
-                return None
-        else:
+        if target.kind != "account":
             account_id = self._accounts_by_key_hash.get(target.key_hash or b"")
-            if account_id is None:
-                return None
-            account = self.accounts[account_id]
-        cert = self._subject_certificate(account)
+        elif target.vasp_id == self.vasp_id:
+            account_id = target.account_id
+        else:
+            return None
+        account = self.accounts.get(account_id or "")
+        cert = self._subject_certificate(account) if account is not None else None
         if cert is None:
             return None
-        revoked = self.revocation.is_revoked(cert.issuer_id, cert.serial)
         return ResolvedBeneficiary(
             certificate=cert,
             home_vasp_id=self.vasp_id,
@@ -1052,7 +1045,7 @@ class VaspNode:
             account_id=account.account_id,
             custody_model=account.custody_model.value,
             attributes=dict(account.attributes),
-            revoked=revoked,
+            revoked=self.revocation.is_revoked(cert.issuer_id, cert.serial),
         )
 
     def _resolve_via_ca(self, target: TransferTarget, now: int) -> Optional[ResolvedBeneficiary]:
@@ -1074,17 +1067,13 @@ class VaspNode:
         response = query_certificate(self, key_hash, self.env)
         if response is None:
             return None
-        return self._from_query_response(
-            response, (self.vasp_id, response.responder_vasp_id),
-            revoked=response.status == "revoked",
-        )
+        return self._from_query_response(response, (self.vasp_id, response.responder_vasp_id))
 
     def _resolve_cross_network(self, key_hash: bytes, now: int) -> Optional[ResolvedBeneficiary]:
         response, hops = route_cross_network_query(self, key_hash, self.env)
         if response is None:
             return None
-        return self._from_query_response(response, tuple(hops),
-                                         revoked=response.status == "revoked")
+        return self._from_query_response(response, tuple(hops))
 
     def _resolve_account_ref(self, target: TransferTarget, now: int) -> Optional[ResolvedBeneficiary]:
         # Account inquiries go to the named VASP directly over the pair-wise
@@ -1098,17 +1087,13 @@ class VaspNode:
         response = peer.respond_account_query(self.vasp_id, target.account_id or "", now)
         if response is None:
             return None
-        return self._from_query_response(
-            response, (self.vasp_id, vasp_id),
-            account_id=target.account_id, revoked=response.status == "revoked",
-        )
+        return self._from_query_response(response, (self.vasp_id, vasp_id), target.account_id)
 
     def _from_query_response(
         self,
         response: QueryResponse,
         path: tuple[str, ...],
         account_id: Optional[str] = None,
-        revoked: bool = False,
     ) -> ResolvedBeneficiary:
         """Attributes come only from an answer's assertion that verifies against
         the responder's certificate and links to the answered certificate."""
@@ -1130,7 +1115,7 @@ class VaspNode:
             custody_model=attributes.get("custody_model") if attributes else None,
             attributes=attributes,
             assertion=assertion,
-            revoked=revoked,
+            revoked=response.status == "revoked",
         )
 
     # -- transfer pipeline -----------------------------------------------------------
@@ -1818,18 +1803,12 @@ class VaspNode:
 
     def on_reachability_advertisement(self, adv: ReachabilityAdvertisement, src: str) -> None:
         network, _ = self._link_from(src)
-        if network is None:
-            self.env.log(self.vasp_id, "advertisement", verdict="drop",
-                         reason="no-link", origin=adv.origin_network_id,
-                         path=">".join(adv.network_path), hashes=len(adv.advertised_hashes))
-            return
-        verdict, reason = process_advertisement(network, self, adv, src, self.env)
-        self.env.log(self.vasp_id, "advertisement",
-                     verdict=verdict, reason=reason,
-                     origin=adv.origin_network_id,
-                     network=network.network_id,
-                     path=">".join(adv.network_path),
-                     hashes=len(adv.advertised_hashes))
+        verdict, reason = (process_advertisement(network, self, adv, src, self.env)
+                           if network else ("drop", "no-link"))
+        where = {"network": network.network_id} if network else {}
+        self.env.log(self.vasp_id, "advertisement", verdict=verdict, reason=reason,
+                     origin=adv.origin_network_id, path=">".join(adv.network_path),
+                     hashes=len(adv.advertised_hashes), **where)
 
     def advertise_reachability(self, now: int) -> None:
         """One sync period over each of this gateway's peering links: the
@@ -1845,7 +1824,7 @@ class VaspNode:
                 if self.advertise(link, self._advertisement(network)):
                     continue
                 out = self._adj_rib_out[link]
-                keepalive = out.keepalive(self, self.adj_rib_in.get(link, {}))
+                keepalive = out.keepalive(self, self.adj_rib_in[link])
                 turn = (now // period) % 2 == (link.gateway_vasp_a != self.vasp_id)
                 if turn and out.sent_at <= now - period:
                     self.env.send(self.vasp_id, self._far_gateway(link), "reach_digest", keepalive)
@@ -1859,9 +1838,8 @@ class VaspNode:
         _, link = self._link_from(src)
         if link is None:
             return
-        out = self._adj_rib_out.get(link)
-        pull = routes_digest(self.adj_rib_in.get(link, {})) != keepalive.held
-        push = routes_digest(out.sent if out else {}) != keepalive.received
+        pull = self.adj_rib_in[link].digest != keepalive.held
+        push = self._adj_rib_out[link].sent.digest != keepalive.received
         if not (pull or push) or keepalive.gateway_id != src or not crypto.check(
             self.env.node(src).certificate.subject_public_key, keepalive
         ):
@@ -1874,7 +1852,7 @@ class VaspNode:
     def on_route_refresh(self, src: str) -> None:
         """Send the far gateway of the link every advertisement held for it."""
         _, link = self._link_from(src)
-        if link is not None and link in self._adj_rib_out:
+        if link is not None:
             routes = tuple(self._adj_rib_out[link].sent.values())
             self.env.send(self.vasp_id, src, "refreshed_routes", routes)
             self.env.log(self.vasp_id, "routes_refreshed", to=src, routes=len(routes))
@@ -1885,17 +1863,22 @@ class VaspNode:
         leaves out are stale)."""
         _, link = self._link_from(src)
         if link is not None:
-            self.adj_rib_in[link] = {}
+            self.adj_rib_in[link] = Routes()
         for adv in routes:
             self.on_reachability_advertisement(adv, src)
 
     def advertise(self, link: PeeringLink, adv: ReachabilityAdvertisement) -> bool:
         """Send ``adv`` over ``link`` and hold it there if it differs from
-        what the link holds for its origin network; returns whether it did."""
-        out = self._adj_rib_out.setdefault(link, AdjRibOut())
-        if out.sent.get(adv.origin_network_id) == adv:
+        what the link holds for its origin network; returns whether it did.
+        A link starts holding nothing, which counts as the empty route: a
+        first advertisement of no key hashes is not sent, one that empties
+        an advertised set is (RFC 4271's Adj-RIB-Out starts empty, and an
+        UPDATE goes out only for a change)."""
+        out = self._adj_rib_out[link]
+        held = out.sent.get(adv.origin_network_id)
+        if held == adv or (held is None and not adv.advertised_hashes):
             return False
-        out.sent[adv.origin_network_id] = adv
+        out.sent = out.sent.put(adv)
         out.sent_at = self.env.now
         far_gateway = self._far_gateway(link)
         self.env.send(self.vasp_id, far_gateway, "reach_adv", adv)
@@ -1905,9 +1888,9 @@ class VaspNode:
 
     def withdraw_advertisement(self, link: PeeringLink, origin_network_id: str) -> None:
         """Stop holding a route to ``origin_network_id`` for ``link``."""
-        out = self._adj_rib_out.get(link)
-        if out is not None:
-            out.sent.pop(origin_network_id, None)
+        out = self._adj_rib_out[link]
+        if origin_network_id in out.sent:
+            out.sent = Routes({o: a for o, a in out.sent.items() if o != origin_network_id})
 
     def _far_gateway(self, link: PeeringLink) -> str:
         return link.gateway_vasp_b if link.gateway_vasp_a == self.vasp_id else link.gateway_vasp_a
@@ -1918,10 +1901,7 @@ class VaspNode:
         write, so an unchanged view compares by identity; Ed25519 is
         deterministic, so a reused advertisement has the bytes a rebuilt one
         would have."""
-        sources = tuple(
-            view.entries if view is not None else None
-            for view in map(self.directory_views.get, network.member_ids())
-        )
+        sources = tuple(self.directory_views[m].entries for m in network.member_ids())
         cached = self._advertisements.get(network.network_id)
         if cached is not None and cached[0] == sources:
             return cached[1]

@@ -36,6 +36,21 @@ def count_calls(monkeypatch, target, name):
     return calls
 
 
+def record_sends(sim, monkeypatch, kinds):
+    """Record (tick, src, dst, kind, payload) of every send of ``kinds``;
+    the sends still go out."""
+    sent = []
+    send = sim.send
+
+    def recording_send(src, dst, kind, payload):
+        if kind in kinds:
+            sent.append((sim.now, src, dst, kind, payload))
+        send(src, dst, kind, payload)
+
+    monkeypatch.setattr(sim, "send", recording_send)
+    return sent
+
+
 def make_scenario(
     seed=7,
     networks=("net-a",),

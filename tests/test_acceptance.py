@@ -400,7 +400,7 @@ def test_08_determinism_and_seed_variation():
 # Event-log digest of the flagship run. A change meant to keep behaviour the
 # same must leave it byte-identical; a change that alters the log re-pins it
 # and says why.
-FLAGSHIP_DIGEST = "dae69b1e63435681e9bd5ce78d43fa4a4572303ea227d3eebdebfe552c767a9b"
+FLAGSHIP_DIGEST = "f84195ec60e0ca8a7780452af7a5a86f020288a7cc4d166641c443e46e2be84b"
 
 
 def test_08_flagship_digest_pinned():

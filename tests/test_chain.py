@@ -74,6 +74,17 @@ class TestTicks:
         assert list(chain.blocks[0].transactions) == txs
         assert [e.transaction for e in events] == txs
 
+    def test_confirmed_transactions_follow_the_blocks_without_a_rebuild(self):
+        chain = SimChain(confirmation_delay=1)
+        txs = [make_tx(label=f"s{i}", nonce=bytes([i]) * 8) for i in range(3)]
+        ledger = chain.confirmed_transactions()
+        for tick, tx in enumerate(txs):
+            chain.submit_transaction(tx, tick)
+            chain.tick(tick + 1)
+        assert chain.confirmed_transactions() is ledger
+        assert ledger == [(tx, block.tick) for block in chain.blocks for tx in block.transactions]
+        assert ledger == [(tx, tick + 1) for tick, tx in enumerate(txs)]
+
     def test_replay_identical_block_hashes(self):
         def build():
             chain = SimChain(confirmation_delay=2)

@@ -247,6 +247,21 @@ class TestReports:
         with pytest.raises(ReplayMismatch, match="undecodable"):
             replay_canonical(reseal([frames[0], b"\x00\x01", *frames[1:]]))
 
+    def test_replay_rejects_a_missing_header_or_trailer_field(self, tmp_path):
+        frames = split_frames(render_canonical(Simulation(load_scenario(DEMO_YAML)).run()))
+        trailer = dict(canonical_decode(frames[-1]))
+        two_field_trailer = canonical_encode([(1, trailer[1]), (2, trailer[2])])
+        header = dict(canonical_decode(frames[0]))
+        header_without_version = canonical_encode([(1, header[1]), (3, header[3])])
+        for forged in ([*frames[:-1], two_field_trailer],
+                       [header_without_version, *frames[1:]]):
+            blob = b"".join(struct.pack(">I", len(frame)) + frame for frame in forged)
+            with pytest.raises(ReplayMismatch, match="undecodable"):
+                replay_canonical(blob)
+            out = tmp_path / "forged.bin"
+            out.write_bytes(blob)
+            assert CliRunner().invoke(cli_main, ["replay", "--log", str(out)]).exit_code == 2
+
 
 class TestChainIntegrity:
     def test_verify_chain_after_run(self):

@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import pytest
 
+import vaspnet.network
 import vaspnet.vasp
-from conftest import count_calls, make_scenario, standard_script
+from conftest import count_calls, make_scenario, record_sends, standard_script
 from vaspnet import crypto
 from vaspnet.ca import CertClass, RevocationReason, RevocationView
 from vaspnet.harness import Simulation
@@ -155,6 +156,14 @@ class TestDirectoryGossip:
         before = v1._last_snapshot
         snapshot = v1.publish_directory(4)
         assert snapshot.entries == before.entries
+
+    def test_member_that_published_nothing_answers_no_pull(self, monkeypatch):
+        sim = two_network_sim()
+        sim.advance_to(30)
+        v3 = sim.vasps["v3"]  # no customers: still at version 0
+        sent = capture_sends(sim, monkeypatch)
+        v3.on_message("dir_pull", None, "v4")
+        assert v3._last_snapshot.version == 0 and sent == []
 
     def test_in_order_delta_applied(self):
         view = DirectoryView()
@@ -578,8 +587,8 @@ class TestDirectorySync:
 
 def two_overlapping_networks_sim(extra_script=()):
     """net-a: v1, v2, v3, v4; net-b: v4, v5, v6, so v4 is a member of both.
-    One customer at v1, enrolled at tick 1: every member publishes at tick 0
-    and v1 again at 10; from tick 20 on every sync period is quiet."""
+    One customer at v1, enrolled at tick 1: v1 publishes at tick 10 and no
+    other member ever does, so every other sync period is quiet."""
     vasps = [{"vasp_id": f"v{i}", "ca": "ca-1", "networks": ["net-a"]} for i in (1, 2, 3)]
     vasps += [{"vasp_id": "v4", "ca": "ca-1", "networks": ["net-a", "net-b"]}]
     vasps += [{"vasp_id": f"v{i}", "ca": "ca-1", "networks": ["net-b"]} for i in (5, 6)]
@@ -589,21 +598,6 @@ def two_overlapping_networks_sim(extra_script=()):
               {"tick": 1, "action": "enroll", "customer": "alice"}, *extra_script]
     return Simulation(make_scenario(networks=("net-a", "net-b"), vasps=vasps,
                                     customers=customers, script=script))
-
-
-def record_sends(sim, monkeypatch, kinds):
-    """Record (tick, src, dst, kind, payload) of every send of ``kinds``;
-    the sends still go out."""
-    sent = []
-    send = sim.send
-
-    def recording_send(src, dst, kind, payload):
-        if kind in kinds:
-            sent.append((sim.now, src, dst, kind, payload))
-        send(src, dst, kind, payload)
-
-    monkeypatch.setattr(sim, "send", recording_send)
-    return sent
 
 
 class TestHeartbeatSchedule:
@@ -627,10 +621,11 @@ class TestHeartbeatSchedule:
         sent = record_sends(sim, monkeypatch, {"dir_announce", "dir_delta"})
         sim.advance_to(102)
         networks = sim.networks
-        assert {(tick, kind) for tick, _, _, kind, _ in sent if tick >= 20} == {
-            (tick, "dir_announce") for tick in range(20, 101, 10)}
+        quiet = [0, *range(20, 101, 10)]
+        assert {(tick, kind) for tick, _, _, kind, _ in sent if tick != 10} == {
+            (tick, "dir_announce") for tick in quiet}
         heard: dict[tuple[str, str], set[str]] = {}
-        for tick in range(20, 101, 10):
+        for tick in quiet:
             received = Counter()
             for t, src, dst, _, payload in sent:
                 if t != tick:
@@ -649,16 +644,17 @@ class TestHeartbeatSchedule:
                 assert heard[member, network_id] == set(network.members) - {member}
 
     def test_revocation_digest_change_goes_out_at_next_sync_period(self, monkeypatch):
-        # v4 has no customers: it publishes at tick 0 only. It merges ca-2's
-        # CRL revoking bob at tick 40, after that tick's sync, so its next
-        # sync period (50) sends the new digest to every co-member.
+        # v4 has no customers: it never publishes and heartbeats version 0
+        # from tick 0. It merges ca-2's CRL revoking bob at tick 40, after
+        # that tick's sync, so its next sync period (50) sends the new digest
+        # to every co-member.
         quiet = self.announce_ticks(mixed_ca_sim(), monkeypatch, "v4", 90)
-        assert sorted(quiet) == list(range(10, 91, 10))
+        assert sorted(quiet) == list(range(0, 91, 10))
         assert all(len(targets) == 1 for targets in quiet.values())
         monkeypatch.undo()
         sim = mixed_ca_sim([TestRevocationFeed.REVOKE_BOB])
         ticks = self.announce_ticks(sim, monkeypatch, "v4", 90)
-        assert sorted(ticks) == list(range(10, 91, 10))
+        assert sorted(ticks) == list(range(0, 91, 10))
         assert sorted(ticks.pop(50)) == ["v1", "v2", "v3"]
         assert ticks == {tick: targets for tick, targets in quiet.items() if tick != 50}
         assert [issuer for issuer, _ in sim.vasps["v4"]._announces["net-a"].revocations] == [
@@ -681,7 +677,7 @@ class TestHeartbeatSchedule:
         # Heartbeat, pull and snapshot each take at most max_latency ticks.
         sim.advance_to(30 + sync + 3 * sim.scenario.max_latency)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
-        assert v1._last_snapshot.version == 2
+        assert v1._last_snapshot.version == 1
         lost = [e for e in sim.log_.entries if e.event == "message_dropped"]
         assert [(e.tick, e.actor, dict(e.details)["to"], dict(e.details)["kind"])
                 for e in lost] == [(30, "v1", "v2", "dir_delta")]
@@ -691,7 +687,7 @@ class TestHeartbeatSchedule:
                  if src == "v2" and kind == "dir_pull"]
         assert [dst for _, dst in pulls] == ["v1"]
         assert 40 < pulls[0][0] <= 40 + sim.scenario.max_latency
-        assert v2.directory_views["v1"].version == 2
+        assert v2.directory_views["v1"].version == 1
         assert v2.directory_views["v1"].entries == v1._last_snapshot.entries
 
     def test_view_wiped_after_quiet_periods_resyncs_within_three(self):
@@ -701,7 +697,7 @@ class TestHeartbeatSchedule:
         # (latency is at most 3 ticks).
         sim.advance_to(95)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
-        assert v1._last_snapshot.version == 2  # published at ticks 0 and 10 only
+        assert v1._last_snapshot.version == 1  # published at tick 10 only
         v2.directory_views["v1"] = DirectoryView()
         sim.advance_to(95 + 3 * rules.directory_sync_period)
         view = v2.directory_views["v1"]
@@ -964,11 +960,12 @@ class TestAdjRibOut:
         # The last change over the b2-c1 link is b2's forward of tick 12;
         # from then on each sync period the link carries one digest, sent by
         # its two gateways in turn, and nothing is signed for it again.
+        # net-b certifies no key, so its empty route is never advertised.
         sim.advance_to(35)
         b2, c1 = sim.vasps["b2"], sim.vasps["c1"]
         (link,) = sim.networks["net-b"].links_of("b2")
         held = dict(b2._adj_rib_out[link].sent)
-        assert sorted(held) == ["net-a", "net-b"]
+        assert sorted(held) == ["net-a"]
         assert held["net-a"].network_path == ("net-a", "net-b")
         assert c1.adj_rib_in[link] == held
         sent = record_sends(sim, monkeypatch, {"reach_adv", "reach_digest", "route_refresh",
@@ -999,7 +996,8 @@ class TestAdjRibOut:
         b2, c1 = sim.vasps["b2"], sim.vasps["c1"]
         (link,) = sim.networks["net-b"].links_of("b2")
         held = b2._adj_rib_out[link].sent
-        c1.adj_rib_in[link]["net-x"] = replace(held["net-a"], origin_network_id="net-x")
+        c1.adj_rib_in[link] = c1.adj_rib_in[link].put(
+            replace(held["net-a"], origin_network_id="net-x"))
         sim.advance_to(60)
         assert c1.adj_rib_in[link] == held
 
@@ -1033,6 +1031,28 @@ class TestAdjRibOut:
         assert "net-a" in sim.networks["net-c"].route_table
         assert c1.adj_rib_in[link] == held
         assert b2.adj_rib_in[link] == c1._adj_rib_out[link].sent
+
+    def test_quiet_periods_after_convergence_compute_no_routes_digest(self, monkeypatch):
+        # Both links are quiet from tick 35 (see the keepalive test): their
+        # digests are sent and compared every period, from the digests kept
+        # with the maps they describe.
+        sim = line_topology()
+        sim.advance_to(35)
+        digests = count_calls(monkeypatch, vaspnet.network, "routes_digest")
+        sent = record_sends(sim, monkeypatch, {"reach_digest", "route_refresh"})
+        sim.advance_to(100)
+        assert {kind for _, _, _, kind, _ in sent} == {"reach_digest"}
+        assert digests == []
+
+    def test_routes_digest_is_kept_with_the_map_it_describes(self):
+        sim = line_topology()
+        sim.advance_to(35)
+        (link,) = sim.networks["net-b"].links_of("b2")
+        held = sim.vasps["b2"]._adj_rib_out[link].sent
+        forked = held.put(replace(held["net-a"], origin_network_id="net-x"))
+        assert sorted(held) == ["net-a"] and sorted(forked) == ["net-a", "net-x"]
+        assert held.digest == routes_digest(dict(held))
+        assert forked.digest == routes_digest(dict(forked)) != held.digest
 
     def test_links_hold_only_the_installed_routes_forwarded(self):
         sim = square_topology()

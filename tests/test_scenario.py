@@ -20,9 +20,9 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # the same must leave them byte-identical; one that alters a log re-pins the
 # digest and says why.
 SCENARIO_DIGESTS = {
-    "demo": "9e41271199e9c5e36ae24b84584af1c1ce953d0cb4f292503c7fe1e9823a2a40",
-    "denials": "80a25cb6a1b6b4b0b75f2370c6c77fed9b1f08a4fd1080c63ceb2ca9355e52d1",
-    "four_networks": "55a512bf179ec2fc10f094c2ebbe7ee4d9a315e895af3604e95565219bf10450",
+    "demo": "0f030bab991d962e32d7074478ab3ea0d444eb3e5227b24810107c19716a1c81",
+    "denials": "6490011dada9f93c4e9db093c7f436f2c1d5cfd1847a4d98c3ae0d5e98a5c96f",
+    "four_networks": "d5b4d11f0e51b4dcd84d7d14af08ba5ca9fa37b94467792abceded37c5784ead",
 }
 
 # ``Metrics.as_pairs()`` of each tracked scenario. The metrics are counted
@@ -53,8 +53,8 @@ SCENARIO_METRICS = {
         "transfers_attempted": "1", "transfers_confirmed": "1",
         "transfers_denied_total": "0", "transfers_in_flight": "0",
         "resolution_success_rate": "1.0000", "mean_resolution_hops": "2.0000",
-        "advertisements_accepted": "21", "advertisements_dropped": "18",
-        "messages_sent": "65", "messages_dropped": "0", "ledger_transactions": "1",
+        "advertisements_accepted": "8", "advertisements_dropped": "8",
+        "messages_sent": "45", "messages_dropped": "0", "ledger_transactions": "1",
         "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
         "directory_convergence_tick": "10", "final_tick": "80",
     },

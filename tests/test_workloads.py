@@ -14,18 +14,19 @@ from pathlib import Path
 
 import pytest
 
-from conftest import count_calls
+from conftest import count_calls, record_sends
 from vaspnet import crypto
 from vaspnet.harness import Simulation
+from vaspnet.network import directory_digest
 from vaspnet.scenario import load_scenario, parse_scenario
-from vaspnet.vasp import OutcomeStatus, RecordRole, RecordStatus
+from vaspnet.vasp import CustodyModel, OutcomeStatus, RecordRole, RecordStatus
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
 
 WORKLOAD_DIGESTS = {
-    "pipeline": "2802d5c59309dc614bfe764144471a635013c6385dd790b02f16864cd527a468",
-    "mesh": "82692606d97881520b514f98ae50a7ef8d7f70cecb12b9ef3fba77d2b9529a25",
-    "churn-lossy": "e26a50b05babb70f26716ca38e2b87c1dd0b45e5b0b5434b0002d81036b358bc",
+    "pipeline": "725429ed776dda90d74f3d1a11d1fd08b30479725ed6a962d871e274e368e097",
+    "mesh": "9ecae14f7a1dcc1ea084420c1f02a4820d656bef6ed4fcdcf5cecfc697feaef9",
+    "churn-lossy": "7cc38cad7a3e6e5bc86dc62813165406df5afaf1e643f2b47215c550803208df",
 }
 
 
@@ -33,22 +34,22 @@ WORKLOAD_DIGESTS = {
 # event log, so a change that keeps the digests keeps these too.
 WORKLOAD_METRICS = {
     "churn-lossy": {
-        "transfers_attempted": "800", "transfers_confirmed": "579",
-        "transfers_denied_total": "221", "transfers_in_flight": "0",
-        "resolution_success_rate": "0.9700", "mean_resolution_hops": "1.3338",
-        "advertisements_accepted": "56", "advertisements_dropped": "6",
-        "messages_sent": "2169", "messages_dropped": "218", "ledger_transactions": "579",
-        "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "61",
-        "directory_convergence_tick": "436", "final_tick": "479",
-        "denied.BeneficiaryUnresolved": "24", "denied.CertInvalid": "63",
-        "denied.ChannelTimeout": "134",
+        "transfers_attempted": "800", "transfers_confirmed": "573",
+        "transfers_denied_total": "227", "transfers_in_flight": "0",
+        "resolution_success_rate": "0.9712", "mean_resolution_hops": "1.3359",
+        "advertisements_accepted": "56", "advertisements_dropped": "7",
+        "messages_sent": "2160", "messages_dropped": "217", "ledger_transactions": "573",
+        "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "74",
+        "directory_convergence_tick": "431", "final_tick": "479",
+        "denied.BeneficiaryUnresolved": "23", "denied.CertInvalid": "63",
+        "denied.ChannelTimeout": "141",
     },
     "mesh": {
         "transfers_attempted": "200", "transfers_confirmed": "200",
         "transfers_denied_total": "0", "transfers_in_flight": "0",
         "resolution_success_rate": "1.0000", "mean_resolution_hops": "2.2800",
-        "advertisements_accepted": "40", "advertisements_dropped": "29",
-        "messages_sent": "1204", "messages_dropped": "0", "ledger_transactions": "200",
+        "advertisements_accepted": "28", "advertisements_dropped": "21",
+        "messages_sent": "1088", "messages_dropped": "0", "ledger_transactions": "200",
         "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
         "directory_convergence_tick": "13", "final_tick": "199",
     },
@@ -56,8 +57,8 @@ WORKLOAD_METRICS = {
         "transfers_attempted": "500", "transfers_confirmed": "500",
         "transfers_denied_total": "0", "transfers_in_flight": "0",
         "resolution_success_rate": "1.0000", "mean_resolution_hops": "1.3400",
-        "advertisements_accepted": "5", "advertisements_dropped": "0",
-        "messages_sent": "1159", "messages_dropped": "0", "ledger_transactions": "500",
+        "advertisements_accepted": "3", "advertisements_dropped": "0",
+        "messages_sent": "1151", "messages_dropped": "0", "ledger_transactions": "500",
         "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
         "directory_convergence_tick": "13", "final_tick": "204",
     },
@@ -134,18 +135,18 @@ def test_ed25519_budget(workloads, name, monkeypatch):
 # or pushed as ``refreshed_routes``).
 WORKLOAD_MESSAGES = {
     "pipeline": {"crl_pull": 0, "crl": 0,
-                 "dir_announce": 116, "dir_delta": 20, "reach_adv": 5, "reach_digest": 18,
+                 "dir_announce": 122, "dir_delta": 8, "reach_adv": 3, "reach_digest": 18,
                  "route_refresh": 0, "refreshed_routes": 0,
                  "transfer_ack": 500, "transfer_notice": 500},
     "mesh": {"crl_pull": 0, "crl": 0,
-             "dir_announce": 432, "dir_delta": 240, "reach_adv": 63, "reach_digest": 64,
+             "dir_announce": 456, "dir_delta": 120, "reach_adv": 43, "reach_digest": 64,
              "route_refresh": 2, "refreshed_routes": 3,
              "transfer_ack": 200, "transfer_notice": 200},
     "churn-lossy": {"crl_pull": 0, "crl": 0,
-                    "dir_announce": 359, "dir_delta": 279, "dir_pull": 47,
-                    "dir_snapshot": 43, "reach_adv": 64, "reach_digest": 14,
-                    "route_refresh": 1, "refreshed_routes": 9,
-                    "transfer_ack": 640, "transfer_notice": 713},
+                    "dir_announce": 367, "dir_delta": 255, "dir_pull": 48,
+                    "dir_snapshot": 44, "reach_adv": 62, "reach_digest": 15,
+                    "route_refresh": 0, "refreshed_routes": 8,
+                    "transfer_ack": 647, "transfer_notice": 714},
 }
 
 
@@ -199,3 +200,53 @@ def test_outcome_and_record_agree(workloads, name):
     for node in sim.vasps.values():
         filed = Counter(rid for rids in node._records_by_binding.values() for rid in rids)
         assert filed == dict.fromkeys(node.records, 1)
+
+
+SCENARIO_FILES = {p.stem: p for p in DENIALS_YAML.parent.glob("*.yaml")}
+
+
+@pytest.mark.parametrize("name", [*sorted(WORKLOAD_DIGESTS), *sorted(SCENARIO_FILES)])
+def test_gossip_sends_no_empty_first_message(workloads, name, monkeypatch):
+    """Every member starts from directory version 0 and every link from an
+    empty Adj-RIB-Out, so no delta changes nothing and no first
+    advertisement of an origin over a link carries no key hash."""
+    if name in SCENARIO_FILES:
+        scenario = load_scenario(SCENARIO_FILES[name])
+    else:
+        scenario = parse_scenario(workloads[name].scenario(7))
+    sim = Simulation(scenario)
+    sent = record_sends(sim, monkeypatch, {"dir_delta", "reach_adv"})
+    sim.run()
+    advertised: set[tuple[str, str, str]] = set()
+    for _, src, dst, kind, payload in sent:
+        if kind == "dir_delta":
+            assert payload.added or payload.removed, (src, payload.to_version)
+        elif (src, dst, payload.origin_network_id) not in advertised:
+            assert payload.advertised_hashes, (src, dst, payload.origin_network_id)
+            advertised.add((src, dst, payload.origin_network_id))
+
+
+def test_member_certifying_no_key_heartbeats_version_0(workloads, monkeypatch):
+    """``pipeline``'s v3 holds only commingled customers, so it certifies no
+    key: it never publishes, and heartbeats version 0 and the empty set's
+    digest every sync period from tick 0, which makes no member pull. Each
+    co-member holds its view at version 0."""
+    sim = Simulation(parse_scenario(workloads["pipeline"].scenario(7)))
+    sent = record_sends(sim, monkeypatch, {"dir_announce", "dir_delta", "dir_pull", "dir_snapshot"})
+    sim.run()
+    v3 = sim.vasps["v3"]
+    assert {a.custody_model for a in v3.accounts.values()} == {CustodyModel.COMMINGLED}
+    network = sim.networks["net-a"]
+    period = network.rules.directory_sync_period
+    heartbeats = [(tick, payload) for tick, src, _, kind, payload in sent
+                  if src == "v3" and kind == "dir_announce"]
+    assert [tick for tick, _ in heartbeats] == list(range(0, sim.now + 1, period))
+    assert {(p.version, p.entries_digest) for _, p in heartbeats} == {
+        (0, directory_digest(frozenset()))}
+    # Nothing in the run pulls a directory, and v3 sends nothing but heartbeats.
+    assert [(src, dst, kind) for _, src, dst, kind, _ in sent
+            if kind == "dir_pull" or (src == "v3" and kind != "dir_announce")] == []
+    for member_id in network.member_ids():
+        if member_id != "v3":
+            view = sim.vasps[member_id].directory_views
+            assert "v3" in view and (view["v3"].version, view["v3"].entries) == (0, frozenset())
