@@ -14,11 +14,12 @@ The periodic duties run in this order. Gossip starts from directory version
 0 (empty) at every member and an empty Adj-RIB-Out on every link. Every
 directory sync period, each member publishes a new version to every
 co-member if its live entries differ from the last published set. Else it
-heartbeats its version: to every co-member if the revoked sets it holds
-changed, otherwise to one partner per network, which rotates so that each
-member receives one heartbeat per network per period from tick 0
-(``network.heartbeat_partner``). Either message carries the digests of
-those sets. Then each gateway sends over each peering link its network's
+heartbeats its version to one partner per network, which rotates so that
+each member receives one heartbeat per network per period from tick 0
+(``network.heartbeat_partner``). If the revoked sets it holds changed, the
+heartbeat also goes to each co-member certified by a CA other than a
+changed set's issuer; the others fetch that CRL from the CA themselves.
+Either message carries the digests of those sets. Then each gateway sends over each peering link its network's
 advertisement if it differs from what the link holds (nothing counts as no
 key hashes); else, in every other period and if nothing went over the link
 since the last one, a signed digest of the routes it holds for the link and

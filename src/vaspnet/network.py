@@ -13,17 +13,20 @@ Demers et al., PODC 1987).
 Inside a network the feeds are the directory and revocation state. Every
 member starts from version 0, the empty directory. A member sends its
 co-members a delta (``DirectoryDelta``) in the sync period its directory
-changed, and a heartbeat (``DirectoryAnnounce``) to all of them in
-the period after its revoked sets changed; otherwise it sends one heartbeat
-per network to a partner that rotates (``heartbeat_partner``), so each
-member receives one per network per period. Both messages carry, per CA,
-the digest of the revoked set the sender holds; a heartbeat also carries its
-directory version and digest and the version of each view the sender holds
-of that network's members. A member holding a lower version of a view pulls
-the snapshot from that view's owner; one holding a different revoked set
-pulls the CA-signed lists behind the sender's set, which the sender sends
-only if they are newer than the puller's (CRL numbers order freshness, RFC
-5280 section 5.2.3). No CRL is pushed. While the other members are quiet, a
+changed; otherwise it sends one heartbeat (``DirectoryAnnounce``) per
+network to a partner that rotates (``heartbeat_partner``), so each member
+receives one per network per period. In the period after its revoked sets
+changed, the heartbeat also goes to each co-member certified by a CA other
+than a changed set's issuer: one certified by that CA fetches the issuer's
+CRL from the CA on the same tick and never pulls it from a peer. Both
+messages carry, per CA, the digest of the revoked set the sender holds; a
+heartbeat also carries its directory version and digest and the version of
+each view the sender holds of that network's members. A member holding a
+lower version of a view pulls the snapshot from that view's owner; one
+holding a different revoked set pulls the CA-signed lists behind the
+sender's set, which the sender sends only if they are newer than the
+puller's (CRL numbers order freshness, RFC 5280 section 5.2.3). No CRL is
+pushed. While the other members are quiet, a
 lost delta is pulled one sync period later, plus the latency of heartbeat,
 pull and snapshot.
 
@@ -41,11 +44,13 @@ flight comes back, although the forwarding network drops every later copy
 of the route it installed as a duplicate and nothing else would resend it.
 
 Digests are computed once per thing they describe and kept with it. A
-member signs a heartbeat when its content changes and re-sends it. A
-``DirectoryView``'s entry set and a ``Routes`` map are replaced on every
-write, never changed in place, so the digest (and a view's key-hash set)
-cached with one cannot go stale, and a gateway reuses its signed
-advertisement while no member view's set has been replaced.
+member signs a heartbeat when its content changes and re-sends it. It signs
+a snapshot when it is first pulled, and an advertisement when it first
+goes over a link whose held route differs, so nothing is signed that is
+not sent. A ``DirectoryView``'s entry set and a ``Routes`` map are
+replaced on every write, never changed in place, so the digest (and a
+view's key-hash set) cached with one cannot go stale, and a gateway reuses
+its advertisement while no member view's set has been replaced.
 """
 
 from __future__ import annotations
@@ -193,8 +198,10 @@ class DirectoryAnnounce(crypto.Signed):
     members. A receiver pulls the snapshot from the publisher when it holds
     another directory of it, from the owner of each listed view it holds at a
     lower version, and an issuer's CRL from the publisher when it holds
-    another revoked set of that issuer. Snapshots are owner-signed and
-    install only forwards, so a relayed version adds no trust.
+    another revoked set of that issuer, not its own CA's. Snapshots are
+    owner-signed and install only forwards, so a relayed version adds no
+    trust. A heartbeat goes to the sync period's rotating partner, and after
+    a change of revoked sets also to each co-member that would pull one.
 
     The revocation feed is summarised by digest rather than CRL number: a CA
     numbers a new CRL every period whether or not it revoked anything, so
@@ -536,18 +543,19 @@ def build_advertisement(
 
     The advertised set is the union of the member snapshots the gateway
     holds; the gateway itself is the home VASP through which the hashes are
-    reachable.
+    reachable. The advertisement is unsigned: ``VaspNode.advertise`` signs
+    it if it sends it.
     """
     hashes: set[bytes] = set()
     for member_id in network.member_ids():
         hashes |= gateway.directory_views[member_id].key_hashes()
-    return gateway.seal(ReachabilityAdvertisement(
+    return ReachabilityAdvertisement(
         advertised_hashes=frozenset(hashes),
         home_vasp_id=gateway.vasp_id,
         origin_network_id=network.network_id,
         network_path=(network.network_id,),
         advertising_gateway_id=gateway.vasp_id,
-    ))
+    )
 
 
 def process_advertisement(
@@ -559,9 +567,10 @@ def process_advertisement(
 ) -> tuple[str, str]:
     """Install or drop an incoming advertisement; returns (verdict, reason).
 
-    On install the advertisement is re-signed with the local network appended
-    to its path and forwarded over the network's other peering links, each
-    by its gateway, which holds it for that link's keepalives. A link it is
+    On install the advertisement, with the local network appended to its
+    path, is forwarded over the network's other peering links, each by its
+    gateway, which signs it only if it differs from what it holds for that
+    link and holds it for the link's keepalives. A link it is
     not forwarded over (the one it came in on, or one leading back into its
     path) stops holding a route to that origin.
     """
@@ -613,14 +622,13 @@ def process_advertisement(
         if out_link == link or far_network in extended_path:
             local_gateway.withdraw_advertisement(out_link, adv.origin_network_id)
             continue
-        forwarded = local_gateway.seal(ReachabilityAdvertisement(
+        local_gateway.advertise(out_link, ReachabilityAdvertisement(
             advertised_hashes=adv.advertised_hashes,
             home_vasp_id=adv.home_vasp_id,
             origin_network_id=adv.origin_network_id,
             network_path=extended_path,
             advertising_gateway_id=local_gateway.vasp_id,
         ))
-        local_gateway.advertise(out_link, forwarded)
     return "accept", ""
 
 

@@ -4,6 +4,9 @@ The canonical form is a stream of length-prefixed canonical records (header,
 one per event, trailer with metrics and the final log digest). Replaying a
 canonical report re-derives from its events the digest and all metrics but
 ``messages_sent`` and ``final_tick``, and checks them against the trailer.
+Those two it bounds from below: the run ended no earlier than its last
+event, and it sent at least one message per ``notice_sent`` and per
+``ack_sent`` event, each logged right after its send.
 """
 
 from __future__ import annotations
@@ -114,8 +117,9 @@ def replay_canonical(data: bytes) -> tuple[str, dict[str, str]]:
     """Recompute the digest and metrics of a canonical report; returns (digest_hex, metrics).
 
     Raises ReplayMismatch when the recomputed digest or a metric differs from
-    the embedded one or the stream is malformed: a header, trailer or event
-    field missing or undecodable included.
+    the embedded one, when the embedded ``final_tick`` or ``messages_sent`` is
+    below what the events prove, or when the stream is malformed: a header,
+    trailer or event field missing or undecodable included.
     """
     frames = _unframe(data)
     if len(frames) < 2:
@@ -124,7 +128,9 @@ def replay_canonical(data: bytes) -> tuple[str, dict[str, str]]:
         header, trailer = dict(canonical_decode(frames[0])), dict(canonical_decode(frames[-1]))
         label, version = dec_str(header[1]), dec_u64(header[2])
         trailer_label, embedded, stated = dec_str(trailer[1]), trailer[2], decode_str_map(trailer[3])
-        derived = dict(Metrics.from_events(decode_events(data)).as_pairs())
+        events = decode_events(data)
+        derived = dict(Metrics.from_events(events).as_pairs())
+        final_tick, messages_sent = int(stated["final_tick"]), int(stated["messages_sent"])
     except (CryptoError, KeyError, ValueError) as exc:
         raise ReplayMismatch(f"undecodable record: {exc!r}") from exc
     if label != FORMAT_LABEL:
@@ -143,6 +149,12 @@ def replay_canonical(data: bytes) -> tuple[str, dict[str, str]]:
     for key in sorted((stated.keys() | derived.keys()) - {"messages_sent", "final_tick"}):
         if stated.get(key) != derived.get(key):
             raise ReplayMismatch(f"{key}: recomputed {derived.get(key)}, embedded {stated.get(key)}")
+    last_tick = events[-1].tick if events else 0
+    if final_tick < last_tick:
+        raise ReplayMismatch(f"final_tick: embedded {final_tick}, below the last event's tick {last_tick}")
+    sends = sum(e.event in ("notice_sent", "ack_sent") for e in events)
+    if messages_sent < sends:
+        raise ReplayMismatch(f"messages_sent: embedded {messages_sent}, below the {sends} sends logged")
     return running.hex(), stated
 
 

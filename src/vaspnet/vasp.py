@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from . import crypto
@@ -485,7 +485,8 @@ class VaspNode:
         # None after enrolment or revocation.
         self._live_entries: Optional[frozenset[DirectoryEntry]] = None
         self._live_from = self._live_until = 0.0
-        # Network id -> (member entry sets summarised, signed advertisement).
+        # Network id -> (member entry sets summarised, advertisement), the
+        # advertisement unsigned until first sent (``_advertise_own``).
         self._advertisements: dict[str, tuple[tuple, ReachabilityAdvertisement]] = {}
         # What this gateway advertises over each of its peering links, and
         # what it received over each, both empty at first.
@@ -745,26 +746,29 @@ class VaspNode:
     ) -> DirectorySnapshot:
         """Publish the next snapshot version and broadcast the delta to members.
 
-        ``entries`` defaults to the current ``directory_entries(now)``.
+        ``entries`` defaults to the current ``directory_entries(now)``. The
+        snapshot stays unsigned until ``on_dir_pull`` first sends it.
         """
         if entries is None:
             entries = self.directory_entries(now)
         last = self._last_snapshot
         version = last.version + 1
-        snapshot = self.seal(DirectorySnapshot(self.vasp_id, version, entries))
-        delta = self.seal(DirectoryDelta(
-            owner_vasp_id=self.vasp_id,
-            from_version=last.version,
-            to_version=version,
-            added=frozenset(entries - last.entries),
-            removed=frozenset(last.entries - entries),
-            revocations=self.revocation.revoked_digests(),
-        ))
+        snapshot = DirectorySnapshot(self.vasp_id, version, entries)
         self._last_snapshot = snapshot
-        self._sent_revocations = delta.revocations
+        self._sent_revocations = self.revocation.revoked_digests()
         self.directory_views[self.vasp_id].install_snapshot(snapshot)
-        for member_id in self.co_member_ids():
-            self.env.send(self.vasp_id, member_id, "dir_delta", delta)
+        members = self.co_member_ids()
+        if members:
+            delta = self.seal(DirectoryDelta(
+                owner_vasp_id=self.vasp_id,
+                from_version=last.version,
+                to_version=version,
+                added=frozenset(entries - last.entries),
+                removed=frozenset(last.entries - entries),
+                revocations=self._sent_revocations,
+            ))
+            for member_id in members:
+                self.env.send(self.vasp_id, member_id, "dir_delta", delta)
         self.env.log(self.vasp_id, "directory_published",
                      version=version, entries=len(entries))
         return snapshot
@@ -785,28 +789,48 @@ class VaspNode:
         self._pull_revocations(delta.owner_vasp_id, delta.revocations)
 
     def on_dir_pull(self, src: str) -> None:
-        if self._last_snapshot.version:
-            self.env.send(self.vasp_id, src, "dir_snapshot", self._last_snapshot)
+        """Answer with the published snapshot, signed on its first pull."""
+        snapshot = self._last_snapshot
+        if not snapshot.version:
+            return
+        if not snapshot.signature:
+            snapshot = self._last_snapshot = self.seal(snapshot)
+        self.env.send(self.vasp_id, src, "dir_snapshot", snapshot)
 
     def announce_directory(self, now: int) -> None:
-        """Heartbeat the current directory in each network: to every
-        co-member when the held revocation digests changed since the last
-        delta or heartbeat, else to the network's ``heartbeat_partner`` for
-        this sync period, so each member receives one heartbeat per network
-        per period from the first period on. Until its first publish a
-        member heartbeats version 0 and the digest of the empty set.
+        """Heartbeat the current directory in each network to the network's
+        ``heartbeat_partner`` for this sync period, so each member receives
+        one heartbeat per network per period from the first period on. Until
+        its first publish a member heartbeats version 0 and the digest of the
+        empty set.
+
+        When the held revoked sets changed since the last delta or heartbeat,
+        the heartbeat also goes to each co-member that would pull one of the
+        changed sets: one certified by a CA other than that set's issuer. A
+        co-member certified by the issuer fetches the issuer's CRL from the
+        CA on the same tick and never pulls it from a peer
+        (``_pull_revocations``).
 
         A network's heartbeat is built and signed when its content changed
         (version, revocation digests or the versions of the views held) and
-        re-sent unchanged otherwise. It carries the digest of the *published*
-        snapshot, not of the own view, which ``prune_directory_views`` may
-        prune.
+        re-sent unchanged otherwise; a network with no one to send to gets
+        none. It carries the digest of the *published* snapshot, not of the
+        own view, which ``prune_directory_views`` may prune.
         """
         snapshot = self._last_snapshot
         revocations = self.revocation.revoked_digests()
-        changed = revocations != self._sent_revocations
+        changed = {issuer_id for issuer_id, _ in set(revocations) ^ set(self._sent_revocations)}
         self._sent_revocations = revocations
         for network in self.networks_sorted():
+            partner = heartbeat_partner(
+                network, self.vasp_id, now // network.rules.directory_sync_period)
+            targets = [
+                member_id for member_id, record in sorted(network.members.items())
+                if member_id == partner
+                or (member_id != self.vasp_id and changed - {record.vasp_certificate.issuer_id})
+            ]
+            if not targets:
+                continue
             views = tuple(
                 (member_id, self.directory_views[member_id].version)
                 for member_id in network.member_ids() if member_id != self.vasp_id
@@ -823,14 +847,8 @@ class VaspNode:
                     views=views,
                 ))
                 self._announces[network.network_id] = held
-            if changed:
-                targets = [m for m in network.member_ids() if m != self.vasp_id]
-            else:
-                period = now // network.rules.directory_sync_period
-                targets = [heartbeat_partner(network, self.vasp_id, period)]
             for member_id in targets:
-                if member_id is not None:
-                    self.env.send(self.vasp_id, member_id, "dir_announce", held)
+                self.env.send(self.vasp_id, member_id, "dir_announce", held)
 
     def on_dir_announce(self, announce: DirectoryAnnounce, src: str) -> None:
         """Compare a verified heartbeat with what this node holds and pull
@@ -1821,7 +1839,7 @@ class VaspNode:
         for network in self.networks_sorted():
             period = network.rules.directory_sync_period
             for link in network.links_of(self.vasp_id):
-                if self.advertise(link, self._advertisement(network)):
+                if self._advertise_own(network, link):
                     continue
                 out = self._adj_rib_out[link]
                 keepalive = out.keepalive(self, self.adj_rib_in[link])
@@ -1867,24 +1885,34 @@ class VaspNode:
         for adv in routes:
             self.on_reachability_advertisement(adv, src)
 
-    def advertise(self, link: PeeringLink, adv: ReachabilityAdvertisement) -> bool:
-        """Send ``adv`` over ``link`` and hold it there if it differs from
-        what the link holds for its origin network; returns whether it did.
-        A link starts holding nothing, which counts as the empty route: a
-        first advertisement of no key hashes is not sent, one that empties
-        an advertised set is (RFC 4271's Adj-RIB-Out starts empty, and an
-        UPDATE goes out only for a change)."""
+    def advertise(
+        self, link: PeeringLink, adv: ReachabilityAdvertisement
+    ) -> Optional[ReachabilityAdvertisement]:
+        """Send ``adv`` over ``link`` and hold it there if its content
+        differs from what the link holds for its origin network; returns it
+        as sent, signed here if it came unsigned, or None. A link starts
+        holding nothing, which counts as the empty route: a first
+        advertisement of no key hashes is not sent, one that empties an
+        advertised set is (RFC 4271's Adj-RIB-Out starts empty, and an UPDATE
+        goes out only for a change). Content is compared before signing, so
+        nothing is signed that is not sent; Ed25519 is deterministic, so the
+        bytes sent are those an advertisement signed earlier would have."""
         out = self._adj_rib_out[link]
         held = out.sent.get(adv.origin_network_id)
-        if held == adv or (held is None and not adv.advertised_hashes):
-            return False
+        if held is None:
+            if not adv.advertised_hashes:
+                return None
+        elif held is adv or replace(held, signature=adv.signature) == adv:
+            return None
+        if not adv.signature:
+            adv = self.seal(adv)
         out.sent = out.sent.put(adv)
         out.sent_at = self.env.now
         far_gateway = self._far_gateway(link)
         self.env.send(self.vasp_id, far_gateway, "reach_adv", adv)
         self.env.log(self.vasp_id, "advertisement_sent", origin=adv.origin_network_id,
                      to=far_gateway, hashes=len(adv.advertised_hashes))
-        return True
+        return adv
 
     def withdraw_advertisement(self, link: PeeringLink, origin_network_id: str) -> None:
         """Stop holding a route to ``origin_network_id`` for ``link``."""
@@ -1895,16 +1923,16 @@ class VaspNode:
     def _far_gateway(self, link: PeeringLink) -> str:
         return link.gateway_vasp_b if link.gateway_vasp_a == self.vasp_id else link.gateway_vasp_a
 
-    def _advertisement(self, network: TrustNetwork) -> ReachabilityAdvertisement:
-        """The signed advertisement of ``network``, rebuilt only when a member
-        view's entry set changed. Views replace their frozenset on every
-        write, so an unchanged view compares by identity; Ed25519 is
-        deterministic, so a reused advertisement has the bytes a rebuilt one
-        would have."""
+    def _advertise_own(self, network: TrustNetwork, link: PeeringLink) -> bool:
+        """``advertise`` ``network``'s own advertisement over ``link``;
+        returns whether it went. The advertisement is rebuilt only when a
+        member view's entry set changed, and signed when first sent, once
+        whatever the number of links. Views replace their frozenset on every
+        write, so an unchanged view compares by identity."""
         sources = tuple(self.directory_views[m].entries for m in network.member_ids())
         cached = self._advertisements.get(network.network_id)
-        if cached is not None and cached[0] == sources:
-            return cached[1]
-        adv = build_advertisement(network, self)
-        self._advertisements[network.network_id] = (sources, adv)
-        return adv
+        if cached is None or cached[0] != sources:
+            cached = (sources, build_advertisement(network, self))
+        sent = self.advertise(link, cached[1])
+        self._advertisements[network.network_id] = (sources, sent or cached[1])
+        return sent is not None

@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -246,6 +247,25 @@ class TestReports:
             replay_canonical(reseal(frames, **{"denied.CertInvalid": "0"}))
         with pytest.raises(ReplayMismatch, match="undecodable"):
             replay_canonical(reseal([frames[0], b"\x00\x01", *frames[1:]]))
+
+    def test_replay_bounds_final_tick_and_messages_sent(self, tmp_path):
+        """The two counters kept beside the log cannot be recounted from it,
+        but the log bounds them: the last event's tick, and one send per
+        logged notice and ack."""
+        frames = split_frames(render_canonical(Simulation(load_scenario(DEMO_YAML)).run()))
+        events = decode_events(reseal(frames))
+        assert events[-1].tick == 71
+        assert Counter(e.event for e in events if e.event in ("notice_sent", "ack_sent")) == {
+            "notice_sent": 3, "ack_sent": 3}
+        replay_canonical(reseal(frames, final_tick="71", messages_sent="6"))
+        for forged, name in (({"final_tick": "5"}, "final_tick"),
+                             ({"messages_sent": "1"}, "messages_sent")):
+            blob = reseal(frames, **forged)
+            with pytest.raises(ReplayMismatch, match=name):
+                replay_canonical(blob)
+            out = tmp_path / "forged.bin"
+            out.write_bytes(blob)
+            assert CliRunner().invoke(cli_main, ["replay", "--log", str(out)]).exit_code == 2
 
     def test_replay_rejects_a_missing_header_or_trailer_field(self, tmp_path):
         frames = split_frames(render_canonical(Simulation(load_scenario(DEMO_YAML)).run()))

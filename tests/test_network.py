@@ -26,6 +26,7 @@ from vaspnet.network import (
     apply_delta,
     build_advertisement,
     directory_digest,
+    heartbeat_partner,
     routes_digest,
 )
 from vaspnet.vasp import CustodyModel, OutcomeStatus, TransferTarget
@@ -647,18 +648,57 @@ class TestHeartbeatSchedule:
         # v4 has no customers: it never publishes and heartbeats version 0
         # from tick 0. It merges ca-2's CRL revoking bob at tick 40, after
         # that tick's sync, so its next sync period (50) sends the new digest
-        # to every co-member.
+        # to that period's partner and to each co-member certified by a CA
+        # other than ca-2, v1 and v3, which pull ca-2's CRL from it. v2,
+        # certified by ca-2, fetches that CRL from the CA.
         quiet = self.announce_ticks(mixed_ca_sim(), monkeypatch, "v4", 90)
         assert sorted(quiet) == list(range(0, 91, 10))
         assert all(len(targets) == 1 for targets in quiet.values())
         monkeypatch.undo()
         sim = mixed_ca_sim([TestRevocationFeed.REVOKE_BOB])
+        pulls = record_sends(sim, monkeypatch, {"crl_pull"})
         ticks = self.announce_ticks(sim, monkeypatch, "v4", 90)
+        network = sim.networks["net-a"]
+        partner = heartbeat_partner(network, "v4", 50 // network.rules.directory_sync_period)
         assert sorted(ticks) == list(range(0, 91, 10))
-        assert sorted(ticks.pop(50)) == ["v1", "v2", "v3"]
+        assert sorted(ticks.pop(50)) == sorted({"v1", "v3", partner})
         assert ticks == {tick: targets for tick, targets in quiet.items() if tick != 50}
         assert [issuer for issuer, _ in sim.vasps["v4"]._announces["net-a"].revocations] == [
             "ca-2"]
+        from_v4 = [(src, tick, [issuer for issuer, _ in wanted])
+                   for tick, src, dst, _, wanted in pulls if dst == "v4"]
+        assert sorted(src for src, _, _ in from_v4) == ["v1", "v3"]
+        for _, tick, issuers in from_v4:
+            assert 50 < tick <= 50 + sim.scenario.max_latency and issuers == ["ca-2"]
+        serial = sim.vasps["v2"].accounts["acct-bob"].certificate_serial
+        for member in ("v1", "v3"):
+            assert sim.vasps[member].revocation.is_revoked("ca-2", serial), member
+
+    def test_single_ca_revocation_sends_only_the_partners_heartbeat(self, monkeypatch):
+        # Every member is certified by ca-1 and fetches its CRL on the CA's
+        # tick, so the CRL revoking alice (tick 40) reaches all four at once
+        # and a changed revoked set is news to no co-member.
+        vasps = [{"vasp_id": f"v{i}", "ca": "ca-1", "networks": ["net-a"]} for i in (1, 2, 3, 4)]
+        customers = [{"customer_id": "alice", "vasp": "v1", "custody_model": "mediated",
+                      "attributes": {"name": "Alice", "email": "a@x"}}]
+        sim = Simulation(make_scenario(vasps=vasps, customers=customers, script=[
+            {"tick": 0, "action": "open_account", "customer": "alice"},
+            {"tick": 1, "action": "enroll", "customer": "alice"},
+            {"tick": 21, "action": "revoke_cert", "customer": "alice",
+             "reason": "keyCompromise"},
+        ]))
+        sent = record_sends(sim, monkeypatch, {"dir_announce", "crl_pull"})
+        issued = 2 * sim.networks["net-a"].rules.crl_exchange_period
+        sim.advance_to(issued - 1)
+        serial = sim.vasps["v1"].accounts["acct-alice"].certificate_serial
+        assert not any(v.revocation.is_revoked("ca-1", serial) for v in sim.vasps.values())
+        sim.advance_to(issued)
+        assert all(v.revocation.is_revoked("ca-1", serial) for v in sim.vasps.values())
+        sim.advance_to(90)
+        beats = Counter((tick, src) for tick, src, _, kind, _ in sent if kind == "dir_announce")
+        assert {tick for tick, _ in beats} >= {50, 60}
+        assert set(beats.values()) == {1}
+        assert [kind for *_, kind, _ in sent if kind == "crl_pull"] == []
 
     def test_lost_delta_is_pulled_from_its_owner_within_one_sync_period(self, monkeypatch):
         # v1 publishes at 30 (alice enrolled at 25); the delta to v2 is lost.
@@ -778,7 +818,7 @@ class TestAdvertisements:
         sim = two_network_sim()
         sim.advance_to(2)
         from vaspnet.network import build_advertisement, process_advertisement
-        adv = build_advertisement(sim.networks["net-b"], sim.vasps["v3"])
+        adv = sim.vasps["v3"].seal(build_advertisement(sim.networks["net-b"], sim.vasps["v3"]))
         forged = ReachabilityAdvertisement(**{
             **adv.__dict__, "advertised_hashes": frozenset({b"\x01" * 32}),
         })
@@ -1142,7 +1182,7 @@ class TestAdvertisementReuse:
             v2._adj_rib_out.clear()  # so the link is sent the advertisement again
             v2.advertise_reachability(sim.now)
             (adv,) = [p for _, _, kind, p in sent if kind == "reach_adv"]
-            fresh = build_advertisement(network, v2)
+            fresh = v2.seal(build_advertisement(network, v2))
             assert adv == fresh
             return adv, len(signed) - 1  # signatures beyond the reference's
 
@@ -1239,7 +1279,7 @@ class TestAdvertisementEncodingMemo:
     def test_forged_copy_gets_its_own_payload(self):
         sim = two_network_sim()
         sim.advance_to(13)
-        adv = build_advertisement(sim.networks["net-a"], sim.vasps["v2"])
+        adv = sim.vasps["v2"].seal(build_advertisement(sim.networks["net-a"], sim.vasps["v2"]))
         payload = adv.signed_payload()
         forged = ReachabilityAdvertisement(**{
             **adv.__dict__, "advertised_hashes": adv.advertised_hashes | {b"\x01" * 32},

@@ -17,7 +17,7 @@ import pytest
 from conftest import count_calls, record_sends
 from vaspnet import crypto
 from vaspnet.harness import Simulation
-from vaspnet.network import directory_digest
+from vaspnet.network import DirectorySnapshot, ReachabilityAdvertisement, directory_digest
 from vaspnet.scenario import load_scenario, parse_scenario
 from vaspnet.vasp import CustodyModel, OutcomeStatus, RecordRole, RecordStatus
 
@@ -26,7 +26,7 @@ WORKLOADS_PY = Path(__file__).resolve().parent.parent / "benchmark" / "workloads
 WORKLOAD_DIGESTS = {
     "pipeline": "725429ed776dda90d74f3d1a11d1fd08b30479725ed6a962d871e274e368e097",
     "mesh": "9ecae14f7a1dcc1ea084420c1f02a4820d656bef6ed4fcdcf5cecfc697feaef9",
-    "churn-lossy": "7cc38cad7a3e6e5bc86dc62813165406df5afaf1e643f2b47215c550803208df",
+    "churn-lossy": "d390fc230add8797cc17225b3b4225e697d7df884b3311797f7562a5e10e85d3",
 }
 
 
@@ -34,15 +34,15 @@ WORKLOAD_DIGESTS = {
 # event log, so a change that keeps the digests keeps these too.
 WORKLOAD_METRICS = {
     "churn-lossy": {
-        "transfers_attempted": "800", "transfers_confirmed": "573",
-        "transfers_denied_total": "227", "transfers_in_flight": "0",
+        "transfers_attempted": "800", "transfers_confirmed": "575",
+        "transfers_denied_total": "225", "transfers_in_flight": "0",
         "resolution_success_rate": "0.9712", "mean_resolution_hops": "1.3359",
-        "advertisements_accepted": "56", "advertisements_dropped": "7",
-        "messages_sent": "2160", "messages_dropped": "217", "ledger_transactions": "573",
-        "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "74",
-        "directory_convergence_tick": "431", "final_tick": "479",
+        "advertisements_accepted": "56", "advertisements_dropped": "8",
+        "messages_sent": "2093", "messages_dropped": "209", "ledger_transactions": "575",
+        "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "66",
+        "directory_convergence_tick": "446", "final_tick": "479",
         "denied.BeneficiaryUnresolved": "23", "denied.CertInvalid": "63",
-        "denied.ChannelTimeout": "141",
+        "denied.ChannelTimeout": "139",
     },
     "mesh": {
         "transfers_attempted": "200", "transfers_confirmed": "200",
@@ -143,10 +143,10 @@ WORKLOAD_MESSAGES = {
              "route_refresh": 2, "refreshed_routes": 3,
              "transfer_ack": 200, "transfer_notice": 200},
     "churn-lossy": {"crl_pull": 0, "crl": 0,
-                    "dir_announce": 367, "dir_delta": 255, "dir_pull": 48,
-                    "dir_snapshot": 44, "reach_adv": 62, "reach_digest": 15,
-                    "route_refresh": 0, "refreshed_routes": 8,
-                    "transfer_ack": 647, "transfer_notice": 714},
+                    "dir_announce": 299, "dir_delta": 255, "dir_pull": 51,
+                    "dir_snapshot": 46, "reach_adv": 61, "reach_digest": 17,
+                    "route_refresh": 0, "refreshed_routes": 9,
+                    "transfer_ack": 641, "transfer_notice": 714},
 }
 
 
@@ -205,16 +205,19 @@ def test_outcome_and_record_agree(workloads, name):
 SCENARIO_FILES = {p.stem: p for p in DENIALS_YAML.parent.glob("*.yaml")}
 
 
+def named_scenario(workloads, name):
+    """The named workload at seed 7, or the named scenario file."""
+    if name in SCENARIO_FILES:
+        return load_scenario(SCENARIO_FILES[name])
+    return parse_scenario(workloads[name].scenario(7))
+
+
 @pytest.mark.parametrize("name", [*sorted(WORKLOAD_DIGESTS), *sorted(SCENARIO_FILES)])
 def test_gossip_sends_no_empty_first_message(workloads, name, monkeypatch):
     """Every member starts from directory version 0 and every link from an
     empty Adj-RIB-Out, so no delta changes nothing and no first
     advertisement of an origin over a link carries no key hash."""
-    if name in SCENARIO_FILES:
-        scenario = load_scenario(SCENARIO_FILES[name])
-    else:
-        scenario = parse_scenario(workloads[name].scenario(7))
-    sim = Simulation(scenario)
+    sim = Simulation(named_scenario(workloads, name))
     sent = record_sends(sim, monkeypatch, {"dir_delta", "reach_adv"})
     sim.run()
     advertised: set[tuple[str, str, str]] = set()
@@ -224,6 +227,30 @@ def test_gossip_sends_no_empty_first_message(workloads, name, monkeypatch):
         elif (src, dst, payload.origin_network_id) not in advertised:
             assert payload.advertised_hashes, (src, dst, payload.origin_network_id)
             advertised.add((src, dst, payload.origin_network_id))
+
+
+@pytest.mark.parametrize("name", [*sorted(WORKLOAD_DIGESTS), *sorted(SCENARIO_FILES)])
+def test_no_snapshot_or_advertisement_is_signed_unsent(workloads, name, monkeypatch):
+    """A directory snapshot is signed on its first pull and an advertisement
+    when a link is first sent it, so every one signed goes out."""
+    sim = Simulation(named_scenario(workloads, name))
+    sealed = []
+    seal = crypto.seal
+
+    def recording_seal(key, draft):
+        signed = seal(key, draft)
+        if isinstance(signed, (DirectorySnapshot, ReachabilityAdvertisement)):
+            sealed.append(signed)
+        return signed
+
+    monkeypatch.setattr(crypto, "seal", recording_seal)
+    sent = record_sends(sim, monkeypatch, {"dir_snapshot", "reach_adv", "refreshed_routes"})
+    sim.run()
+    out = set()
+    for _, _, _, kind, payload in sent:
+        out.update(payload if kind == "refreshed_routes" else (payload,))
+    assert sealed
+    assert [s for s in sealed if s not in out] == []
 
 
 def test_member_certifying_no_key_heartbeats_version_0(workloads, monkeypatch):
