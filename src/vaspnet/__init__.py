@@ -6,7 +6,7 @@ Modules:
   ca          certificate authority services (issuance, revocation, CRLs, lookup)
   assertions  VASP-signed attribute assertions with disclosure filtering
   vasp        the VASP node: accounts, custody models, transfer pipeline, audit
-  network     trust networks: directory and revocation gossip, path-vector routes
+  network     trust networks: directory gossip, path-vector routes
   chain       append-only hash-chained ledger simulator
   scenario    scenario file schema and loader
   harness     deterministic discrete-event simulation

@@ -334,14 +334,10 @@ NOT_APPLIED = MergeResult(False)
 @dataclass(frozen=True)
 class _IssuerRevocations:
     """A view's record of one issuer, replaced whole on every merge: the CRL
-    number reached, the revoked entries by serial, the CA-signed lists they
-    were merged from (the last full CRL adopted, then each delta applied on
-    it, in order) and the digest of the entries, None when there are none."""
+    number reached and the revoked entries by serial."""
 
     number: int
     entries: Mapping[bytes, RevocationEntry]
-    evidence: tuple[Crl | DeltaCrl, ...]
-    digest: Optional[bytes]
 
 
 class RevocationView:
@@ -350,12 +346,9 @@ class RevocationView:
     Holds, per issuer, the entry set at the highest CRL number seen. Stale
     (lower-numbered) lists are ignored; deltas apply only on their exact base.
     A CA never un-revokes and every CRL carries all its revoked serials, so a
-    merge only ever adds serials; each merge reports the ones it added.
-
-    Each issuer's number, entries, the signed lists behind them (to hand to a
-    peer that pulls them) and the digest of the entries (what a directory
-    heartbeat carries) sit in one record, written only by ``_adopt``, so the
-    digest a node sends always describes the set it holds and can serve.
+    merge only ever adds serials; each merge reports the ones it added. A
+    relying party fetches the lists from their issuing CAs (RFC 5280 section
+    4.2.1.13).
     """
 
     def __init__(self) -> None:
@@ -379,55 +372,25 @@ class RevocationView:
     def revocation_entry(self, issuer_id: str, serial: bytes) -> Optional[RevocationEntry]:
         return self._entries(issuer_id).get(serial)
 
-    def evidence(self, issuer_id: str) -> tuple[Crl | DeltaCrl, ...]:
-        """The CA-signed lists the held entries of the issuer were merged
-        from, in merge order; empty for an issuer not held."""
-        held = self._held.get(issuer_id)
-        return held.evidence if held is not None else ()
-
-    def revoked_digest(self, issuer_id: str) -> Optional[bytes]:
-        """Digest of the held entries of the issuer; None while it revokes nothing."""
-        held = self._held.get(issuer_id)
-        return held.digest if held is not None else None
-
-    def revoked_digests(self) -> tuple[tuple[str, bytes], ...]:
-        """Every (issuer id, ``revoked_digest``) pair that is not None, by issuer id."""
-        return tuple(sorted(
-            (issuer_id, held.digest) for issuer_id, held in self._held.items()
-            if held.digest is not None
-        ))
-
     def merge_crl(self, crl: Crl) -> MergeResult:
         """Adopt a full CRL if newer than the held number."""
         if crl.crl_number <= self.crl_number(crl.issuer_id):
             return NOT_APPLIED
-        return self._adopt(crl, {e.serial: e for e in crl.entries}, (crl,))
+        return self._adopt(crl, {e.serial: e for e in crl.entries})
 
     def merge_delta(self, delta: DeltaCrl) -> MergeResult:
         """Apply a delta if its base matches the held number."""
-        held = self._held.get(delta.issuer_id)
-        number = held.number if held is not None else 0
+        held = self._entries(delta.issuer_id)
+        number = self.crl_number(delta.issuer_id)
         if delta.base_crl_number != number or delta.crl_number <= number:
             return NOT_APPLIED
-        entries = dict(held.entries) if held is not None else {}
+        entries = dict(held)
         entries.update((entry.serial, entry) for entry in delta.entries)
-        evidence = held.evidence if held is not None else ()
-        return self._adopt(delta, entries, evidence + (delta,))
+        return self._adopt(delta, entries)
 
-    def _adopt(
-        self,
-        crl: Crl | DeltaCrl,
-        entries: dict[bytes, RevocationEntry],
-        evidence: tuple[Crl | DeltaCrl, ...],
-    ) -> MergeResult:
-        held = self._held.get(crl.issuer_id)
-        before = held.entries if held is not None else {}
-        if held is not None and entries == before:
-            revoked_digest = held.digest
-        else:
-            revoked_digest = digest(_entries_payload(entries.values())) if entries else None
-        self._held[crl.issuer_id] = _IssuerRevocations(
-            crl.crl_number, entries, evidence, revoked_digest)
+    def _adopt(self, crl: Crl | DeltaCrl, entries: dict[bytes, RevocationEntry]) -> MergeResult:
+        before = self._entries(crl.issuer_id)
+        self._held[crl.issuer_id] = _IssuerRevocations(crl.crl_number, entries)
         return _merged(crl.issuer_id, entries.keys() - before.keys())
 
 

@@ -16,18 +16,17 @@ directory sync period, each member publishes a new version to every
 co-member if its live entries differ from the last published set. Else it
 heartbeats its version to one partner per network, which rotates so that
 each member receives one heartbeat per network per period from tick 0
-(``network.heartbeat_partner``). If the revoked sets it holds changed, the
-heartbeat also goes to each co-member certified by a CA other than a
-changed set's issuer; the others fetch that CRL from the CA themselves.
-Either message carries the digests of those sets. Then each gateway sends over each peering link its network's
-advertisement if it differs from what the link holds (nothing counts as no
-key hashes); else, in every other period and if nothing went over the link
-since the last one, a signed digest of the routes it holds for the link and
-received over it (``network.RouteDigest``).
-Every CRL period, each member then fetches its own CA's current CRL, the
-only way it gets that one. No CRL is pushed: a member gets another CA's CRL
-only by pulling it from a co-member whose delta or heartbeat shows a revoked
-set of that CA other than the one it holds.
+(``network.heartbeat_partner``). Then each gateway sends over each peering
+link its network's advertisement if it differs from what the link holds
+(nothing counts as no key hashes); else, in every other period and if
+nothing went over the link since the last one, a signed digest of the
+routes it holds for the link and received over it (``network.RouteDigest``).
+Every CRL period, each member then fetches from the issuing CAs the current
+CRL of every CA that certifies a member of its networks, its own included,
+in CA id order (RFC 5280 section 4.2.1.13, CRL distribution points). This
+is the only way CRLs move. The fetch is a synchronous call, like a CA
+lookup, because a CA is not a simulated node; each CA generates one CRL
+per tick however many members fetch it.
 
 Actor key material derives from (seed, actor name) so construction order
 never affects any byte of the run.
@@ -46,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import crypto
-from .ca import CertificateAuthority, Certificate, RevocationReason
+from .ca import CertificateAuthority, Certificate, Crl, RevocationReason
 from .chain import ChainTransaction, SimChain, SubmitResult, build_transaction
 from .crypto import FIELD_HEADER, KeyPair, digest
 from .network import PeeringLink, TrustNetwork
@@ -278,7 +277,8 @@ class Simulation:
         self._queue: dict[int, list[_Message]] = {}
         self._seq = 0  # one per send, so also the count of messages sent
         self._links: dict[tuple[str, str], _Link] = {}
-        self._ca_crl_cache: dict[tuple[str, int], Any] = {}
+        # CA id -> the CRL it generated last, read again on the same tick.
+        self._crls: dict[str, Crl] = {}
         # Public key or tx id -> the VASPs its confirmations are delivered to.
         self._watchers: dict[bytes, set[str]] = {}
         self._wallets: dict[str, KeyPair] = {}
@@ -607,7 +607,10 @@ class Simulation:
             self.vasps[vasp_id].advertise_reachability(tick)
         for vasp_id in self._due(tick, "crl_exchange_period", TrustNetwork.member_ids):
             node = self.vasps[vasp_id]
-            node.ingest_crls([self._latest_crl(node.ca, tick)])
+            issuers = {record.vasp_certificate.issuer_id
+                       for network in node.memberships.values()
+                       for record in network.members.values()}
+            node.ingest_crls([self._current_crl(ca_id, tick) for ca_id in sorted(issuers)])
 
     def _due(
         self, tick: int, period: str, ids_of: Callable[[TrustNetwork], list[str]]
@@ -622,11 +625,11 @@ class Simulation:
                         seen.add(vasp_id)
                         yield vasp_id
 
-    def _latest_crl(self, ca: CertificateAuthority, tick: int):
-        key = (ca.ca_id, tick)
-        if key not in self._ca_crl_cache:
-            self._ca_crl_cache[key] = ca.generate_crl(tick)
-        return self._ca_crl_cache[key]
+    def _current_crl(self, ca_id: str, tick: int) -> Crl:
+        crl = self._crls.get(ca_id)
+        if crl is None or crl.issued_at != tick:
+            crl = self._crls[ca_id] = self.cas[ca_id].generate_crl(tick)
+        return crl
 
     def _check_invariants(self, tick: int) -> None:
         for node in self._vasp_order:

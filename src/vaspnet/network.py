@@ -1,7 +1,6 @@
 """Trust networks: membership under operating rules, known-good-key
-directory gossip with deltas, revocation state on the directory heartbeat,
-and cross-network path-vector reachability advertisements through peering
-gateways.
+directory gossip with deltas, and cross-network path-vector reachability
+advertisements through peering gateways.
 
 Inside a network, each member publishes its own directory of live customer
 certificates and every member keeps a per-publisher view. Both gossip feeds
@@ -10,25 +9,19 @@ its change if there is one, else one signed digest, and a digest that
 differs from what the receiver holds makes it pull (push-pull anti-entropy,
 Demers et al., PODC 1987).
 
-Inside a network the feeds are the directory and revocation state. Every
-member starts from version 0, the empty directory. A member sends its
-co-members a delta (``DirectoryDelta``) in the sync period its directory
-changed; otherwise it sends one heartbeat (``DirectoryAnnounce``) per
-network to a partner that rotates (``heartbeat_partner``), so each member
-receives one per network per period. In the period after its revoked sets
-changed, the heartbeat also goes to each co-member certified by a CA other
-than a changed set's issuer: one certified by that CA fetches the issuer's
-CRL from the CA on the same tick and never pulls it from a peer. Both
-messages carry, per CA, the digest of the revoked set the sender holds; a
-heartbeat also carries its directory version and digest and the version of
-each view the sender holds of that network's members. A member holding a
-lower version of a view pulls the snapshot from that view's owner; one
-holding a different revoked set pulls the CA-signed lists behind the
-sender's set, which the sender sends only if they are newer than the
-puller's (CRL numbers order freshness, RFC 5280 section 5.2.3). No CRL is
-pushed. While the other members are quiet, a
-lost delta is pulled one sync period later, plus the latency of heartbeat,
-pull and snapshot.
+Inside a network the feed is the directory. Every member starts from
+version 0, the empty directory. A member sends its co-members a delta
+(``DirectoryDelta``) in the sync period its directory changed; otherwise it
+sends one heartbeat (``DirectoryAnnounce``) per network to a partner that
+rotates (``heartbeat_partner``), so each member receives one per network
+per period. A heartbeat carries the sender's directory version and digest
+and the version of each view the sender holds of that network's members. A
+member holding a lower version of a view pulls the snapshot from that
+view's owner. While the other members are quiet, a lost delta is pulled
+one sync period later, plus the latency of heartbeat, pull and snapshot.
+Revocations do not ride on gossip: every member fetches the CRLs it relies
+on from their issuing CAs (RFC 5280 section 4.2.1.13), as the harness's
+CRL duty describes.
 
 Across networks, gateways advertise the union of their network's key hashes
 with an explicit network path; loop prevention and route preference follow
@@ -159,17 +152,13 @@ class DirectorySnapshot(crypto.Signed):
 
 @dataclass(frozen=True)
 class DirectoryDelta(crypto.Signed):
-    """One published directory version as a change to the previous one. It
-    also carries the publisher's ``revocations``, as ``DirectoryAnnounce``
-    does, so a sync period in which a member publishes instead of
-    heartbeating still carries its revocation feed."""
+    """One published directory version as a change to the previous one."""
 
     owner_vasp_id: str
     from_version: int
     to_version: int
     added: frozenset[DirectoryEntry]
     removed: frozenset[DirectoryEntry]
-    revocations: tuple[tuple[str, bytes], ...] = ()
     signature: bytes = b""
 
     def __post_init__(self) -> None:
@@ -185,35 +174,24 @@ class DirectoryDelta(crypto.Signed):
             (3, enc_u64(self.to_version)),
             (4, _entries_bytes(self.added)),
             (5, _entries_bytes(self.removed)),
-            (6, _revocations_bytes(self.revocations)),
         ]
 
 
 @dataclass(frozen=True)
 class DirectoryAnnounce(crypto.Signed):
-    """Anti-entropy heartbeat of both feeds, sent inside one network: the
-    publisher's current directory version and entry digest, ``revocations``
-    (the publisher's ``RevocationView.revoked_digests()``) and ``views``, the
-    version of each view the publisher holds of that network's other
-    members. A receiver pulls the snapshot from the publisher when it holds
-    another directory of it, from the owner of each listed view it holds at a
-    lower version, and an issuer's CRL from the publisher when it holds
-    another revoked set of that issuer, not its own CA's. Snapshots are
-    owner-signed and install only forwards, so a relayed version adds no
-    trust. A heartbeat goes to the sync period's rotating partner, and after
-    a change of revoked sets also to each co-member that would pull one.
-
-    The revocation feed is summarised by digest rather than CRL number: a CA
-    numbers a new CRL every period whether or not it revoked anything, so
-    numbers would change the heartbeat, and cost a signature, every CRL
-    period, while the digest of the revoked set changes only with a
-    revocation. Issuers whose CRL revokes nothing are left out. The signed
-    payload names no recipient, so a re-sent heartbeat is encoded once."""
+    """Anti-entropy heartbeat of the directory feed, sent inside one network
+    to the sync period's rotating partner: the publisher's current directory
+    version and entry digest and ``views``, the version of each view the
+    publisher holds of that network's other members. A receiver pulls the
+    snapshot from the publisher when it holds another directory of it, and
+    from the owner of each listed view it holds at a lower version.
+    Snapshots are owner-signed and install only forwards, so a relayed
+    version adds no trust. The signed payload names no recipient, so a
+    re-sent heartbeat is encoded once."""
 
     owner_vasp_id: str
     version: int
     entries_digest: bytes
-    revocations: tuple[tuple[str, bytes], ...] = ()
     views: tuple[tuple[str, int], ...] = ()
     signature: bytes = b""
 
@@ -222,19 +200,11 @@ class DirectoryAnnounce(crypto.Signed):
             (1, enc_str(self.owner_vasp_id)),
             (2, enc_u64(self.version)),
             (3, self.entries_digest),
-            (4, _revocations_bytes(self.revocations)),
-            (5, encode_bytes_list(
+            (4, encode_bytes_list(
                 canonical_encode([(1, enc_str(member_id)), (2, enc_u64(version))])
                 for member_id, version in self.views
             )),
         ]
-
-
-def _revocations_bytes(revocations: tuple[tuple[str, bytes], ...]) -> bytes:
-    return encode_bytes_list(
-        canonical_encode([(1, enc_str(issuer_id)), (2, revoked_digest)])
-        for issuer_id, revoked_digest in revocations
-    )
 
 
 class ApplyResult(enum.Enum):

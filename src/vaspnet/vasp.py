@@ -497,8 +497,6 @@ class VaspNode:
         # Network id -> the signed heartbeat last built for it; rebuilt when
         # its content would change.
         self._announces: dict[str, DirectoryAnnounce] = {}
-        # Revocation digests on the last delta or heartbeat sent.
-        self._sent_revocations: tuple[tuple[str, bytes], ...] = ()
 
     # -- identity and membership --------------------------------------------
 
@@ -755,7 +753,6 @@ class VaspNode:
         version = last.version + 1
         snapshot = DirectorySnapshot(self.vasp_id, version, entries)
         self._last_snapshot = snapshot
-        self._sent_revocations = self.revocation.revoked_digests()
         self.directory_views[self.vasp_id].install_snapshot(snapshot)
         members = self.co_member_ids()
         if members:
@@ -765,7 +762,6 @@ class VaspNode:
                 to_version=version,
                 added=frozenset(entries - last.entries),
                 removed=frozenset(last.entries - entries),
-                revocations=self._sent_revocations,
             ))
             for member_id in members:
                 self.env.send(self.vasp_id, member_id, "dir_delta", delta)
@@ -786,7 +782,6 @@ class VaspNode:
             self._drop_revoked(view, delta.added)
             self.env.log(self.vasp_id, "directory_applied", owner=delta.owner_vasp_id,
                          version=view.version)
-        self._pull_revocations(delta.owner_vasp_id, delta.revocations)
 
     def on_dir_pull(self, src: str) -> None:
         """Answer with the published snapshot, signed on its first pull."""
@@ -804,58 +799,38 @@ class VaspNode:
         its first publish a member heartbeats version 0 and the digest of the
         empty set.
 
-        When the held revoked sets changed since the last delta or heartbeat,
-        the heartbeat also goes to each co-member that would pull one of the
-        changed sets: one certified by a CA other than that set's issuer. A
-        co-member certified by the issuer fetches the issuer's CRL from the
-        CA on the same tick and never pulls it from a peer
-        (``_pull_revocations``).
-
         A network's heartbeat is built and signed when its content changed
-        (version, revocation digests or the versions of the views held) and
-        re-sent unchanged otherwise; a network with no one to send to gets
-        none. It carries the digest of the *published* snapshot, not of the
-        own view, which ``prune_directory_views`` may prune.
+        (version or the versions of the views held) and re-sent unchanged
+        otherwise; a network with no one to send to gets none. It carries
+        the digest of the *published* snapshot, not of the own view, which
+        ``prune_directory_views`` may prune.
         """
         snapshot = self._last_snapshot
-        revocations = self.revocation.revoked_digests()
-        changed = {issuer_id for issuer_id, _ in set(revocations) ^ set(self._sent_revocations)}
-        self._sent_revocations = revocations
         for network in self.networks_sorted():
             partner = heartbeat_partner(
                 network, self.vasp_id, now // network.rules.directory_sync_period)
-            targets = [
-                member_id for member_id, record in sorted(network.members.items())
-                if member_id == partner
-                or (member_id != self.vasp_id and changed - {record.vasp_certificate.issuer_id})
-            ]
-            if not targets:
+            if partner is None:
                 continue
             views = tuple(
                 (member_id, self.directory_views[member_id].version)
                 for member_id in network.member_ids() if member_id != self.vasp_id
             )
             held = self._announces.get(network.network_id)
-            if held is None or (held.version, held.revocations, held.views) != (
-                snapshot.version, revocations, views
-            ):
+            if held is None or (held.version, held.views) != (snapshot.version, views):
                 held = self.seal(DirectoryAnnounce(
                     owner_vasp_id=self.vasp_id,
                     version=snapshot.version,
                     entries_digest=directory_digest(snapshot.entries),
-                    revocations=revocations,
                     views=views,
                 ))
                 self._announces[network.network_id] = held
-            for member_id in targets:
-                self.env.send(self.vasp_id, member_id, "dir_announce", held)
+            self.env.send(self.vasp_id, partner, "dir_announce", held)
 
     def on_dir_announce(self, announce: DirectoryAnnounce, src: str) -> None:
         """Compare a verified heartbeat with what this node holds and pull
         what differs: the snapshot of its sender, or of the owner of any view
         it lists at a higher version than the one held here (never from the
-        sender on the owner's behalf), and the CRLs behind differing revoked
-        sets from the sender."""
+        sender on the owner's behalf)."""
         if not self._signed_by_owner(announce):
             return
         owner = announce.owner_vasp_id
@@ -867,37 +842,6 @@ class VaspNode:
         for member_id, version in announce.views:
             if member_id != self.vasp_id and self.directory_views[member_id].version < version:
                 self.env.send(self.vasp_id, member_id, "dir_pull", None)
-        self._pull_revocations(owner, announce.revocations)
-
-    def _pull_revocations(self, owner: str, revocations: Sequence[tuple[str, bytes]]) -> None:
-        """Pull from a co-member, whose signed delta or heartbeat carried
-        ``revocations``, each issuer whose revoked set differs from the held one.
-
-        The pull names the CRL number held, so only newer lists come back.
-        The node's own CA is never pulled from a peer: the node fetches that
-        CRL from the CA every CRL period, the same tick its co-members
-        certified by that CA do, so revocation of its own CA's certificates
-        keeps the CA's timing.
-        """
-        wanted = tuple(
-            (issuer_id, self.revocation.crl_number(issuer_id))
-            for issuer_id, revoked_digest in revocations
-            if issuer_id != self.ca.ca_id and issuer_id in self.trust_anchors
-            and self.revocation.revoked_digest(issuer_id) != revoked_digest
-        )
-        if wanted:
-            self.env.send(self.vasp_id, owner, "crl_pull", wanted)
-
-    def on_crl_pull(self, wanted: Sequence[tuple[str, int]], src: str) -> None:
-        """Answer a CRL pull with the signed lists behind each requested
-        issuer's held set (``RevocationView.evidence``) when this node holds a
-        newer number than the puller; nothing when it holds none."""
-        newer: list[Crl | DeltaCrl] = []
-        for issuer_id, held_number in wanted:
-            if self.revocation.crl_number(issuer_id) > held_number:
-                newer.extend(self.revocation.evidence(issuer_id))
-        if newer:
-            self.env.send(self.vasp_id, src, "crl", newer)
 
     def on_dir_snapshot(self, snapshot: DirectorySnapshot, src: str) -> None:
         if not self._signed_by_owner(snapshot):
@@ -954,8 +898,8 @@ class VaspNode:
     # -- revocation ---------------------------------------------------------------
 
     def ingest_crls(self, crls: Sequence[Crl | DeltaCrl]) -> None:
-        """Merge issuer CRLs, from the CA or pulled from a peer, into the local
-        view after checking each one's CA signature."""
+        """Merge issuer CRLs, fetched from their CAs, into the local view
+        after checking each one's CA signature."""
         applied = []
         revoked: set[tuple[str, bytes]] = set()
         for crl in crls:
@@ -1795,10 +1739,6 @@ class VaspNode:
             self.on_dir_pull(src)
         elif kind == "dir_announce":
             self.on_dir_announce(payload, src)
-        elif kind == "crl_pull":
-            self.on_crl_pull(payload, src)
-        elif kind == "crl":
-            self.ingest_crls(payload)
         elif kind == "reach_adv":
             self.on_reachability_advertisement(payload, src)
         elif kind == "reach_digest":

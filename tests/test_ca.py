@@ -335,7 +335,7 @@ class TestRevocationView:
         via_full.merge_crl(ca.generate_crl(11))
         assert via_delta.entries(ca.ca_id) == via_full.entries(ca.ca_id)
 
-    def test_delta_merge_moves_digest_and_evidence_with_the_held_set(self):
+    def test_delta_merge_moves_the_held_set(self):
         ca = make_ca()
         first, second = (issue(ca, subject=f"s{i}", key_label=f"x{i}") for i in range(2))
         ca.revoke(first.serial, RevocationReason.UNSPECIFIED, 1)
@@ -344,31 +344,24 @@ class TestRevocationView:
         delta = ca.generate_delta_crl(base.crl_number, 3)
         via_delta = RevocationView()
         via_delta.merge_crl(base)
-        before = via_delta.revoked_digest(ca.ca_id)
+        before = via_delta.entries(ca.ca_id)
         assert via_delta.merge_delta(delta)
         via_full = RevocationView()
         via_full.merge_crl(ca.generate_crl(4))
-        assert via_delta.revoked_digest(ca.ca_id) == via_full.revoked_digest(ca.ca_id) != before
-        assert via_delta.revoked_digests() == ((ca.ca_id, via_full.revoked_digest(ca.ca_id)),)
-        assert via_delta.evidence(ca.ca_id) == (base, delta)
-        # Merging the evidence in order reaches the holder's number and set.
-        puller = RevocationView()
-        assert puller.merge_crl(base) and puller.merge_delta(delta)
-        assert puller.crl_number(ca.ca_id) == via_delta.crl_number(ca.ca_id)
-        assert puller.revoked_digest(ca.ca_id) == via_delta.revoked_digest(ca.ca_id)
+        assert via_delta.entries(ca.ca_id) == via_full.entries(ca.ca_id) != before
 
-    def test_full_crl_after_delta_replaces_the_evidence(self):
+    def test_full_crl_after_delta_revokes_nothing_new(self):
         ca = make_ca()
         cert = issue(ca)
         view = RevocationView()
         view.merge_crl(ca.generate_crl(0))
         ca.revoke(cert.serial, RevocationReason.UNSPECIFIED, 1)
         view.merge_delta(ca.generate_delta_crl(1, 2))
-        digest = view.revoked_digest(ca.ca_id)
+        entries = view.entries(ca.ca_id)
         full = ca.generate_crl(3)
         assert view.merge_crl(full).revoked == frozenset()
-        assert view.evidence(ca.ca_id) == (full,)
-        assert view.revoked_digest(ca.ca_id) == digest
+        assert view.crl_number(ca.ca_id) == full.crl_number
+        assert view.entries(ca.ca_id) == entries
 
 
 class TestLookup:

@@ -13,6 +13,7 @@ from vaspnet.cli import main as cli_main
 from vaspnet.harness import Simulation
 from vaspnet.network import OperatingRules
 from vaspnet.scenario import SchemaError, load_scenario, parse_scenario
+from vaspnet.vasp import DenialCode, RecordStatus
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -23,6 +24,7 @@ SCENARIO_DIGESTS = {
     "demo": "0f030bab991d962e32d7074478ab3ea0d444eb3e5227b24810107c19716a1c81",
     "denials": "6490011dada9f93c4e9db093c7f436f2c1d5cfd1847a4d98c3ae0d5e98a5c96f",
     "four_networks": "d5b4d11f0e51b4dcd84d7d14af08ba5ca9fa37b94467792abceded37c5784ead",
+    "mixed_ca": "a209c3eba797e2c3e147b289ca02ecc2565b1d2a115f0128162396c4c6fdee7b",
 }
 
 # ``Metrics.as_pairs()`` of each tracked scenario. The metrics are counted
@@ -57,6 +59,15 @@ SCENARIO_METRICS = {
         "messages_sent": "45", "messages_dropped": "0", "ledger_transactions": "1",
         "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
         "directory_convergence_tick": "10", "final_tick": "80",
+    },
+    "mixed_ca": {
+        "transfers_attempted": "2", "transfers_confirmed": "1",
+        "transfers_denied_total": "1", "transfers_in_flight": "0",
+        "resolution_success_rate": "1.0000", "mean_resolution_hops": "1.0000",
+        "advertisements_accepted": "0", "advertisements_dropped": "0",
+        "messages_sent": "48", "messages_dropped": "0", "ledger_transactions": "1",
+        "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
+        "directory_convergence_tick": "53", "final_tick": "82", "denied.CertInvalid": "1",
     },
 }
 
@@ -291,3 +302,19 @@ def test_scenario_digest_pinned(name):
 def test_scenario_metrics_pinned(name):
     scenario = load_scenario(SCENARIO_DIR / f"{name}.yaml")
     assert dict(Simulation(scenario).run().metrics.as_pairs()) == SCENARIO_METRICS[name]
+
+
+def test_mixed_ca_relying_party_denies_the_other_cas_revoked_customer():
+    """A ca-1 member holds ca-2's CRL from the tick ca-2 publishes it, so
+    its transfer to ca-2's revoked customer is denied ``CertInvalid`` by its
+    own check, and one to a live ca-2 customer confirms."""
+    sim = Simulation(load_scenario(SCENARIO_DIR / "mixed_ca.yaml"))
+    denied_at = sim.scenario.script[-2].tick
+    sim.advance_to(denied_at - 1)
+    bob = sim.vasps["v2"].accounts["acct-revoked-bob"].certificate_serial
+    assert sim.vasps["v1"].revocation.is_revoked("ca-2", bob)
+    sim.run()
+    denied, confirmed = (t.outcome for t in sim.scripted_transfers)
+    assert denied.denial.code is DenialCode.CERT_INVALID
+    assert denied.denial.detail == "beneficiary-customer:revoked"
+    assert confirmed.denial is None and confirmed.record.status is RecordStatus.CONFIRMED

@@ -17,7 +17,12 @@ import pytest
 from conftest import count_calls, record_sends
 from vaspnet import crypto
 from vaspnet.harness import Simulation
-from vaspnet.network import DirectorySnapshot, ReachabilityAdvertisement, directory_digest
+from vaspnet.network import (
+    DirectoryAnnounce,
+    DirectorySnapshot,
+    ReachabilityAdvertisement,
+    directory_digest,
+)
 from vaspnet.scenario import load_scenario, parse_scenario
 from vaspnet.vasp import CustodyModel, OutcomeStatus, RecordRole, RecordStatus
 
@@ -127,23 +132,19 @@ def test_ed25519_budget(workloads, name, monkeypatch):
 
 
 # Messages sent per kind over each whole seed-7 run, dropped ones included.
-# No CRL is pushed; one is pulled only when a heartbeat shows a co-member
-# holding another revoked set of a CA not its own, which these single-CA
-# networks never do. A sync period sends each member one heartbeat per
-# network and each peering link one digest, unless a change went instead;
-# a digest that differs brings a route refresh (``route_refresh``, answered
-# or pushed as ``refreshed_routes``).
+# No message carries a CRL: members fetch CRLs from the CAs. A sync period
+# sends each member one heartbeat per network and each peering link one
+# digest, unless a change went instead; a digest that differs brings a
+# route refresh (``route_refresh``, answered or pushed as
+# ``refreshed_routes``).
 WORKLOAD_MESSAGES = {
-    "pipeline": {"crl_pull": 0, "crl": 0,
-                 "dir_announce": 122, "dir_delta": 8, "reach_adv": 3, "reach_digest": 18,
+    "pipeline": {"dir_announce": 122, "dir_delta": 8, "reach_adv": 3, "reach_digest": 18,
                  "route_refresh": 0, "refreshed_routes": 0,
                  "transfer_ack": 500, "transfer_notice": 500},
-    "mesh": {"crl_pull": 0, "crl": 0,
-             "dir_announce": 456, "dir_delta": 120, "reach_adv": 43, "reach_digest": 64,
+    "mesh": {"dir_announce": 456, "dir_delta": 120, "reach_adv": 43, "reach_digest": 64,
              "route_refresh": 2, "refreshed_routes": 3,
              "transfer_ack": 200, "transfer_notice": 200},
-    "churn-lossy": {"crl_pull": 0, "crl": 0,
-                    "dir_announce": 299, "dir_delta": 255, "dir_pull": 51,
+    "churn-lossy": {"dir_announce": 299, "dir_delta": 255, "dir_pull": 51,
                     "dir_snapshot": 46, "reach_adv": 61, "reach_digest": 17,
                     "route_refresh": 0, "refreshed_routes": 9,
                     "transfer_ack": 641, "transfer_notice": 714},
@@ -165,6 +166,20 @@ def test_workload_traffic_pinned(workloads, name, monkeypatch):
     pinned = WORKLOAD_MESSAGES[name]
     assert {kind: sent[kind] for kind in pinned} == pinned
     assert sum(sent.values()) == sum(pinned.values())
+
+
+def test_churn_heartbeats_signed_only_when_their_content_moves(workloads, monkeypatch):
+    """``churn-lossy`` seed 7 signs at most 160 directory heartbeats in its
+    transfer window. A heartbeat is re-signed when its version or a listed
+    view version moves; a revocation changes none, since it carries no
+    revocation state."""
+    workload = workloads["churn-lossy"]
+    sim = Simulation(parse_scenario(workload.scenario(7)))
+    for tick in range(workload.first_transfer_tick):
+        sim.advance_to(tick)
+    sealed = count_calls(monkeypatch, crypto, "seal")
+    sim.run()
+    assert len([draft for _, draft in sealed if isinstance(draft, DirectoryAnnounce)]) <= 160
 
 
 DENIALS_YAML = Path(__file__).resolve().parent.parent / "scenarios" / "denials.yaml"
