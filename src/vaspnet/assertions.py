@@ -178,7 +178,7 @@ def issue_assertion(
     attributes: Mapping[str, str],
     registered_attributes: Mapping[str, str],
     validator: Callable[[Certificate], ValidationResult],
-    assertion_id: bytes | Callable[[], bytes],
+    assertion_id: bytes,
     issued_at: int,
     policy: Optional[DisclosurePolicy] = None,
 ) -> AttributeAssertion:
@@ -187,15 +187,14 @@ def issue_assertion(
     The subject certificate must validate, and every asserted attribute must
     already be registered for the account (a VASP attests only what it holds).
     With a ``policy``, only the attributes it allows are signed, and an empty
-    intersection raises ``EmptyDisclosure`` after the certificate check. A
-    callable ``assertion_id`` is called only once the certificate validated.
+    intersection raises ``EmptyDisclosure`` after the certificate check.
+    ``assertion_id`` is the id the new assertion carries; a VASP draws it
+    only when it signs, not when it hands out a held disclosure.
     """
     require_valid_subject(subject_certificate, validator)
     unknown = set(attributes) - set(registered_attributes)
     if unknown:
         raise AttributeNotRegistered(",".join(sorted(unknown)))
-    if callable(assertion_id):
-        assertion_id = assertion_id()
     if policy is not None:
         attributes = _disclosed(attributes, policy)
     return crypto.seal(signing_key, AttributeAssertion(

@@ -473,6 +473,8 @@ class CertificateAuthority:
         self._revoked: dict[bytes, RevocationEntry] = {}
         self._crl_number = 0
         self._crl_history: dict[int, frozenset[RevocationEntry]] = {}
+        # The last full CRL issued, while no revocation has come after it.
+        self._crl: Optional[Crl] = None
 
     # -- issuance ----------------------------------------------------------
 
@@ -615,18 +617,29 @@ class CertificateAuthority:
             raise AlreadyRevoked(serial.hex())
         entry = RevocationEntry(serial=serial, reason=reason, revoked_at=now)
         self._revoked[serial] = entry
+        self._crl = None
         return entry
 
+    def current_crl(self, now: int) -> Crl:
+        """The CA's published CRL: the last one issued, or a new one if a
+        revocation came after it or none was issued yet. Every fetch between
+        two revocations gets the same object."""
+        if self._crl is None:
+            return self.generate_crl(now)
+        return self._crl
+
     def generate_crl(self, now: int) -> Crl:
+        """Issue the next full CRL; it becomes the ``current_crl``."""
         self._crl_number += 1
         entries = frozenset(self._revoked.values())
         self._crl_history[self._crl_number] = entries
-        return crypto.seal(self._keypair, Crl(
+        self._crl = crypto.seal(self._keypair, Crl(
             issuer_id=self.ca_id,
             crl_number=self._crl_number,
             entries=entries,
             issued_at=now,
         ))
+        return self._crl
 
     def generate_delta_crl(self, base_number: int, now: int) -> DeltaCrl:
         if base_number not in self._crl_history:

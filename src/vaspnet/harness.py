@@ -25,8 +25,9 @@ Every CRL period, each member then fetches from the issuing CAs the current
 CRL of every CA that certifies a member of its networks, its own included,
 in CA id order (RFC 5280 section 4.2.1.13, CRL distribution points). This
 is the only way CRLs move. The fetch is a synchronous call, like a CA
-lookup, because a CA is not a simulated node; each CA generates one CRL
-per tick however many members fetch it.
+lookup, because a CA is not a simulated node. The CA issues a new CRL only
+when a revocation came after its last one (``current_crl``), so every
+fetch between two revocations gets the same CRL.
 
 Actor key material derives from (seed, actor name) so construction order
 never affects any byte of the run.
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import crypto
-from .ca import CertificateAuthority, Certificate, Crl, RevocationReason
+from .ca import CertificateAuthority, Certificate, RevocationReason
 from .chain import ChainTransaction, SimChain, SubmitResult, build_transaction
 from .crypto import FIELD_HEADER, KeyPair, digest
 from .network import PeeringLink, TrustNetwork
@@ -277,8 +278,6 @@ class Simulation:
         self._queue: dict[int, list[_Message]] = {}
         self._seq = 0  # one per send, so also the count of messages sent
         self._links: dict[tuple[str, str], _Link] = {}
-        # CA id -> the CRL it generated last, read again on the same tick.
-        self._crls: dict[str, Crl] = {}
         # Public key or tx id -> the VASPs its confirmations are delivered to.
         self._watchers: dict[bytes, set[str]] = {}
         self._wallets: dict[str, KeyPair] = {}
@@ -610,7 +609,7 @@ class Simulation:
             issuers = {record.vasp_certificate.issuer_id
                        for network in node.memberships.values()
                        for record in network.members.values()}
-            node.ingest_crls([self._current_crl(ca_id, tick) for ca_id in sorted(issuers)])
+            node.ingest_crls([self.cas[ca_id].current_crl(tick) for ca_id in sorted(issuers)])
 
     def _due(
         self, tick: int, period: str, ids_of: Callable[[TrustNetwork], list[str]]
@@ -624,12 +623,6 @@ class Simulation:
                     if vasp_id not in seen:
                         seen.add(vasp_id)
                         yield vasp_id
-
-    def _current_crl(self, ca_id: str, tick: int) -> Crl:
-        crl = self._crls.get(ca_id)
-        if crl is None or crl.issued_at != tick:
-            crl = self._crls[ca_id] = self.cas[ca_id].generate_crl(tick)
-        return crl
 
     def _check_invariants(self, tick: int) -> None:
         for node in self._vasp_order:

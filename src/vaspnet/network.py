@@ -555,11 +555,10 @@ def process_advertisement(
         return "drop", "loop"
     if network.network_id in adv.network_path:
         return "drop", "loop"
-    sender = env.node(sender_gateway_id)
-    sender_check = validate_certificate(
-        sender.certificate, receiving_gateway.trust_anchors, env.now, receiving_gateway.revocation
-    )
-    if not sender_check.ok or not crypto.check(sender.certificate.subject_public_key, adv):
+    sender_cert = receiving_gateway.peer_certificate(sender_gateway_id)
+    if sender_cert is None or not receiving_gateway.validate(sender_cert).ok or not crypto.check(
+        sender_cert.subject_public_key, adv
+    ):
         return "drop", "bad-signature"
     # The link's Adj-RIB-In: what the far gateway holds for it, once
     # received, whether or not it is installed.

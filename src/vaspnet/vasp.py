@@ -165,24 +165,6 @@ class Account:
                 raise ModelKeyMismatch("commingled accounts store no customer keys")
 
 
-class SuspectList:
-    """Blocked public-key hashes and account ids; version only grows."""
-
-    def __init__(self) -> None:
-        self._blocked: set[bytes | str] = set()
-        self.version = 0
-
-    def add(self, ref: bytes | str) -> None:
-        self._blocked.add(ref)
-        self.version += 1
-
-    def contains(self, ref: bytes | str) -> bool:
-        return ref in self._blocked
-
-    def __len__(self) -> int:
-        return len(self._blocked)
-
-
 @dataclass(frozen=True)
 class BeneficiaryRef:
     """How a notice names one beneficiary: key hash plus optional account id."""
@@ -467,8 +449,11 @@ class VaspNode:
         self._accounts_by_key_hash: dict[bytes, str] = {}
         self._known_keys: frozenset[bytes] = frozenset((keypair.public_key,))
         env.watch(keypair.public_key, vasp_id)
-        self.suspect_list = SuspectList()
+        # Blocked public-key hashes and account ids.
+        self.suspect_list: set[bytes | str] = set()
         self.revocation = RevocationView()
+        # CA id -> root certificate; filled once, when the harness builds
+        # the node.
         self.trust_anchors: dict[str, Certificate] = {}
         self.memberships: dict[str, TrustNetwork] = {}
         # Publisher id -> its directory as held here, from version 0.
@@ -526,8 +511,6 @@ class VaspNode:
             now, now + validity_ticks, now,
         )
         self.certificate = cert
-        if self.ca.root_certificate is not None:
-            self.trust_anchors[self.ca.ca_id] = self.ca.root_certificate
         return cert
 
     def join(self, network: TrustNetwork, now: int):
@@ -537,7 +520,6 @@ class VaspNode:
             self.certificate, network.rules.rules_version, now, self.revocation
         )
         self.memberships[network.network_id] = network
-        self.trust_anchors.update(network.recognized_anchors)
         return record
 
     def networks_sorted(self) -> list[TrustNetwork]:
@@ -557,9 +539,10 @@ class VaspNode:
                 return record.vasp_certificate
         return None
 
-    def _peer_certificate(self, vasp_id: str) -> Optional[Certificate]:
+    def peer_certificate(self, vasp_id: str) -> Optional[Certificate]:
         """Peer VASP certificate: from shared membership, else fetched over the
-        pair-wise channel (certificate exchange at channel setup)."""
+        pair-wise channel (certificate exchange at channel setup). The one
+        place a node takes another VASP's certificate from."""
         if vasp_id == self.vasp_id:
             return self.certificate
         cert = self.member_certificate(vasp_id)
@@ -571,12 +554,12 @@ class VaspNode:
                 return peer.certificate
         return None
 
-    def _validator(self, chain_id: Optional[str] = None):
-        def check(cert: Certificate) -> ValidationResult:
-            return validate_certificate(
-                cert, self.trust_anchors, self.env.now, self.revocation, chain_id
-            )
-        return check
+    def validate(self, cert: Certificate, chain_id: Optional[str] = None) -> ValidationResult:
+        """``cert`` checked against this node's trust anchors and revocation
+        view at the current tick, for ``chain_id`` if given."""
+        return validate_certificate(
+            cert, self.trust_anchors, self.env.now, self.revocation, chain_id
+        )
 
     def _fresh_id(self, length: int = NOTICE_ID_LEN) -> bytes:
         return self._rng.getrandbits(length * 8).to_bytes(length, "big")
@@ -705,7 +688,7 @@ class VaspNode:
 
     def screen_suspect(self, party_refs: Iterable[bytes | str]) -> bool:
         """True iff none of the given refs is on the suspect list."""
-        return not any(self.suspect_list.contains(ref) for ref in party_refs)
+        return self.suspect_list.isdisjoint(party_refs)
 
     # -- directory gossip -----------------------------------------------------
 
@@ -899,7 +882,10 @@ class VaspNode:
 
     def ingest_crls(self, crls: Sequence[Crl | DeltaCrl]) -> None:
         """Merge issuer CRLs, fetched from their CAs, into the local view
-        after checking each one's CA signature."""
+        after checking each one's CA signature against this node's trust
+        anchors. A CA hands out the same CRL until it revokes again; one
+        already merged is skipped by its number, and only a merge that
+        applies is logged."""
         applied = []
         revoked: set[tuple[str, bytes]] = set()
         for crl in crls:
@@ -945,7 +931,7 @@ class VaspNode:
             return None
         status = "ok"
         if account.custody_model is not CustodyModel.COMMINGLED:
-            check = self._validator()(cert)
+            check = self.validate(cert)
             if check.status is ValidationStatus.REVOKED:
                 status = "revoked"
             elif not check.ok:
@@ -1015,7 +1001,7 @@ class VaspNode:
         if lookup is None:
             return None
         home_vasp_id = lookup.attributes.get("vasp_id")
-        home_cert = self._peer_certificate(home_vasp_id) if home_vasp_id else None
+        home_cert = self.peer_certificate(home_vasp_id) if home_vasp_id else None
         return ResolvedBeneficiary(
             certificate=lookup.certificate,
             home_vasp_id=home_vasp_id,
@@ -1062,7 +1048,7 @@ class VaspNode:
         assertion = response.assertion
         if assertion is not None and not verify_assertion(
             assertion, response.responder_certificate, response.certificate,
-            self._validator(),
+            self.validate,
         ):
             assertion = None
         attributes = dict(assertion.attributes) if assertion else None
@@ -1322,9 +1308,7 @@ class VaspNode:
         for which, cert, chain_id in checks:
             if cert is None:
                 return which
-            result = validate_certificate(
-                cert, self.trust_anchors, self.env.now, self.revocation, chain_id
-            )
+            result = self.validate(cert, chain_id)
             if not result.ok:
                 return f"{which}:{result.status.value}"
         if resolved.revoked:
@@ -1342,18 +1326,16 @@ class VaspNode:
         the certificate, the policy and the disclosed attributes equal those it
         was signed over. Every call validates the certificate first, so a
         revoked or expired one raises ``SubjectCertInvalid`` as a fresh signing
-        would, and every call draws the ids a fresh signing draws.
+        would. A miss draws one id, the new assertion's; a hit draws none.
         """
-        self._fresh_id()  # unused: keeps the id stream of the full-set-then-filter signing
         policy = self.disclosure_policy
         held = self._held_disclosures.get(subject_id)
         if held is not None and held.covers(subject_cert, policy, registered):
-            require_valid_subject(subject_cert, self._validator())
-            self._fresh_id()  # the id a fresh assertion would carry
+            require_valid_subject(subject_cert, self.validate)
             return held.assertion
         assertion = issue_assertion(
             self._keypair, self.vasp_id, subject_id, subject_cert,
-            registered, registered, self._validator(), self._fresh_id, now,
+            registered, registered, self.validate, self._fresh_id(), now,
             policy=policy,
         )
         self._held_disclosures[subject_id] = HeldDisclosure(subject_cert, policy, assertion)
@@ -1425,7 +1407,7 @@ class VaspNode:
         sender cannot be authenticated.
         """
         now = self.env.now
-        originator_cert = self._peer_certificate(notice.originator_vasp_id)
+        originator_cert = self.peer_certificate(notice.originator_vasp_id)
         if originator_cert is None or not crypto.check(originator_cert.subject_public_key, notice):
             self.env.log(self.vasp_id, "notice_dropped",
                          origin=notice.originator_vasp_id, reason="bad-signature")
@@ -1435,7 +1417,7 @@ class VaspNode:
         if notice.notice_id in self._handled_notices:
             return None
         self._handled_notices.add(notice.notice_id)
-        originator_check = self._validator()(originator_cert)
+        originator_check = self.validate(originator_cert)
         if not originator_check.ok:
             return self._reject_notice(notice, RejectReason.CERT_INVALID, now)
 
@@ -1454,7 +1436,7 @@ class VaspNode:
 
         for account in accounts:
             cert = self._subject_certificate(account)
-            if cert is None or not self._validator(self.chain_id)(cert).ok:
+            if cert is None or not self.validate(cert, self.chain_id).ok:
                 return self._reject_notice(notice, RejectReason.CERT_INVALID, now)
 
         if not self._notice_assertion_acceptable(notice, originator_cert):
@@ -1579,7 +1561,7 @@ class VaspNode:
         if home_cert is None or subject_cert is None:
             return False
         return verify_assertion(
-            ack.beneficiary_assertion, home_cert, subject_cert, self._validator()
+            ack.beneficiary_assertion, home_cert, subject_cert, self.validate
         )
 
     def sweep_ack_timeouts(self, now: int) -> None:
@@ -1798,9 +1780,10 @@ class VaspNode:
             return
         pull = self.adj_rib_in[link].digest != keepalive.held
         push = self._adj_rib_out[link].sent.digest != keepalive.received
-        if not (pull or push) or keepalive.gateway_id != src or not crypto.check(
-            self.env.node(src).certificate.subject_public_key, keepalive
-        ):
+        if not (pull or push) or keepalive.gateway_id != src:
+            return
+        cert = self.peer_certificate(src)
+        if cert is None or not crypto.check(cert.subject_public_key, keepalive):
             return
         if pull:
             self.env.send(self.vasp_id, src, "route_refresh", None)

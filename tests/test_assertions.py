@@ -193,19 +193,11 @@ class TestDisclosureSignedOnce:
         assert verify_assertion(once, world["vasp_cert"], world["customer_cert"],
                                 world["validator"])
 
-    def test_callable_id_drawn_once_after_validation(self, world):
-        drawn = []
-        once = self.disclose(world, lambda: drawn.append(1) or b"\x08" * 16)
-        assert drawn == [1] and once.assertion_id == b"\x08" * 16
-
     def test_invalid_subject_cert_wins_over_empty_disclosure(self, world):
         world["ca"].revoke(world["customer_cert"].serial, RevocationReason.KEY_COMPROMISE, 1)
         world["view"].merge_crl(world["ca"].generate_crl(2))
-        drawn = []
         with pytest.raises(SubjectCertInvalid):
-            self.disclose(world, lambda: drawn.append(1) or bytes(16),
-                          policy=DisclosurePolicy(frozenset({"nonexistent"})))
-        assert drawn == []
+            self.disclose(world, bytes(16), policy=DisclosurePolicy(frozenset({"nonexistent"})))
 
     def test_empty_disclosure_after_valid_cert(self, world, monkeypatch):
         signed = count_calls(monkeypatch, crypto, "sign")

@@ -386,6 +386,19 @@ class TestCli:
         assert len(result.output.strip().splitlines()) == 1
         assert ",coin," in result.output
 
+    def test_dump_routes(self):
+        four_networks = DEMO_YAML.with_name("four_networks.yaml")
+        result = CliRunner().invoke(cli_main, ["dump-routes", "--scenario", str(four_networks)])
+        assert result.exit_code == 0
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 6
+        for line in lines:  # network,hash16,home,path
+            network, key_hash, home, path = line.split(",")
+            assert network in ("net-a", "net-b", "net-c", "net-d")
+            assert re.fullmatch(r"[0-9a-f]{16}", key_hash)
+            assert home in ("a1", "d1")
+            assert network not in path.split(">")
+
     def test_seed_override_changes_digest(self, scenario_file, tmp_path):
         runner = CliRunner()
         outputs = set()

@@ -266,7 +266,11 @@ class TestCaFetch:
             assert not any(e.serial == serial for e in view.entries), member
 
     def test_fetch_covers_own_and_co_member_cas_in_id_order(self, monkeypatch):
-        sim = mixed_ca_sim()
+        """A CA issues a CRL only when a revocation came after its last one:
+        a period with nothing revoked issues none and hands every member the
+        same object; after a revocation exactly one new CRL is issued, however
+        many members fetch it."""
+        sim = mixed_ca_sim([self.REVOKE_BOB])  # bob revoked at tick 21
         period = sim.networks["net-a"].rules.crl_exchange_period
         sim.advance_to(period - 1)
         fetched = count_calls(monkeypatch, vaspnet.vasp.VaspNode, "ingest_crls")
@@ -274,7 +278,15 @@ class TestCaFetch:
         sim.advance_to(period)
         assert [(node.vasp_id, [crl.issuer_id for crl in crls]) for node, crls in fetched] == [
             (member, ["ca-1", "ca-2"]) for member in ("v1", "v2", "v3", "v4")]
-        assert len(generated) == 1  # one CRL per CA per tick, however many fetch it
+        assert generated == []
+        held = fetched[0][1][1]
+        assert all(crls[1] is held for _, crls in fetched)
+        fetched.clear()
+        sim.advance_to(2 * period)
+        assert len(generated) == 1 and len(fetched) == 4
+        issued = fetched[0][1][1]
+        assert issued.crl_number == held.crl_number + 1
+        assert all(crls[1] is issued for _, crls in fetched)
 
     def test_revocation_run_sends_no_crl_message(self, monkeypatch):
         sim = mixed_ca_sim([self.REVOKE_BOB])

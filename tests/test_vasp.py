@@ -33,7 +33,6 @@ from vaspnet.vasp import (
     OutcomeStatus,
     RecordRole,
     RecordStatus,
-    SuspectList,
     TransferAck,
     TransferNotice,
     TransferTarget,
@@ -350,7 +349,6 @@ class TestNoticeHandling:
 
 class TestSuspectScreening:
     def test_empty_refs_pass(self):
-        assert SuspectList().version == 0
         sim = open_and_enroll()
         assert sim.vasps["v1"].screen_suspect([]) is True
 
@@ -362,7 +360,6 @@ class TestSuspectScreening:
         assert node.screen_suspect([b"\x09" * 32]) is False
         assert node.screen_suspect(["acct-evil"]) is False
         assert node.screen_suspect(["acct-good", b"\x08" * 32]) is True
-        assert node.suspect_list.version == 2
 
 
 class TestCommingledBatch:
@@ -679,8 +676,9 @@ class TestPostNoticeEdges:
 
 
 class TestDisclosure:
-    """Each disclosure is signed once, and equals, in its bytes and in the ids
-    it draws, signing the full attribute set and then filtering it."""
+    """Each disclosure is signed once and equals, in its bytes, signing the
+    full attribute set and then filtering it under the disclosure's id. A
+    miss draws one id, the disclosure's."""
 
     @staticmethod
     def ids_after(node, draws):
@@ -693,7 +691,7 @@ class TestDisclosure:
         return state, ids
 
     @pytest.mark.parametrize("kind", ["originator", "customer", "pool"])
-    def test_signed_once_same_bytes_same_ids(self, kind, monkeypatch):
+    def test_signed_once_same_bytes_one_id(self, kind, monkeypatch):
         sim = open_and_enroll()
         sim.advance_to(2)
         node, now = sim.vasps["v1"], sim.now
@@ -707,30 +705,30 @@ class TestDisclosure:
             "customer": lambda: node._customer_assertion(account, now),
             "pool": lambda: node._pool_assertion(now),
         }[kind]
-        state, ids = self.ids_after(node, 2)
-        full = issue_assertion(node._keypair, node.vasp_id, subject_id, cert, attrs, attrs,
-                               node._validator(), ids[0], now)
-        expected = filter_attributes(full, node.disclosure_policy, node._keypair,
-                                     node.vasp_id, ids[1], now)
+        state, ids = self.ids_after(node, 1)
         signed = count_calls(monkeypatch, crypto, "sign")
         validated = count_calls(monkeypatch, vaspnet.vasp, "validate_certificate")
         disclosed = disclose()
         assert len(signed) == 1 and len(validated) == 1
+        assert node._rng.getstate() == state and disclosed.assertion_id == ids[0]
+        full = issue_assertion(node._keypair, node.vasp_id, subject_id, cert, attrs, attrs,
+                               node.validate, bytes(16), now)
+        expected = filter_attributes(full, node.disclosure_policy, node._keypair,
+                                     node.vasp_id, disclosed.assertion_id, now)
         assert disclosed.to_bytes() == expected.to_bytes()
-        assert node._rng.getstate() == state
 
-    def test_refused_disclosures_draw_ids_as_before(self):
+    def test_refused_disclosures_on_a_miss_draw_one_id(self):
         sim = open_and_enroll()
         sim.advance_to(2)
         node, now = sim.vasps["v1"], sim.now
         account = node.accounts["acct-alice"]
-        # A valid certificate with nothing to disclose: both ids drawn.
-        state, _ = self.ids_after(node, 2)
+        # A valid certificate with nothing to disclose.
+        state, _ = self.ids_after(node, 1)
         node.disclosure_policy = DisclosurePolicy(frozenset({"nonexistent"}))
         with pytest.raises(EmptyDisclosure):
             node._originator_assertion(account, account.certificate, now)
         assert node._rng.getstate() == state
-        # A revoked certificate: the certificate check wins, one id drawn.
+        # A revoked certificate: the certificate check wins.
         node.ca.revoke(account.certificate_serial, RevocationReason.KEY_COMPROMISE, now)
         node.ingest_crls([node.ca.generate_crl(now)])
         state, _ = self.ids_after(node, 1)
@@ -742,8 +740,8 @@ class TestDisclosure:
 class TestHeldDisclosures:
     """One assertion is signed per subject and handed out again while the
     certificate, the policy and the disclosed attributes are those it was
-    signed over; every use validates the certificate and draws the ids a
-    fresh signing draws."""
+    signed over; every use validates the certificate. A miss draws one id,
+    a hit none."""
 
     @staticmethod
     def alice():
@@ -757,7 +755,7 @@ class TestHeldDisclosures:
         return node._originator_assertion(account, account.certificate, node.env.now)
 
     @pytest.mark.parametrize("kind", ["originator", "customer", "pool"])
-    def test_hit_signs_nothing_and_draws_the_same_ids(self, kind, monkeypatch):
+    def test_hit_signs_nothing_and_draws_no_id(self, kind, monkeypatch):
         sim, node, account = self.alice()
         disclose = {
             "originator": lambda: self.disclose(node, account),
@@ -766,7 +764,7 @@ class TestHeldDisclosures:
         }[kind]
         first = disclose()
         sim.advance_to(3)
-        state, _ = TestDisclosure.ids_after(node, 2)
+        state = node._rng.getstate()
         signed = count_calls(monkeypatch, crypto, "sign")
         validated = count_calls(monkeypatch, vaspnet.vasp, "validate_certificate")
         again = disclose()
@@ -786,7 +784,7 @@ class TestHeldDisclosures:
             node.ingest_crls([node.ca.generate_crl(2)])
         else:
             sim.advance_to(cert.validity_not_after + 1)
-        state, _ = TestDisclosure.ids_after(node, 1)
+        state = node._rng.getstate()
         with pytest.raises(SubjectCertInvalid, match=cause):
             node._originator_assertion(account, cert, sim.now)
         assert node._rng.getstate() == state
