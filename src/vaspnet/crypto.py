@@ -5,12 +5,27 @@ so signatures and digests are bit-exact across runs. Signatures are Ed25519
 (deterministic, 64 bytes); digests are SHA-256 (32 bytes). Key generation is
 seeded, never from OS randomness, so simulations replay exactly.
 
-Each key is parsed once. ``generate_keypair`` and ``sign`` share one bounded
-cache of parsed private-key objects, and ``verify`` keeps one of parsed
-public-key objects, each keyed by the key's ``bytes`` and holding at most
-``KEY_CACHE_SIZE`` keys, least recently used evicted first. A malformed key
-raises while it is parsed and so is never cached. Signatures stay identical
-because Ed25519 signing is deterministic.
+Ed25519 runs in the system libsodium (1.0.18 or later), bound through
+``ctypes``: ``crypto_sign_seed_keypair`` derives a key,
+``crypto_sign_detached`` signs and ``crypto_sign_verify_detached`` verifies.
+The library is loaded once, at import, from a fixed list of names
+(``SODIUM_NAMES``); if none loads or ``sodium_init`` fails, importing this
+module raises ``ImportError``. Its keys and signatures are byte for byte
+those of RFC 8032, so every digest matches any other conforming
+implementation. Its verdicts are stricter than OpenSSL's on crafted input:
+it rejects public keys and signature ``R`` values of small order and
+non-canonical point encodings, which no honestly derived key or signature
+contains. Every argument is checked for type and length in Python before a
+pointer reaches C, and each call allocates its own output buffer: ``ctypes``
+releases the interpreter lock for the call, so a buffer shared between calls
+could be written by two threads at once.
+
+Each key is derived once. ``generate_keypair`` and ``sign`` share one bounded
+cache of libsodium's 64-byte secret keys (the seed, then the public key),
+keyed by the seed's ``bytes`` and holding at most ``KEY_CACHE_SIZE`` keys,
+least recently used evicted first. A malformed seed raises ``InvalidSeed``
+before the cache is consulted and so is never cached. ``verify`` hands the
+32-byte public key to libsodium as it is and caches nothing.
 
 Every signed object follows one rule, X.509's to-be-signed body plus a
 signature (RFC 5280 section 4.1). A frozen ``Signed`` type declares its signed
@@ -47,21 +62,16 @@ tag range, then value length (both ``MalformedRecord``).
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 import struct
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Mapping, Optional, Sequence, TypeVar
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import serialization
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
-
 HASH_LEN = 32
 KEY_LEN = 32
+SECRET_KEY_LEN = 64
 SIGNATURE_LEN = 64
 
 # Above the objects any benchmark workload encodes, drafts excluded (seed 7,
@@ -69,13 +79,15 @@ SIGNATURE_LEN = 64
 # run's working set stays resident.
 ENCODING_MEMO_SIZE = 4096
 
-# Above the distinct keys any benchmark workload parses (seed 7, whole run:
-# 844 private and 158 public on mesh, 144 and 120 on churn-lossy, 48 and 48
-# on pipeline), so each key is parsed once a run.
+# Above the distinct keys any benchmark workload derives (seed 7, whole run:
+# 816 on mesh, 134 on churn-lossy, 40 on pipeline), so each key is derived
+# once a run.
 KEY_CACHE_SIZE = 4096
 
-_RAW = serialization.Encoding.Raw
-_RAW_PUB = serialization.PublicFormat.Raw
+# libsodium's shared library on Linux (1.0.18 and 1.0.19 or later), macOS
+# and Windows, tried in this order.
+SODIUM_NAMES = ("libsodium.so.23", "libsodium.so.26", "libsodium.dylib", "libsodium.dll")
+SODIUM_MIN_VERSION = (1, 0, 18)
 
 
 class CryptoError(Exception):
@@ -94,6 +106,71 @@ class MalformedRecord(CryptoError):
     """Byte string is not a valid canonical record encoding."""
 
 
+def _load_sodium(names: Sequence[str] = SODIUM_NAMES) -> ctypes.CDLL:
+    """The first of ``names`` that loads, initialised and with the Ed25519
+    functions declared; ``ImportError`` if none loads, ``sodium_init`` fails
+    or the library is older than ``SODIUM_MIN_VERSION``."""
+    for name in names:
+        try:
+            sodium = ctypes.CDLL(name)
+        except OSError:
+            continue
+        break
+    else:
+        raise ImportError(
+            f"vaspnet.crypto needs libsodium >= 1.0.18; none of {', '.join(names)} loads"
+            " (install libsodium23 on Debian or Ubuntu, libsodium with Homebrew)")
+    sodium.sodium_init.argtypes = []
+    sodium.sodium_init.restype = ctypes.c_int
+    if sodium.sodium_init() < 0:
+        raise ImportError(f"libsodium ({name}) failed to initialise")
+    sodium.sodium_version_string.argtypes = []
+    sodium.sodium_version_string.restype = ctypes.c_char_p
+    version = sodium.sodium_version_string().decode()
+    if tuple(int(part) for part in version.split(".")[:3]) < SODIUM_MIN_VERSION:
+        raise ImportError(f"vaspnet.crypto needs libsodium >= 1.0.18, {name} is {version}")
+    ull = ctypes.c_ulonglong
+    for function, argtypes in (
+        # (pk, sk, seed)
+        (sodium.crypto_sign_seed_keypair, [ctypes.c_char_p] * 3),
+        # (sig, siglen_p, m, mlen, sk)
+        (sodium.crypto_sign_detached,
+         [ctypes.c_char_p, ctypes.POINTER(ull), ctypes.c_char_p, ull, ctypes.c_char_p]),
+        # (sig, m, mlen, pk)
+        (sodium.crypto_sign_verify_detached,
+         [ctypes.c_char_p, ctypes.c_char_p, ull, ctypes.c_char_p]),
+    ):
+        function.argtypes = argtypes
+        function.restype = ctypes.c_int
+    return sodium
+
+
+_sodium = _load_sodium()
+SODIUM_VERSION: str = _sodium.sodium_version_string().decode()
+_seed_keypair = _sodium.crypto_sign_seed_keypair
+_sign_detached = _sodium.crypto_sign_detached
+_verify_detached = _sodium.crypto_sign_verify_detached
+
+
+def _as_bytes(value) -> Optional[bytes]:
+    """``value`` as ``bytes`` if it is bytes-like, else None. Only what this
+    returns is passed to C: an ``int`` given for a ``char *`` would be taken
+    for an address."""
+    if type(value) is bytes:
+        return value
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return bytes(value)
+    return None
+
+
+def _seed(value) -> bytes:
+    """``value`` as a 32-byte seed, or ``InvalidSeed``."""
+    seed = _as_bytes(value)
+    if seed is None or len(seed) != KEY_LEN:
+        raise InvalidSeed(f"seed must be exactly {KEY_LEN} bytes")
+    return seed
+
+
 @dataclass(frozen=True)
 class KeyPair:
     """Ed25519 keypair; ``private_key`` is the 32-byte seed."""
@@ -108,10 +185,8 @@ class KeyPair:
 
 def generate_keypair(seed: bytes) -> KeyPair:
     """Derive an Ed25519 keypair from a 32-byte seed, deterministically."""
-    if not isinstance(seed, (bytes, bytearray)) or len(seed) != KEY_LEN:
-        raise InvalidSeed(f"seed must be exactly {KEY_LEN} bytes")
-    public = _private_key(bytes(seed)).public_key().public_bytes(_RAW, _RAW_PUB)
-    return KeyPair(public_key=public, private_key=bytes(seed))
+    seed = _seed(seed)
+    return KeyPair(public_key=_private_key(seed)[KEY_LEN:], private_key=seed)
 
 
 def keypair_from_label(namespace: str, label: str) -> KeyPair:
@@ -124,22 +199,28 @@ def keypair_from_label(namespace: str, label: str) -> KeyPair:
 
 
 @functools.lru_cache(maxsize=KEY_CACHE_SIZE)
-def _private_key(seed: bytes) -> Ed25519PrivateKey:
-    return Ed25519PrivateKey.from_private_bytes(seed)
-
-
-@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
-def _public_key(public_key: bytes) -> Ed25519PublicKey:
-    return Ed25519PublicKey.from_public_bytes(public_key)
+def _private_key(seed: bytes) -> bytes:
+    """libsodium's 64-byte secret key for a 32-byte ``seed``: the seed, then
+    the public key."""
+    public = ctypes.create_string_buffer(KEY_LEN)
+    secret = ctypes.create_string_buffer(SECRET_KEY_LEN)
+    if _seed_keypair(public, secret, seed) != 0:
+        raise CryptoError("crypto_sign_seed_keypair failed")
+    return secret.raw
 
 
 def sign(private_key: bytes | KeyPair, message: bytes) -> bytes:
     """Produce the 64-byte deterministic Ed25519 signature."""
     if isinstance(private_key, KeyPair):
         private_key = private_key.private_key
-    if len(private_key) != KEY_LEN:
-        raise InvalidSeed(f"private key must be exactly {KEY_LEN} bytes")
-    return _private_key(bytes(private_key)).sign(message)
+    seed = _seed(private_key)
+    data = _as_bytes(message)
+    if data is None:
+        raise TypeError(f"message must be bytes, not {type(message).__name__}")
+    signature = ctypes.create_string_buffer(SIGNATURE_LEN)
+    if _sign_detached(signature, None, data, len(data), _private_key(seed)) != 0:
+        raise CryptoError("crypto_sign_detached failed")
+    return signature.raw
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -147,15 +228,13 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
 
     Malformed inputs of any kind return False; this never raises.
     """
-    try:
-        if type(public_key) is bytes:
-            key = _public_key(public_key)
-        else:
-            key = Ed25519PublicKey.from_public_bytes(public_key)
-        key.verify(signature, message)
-    except (InvalidSignature, ValueError, TypeError):
+    public_key = _as_bytes(public_key)
+    message = _as_bytes(message)
+    signature = _as_bytes(signature)
+    if (public_key is None or message is None or signature is None
+            or len(public_key) != KEY_LEN or len(signature) != SIGNATURE_LEN):
         return False
-    return True
+    return _verify_detached(signature, message, len(message), public_key) == 0
 
 
 def digest(data: bytes) -> bytes:

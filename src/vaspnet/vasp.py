@@ -119,7 +119,8 @@ class Account:
     Its key invariant (``check_invariants``) is checked when the account
     opens, and by its node's per-tick sweep after each write to one of
     ``ACCOUNT_KEY_FIELDS``: every such write, those in ``__init__``
-    included, files the account id in ``key_writes``, the node's set.
+    included, files the account id in ``key_writes``, the node's set,
+    through the field's ``_key_field`` descriptor.
     """
 
     # Declared first, so it is assigned in ``__init__`` before the key
@@ -140,11 +141,6 @@ class Account:
         key = self.customer_public_key
         self.customer_public_key_hash = digest(key) if key is not None else None
 
-    def __setattr__(self, name: str, value) -> None:
-        object.__setattr__(self, name, value)
-        if name in ACCOUNT_KEY_FIELDS and self.key_writes is not None:
-            self.key_writes.add(self.account_id)
-
     @property
     def certificate_serial(self) -> Optional[bytes]:
         return self.certificate.serial if self.certificate is not None else None
@@ -163,6 +159,24 @@ class Account:
         else:
             if self.customer_public_key is not None or self.custodied_private_key is not None:
                 raise ModelKeyMismatch("commingled accounts store no customer keys")
+
+
+def _key_field(slot) -> property:
+    """Data descriptor over the slot of one of ``ACCOUNT_KEY_FIELDS``: reads
+    go to the slot in C, and a write also files the account in its
+    ``key_writes``."""
+
+    def write(account: Account, value) -> None:
+        slot.__set__(account, value)
+        if account.key_writes is not None:
+            account.key_writes.add(account.account_id)
+
+    return property(slot.__get__, write)
+
+
+for _name in ACCOUNT_KEY_FIELDS:
+    setattr(Account, _name, _key_field(getattr(Account, _name)))
+del _name
 
 
 @dataclass(frozen=True)
@@ -442,7 +456,7 @@ class VaspNode:
         self.certificate: Optional[Certificate] = None
         self.accounts: dict[str, Account] = {}
         # Ids of the accounts whose key fields were written since the last
-        # sweep (filed by ``Account.__setattr__``), and of those failing now.
+        # sweep (filed by ``_key_field``), and of those failing now.
         self._key_writes: set[str] = set()
         self._failing_accounts: set[str] = set()
         self._wallets: dict[str, KeyPair] = {}

@@ -3,7 +3,8 @@
 Expected values below were cross-checked before the build against two
 independent Ed25519 implementations (the cryptography library and the pure
 Python reference in ed25519_ref.py) and against the published RFC 8032 /
-FIPS 180 vectors.
+FIPS 180 vectors. ``vaspnet.crypto`` runs Ed25519 in libsodium;
+``TestLibsodiumBackend`` checks it against the cryptography library's OpenSSL.
 """
 
 import random
@@ -165,33 +166,29 @@ class TestSignVerify:
 
 
 class TestKeyCaches:
-    """Each key is parsed once; the caches are bounded and hold no bad key."""
+    """Each key is derived once; the cache is bounded and holds no bad key."""
 
     @pytest.fixture(autouse=True)
-    def empty_caches(self):
+    def empty_cache(self):
         crypto._private_key.cache_clear()
-        crypto._public_key.cache_clear()
 
-    def test_caches_stay_within_bound(self):
+    def test_cache_stays_within_bound(self):
         seeds = [digest(i.to_bytes(4, "big")) for i in range(crypto.KEY_CACHE_SIZE + 16)]
         for seed in seeds:
             pair = generate_keypair(seed)
             assert verify(pair.public_key, b"m", sign(pair, b"m"))
-        for cache in (crypto._private_key, crypto._public_key):
-            info = cache.cache_info()
-            assert info.maxsize == crypto.KEY_CACHE_SIZE
-            assert info.currsize == crypto.KEY_CACHE_SIZE
+        info = crypto._private_key.cache_info()
+        assert info.maxsize == crypto.KEY_CACHE_SIZE
+        assert info.currsize == crypto.KEY_CACHE_SIZE
         pair = generate_keypair(seeds[0])  # evicted keys still sign and verify
         assert verify(pair.public_key, b"m", sign(pair, b"m"))
 
     def test_malformed_key_never_cached_and_verifies_false(self):
         pair = generate_keypair(digest(b"malformed"))
         signature = sign(pair, b"m")
-        before = crypto._public_key.cache_info().currsize
         for bad in (b"", b"not-a-key", pair.public_key[:31], pair.public_key + b"\x00"):
             assert verify(bad, b"m", signature) is False
             assert verify(bad, b"m", signature) is False
-        assert crypto._public_key.cache_info().currsize == before
         for bad in (b"", bytes(31), bytes(33)):
             with pytest.raises(InvalidSeed):
                 sign(bad, b"m")
@@ -202,24 +199,109 @@ class TestKeyCaches:
         pair = generate_keypair(digest(b"key-types"))
         signature = sign(pair, zeros)
         assert verify(pair.public_key, zeros, signature)
-        before = crypto._public_key.cache_info().currsize
         assert verify(pair.public_key, 32, signature) is False
         assert verify(pair.public_key, "0" * 32, signature) is False
         assert verify(pair.public_key.hex(), zeros, signature) is False
         assert verify(pair.public_key, zeros, 64) is False
-        assert verify(bytearray(pair.public_key), zeros, signature) in (True, False)
+        assert verify(bytearray(pair.public_key), zeros, signature)
         assert verify(pair.public_key, bytearray(zeros), bytearray(signature))
         assert not verify(pair.public_key, bytearray(b"x" * 32), bytearray(signature))
-        assert crypto._public_key.cache_info().currsize == before
+        for bad in (pair.private_key.hex()[:32], 32):
+            with pytest.raises(InvalidSeed):
+                sign(bad, zeros)
+        assert crypto._private_key.cache_info().currsize == 1
 
-    def test_keypair_from_label_then_sign_parses_the_key_once(self, monkeypatch):
-        parses = count_calls(monkeypatch, crypto.Ed25519PrivateKey, "from_private_bytes")
+    def test_keypair_from_label_then_sign_derives_the_key_once(self, monkeypatch):
+        derivations = count_calls(monkeypatch, crypto, "_seed_keypair")
         pair = crypto.keypair_from_label("memo", "alice")
         signature = sign(pair, b"m")
         assert sign(pair.private_key, b"m") == signature
         assert crypto.keypair_from_label("memo", "alice") == pair
-        assert len(parses) == 1
+        assert len(derivations) == 1
         assert signature == ed25519_ref.sign(pair.private_key, b"m")
+
+
+def flip_bit(data: bytes, bit: int) -> bytes:
+    mutated = bytearray(data)
+    mutated[bit // 8] ^= 1 << (bit % 8)
+    return bytes(mutated)
+
+
+class TestLibsodiumBackend:
+    """libsodium agrees with OpenSSL byte for byte, and only checked
+    arguments reach it."""
+
+    def test_agrees_with_openssl_on_seeded_inputs(self):
+        from cryptography.exceptions import InvalidSignature
+        from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+            Ed25519PrivateKey,
+            Ed25519PublicKey,
+        )
+        from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
+
+        def openssl_verify(public_key, message, signature):
+            try:
+                Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
+            except (InvalidSignature, ValueError):
+                return False
+            return True
+
+        assert crypto._verify_detached.__name__ == "crypto_sign_verify_detached"
+        rng = random.Random(0x50D1)
+        for _ in range(200):
+            seed = rng.randbytes(32)
+            message = rng.randbytes(rng.randrange(1, 129))
+            reference = Ed25519PrivateKey.from_private_bytes(seed)
+            pair = generate_keypair(seed)
+            signature = sign(pair, message)
+            assert pair.public_key == reference.public_key().public_bytes(
+                Encoding.Raw, PublicFormat.Raw)
+            assert signature == reference.sign(message)
+            cases = [
+                (pair.public_key, message, signature),
+                (flip_bit(pair.public_key, rng.randrange(256)), message, signature),
+                (pair.public_key, flip_bit(message, rng.randrange(len(message) * 8)), signature),
+                (pair.public_key, message, flip_bit(signature, rng.randrange(512))),
+            ]
+            verdicts = [verify(*case) for case in cases]
+            assert verdicts == [openssl_verify(*case) for case in cases]
+            assert verdicts == [True, False, False, False]
+
+    def test_unchecked_arguments_never_reach_c(self, monkeypatch):
+        pair = generate_keypair(digest(b"guarded"))
+        signature = sign(pair, b"m")
+
+        def refuse(*args):
+            raise AssertionError("an unchecked argument reached libsodium")
+
+        crypto._private_key.cache_clear()
+        for name in ("_seed_keypair", "_sign_detached", "_verify_detached"):
+            monkeypatch.setattr(crypto, name, refuse)
+        for key in (b"", bytes(31), bytes(33), "k" * 32, 32):
+            assert verify(key, b"m", signature) is False
+            with pytest.raises(InvalidSeed):
+                sign(key, b"m")
+            with pytest.raises(InvalidSeed):
+                generate_keypair(key)
+        for bad in (signature[:63], signature + b"\x00", "s" * 64, 64):
+            assert verify(pair.public_key, b"m", bad) is False
+        for message in ("m", 1):
+            assert verify(pair.public_key, message, signature) is False
+            with pytest.raises(TypeError):
+                sign(pair, message)
+
+    def test_loader_without_libsodium_raises_import_error(self):
+        with pytest.raises(ImportError, match="libsodium"):
+            crypto._load_sodium(("libsodium-absent.so.0", "/nonexistent/libsodium.so"))
+
+    def test_loader_refuses_a_failed_init(self, monkeypatch):
+        class FailingSodium:
+            def __init__(self, name):
+                self.sodium_init = lambda: -1
+
+        monkeypatch.setattr(crypto.ctypes, "CDLL", FailingSodium)
+        with pytest.raises(ImportError, match="libsodium"):
+            crypto._load_sodium()
 
 
 class TestDigest:

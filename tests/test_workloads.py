@@ -120,7 +120,7 @@ ED25519_BUDGETS = {
 @pytest.mark.parametrize("name", sorted(ED25519_BUDGETS))
 def test_ed25519_budget(workloads, name, monkeypatch):
     """Signs and verifications stay within budget, and every private key the
-    window signs or derives with was parsed in set-up."""
+    window signs or derives with was derived in set-up."""
     workload = workloads[name]
     crypto._encoding.cache_clear()
     crypto._private_key.cache_clear()
@@ -129,11 +129,11 @@ def test_ed25519_budget(workloads, name, monkeypatch):
         sim.advance_to(tick)
     signs = count_calls(monkeypatch, crypto, "sign")
     verifies = count_calls(monkeypatch, crypto, "verify")
-    parses = count_calls(monkeypatch, crypto.Ed25519PrivateKey, "from_private_bytes")
+    derivations = count_calls(monkeypatch, crypto, "_seed_keypair")
     sim.run()
     assert len(signs) <= ED25519_BUDGETS[name]["signs"]
     assert len(verifies) <= ED25519_BUDGETS[name]["verifies"]
-    assert parses == []
+    assert derivations == []
 
 
 # Messages sent per kind over each whole seed-7 run, dropped ones included.
