@@ -316,22 +316,6 @@ class ValidationResult:
 
 
 @dataclass(frozen=True)
-class MergeResult:
-    """What one merge into a ``RevocationView`` did. It is true when the view
-    adopted the list; ``revoked`` holds the (issuer id, serial) pairs the
-    merge revoked that the view did not hold before."""
-
-    applied: bool
-    revoked: frozenset[tuple[str, bytes]] = frozenset()
-
-    def __bool__(self) -> bool:
-        return self.applied
-
-
-NOT_APPLIED = MergeResult(False)
-
-
-@dataclass(frozen=True)
 class _IssuerRevocations:
     """A view's record of one issuer, replaced whole on every merge: the CRL
     number reached and the revoked entries by serial."""
@@ -346,9 +330,8 @@ class RevocationView:
     Holds, per issuer, the entry set at the highest CRL number seen. Stale
     (lower-numbered) lists are ignored; deltas apply only on their exact base.
     A CA never un-revokes and every CRL carries all its revoked serials, so a
-    merge only ever adds serials; each merge reports the ones it added. A
-    relying party fetches the lists from their issuing CAs (RFC 5280 section
-    4.2.1.13).
+    merge only ever adds serials. A relying party fetches the lists from their
+    issuing CAs (RFC 5280 section 4.2.1.13).
     """
 
     def __init__(self) -> None:
@@ -372,30 +355,23 @@ class RevocationView:
     def revocation_entry(self, issuer_id: str, serial: bytes) -> Optional[RevocationEntry]:
         return self._entries(issuer_id).get(serial)
 
-    def merge_crl(self, crl: Crl) -> MergeResult:
-        """Adopt a full CRL if newer than the held number."""
+    def merge_crl(self, crl: Crl) -> bool:
+        """Adopt a full CRL if newer than the held number; true if adopted."""
         if crl.crl_number <= self.crl_number(crl.issuer_id):
-            return NOT_APPLIED
-        return self._adopt(crl, {e.serial: e for e in crl.entries})
+            return False
+        self._held[crl.issuer_id] = _IssuerRevocations(
+            crl.crl_number, {e.serial: e for e in crl.entries})
+        return True
 
-    def merge_delta(self, delta: DeltaCrl) -> MergeResult:
-        """Apply a delta if its base matches the held number."""
-        held = self._entries(delta.issuer_id)
+    def merge_delta(self, delta: DeltaCrl) -> bool:
+        """Apply a delta if its base matches the held number; true if applied."""
         number = self.crl_number(delta.issuer_id)
         if delta.base_crl_number != number or delta.crl_number <= number:
-            return NOT_APPLIED
-        entries = dict(held)
+            return False
+        entries = dict(self._entries(delta.issuer_id))
         entries.update((entry.serial, entry) for entry in delta.entries)
-        return self._adopt(delta, entries)
-
-    def _adopt(self, crl: Crl | DeltaCrl, entries: dict[bytes, RevocationEntry]) -> MergeResult:
-        before = self._entries(crl.issuer_id)
-        self._held[crl.issuer_id] = _IssuerRevocations(crl.crl_number, entries)
-        return _merged(crl.issuer_id, entries.keys() - before.keys())
-
-
-def _merged(issuer_id: str, serials: Iterable[bytes]) -> MergeResult:
-    return MergeResult(True, frozenset((issuer_id, serial) for serial in serials))
+        self._held[delta.issuer_id] = _IssuerRevocations(delta.crl_number, entries)
+        return True
 
 
 def validate_certificate(

@@ -21,7 +21,12 @@ view's owner. While the other members are quiet, a lost delta is pulled
 one sync period later, plus the latency of heartbeat, pull and snapshot.
 Revocations do not ride on gossip: every member fetches the CRLs it relies
 on from their issuing CAs (RFC 5280 section 4.2.1.13), as the harness's
-CRL duty describes.
+CRL duty describes. A view holds exactly what its owner published, and only
+``apply_delta`` and ``DirectoryView.install_snapshot`` write it. A revoked
+entry stays in the views until its owner publishes the removal, at its
+first sync after merging the CRL; meanwhile a relying party that resolves
+the key refuses its certificate where every certificate is checked
+(``VaspNode.validate``).
 
 Across networks, gateways advertise the union of their network's key hashes
 with an explicit network path; loop prevention and route preference follow
@@ -610,8 +615,9 @@ def query_certificate(
 
     Returns the owner's response (ok or revoked-flagged), or None when no
     view holds the hash or the owner is unreachable; an unresponsive owner is
-    logged as a directory inconsistency. A revoked response marks the view
-    entry stale.
+    logged as a directory inconsistency. A revoked response is logged as a
+    stale entry and kept only if no later owner answers "ok"; the view is
+    left as its owner published it.
     """
     result: Optional[QueryResponse] = None
     for owner_id in sorted(requester.directory_views):
@@ -628,7 +634,6 @@ def query_certificate(
             env.log(requester.vasp_id, "directory_inconsistency", owner=owner_id)
             continue
         if response.status == "revoked":
-            view.entries = frozenset(e for e in view.entries if e.public_key_hash != key_hash)
             env.log(requester.vasp_id, "directory_stale_entry", owner=owner_id)
             result = result or response
             continue

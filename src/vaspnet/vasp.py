@@ -16,7 +16,7 @@ import enum
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import crypto
 from .assertions import (
@@ -478,10 +478,11 @@ class VaspNode:
         self._handled_notices: set[bytes] = set()
         # Subject id -> the last disclosure signed about it (``_disclosure``).
         self._held_disclosures: dict[str, HeldDisclosure] = {}
-        # Unrevoked customer certificates: (issuer, serial) -> (entry, not-after).
+        # Each account's current customer certificate, revoked ones included:
+        # (issuer, serial) -> (entry, not-after).
         self._certified: dict[tuple[str, bytes], tuple[DirectoryEntry, int]] = {}
         # ``directory_entries`` at any tick of [_live_from, _live_until];
-        # None after enrolment or revocation.
+        # None after enrolment or an applied CRL merge.
         self._live_entries: Optional[frozenset[DirectoryEntry]] = None
         self._live_from = self._live_until = 0.0
         # Network id -> (member entry sets summarised, advertisement), the
@@ -709,14 +710,17 @@ class VaspNode:
     def directory_entries(self, now: int) -> frozenset[DirectoryEntry]:
         """Current live customer certificate entries (revoked/expired excluded).
 
-        The set is kept between calls. Enrolment and revocation reset it; it
-        is rebuilt from the unrevoked certificates when ``now`` leaves the
-        ticks it holds for, that is, when a certificate expires.
+        The set is kept between calls. Enrolment and an applied CRL merge
+        reset it; it is rebuilt from the accounts' current certificates, less
+        those the revocation view names, when ``now`` leaves the ticks it
+        holds for, that is, when a certificate expires.
         """
         if self._live_entries is None or not self._live_from <= now <= self._live_until:
             live = []
             self._live_from, self._live_until = float("-inf"), float("inf")
-            for entry, not_after in self._certified.values():
+            for (issuer_id, serial), (entry, not_after) in self._certified.items():
+                if self.revocation.is_revoked(issuer_id, serial):
+                    continue
                 if now > not_after:
                     self._live_from = max(self._live_from, not_after + 1)
                 else:
@@ -776,7 +780,6 @@ class VaspNode:
                          held=view.version, offered=delta.to_version)
             self.env.send(self.vasp_id, delta.owner_vasp_id, "dir_pull", None)
         else:
-            self._drop_revoked(view, delta.added)
             self.env.log(self.vasp_id, "directory_applied", owner=delta.owner_vasp_id,
                          version=view.version)
 
@@ -799,8 +802,8 @@ class VaspNode:
         A network's heartbeat is built and signed when its content changed
         (version or the versions of the views held) and re-sent unchanged
         otherwise; a network with no one to send to gets none. It carries
-        the digest of the *published* snapshot, not of the own view, which
-        ``prune_directory_views`` may prune.
+        the digest of the published snapshot, which every view of this
+        member, its own included, holds once it reaches that version.
         """
         snapshot = self._last_snapshot
         for network in self.networks_sorted():
@@ -845,7 +848,6 @@ class VaspNode:
             return
         view = self.directory_views[snapshot.owner_vasp_id]
         if view.install_snapshot(snapshot):
-            self._drop_revoked(view, view.entries)
             self.env.log(self.vasp_id, "directory_applied", owner=snapshot.owner_vasp_id,
                          version=view.version)
 
@@ -862,30 +864,6 @@ class VaspNode:
                      reason="bad-signature")
         return False
 
-    def prune_directory_views(self, revoked: Collection[tuple[str, bytes]]) -> None:
-        """Follow newly revoked (issuer id, serial) pairs: drop them from this
-        node's live entries and from every held view.
-
-        Every view write is followed by a prune, so a view never holds an
-        entry revoked earlier and only the new pairs need looking for.
-        """
-        if not revoked:
-            return
-        for pair in revoked:
-            if self._certified.pop(pair, None) is not None:
-                self._live_entries = None
-        for view in self.directory_views.values():
-            gone = {e for e in view.entries if (e.issuer_ca_id, e.serial) in revoked}
-            # Replace only on removal: a new set drops the view's cached digest.
-            if gone:
-                view.entries = view.entries - gone
-
-    def _drop_revoked(self, view: DirectoryView, written: Iterable[DirectoryEntry]) -> None:
-        """Remove from ``view`` the entries just written to it that are revoked."""
-        gone = {e for e in written if self.revocation.is_revoked(e.issuer_ca_id, e.serial)}
-        if gone:
-            view.entries = view.entries - gone
-
     def find_directory_owner(self, key_hash: bytes) -> Optional[str]:
         for owner_id in sorted(self.directory_views):
             if key_hash in self.directory_views[owner_id].key_hashes():
@@ -899,9 +877,10 @@ class VaspNode:
         after checking each one's CA signature against this node's trust
         anchors. A CA hands out the same CRL until it revokes again; one
         already merged is skipped by its number, and only a merge that
-        applies is logged."""
+        applies is logged. An applied merge resets the live entries, so the
+        next sync publishes the removal of a newly revoked one; views held
+        of other members are left as their owners published them."""
         applied = []
-        revoked: set[tuple[str, bytes]] = set()
         for crl in crls:
             anchor = self.trust_anchors.get(crl.issuer_id)
             if anchor is None or not crypto.check(anchor.subject_public_key, crl):
@@ -914,9 +893,8 @@ class VaspNode:
                 merged = self.revocation.merge_crl(crl)
             if merged:
                 applied.append(crl)
-                revoked |= merged.revoked
         if applied:
-            self.prune_directory_views(revoked)
+            self._live_entries = None
             for crl in applied:
                 self.env.log(self.vasp_id, "crl_merged", issuer=crl.issuer_id,
                              number=crl.crl_number)
@@ -1007,7 +985,6 @@ class VaspNode:
             account_id=account.account_id,
             custody_model=account.custody_model.value,
             attributes=dict(account.attributes),
-            revoked=self.revocation.is_revoked(cert.issuer_id, cert.serial),
         )
 
     def _resolve_via_ca(self, target: TransferTarget, now: int) -> Optional[ResolvedBeneficiary]:

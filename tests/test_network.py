@@ -9,7 +9,7 @@ import vaspnet.network
 import vaspnet.vasp
 from conftest import count_calls, make_scenario, record_sends, standard_script
 from vaspnet import crypto
-from vaspnet.ca import CertClass, RevocationReason, RevocationView
+from vaspnet.ca import CertClass, RevocationReason, RevocationView, ValidationStatus
 from vaspnet.harness import Simulation
 from vaspnet.network import (
     ApplyResult,
@@ -28,7 +28,7 @@ from vaspnet.network import (
     directory_digest,
     routes_digest,
 )
-from vaspnet.vasp import CustodyModel, OutcomeStatus, TransferTarget
+from vaspnet.vasp import CustodyModel, DenialCode, OutcomeStatus, TransferTarget
 
 
 def two_network_sim(**overrides):
@@ -223,16 +223,30 @@ class TestCrlExchange:
         assert v1.revocation.crl_number("ca-1") == second.crl_number
         assert v1.revocation.is_revoked("ca-1", serial)
 
-    def test_directory_views_pruned_after_merge(self):
+    def test_directory_views_follow_the_owner_not_the_merge(self, monkeypatch):
+        """A relying party's merge leaves its view of the owner as published
+        and refuses the certificate; the entry leaves the view with the
+        owner's removal delta."""
         sim = two_network_sim()
         sim.advance_to(20)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
-        serial = v1.accounts["acct-alice"].certificate_serial
-        assert any(e.serial == serial for e in v2.directory_views["v1"].entries)
+        alice = v1.accounts["acct-alice"]
+        serial = alice.certificate_serial
+        view = v2.directory_views["v1"]
+        entries = view.entries
+        assert any(e.serial == serial for e in entries)
         v1.ca.revoke(serial, RevocationReason.KEY_COMPROMISE, sim.now)
         crl = v1.ca.generate_crl(sim.now)
         v2.ingest_crls([crl])
-        assert not any(e.serial == serial for e in v2.directory_views["v1"].entries)
+        assert view.entries is entries
+        assert v2.validate(alice.certificate).status is ValidationStatus.REVOKED
+        sent = capture_sends(sim, monkeypatch)
+        v1.ingest_crls([crl])
+        v1.sync_directory(sim.now)
+        (delta,) = [p for _, d, k, p in sent if k == "dir_delta" and d == "v2"]
+        assert {e.serial for e in delta.removed} == {serial}
+        v2.on_dir_delta(delta, "v1")
+        assert not any(e.serial == serial for e in view.entries)
 
 
 class TestCaFetch:
@@ -259,8 +273,10 @@ class TestCaFetch:
             assert node.revocation.is_revoked("ca-2", serial), member
             assert node.revocation.crl_number("ca-2") == v2.revocation.crl_number("ca-2")
         version = v2._last_snapshot.version
-        sim.advance_to(issued + rules.directory_sync_period)
-        assert v2._last_snapshot.version == version + 1  # bob's removal was published
+        # Bob's removal is published at v2's next sync and reaches every
+        # member within the link latency.
+        sim.advance_to(issued + rules.directory_sync_period + sim.scenario.max_latency)
+        assert v2._last_snapshot.version == version + 1
         for member in ("v1", "v3", "v4"):
             view = sim.vasps[member].directory_views["v2"]
             assert not any(e.serial == serial for e in view.entries), member
@@ -360,7 +376,7 @@ class TestDirectoryDigestCache:
         assert view.install_snapshot(DirectorySnapshot("v9", 3, frozenset({entry})))
         assert view.key_hashes() == {entry.public_key_hash}
 
-    def test_lookups_follow_a_pruned_view(self):
+    def test_lookups_follow_the_owners_removal(self, monkeypatch):
         sim = two_network_sim()
         sim.advance_to(20)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
@@ -368,11 +384,21 @@ class TestDirectoryDigestCache:
         assert v2.find_directory_owner(alice) == "v1"
         v1.ca.revoke(v1.accounts["acct-alice"].certificate_serial,
                      RevocationReason.KEY_COMPROMISE, sim.now)
-        v2.ingest_crls([v1.ca.generate_crl(sim.now)])
+        crl = v1.ca.generate_crl(sim.now)
+        v2.ingest_crls([crl])
+        # The relying party's merge leaves the view as v1 published it.
+        assert v2.find_directory_owner(alice) == "v1"
+        sent = self.capture_sends(sim, monkeypatch)
+        _, answer = self.announce_to(v1, v2, sent)
+        assert answer == []
+        v1.ingest_crls([crl])
+        v1.sync_directory(sim.now)
+        delta = next(p for _, d, k, p in sent if k == "dir_delta" and d == "v2")
+        v2.on_dir_delta(delta, "v1")
         assert v2.find_directory_owner(alice) is None
         assert alice not in v2.directory_views["v1"].key_hashes()
 
-    def test_view_pruned_by_crl_merge(self, monkeypatch):
+    def test_view_untouched_by_crl_merge(self, monkeypatch):
         sim = two_network_sim()
         sim.advance_to(20)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
@@ -380,18 +406,20 @@ class TestDirectoryDigestCache:
         sent = self.capture_sends(sim, monkeypatch)
         announce, answer = self.announce_to(v1, v2, sent)
         assert view.version == announce.version and answer == []
+        entries = view.entries
         serial = v1.accounts["acct-alice"].certificate_serial
         v1.ca.revoke(serial, RevocationReason.KEY_COMPROMISE, sim.now)
         v2.ingest_crls([v1.ca.generate_crl(sim.now)])
-        assert not any(e.serial == serial for e in view.entries)
+        assert view.entries is entries and any(e.serial == serial for e in entries)
         assert view.entries_digest() == crypto.digest(_entries_bytes(view.entries))
-        # The publisher has not republished: same version, its digest still
-        # covers the revoked entry, so the pruned view pulls once.
+        # The publisher has not republished: same version, and its digest
+        # still matches the view, which pulls nothing.
         announce, answer = self.announce_to(v1, v2, sent)
         assert view.version == announce.version
-        assert answer == [("v2", "v1", "dir_pull")]
+        assert announce.entries_digest == view.entries_digest()
+        assert answer == []
 
-    def test_view_trimmed_by_revoked_query_response(self, monkeypatch):
+    def test_view_untouched_by_revoked_query_response(self, monkeypatch):
         sim = two_network_sim()
         sim.advance_to(20)
         v3, v4 = sim.vasps["v3"], sim.vasps["v4"]
@@ -402,18 +430,18 @@ class TestDirectoryDigestCache:
                      RevocationReason.KEY_COMPROMISE, sim.now)
         v4.ingest_crls([v4.ca.generate_crl(sim.now)])
         announce, answer = self.announce_to(v4, v3, sent)
-        # The heartbeat carries the published snapshot's digest, not that of
-        # the publisher's own view, which the CRL merge has pruned.
+        # The heartbeat carries the published snapshot's digest, which the
+        # publisher's own view, left as published by the merge, still has.
         assert announce.entries_digest == directory_digest(v4._last_snapshot.entries)
-        assert announce.entries_digest != v4.directory_views["v4"].entries_digest()
+        assert announce.entries_digest == v4.directory_views["v4"].entries_digest()
         assert view.version == announce.version and answer == []
+        entries = view.entries
         resolved = v3._resolve_via_directory(bob_hash, sim.now)
         assert resolved is not None and resolved.revoked
-        assert not any(e.public_key_hash == bob_hash for e in view.entries)
-        assert view.entries_digest() == crypto.digest(_entries_bytes(view.entries))
+        assert view.entries is entries and bob_hash in view.key_hashes()
         announce, answer = self.announce_to(v4, v3, sent)
         assert view.version == announce.version
-        assert answer == [("v3", "v4", "dir_pull")]
+        assert answer == []
 
 
 class TestDirectorySync:
@@ -661,13 +689,48 @@ class TestIntraNetworkQuery:
         v3, v4 = sim.vasps["v3"], sim.vasps["v4"]
         serial = v4.accounts["acct-bob"].certificate_serial
         bob_hash = crypto.digest(v4.accounts["acct-bob"].customer_public_key)
-        # revoked at the CA and known to the owner, but v3's view is stale
+        # revoked at the CA and known to the owner, which has not yet
+        # published the removal, so v3's view still lists the key
         v4.ca.revoke(serial, RevocationReason.KEY_COMPROMISE, sim.now)
         v4.ingest_crls([v4.ca.generate_crl(sim.now)])
         assert any(e.public_key_hash == bob_hash for e in v3.directory_views["v4"].entries)
         resolved = v3._resolve_via_directory(bob_hash, sim.now)
         assert resolved is not None and resolved.revoked
-        assert not any(e.public_key_hash == bob_hash for e in v3.directory_views["v4"].entries)
+        stale = [e for e in sim.log_.entries if e.event == "directory_stale_entry"]
+        assert [(e.actor, dict(e.details)["owner"]) for e in stale] == [("v3", "v4")]
+        # The view is the owner's to change: the entry stays until v4 publishes.
+        assert any(e.public_key_hash == bob_hash for e in v3.directory_views["v4"].entries)
+
+
+class TestRevokedBeneficiaryByKey:
+    """A relying party resolves a revoked key from the view its owner
+    published and refuses the certificate; once the owner's removal has
+    arrived, the key resolves nowhere."""
+
+    def test_denial_follows_the_owners_removal(self):
+        sim = mixed_ca_sim([TestCaFetch.REVOKE_BOB])
+        rules = sim.networks["net-a"].rules
+        v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
+        issued = 2 * rules.crl_exchange_period  # ca-2's CRL revoking bob
+        sim.advance_to(issued + 1)
+        bob = v2.accounts["acct-bob"]
+        target = TransferTarget.from_key_hash(bob.customer_public_key_hash)
+
+        def denial():
+            outcome = v1.initiate_transfer("acct-alice", target, 100, "coin")
+            return outcome.denial.code, outcome.denial.detail
+
+        assert v1.revocation.is_revoked("ca-2", bob.certificate_serial)
+        assert denial() == (DenialCode.CERT_INVALID, "beneficiary-customer:revoked")
+        # v2 publishes the removal at its next sync; until v1 applies it,
+        # v1's view of v2 lists bob and the denial stays CertInvalid.
+        published = issued + rules.directory_sync_period
+        while bob.customer_public_key_hash in v1.directory_views["v2"].key_hashes():
+            assert sim.now <= published + sim.scenario.max_latency
+            assert denial() == (DenialCode.CERT_INVALID, "beneficiary-customer:revoked")
+            sim.advance_to(sim.now + 1)
+        assert sim.now > published
+        assert denial() == (DenialCode.BENEFICIARY_UNRESOLVED, "")
 
 
 class TestAdvertisements:
@@ -1095,33 +1158,47 @@ class TestAdvertisementReuse:
         zed_hash = v1.accounts["acct-zed"].customer_public_key_hash
         assert signatures == 1 and zed_hash in added.advertised_hashes - first.advertised_hashes
 
-        # A revocation prunes v2's view of v1.
+        # A CRL revoking zed leaves v2's view of v1, and the advertisement, as
+        # they were.
         v1.ca.revoke(v1.accounts["acct-zed"].certificate_serial,
                      RevocationReason.KEY_COMPROMISE, sim.now)
-        v2.ingest_crls([v1.ca.generate_crl(sim.now)])
-        pruned, signatures = advertise()
-        assert signatures == 1 and pruned.advertised_hashes == first.advertised_hashes
+        crl = v1.ca.generate_crl(sim.now)
+        v2.ingest_crls([crl])
+        kept, signatures = advertise()
+        assert kept is added and signatures == 0
+
+        # v1's removal delta drops zed from v2's view of v1.
+        v1.ingest_crls([crl])
+        sent.clear()
+        v1.sync_directory(sim.now)
+        delta = next(p for _, dst, kind, p in sent if kind == "dir_delta" and dst == "v2")
+        v2.on_dir_delta(delta, "v1")
+        removed, signatures = advertise()
+        assert signatures == 1 and removed.advertised_hashes == first.advertised_hashes
 
 
-class TestPruneByChange:
-    def test_merge_reports_only_new_revocations(self):
+class TestCrlMergeLeavesViews:
+    def test_merge_reports_whether_it_applied(self):
         sim = two_network_sim()
         sim.advance_to(2)
         ca = sim.vasps["v1"].ca
         serial = sim.vasps["v1"].accounts["acct-alice"].certificate_serial
         view = RevocationView()
         base = ca.generate_crl(2)
-        assert view.merge_crl(base).revoked == frozenset()
+        assert view.merge_crl(base) is True
+        assert not view.is_revoked("ca-1", serial)
         ca.revoke(serial, RevocationReason.KEY_COMPROMISE, 3)
         delta = ca.generate_delta_crl(base.crl_number, 3)
-        assert view.merge_delta(delta).revoked == {("ca-1", serial)}
-        assert not view.merge_delta(delta)
+        assert view.merge_delta(delta) is True
+        assert view.is_revoked("ca-1", serial)
+        assert view.merge_delta(delta) is False
         full = ca.generate_crl(4)
-        merged = view.merge_crl(full)
-        assert merged and merged.revoked == frozenset()
+        assert view.merge_crl(full) is True
+        assert view.is_revoked("ca-1", serial)
         fresh = RevocationView()
-        assert fresh.merge_crl(full).revoked == {("ca-1", serial)}
-        assert not fresh.merge_crl(full)
+        assert fresh.merge_crl(full) is True
+        assert fresh.is_revoked("ca-1", serial)
+        assert fresh.merge_crl(full) is False
 
     def test_views_untouched_by_crls_revoking_nothing(self):
         sim = two_network_sim()
@@ -1132,7 +1209,7 @@ class TestPruneByChange:
         v2.ingest_crls([sim.vasps["v1"].ca.generate_crl(sim.now)])
         assert all(v2.directory_views[o].entries is e for o, e in views.items())
 
-    def test_delta_adding_a_revoked_entry_is_pruned(self, monkeypatch):
+    def test_delta_adding_a_revoked_entry_applies_as_published(self, monkeypatch):
         sim = two_network_sim()
         sim.advance_to(14)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
@@ -1152,7 +1229,10 @@ class TestPruneByChange:
         v2.on_dir_delta(delta, "v1")
         assert view.version == delta.to_version
         assert {e.serial for e in delta.added} == {serial}
-        assert view.entries == before
+        assert view.entries == before | delta.added
+        # The entry is refused where every certificate is checked.
+        zed = v1.accounts["acct-zed"].certificate
+        assert v2.validate(zed).status is ValidationStatus.REVOKED
 
 
 class TestEntryEncodingMemo:
