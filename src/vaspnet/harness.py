@@ -15,12 +15,15 @@ The periodic duties run in this order. Gossip starts from directory version
 directory sync period, each member publishes a new version to every
 co-member if its live entries differ from the last published set. Else it
 heartbeats its version to one partner per network, which rotates so that
-each member receives one heartbeat per network per period from tick 0
-(``network.heartbeat_partner``). Then each gateway sends over each peering
-link its network's advertisement if it differs from what the link holds
-(nothing counts as no key hashes); else, in every other period and if
-nothing went over the link since the last one, a signed digest of the
-routes it holds for the link and received over it (``network.RouteDigest``).
+each member receives at most one heartbeat per network per period from
+tick 0 (``network.heartbeat_partner``). It skips a partner that already
+holds that heartbeat and lists every version it lists, so a quiet network
+falls silent (``VaspNode.announce_directory``). Then each gateway sends
+over each peering link its network's advertisement if it differs from what
+the link holds (nothing counts as no key hashes); else, in every other
+period and if nothing went over the link since the last one, a signed
+digest of the routes it holds for the link and received over it
+(``network.RouteDigest``).
 Every CRL period, each member then fetches from the issuing CAs the current
 CRL of every CA that certifies a member of its networks, its own included,
 in CA id order (RFC 5280 section 4.2.1.13, CRL distribution points). This

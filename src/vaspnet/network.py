@@ -4,7 +4,7 @@ advertisements through peering gateways.
 
 Inside a network, each member publishes its own directory of live customer
 certificates and every member keeps a per-publisher view. Both gossip feeds
-follow one rule: each sync period, a relation carries exactly one message,
+follow one rule: each sync period, a relation carries at most one message,
 its change if there is one, else one signed digest, and a digest that
 differs from what the receiver holds makes it pull (push-pull anti-entropy,
 Demers et al., PODC 1987).
@@ -12,13 +12,21 @@ Demers et al., PODC 1987).
 Inside a network the feed is the directory. Every member starts from
 version 0, the empty directory. A member sends its co-members a delta
 (``DirectoryDelta``) in the sync period its directory changed; otherwise it
-sends one heartbeat (``DirectoryAnnounce``) per network to a partner that
-rotates (``heartbeat_partner``), so each member receives one per network
-per period. A heartbeat carries the sender's directory version and digest
-and the version of each view the sender holds of that network's members. A
-member holding a lower version of a view pulls the snapshot from that
-view's owner. While the other members are quiet, a lost delta is pulled
-one sync period later, plus the latency of heartbeat, pull and snapshot.
+may send one heartbeat (``DirectoryAnnounce``) per network to a partner
+that rotates (``heartbeat_partner``), so each member receives at most one
+per network per period. A heartbeat carries the sender's directory version
+and digest and the version of each view the sender holds of that network's
+members. A member holding a lower version of a view pulls the snapshot from
+that view's owner. A member skips the period's partner when that partner's
+last verified heartbeat lists every version its own lists, at least, and
+already went to it: such a heartbeat could make no one pull (as in
+Scuttlebutt, van Renesse et al., LADIS 2008). So a quiet network falls
+silent once every member's heartbeat has reached every co-member. While
+the other members are quiet, a lost delta is pulled one sync period later,
+plus the latency of heartbeat, pull and snapshot. A heartbeat listing a
+lower version than its sender listed before is answered at once, so a
+wiped view is pulled one sync period later, plus the latency of heartbeat,
+reply, pull and snapshot.
 Revocations do not ride on gossip: every member fetches the CRLs it relies
 on from their issuing CAs (RFC 5280 section 4.2.1.13), as the harness's
 CRL duty describes. A view holds exactly what its owner published, and only
@@ -42,7 +50,8 @@ flight comes back, although the forwarding network drops every later copy
 of the route it installed as a duplicate and nothing else would resend it.
 
 Digests are computed once per thing they describe and kept with it. A
-member signs a heartbeat when its content changes and re-sends it. It signs
+member signs a heartbeat when its content changes and re-sends it, with
+the digest its own view caches. It signs
 a snapshot when it is first pulled, and an advertisement when it first
 goes over a link whose held route differs, so nothing is signed that is
 not sent. A ``DirectoryView``'s entry set and a ``Routes`` map are
@@ -191,8 +200,12 @@ class DirectoryAnnounce(crypto.Signed):
     snapshot from the publisher when it holds another directory of it, and
     from the owner of each listed view it holds at a lower version.
     Snapshots are owner-signed and install only forwards, so a relayed
-    version adds no trust. The signed payload names no recipient, so a
-    re-sent heartbeat is encoded once."""
+    version adds no trust. Once verified, the listed versions (the
+    publisher's own included) tell the receiver what the publisher holds,
+    so it can skip heartbeats that would make the publisher pull nothing;
+    one lower than listed before brings an immediate heartbeat back. The
+    signed payload names no recipient, so a re-sent heartbeat is encoded
+    once."""
 
     owner_vasp_id: str
     version: int
@@ -210,6 +223,11 @@ class DirectoryAnnounce(crypto.Signed):
                 for member_id, version in self.views
             )),
         ]
+
+    def listing(self) -> tuple[tuple[str, int], ...]:
+        """Every (member id, version) this heartbeat lists, the publisher's
+        own directory first."""
+        return ((self.owner_vasp_id, self.version), *self.views)
 
 
 class ApplyResult(enum.Enum):
@@ -318,13 +336,15 @@ class ReachabilityAdvertisement(crypto.Signed):
 
 
 def heartbeat_partner(network: "TrustNetwork", vasp_id: str, period: int) -> Optional[str]:
-    """The member ``vasp_id`` sends its heartbeat in ``network`` to in sync
+    """The member ``vasp_id`` may send its heartbeat in ``network`` to in sync
     period ``period``. With the members sorted as m0..m(n-1), mi sends to
     m((i + 1 + period mod (n - 1)) mod n): the offset is never 0 and is the
-    same for every sender, so each member receives exactly one heartbeat of
-    the network per period, and over n - 1 periods hears from every other
-    member (push-pull anti-entropy with one partner per round, Demers et al.,
-    PODC 1987)."""
+    same for every sender, so each member receives at most one heartbeat of
+    the network per period, and over n - 1 periods every member is the
+    partner of every other (push-pull anti-entropy with one partner per
+    round, Demers et al., PODC 1987). The sender skips a partner that could
+    pull nothing from it and already holds its heartbeat
+    (``VaspNode.announce_directory``)."""
     members = network.member_ids()
     if len(members) < 2:
         return None

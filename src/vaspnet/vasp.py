@@ -60,7 +60,6 @@ from .network import (
     TrustNetwork,
     apply_delta,
     build_advertisement,
-    directory_digest,
     heartbeat_partner,
     process_advertisement,
     query_certificate,
@@ -497,6 +496,11 @@ class VaspNode:
         # Network id -> the signed heartbeat last built for it; rebuilt when
         # its content would change.
         self._announces: dict[str, DirectoryAnnounce] = {}
+        # (network id, member id) -> the heartbeat last sent to that member.
+        self._announced: dict[tuple[str, str], DirectoryAnnounce] = {}
+        # Member id -> member id -> the view version that member's verified
+        # heartbeats last listed, its own directory's included.
+        self._listed: defaultdict[str, dict[str, int]] = defaultdict(dict)
 
     # -- identity and membership --------------------------------------------
 
@@ -794,46 +798,78 @@ class VaspNode:
 
     def announce_directory(self, now: int) -> None:
         """Heartbeat the current directory in each network to the network's
-        ``heartbeat_partner`` for this sync period, so each member receives
-        one heartbeat per network per period from the first period on. Until
-        its first publish a member heartbeats version 0 and the digest of the
-        empty set.
+        ``heartbeat_partner`` for this sync period, unless the partner could
+        not pull anything from it: its last verified heartbeat lists every
+        version this one lists, at least, and this heartbeat already went
+        to it. A receiver pulls only what it holds at a lower version and
+        views install only forwards, so a skipped heartbeat would have made
+        no one pull. Until its first publish a member heartbeats version 0
+        and the digest of the empty set; a network with no one to send to
+        gets none.
 
-        A network's heartbeat is built and signed when its content changed
-        (version or the versions of the views held) and re-sent unchanged
-        otherwise; a network with no one to send to gets none. It carries
-        the digest of the published snapshot, which every view of this
-        member, its own included, holds once it reaches that version.
+        After the last change each member sends its heartbeat to each
+        partner once, as the rotation reaches it, and the network then
+        falls silent. A member whose view was wiped lists a lower version
+        than before, so its heartbeat changes and goes out the next period;
+        the partner answers it at once (``on_dir_announce``) and the member
+        pulls. That repairs the view within one sync period plus four
+        message latencies: heartbeat, reply, pull and snapshot.
         """
-        snapshot = self._last_snapshot
         for network in self.networks_sorted():
             partner = heartbeat_partner(
                 network, self.vasp_id, now // network.rules.directory_sync_period)
             if partner is None:
                 continue
-            views = tuple(
-                (member_id, self.directory_views[member_id].version)
-                for member_id in network.member_ids() if member_id != self.vasp_id
-            )
-            held = self._announces.get(network.network_id)
-            if held is None or (held.version, held.views) != (snapshot.version, views):
-                held = self.seal(DirectoryAnnounce(
-                    owner_vasp_id=self.vasp_id,
-                    version=snapshot.version,
-                    entries_digest=directory_digest(snapshot.entries),
-                    views=views,
-                ))
-                self._announces[network.network_id] = held
-            self.env.send(self.vasp_id, partner, "dir_announce", held)
+            heartbeat = self._heartbeat(network)
+            listed = self._listed[partner]
+            if self._announced.get((network.network_id, partner)) is heartbeat and all(
+                listed.get(member_id, -1) >= version for member_id, version in heartbeat.listing()
+            ):
+                continue
+            self._send_heartbeat(network.network_id, partner, heartbeat)
+
+    def _heartbeat(self, network: TrustNetwork) -> DirectoryAnnounce:
+        """This member's heartbeat for ``network``: built and signed when its
+        content (version or the versions of the views held) changed, else
+        the one held. It carries the digest of the published snapshot, which
+        this member's own view holds and caches."""
+        version = self._last_snapshot.version
+        views = tuple(
+            (member_id, self.directory_views[member_id].version)
+            for member_id in network.member_ids() if member_id != self.vasp_id
+        )
+        held = self._announces.get(network.network_id)
+        if held is None or (held.version, held.views) != (version, views):
+            held = self._announces[network.network_id] = self.seal(DirectoryAnnounce(
+                owner_vasp_id=self.vasp_id,
+                version=version,
+                entries_digest=self.directory_views[self.vasp_id].entries_digest(),
+                views=views,
+            ))
+        return held
+
+    def _send_heartbeat(
+        self, network_id: str, member_id: str, heartbeat: DirectoryAnnounce
+    ) -> None:
+        self._announced[network_id, member_id] = heartbeat
+        self.env.send(self.vasp_id, member_id, "dir_announce", heartbeat)
 
     def on_dir_announce(self, announce: DirectoryAnnounce, src: str) -> None:
         """Compare a verified heartbeat with what this node holds and pull
         what differs: the snapshot of its sender, or of the owner of any view
         it lists at a higher version than the one held here (never from the
-        sender on the owner's behalf)."""
+        sender on the owner's behalf).
+
+        The versions it lists replace those its sender listed before. A
+        lower one means the sender lost state, so this node answers at once
+        with its own heartbeat in each network both are members of."""
         if not self._signed_by_owner(announce):
             return
         owner = announce.owner_vasp_id
+        listed = self._listed[owner]
+        regressed = any(listed.get(member_id, version) > version
+                        for member_id, version in announce.listing())
+        listed.update(announce.listing())
         view = self.directory_views[owner]
         if view.version < announce.version or (
             view.version == announce.version and view.entries_digest() != announce.entries_digest
@@ -842,6 +878,10 @@ class VaspNode:
         for member_id, version in announce.views:
             if member_id != self.vasp_id and self.directory_views[member_id].version < version:
                 self.env.send(self.vasp_id, member_id, "dir_pull", None)
+        if regressed:
+            for network in self.networks_sorted():
+                if owner in network.members:
+                    self._send_heartbeat(network.network_id, owner, self._heartbeat(network))
 
     def on_dir_snapshot(self, snapshot: DirectorySnapshot, src: str) -> None:
         if not self._signed_by_owner(snapshot):

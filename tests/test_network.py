@@ -26,9 +26,18 @@ from vaspnet.network import (
     apply_delta,
     build_advertisement,
     directory_digest,
+    heartbeat_partner,
     routes_digest,
 )
-from vaspnet.vasp import CustodyModel, DenialCode, OutcomeStatus, TransferTarget
+from vaspnet.vasp import (
+    AckDecision,
+    CustodyModel,
+    DenialCode,
+    OutcomeStatus,
+    RecordStatus,
+    RejectReason,
+    TransferTarget,
+)
 
 
 def two_network_sim(**overrides):
@@ -539,10 +548,24 @@ def two_overlapping_networks_sim(extra_script=()):
                                     customers=customers, script=script))
 
 
+def six_member_sim():
+    """net-a: v1..v6, one customer each, all enrolled at tick 1. Every member
+    publishes at tick 10 and never again, and the network falls silent
+    after tick 60."""
+    vasps = [{"vasp_id": f"v{i}", "ca": "ca-1", "networks": ["net-a"]} for i in range(1, 7)]
+    customers = [{"customer_id": f"c{i}", "vasp": f"v{i}", "custody_model": "mediated",
+                  "attributes": {"name": f"C{i}", "email": f"c{i}@x"}} for i in range(1, 7)]
+    script = [{"tick": 0, "action": "open_account", "customer": f"c{i}"} for i in range(1, 7)]
+    script += [{"tick": 1, "action": "enroll", "customer": f"c{i}"} for i in range(1, 7)]
+    return Simulation(make_scenario(vasps=vasps, customers=customers, script=script))
+
+
 class TestHeartbeatSchedule:
-    """In a quiet sync period each member receives exactly one heartbeat per
-    network it is in, from a partner that rotates; a change goes out at the
-    next sync period."""
+    """Each sync period a member heartbeats, in each network, the partner
+    that the rotation gives it, unless that partner already holds its
+    current heartbeat and lists every version it lists. So each member
+    receives at most one heartbeat per network per period, a change goes
+    out at the next sync period, and a quiet network falls silent."""
 
     @staticmethod
     def announce_ticks(sim, monkeypatch, src, until):
@@ -555,50 +578,65 @@ class TestHeartbeatSchedule:
                 ticks.setdefault(tick, []).append(d)
         return ticks
 
-    def test_each_member_receives_one_heartbeat_per_network_per_quiet_period(self, monkeypatch):
+    def test_each_member_receives_at_most_one_heartbeat_per_network_per_period(
+            self, monkeypatch):
         sim = two_overlapping_networks_sim()
         sent = record_sends(sim, monkeypatch, {"dir_announce", "dir_delta"})
         sim.advance_to(102)
         networks = sim.networks
-        quiet = [0, *range(20, 101, 10)]
-        assert {(tick, kind) for tick, _, _, kind, _ in sent if tick != 10} == {
-            (tick, "dir_announce") for tick in quiet}
-        heard: dict[tuple[str, str], set[str]] = {}
-        for tick in quiet:
-            received = Counter()
-            for t, src, dst, _, payload in sent:
-                if t != tick:
-                    continue
-                (network_id,) = [n for n, net in networks.items()
-                                 if src in net.members and dst in net.members]
-                # The heartbeat lists the views its sender holds of that network.
-                assert [m for m, _ in payload.views] == [
-                    m for m in networks[network_id].member_ids() if m != src]
-                received[dst, network_id] += 1
-                heard.setdefault((dst, network_id), set()).add(src)
-            assert received == {(m, n): 1 for n, net in networks.items() for m in net.members}
-        # Over n - 1 periods every member hears from every other member.
+        period = networks["net-a"].rules.directory_sync_period
+        assert {kind for tick, _, _, kind, _ in sent if tick != 10} == {"dir_announce"}
+        received = Counter()
+        for tick, src, dst, kind, payload in sent:
+            if kind != "dir_announce":
+                continue
+            (network_id,) = [n for n, net in networks.items()
+                             if src in net.members and dst in net.members]
+            # The heartbeat lists the views its sender holds of that network
+            # and goes to the sender's partner of the period.
+            assert [m for m, _ in payload.views] == [
+                m for m in networks[network_id].member_ids() if m != src]
+            assert dst == heartbeat_partner(networks[network_id], src, tick // period)
+            received[tick, dst, network_id] += 1
+        assert set(received.values()) == {1}
+        # v1's delta of tick 10 is the last change. Each member's current
+        # heartbeat has then reached every co-member, and nothing is sent
+        # after tick 40.
         for network_id, network in networks.items():
-            for member in network.members:
-                assert heard[member, network_id] == set(network.members) - {member}
+            for src in network.members:
+                current = sim.vasps[src]._announces[network_id]
+                assert {d for _, s, d, _, p in sent if s == src and p is current} == (
+                    set(network.members) - {src})
+        assert max(tick for tick, *_ in sent) == 40
 
-    def test_revocation_leaves_heartbeats_to_the_partner_only(self, monkeypatch):
-        # v4 has no customers: it never publishes and heartbeats version 0
-        # from tick 0. Its CRL fetch at tick 40 revokes bob, which changes
-        # neither its heartbeat's content nor its targets.
-        quiet = self.announce_ticks(mixed_ca_sim(), monkeypatch, "v4", 90)
-        assert sorted(quiet) == list(range(0, 91, 10))
-        assert all(len(targets) == 1 for targets in quiet.values())
+    def test_revocation_moves_heartbeats_only_through_the_owners_removal(self, monkeypatch):
+        # v4 has no customers: it never publishes and heartbeats version 0.
+        # It sends its heartbeat to each co-member once after v1's and v2's
+        # deltas of tick 10, then falls silent. Its CRL fetch at tick 40
+        # revokes bob, which changes nothing it lists; v2's removal delta of
+        # tick 50 moves its view of v2, and v4 sends that heartbeat to each
+        # co-member once, always to the period's partner.
+        quiet = self.announce_ticks(mixed_ca_sim(), monkeypatch, "v4", 120)
+        assert sorted(quiet) == list(range(0, 41, 10))
         monkeypatch.undo()
         sim = mixed_ca_sim([TestCaFetch.REVOKE_BOB])
-        assert self.announce_ticks(sim, monkeypatch, "v4", 90) == quiet
+        revoked = self.announce_ticks(sim, monkeypatch, "v4", 120)
+        assert {tick: d for tick, d in revoked.items() if tick <= 50} == quiet
+        assert sorted(revoked) == [*range(0, 41, 10), 60, 70, 80]
+        assert sorted(d for tick in (60, 70, 80) for d in revoked[tick]) == ["v1", "v2", "v3"]
+        network = sim.networks["net-a"]
+        period = network.rules.directory_sync_period
+        for tick, targets in revoked.items():
+            assert targets == [heartbeat_partner(network, "v4", tick // period)]
         serial = sim.vasps["v2"].accounts["acct-bob"].certificate_serial
         assert sim.vasps["v4"].revocation.is_revoked("ca-2", serial)
 
-    def test_single_ca_revocation_sends_only_the_partners_heartbeat(self, monkeypatch):
+    def test_single_ca_revocation_heartbeats_each_partner_once(self, monkeypatch):
         # Every member is certified by ca-1 and fetches its CRL on the CA's
-        # tick, so the CRL revoking alice (tick 40) reaches all four at once,
-        # and every member still heartbeats its partner only.
+        # tick, so the CRL revoking alice (tick 40) reaches all four at once.
+        # v1 publishes the removal at tick 50; every member then heartbeats
+        # its partner only, once per period, until each co-member holds its
+        # heartbeat, and the network falls silent.
         vasps = [{"vasp_id": f"v{i}", "ca": "ca-1", "networks": ["net-a"]} for i in (1, 2, 3, 4)]
         customers = [{"customer_id": "alice", "vasp": "v1", "custody_model": "mediated",
                       "attributes": {"name": "Alice", "email": "a@x"}}]
@@ -615,10 +653,12 @@ class TestHeartbeatSchedule:
         assert not any(v.revocation.is_revoked("ca-1", serial) for v in sim.vasps.values())
         sim.advance_to(issued)
         assert all(v.revocation.is_revoked("ca-1", serial) for v in sim.vasps.values())
-        sim.advance_to(90)
-        beats = Counter((tick, src) for tick, src, _, kind, _ in sent if kind == "dir_announce")
-        assert {tick for tick, _ in beats} >= {50, 60}
+        sim.advance_to(120)
+        beats = Counter((tick, src) for tick, src, _, _, _ in sent if tick > issued)
+        assert sorted({tick for tick, _ in beats}) == [60, 70, 80]
         assert set(beats.values()) == {1}
+        assert {(src, dst) for tick, src, dst, _, _ in sent if tick > issued} == {
+            (src, dst) for src in sim.vasps for dst in sim.vasps if src != dst}
 
     def test_lost_delta_is_pulled_from_its_owner_within_one_sync_period(self, monkeypatch):
         # v1 publishes at 30 (alice enrolled at 25); the delta to v2 is lost.
@@ -663,6 +703,73 @@ class TestHeartbeatSchedule:
         view = v2.directory_views["v1"]
         assert view.version == v1._last_snapshot.version
         assert view.entries == v1._last_snapshot.entries
+
+
+    @pytest.mark.parametrize("holder", ["v1", "v3", "v6"])
+    def test_view_wiped_after_the_network_fell_silent_resyncs_within_one_period(
+            self, monkeypatch, holder):
+        # The holder's next heartbeat lists version 0 for v2, less than it
+        # listed before, so its partner answers at once, and the holder
+        # pulls: one sync period, then heartbeat, reply, pull and snapshot.
+        sim = six_member_sim()
+        sent = record_sends(sim, monkeypatch, {"dir_announce"})
+        wiped_at = 100
+        sim.advance_to(wiped_at)
+        assert [tick for tick, *_ in sent if tick > 60] == []
+        sim.vasps[holder].directory_views["v2"] = DirectoryView()
+        period = sim.networks["net-a"].rules.directory_sync_period
+        sim.advance_to(wiped_at + period + 4 * sim.scenario.max_latency)
+        view, published = sim.vasps[holder].directory_views["v2"], sim.vasps["v2"]._last_snapshot
+        assert (view.version, view.entries) == (published.version, published.entries)
+
+    def test_forged_heartbeat_neither_informs_nor_silences(self, monkeypatch):
+        # At tick 20 v1 heartbeats v4 (every member published at tick 10), and
+        # v4 has not yet listed what v1 holds, so v1 would heartbeat it again.
+        sim = six_member_sim()
+        sim.advance_to(20)
+        v1, v4 = sim.vasps["v1"], sim.vasps["v4"]
+        heartbeat = v1._announces["net-a"]
+        genuine = v4._announces["net-a"]
+        sent = capture_sends(sim, monkeypatch)
+        v1.announce_directory(sim.now)
+        assert sent == [("v1", "v4", "dir_announce", heartbeat)]
+        sent.clear()
+        # A heartbeat claiming v4 holds more than it does, with a signature
+        # that does not match, is dropped: no pull, no answer, and v1 still
+        # heartbeats v4.
+        forged = replace(genuine, version=genuine.version + 5, views=tuple(
+            (member_id, version + 5) for member_id, version in genuine.views))
+        v1.on_message("dir_announce", forged, "v4")
+        assert sent == []
+        assert (sim.log_.entries[-1].actor, sim.log_.entries[-1].event) == (
+            "v1", "gossip_dropped")
+        v1.announce_directory(sim.now)
+        assert sent == [("v1", "v4", "dir_announce", heartbeat)]
+        sent.clear()
+        # v4's genuine heartbeat lists everything v1 holds, and silences it.
+        v1.on_message("dir_announce", genuine, "v4")
+        v1.announce_directory(sim.now)
+        assert sent == []
+
+    def test_replayed_older_heartbeat_is_answered_and_silences_nothing(self, monkeypatch):
+        sim = six_member_sim()
+        sim.advance_to(0)
+        old = sim.vasps["v4"]._announces["net-a"]  # version 0, every view at 0
+        sim.advance_to(100)  # silent since tick 60
+        v1 = sim.vasps["v1"]
+        heartbeat = v1._announces["net-a"]
+        sent = capture_sends(sim, monkeypatch)
+        # Lower versions than v4 listed before: v1 answers with its own
+        # heartbeat, and pulls nothing.
+        v1.on_message("dir_announce", old, "v4")
+        assert sent == [("v1", "v4", "dir_announce", heartbeat)]
+        sent.clear()
+        # v1 now counts v4 as behind, so it heartbeats v4 again when the
+        # rotation next pairs them, and no other member.
+        period = sim.networks["net-a"].rules.directory_sync_period
+        for tick in range(110, 110 + 5 * period, period):
+            v1.announce_directory(tick)
+        assert [(src, dst) for src, dst, _, _ in sent] == [("v1", "v4")]
 
 
 class TestIntraNetworkQuery:
@@ -732,6 +839,44 @@ class TestRevokedBeneficiaryByKey:
         assert sim.now > published
         assert denial() == (DenialCode.BENEFICIARY_UNRESOLVED, "")
 
+
+
+class TestRevocationRace:
+    """A beneficiary customer revoked a few ticks before a CRL tick: the
+    originator resolves and checks it before the CRL duty of that tick runs
+    (script actions come first), and the beneficiary, which merges the CRL
+    in the same tick, refuses the notice."""
+
+    def test_beneficiary_rejects_a_notice_for_a_customer_revoked_in_flight(self):
+        crl_tick = 2 * OperatingRules().crl_exchange_period
+        sim = mixed_ca_sim([
+            {"tick": crl_tick - 3, "action": "revoke_cert", "customer": "bob",
+             "reason": "keyCompromise"},
+            {"tick": crl_tick, "action": "transfer", "origin": "alice",
+             "target": {"customer": "bob"}, "amount": 100, "asset": "coin"},
+        ])
+        sim.run()
+        v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
+        (scripted,) = sim.scripted_transfers
+        outcome = scripted.outcome
+        assert outcome.status is OutcomeStatus.DENIED
+        assert (outcome.denial.code, outcome.denial.detail) == (
+            DenialCode.ACK_REJECTED, RejectReason.CERT_INVALID.value)
+        # The originator's record carries the signed reject and fails.
+        record = v1.records[outcome.record_id]
+        assert record.status is RecordStatus.FAILED
+        assert record.failure_reason.startswith(DenialCode.ACK_REJECTED.value)
+        assert record.ack.decision is AckDecision.REJECT
+        assert record.ack.reject_reason is RejectReason.CERT_INVALID
+        assert crypto.check(v2.public_key, record.ack)
+        # The beneficiary filed no record for the notice it refused.
+        assert v2.records == {} and v2._records_by_binding == {}
+        rejects = [dict(e.details) for e in sim.log_.entries
+                   if e.actor == "v2" and e.event == "ack_sent"]
+        assert [(d["decision"], d["reason"]) for d in rejects] == [
+            ("reject", RejectReason.CERT_INVALID.value)]
+        serial = v2.accounts["acct-bob"].certificate_serial
+        assert v1.revocation.is_revoked("ca-2", serial)
 
 class TestAdvertisements:
     def test_advertisement_union_of_member_snapshots(self):

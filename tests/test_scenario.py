@@ -21,36 +21,36 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # the same must leave them byte-identical; one that alters a log re-pins the
 # digest and says why.
 SCENARIO_DIGESTS = {
-    "demo": "6ce1bc855bf2c1c528e1883936b8f8cd6f135d192bdda168a14a6f26b896401f",
+    "demo": "0d20d71233e2941f139f766050d0fa70adda029923bf96dac8fddf030af22ddf",
     "denials": "0b6487e870d67ca2cf9236ca20a5cb03554dd7342b7769a3059711f163503462",
     "four_networks": "c3a24c290c8a76b71304d18926e9cdc04fb6eaf8fbea92579dcf2ae9ec49f7f6",
     "mixed_ca": "160fc0b1056f309fadd862b37c014933a35e6fe766afc389f59ccbce1466cbf7",
 }
-# Last re-pinned when relying parties stopped pruning revoked entries from the
-# directory views they hold: a view no longer differs from its owner's
-# heartbeat after a CRL merge, so ``demo`` and ``mixed_ca`` pull and send no
-# snapshot (messages 24 -> 22 and 48 -> 46). ``mixed_ca`` also gained a
-# transfer to its revoked customer addressed by key. The other two are
-# unchanged.
+# ``demo`` last re-pinned when a member stopped heartbeating a partner that
+# already holds its heartbeat and lists every version it lists. Fewer
+# heartbeats on the alpha-beta link move its later latency draws (one per
+# message sent), so alpha applies beta's removal at tick 53, not 51. The other
+# three logs are unchanged; only their ``messages_sent`` fell.
 
 # ``Metrics.as_pairs()`` of each tracked scenario. The metrics are counted
-# from the event log, so a change that keeps the digests keeps these too.
+# from the event log, so a change that keeps the digests keeps these too,
+# except ``messages_sent``, which is counted beside the log.
 SCENARIO_METRICS = {
     "demo": {
         "transfers_attempted": "4", "transfers_confirmed": "3",
         "transfers_denied_total": "1", "transfers_in_flight": "0",
         "resolution_success_rate": "1.0000", "mean_resolution_hops": "1.0000",
         "advertisements_accepted": "0", "advertisements_dropped": "0",
-        "messages_sent": "22", "messages_dropped": "0", "ledger_transactions": "4",
+        "messages_sent": "15", "messages_dropped": "0", "ledger_transactions": "4",
         "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
-        "directory_convergence_tick": "51", "final_tick": "71", "denied.CertInvalid": "1",
+        "directory_convergence_tick": "53", "final_tick": "71", "denied.CertInvalid": "1",
     },
     "denials": {
         "transfers_attempted": "5", "transfers_confirmed": "0",
         "transfers_denied_total": "5", "transfers_in_flight": "0",
         "resolution_success_rate": "0.7500", "mean_resolution_hops": "1.0000",
         "advertisements_accepted": "0", "advertisements_dropped": "0",
-        "messages_sent": "17", "messages_dropped": "5", "ledger_transactions": "0",
+        "messages_sent": "15", "messages_dropped": "5", "ledger_transactions": "0",
         "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
         "directory_convergence_tick": "44", "final_tick": "61",
         "denied.BeneficiaryUnresolved": "1", "denied.CertInvalid": "1",
@@ -71,7 +71,7 @@ SCENARIO_METRICS = {
         "transfers_denied_total": "2", "transfers_in_flight": "0",
         "resolution_success_rate": "1.0000", "mean_resolution_hops": "1.0000",
         "advertisements_accepted": "0", "advertisements_dropped": "0",
-        "messages_sent": "46", "messages_dropped": "0", "ledger_transactions": "1",
+        "messages_sent": "43", "messages_dropped": "0", "ledger_transactions": "1",
         "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
         "directory_convergence_tick": "53", "final_tick": "82", "denied.CertInvalid": "2",
     },

@@ -22,6 +22,7 @@ from vaspnet.network import (
     DirectorySnapshot,
     ReachabilityAdvertisement,
     directory_digest,
+    heartbeat_partner,
 )
 from vaspnet.scenario import load_scenario, parse_scenario
 from vaspnet.vasp import CustodyModel, OutcomeStatus, RecordRole, RecordStatus
@@ -29,39 +30,40 @@ from vaspnet.vasp import CustodyModel, OutcomeStatus, RecordRole, RecordStatus
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
 
 WORKLOAD_DIGESTS = {
-    "pipeline": "319e7e8d55c8eef4e634c8fca424244f3a0621e6d6812acaff593076b89cc1f9",
-    "mesh": "f1193221e26b492a1b7126320d25940987a9483f7a6b057d2839a22b74026a1d",
-    "churn-lossy": "e39d9402397582085da26f70edd6c65b39dc594b68128a9faa16e2be616e4ca2",
+    "pipeline": "bb9cf937fb7036f93b03293d97499b8a52a84e10d487d7c917dca807783e42f8",
+    "mesh": "9c12f967bb86c9abb0fd7a0a0fc33280d510bf3058352dd6aae66427384d4736",
+    "churn-lossy": "9540e1bd411ba9e52d63bbccea3a37793854c109de20d1e166abdd2a2643ff27",
 }
-# ``churn-lossy`` last re-pinned when relying parties stopped pruning revoked
-# entries from the directory views they hold: a view no longer differs from
-# its owner's heartbeat after a CRL merge, so fewer snapshots are pulled
-# (``dir_pull`` 51 -> 39, ``dir_snapshot`` 46 -> 35). Each link draws its
-# losses from one stream, one draw per message sent, so every later draw on
-# a link that carried fewer pulls moved, and with them outcomes and metrics.
-# ``pipeline`` and ``mesh`` were unchanged.
+# All three last re-pinned when a member stopped heartbeating a partner that
+# already holds its heartbeat and lists every version it lists, so a quiet
+# network falls silent (``dir_announce`` 122 -> 20, 456 -> 144 and
+# 299 -> 285). Each link draws its latencies and losses from one stream, one
+# draw per message sent, so every later draw on a link that carried fewer
+# heartbeats moved: delivery ticks in all three, and outcomes and metrics in
+# ``churn-lossy``.
 
 
 # ``Metrics.as_pairs()`` of each seed-7 run. The metrics are counted from the
-# event log, so a change that keeps the digests keeps these too.
+# event log, so a change that keeps the digests keeps these too, except
+# ``messages_sent``, which is counted beside the log.
 WORKLOAD_METRICS = {
     "churn-lossy": {
-        "transfers_attempted": "800", "transfers_confirmed": "578",
-        "transfers_denied_total": "222", "transfers_in_flight": "0",
+        "transfers_attempted": "800", "transfers_confirmed": "579",
+        "transfers_denied_total": "221", "transfers_in_flight": "0",
         "resolution_success_rate": "0.9712", "mean_resolution_hops": "1.3359",
-        "advertisements_accepted": "50", "advertisements_dropped": "7",
-        "messages_sent": "2070", "messages_dropped": "207", "ledger_transactions": "578",
+        "advertisements_accepted": "49", "advertisements_dropped": "7",
+        "messages_sent": "2064", "messages_dropped": "208", "ledger_transactions": "579",
         "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "66",
         "directory_convergence_tick": "437", "final_tick": "479",
         "denied.BeneficiaryUnresolved": "23", "denied.CertInvalid": "63",
-        "denied.ChannelTimeout": "136",
+        "denied.ChannelTimeout": "135",
     },
     "mesh": {
         "transfers_attempted": "200", "transfers_confirmed": "200",
         "transfers_denied_total": "0", "transfers_in_flight": "0",
         "resolution_success_rate": "1.0000", "mean_resolution_hops": "2.2800",
         "advertisements_accepted": "28", "advertisements_dropped": "21",
-        "messages_sent": "1088", "messages_dropped": "0", "ledger_transactions": "200",
+        "messages_sent": "776", "messages_dropped": "0", "ledger_transactions": "200",
         "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
         "directory_convergence_tick": "13", "final_tick": "199",
     },
@@ -70,7 +72,7 @@ WORKLOAD_METRICS = {
         "transfers_denied_total": "0", "transfers_in_flight": "0",
         "resolution_success_rate": "1.0000", "mean_resolution_hops": "1.3400",
         "advertisements_accepted": "3", "advertisements_dropped": "0",
-        "messages_sent": "1151", "messages_dropped": "0", "ledger_transactions": "500",
+        "messages_sent": "1049", "messages_dropped": "0", "ledger_transactions": "500",
         "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
         "directory_convergence_tick": "13", "final_tick": "204",
     },
@@ -140,21 +142,23 @@ def test_ed25519_budget(workloads, name, monkeypatch):
 
 # Messages sent per kind over each whole seed-7 run, dropped ones included.
 # No message carries a CRL: members fetch CRLs from the CAs. A sync period
-# sends each member one heartbeat per network and each peering link one
-# digest, unless a change went instead; a digest that differs brings a
-# route refresh (``route_refresh``, answered or pushed as
-# ``refreshed_routes``).
+# sends each peering link one digest, unless a change went instead; a digest
+# that differs brings a route refresh (``route_refresh``, answered or pushed
+# as ``refreshed_routes``). A member heartbeats its partner of the period
+# only while that partner could pull from it or lacks its heartbeat, so the
+# last directory change of ``pipeline`` and ``mesh`` (set-up) is followed by
+# one heartbeat per member and co-member, and then by none.
 WORKLOAD_MESSAGES = {
-    "pipeline": {"dir_announce": 122, "dir_delta": 8, "reach_adv": 3, "reach_digest": 18,
+    "pipeline": {"dir_announce": 20, "dir_delta": 8, "reach_adv": 3, "reach_digest": 18,
                  "route_refresh": 0, "refreshed_routes": 0,
                  "transfer_ack": 500, "transfer_notice": 500},
-    "mesh": {"dir_announce": 456, "dir_delta": 120, "reach_adv": 43, "reach_digest": 64,
+    "mesh": {"dir_announce": 144, "dir_delta": 120, "reach_adv": 43, "reach_digest": 64,
              "route_refresh": 2, "refreshed_routes": 3,
              "transfer_ack": 200, "transfer_notice": 200},
-    "churn-lossy": {"dir_announce": 299, "dir_delta": 255, "dir_pull": 39,
-                    "dir_snapshot": 35, "reach_adv": 56, "reach_digest": 18,
-                    "route_refresh": 1, "refreshed_routes": 9,
-                    "transfer_ack": 644, "transfer_notice": 714},
+    "churn-lossy": {"dir_announce": 285, "dir_delta": 255, "dir_pull": 45,
+                    "dir_snapshot": 39, "reach_adv": 55, "reach_digest": 18,
+                    "route_refresh": 0, "refreshed_routes": 8,
+                    "transfer_ack": 645, "transfer_notice": 714},
 }
 
 
@@ -176,7 +180,7 @@ def test_workload_traffic_pinned(workloads, name, monkeypatch):
 
 
 def test_churn_heartbeats_signed_only_when_their_content_moves(workloads, monkeypatch):
-    """``churn-lossy`` seed 7 signs at most 165 directory heartbeats in its
+    """``churn-lossy`` seed 7 signs at most 164 directory heartbeats in its
     transfer window. A heartbeat is re-signed when its version or a listed
     view version moves; a revocation changes none, since it carries no
     revocation state."""
@@ -186,7 +190,7 @@ def test_churn_heartbeats_signed_only_when_their_content_moves(workloads, monkey
         sim.advance_to(tick)
     sealed = count_calls(monkeypatch, crypto, "seal")
     sim.run()
-    assert len([draft for _, draft in sealed if isinstance(draft, DirectoryAnnounce)]) <= 165
+    assert len([draft for _, draft in sealed if isinstance(draft, DirectoryAnnounce)]) <= 164
 
 
 DENIALS_YAML = Path(__file__).resolve().parent.parent / "scenarios" / "denials.yaml"
@@ -256,7 +260,7 @@ def test_gossip_sends_no_empty_first_message(workloads, name, monkeypatch):
 # pull no snapshot: a held view matches its owner's heartbeat, revocations
 # included.
 SIGNED_SNAPSHOTS_AND_ADVERTISEMENTS = {
-    "churn-lossy": 82, "demo": 0, "denials": 1, "four_networks": 10,
+    "churn-lossy": 84, "demo": 0, "denials": 1, "four_networks": 10,
     "mesh": 43, "mixed_ca": 0, "pipeline": 3,
 }
 
@@ -288,8 +292,10 @@ def test_no_snapshot_or_advertisement_is_signed_unsent(workloads, name, monkeypa
 def test_member_certifying_no_key_heartbeats_version_0(workloads, monkeypatch):
     """``pipeline``'s v3 holds only commingled customers, so it certifies no
     key: it never publishes, and heartbeats version 0 and the empty set's
-    digest every sync period from tick 0, which makes no member pull. Each
-    co-member holds its view at version 0."""
+    digest, which makes no member pull. It heartbeats the period's partner
+    until every co-member holds its current heartbeat and lists what it
+    lists (tick 30), and then never again. Each co-member holds its view at
+    version 0."""
     sim = Simulation(parse_scenario(workloads["pipeline"].scenario(7)))
     sent = record_sends(sim, monkeypatch, {"dir_announce", "dir_delta", "dir_pull", "dir_snapshot"})
     sim.run()
@@ -297,11 +303,15 @@ def test_member_certifying_no_key_heartbeats_version_0(workloads, monkeypatch):
     assert {a.custody_model for a in v3.accounts.values()} == {CustodyModel.COMMINGLED}
     network = sim.networks["net-a"]
     period = network.rules.directory_sync_period
-    heartbeats = [(tick, payload) for tick, src, _, kind, payload in sent
+    heartbeats = [(tick, dst, payload) for tick, src, dst, kind, payload in sent
                   if src == "v3" and kind == "dir_announce"]
-    assert [tick for tick, _ in heartbeats] == list(range(0, sim.now + 1, period))
-    assert {(p.version, p.entries_digest) for _, p in heartbeats} == {
+    assert [tick for tick, _, _ in heartbeats] == list(range(0, 31, period))
+    assert all(dst == heartbeat_partner(network, "v3", tick // period)
+               for tick, dst, _ in heartbeats)
+    assert {(p.version, p.entries_digest) for _, _, p in heartbeats} == {
         (0, directory_digest(frozenset()))}
+    current = v3._announces["net-a"]
+    assert {dst for _, dst, p in heartbeats if p is current} == set(network.members) - {"v3"}
     # Nothing in the run pulls a directory, and v3 sends nothing but heartbeats.
     assert [(src, dst, kind) for _, src, dst, kind, _ in sent
             if kind == "dir_pull" or (src == "v3" and kind != "dir_announce")] == []
@@ -309,3 +319,15 @@ def test_member_certifying_no_key_heartbeats_version_0(workloads, monkeypatch):
         if member_id != "v3":
             view = sim.vasps[member_id].directory_views
             assert "v3" in view and (view["v3"].version, view["v3"].entries) == (0, frozenset())
+
+
+def test_quiet_network_falls_silent(workloads, monkeypatch):
+    """``mesh`` publishes every directory in set-up (tick 10) and never
+    again. Once each member's heartbeat has reached every co-member, no
+    member heartbeats, though transfers run until the last tick."""
+    sim = Simulation(parse_scenario(workloads["mesh"].scenario(7)))
+    sent = record_sends(sim, monkeypatch, {"dir_announce", "dir_delta", "transfer_notice"})
+    sim.run()
+    assert {tick for tick, _, _, kind, _ in sent if kind == "dir_delta"} == {10}
+    assert max(tick for tick, _, _, kind, _ in sent if kind == "dir_announce") <= 80
+    assert max(tick for tick, _, _, kind, _ in sent if kind == "transfer_notice") > 150
