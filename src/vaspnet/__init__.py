@@ -3,7 +3,8 @@
 Modules:
   crypto      seeded Ed25519/SHA-256 primitives, the canonical TLV codec, and
               the one rule for signed objects (declare, seal, check, memo)
-  ca          certificate authority services (issuance, revocation, CRLs, lookup)
+  ca          certificate authority services (issuance, revocation, full CRLs,
+              lookup)
   assertions  VASP-signed attribute assertions with disclosure filtering
   vasp        the VASP node: accounts, custody models, transfer pipeline, audit
   network     trust networks: directory gossip, path-vector routes
@@ -29,7 +30,6 @@ from .ca import (
     CertificateProfile,
     CertClass,
     Crl,
-    DeltaCrl,
     RevocationReason,
     RevocationView,
     ValidationResult,

@@ -1,5 +1,5 @@
 """Certificate authority services: registration, issuance, revocation,
-CRL/delta-CRL publication, and lookup by public-key hash.
+full-CRL publication, and lookup by public-key hash.
 
 Certificates are X.509-style bindings of a subject identity to an Ed25519
 public key, serialized with the canonical TLV encoding and signed by the
@@ -55,10 +55,6 @@ class UnknownSerial(CaError):
 
 
 class AlreadyRevoked(CaError):
-    pass
-
-
-class UnknownBase(CaError):
     pass
 
 
@@ -261,35 +257,6 @@ class Crl(crypto.Signed):
             (4, enc_u64(self.issued_at)),
         ]
 
-    def report_lines(self) -> list[str]:
-        return [
-            f"{e.serial.hex()},{e.reason.value},{e.revoked_at}"
-            for e in sorted(self.entries, key=lambda e: e.serial)
-        ]
-
-
-@dataclass(frozen=True)
-class DeltaCrl(crypto.Signed):
-    """Additions since a base CRL number."""
-
-    SIGNATURE_TAG = 6
-
-    issuer_id: str
-    crl_number: int
-    base_crl_number: int
-    entries: frozenset[RevocationEntry]
-    issued_at: int
-    signature: bytes = b""
-
-    def tlv_fields(self) -> list[tuple[int, bytes]]:
-        return [
-            (1, enc_str(self.issuer_id)),
-            (2, enc_u64(self.crl_number)),
-            (3, enc_u64(self.base_crl_number)),
-            (4, _entries_payload(self.entries)),
-            (5, enc_u64(self.issued_at)),
-        ]
-
 
 class CertStatus(enum.Enum):
     GOOD = "good"
@@ -315,62 +282,36 @@ class ValidationResult:
         return self.status is ValidationStatus.VALID
 
 
-@dataclass(frozen=True)
-class _IssuerRevocations:
-    """A view's record of one issuer, replaced whole on every merge: the CRL
-    number reached and the revoked entries by serial."""
-
-    number: int
-    entries: Mapping[bytes, RevocationEntry]
-
-
 class RevocationView:
-    """A relying party's merged view of issuer CRLs.
+    """A relying party's revocation state: per issuer, the highest-numbered
+    full CRL seen, its entries indexed by serial.
 
-    Holds, per issuer, the entry set at the highest CRL number seen. Stale
-    (lower-numbered) lists are ignored; deltas apply only on their exact base.
-    A CA never un-revokes and every CRL carries all its revoked serials, so a
-    merge only ever adds serials. A relying party fetches the lists from their
-    issuing CAs (RFC 5280 section 4.2.1.13).
+    A lower- or equal-numbered CRL is ignored. A CA never un-revokes and every
+    CRL carries all its revoked serials, so adopting a newer one only ever
+    adds serials. A relying party fetches the lists from their issuing CAs
+    (RFC 5280 section 4.2.1.13).
     """
 
     def __init__(self) -> None:
-        self._held: dict[str, _IssuerRevocations] = {}
+        # issuer id -> (CRL number, revoked entries by serial)
+        self._held: dict[str, tuple[int, Mapping[bytes, RevocationEntry]]] = {}
 
     def crl_number(self, issuer_id: str) -> int:
         held = self._held.get(issuer_id)
-        return held.number if held is not None else 0
-
-    def _entries(self, issuer_id: str) -> Mapping[bytes, RevocationEntry]:
-        held = self._held.get(issuer_id)
-        return held.entries if held is not None else {}
-
-    def entries(self, issuer_id: str) -> frozenset[RevocationEntry]:
-        return frozenset(self._entries(issuer_id).values())
-
-    def is_revoked(self, issuer_id: str, serial: bytes) -> bool:
-        held = self._held.get(issuer_id)
-        return held is not None and serial in held.entries
+        return held[0] if held is not None else 0
 
     def revocation_entry(self, issuer_id: str, serial: bytes) -> Optional[RevocationEntry]:
-        return self._entries(issuer_id).get(serial)
+        held = self._held.get(issuer_id)
+        return held[1].get(serial) if held is not None else None
+
+    def is_revoked(self, issuer_id: str, serial: bytes) -> bool:
+        return self.revocation_entry(issuer_id, serial) is not None
 
     def merge_crl(self, crl: Crl) -> bool:
         """Adopt a full CRL if newer than the held number; true if adopted."""
         if crl.crl_number <= self.crl_number(crl.issuer_id):
             return False
-        self._held[crl.issuer_id] = _IssuerRevocations(
-            crl.crl_number, {e.serial: e for e in crl.entries})
-        return True
-
-    def merge_delta(self, delta: DeltaCrl) -> bool:
-        """Apply a delta if its base matches the held number; true if applied."""
-        number = self.crl_number(delta.issuer_id)
-        if delta.base_crl_number != number or delta.crl_number <= number:
-            return False
-        entries = dict(self._entries(delta.issuer_id))
-        entries.update((entry.serial, entry) for entry in delta.entries)
-        self._held[delta.issuer_id] = _IssuerRevocations(delta.crl_number, entries)
+        self._held[crl.issuer_id] = (crl.crl_number, {e.serial: e for e in crl.entries})
         return True
 
 
@@ -393,9 +334,9 @@ def validate_certificate(
         return ValidationResult(ValidationStatus.BAD_SIGNATURE)
     if not cert.validity_not_before <= now <= cert.validity_not_after:
         return ValidationResult(ValidationStatus.EXPIRED, f"now={now}")
-    if revocation is not None and revocation.is_revoked(cert.issuer_id, cert.serial):
-        entry = revocation.revocation_entry(cert.issuer_id, cert.serial)
-        return ValidationResult(ValidationStatus.REVOKED, entry.reason.value if entry else "")
+    entry = None if revocation is None else revocation.revocation_entry(cert.issuer_id, cert.serial)
+    if entry is not None:
+        return ValidationResult(ValidationStatus.REVOKED, entry.reason.value)
     if "signature" not in cert.profile.permitted_usage:
         return ValidationResult(ValidationStatus.PROFILE_VIOLATION, "usage")
     if cert.cert_class < cert.profile.minimum_class:
@@ -448,7 +389,6 @@ class CertificateAuthority:
         self._by_key_hash: dict[bytes, list[bytes]] = {}
         self._revoked: dict[bytes, RevocationEntry] = {}
         self._crl_number = 0
-        self._crl_history: dict[int, frozenset[RevocationEntry]] = {}
         # The last full CRL issued, while no revocation has come after it.
         self._crl: Optional[Crl] = None
 
@@ -585,9 +525,10 @@ class CertificateAuthority:
     # -- revocation and status ---------------------------------------------
 
     def revoke(self, serial: bytes, reason: RevocationReason, now: int) -> RevocationEntry:
-        if serial not in self._issued and (
-            self.root_certificate is None or serial != self.root_certificate.serial
-        ):
+        # Only issued certificates: a root is a trust anchor, trusted out of
+        # band, and path validation never checks it against a CRL (RFC 5280
+        # section 6.1.1(d)).
+        if serial not in self._issued:
             raise UnknownSerial(serial.hex())
         if serial in self._revoked:
             raise AlreadyRevoked(serial.hex())
@@ -607,29 +548,13 @@ class CertificateAuthority:
     def generate_crl(self, now: int) -> Crl:
         """Issue the next full CRL; it becomes the ``current_crl``."""
         self._crl_number += 1
-        entries = frozenset(self._revoked.values())
-        self._crl_history[self._crl_number] = entries
         self._crl = crypto.seal(self._keypair, Crl(
             issuer_id=self.ca_id,
             crl_number=self._crl_number,
-            entries=entries,
+            entries=frozenset(self._revoked.values()),
             issued_at=now,
         ))
         return self._crl
-
-    def generate_delta_crl(self, base_number: int, now: int) -> DeltaCrl:
-        if base_number not in self._crl_history:
-            raise UnknownBase(str(base_number))
-        self._crl_number += 1
-        entries = frozenset(self._revoked.values()) - self._crl_history[base_number]
-        self._crl_history[self._crl_number] = frozenset(self._revoked.values())
-        return crypto.seal(self._keypair, DeltaCrl(
-            issuer_id=self.ca_id,
-            crl_number=self._crl_number,
-            base_crl_number=base_number,
-            entries=entries,
-            issued_at=now,
-        ))
 
     # -- lookup --------------------------------------------------------------
 
@@ -648,6 +573,3 @@ class CertificateAuthority:
             if k in self._disclosure
         }
         return CertificateLookup(certificate=record.certificate, attributes=shared, status=status)
-
-    def revoked_serials(self) -> frozenset[bytes]:
-        return frozenset(self._revoked)

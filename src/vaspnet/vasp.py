@@ -35,7 +35,6 @@ from .ca import (
     CertStatus,
     Crl,
     DEFAULT_PROFILE,
-    DeltaCrl,
     RevocationView,
     ValidationResult,
     ValidationStatus,
@@ -912,7 +911,7 @@ class VaspNode:
 
     # -- revocation ---------------------------------------------------------------
 
-    def ingest_crls(self, crls: Sequence[Crl | DeltaCrl]) -> None:
+    def ingest_crls(self, crls: Sequence[Crl]) -> None:
         """Merge issuer CRLs, fetched from their CAs, into the local view
         after checking each one's CA signature against this node's trust
         anchors. A CA hands out the same CRL until it revokes again; one
@@ -927,11 +926,7 @@ class VaspNode:
                 self.env.log(self.vasp_id, "crl_dropped", issuer=crl.issuer_id,
                              reason="bad-signature")
                 continue
-            if isinstance(crl, DeltaCrl):
-                merged = self.revocation.merge_delta(crl)
-            else:
-                merged = self.revocation.merge_crl(crl)
-            if merged:
+            if self.revocation.merge_crl(crl):
                 applied.append(crl)
         if applied:
             self._live_entries = None

@@ -159,7 +159,7 @@ def test_03_denial_correctness():
     print("\nCRITERION 3 PASS: 4/4 exact denial reasons, 0 ledger writes")
 
 
-def test_04_delta_crl_and_directory_equivalence():
+def test_04_crl_and_directory_equivalence():
     from test_ca import issue, make_ca
 
     crl_trials = 0
@@ -169,27 +169,36 @@ def test_04_delta_crl_and_directory_equivalence():
         certs = [issue(ca, subject=f"s{i}", key_label=f"eq{trial}-{i}")
                  for i in range(8)]
         unrevoked = list(certs)
-        view = RevocationView()
-        view.merge_crl(ca.generate_crl(0))
-        events = 0
-        while events < rng.randrange(5, 50):
-            events += 1
-            roll = rng.random()
-            if roll < 0.5 and unrevoked:
+        issued = [ca.generate_crl(0)]
+        for event in range(1, rng.randrange(5, 50)):
+            if rng.random() < 0.5 and unrevoked:
                 cert = unrevoked.pop(rng.randrange(len(unrevoked)))
-                ca.revoke(cert.serial, RevocationReason.UNSPECIFIED, events)
-            elif roll < 0.8:
-                delta = ca.generate_delta_crl(view.crl_number(ca.ca_id), events)
-                assert view.merge_delta(delta)
+                ca.revoke(cert.serial, RevocationReason.UNSPECIFIED, event)
             else:
-                view.merge_crl(ca.generate_crl(events))
-        # close the fold with one last delta, then compare against a fresh full CRL
-        closing = ca.generate_delta_crl(view.crl_number(ca.ca_id), 98)
-        assert view.merge_delta(closing)
-        final = ca.generate_crl(99)
+                issued.append(ca.generate_crl(event))
+        last = ca.generate_crl(99)
+        issued.append(last)
+        assert {e.serial for e in last.entries} == {
+            c.serial for c in certs if c not in unrevoked}
+        # Every issued CRL arrives once, in shuffled order, among replays.
+        arrivals = issued + [rng.choice(issued) for _ in range(rng.randrange(len(issued)))]
+        rng.shuffle(arrivals)
+        view = RevocationView()
+        for crl in arrivals:
+            number = view.crl_number(ca.ca_id)
+            held = {c.serial: view.revocation_entry(ca.ca_id, c.serial) for c in certs}
+            assert view.merge_crl(crl) is (crl.crl_number > number)
+            assert view.crl_number(ca.ca_id) == max(number, crl.crl_number)
+            # an older CRL never un-revokes
+            assert all(view.revocation_entry(ca.ca_id, serial) == entry
+                       for serial, entry in held.items() if entry is not None)
+        assert view.crl_number(ca.ca_id) == last.crl_number
+        by_serial = {e.serial: e for e in last.entries}
+        assert all(view.revocation_entry(ca.ca_id, c.serial) == by_serial.get(c.serial)
+                   for c in certs)
         assert (
-            crl_entries_payload(view.entries(ca.ca_id))
-            == crl_entries_payload(final.entries)
+            crl_entries_payload(view._held[ca.ca_id][1].values())
+            == crl_entries_payload(last.entries)
         )
         crl_trials += 1
     assert crl_trials == 100
@@ -228,7 +237,7 @@ def test_04_delta_crl_and_directory_equivalence():
             elif roll < 0.7 and enrolled:
                 account_id = enrolled.pop(rng.randrange(len(enrolled)))
                 serial = v1.accounts[account_id].certificate_serial
-                if serial not in v1.ca.revoked_serials():
+                if not v1.revocation.is_revoked(v1.ca.ca_id, serial):
                     v1.ca.revoke(serial, RevocationReason.UNSPECIFIED, sim.now)
                     v1.ingest_crls([v1.ca.generate_crl(sim.now)])
             elif roll < 0.85:
@@ -246,7 +255,7 @@ def test_04_delta_crl_and_directory_equivalence():
         assert directory_entries_bytes(view.entries) == directory_entries_bytes(snapshot.entries)
         directory_trials += 1
     assert directory_trials == 100
-    print("\nCRITERION 4 PASS: 100/100 CRL folds and 100/100 directory folds byte-equal")
+    print("\nCRITERION 4 PASS: 100/100 CRL merge orders and 100/100 directory folds byte-equal")
 
 
 def test_05_gossip_convergence_random_topologies():

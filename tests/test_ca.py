@@ -19,7 +19,6 @@ from vaspnet.ca import (
     RegistrationRejected,
     RevocationReason,
     RevocationView,
-    UnknownBase,
     UnknownSerial,
     ValidationStatus,
     validate_certificate,
@@ -153,7 +152,7 @@ class TestIssuance:
         first = issue(ca, subject="sub", key_label="k9")
         second = issue(ca, subject="sub", key_label="k9", now=1)
         assert first.serial != second.serial
-        assert first.serial in ca.revoked_serials()
+        assert first.serial in {e.serial for e in ca.current_crl(1).entries}
         lookup = ca.find_certificate_by_key_hash(crypto.digest(second.subject_public_key), 2)
         assert lookup.certificate.serial == second.serial
         assert lookup.status is CertStatus.GOOD
@@ -208,6 +207,19 @@ class TestValidationOrder:
         result = validate_certificate(cert, anchors, now=10, revocation=view)
         assert result.status is ValidationStatus.REVOKED
 
+    def test_revoked_detail_is_the_crl_entry_reason(self):
+        ca = make_ca()
+        certs = {reason: issue(ca, subject=f"r-{reason.value}", key_label=f"r-{reason.value}")
+                 for reason in RevocationReason}
+        for now, (reason, cert) in enumerate(certs.items(), start=1):
+            ca.revoke(cert.serial, reason, now)
+        view = RevocationView()
+        view.merge_crl(ca.generate_crl(10))
+        anchors = {ca.ca_id: ca.root_certificate}
+        for reason, cert in certs.items():
+            result = validate_certificate(cert, anchors, now=11, revocation=view)
+            assert (result.status, result.detail) == (ValidationStatus.REVOKED, reason.value)
+
     def test_revocation_monotone(self):
         # Once revoked, never valid again at any later tick.
         ca = make_ca()
@@ -242,6 +254,27 @@ class TestRevocationAndStatus:
         with pytest.raises(AlreadyRevoked):
             ca.revoke(cert.serial, RevocationReason.UNSPECIFIED, 1)
 
+    def test_root_cannot_be_revoked(self):
+        # A root is a trust anchor, trusted out of band; no CRL may list it.
+        ca = make_ca()
+        cert = issue(ca)
+        with pytest.raises(UnknownSerial):
+            ca.revoke(ca.root_certificate.serial, RevocationReason.KEY_COMPROMISE, 1)
+        crl = ca.current_crl(2)
+        assert crl.entries == frozenset()
+        view = RevocationView()
+        assert view.merge_crl(crl)
+        anchors = {ca.ca_id: ca.root_certificate}
+        assert validate_certificate(ca.root_certificate, anchors, now=3, revocation=view).ok
+        assert validate_certificate(cert, anchors, now=3, revocation=view).ok
+
+    def test_serial_issued_by_another_ca_cannot_be_revoked(self):
+        ca, other = make_ca("ca-x", seed=1), make_ca("ca-y", seed=2)
+        foreign = issue(other)
+        with pytest.raises(UnknownSerial):
+            ca.revoke(foreign.serial, RevocationReason.KEY_COMPROMISE, 1)
+        assert ca.current_crl(2).entries == frozenset()
+
 
 class TestCrl:
     def test_first_crl_empty(self):
@@ -252,48 +285,47 @@ class TestCrl:
         assert crypto.verify(ca.root_certificate.subject_public_key,
                              crl.signed_payload(), crl.signature)
 
-    def test_delta_contains_only_new_entries(self):
-        ca = make_ca()
-        certs = [issue(ca, subject=f"s{i}", key_label=f"dk{i}") for i in range(4)]
-        base = ca.generate_crl(0)
-        ca.revoke(certs[0].serial, RevocationReason.KEY_COMPROMISE, 1)
-        ca.revoke(certs[1].serial, RevocationReason.SUPERSEDED, 2)
-        delta = ca.generate_delta_crl(base.crl_number, 3)
-        assert {e.serial for e in delta.entries} == {certs[0].serial, certs[1].serial}
-
-    def test_unknown_base(self):
-        with pytest.raises(UnknownBase):
-            make_ca().generate_delta_crl(5, 0)
-
-    def test_delta_fold_equals_full_over_random_sequences(self):
-        # Equivalence oracle: folding deltas from any base reproduces every
-        # full CRL's entry set, over 100 random revocation interleavings.
+    def test_every_crl_lists_all_revocations_so_far_over_random_sequences(self):
+        # Over 100 random revocation interleavings, each full CRL numbers one
+        # above the last and carries every entry revoked so far, and a view
+        # that adopts any subset of them, newest last, holds the newest's.
         for trial in range(100):
             rng = random.Random(1000 + trial)
             ca = make_ca(seed=trial)
             certs = [issue(ca, subject=f"s{i}", key_label=f"t{trial}-{i}") for i in range(10)]
             unrevoked = list(certs)
+            revoked = {}
             crls = [ca.generate_crl(0)]
             for step in range(rng.randrange(1, 12)):
                 if unrevoked and rng.random() < 0.6:
                     cert = unrevoked.pop(rng.randrange(len(unrevoked)))
-                    ca.revoke(cert.serial, RevocationReason.UNSPECIFIED, step)
+                    entry = ca.revoke(cert.serial, RevocationReason.UNSPECIFIED, step)
+                    revoked[cert.serial] = entry
                 if rng.random() < 0.5:
-                    crls.append(ca.generate_crl(step))
+                    crl = ca.generate_crl(step)
+                    assert crl.crl_number == crls[-1].crl_number + 1
+                    assert crl.entries == frozenset(revoked.values())
+                    crls.append(crl)
             final = ca.generate_crl(99)
-            base = crls[rng.randrange(len(crls))]
-            delta = ca.generate_delta_crl(base.crl_number, 100)
+            assert final.entries == frozenset(revoked.values())
             view = RevocationView()
-            assert view.merge_crl(base)
-            assert view.merge_delta(delta)
-            assert view.entries(ca.ca_id) == final.entries
+            for crl in sorted(rng.sample(crls, rng.randrange(len(crls) + 1)),
+                              key=lambda c: c.crl_number) + [final]:
+                assert view.merge_crl(crl)
+            for cert in certs:
+                assert view.revocation_entry(ca.ca_id, cert.serial) == revoked.get(cert.serial)
 
-    def test_report_lines_format(self):
+    def test_current_crl_is_reused_until_a_revocation(self):
         ca = make_ca()
         cert = issue(ca)
-        ca.revoke(cert.serial, RevocationReason.KEY_COMPROMISE, 3)
-        lines = ca.generate_crl(4).report_lines()
-        assert lines == [f"{cert.serial.hex()},keyCompromise,3"]
+        first = ca.current_crl(0)
+        assert ca.current_crl(5) is first
+        entry = ca.revoke(cert.serial, RevocationReason.SUPERSEDED, 6)
+        second = ca.current_crl(7)
+        assert second.crl_number == first.crl_number + 1
+        assert second.entries == frozenset({entry})
+        assert ca.current_crl(8) is second
+        assert ca.generate_crl(9).crl_number == second.crl_number + 1
 
 
 class TestRevocationView:
@@ -309,60 +341,44 @@ class TestRevocationView:
         view.merge_crl(older_replay)
         assert view.crl_number(ca.ca_id) == older_replay.crl_number
 
-    def test_delta_requires_exact_base(self):
+    def test_newer_crl_revoking_nothing_new_moves_only_the_number(self):
         ca = make_ca()
-        cert = issue(ca)
-        base = ca.generate_crl(0)
-        view = RevocationView()
-        view.merge_crl(base)
-        ca.revoke(cert.serial, RevocationReason.UNSPECIFIED, 1)
-        delta = ca.generate_delta_crl(base.crl_number, 2)
-        assert view.merge_delta(delta)
-        assert view.is_revoked(ca.ca_id, cert.serial)
-        # replay of the same delta no longer applies
-        assert not view.merge_delta(delta)
-
-    def test_delta_exchange_equals_full_exchange(self):
-        ca = make_ca()
-        certs = [issue(ca, subject=f"s{i}", key_label=f"x{i}") for i in range(5)]
-        base = ca.generate_crl(0)
-        for i, cert in enumerate(certs):
-            ca.revoke(cert.serial, RevocationReason.UNSPECIFIED, i)
-        via_delta = RevocationView()
-        via_delta.merge_crl(base)
-        via_delta.merge_delta(ca.generate_delta_crl(base.crl_number, 10))
-        via_full = RevocationView()
-        via_full.merge_crl(ca.generate_crl(11))
-        assert via_delta.entries(ca.ca_id) == via_full.entries(ca.ca_id)
-
-    def test_delta_merge_moves_the_held_set(self):
-        ca = make_ca()
-        first, second = (issue(ca, subject=f"s{i}", key_label=f"x{i}") for i in range(2))
-        ca.revoke(first.serial, RevocationReason.UNSPECIFIED, 1)
-        base = ca.generate_crl(1)
-        ca.revoke(second.serial, RevocationReason.UNSPECIFIED, 2)
-        delta = ca.generate_delta_crl(base.crl_number, 3)
-        via_delta = RevocationView()
-        via_delta.merge_crl(base)
-        before = via_delta.entries(ca.ca_id)
-        assert via_delta.merge_delta(delta)
-        via_full = RevocationView()
-        via_full.merge_crl(ca.generate_crl(4))
-        assert via_delta.entries(ca.ca_id) == via_full.entries(ca.ca_id) != before
-
-    def test_full_crl_after_delta_revokes_nothing_new(self):
-        ca = make_ca()
-        cert = issue(ca)
+        cert, live = (issue(ca, subject=f"s{i}", key_label=f"n{i}") for i in range(2))
         view = RevocationView()
         view.merge_crl(ca.generate_crl(0))
-        ca.revoke(cert.serial, RevocationReason.UNSPECIFIED, 1)
-        view.merge_delta(ca.generate_delta_crl(1, 2))
-        entries = view.entries(ca.ca_id)
+        entry = ca.revoke(cert.serial, RevocationReason.UNSPECIFIED, 1)
+        assert view.merge_crl(ca.generate_crl(2)) is True
         full = ca.generate_crl(3)
         assert view.merge_crl(full) is True
-        assert view.is_revoked(ca.ca_id, cert.serial)
         assert view.crl_number(ca.ca_id) == full.crl_number
-        assert view.entries(ca.ca_id) == entries
+        assert view.revocation_entry(ca.ca_id, cert.serial) == entry
+        assert view.revocation_entry(ca.ca_id, live.serial) is None
+
+    def test_older_crl_never_unrevokes(self):
+        ca = make_ca()
+        cert = issue(ca)
+        older = ca.generate_crl(0)
+        entry = ca.revoke(cert.serial, RevocationReason.KEY_COMPROMISE, 1)
+        newer = ca.generate_crl(2)
+        view = RevocationView()
+        assert view.merge_crl(newer) is True
+        assert view.merge_crl(older) is False
+        assert view.crl_number(ca.ca_id) == newer.crl_number
+        assert view.revocation_entry(ca.ca_id, cert.serial) == entry
+
+    def test_issuers_are_held_apart(self):
+        first, second = make_ca("ca-a", seed=1), make_ca("ca-b", seed=2)
+        cert = issue(first)
+        first.revoke(cert.serial, RevocationReason.UNSPECIFIED, 1)
+        view = RevocationView()
+        assert view.crl_number("ca-a") == 0
+        assert not view.is_revoked("ca-a", cert.serial)
+        assert view.merge_crl(first.generate_crl(2)) is True
+        assert view.merge_crl(second.generate_crl(2)) is True
+        assert view.is_revoked("ca-a", cert.serial)
+        assert view.revocation_entry("ca-b", cert.serial) is None
+        assert view.revocation_entry("ca-c", cert.serial) is None
+        assert (view.crl_number("ca-a"), view.crl_number("ca-b"), view.crl_number("ca-c")) == (1, 1, 0)
 
 
 class TestLookup:

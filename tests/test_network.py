@@ -257,6 +257,45 @@ class TestCrlExchange:
         v2.on_dir_delta(delta, "v1")
         assert not any(e.serial == serial for e in view.entries)
 
+    @pytest.mark.parametrize("forgery", ["signed-by-ca-2", "entry-removed", "unanchored-issuer",
+                                         "number-raised"])
+    def test_forged_or_unanchored_crl_is_dropped(self, forgery):
+        """Each CRL numbers above the one held and, if merged, would un-revoke
+        alice, revoke under an issuer the node has no anchor for, or pin
+        ca-1's number so far ahead that its genuine CRLs would be ignored."""
+        sim = two_network_sim()
+        sim.advance_to(20)
+        v1 = sim.vasps["v1"]
+        ca1 = sim.cas["ca-1"]
+        serial = v1.accounts["acct-alice"].certificate_serial
+        entry = ca1.revoke(serial, RevocationReason.KEY_COMPROMISE, sim.now)
+        v1.ingest_crls([ca1.generate_crl(sim.now)])
+        genuine = ca1.generate_crl(sim.now)
+        if forgery == "signed-by-ca-2":
+            crl = crypto.seal(sim.cas["ca-2"]._keypair,
+                              replace(genuine, entries=frozenset(), signature=b""))
+        elif forgery == "entry-removed":
+            crl = replace(genuine, entries=genuine.entries - {entry})
+        elif forgery == "number-raised":
+            crl = replace(genuine, crl_number=genuine.crl_number + 1000)
+        else:
+            outsider = crypto.keypair_from_label("outsider", "ca-9")
+            crl = crypto.seal(outsider, replace(genuine, issuer_id="ca-9", signature=b""))
+        revocation = v1.revocation
+        assert crl.crl_number > revocation.crl_number(crl.issuer_id)
+
+        def state():
+            return v1.directory_entries(sim.now), [
+                (issuer, revocation.crl_number(issuer), revocation.is_revoked(issuer, serial))
+                for issuer in ("ca-1", "ca-9")]
+
+        before = state()
+        logged = len(sim.log_.entries)
+        v1.ingest_crls([crl])
+        assert [(e.actor, e.event, dict(e.details)) for e in sim.log_.entries[logged:]] == [
+            ("v1", "crl_dropped", {"issuer": crl.issuer_id, "reason": "bad-signature"})]
+        assert state() == before
+
 
 class TestCaFetch:
     """Every CRL period each member fetches from the CAs the CRL of its own
@@ -1332,13 +1371,13 @@ class TestCrlMergeLeavesViews:
         base = ca.generate_crl(2)
         assert view.merge_crl(base) is True
         assert not view.is_revoked("ca-1", serial)
+        assert view.merge_crl(base) is False
         ca.revoke(serial, RevocationReason.KEY_COMPROMISE, 3)
-        delta = ca.generate_delta_crl(base.crl_number, 3)
-        assert view.merge_delta(delta) is True
-        assert view.is_revoked("ca-1", serial)
-        assert view.merge_delta(delta) is False
         full = ca.generate_crl(4)
         assert view.merge_crl(full) is True
+        assert view.is_revoked("ca-1", serial)
+        assert view.merge_crl(full) is False
+        assert view.merge_crl(base) is False
         assert view.is_revoked("ca-1", serial)
         fresh = RevocationView()
         assert fresh.merge_crl(full) is True
