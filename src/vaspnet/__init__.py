@@ -6,8 +6,11 @@ Modules:
   ca          certificate authority services (issuance, revocation, full CRLs,
               lookup)
   assertions  VASP-signed attribute assertions with disclosure filtering
-  vasp        the VASP node: accounts, custody models, transfer pipeline, audit
   network     trust networks: directory gossip, path-vector routes
+  accounts, directory, reachability, resolution, transfer
+              the roles of a VASP: custody, directory gossip and CRLs,
+              gateway routes, beneficiary resolution, the transfer pipeline
+  vasp        the VASP node: its identity, composing those roles
   chain       append-only hash-chained ledger simulator
   scenario    scenario file schema and loader
   harness     deterministic discrete-event simulation
@@ -15,6 +18,7 @@ Modules:
   cli         command-line verbs (run, validate, replay, dump-routes, dump-ledger)
 """
 
+from .accounts import Account, CustodyModel
 from .assertions import (
     AttributeAssertion,
     DisclosurePolicy,
@@ -55,14 +59,9 @@ from .network import (
     ReachabilityAdvertisement,
     TrustNetwork,
 )
+from .resolution import TransferTarget
 from .scenario import Scenario, SchemaError, load_scenario
-from .vasp import (
-    Account,
-    CustodyModel,
-    TransferOutcome,
-    TransferTarget,
-    TravelRuleRecord,
-    VaspNode,
-)
+from .transfer import TransferOutcome, TravelRuleRecord
+from .vasp import VaspNode
 
 __version__ = "0.1.0"

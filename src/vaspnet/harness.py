@@ -10,20 +10,12 @@ invariant sweep. One message hop costs a latency drawn from a seeded
 per-link PRNG in [1, max_latency]; links can drop probabilistically or be
 forced down for a scripted period.
 
-The periodic duties run in this order. Gossip starts from directory version
-0 (empty) at every member and an empty Adj-RIB-Out on every link. Every
-directory sync period, each member publishes a new version to every
-co-member if its live entries differ from the last published set. Else it
-heartbeats its version to one partner per network, which rotates so that
-each member receives at most one heartbeat per network per period from
-tick 0 (``network.heartbeat_partner``). It skips a partner that already
-holds that heartbeat and lists every version it lists, so a quiet network
-falls silent (``VaspNode.announce_directory``). Then each gateway sends
-over each peering link its network's advertisement if it differs from what
-the link holds (nothing counts as no key hashes); else, in every other
-period and if nothing went over the link since the last one, a signed
-digest of the routes it holds for the link and received over it
-(``network.RouteDigest``).
+The periodic duties run in this order; ``network`` sets out the gossip.
+Every directory sync period, each member publishes a delta if its live
+entries changed, else heartbeats one partner per network
+(``directory.DirectoryFeed.sync``). Then each gateway sends over each
+peering link its network's advertisement if that changed, else in turn a
+digest of the link's routes (``reachability.ReachabilityFeed``).
 Every CRL period, each member then fetches from the issuing CAs the current
 CRL of every CA that certifies a member of its networks, its own included,
 in CA id order (RFC 5280 section 4.2.1.13, CRL distribution points). This
@@ -49,12 +41,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import crypto
+from .accounts import CustodyModel
 from .ca import CertificateAuthority, Certificate, RevocationReason
 from .chain import ChainTransaction, SimChain, SubmitResult, build_transaction
 from .crypto import FIELD_HEADER, KeyPair, digest
 from .network import PeeringLink, TrustNetwork
+from .resolution import TransferTarget
 from .scenario import CustomerSpec, Scenario, ScriptAction
-from .vasp import CustodyModel, TransferOutcome, TransferTarget, VaspNode
+from .transfer import TransferOutcome
+from .vasp import VaspNode
 
 ROOT_VALIDITY = 1_000_000
 VASP_CERT_VALIDITY = 500_000
@@ -266,9 +261,14 @@ class ScriptedTransfer:
 class Simulation:
     """Build the world from a scenario and run it tick by tick.
 
-    The instance doubles as the environment interface handed to every actor:
-    ``now``, ``send``, ``node``, ``link_ok``, ``log``, ``submit_tx``, ``chain``,
-    ``watch``.
+    The instance doubles as the environment interface handed to every
+    actor. Every role of a node writes ``log``. The directory feed, the
+    reachability feed and the transfers ``send``; the account book
+    (customer keys) and the transfers (record bindings) ``watch``; the
+    transfers alone ``submit_tx`` and read ``chain``. The resolver reaches
+    other VASPs through ``node`` and ``link_ok``, the reachability feed the
+    other gateways of its network through ``node``, and the node fetches a
+    peer's certificate through both and checks certificates at ``now``.
     """
 
     def __init__(self, scenario: Scenario, seed: Optional[int] = None) -> None:
@@ -453,7 +453,7 @@ class Simulation:
         elif action.action == "enroll":
             spec = self._customers[str(params["customer"])]
             vasp = self.vasps[spec.vasp]
-            vasp.enroll_customer_certificate(
+            vasp.book.enroll_customer_certificate(
                 self._account_id_for(spec.customer_id),
                 spec.requested_class,
                 self.now,
@@ -473,7 +473,7 @@ class Simulation:
         elif action.action == "revoke_cert":
             customer = str(params["customer"])
             vasp = self.vasps[self._customers[customer].vasp]
-            account = vasp.accounts[self._account_id_for(customer)]
+            account = vasp.book.accounts[self._account_id_for(customer)]
             if account.certificate_serial is None:
                 raise ValueError(f"customer {customer} has no certificate to revoke")
             reason = RevocationReason(str(params.get("reason", "unspecified")))
@@ -509,7 +509,7 @@ class Simulation:
             if model is CustodyModel.COMMINGLED or model is CustodyModel.KEY_CUSTODY:
                 home = spec.vasp
                 if model is CustodyModel.KEY_CUSTODY:
-                    account = self.vasps[home].accounts.get(self._account_id_for(customer))
+                    account = self.vasps[home].book.accounts.get(self._account_id_for(customer))
                     if account is not None and account.customer_public_key is not None:
                         return TransferTarget.from_key_hash(digest(account.customer_public_key))
                 return TransferTarget.from_account(home, self._account_id_for(customer))
@@ -521,7 +521,7 @@ class Simulation:
             wallet = self._customer_keypair(customer)
             if wallet is None:
                 home = self._customers[customer].vasp
-                account = self.vasps[home].accounts[self._account_id_for(customer)]
+                account = self.vasps[home].book.accounts[self._account_id_for(customer)]
                 if account.customer_public_key is None:
                     raise ValueError(f"customer {customer} has no key")
                 return TransferTarget.from_public_key(account.customer_public_key)
@@ -566,7 +566,7 @@ class Simulation:
         self._deliver_messages(tick)
         self._periodic_duties(tick)
         for node in self._vasp_order:
-            node.sweep_ack_timeouts(tick)
+            node.transfers.sweep_ack_timeouts(tick)
         for event in self.chain.tick(tick):
             tx = event.transaction
             self.log("chain", "chain_confirmed", tx=tx.tx_id.hex(), block=event.block_index)
@@ -604,7 +604,7 @@ class Simulation:
 
     def _periodic_duties(self, tick: int) -> None:
         for vasp_id in self._due(tick, "directory_sync_period", TrustNetwork.member_ids):
-            self.vasps[vasp_id].sync_directory(tick)
+            self.vasps[vasp_id].directory.sync(tick)
         for vasp_id in self._due(tick, "directory_sync_period", TrustNetwork.gateway_ids):
             self.vasps[vasp_id].advertise_reachability(tick)
         for vasp_id in self._due(tick, "crl_exchange_period", TrustNetwork.member_ids):

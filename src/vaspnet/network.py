@@ -34,20 +34,24 @@ CRL duty describes. A view holds exactly what its owner published, and only
 entry stays in the views until its owner publishes the removal, at its
 first sync after merging the CRL; meanwhile a relying party that resolves
 the key refuses its certificate where every certificate is checked
-(``VaspNode.validate``).
+(``vasp.VaspNode.validate``). ``directory.DirectoryFeed`` runs this feed
+at each member.
 
 Across networks, gateways advertise the union of their network's key hashes
 with an explicit network path; loop prevention and route preference follow
 path-vector discipline. Advertisements carry key hashes only; names,
 serials, and attributes require a routed query answered under disclosure
 policy. A changed advertisement goes out at once (RFC 4271's UPDATE). A
-gateway keeps, per peering link, the advertisements it sent there
-(``AdjRibOut``, empty at first) and the last one it received per origin
-(its Adj-RIB-In). A link over which nothing went in a period carries one
+gateway keeps, per peering link, the advertisements it sent there (its
+Adj-RIB-Out, empty at first) and the last one it received per origin (its
+Adj-RIB-In). A link over which nothing went in a period carries one
 ``RouteDigest`` of both, sent by its two gateways in turn; a mismatch
 brings a route refresh (RFC 2918, RFC 7313). So a forwarded route lost in
 flight comes back, although the forwarding network drops every later copy
 of the route it installed as a duplicate and nothing else would resend it.
+``reachability.ReachabilityFeed`` runs this feed at each gateway. The
+functions here take what they read, and reach another VASP only through
+the one callable they are given for it.
 
 Digests are computed once per thing they describe and kept with it. A
 member signs a heartbeat when its content changes and re-sends it, with
@@ -65,25 +69,13 @@ from __future__ import annotations
 import enum
 import functools
 import operator
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from . import crypto
-from .assertions import (
-    AttributeAssertion,
-    DisclosurePolicy,
-    REQUIRED_TRAVEL_RULE_CORE,
-)
-from .ca import (
-    CertClass,
-    Certificate,
-    RevocationView,
-    validate_certificate,
-)
+from .assertions import AttributeAssertion, DisclosurePolicy, REQUIRED_TRAVEL_RULE_CORE
+from .ca import CertClass, Certificate, RevocationView, validate_certificate
 from .crypto import canonical_encode, digest, enc_str, enc_u64, encode_bytes_list
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .vasp import VaspNode
 
 
 class NetworkError(Exception):
@@ -344,7 +336,7 @@ def heartbeat_partner(network: "TrustNetwork", vasp_id: str, period: int) -> Opt
     partner of every other (push-pull anti-entropy with one partner per
     round, Demers et al., PODC 1987). The sender skips a partner that could
     pull nothing from it and already holds its heartbeat
-    (``VaspNode.announce_directory``)."""
+    (``DirectoryFeed.announce``)."""
     members = network.member_ids()
     if len(members) < 2:
         return None
@@ -401,28 +393,6 @@ class RouteDigest(crypto.Signed):
 
     def tlv_fields(self) -> list[tuple[int, bytes]]:
         return [(1, enc_str(self.gateway_id)), (2, self.held), (3, self.received)]
-
-
-@dataclass
-class AdjRibOut:
-    """What a gateway advertises over one peering link: the last signed
-    advertisement it sent there per origin network, its own and those it
-    forwarded (RFC 4271's Adj-RIB-Out), and the tick of the last one sent. A
-    route refresh re-sends ``sent``; nothing is signed for it."""
-
-    sent: Routes = field(default_factory=Routes)
-    sent_at: int = -1
-    _keepalive: Optional[RouteDigest] = None
-
-    def keepalive(self, gateway: "VaspNode", received: Routes) -> RouteDigest:
-        """The link's signed ``RouteDigest``, signed again only when one of
-        its two digests changed."""
-        held_digest, received_digest = self.sent.digest, received.digest
-        last = self._keepalive
-        if last is None or (last.held, last.received) != (held_digest, received_digest):
-            self._keepalive = gateway.seal(
-                RouteDigest(gateway.vasp_id, held_digest, received_digest))
-        return self._keepalive
 
 
 @dataclass(frozen=True)
@@ -512,13 +482,6 @@ class TrustNetwork:
             if link.near_gateway(self.network_id) == gateway_vasp_id
         ]
 
-    def find_link_from(self, sender_gateway: str, receiver_gateway: str) -> Optional[PeeringLink]:
-        for link in self.peering_links:
-            far_gateway, _ = link.far_side(self.network_id)
-            if far_gateway == sender_gateway and link.near_gateway(self.network_id) == receiver_gateway:
-                return link
-        return None
-
     def dump_route_lines(self) -> list[str]:
         lines = []
         for origin in sorted(self.route_table):
@@ -530,46 +493,56 @@ class TrustNetwork:
         return lines
 
 
+def find_link(
+    networks: Iterable[TrustNetwork], sender_gateway: str, receiver_gateway: str
+) -> tuple[Optional[TrustNetwork], Optional[PeeringLink]]:
+    """The first of ``networks`` with a peering link from ``sender_gateway``
+    to its gateway ``receiver_gateway``, and that link."""
+    for network in networks:
+        for link in network.links_of(receiver_gateway):
+            if link.far_side(network.network_id)[0] == sender_gateway:
+                return network, link
+    return None, None
+
+
 def build_advertisement(
-    network: TrustNetwork,
-    gateway: "VaspNode",
+    network: TrustNetwork, gateway_id: str, views: Mapping[str, DirectoryView]
 ) -> ReachabilityAdvertisement:
     """Summarize the network's directory as seen from a gateway member.
 
     The advertised set is the union of the member snapshots the gateway
-    holds; the gateway itself is the home VASP through which the hashes are
-    reachable. The advertisement is unsigned: ``VaspNode.advertise`` signs
-    it if it sends it.
+    holds (``views``); the gateway itself is the home VASP through which the
+    hashes are reachable. The advertisement is unsigned: the gateway signs
+    it if it sends it (``ReachabilityFeed.advertise``).
     """
     hashes: set[bytes] = set()
     for member_id in network.member_ids():
-        hashes |= gateway.directory_views[member_id].key_hashes()
+        hashes |= views[member_id].key_hashes()
     return ReachabilityAdvertisement(
         advertised_hashes=frozenset(hashes),
-        home_vasp_id=gateway.vasp_id,
+        home_vasp_id=gateway_id,
         origin_network_id=network.network_id,
         network_path=(network.network_id,),
-        advertising_gateway_id=gateway.vasp_id,
+        advertising_gateway_id=gateway_id,
     )
 
 
 def process_advertisement(
-    network: TrustNetwork,
-    receiving_gateway: "VaspNode",
-    adv: ReachabilityAdvertisement,
-    sender_gateway_id: str,
-    env,
+    network: TrustNetwork, receiving_gateway_id: str, adv: ReachabilityAdvertisement,
+    sender_gateway_id: str, gateway: Callable[[str], Any],
 ) -> tuple[str, str]:
     """Install or drop an incoming advertisement; returns (verdict, reason).
 
-    On install the advertisement, with the local network appended to its
-    path, is forwarded over the network's other peering links, each by its
-    gateway, which signs it only if it differs from what it holds for that
-    link and holds it for the link's keepalives. A link it is
-    not forwarded over (the one it came in on, or one leading back into its
-    path) stops holding a route to that origin.
+    ``gateway(vasp_id)`` is the reachability feed of a gateway of
+    ``network``; the receiving one checks the sender's signature and holds
+    what it received over the link. On install the advertisement, with the
+    local network appended to its path, is forwarded over the network's
+    other peering links, each by its gateway, which signs it only if it
+    differs from what it holds for that link and holds it for the link's
+    keepalives. A link it is not forwarded over (the one it came in on, or
+    one leading back into its path) stops holding a route to that origin.
     """
-    link = network.find_link_from(sender_gateway_id, receiving_gateway.vasp_id)
+    _, link = find_link((network,), sender_gateway_id, receiving_gateway_id)
     if link is None:
         return "drop", "not-a-gateway"
     if not adv.network_path or adv.network_path[0] != adv.origin_network_id:
@@ -580,21 +553,19 @@ def process_advertisement(
         return "drop", "loop"
     if network.network_id in adv.network_path:
         return "drop", "loop"
-    sender_cert = receiving_gateway.peer_certificate(sender_gateway_id)
-    if sender_cert is None or not receiving_gateway.validate(sender_cert).ok or not crypto.check(
-        sender_cert.subject_public_key, adv
-    ):
+    receiver = gateway(receiving_gateway_id)
+    if not receiver.authentic(sender_gateway_id, adv):
         return "drop", "bad-signature"
     # The link's Adj-RIB-In: what the far gateway holds for it, once
     # received, whether or not it is installed.
-    receiving_gateway.adj_rib_in[link] = receiving_gateway.adj_rib_in[link].put(adv)
+    receiver.receive(link, adv)
 
     candidate = RouteEntry(
         origin_network_id=adv.origin_network_id,
         home_vasp_id=adv.home_vasp_id,
         hashes=adv.advertised_hashes,
         network_path=adv.network_path,
-        via_local_gateway=receiving_gateway.vasp_id,
+        via_local_gateway=receiving_gateway_id,
         next_hop_gateway=sender_gateway_id,
     )
     existing = network.route_table.get(adv.origin_network_id)
@@ -611,78 +582,67 @@ def process_advertisement(
 
     extended_path = adv.network_path + (network.network_id,)
     for out_link in network.peering_links:
-        _, far_network = out_link.far_side(network.network_id)
-        local_gateway = env.node(out_link.near_gateway(network.network_id))
+        far_gateway, far_network = out_link.far_side(network.network_id)
+        local_gateway_id = out_link.near_gateway(network.network_id)
+        local_gateway = gateway(local_gateway_id)
         if out_link == link or far_network in extended_path:
-            local_gateway.withdraw_advertisement(out_link, adv.origin_network_id)
+            local_gateway.withdraw(out_link, adv.origin_network_id)
             continue
-        local_gateway.advertise(out_link, ReachabilityAdvertisement(
-            advertised_hashes=adv.advertised_hashes,
-            home_vasp_id=adv.home_vasp_id,
-            origin_network_id=adv.origin_network_id,
-            network_path=extended_path,
-            advertising_gateway_id=local_gateway.vasp_id,
-        ))
+        local_gateway.advertise(out_link, far_gateway, replace(
+            adv, network_path=extended_path, advertising_gateway_id=local_gateway_id,
+            signature=b""))
     return "accept", ""
 
 
 def query_certificate(
-    requester: "VaspNode",
-    key_hash: bytes,
-    env,
+    requester_id: str, views: Mapping[str, DirectoryView], key_hash: bytes,
+    answer: Callable[[str, bytes], Optional[QueryResponse]],
 ) -> Optional[QueryResponse]:
-    """Consult the requester's directory views and query the owning member.
+    """Consult the requester's directory views and query each owning member.
 
-    Returns the owner's response (ok or revoked-flagged), or None when no
-    view holds the hash or the owner is unreachable; an unresponsive owner is
-    logged as a directory inconsistency. A revoked response is logged as a
-    stale entry and kept only if no later owner answers "ok"; the view is
-    left as its owner published it.
+    ``answer(owner_id, key_hash)`` is the owner's response (ok or
+    revoked-flagged), or None when the owner is unreachable or silent. A
+    revoked response is kept only if no later owner answers "ok"; the views
+    are left as their owners published them.
     """
     result: Optional[QueryResponse] = None
-    for owner_id in sorted(requester.directory_views):
-        if owner_id == requester.vasp_id:
+    for owner_id in sorted(views):
+        if owner_id == requester_id or key_hash not in views[owner_id].key_hashes():
             continue
-        view = requester.directory_views[owner_id]
-        if key_hash not in view.key_hashes():
-            continue
-        if not env.link_ok(requester.vasp_id, owner_id):
-            continue
-        owner = env.node(owner_id)
-        response = owner.respond_certificate_query(requester.vasp_id, key_hash, env.now)
+        response = answer(owner_id, key_hash)
         if response is None:
-            env.log(requester.vasp_id, "directory_inconsistency", owner=owner_id)
             continue
-        if response.status == "revoked":
-            env.log(requester.vasp_id, "directory_stale_entry", owner=owner_id)
-            result = result or response
-            continue
-        return response
+        if response.status != "revoked":
+            return response
+        result = result or response
     return result
 
 
 def route_cross_network_query(
-    requester: "VaspNode",
-    key_hash: bytes,
-    env,
+    requester_id: str, networks: Iterable[TrustNetwork], key_hash: bytes,
+    gateway: Callable[[str, str], Any], log: Callable[..., None],
 ) -> tuple[Optional[QueryResponse], list[str]]:
-    """Forward a certificate query along installed gateway routes.
+    """Forward a certificate query along the installed gateway routes of
+    the requester's ``networks``.
 
+    ``gateway(via, nxt)`` is the resolver of gateway ``nxt``, or None when
+    the link from ``via`` is down; the last one answers in the route's
+    origin network. ``log`` records a failed walk as the requester's event.
     Returns the response (or None) and the hop list actually walked; a dead
     link or gateway mid-path yields NotFound with the partial path.
     """
     candidates: list[tuple[tuple[int, str], TrustNetwork, RouteEntry]] = []
-    for network in requester.networks_sorted():
+    for network in networks:
         for origin in sorted(network.route_table):
             entry = network.route_table[origin]
             if key_hash in entry.hashes:
                 candidates.append(((len(entry.network_path), origin), network, entry))
     if not candidates:
-        return None, [requester.vasp_id]
+        return None, [requester_id]
     candidates.sort(key=lambda item: item[0])
     _, network, entry = candidates[0]
 
-    hops = [requester.vasp_id]
+    hops = [requester_id]
     visited = {network.network_id}
     current_network = network
     current_entry = entry
@@ -691,45 +651,26 @@ def route_cross_network_query(
         nxt = current_entry.next_hop_gateway
         if hops[-1] != via:
             hops.append(via)
-        if not env.link_ok(via, nxt):
-            env.log(requester.vasp_id, "route_query_failed",
-                    reason="link-down", partial_path=">".join(hops))
+        next_gateway = gateway(via, nxt)
+        if next_gateway is None:
+            log("route_query_failed", reason="link-down", partial_path=">".join(hops))
             return None, hops
         hops.append(nxt)
-        next_node = env.node(nxt)
         # The entry was installed from an advertisement sent over this link.
-        link = current_network.find_link_from(nxt, via)
+        _, link = find_link((current_network,), nxt, via)
         _, far_network_id = link.far_side(current_network.network_id)
         if far_network_id == current_entry.origin_network_id:
-            response, owner_hops = _resolve_in_origin_network(next_node, key_hash, env)
+            response, owner_hops = next_gateway.answer_in_origin(key_hash)
             hops.extend(owner_hops)
             return response, hops
-        next_network = next_node.memberships.get(far_network_id)
+        next_network = next_gateway.network(far_network_id)
         if next_network is None or far_network_id in visited:
-            env.log(requester.vasp_id, "route_query_failed",
-                    reason="routing-loop", partial_path=">".join(hops))
+            log("route_query_failed", reason="routing-loop", partial_path=">".join(hops))
             return None, hops
         visited.add(far_network_id)
         next_entry = next_network.route_table.get(current_entry.origin_network_id)
         if next_entry is None:
-            env.log(requester.vasp_id, "route_query_failed",
-                    reason="no-onward-route", partial_path=">".join(hops))
+            log("route_query_failed", reason="no-onward-route", partial_path=">".join(hops))
             return None, hops
         current_network = next_network
         current_entry = next_entry
-
-
-def _resolve_in_origin_network(
-    gateway: "VaspNode",
-    key_hash: bytes,
-    env,
-) -> tuple[Optional[QueryResponse], list[str]]:
-    owner_id = gateway.find_directory_owner(key_hash)
-    if owner_id is None:
-        return None, []
-    if owner_id == gateway.vasp_id:
-        return gateway.respond_certificate_query(gateway.vasp_id, key_hash, env.now), []
-    if not env.link_ok(gateway.vasp_id, owner_id):
-        return None, [owner_id]
-    owner = env.node(owner_id)
-    return owner.respond_certificate_query(gateway.vasp_id, key_hash, env.now), [owner_id]

@@ -69,10 +69,10 @@ from typing import Any, Mapping, Optional
 
 import yaml
 
+from .accounts import CustodyModel
 from .assertions import DisclosurePolicy
 from .ca import CertClass
 from .network import OperatingRules
-from .vasp import CustodyModel
 
 VALID_ACTIONS = {
     "open_account", "enroll", "transfer", "p2p_transfer",

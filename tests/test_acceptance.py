@@ -16,7 +16,8 @@ from vaspnet.ca import RevocationReason, RevocationView
 from vaspnet.ca import _entries_payload as crl_entries_payload
 from vaspnet.harness import Simulation
 from vaspnet.network import _entries_bytes as directory_entries_bytes
-from vaspnet.vasp import OutcomeStatus, TransferTarget
+from vaspnet.resolution import TransferTarget
+from vaspnet.transfer import OutcomeStatus
 
 MODELS = ["mediated", "key-custody", "commingled"]
 
@@ -99,7 +100,7 @@ def test_02_no_blind_broadcast_over_25_seeds():
         customer_keys = {
             account.customer_public_key
             for node in sim.vasps.values()
-            for account in node.accounts.values()
+            for account in node.book.accounts.values()
             if account.customer_public_key is not None
         }
         submitted = {
@@ -228,28 +229,28 @@ def test_04_crl_and_directory_equivalence():
             roll = rng.random()
             if roll < 0.45:
                 candidates = [f"acct-m{i}" for i in range(6)
-                              if v1.accounts[f"acct-m{i}"].certificate is None]
+                              if v1.book.accounts[f"acct-m{i}"].certificate is None]
                 if candidates:
                     account_id = rng.choice(candidates)
-                    v1.enroll_customer_certificate(
+                    v1.book.enroll_customer_certificate(
                         account_id, list(v1.ca._class_table)[0], sim.now)
                     enrolled.append(account_id)
             elif roll < 0.7 and enrolled:
                 account_id = enrolled.pop(rng.randrange(len(enrolled)))
-                serial = v1.accounts[account_id].certificate_serial
+                serial = v1.book.accounts[account_id].certificate_serial
                 if not v1.revocation.is_revoked(v1.ca.ca_id, serial):
                     v1.ca.revoke(serial, RevocationReason.UNSPECIFIED, sim.now)
                     v1.ingest_crls([v1.ca.generate_crl(sim.now)])
             elif roll < 0.85:
                 # gap injection: the member loses its view and must resync
-                if rng.random() < 0.5 and v1.vasp_id in v2.directory_views:
+                if rng.random() < 0.5 and v1.vasp_id in v2.directory.views:
                     from vaspnet.network import DirectoryView
-                    v2.directory_views[v1.vasp_id] = DirectoryView()
+                    v2.directory.views[v1.vasp_id] = DirectoryView()
             tick += rng.randrange(1, 4)
             sim.advance_to(tick)
         sim.advance_to(tick + 30)  # drain: deltas, pulls, snapshots
-        snapshot = v1._last_snapshot
-        view = v2.directory_views.get(v1.vasp_id)
+        snapshot = v1.directory._last_snapshot
+        view = v2.directory.views.get(v1.vasp_id)
         assert snapshot is not None and view is not None
         assert view.version == snapshot.version
         assert directory_entries_bytes(view.entries) == directory_entries_bytes(snapshot.entries)
@@ -285,10 +286,10 @@ def test_05_gossip_convergence_random_topologies():
         diameter = 1  # gossip pushes directly to every member
         bound = diameter * sync + scn.max_latency
         for publisher_id in network.member_ids():
-            snapshot = sim.vasps[publisher_id]._last_snapshot
+            snapshot = sim.vasps[publisher_id].directory._last_snapshot
             assert snapshot is not None
             for member_id in network.member_ids():
-                view = sim.vasps[member_id].directory_views.get(publisher_id)
+                view = sim.vasps[member_id].directory.views.get(publisher_id)
                 assert view is not None
                 assert view.version == snapshot.version, (member_id, publisher_id)
                 assert frozenset(view.entries) == snapshot.entries
@@ -315,7 +316,7 @@ def test_06_path_vector_properties():
     all_hashes = {
         crypto.digest(account.customer_public_key)
         for vasp in sim.vasps.values()
-        for account in vasp.accounts.values()
+        for account in vasp.book.accounts.values()
     }
     for network_id, network in sim.networks.items():
         reachable = set()
@@ -324,12 +325,12 @@ def test_06_path_vector_properties():
         local = {
             crypto.digest(account.customer_public_key)
             for member_id in network.member_ids()
-            for account in sim.vasps[member_id].accounts.values()
+            for account in sim.vasps[member_id].book.accounts.values()
         }
         assert reachable | local == all_hashes, f"{network_id} missing hashes"
 
     a1, d1 = sim.vasps["a1"], sim.vasps["d1"]
-    target_hash = crypto.digest(d1.accounts["acct-cust-d1"].customer_public_key)
+    target_hash = crypto.digest(d1.book.accounts["acct-cust-d1"].customer_public_key)
     resolved = a1.resolve_beneficiary(TransferTarget.from_key_hash(target_hash), sim.now)
     assert resolved is not None and resolved.home_vasp_id == "d1"
     installed = sim.networks["net-a"].route_table["net-d"]
@@ -370,7 +371,7 @@ def test_07_commingled_batch_arithmetic():
              rng.randrange(1, 50_000))
             for _ in range(rng.randrange(1, 6))
         ]
-        outcome = v1.initiate_batch_transfer(requests, "coin")
+        outcome = v1.transfers.initiate_batch_transfer(requests, "coin")
         expected.append((outcome, sum(a for _, _, a in requests)))
         tick += 1
         sim.advance_to(tick)

@@ -332,14 +332,17 @@ class TestRevocationView:
     def test_stale_crl_ignored(self):
         ca = make_ca()
         cert = issue(ca)
+        older = ca.generate_crl(1)  # revokes nothing
+        entry = ca.revoke(cert.serial, RevocationReason.UNSPECIFIED, 2)
+        newer = ca.generate_crl(3)
+        assert older.crl_number < newer.crl_number
         view = RevocationView()
-        ca.revoke(cert.serial, RevocationReason.UNSPECIFIED, 1)
-        newer = ca.generate_crl(2)
         assert view.merge_crl(newer)
-        older_replay = ca.generate_crl(3)  # number 2 is held; recreate number 1 scenario
+        # A lower-numbered CRL merged after a higher one is refused: the held
+        # number and entries stay those of the higher one.
+        assert view.merge_crl(older) is False
         assert view.crl_number(ca.ca_id) == newer.crl_number
-        view.merge_crl(older_replay)
-        assert view.crl_number(ca.ca_id) == older_replay.crl_number
+        assert view.revocation_entry(ca.ca_id, cert.serial) == entry
 
     def test_newer_crl_revoking_nothing_new_moves_only_the_number(self):
         ca = make_ca()

@@ -56,7 +56,7 @@ from vaspnet.network import (
     ReachabilityAdvertisement,
     RouteDigest,
 )
-from vaspnet.vasp import AckDecision, BeneficiaryRef, TransferAck, TransferNotice
+from vaspnet.transfer import AckDecision, BeneficiaryRef, TransferAck, TransferNotice
 
 # RFC 8032 section 7.1, tests 1-3: (secret, public, message, signature)
 RFC8032_VECTORS = [

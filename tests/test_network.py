@@ -1,10 +1,12 @@
 """Trust network behavior: membership, gossip, CRL fetches, path-vector routes."""
 
+import functools
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+import vaspnet.accounts
 import vaspnet.network
 import vaspnet.vasp
 from conftest import count_calls, make_scenario, record_sends, standard_script
@@ -29,15 +31,9 @@ from vaspnet.network import (
     heartbeat_partner,
     routes_digest,
 )
-from vaspnet.vasp import (
-    AckDecision,
-    CustodyModel,
-    DenialCode,
-    OutcomeStatus,
-    RecordStatus,
-    RejectReason,
-    TransferTarget,
-)
+from vaspnet.accounts import CustodyModel
+from vaspnet.resolution import TransferTarget
+from vaspnet.transfer import AckDecision, DenialCode, OutcomeStatus, RecordStatus, RejectReason
 
 
 def two_network_sim(**overrides):
@@ -122,7 +118,7 @@ class TestMembership:
         node = sim.vasps["v1"]
         account_cert = None
         sim.advance_to(2)
-        account_cert = node.accounts["acct-alice"].certificate  # class 1
+        account_cert = node.book.accounts["acct-alice"].certificate  # class 1
         with pytest.raises(MembershipDenied):
             strict.join_network(account_cert, 1, 2)
 
@@ -140,14 +136,14 @@ class TestDirectoryGossip:
                                 CustodyModel.MEDIATED,
                                 customer_wallet=crypto.generate_keypair(crypto.digest(b"zed")),
                                 account_id="acct-zed", now=2)
-        v1.enroll_customer_certificate("acct-zed", CertClass.CLASS1, 2)
-        v1.ca.revoke(v1.accounts["acct-alice"].certificate_serial,
+        v1.book.enroll_customer_certificate("acct-zed", CertClass.CLASS1, 2)
+        v1.ca.revoke(v1.book.accounts["acct-alice"].certificate_serial,
                      RevocationReason.KEY_COMPROMISE, 3)
         v1.ingest_crls([v1.ca.generate_crl(3)])
         entries = v1.directory_entries(4)
         hashes = {e.public_key_hash for e in entries}
         assert crypto.digest(extra.customer_public_key) in hashes
-        assert crypto.digest(v1.accounts["acct-alice"].customer_public_key) not in hashes
+        assert crypto.digest(v1.book.accounts["acct-alice"].customer_public_key) not in hashes
 
     def test_empty_publish_still_increments_version(self):
         sim = two_network_sim()
@@ -162,7 +158,7 @@ class TestDirectoryGossip:
         sim.advance_to(2)
         v1 = sim.vasps["v1"]
         v1.publish_directory(3)
-        before = v1._last_snapshot
+        before = v1.directory._last_snapshot
         snapshot = v1.publish_directory(4)
         assert snapshot.entries == before.entries
 
@@ -172,7 +168,7 @@ class TestDirectoryGossip:
         v3 = sim.vasps["v3"]  # no customers: still at version 0
         sent = capture_sends(sim, monkeypatch)
         v3.on_message("dir_pull", None, "v4")
-        assert v3._last_snapshot.version == 0 and sent == []
+        assert v3.directory._last_snapshot.version == 0 and sent == []
 
     def test_in_order_delta_applied(self):
         view = DirectoryView()
@@ -198,9 +194,9 @@ class TestDirectoryGossip:
         for network in sim.networks.values():
             for publisher_id in network.member_ids():
                 publisher = sim.vasps[publisher_id]
-                expected = publisher._last_snapshot
+                expected = publisher.directory._last_snapshot
                 for member_id in network.member_ids():
-                    view = sim.vasps[member_id].directory_views.get(publisher_id)
+                    view = sim.vasps[member_id].directory.views.get(publisher_id)
                     assert view is not None, (member_id, publisher_id)
                     assert view.version == expected.version
                     assert frozenset(view.entries) == expected.entries
@@ -210,12 +206,13 @@ class TestDirectoryGossip:
         sim.advance_to(12)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
         # force a gap: v2 drops its view of v1 back to version 0 with stale data
-        v2.directory_views[v1.vasp_id] = DirectoryView()
+        v2.directory.views[v1.vasp_id] = DirectoryView()
         for _ in range(3):
             v1.publish_directory(sim.now)
         sim.run()
-        assert v2.directory_views[v1.vasp_id].version == v1._last_snapshot.version
-        assert frozenset(v2.directory_views[v1.vasp_id].entries) == v1._last_snapshot.entries
+        assert v2.directory.views[v1.vasp_id].version == v1.directory._last_snapshot.version
+        assert (frozenset(v2.directory.views[v1.vasp_id].entries)
+                == v1.directory._last_snapshot.entries)
 
 
 class TestCrlExchange:
@@ -224,7 +221,7 @@ class TestCrlExchange:
         sim.advance_to(2)
         v1 = sim.vasps["v1"]
         first = v1.ca.generate_crl(1)
-        serial = v1.accounts["acct-alice"].certificate_serial
+        serial = v1.book.accounts["acct-alice"].certificate_serial
         v1.ca.revoke(serial, RevocationReason.UNSPECIFIED, 2)
         second = v1.ca.generate_crl(2)
         v1.ingest_crls([second])
@@ -239,9 +236,9 @@ class TestCrlExchange:
         sim = two_network_sim()
         sim.advance_to(20)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
-        alice = v1.accounts["acct-alice"]
+        alice = v1.book.accounts["acct-alice"]
         serial = alice.certificate_serial
-        view = v2.directory_views["v1"]
+        view = v2.directory.views["v1"]
         entries = view.entries
         assert any(e.serial == serial for e in entries)
         v1.ca.revoke(serial, RevocationReason.KEY_COMPROMISE, sim.now)
@@ -251,7 +248,7 @@ class TestCrlExchange:
         assert v2.validate(alice.certificate).status is ValidationStatus.REVOKED
         sent = capture_sends(sim, monkeypatch)
         v1.ingest_crls([crl])
-        v1.sync_directory(sim.now)
+        v1.directory.sync(sim.now)
         (delta,) = [p for _, d, k, p in sent if k == "dir_delta" and d == "v2"]
         assert {e.serial for e in delta.removed} == {serial}
         v2.on_dir_delta(delta, "v1")
@@ -267,7 +264,7 @@ class TestCrlExchange:
         sim.advance_to(20)
         v1 = sim.vasps["v1"]
         ca1 = sim.cas["ca-1"]
-        serial = v1.accounts["acct-alice"].certificate_serial
+        serial = v1.book.accounts["acct-alice"].certificate_serial
         entry = ca1.revoke(serial, RevocationReason.KEY_COMPROMISE, sim.now)
         v1.ingest_crls([ca1.generate_crl(sim.now)])
         genuine = ca1.generate_crl(sim.now)
@@ -314,19 +311,19 @@ class TestCaFetch:
         v2 = sim.vasps["v2"]
         issued = 2 * rules.crl_exchange_period  # ca-2's first CRL after the revocation
         sim.advance_to(issued - 1)
-        serial = v2.accounts["acct-bob"].certificate_serial
+        serial = v2.book.accounts["acct-bob"].certificate_serial
         assert not any(v.revocation.is_revoked("ca-2", serial) for v in sim.vasps.values())
         sim.advance_to(issued)
         for member, node in sim.vasps.items():
             assert node.revocation.is_revoked("ca-2", serial), member
             assert node.revocation.crl_number("ca-2") == v2.revocation.crl_number("ca-2")
-        version = v2._last_snapshot.version
+        version = v2.directory._last_snapshot.version
         # Bob's removal is published at v2's next sync and reaches every
         # member within the link latency.
         sim.advance_to(issued + rules.directory_sync_period + sim.scenario.max_latency)
-        assert v2._last_snapshot.version == version + 1
+        assert v2.directory._last_snapshot.version == version + 1
         for member in ("v1", "v3", "v4"):
-            view = sim.vasps[member].directory_views["v2"]
+            view = sim.vasps[member].directory.views["v2"]
             assert not any(e.serial == serial for e in view.entries), member
 
     def test_fetch_covers_own_and_co_member_cas_in_id_order(self, monkeypatch):
@@ -363,7 +360,7 @@ class TestCaFetch:
 
         monkeypatch.setattr(sim, "send", counting_send)
         sim.advance_to(120)
-        serial = sim.vasps["v2"].accounts["acct-bob"].certificate_serial
+        serial = sim.vasps["v2"].book.accounts["acct-bob"].certificate_serial
         assert all(v.revocation.is_revoked("ca-2", serial) for v in sim.vasps.values())
         # Bob's removal is gossiped; no message carries a CRL or asks for one.
         assert set(kinds) <= {"dir_announce", "dir_delta", "dir_pull", "dir_snapshot"}
@@ -373,7 +370,7 @@ class TestCaFetch:
         sim.advance_to(20)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
         number = v1.revocation.crl_number("ca-2")
-        bob = v2.accounts["acct-bob"].certificate_serial
+        bob = v2.book.accounts["acct-bob"].certificate_serial
         v2.ca.revoke(bob, RevocationReason.KEY_COMPROMISE, sim.now)
         v1.on_message("crl", [v2.ca.generate_crl(sim.now)], "v2")
         assert v1.revocation.crl_number("ca-2") == number
@@ -428,34 +425,34 @@ class TestDirectoryDigestCache:
         sim = two_network_sim()
         sim.advance_to(20)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
-        alice = v1.accounts["acct-alice"].customer_public_key_hash
-        assert v2.find_directory_owner(alice) == "v1"
-        v1.ca.revoke(v1.accounts["acct-alice"].certificate_serial,
+        alice = v1.book.accounts["acct-alice"].customer_public_key_hash
+        assert v2.directory.find_owner(alice) == "v1"
+        v1.ca.revoke(v1.book.accounts["acct-alice"].certificate_serial,
                      RevocationReason.KEY_COMPROMISE, sim.now)
         crl = v1.ca.generate_crl(sim.now)
         v2.ingest_crls([crl])
         # The relying party's merge leaves the view as v1 published it.
-        assert v2.find_directory_owner(alice) == "v1"
+        assert v2.directory.find_owner(alice) == "v1"
         sent = self.capture_sends(sim, monkeypatch)
         _, answer = self.announce_to(v1, v2, sent)
         assert answer == []
         v1.ingest_crls([crl])
-        v1.sync_directory(sim.now)
+        v1.directory.sync(sim.now)
         delta = next(p for _, d, k, p in sent if k == "dir_delta" and d == "v2")
         v2.on_dir_delta(delta, "v1")
-        assert v2.find_directory_owner(alice) is None
-        assert alice not in v2.directory_views["v1"].key_hashes()
+        assert v2.directory.find_owner(alice) is None
+        assert alice not in v2.directory.views["v1"].key_hashes()
 
     def test_view_untouched_by_crl_merge(self, monkeypatch):
         sim = two_network_sim()
         sim.advance_to(20)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
-        view = v2.directory_views["v1"]
+        view = v2.directory.views["v1"]
         sent = self.capture_sends(sim, monkeypatch)
         announce, answer = self.announce_to(v1, v2, sent)
         assert view.version == announce.version and answer == []
         entries = view.entries
-        serial = v1.accounts["acct-alice"].certificate_serial
+        serial = v1.book.accounts["acct-alice"].certificate_serial
         v1.ca.revoke(serial, RevocationReason.KEY_COMPROMISE, sim.now)
         v2.ingest_crls([v1.ca.generate_crl(sim.now)])
         assert view.entries is entries and any(e.serial == serial for e in entries)
@@ -471,20 +468,20 @@ class TestDirectoryDigestCache:
         sim = two_network_sim()
         sim.advance_to(20)
         v3, v4 = sim.vasps["v3"], sim.vasps["v4"]
-        view = v3.directory_views["v4"]
+        view = v3.directory.views["v4"]
         sent = self.capture_sends(sim, monkeypatch)
-        bob_hash = crypto.digest(v4.accounts["acct-bob"].customer_public_key)
-        v4.ca.revoke(v4.accounts["acct-bob"].certificate_serial,
+        bob_hash = crypto.digest(v4.book.accounts["acct-bob"].customer_public_key)
+        v4.ca.revoke(v4.book.accounts["acct-bob"].certificate_serial,
                      RevocationReason.KEY_COMPROMISE, sim.now)
         v4.ingest_crls([v4.ca.generate_crl(sim.now)])
         announce, answer = self.announce_to(v4, v3, sent)
         # The heartbeat carries the published snapshot's digest, which the
         # publisher's own view, left as published by the merge, still has.
-        assert announce.entries_digest == directory_digest(v4._last_snapshot.entries)
-        assert announce.entries_digest == v4.directory_views["v4"].entries_digest()
+        assert announce.entries_digest == directory_digest(v4.directory._last_snapshot.entries)
+        assert announce.entries_digest == v4.directory.views["v4"].entries_digest()
         assert view.version == announce.version and answer == []
         entries = view.entries
-        resolved = v3._resolve_via_directory(bob_hash, sim.now)
+        resolved = v3.resolver._resolve_via_directory(bob_hash)
         assert resolved is not None and resolved.revoked
         assert view.entries is entries and bob_hash in view.key_hashes()
         announce, answer = self.announce_to(v4, v3, sent)
@@ -510,7 +507,7 @@ class TestDirectorySync:
             assert len(announces) == 3 * len(v1.co_member_ids())
             announce = announces[0]
             assert all(a == announce for a in announces)
-            snapshot = v1._last_snapshot
+            snapshot = v1.directory._last_snapshot
             assert announce.version == snapshot.version
             assert announce.entries_digest == directory_digest(snapshot.entries)
             assert crypto.check(v1.public_key, announce)
@@ -522,29 +519,29 @@ class TestDirectorySync:
         v1.open_account("zed", {"name": "Zed", "email": "z@x"}, CustodyModel.MEDIATED,
                         customer_wallet=crypto.generate_keypair(crypto.digest(b"zed")),
                         account_id="acct-zed", now=sim.now)
-        v1.enroll_customer_certificate("acct-zed", CertClass.CLASS1, sim.now)
+        v1.book.enroll_customer_certificate("acct-zed", CertClass.CLASS1, sim.now)
         sent = TestDirectoryDigestCache.capture_sends(sim, monkeypatch)
         reads = count_calls(monkeypatch, v1, "directory_entries")
-        hashed = count_calls(monkeypatch, vaspnet.vasp, "digest")
-        version = v1._last_snapshot.version
-        v1.sync_directory(sim.now)
-        assert len(reads) == 1 and v1._last_snapshot.version == version + 1
+        hashed = count_calls(monkeypatch, vaspnet.accounts, "digest")
+        version = v1.directory._last_snapshot.version
+        v1.directory.sync(sim.now)
+        assert len(reads) == 1 and v1.directory._last_snapshot.version == version + 1
         assert {kind for _, _, kind, _ in sent} == {"dir_delta"}
         sent.clear()
-        v1.sync_directory(sim.now)
-        assert len(reads) == 2 and v1._last_snapshot.version == version + 1
+        v1.directory.sync(sim.now)
+        assert len(reads) == 2 and v1.directory._last_snapshot.version == version + 1
         assert {kind for _, _, kind, _ in sent} == {"dir_announce"}
         assert hashed == []
-        zed_hash = crypto.digest(v1.accounts["acct-zed"].customer_public_key)
-        assert zed_hash in {e.public_key_hash for e in v1._last_snapshot.entries}
+        zed_hash = crypto.digest(v1.book.accounts["acct-zed"].customer_public_key)
+        assert zed_hash in {e.public_key_hash for e in v1.directory._last_snapshot.entries}
 
 
     def test_heartbeat_with_altered_views_triggers_no_pull(self, monkeypatch):
         sim = mixed_ca_sim()
         sim.advance_to(20)
         v1, v4 = sim.vasps["v1"], sim.vasps["v4"]
-        genuine = v4._announces["net-a"]
-        assert dict(genuine.views)["v2"] == v1.directory_views["v2"].version
+        genuine = v4.directory._announces["net-a"]
+        assert dict(genuine.views)["v2"] == v1.directory.views["v2"].version
         sent = capture_sends(sim, monkeypatch)
         forged = replace(genuine, views=tuple(
             (member_id, version + 1) for member_id, version in genuine.views))
@@ -557,7 +554,7 @@ class TestDirectorySync:
         sim = mixed_ca_sim()
         sim.advance_to(20)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
-        view = v1.directory_views["v2"]
+        view = v1.directory.views["v2"]
         version, entries = view.version, view.entries
         sent = capture_sends(sim, monkeypatch)
         v2.publish_directory(sim.now)
@@ -643,7 +640,7 @@ class TestHeartbeatSchedule:
         # after tick 40.
         for network_id, network in networks.items():
             for src in network.members:
-                current = sim.vasps[src]._announces[network_id]
+                current = sim.vasps[src].directory._announces[network_id]
                 assert {d for _, s, d, _, p in sent if s == src and p is current} == (
                     set(network.members) - {src})
         assert max(tick for tick, *_ in sent) == 40
@@ -667,7 +664,7 @@ class TestHeartbeatSchedule:
         period = network.rules.directory_sync_period
         for tick, targets in revoked.items():
             assert targets == [heartbeat_partner(network, "v4", tick // period)]
-        serial = sim.vasps["v2"].accounts["acct-bob"].certificate_serial
+        serial = sim.vasps["v2"].book.accounts["acct-bob"].certificate_serial
         assert sim.vasps["v4"].revocation.is_revoked("ca-2", serial)
 
     def test_single_ca_revocation_heartbeats_each_partner_once(self, monkeypatch):
@@ -688,7 +685,7 @@ class TestHeartbeatSchedule:
         sent = record_sends(sim, monkeypatch, {"dir_announce"})
         issued = 2 * sim.networks["net-a"].rules.crl_exchange_period
         sim.advance_to(issued - 1)
-        serial = sim.vasps["v1"].accounts["acct-alice"].certificate_serial
+        serial = sim.vasps["v1"].book.accounts["acct-alice"].certificate_serial
         assert not any(v.revocation.is_revoked("ca-1", serial) for v in sim.vasps.values())
         sim.advance_to(issued)
         assert all(v.revocation.is_revoked("ca-1", serial) for v in sim.vasps.values())
@@ -716,7 +713,7 @@ class TestHeartbeatSchedule:
         # Heartbeat, pull and snapshot each take at most max_latency ticks.
         sim.advance_to(30 + sync + 3 * sim.scenario.max_latency)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
-        assert v1._last_snapshot.version == 1
+        assert v1.directory._last_snapshot.version == 1
         lost = [e for e in sim.log_.entries if e.event == "message_dropped"]
         assert [(e.tick, e.actor, dict(e.details)["to"], dict(e.details)["kind"])
                 for e in lost] == [(30, "v1", "v2", "dir_delta")]
@@ -726,8 +723,8 @@ class TestHeartbeatSchedule:
                  if src == "v2" and kind == "dir_pull"]
         assert [dst for _, dst in pulls] == ["v1"]
         assert 40 < pulls[0][0] <= 40 + sim.scenario.max_latency
-        assert v2.directory_views["v1"].version == 1
-        assert v2.directory_views["v1"].entries == v1._last_snapshot.entries
+        assert v2.directory.views["v1"].version == 1
+        assert v2.directory.views["v1"].entries == v1.directory._last_snapshot.entries
 
     def test_view_wiped_after_quiet_periods_resyncs_within_three(self):
         sim = two_network_sim()
@@ -736,12 +733,12 @@ class TestHeartbeatSchedule:
         # (latency is at most 3 ticks).
         sim.advance_to(95)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
-        assert v1._last_snapshot.version == 1  # published at tick 10 only
-        v2.directory_views["v1"] = DirectoryView()
+        assert v1.directory._last_snapshot.version == 1  # published at tick 10 only
+        v2.directory.views["v1"] = DirectoryView()
         sim.advance_to(95 + 3 * rules.directory_sync_period)
-        view = v2.directory_views["v1"]
-        assert view.version == v1._last_snapshot.version
-        assert view.entries == v1._last_snapshot.entries
+        view = v2.directory.views["v1"]
+        assert view.version == v1.directory._last_snapshot.version
+        assert view.entries == v1.directory._last_snapshot.entries
 
 
     @pytest.mark.parametrize("holder", ["v1", "v3", "v6"])
@@ -755,10 +752,11 @@ class TestHeartbeatSchedule:
         wiped_at = 100
         sim.advance_to(wiped_at)
         assert [tick for tick, *_ in sent if tick > 60] == []
-        sim.vasps[holder].directory_views["v2"] = DirectoryView()
+        sim.vasps[holder].directory.views["v2"] = DirectoryView()
         period = sim.networks["net-a"].rules.directory_sync_period
         sim.advance_to(wiped_at + period + 4 * sim.scenario.max_latency)
-        view, published = sim.vasps[holder].directory_views["v2"], sim.vasps["v2"]._last_snapshot
+        view = sim.vasps[holder].directory.views["v2"]
+        published = sim.vasps["v2"].directory._last_snapshot
         assert (view.version, view.entries) == (published.version, published.entries)
 
     def test_forged_heartbeat_neither_informs_nor_silences(self, monkeypatch):
@@ -767,8 +765,8 @@ class TestHeartbeatSchedule:
         sim = six_member_sim()
         sim.advance_to(20)
         v1, v4 = sim.vasps["v1"], sim.vasps["v4"]
-        heartbeat = v1._announces["net-a"]
-        genuine = v4._announces["net-a"]
+        heartbeat = v1.directory._announces["net-a"]
+        genuine = v4.directory._announces["net-a"]
         sent = capture_sends(sim, monkeypatch)
         v1.announce_directory(sim.now)
         assert sent == [("v1", "v4", "dir_announce", heartbeat)]
@@ -793,10 +791,10 @@ class TestHeartbeatSchedule:
     def test_replayed_older_heartbeat_is_answered_and_silences_nothing(self, monkeypatch):
         sim = six_member_sim()
         sim.advance_to(0)
-        old = sim.vasps["v4"]._announces["net-a"]  # version 0, every view at 0
+        old = sim.vasps["v4"].directory._announces["net-a"]  # version 0, every view at 0
         sim.advance_to(100)  # silent since tick 60
         v1 = sim.vasps["v1"]
-        heartbeat = v1._announces["net-a"]
+        heartbeat = v1.directory._announces["net-a"]
         sent = capture_sends(sim, monkeypatch)
         # Lower versions than v4 listed before: v1 answers with its own
         # heartbeat, and pulls nothing.
@@ -816,10 +814,10 @@ class TestIntraNetworkQuery:
         sim = two_network_sim()
         sim.advance_to(20)
         v3, v4 = sim.vasps["v3"], sim.vasps["v4"]
-        bob_hash = crypto.digest(v4.accounts["acct-bob"].customer_public_key)
-        owner = v3.find_directory_owner(bob_hash)
+        bob_hash = crypto.digest(v4.book.accounts["acct-bob"].customer_public_key)
+        owner = v3.directory.find_owner(bob_hash)
         assert owner == "v4"
-        response = sim.vasps[owner].respond_certificate_query("v3", bob_hash, sim.now)
+        response = sim.vasps[owner].resolver.respond_certificate_query(bob_hash, sim.now)
         assert response.status == "ok"
         assert response.certificate.subject_id == "bob"
         assert response.assertion is not None
@@ -827,25 +825,25 @@ class TestIntraNetworkQuery:
     def test_absent_hash_not_found(self):
         sim = two_network_sim()
         sim.advance_to(20)
-        assert sim.vasps["v3"].find_directory_owner(b"\x55" * 32) is None
+        assert sim.vasps["v3"].directory.find_owner(b"\x55" * 32) is None
 
     def test_revocation_race_marks_stale(self):
         sim = two_network_sim()
         sim.advance_to(20)
         v3, v4 = sim.vasps["v3"], sim.vasps["v4"]
-        serial = v4.accounts["acct-bob"].certificate_serial
-        bob_hash = crypto.digest(v4.accounts["acct-bob"].customer_public_key)
+        serial = v4.book.accounts["acct-bob"].certificate_serial
+        bob_hash = crypto.digest(v4.book.accounts["acct-bob"].customer_public_key)
         # revoked at the CA and known to the owner, which has not yet
         # published the removal, so v3's view still lists the key
         v4.ca.revoke(serial, RevocationReason.KEY_COMPROMISE, sim.now)
         v4.ingest_crls([v4.ca.generate_crl(sim.now)])
-        assert any(e.public_key_hash == bob_hash for e in v3.directory_views["v4"].entries)
-        resolved = v3._resolve_via_directory(bob_hash, sim.now)
+        assert any(e.public_key_hash == bob_hash for e in v3.directory.views["v4"].entries)
+        resolved = v3.resolver._resolve_via_directory(bob_hash)
         assert resolved is not None and resolved.revoked
         stale = [e for e in sim.log_.entries if e.event == "directory_stale_entry"]
         assert [(e.actor, dict(e.details)["owner"]) for e in stale] == [("v3", "v4")]
         # The view is the owner's to change: the entry stays until v4 publishes.
-        assert any(e.public_key_hash == bob_hash for e in v3.directory_views["v4"].entries)
+        assert any(e.public_key_hash == bob_hash for e in v3.directory.views["v4"].entries)
 
 
 class TestRevokedBeneficiaryByKey:
@@ -859,7 +857,7 @@ class TestRevokedBeneficiaryByKey:
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
         issued = 2 * rules.crl_exchange_period  # ca-2's CRL revoking bob
         sim.advance_to(issued + 1)
-        bob = v2.accounts["acct-bob"]
+        bob = v2.book.accounts["acct-bob"]
         target = TransferTarget.from_key_hash(bob.customer_public_key_hash)
 
         def denial():
@@ -871,7 +869,7 @@ class TestRevokedBeneficiaryByKey:
         # v2 publishes the removal at its next sync; until v1 applies it,
         # v1's view of v2 lists bob and the denial stays CertInvalid.
         published = issued + rules.directory_sync_period
-        while bob.customer_public_key_hash in v1.directory_views["v2"].key_hashes():
+        while bob.customer_public_key_hash in v1.directory.views["v2"].key_hashes():
             assert sim.now <= published + sim.scenario.max_latency
             assert denial() == (DenialCode.CERT_INVALID, "beneficiary-customer:revoked")
             sim.advance_to(sim.now + 1)
@@ -909,12 +907,12 @@ class TestRevocationRace:
         assert record.ack.reject_reason is RejectReason.CERT_INVALID
         assert crypto.check(v2.public_key, record.ack)
         # The beneficiary filed no record for the notice it refused.
-        assert v2.records == {} and v2._records_by_binding == {}
+        assert v2.records == {} and v2.transfers._records_by_binding == {}
         rejects = [dict(e.details) for e in sim.log_.entries
                    if e.actor == "v2" and e.event == "ack_sent"]
         assert [(d["decision"], d["reason"]) for d in rejects] == [
             ("reject", RejectReason.CERT_INVALID.value)]
-        serial = v2.accounts["acct-bob"].certificate_serial
+        serial = v2.book.accounts["acct-bob"].certificate_serial
         assert v1.revocation.is_revoked("ca-2", serial)
 
 class TestAdvertisements:
@@ -930,7 +928,7 @@ class TestAdvertisements:
         ])
         sim.advance_to(13)  # one sync period after enrollment
         from vaspnet.network import build_advertisement
-        adv = build_advertisement(sim.networks["net-a"], sim.vasps["v2"])
+        adv = build_advertisement(sim.networks["net-a"], "v2", sim.vasps["v2"].directory.views)
         assert len(adv.advertised_hashes) == 5
         assert adv.network_path == ("net-a",)
         assert adv.origin_network_id == "net-a"
@@ -938,7 +936,7 @@ class TestAdvertisements:
     def test_empty_network_advertises_empty_set(self):
         sim = two_network_sim()
         from vaspnet.network import build_advertisement
-        adv = build_advertisement(sim.networks["net-b"], sim.vasps["v3"])
+        adv = build_advertisement(sim.networks["net-b"], "v3", sim.vasps["v3"].directory.views)
         assert adv.advertised_hashes == frozenset()
 
     def test_loop_advertisement_dropped(self):
@@ -957,21 +955,22 @@ class TestAdvertisements:
         sim = two_network_sim()
         sim.advance_to(2)
         from vaspnet.network import build_advertisement, process_advertisement
-        adv = sim.vasps["v3"].seal(build_advertisement(sim.networks["net-b"], sim.vasps["v3"]))
+        v3 = sim.vasps["v3"]
+        adv = v3.seal(build_advertisement(sim.networks["net-b"], "v3", v3.directory.views))
         forged = ReachabilityAdvertisement(**{
             **adv.__dict__, "advertised_hashes": frozenset({b"\x01" * 32}),
         })
         verdict, reason = process_advertisement(
-            sim.networks["net-a"], sim.vasps["v2"], forged, "v3", sim)
+            sim.networks["net-a"], "v2", forged, "v3", lambda vasp_id: sim.vasps[vasp_id].reach)
         assert (verdict, reason) == ("drop", "bad-signature")
 
     def test_non_gateway_sender_rejected(self):
         sim = two_network_sim()
         sim.advance_to(2)
         from vaspnet.network import build_advertisement, process_advertisement
-        adv = build_advertisement(sim.networks["net-b"], sim.vasps["v4"])
+        adv = build_advertisement(sim.networks["net-b"], "v4", sim.vasps["v4"].directory.views)
         verdict, reason = process_advertisement(
-            sim.networks["net-a"], sim.vasps["v2"], adv, "v4", sim)
+            sim.networks["net-a"], "v2", adv, "v4", lambda vasp_id: sim.vasps[vasp_id].reach)
         assert (verdict, reason) == ("drop", "not-a-gateway")
 
 
@@ -1018,7 +1017,7 @@ class TestPathVectorRouting:
         sim.run()
         all_hashes = set()
         for vasp in sim.vasps.values():
-            for account in vasp.accounts.values():
+            for account in vasp.book.accounts.values():
                 all_hashes.add(crypto.digest(account.customer_public_key))
         for network_id, network in sim.networks.items():
             reachable = set()
@@ -1029,7 +1028,7 @@ class TestPathVectorRouting:
             local = {
                 crypto.digest(account.customer_public_key)
                 for member_id in network.member_ids()
-                for account in sim.vasps[member_id].accounts.values()
+                for account in sim.vasps[member_id].book.accounts.values()
             }
             assert reachable | local == all_hashes, network_id
 
@@ -1046,7 +1045,7 @@ class TestPathVectorRouting:
         sim = square_topology()
         sim.run()
         a1, d1 = sim.vasps["a1"], sim.vasps["d1"]
-        target_hash = crypto.digest(d1.accounts["acct-cust-d1"].customer_public_key)
+        target_hash = crypto.digest(d1.book.accounts["acct-cust-d1"].customer_public_key)
         resolved = a1.resolve_beneficiary(TransferTarget.from_key_hash(target_hash), sim.now)
         assert resolved is not None
         assert resolved.home_vasp_id == "d1"
@@ -1059,12 +1058,15 @@ class TestPathVectorRouting:
         sim.advance_to(30)
         a1 = sim.vasps["a1"]
         d_hash = crypto.digest(
-            sim.vasps["d1"].accounts["acct-cust-d1"].customer_public_key)
+            sim.vasps["d1"].book.accounts["acct-cust-d1"].customer_public_key)
         # kill both outbound links from net-a mid-path
         sim._link("a1", "b1").down_until = sim.now + 50
         sim._link("a1", "c1").down_until = sim.now + 50
         from vaspnet.network import route_cross_network_query
-        response, hops = route_cross_network_query(a1, d_hash, sim)
+        response, hops = route_cross_network_query(
+            "a1", a1.networks_sorted(), d_hash,
+            lambda via, nxt: sim.vasps[nxt].resolver if sim.link_ok(via, nxt) else None,
+            functools.partial(sim.log, "a1"))
         assert response is None
         assert hops[0] == "a1"
         failures = [e for e in sim.log_.entries if e.event == "route_query_failed"]
@@ -1131,7 +1133,7 @@ class TestAdjRibOut:
         assert lost and all(11 <= e.tick < 15 for e in lost)
         outcome = sim.scripted_transfers[0].outcome
         assert outcome.status is OutcomeStatus.BROADCAST, outcome.denial
-        a_hash = crypto.digest(sim.vasps["a1"].accounts["acct-cust-a1"].customer_public_key)
+        a_hash = crypto.digest(sim.vasps["a1"].book.accounts["acct-cust-a1"].customer_public_key)
         assert a_hash in sim.networks["net-c"].route_table["net-a"].hashes
 
     def test_keepalive_is_one_signed_digest_per_period(self, monkeypatch):
@@ -1143,10 +1145,10 @@ class TestAdjRibOut:
         sim.advance_to(35)
         b2, c1 = sim.vasps["b2"], sim.vasps["c1"]
         (link,) = sim.networks["net-b"].links_of("b2")
-        held = dict(b2._adj_rib_out[link].sent)
+        held = dict(b2.reach.links[link].sent)
         assert sorted(held) == ["net-a"]
         assert held["net-a"].network_path == ("net-a", "net-b")
-        assert c1.adj_rib_in[link] == held
+        assert c1.reach.links[link].received == held
         sent = record_sends(sim, monkeypatch, {"reach_adv", "reach_digest", "route_refresh",
                                                "refreshed_routes"})
         signs = count_calls(monkeypatch, crypto, "sign")
@@ -1159,9 +1161,9 @@ class TestAdjRibOut:
         assert all(a != b for a, b in zip(senders, senders[1:]))
         from_b2 = {id(p): p for _, src, _, _, p in sent if src == "b2"}
         (keepalive,) = from_b2.values()
-        assert keepalive.held == routes_digest(held) == routes_digest(c1.adj_rib_in[link])
-        assert keepalive.received == routes_digest(b2.adj_rib_in[link]) == routes_digest(
-            c1._adj_rib_out[link].sent)
+        assert keepalive.held == routes_digest(held) == routes_digest(c1.reach.links[link].received)
+        assert keepalive.received == routes_digest(b2.reach.links[link].received) == routes_digest(
+            c1.reach.links[link].sent)
         assert crypto.check(b2.public_key, keepalive)
         assert [key for key, _ in signs if key.public_key in (b2.public_key, c1.public_key)] == []
         # A digest that differs is acted on only if b2 signed it.
@@ -1174,11 +1176,11 @@ class TestAdjRibOut:
         sim.advance_to(35)
         b2, c1 = sim.vasps["b2"], sim.vasps["c1"]
         (link,) = sim.networks["net-b"].links_of("b2")
-        held = b2._adj_rib_out[link].sent
-        c1.adj_rib_in[link] = c1.adj_rib_in[link].put(
+        held = b2.reach.links[link].sent
+        c1.reach.links[link].received = c1.reach.links[link].received.put(
             replace(held["net-a"], origin_network_id="net-x"))
         sim.advance_to(60)
-        assert c1.adj_rib_in[link] == held
+        assert c1.reach.links[link].received == held
 
     def test_lost_forward_is_repaired_by_digest_and_refresh(self, monkeypatch):
         # As in the first test, b2's forward of a1's route to c1 is lost, and
@@ -1193,7 +1195,7 @@ class TestAdjRibOut:
         sim.advance_to(60)
         b2, c1 = sim.vasps["b2"], sim.vasps["c1"]
         (link,) = sim.networks["net-b"].links_of("b2")
-        held = b2._adj_rib_out[link].sent
+        held = b2.reach.links[link].sent
         lost = [e.tick for e in sim.log_.entries if e.event == "message_dropped"]
         assert lost and all(11 <= tick < 15 for tick in lost)
         exchange = [(tick, src, kind) for tick, src, dst, kind, _ in sent
@@ -1208,8 +1210,8 @@ class TestAdjRibOut:
                     if (src, kind) == ("b2", "refreshed_routes")]
         assert reply == tuple(held.values()) and "net-a" in held
         assert "net-a" in sim.networks["net-c"].route_table
-        assert c1.adj_rib_in[link] == held
-        assert b2.adj_rib_in[link] == c1._adj_rib_out[link].sent
+        assert c1.reach.links[link].received == held
+        assert b2.reach.links[link].received == c1.reach.links[link].sent
 
     def test_quiet_periods_after_convergence_compute_no_routes_digest(self, monkeypatch):
         # Both links are quiet from tick 35 (see the keepalive test): their
@@ -1227,7 +1229,7 @@ class TestAdjRibOut:
         sim = line_topology()
         sim.advance_to(35)
         (link,) = sim.networks["net-b"].links_of("b2")
-        held = sim.vasps["b2"]._adj_rib_out[link].sent
+        held = sim.vasps["b2"].reach.links[link].sent
         forked = held.put(replace(held["net-a"], origin_network_id="net-x"))
         assert sorted(held) == ["net-a"] and sorted(forked) == ["net-a", "net-x"]
         assert held.digest == routes_digest(dict(held))
@@ -1241,7 +1243,7 @@ class TestAdjRibOut:
             for link in network.peering_links:
                 gateway = sim.vasps[link.near_gateway(network_id)]
                 far_gateway, far_network = link.far_side(network_id)
-                for origin, adv in gateway._adj_rib_out[link].sent.items():
+                for origin, adv in gateway.reach.links[link].sent.items():
                     if origin == network_id:
                         continue
                     route = network.route_table[origin]
@@ -1261,7 +1263,7 @@ class TestLiveDirectorySet:
         return frozenset(
             DirectoryEntry(a.certificate.serial, a.customer_public_key_hash,
                            a.certificate.issuer_id)
-            for a in node.accounts.values()
+            for a in node.book.accounts.values()
             if a.certificate is not None and a.customer_public_key is not None
             and not node.revocation.is_revoked(a.certificate.issuer_id, a.certificate.serial)
             and now <= a.certificate.validity_not_after
@@ -1296,9 +1298,9 @@ class TestLiveDirectorySet:
         v1 = sim.vasps["v1"]
         sim.advance_to(11)
         # Valid through tick 36: it expires between two sync periods.
-        v1.enroll_customer_certificate("acct-carol", CertClass.CLASS1, 11, validity_ticks=25)
+        v1.book.enroll_customer_certificate("acct-carol", CertClass.CLASS1, 11, validity_ticks=25)
         sim.advance_to(44)
-        v1.enroll_customer_certificate("acct-alice", CertClass.CLASS1, 44)  # replaces
+        v1.book.enroll_customer_certificate("acct-alice", CertClass.CLASS1, 44)  # replaces
         sim.advance_to(70)
         # Enrolments at 11 and 23, expiry after 36, re-enrolment at 44.
         assert sizes["v1"] == {0: 0, 10: 1, 20: 2, 30: 3, 40: 2, 50: 2, 60: 2, 70: 2}
@@ -1318,10 +1320,10 @@ class TestAdvertisementReuse:
         def advertise():
             sent.clear()
             signed.clear()
-            v2._adj_rib_out.clear()  # so the link is sent the advertisement again
+            v2.reach.links.clear()  # so the link is sent the advertisement again
             v2.advertise_reachability(sim.now)
             (adv,) = [p for _, _, kind, p in sent if kind == "reach_adv"]
-            fresh = v2.seal(build_advertisement(network, v2))
+            fresh = v2.seal(build_advertisement(network, "v2", v2.directory.views))
             assert adv == fresh
             return adv, len(signed) - 1  # signatures beyond the reference's
 
@@ -1333,18 +1335,18 @@ class TestAdvertisementReuse:
         v1.open_account("zed", {"name": "Zed", "email": "z@x"}, CustodyModel.MEDIATED,
                         customer_wallet=crypto.generate_keypair(crypto.digest(b"zed")),
                         account_id="acct-zed", now=sim.now)
-        v1.enroll_customer_certificate("acct-zed", CertClass.CLASS1, sim.now)
+        v1.book.enroll_customer_certificate("acct-zed", CertClass.CLASS1, sim.now)
         sent.clear()
         v1.publish_directory(sim.now)
         delta = next(p for _, dst, kind, p in sent if kind == "dir_delta" and dst == "v2")
         v2.on_dir_delta(delta, "v1")
         added, signatures = advertise()
-        zed_hash = v1.accounts["acct-zed"].customer_public_key_hash
+        zed_hash = v1.book.accounts["acct-zed"].customer_public_key_hash
         assert signatures == 1 and zed_hash in added.advertised_hashes - first.advertised_hashes
 
         # A CRL revoking zed leaves v2's view of v1, and the advertisement, as
         # they were.
-        v1.ca.revoke(v1.accounts["acct-zed"].certificate_serial,
+        v1.ca.revoke(v1.book.accounts["acct-zed"].certificate_serial,
                      RevocationReason.KEY_COMPROMISE, sim.now)
         crl = v1.ca.generate_crl(sim.now)
         v2.ingest_crls([crl])
@@ -1354,7 +1356,7 @@ class TestAdvertisementReuse:
         # v1's removal delta drops zed from v2's view of v1.
         v1.ingest_crls([crl])
         sent.clear()
-        v1.sync_directory(sim.now)
+        v1.directory.sync(sim.now)
         delta = next(p for _, dst, kind, p in sent if kind == "dir_delta" and dst == "v2")
         v2.on_dir_delta(delta, "v1")
         removed, signatures = advertise()
@@ -1366,7 +1368,7 @@ class TestCrlMergeLeavesViews:
         sim = two_network_sim()
         sim.advance_to(2)
         ca = sim.vasps["v1"].ca
-        serial = sim.vasps["v1"].accounts["acct-alice"].certificate_serial
+        serial = sim.vasps["v1"].book.accounts["acct-alice"].certificate_serial
         view = RevocationView()
         base = ca.generate_crl(2)
         assert view.merge_crl(base) is True
@@ -1388,10 +1390,10 @@ class TestCrlMergeLeavesViews:
         sim = two_network_sim()
         sim.advance_to(20)
         v2 = sim.vasps["v2"]
-        views = {owner: view.entries for owner, view in v2.directory_views.items()}
+        views = {owner: view.entries for owner, view in v2.directory.views.items()}
         assert views["v1"]
         v2.ingest_crls([sim.vasps["v1"].ca.generate_crl(sim.now)])
-        assert all(v2.directory_views[o].entries is e for o, e in views.items())
+        assert all(v2.directory.views[o].entries is e for o, e in views.items())
 
     def test_delta_adding_a_revoked_entry_applies_as_published(self, monkeypatch):
         sim = two_network_sim()
@@ -1400,22 +1402,22 @@ class TestCrlMergeLeavesViews:
         v1.open_account("zed", {"name": "Zed", "email": "z@x"}, CustodyModel.MEDIATED,
                         customer_wallet=crypto.generate_keypair(crypto.digest(b"zed")),
                         account_id="acct-zed", now=sim.now)
-        v1.enroll_customer_certificate("acct-zed", CertClass.CLASS1, sim.now)
+        v1.book.enroll_customer_certificate("acct-zed", CertClass.CLASS1, sim.now)
         sent = TestDirectoryDigestCache.capture_sends(sim, monkeypatch)
         v1.publish_directory(sim.now)
         delta = next(p for _, dst, kind, p in sent if kind == "dir_delta" and dst == "v2")
         # v2 learns of the revocation before the delta that lists the entry.
-        serial = v1.accounts["acct-zed"].certificate_serial
+        serial = v1.book.accounts["acct-zed"].certificate_serial
         v1.ca.revoke(serial, RevocationReason.KEY_COMPROMISE, sim.now)
         v2.ingest_crls([v1.ca.generate_crl(sim.now)])
-        view = v2.directory_views["v1"]
+        view = v2.directory.views["v1"]
         before = view.entries
         v2.on_dir_delta(delta, "v1")
         assert view.version == delta.to_version
         assert {e.serial for e in delta.added} == {serial}
         assert view.entries == before | delta.added
         # The entry is refused where every certificate is checked.
-        zed = v1.accounts["acct-zed"].certificate
+        zed = v1.book.accounts["acct-zed"].certificate
         assert v2.validate(zed).status is ValidationStatus.REVOKED
 
 
@@ -1435,7 +1437,8 @@ class TestAdvertisementEncodingMemo:
     def test_forged_copy_gets_its_own_payload(self):
         sim = two_network_sim()
         sim.advance_to(13)
-        adv = sim.vasps["v2"].seal(build_advertisement(sim.networks["net-a"], sim.vasps["v2"]))
+        v2 = sim.vasps["v2"]
+        adv = v2.seal(build_advertisement(sim.networks["net-a"], "v2", v2.directory.views))
         payload = adv.signed_payload()
         forged = ReachabilityAdvertisement(**{
             **adv.__dict__, "advertised_hashes": adv.advertised_hashes | {b"\x01" * 32},

@@ -13,7 +13,7 @@ from vaspnet.cli import main as cli_main
 from vaspnet.harness import Simulation
 from vaspnet.network import OperatingRules
 from vaspnet.scenario import SchemaError, load_scenario, parse_scenario
-from vaspnet.vasp import DenialCode, RecordStatus
+from vaspnet.transfer import DenialCode, RecordStatus
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -319,9 +319,9 @@ def test_mixed_ca_relying_party_denies_the_other_cas_revoked_customer():
     sim = Simulation(load_scenario(SCENARIO_DIR / "mixed_ca.yaml"))
     denied_at = sim.scenario.script[-2].tick
     sim.advance_to(denied_at - 1)
-    bob = sim.vasps["v2"].accounts["acct-revoked-bob"].certificate_serial
+    bob = sim.vasps["v2"].book.accounts["acct-revoked-bob"].certificate_serial
     assert sim.vasps["v1"].revocation.is_revoked("ca-2", bob)
-    assert any(e.serial == bob for e in sim.vasps["v1"].directory_views["v2"].entries)
+    assert any(e.serial == bob for e in sim.vasps["v1"].directory.views["v2"].entries)
     sim.run()
     *denied, confirmed = (t.outcome for t in sim.scripted_transfers)
     assert len(denied) == 2

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import vaspnet.accounts
 import vaspnet.vasp
 from conftest import count_calls, make_scenario, standard_script
 from vaspnet import crypto
 from vaspnet.assertions import (
+    ASSERTION_ID_LEN,
     DisclosurePolicy,
     EmptyDisclosure,
     SubjectCertInvalid,
@@ -20,23 +22,26 @@ from vaspnet.ca import CertClass, RevocationReason
 from vaspnet.chain import SubmitResult, build_transaction
 from vaspnet.harness import Simulation
 from vaspnet.scenario import load_scenario
-from vaspnet.vasp import (
+from vaspnet.accounts import (
     Account,
+    CustodyModel,
+    ModelKeyMismatch,
+    NoCustomerKey,
+    VaspError,
+    fresh_id,
+)
+from vaspnet.resolution import TransferTarget
+from vaspnet.transfer import (
     AckDecision,
     BeneficiaryRef,
-    CustodyModel,
     DenialCode,
     DenialReason,
     MixedDestination,
-    ModelKeyMismatch,
-    NoCustomerKey,
     OutcomeStatus,
     RecordRole,
     RecordStatus,
     TransferAck,
     TransferNotice,
-    TransferTarget,
-    VaspError,
 )
 
 
@@ -55,7 +60,7 @@ class TestAccounts:
     def test_mediated_account_holds_public_key_only(self):
         sim = open_and_enroll()
         sim.advance_to(2)
-        account = sim.vasps["v1"].accounts["acct-alice"]
+        account = sim.vasps["v1"].book.accounts["acct-alice"]
         assert account.custody_model is CustodyModel.MEDIATED
         assert account.customer_public_key is not None
         assert account.custodied_private_key is None
@@ -67,7 +72,7 @@ class TestAccounts:
              "attributes": {"name": "Kay", "email": "k@x"}},
         ], script=[{"tick": 0, "action": "open_account", "customer": "kay"}])
         sim.advance_to(1)
-        account = sim.vasps["v1"].accounts["acct-kay"]
+        account = sim.vasps["v1"].book.accounts["acct-kay"]
         assert account.customer_public_key is not None
         assert account.custodied_private_key is not None
         evidence = account.key_operator_evidence
@@ -108,7 +113,7 @@ class TestAccounts:
         )
         keys = node.known_keys()
         assert keys == {node.public_key} | {
-            a.customer_public_key for a in node.accounts.values()
+            a.customer_public_key for a in node.book.accounts.values()
             if a.customer_public_key is not None
         }
         if model is CustodyModel.COMMINGLED:
@@ -121,7 +126,7 @@ class TestEnrollment:
     def test_evidence_hash_is_cert_digest(self):
         sim = open_and_enroll()
         sim.advance_to(2)
-        account = sim.vasps["v1"].accounts["acct-alice"]
+        account = sim.vasps["v1"].book.accounts["acct-alice"]
         assert account.certificate is not None
         assert account.key_ownership_evidence == crypto.digest(account.certificate.to_bytes())
 
@@ -132,17 +137,17 @@ class TestEnrollment:
         ], script=[{"tick": 0, "action": "open_account", "customer": "pool"}])
         sim.advance_to(1)
         with pytest.raises(NoCustomerKey):
-            sim.vasps["v1"].enroll_customer_certificate("acct-pool", CertClass.CLASS1, 1)
+            sim.vasps["v1"].book.enroll_customer_certificate("acct-pool", CertClass.CLASS1, 1)
 
     def test_reenrollment_after_revocation_updates_evidence(self):
         sim = open_and_enroll()
         sim.advance_to(2)
         node = sim.vasps["v1"]
-        account = node.accounts["acct-alice"]
+        account = node.book.accounts["acct-alice"]
         first_serial = account.certificate_serial
         first_evidence = account.key_ownership_evidence
         node.ca.revoke(first_serial, RevocationReason.KEY_COMPROMISE, 3)
-        node.enroll_customer_certificate("acct-alice", CertClass.CLASS1, 4)
+        node.book.enroll_customer_certificate("acct-alice", CertClass.CLASS1, 4)
         assert account.certificate_serial != first_serial
         assert account.key_ownership_evidence != first_evidence
 
@@ -152,7 +157,7 @@ class TestResolution:
         sim = open_and_enroll()
         sim.advance_to(2)
         node = sim.vasps["v1"]
-        account = node.accounts["acct-alice"]
+        account = node.book.accounts["acct-alice"]
         target = TransferTarget.from_key_hash(crypto.digest(account.customer_public_key))
         resolved = node.resolve_beneficiary(target, 2)
         assert resolved is not None
@@ -165,7 +170,7 @@ class TestResolution:
         sim = open_and_enroll()
         sim.advance_to(2)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
-        bob_key = v2.accounts["acct-bob"].customer_public_key
+        bob_key = v2.book.accounts["acct-bob"].customer_public_key
         resolved = v1.resolve_beneficiary(TransferTarget.from_public_key(bob_key), 2)
         assert resolved is not None
         assert resolved.resolution_path == ("v1", "ca-1")
@@ -182,7 +187,7 @@ class TestResolution:
         )
         sim.advance_to(20)  # one gossip period past enrollment
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
-        bob_key = v2.accounts["acct-bob"].customer_public_key
+        bob_key = v2.book.accounts["acct-bob"].customer_public_key
         resolved = v1.resolve_beneficiary(
             TransferTarget.from_key_hash(crypto.digest(bob_key)), sim.now
         )
@@ -222,7 +227,7 @@ class TestTransferPipeline:
         ])
         sim.run()
         tx = sim.chain.confirmed_transactions()[0][0]
-        alice = sim.vasps["v1"].accounts["acct-alice"]
+        alice = sim.vasps["v1"].book.accounts["acct-alice"]
         assert tx.from_public_key == alice.customer_public_key
 
     def test_denied_leaves_ledger_untouched(self):
@@ -267,8 +272,8 @@ class TestNoticeHandling:
         # remove bob between resolution and notice handling: simulate by
         # directly crafting the pipeline against a missing account
         v2 = sim.vasps["v2"]
-        del v2.accounts["acct-bob"]
-        v2._accounts_by_key_hash.clear()
+        del v2.book.accounts["acct-bob"]
+        v2.book._accounts_by_key_hash.clear()
         sim.run()
         outcome = sim.scripted_transfers[0].outcome
         assert outcome.status is OutcomeStatus.DENIED
@@ -310,9 +315,10 @@ class TestNoticeHandling:
         sim = open_and_enroll()
         sim.run()
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
-        account = v1.accounts["acct-alice"]
-        assertion = v1._originator_assertion(account, account.certificate, sim.now)
-        notice = v1._build_notice(
+        account = v1.book.accounts["acct-alice"]
+        assertion = v1.book.disclose(account.subject_id, account.certificate, account.attributes,
+                                     sim.now)
+        notice = v1.transfers._build_notice(
             beneficiary_vasp_id="v2", assertion=assertion,
             ref=BeneficiaryRef(public_key_hash=b"\x00" * 32),
             asset_type="coin", amount=5, now=sim.now, binding=b"\x00" * 32,
@@ -350,16 +356,16 @@ class TestNoticeHandling:
 class TestSuspectScreening:
     def test_empty_refs_pass(self):
         sim = open_and_enroll()
-        assert sim.vasps["v1"].screen_suspect([]) is True
+        assert sim.vasps["v1"].transfers.screen_suspect([]) is True
 
     def test_blocked_hash_and_account(self):
         sim = open_and_enroll()
         node = sim.vasps["v1"]
         node.suspect_list.add(b"\x09" * 32)
         node.suspect_list.add("acct-evil")
-        assert node.screen_suspect([b"\x09" * 32]) is False
-        assert node.screen_suspect(["acct-evil"]) is False
-        assert node.screen_suspect(["acct-good", b"\x08" * 32]) is True
+        assert node.transfers.screen_suspect([b"\x09" * 32]) is False
+        assert node.transfers.screen_suspect(["acct-evil"]) is False
+        assert node.transfers.screen_suspect(["acct-good", b"\x08" * 32]) is True
 
 
 class TestCommingledBatch:
@@ -390,7 +396,7 @@ class TestCommingledBatch:
             ("acct-p1", TransferTarget.from_account("v2", "acct-r2"), 20),
             ("acct-p2", TransferTarget.from_account("v2", "acct-r3"), 30),
         ]
-        outcome = v1.initiate_batch_transfer(requests, "coin")
+        outcome = v1.transfers.initiate_batch_transfer(requests, "coin")
         sim.run()
         assert outcome.status is OutcomeStatus.BROADCAST
         txs = sim.chain.confirmed_transactions()
@@ -403,7 +409,7 @@ class TestCommingledBatch:
     def test_batch_entries_sum_invariant_enforced(self):
         sim = self.batch_sim()
         sim.advance_to(12)
-        notice, tx, home, accounts = sim.vasps["v1"].build_commingled_batch(
+        notice, tx, home, accounts = sim.vasps["v1"].transfers.build_commingled_batch(
             [("acct-p0", TransferTarget.from_account("v2", "acct-r1"), 10),
              ("acct-p1", TransferTarget.from_account("v2", "acct-r2"), 20)], "coin",
         )
@@ -416,7 +422,7 @@ class TestCommingledBatch:
         sim = self.batch_sim()
         sim.advance_to(12)
         v1 = sim.vasps["v1"]
-        outcome = v1.initiate_batch_transfer(
+        outcome = v1.transfers.initiate_batch_transfer(
             [("acct-p0", TransferTarget.from_account("v2", "acct-r1"), 25)], "coin")
         sim.run()
         assert outcome.status is OutcomeStatus.BROADCAST
@@ -447,7 +453,7 @@ class TestCommingledBatch:
         )
         sim.advance_to(12)
         with pytest.raises(MixedDestination):
-            sim.vasps["v1"].build_commingled_batch(
+            sim.vasps["v1"].transfers.build_commingled_batch(
                 [("acct-p0", TransferTarget.from_account("v2", "acct-r1"), 10),
                  ("acct-p0", TransferTarget.from_account("v3", "acct-r2"), 20)], "coin",
             )
@@ -465,7 +471,7 @@ class TestCommingledBatch:
                  rng.randrange(1, 10_000))
                 for _ in range(rng.randrange(1, 6))
             ]
-            notice, tx, _, _ = v1.build_commingled_batch(requests, "coin")
+            notice, tx, _, _ = v1.transfers.build_commingled_batch(requests, "coin")
             assert tx.amount == sum(a for _, _, a in requests)
             assert sum(a for _, a in notice.batch_entries) == tx.amount
 
@@ -524,7 +530,7 @@ class TestReconcileAndAudit:
         sim.run()
         v1 = sim.vasps["v1"]
         assert v1.audit_travel_rule().violations == ()
-        v1.accounts["acct-kay"].key_operator_evidence = None
+        v1.book.accounts["acct-kay"].key_operator_evidence = None
         violations = v1.audit_travel_rule().violations
         assert any(what.startswith("key_operator_evidence") for _, what in violations)
 
@@ -684,10 +690,10 @@ class TestDisclosure:
     def ids_after(node, draws):
         """The node's rng state after ``draws`` fresh ids, and those ids; the
         node's own state is left untouched."""
-        start = node._rng.getstate()
-        ids = [node._fresh_id() for _ in range(draws)]
-        state = node._rng.getstate()
-        node._rng.setstate(start)
+        start = node.book._rng.getstate()
+        ids = [fresh_id(node.book._rng, ASSERTION_ID_LEN) for _ in range(draws)]
+        state = node.book._rng.getstate()
+        node.book._rng.setstate(start)
         return state, ids
 
     @pytest.mark.parametrize("kind", ["originator", "customer", "pool"])
@@ -695,25 +701,26 @@ class TestDisclosure:
         sim = open_and_enroll()
         sim.advance_to(2)
         node, now = sim.vasps["v1"], sim.now
-        account = node.accounts["acct-alice"]
+        account = node.book.accounts["acct-alice"]
         if kind == "pool":
             subject_id, cert, attrs = node.vasp_id, node.certificate, node.vasp_attributes()
         else:
             subject_id, cert, attrs = account.subject_id, account.certificate, account.attributes
         disclose = {
-            "originator": lambda: node._originator_assertion(account, cert, now),
-            "customer": lambda: node._customer_assertion(account, now),
-            "pool": lambda: node._pool_assertion(now),
+            "originator": lambda: node.book.disclose(account.subject_id, cert, account.attributes,
+                                                     now),
+            "customer": lambda: node.book.customer_assertion(account, now),
+            "pool": lambda: node.book.pool_assertion(now),
         }[kind]
         state, ids = self.ids_after(node, 1)
         signed = count_calls(monkeypatch, crypto, "sign")
         validated = count_calls(monkeypatch, vaspnet.vasp, "validate_certificate")
         disclosed = disclose()
         assert len(signed) == 1 and len(validated) == 1
-        assert node._rng.getstate() == state and disclosed.assertion_id == ids[0]
+        assert node.book._rng.getstate() == state and disclosed.assertion_id == ids[0]
         full = issue_assertion(node._keypair, node.vasp_id, subject_id, cert, attrs, attrs,
                                node.validate, bytes(16), now)
-        expected = filter_attributes(full, node.disclosure_policy, node._keypair,
+        expected = filter_attributes(full, node.book.disclosure_policy, node._keypair,
                                      node.vasp_id, disclosed.assertion_id, now)
         assert disclosed.to_bytes() == expected.to_bytes()
 
@@ -721,20 +728,20 @@ class TestDisclosure:
         sim = open_and_enroll()
         sim.advance_to(2)
         node, now = sim.vasps["v1"], sim.now
-        account = node.accounts["acct-alice"]
+        account = node.book.accounts["acct-alice"]
         # A valid certificate with nothing to disclose.
         state, _ = self.ids_after(node, 1)
-        node.disclosure_policy = DisclosurePolicy(frozenset({"nonexistent"}))
+        node.book.disclosure_policy = DisclosurePolicy(frozenset({"nonexistent"}))
         with pytest.raises(EmptyDisclosure):
-            node._originator_assertion(account, account.certificate, now)
-        assert node._rng.getstate() == state
+            node.book.disclose(account.subject_id, account.certificate, account.attributes, now)
+        assert node.book._rng.getstate() == state
         # A revoked certificate: the certificate check wins.
         node.ca.revoke(account.certificate_serial, RevocationReason.KEY_COMPROMISE, now)
         node.ingest_crls([node.ca.generate_crl(now)])
         state, _ = self.ids_after(node, 1)
         with pytest.raises(SubjectCertInvalid):
-            node._originator_assertion(account, account.certificate, now)
-        assert node._rng.getstate() == state
+            node.book.disclose(account.subject_id, account.certificate, account.attributes, now)
+        assert node.book._rng.getstate() == state
 
 
 class TestHeldDisclosures:
@@ -748,35 +755,37 @@ class TestHeldDisclosures:
         sim = open_and_enroll()
         sim.advance_to(2)
         node = sim.vasps["v1"]
-        return sim, node, node.accounts["acct-alice"]
+        return sim, node, node.book.accounts["acct-alice"]
 
     @staticmethod
     def disclose(node, account):
-        return node._originator_assertion(account, account.certificate, node.env.now)
+        return node.book.disclose(account.subject_id, account.certificate, account.attributes,
+                                  node.env.now)
 
     @pytest.mark.parametrize("kind", ["originator", "customer", "pool"])
     def test_hit_signs_nothing_and_draws_no_id(self, kind, monkeypatch):
         sim, node, account = self.alice()
         disclose = {
             "originator": lambda: self.disclose(node, account),
-            "customer": lambda: node._customer_assertion(account, sim.now),
-            "pool": lambda: node._pool_assertion(sim.now),
+            "customer": lambda: node.book.customer_assertion(account, sim.now),
+            "pool": lambda: node.book.pool_assertion(sim.now),
         }[kind]
         first = disclose()
         sim.advance_to(3)
-        state = node._rng.getstate()
+        state = node.book._rng.getstate()
         signed = count_calls(monkeypatch, crypto, "sign")
         validated = count_calls(monkeypatch, vaspnet.vasp, "validate_certificate")
         again = disclose()
         assert signed == [] and len(validated) == 1
         assert again.to_bytes() == first.to_bytes()
-        assert node._rng.getstate() == state
+        assert node.book._rng.getstate() == state
 
     @pytest.mark.parametrize("cause", ["revoked", "expired"])
     def test_invalid_certificate_refused_on_a_hit(self, cause):
         sim, node, account = self.alice()
         if cause == "expired":
-            node.enroll_customer_certificate("acct-alice", CertClass.CLASS1, 2, validity_ticks=3)
+            node.book.enroll_customer_certificate("acct-alice", CertClass.CLASS1, 2,
+                                                  validity_ticks=3)
         cert = account.certificate
         self.disclose(node, account)
         if cause == "revoked":
@@ -784,21 +793,21 @@ class TestHeldDisclosures:
             node.ingest_crls([node.ca.generate_crl(2)])
         else:
             sim.advance_to(cert.validity_not_after + 1)
-        state = node._rng.getstate()
+        state = node.book._rng.getstate()
         with pytest.raises(SubjectCertInvalid, match=cause):
-            node._originator_assertion(account, cert, sim.now)
-        assert node._rng.getstate() == state
+            node.book.disclose(account.subject_id, cert, account.attributes, sim.now)
+        assert node.book._rng.getstate() == state
 
     @pytest.mark.parametrize("change", ["reenrolled", "policy", "attribute"])
     def test_changed_input_signs_a_new_assertion(self, change, monkeypatch):
         sim, node, account = self.alice()
         first = self.disclose(node, account)
         if change == "reenrolled":
-            node.enroll_customer_certificate("acct-alice", CertClass.CLASS1, 2)
+            node.book.enroll_customer_certificate("acct-alice", CertClass.CLASS1, 2)
         elif change == "policy":
             # Not registered: the disclosed attributes stay the same.
-            node.disclosure_policy = DisclosurePolicy(
-                node.disclosure_policy.allowed_attributes | {"nickname"})
+            node.book.disclosure_policy = DisclosurePolicy(
+                node.book.disclosure_policy.allowed_attributes | {"nickname"})
         else:
             account.attributes["name"] = "Alice Liddell"
         signed = count_calls(monkeypatch, crypto, "sign")
@@ -807,7 +816,7 @@ class TestHeldDisclosures:
         assert second.assertion_id != first.assertion_id
         assert second.linked_certificate_hash == crypto.digest(account.certificate.to_bytes())
         assert second.attributes["name"] == account.attributes["name"]
-        assert list(node._held_disclosures) == [account.subject_id]
+        assert list(node.book._held_disclosures) == [account.subject_id]
         assert self.disclose(node, account) is second
         assert len(signed) == 1
 
@@ -828,11 +837,11 @@ class TestQueryAnswers:
         )
         sim.advance_to(20)  # one gossip period past enrollment
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
-        real = v2.respond_certificate_query
+        real = v2.resolver.respond_certificate_query
         mallory = crypto.keypair_from_label("vasp", "mallory")
 
-        def respond(requester_id, key_hash, now):
-            response = real(requester_id, key_hash, now)
+        def respond(key_hash, now):
+            response = real(key_hash, now)
             genuine = response.assertion
             if answer == "tampered":
                 forged = replace(genuine, attributes={**genuine.attributes,
@@ -844,8 +853,8 @@ class TestQueryAnswers:
                 forged = genuine
             return replace(response, assertion=forged)
 
-        monkeypatch.setattr(v2, "respond_certificate_query", respond)
-        bob_key = v2.accounts["acct-bob"].customer_public_key
+        monkeypatch.setattr(v2.resolver, "respond_certificate_query", respond)
+        bob_key = v2.book.accounts["acct-bob"].customer_public_key
         resolved = v1.resolve_beneficiary(
             TransferTarget.from_key_hash(crypto.digest(bob_key)), sim.now
         )
@@ -872,15 +881,15 @@ class TestDisclosureErrors:
         def broken(*args, **kwargs):
             raise RuntimeError("bug inside a disclosure")
 
-        monkeypatch.setattr(vaspnet.vasp, "issue_assertion", broken)
+        monkeypatch.setattr(vaspnet.accounts, "issue_assertion", broken)
         with pytest.raises(RuntimeError, match="bug inside a disclosure"):
             if caller == "initiate_transfer":
-                bob_key = v2.accounts["acct-bob"].customer_public_key
+                bob_key = v2.book.accounts["acct-bob"].customer_public_key
                 v1.initiate_transfer("acct-alice", TransferTarget.from_public_key(bob_key),
                                      100, "coin")
             else:
-                alice_key = v1.accounts["acct-alice"].customer_public_key
-                v1.respond_certificate_query("v2", crypto.digest(alice_key), sim.now)
+                alice_key = v1.book.accounts["acct-alice"].customer_public_key
+                v1.resolver.respond_certificate_query(crypto.digest(alice_key), sim.now)
 
 
 class TestInvariantSweep:
@@ -918,7 +927,7 @@ class TestInvariantSweep:
         ])
         sim.advance_to(5)
         assert sim.breaches == []
-        account = sim.vasps[vasp_id].accounts[account_id]
+        account = sim.vasps[vasp_id].book.accounts[account_id]
         setattr(account, field, value)
         with pytest.raises(ModelKeyMismatch, match=message):
             account.check_invariants()
@@ -936,7 +945,7 @@ class TestInvariantSweep:
 
     def test_restoring_the_field_ends_the_breach_from_the_next_tick(self, monkeypatch):
         sim = self.opened()
-        account = sim.vasps["v1"].accounts["acct-kay"]
+        account = sim.vasps["v1"].book.accounts["acct-kay"]
         evidence = account.key_operator_evidence
         account.key_operator_evidence = None
         sim.advance_to(7)
@@ -949,7 +958,7 @@ class TestInvariantSweep:
 
     def test_first_failing_account_in_opening_order_is_reported(self):
         sim = self.opened()
-        accounts = sim.vasps["v1"].accounts
+        accounts = sim.vasps["v1"].book.accounts
         assert list(accounts) == ["acct-alice", "acct-kay"]
         kay_message = "key-custody accounts hold both keys"
         alice_message = "mediated accounts hold the public key only"
@@ -970,17 +979,17 @@ class TestInvariantSweep:
     def test_write_to_a_non_key_field_files_nothing(self, field):
         sim = self.opened()
         node = sim.vasps["v1"]
-        setattr(node.accounts["acct-alice"], field, None)
-        assert node._key_writes == set()
-        node.accounts["acct-alice"].customer_public_key = None
-        assert node._key_writes == {"acct-alice"}
+        setattr(node.book.accounts["acct-alice"], field, None)
+        assert node.book._key_writes == set()
+        node.book.accounts["acct-alice"].customer_public_key = None
+        assert node.book._key_writes == {"acct-alice"}
 
     def test_idle_tick_checks_no_account(self, monkeypatch):
         sim = self.opened()
         checked = count_calls(monkeypatch, Account, "check_invariants")
         sim.advance_to(7)
         assert checked == []
-        account = sim.vasps["v2"].accounts["acct-bob"]
+        account = sim.vasps["v2"].book.accounts["acct-bob"]
         account.customer_public_key = account.customer_public_key
         sim.advance_to(9)
         assert checked == [(account,)]
@@ -1042,7 +1051,7 @@ class TestConfirmationFanOut:
         record = self.pending_record(sim, "v2")
         outsider = crypto.keypair_from_label("foreign", "payee")
         tx = self.foreign_tx("payer", outsider.public_key)
-        sim.vasps["v2"]._file_record(tx.tx_id, record)
+        sim.vasps["v2"].transfers._file_record(tx.tx_id, record)
         sim.submit_tx("outsider", tx)
         sim.run()
         return sim, "record_failed"

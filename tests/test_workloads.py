@@ -25,7 +25,8 @@ from vaspnet.network import (
     heartbeat_partner,
 )
 from vaspnet.scenario import load_scenario, parse_scenario
-from vaspnet.vasp import CustodyModel, OutcomeStatus, RecordRole, RecordStatus
+from vaspnet.accounts import CustodyModel
+from vaspnet.transfer import OutcomeStatus, RecordRole, RecordStatus
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
 
@@ -224,7 +225,7 @@ def test_outcome_and_record_agree(workloads, name):
         checked += 1
     assert checked
     for node in sim.vasps.values():
-        filed = Counter(rid for rids in node._records_by_binding.values() for rid in rids)
+        filed = Counter(rid for rids in node.transfers._records_by_binding.values() for rid in rids)
         assert filed == dict.fromkeys(node.records, 1)
 
 
@@ -300,7 +301,7 @@ def test_member_certifying_no_key_heartbeats_version_0(workloads, monkeypatch):
     sent = record_sends(sim, monkeypatch, {"dir_announce", "dir_delta", "dir_pull", "dir_snapshot"})
     sim.run()
     v3 = sim.vasps["v3"]
-    assert {a.custody_model for a in v3.accounts.values()} == {CustodyModel.COMMINGLED}
+    assert {a.custody_model for a in v3.book.accounts.values()} == {CustodyModel.COMMINGLED}
     network = sim.networks["net-a"]
     period = network.rules.directory_sync_period
     heartbeats = [(tick, dst, payload) for tick, src, dst, kind, payload in sent
@@ -310,14 +311,14 @@ def test_member_certifying_no_key_heartbeats_version_0(workloads, monkeypatch):
                for tick, dst, _ in heartbeats)
     assert {(p.version, p.entries_digest) for _, _, p in heartbeats} == {
         (0, directory_digest(frozenset()))}
-    current = v3._announces["net-a"]
+    current = v3.directory._announces["net-a"]
     assert {dst for _, dst, p in heartbeats if p is current} == set(network.members) - {"v3"}
     # Nothing in the run pulls a directory, and v3 sends nothing but heartbeats.
     assert [(src, dst, kind) for _, src, dst, kind, _ in sent
             if kind == "dir_pull" or (src == "v3" and kind != "dir_announce")] == []
     for member_id in network.member_ids():
         if member_id != "v3":
-            view = sim.vasps[member_id].directory_views
+            view = sim.vasps[member_id].directory.views
             assert "v3" in view and (view["v3"].version, view["v3"].entries) == (0, frozenset())
 
 
