@@ -78,16 +78,16 @@ class CertClass(enum.IntEnum):
 
 
 # Required attribute sets are cumulative: each class needs its own set plus
-# everything below it. Overridable per CA instance.
-DEFAULT_CLASS_TABLE: dict[CertClass, frozenset[str]] = {
+# everything below it.
+CLASS_TABLE: dict[CertClass, frozenset[str]] = {
     CertClass.CLASS1: frozenset({"name", "email"}),
     CertClass.CLASS2: frozenset({"government_id", "address"}),
     CertClass.CLASS3: frozenset({"organization_vetting_ref"}),
 }
 
-# Attributes a CA discloses alongside lookup responses unless configured
-# otherwise. Kept to travel-rule-relevant identity data.
-DEFAULT_CA_DISCLOSURE = frozenset({"name", "address", "vasp_id"})
+# Attributes a CA discloses alongside lookup responses. Kept to
+# travel-rule-relevant identity data.
+CA_DISCLOSURE = frozenset({"name", "address", "vasp_id"})
 
 
 class RevocationReason(enum.Enum):
@@ -371,19 +371,10 @@ class _IssuedRecord:
 class CertificateAuthority:
     """One CA instance: a single logical actor over its own issuance state."""
 
-    def __init__(
-        self,
-        ca_id: str,
-        keypair: KeyPair,
-        rng: random.Random,
-        class_table: Optional[Mapping[CertClass, frozenset[str]]] = None,
-        disclosure: frozenset[str] = DEFAULT_CA_DISCLOSURE,
-    ) -> None:
+    def __init__(self, ca_id: str, keypair: KeyPair, rng: random.Random) -> None:
         self.ca_id = ca_id
         self._keypair = keypair
         self._rng = rng
-        self._class_table = dict(class_table or DEFAULT_CLASS_TABLE)
-        self._disclosure = disclosure
         self.root_certificate: Optional[Certificate] = None
         self._issued: dict[bytes, _IssuedRecord] = {}
         self._by_key_hash: dict[bytes, list[bytes]] = {}
@@ -427,7 +418,7 @@ class CertificateAuthority:
         assigned: Optional[CertClass] = None
         cumulative: set[str] = set()
         for cls in CertClass:
-            cumulative |= self._class_table[cls]
+            cumulative |= CLASS_TABLE[cls]
             satisfied = cumulative <= set(submitted_attributes)
             log.append((f"{cls.label}_attributes", satisfied))
             if satisfied and cls <= requested_class:
@@ -435,7 +426,7 @@ class CertificateAuthority:
         if assigned is None:
             raise RegistrationRejected(
                 "missing mandatory attributes: "
-                + ",".join(sorted(self._class_table[CertClass.CLASS1] - set(submitted_attributes)))
+                + ",".join(sorted(CLASS_TABLE[CertClass.CLASS1] - set(submitted_attributes)))
             )
         return RegistrationRecord(
             subject_id=subject_id,
@@ -570,6 +561,6 @@ class CertificateAuthority:
         shared = {
             k: v
             for k, v in sorted(record.registration.submitted_attributes.items())
-            if k in self._disclosure
+            if k in CA_DISCLOSURE
         }
         return CertificateLookup(certificate=record.certificate, attributes=shared, status=status)

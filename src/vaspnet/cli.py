@@ -12,7 +12,7 @@ from pathlib import Path
 
 import click
 
-from .harness import Simulation
+from .harness import run_scenario
 from .report import (
     ReplayMismatch,
     dump_ledger_lines,
@@ -32,9 +32,7 @@ def _load(path: str):
 
 
 def _run(path: str, seed):
-    scenario = _load(path)
-    result = Simulation(scenario, seed=seed).run()
-    return result
+    return run_scenario(_load(path), seed=seed)
 
 
 @click.group()

@@ -92,10 +92,6 @@ class EventRecord:
     def to_bytes(self) -> bytes:
         return _event_bytes(self.tick, self.actor, self.event, self.details)
 
-    def line(self) -> str:
-        detail = " ".join(f"{k}={v}" for k, v in self.details)
-        return f"[{self.tick:>5}] {self.actor} {self.event} {detail}".rstrip()
-
 
 class EventLog:
     """Ordered event records plus a running digest over their canonical
@@ -406,11 +402,9 @@ class Simulation:
                 # Account refs resolve when the account opens; the key hash is
                 # derivable now since keys are label-seeded.
                 self._blocklist(self._account_id_for(suspect.customer))
-                model = self._customers[suspect.customer].custody_model
-                if model is not CustodyModel.COMMINGLED:
-                    wallet = self._customer_keypair(suspect.customer)
-                    if wallet is not None:
-                        self._blocklist(digest(wallet.public_key))
+                wallet = self._customer_wallet(suspect.customer)
+                if wallet is not None:
+                    self._blocklist(wallet.public_key_hash)
 
     def _vasp_registration_attributes(self, vasp_id: str) -> dict[str, str]:
         return {
@@ -433,7 +427,7 @@ class Simulation:
     def _account_id_for(self, customer_id: str) -> str:
         return f"acct-{customer_id}"
 
-    def _customer_keypair(self, customer_id: str) -> Optional[KeyPair]:
+    def _customer_wallet(self, customer_id: str) -> Optional[KeyPair]:
         spec = self._customers.get(customer_id)
         if spec is not None and spec.custody_model is not CustodyModel.MEDIATED:
             return None  # none for commingled; key custody generates it in the VASP
@@ -468,6 +462,13 @@ class Simulation:
                 int(params["amount"]), str(params.get("asset", "coin")),
             )
             self.scripted_transfers.append(ScriptedTransfer(action, outcome, vasp.vasp_id))
+        elif action.action == "batch_transfer":
+            entries = params["entries"]  # all from one VASP's pool, says the schema
+            vasp = self.vasps[self._customers[str(entries[0]["origin"])].vasp]
+            requests = [(self._account_id_for(str(e["origin"])), self._build_target(e["target"]),
+                         int(e["amount"])) for e in entries]
+            outcome = vasp.transfers.initiate_batch_transfer(requests, str(params.get("asset", "coin")))
+            self.scripted_transfers.append(ScriptedTransfer(action, outcome, vasp.vasp_id))
         elif action.action == "p2p_transfer":
             self._p2p_transfer(params)
         elif action.action == "revoke_cert":
@@ -491,41 +492,29 @@ class Simulation:
     def _open_customer(self, customer_id: str) -> None:
         spec = self._customers[customer_id]
         vasp = self.vasps[spec.vasp]
-        wallet = self._customer_keypair(customer_id)
+        wallet = self._customer_wallet(customer_id)
         vasp.open_account(
             subject_id=customer_id,
             attributes=dict(spec.attributes),
             custody_model=spec.custody_model,
-            customer_wallet=wallet if spec.custody_model is CustodyModel.MEDIATED else None,
+            customer_wallet=wallet,
             account_id=self._account_id_for(customer_id),
             now=self.now,
         )
 
     def _build_target(self, raw) -> TransferTarget:
         if "customer" in raw:
+            # A mediated customer's key is known up front, a key-custody
+            # one's once the account opens; a commingled one has none.
             customer = str(raw["customer"])
-            spec = self._customers[customer]
-            model = spec.custody_model
-            if model is CustodyModel.COMMINGLED or model is CustodyModel.KEY_CUSTODY:
-                home = spec.vasp
-                if model is CustodyModel.KEY_CUSTODY:
-                    account = self.vasps[home].book.accounts.get(self._account_id_for(customer))
-                    if account is not None and account.customer_public_key is not None:
-                        return TransferTarget.from_key_hash(digest(account.customer_public_key))
-                return TransferTarget.from_account(home, self._account_id_for(customer))
-            wallet = self._customer_keypair(customer)
-            assert wallet is not None
-            return TransferTarget.from_key_hash(digest(wallet.public_key))
-        if "customer_key" in raw:
-            customer = str(raw["customer_key"])
-            wallet = self._customer_keypair(customer)
-            if wallet is None:
-                home = self._customers[customer].vasp
-                account = self.vasps[home].book.accounts[self._account_id_for(customer)]
-                if account.customer_public_key is None:
-                    raise ValueError(f"customer {customer} has no key")
-                return TransferTarget.from_public_key(account.customer_public_key)
-            return TransferTarget.from_public_key(wallet.public_key)
+            wallet = self._customer_wallet(customer)
+            if wallet is not None:
+                return TransferTarget.from_key_hash(wallet.public_key_hash)
+            home, account_id = self._customers[customer].vasp, self._account_id_for(customer)
+            account = self.vasps[home].book.accounts.get(account_id)
+            if account is not None and account.customer_public_key_hash is not None:
+                return TransferTarget.from_key_hash(account.customer_public_key_hash)
+            return TransferTarget.from_account(home, account_id)
         if "vasp" in raw:
             return TransferTarget.from_account(str(raw["vasp"]), str(raw["account"]))
         return TransferTarget.from_key_hash(bytes.fromhex(str(raw["key_hash_hex"])))
@@ -536,7 +525,7 @@ class Simulation:
             receiver_key = self._p2p_wallet(str(params["to_wallet"])).public_key
         else:
             customer = str(params["to_customer"])
-            wallet = self._customer_keypair(customer)
+            wallet = self._customer_wallet(customer)
             if wallet is None:
                 raise ValueError(f"p2p target customer {customer} has no key")
             receiver_key = wallet.public_key

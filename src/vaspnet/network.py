@@ -282,7 +282,6 @@ class PeeringLink:
     network_a: str
     gateway_vasp_b: str
     network_b: str
-    established_at: int = 0
 
     def __post_init__(self) -> None:
         if self.network_a == self.network_b:

@@ -37,15 +37,15 @@ class ReplayMismatch(Exception):
 
 
 def render_text(result: RunResult) -> str:
-    sim = result.sim
+    sim, metrics = result.sim, result.metrics
     lines = [
         "vaspnet run report",
-        f"seed={sim.seed} final_tick={sim.metrics.final_tick} events={len(sim.log_)}",
+        f"seed={sim.seed} final_tick={metrics.final_tick} events={len(sim.log_)}",
         f"log_digest={result.digest_hex}",
         "",
         "[metrics]",
     ]
-    lines += [f"{key}={value}" for key, value in sim.metrics.as_pairs()]
+    lines += [f"{key}={value}" for key, value in metrics.as_pairs()]
     lines.append("")
     lines.append("[transfers]")
     for record in sim.log_.entries:
@@ -107,7 +107,7 @@ def render_canonical(result: RunResult) -> bytes:
     trailer = canonical_encode([
         (1, enc_str("trailer")),
         (2, sim.log_.running_digest),
-        (3, encode_str_map(dict(sim.metrics.as_pairs()))),
+        (3, encode_str_map(dict(result.metrics.as_pairs()))),
     ])
     out += _frame(trailer)
     return bytes(out)

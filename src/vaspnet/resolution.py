@@ -12,7 +12,6 @@ from typing import Mapping, Optional
 from .accounts import Account, AccountBook, CustodyModel
 from .assertions import AttributeAssertion, verify_assertion
 from .ca import Certificate, CertStatus, ValidationStatus
-from .crypto import digest
 from .directory import DirectoryFeed
 from .network import QueryResponse, TrustNetwork, query_certificate, route_cross_network_query
 
@@ -22,14 +21,9 @@ class TransferTarget:
     """Pre-resolution reference to a beneficiary."""
 
     kind: str
-    public_key: Optional[bytes] = None
     key_hash: Optional[bytes] = None
     vasp_id: Optional[str] = None
     account_id: Optional[str] = None
-
-    @classmethod
-    def from_public_key(cls, public_key: bytes) -> "TransferTarget":
-        return cls(kind="public_key", public_key=public_key, key_hash=digest(public_key))
 
     @classmethod
     def from_key_hash(cls, key_hash: bytes) -> "TransferTarget":
@@ -120,7 +114,7 @@ class Resolver:
         """Resolve in fixed order: local cache, affiliated CA, trust-network
         directory, cross-network routed query."""
         resolved = self._resolve_local(target)
-        if resolved is None and target.kind in ("public_key", "key_hash"):
+        if resolved is None and target.kind == "key_hash":
             resolved = self._resolve_via_ca(target, now)
             if resolved is None:
                 resolved = self._resolve_via_directory(target.key_hash)

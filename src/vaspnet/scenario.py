@@ -31,11 +31,16 @@ Schema (all ids are strings; every referenced id must be declared):
       - {tick: 1, action: enroll, customer: alice}
       - {tick: 15, action: transfer, origin: alice,
          target: {customer: bob}, amount: 100, asset: coin}
+      - {tick: 18, action: batch_transfer, asset: coin, entries: [
+         {origin: chen, target: {customer: bob}, amount: 5}]}
       - {tick: 20, action: p2p_transfer, from_wallet: w1, to_wallet: w2,
          amount: 5, asset: coin}
       - {tick: 25, action: revoke_cert, customer: bob, reason: keyCompromise}
       - {tick: 30, action: drop_link, a: v1, b: v2, period: 15}
       - {tick: 60, action: advance, ticks: 20}
+
+Each top-level key but ``seed``, ``chain`` and ``defaults`` holds a list of
+mappings; those two, rules, attributes and targets are mappings.
 
 Ranges: ``seed`` in [0, 2**64); ``confirmation_delay`` and ``max_latency``
 at least 1; ``drop_probability`` in [0, 1]; ``drain_ticks`` at least 0;
@@ -53,11 +58,14 @@ Network rules (each optional; the default in brackets) build the network's
                                 [the travel-rule core]
 
 Transfer targets: {customer: id} (beneficiary key hash; account reference for
-commingled customers), {customer_key: id} (raw public key), {vasp: id,
-account: id}, or {key_hash_hex: "..."} for arbitrary hashes. A commingled
-customer has no key, so it cannot be a ``customer_key`` target; a
-``p2p_transfer`` to a customer needs a mediated one, the only kind that holds
-its wallet key.
+commingled customers), {vasp: id, account: id}, or {key_hash_hex: "..."} for
+arbitrary hashes. A ``p2p_transfer`` to a customer needs a mediated one, the
+only kind that holds its wallet key.
+
+A ``batch_transfer`` (pooled custody) pays one or more entries in one
+transaction: every origin a commingled customer of one VASP, every target a
+{customer: id} of one VASP. A ``drop_link`` joins two VASPs; CRL fetches and
+CA lookups are synchronous calls over no link.
 """
 
 from __future__ import annotations
@@ -75,7 +83,7 @@ from .ca import CertClass
 from .network import OperatingRules
 
 VALID_ACTIONS = {
-    "open_account", "enroll", "transfer", "p2p_transfer",
+    "open_account", "enroll", "transfer", "batch_transfer", "p2p_transfer",
     "revoke_cert", "drop_link", "advance",
 }
 
@@ -189,9 +197,7 @@ _RULE_KEYS = frozenset({*_INT_RULES, "minimum_certificate_class", "required_disc
 
 
 def _parse_rules(raw: Any, context: str) -> OperatingRules:
-    if not isinstance(raw, Mapping):
-        raise SchemaError(f"{context}: rules must be a mapping")
-    for key in raw:
+    for key in _shaped(raw, dict, context):
         if key not in _RULE_KEYS:
             raise SchemaError(f"{context}: unknown rule key {key!r}")
     kwargs: dict[str, Any] = {
@@ -226,25 +232,38 @@ def _parse_model(value: Any, context: str) -> CustodyModel:
         raise SchemaError(f"{context}: unknown custody model {value!r}") from exc
 
 
+def _shaped(value: Any, shape: type, context: str) -> Any:
+    """``value`` if it is a ``shape`` (``dict`` for any mapping, or ``list``),
+    else a SchemaError naming ``context``."""
+    if not isinstance(value, Mapping if shape is dict else list):
+        raise SchemaError(f"{context}: must be a {'mapping' if shape is dict else 'list'}")
+    return value
+
+
+def _section(data: Mapping[str, Any], key: str) -> list[Mapping[str, Any]]:
+    """The list of mappings under ``key``; empty if absent."""
+    items = _shaped(data.get(key, []), list, key)
+    return [_shaped(item, dict, f"{key}[{i}]") for i, item in enumerate(items)]
+
+
 def parse_scenario(data: Mapping[str, Any]) -> Scenario:
-    if not isinstance(data, Mapping):
-        raise SchemaError("scenario root must be a mapping")
+    _shaped(data, dict, "scenario root")
 
     networks = tuple(
         NetworkSpec(
             network_id=str(_require(raw, "network_id", "networks[]")),
             rules=_parse_rules(raw.get("rules", {}), f"network {raw['network_id']!r} rules"),
         )
-        for raw in data.get("networks", [])
+        for raw in _section(data, "networks")
     )
-    cas = tuple(CaSpec(ca_id=str(_require(raw, "ca_id", "cas[]"))) for raw in data.get("cas", []))
+    cas = tuple(CaSpec(ca_id=str(_require(raw, "ca_id", "cas[]"))) for raw in _section(data, "cas"))
     vasps = tuple(
         VaspSpec(
             vasp_id=str(_require(raw, "vasp_id", "vasps[]")),
             ca=str(_require(raw, "ca", "vasps[]")),
-            networks=tuple(str(n) for n in raw.get("networks", [])),
+            networks=tuple(str(n) for n in _shaped(raw.get("networks", []), list, "vasps[].networks")),
         )
-        for raw in data.get("vasps", [])
+        for raw in _section(data, "vasps")
     )
     peering = tuple(
         PeeringSpec(
@@ -253,7 +272,7 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
             vasp_b=str(_require(raw, "vasp_b", "peering_links[]")),
             network_b=str(_require(raw, "network_b", "peering_links[]")),
         )
-        for raw in data.get("peering_links", [])
+        for raw in _section(data, "peering_links")
     )
     customers = tuple(
         CustomerSpec(
@@ -261,9 +280,10 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
             vasp=str(_require(raw, "vasp", "customers[]")),
             custody_model=_parse_model(raw.get("custody_model", "mediated"), "customers[]"),
             requested_class=_parse_class(raw.get("requested_class", "class1"), "customers[]"),
-            attributes={str(k): str(v) for k, v in raw.get("attributes", {}).items()},
+            attributes={str(k): str(v) for k, v in
+                        _shaped(raw.get("attributes", {}), dict, "customers[].attributes").items()},
         )
-        for raw in data.get("customers", [])
+        for raw in _section(data, "customers")
     )
     suspects = tuple(
         SuspectSpec(
@@ -271,7 +291,7 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
             account_id=raw.get("account_id"),
             key_hash_hex=raw.get("key_hash_hex"),
         )
-        for raw in data.get("suspect_entries", data.get("suspects", []))
+        for raw in _section(data, "suspect_entries" if "suspect_entries" in data else "suspects")
     )
     script = tuple(
         ScriptAction(
@@ -279,11 +299,11 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
             action=str(_require(raw, "action", "script[]")),
             params={k: v for k, v in raw.items() if k not in ("tick", "action")},
         )
-        for raw in data.get("script", [])
+        for raw in _section(data, "script")
     )
 
-    chain_cfg = data.get("chain", {})
-    defaults = data.get("defaults", {})
+    chain_cfg = _shaped(data.get("chain", {}), dict, "chain")
+    defaults = _shaped(data.get("defaults", {}), dict, "defaults")
     scenario = Scenario(
         seed=_number(data.get("seed", 0), int, "seed", 0, 2**64 - 1),
         networks=networks,
@@ -309,8 +329,7 @@ def validate_scenario(scenario: Scenario) -> None:
     network_ids = {n.network_id for n in scenario.networks}
     ca_ids = {c.ca_id for c in scenario.cas}
     vasp_ids = {v.vasp_id for v in scenario.vasps}
-    customer_models = {c.customer_id: c.custody_model for c in scenario.customers}
-    customer_ids = customer_models.keys()
+    customers = {c.customer_id: c for c in scenario.customers}
 
     for collection, name in (
         (scenario.networks, "network_id"), (scenario.cas, "ca_id"),
@@ -357,7 +376,7 @@ def validate_scenario(scenario: Scenario) -> None:
             raise SchemaError(
                 "suspect entries take exactly one of customer/account_id/key_hash_hex"
             )
-        if suspect.customer is not None and suspect.customer not in customer_ids:
+        if suspect.customer is not None and suspect.customer not in customers:
             raise SchemaError(f"suspect references unknown customer {suspect.customer!r}")
 
     previous_tick = 0
@@ -370,20 +389,23 @@ def validate_scenario(scenario: Scenario) -> None:
             raise SchemaError(f"{context}: unknown action")
         params = action.params
         if action.action in ("open_account", "enroll"):
-            if params.get("customer") not in customer_ids:
+            if params.get("customer") not in customers:
                 raise SchemaError(f"{context}: unknown customer {params.get('customer')!r}")
         elif action.action == "transfer":
-            if params.get("origin") not in customer_ids:
+            if params.get("origin") not in customers:
                 raise SchemaError(f"{context}: unknown origin {params.get('origin')!r}")
-            _validate_target(params.get("target"), customer_models, vasp_ids, context)
+            _validate_target(params.get("target"), customers, vasp_ids, context)
             _number(params.get("amount", 0), int, f"{context}: amount", 1)
+        elif action.action == "batch_transfer":
+            _validate_batch(params.get("entries"), customers, context)
         elif action.action == "p2p_transfer":
             if "from_wallet" not in params:
                 raise SchemaError(f"{context}: from_wallet required")
             if "to_wallet" not in params:
-                model = customer_models.get(params.get("to_customer"))
-                if model is None:
+                customer = customers.get(params.get("to_customer"))
+                if customer is None:
                     raise SchemaError(f"{context}: to_wallet or a known to_customer required")
+                model = customer.custody_model
                 if model is not CustodyModel.MEDIATED:
                     raise SchemaError(
                         f"{context}: to_customer {params['to_customer']!r} is {model.value}; "
@@ -391,34 +413,48 @@ def validate_scenario(scenario: Scenario) -> None:
                     )
             _number(params.get("amount", 0), int, f"{context}: amount", 1)
         elif action.action == "revoke_cert":
-            if params.get("customer") not in customer_ids:
+            if params.get("customer") not in customers:
                 raise SchemaError(f"{context}: unknown customer {params.get('customer')!r}")
             if params.get("reason", "unspecified") not in REVOCATION_REASONS:
                 raise SchemaError(f"{context}: unknown reason {params.get('reason')!r}")
         elif action.action == "drop_link":
             for side in ("a", "b"):
                 actor = params.get(side)
-                if actor not in vasp_ids and actor not in ca_ids:
-                    raise SchemaError(f"{context}: unknown endpoint {actor!r}")
+                if actor not in vasp_ids:
+                    raise SchemaError(f"{context}: endpoint {actor!r} is not a VASP")
             _number(params.get("period", 0), int, f"{context}: period", 1)
         elif action.action == "advance":
             _number(params.get("ticks", 0), int, f"{context}: ticks", 1)
 
 
+def _validate_batch(entries: Any, customers: Mapping[str, CustomerSpec], context: str) -> None:
+    """A batch is one transaction: from one VASP's pool, to one VASP."""
+    if not _shaped(entries, list, f"{context}: entries"):
+        raise SchemaError(f"{context}: entries must not be empty")
+    payers, payees = set(), set()
+    for index, entry in enumerate(entries):
+        where = f"{context}: entries[{index}]"
+        origin = customers.get(_shaped(entry, dict, where).get("origin"))
+        if origin is None or origin.custody_model is not CustodyModel.COMMINGLED:
+            raise SchemaError(f"{where}: origin {entry.get('origin')!r} is not a commingled customer")
+        target = entry.get("target")
+        if not isinstance(target, Mapping) or list(target) != ["customer"]:
+            raise SchemaError(f"{where}: target must be {{customer: id}}")
+        _validate_target(target, customers, set(), where)
+        payers.add(origin.vasp)
+        payees.add(customers[target["customer"]].vasp)
+        _number(entry.get("amount", 0), int, f"{where}: amount", 1)
+    if len(payers) > 1 or len(payees) > 1:
+        raise SchemaError(f"{context}: entries pay from {sorted(payers)} to {sorted(payees)}, "
+                          "not from one VASP to one")
+
+
 def _validate_target(
-    target: Any, customer_models: Mapping[str, CustodyModel], vasp_ids: set, context: str
+    target: Any, customers: Mapping[str, CustomerSpec], vasp_ids: set, context: str
 ) -> None:
-    if not isinstance(target, Mapping):
-        raise SchemaError(f"{context}: target must be a mapping")
-    if "customer" in target:
-        if target["customer"] not in customer_models:
+    if "customer" in _shaped(target, dict, f"{context}: target"):
+        if target["customer"] not in customers:
             raise SchemaError(f"{context}: unknown target customer {target['customer']!r}")
-    elif "customer_key" in target:
-        model = customer_models.get(target["customer_key"])
-        if model is None:
-            raise SchemaError(f"{context}: unknown target customer {target['customer_key']!r}")
-        if model is CustodyModel.COMMINGLED:
-            raise SchemaError(f"{context}: commingled customer {target['customer_key']!r} has no key")
     elif "vasp" in target:
         if target["vasp"] not in vasp_ids:
             raise SchemaError(f"{context}: unknown target vasp {target['vasp']!r}")

@@ -199,10 +199,6 @@ class TransferOutcome:
         return OutcomeStatus.BROADCAST
 
     @property
-    def chain_tx_id(self) -> Optional[bytes]:
-        return self.record.chain_tx_id if self.record is not None else None
-
-    @property
     def record_id(self) -> Optional[bytes]:
         return self.record.record_id if self.record is not None else None
 

@@ -60,10 +60,6 @@ class VaspNode:
     # -- identity and membership --------------------------------------------
 
     @property
-    def public_key(self) -> bytes:
-        return self._keypair.public_key
-
-    @property
     def public_key_hash(self) -> bytes:
         return self._keypair.public_key_hash
 

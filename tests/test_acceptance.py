@@ -12,7 +12,7 @@ import pytest
 import ed25519_ref
 from conftest import make_scenario, standard_script
 from vaspnet import crypto
-from vaspnet.ca import RevocationReason, RevocationView
+from vaspnet.ca import CertClass, RevocationReason, RevocationView
 from vaspnet.ca import _entries_payload as crl_entries_payload
 from vaspnet.harness import Simulation
 from vaspnet.network import _entries_bytes as directory_entries_bytes
@@ -96,8 +96,8 @@ def test_02_no_blind_broadcast_over_25_seeds():
         exceptions += len(problems)
         assert problems == [], f"seed {1000 + seed}: {problems[:2]}"
         # cross-check from the ledger side: every VASP-key-originated tx has a record
-        vasp_keys = {node.public_key for node in sim.vasps.values()}
-        customer_keys = {
+        vasp_keys = {node.certificate.subject_public_key for node in sim.vasps.values()}
+        account_keys = {
             account.customer_public_key
             for node in sim.vasps.values()
             for account in node.book.accounts.values()
@@ -109,7 +109,7 @@ def test_02_no_blind_broadcast_over_25_seeds():
             if e.event == "tx_submitted" and e.actor in sim.vasps
         }
         for tx, _ in sim.chain.confirmed_transactions():
-            if tx.from_public_key in vasp_keys | customer_keys:
+            if tx.from_public_key in vasp_keys | account_keys:
                 assert tx.tx_id.hex() in submitted
     print(f"\nCRITERION 2 PASS: 25 seeds, {exceptions} blind broadcasts")
 
@@ -232,8 +232,7 @@ def test_04_crl_and_directory_equivalence():
                               if v1.book.accounts[f"acct-m{i}"].certificate is None]
                 if candidates:
                     account_id = rng.choice(candidates)
-                    v1.book.enroll_customer_certificate(
-                        account_id, list(v1.ca._class_table)[0], sim.now)
+                    v1.book.enroll_customer_certificate(account_id, CertClass.CLASS1, sim.now)
                     enrolled.append(account_id)
             elif roll < 0.7 and enrolled:
                 account_id = enrolled.pop(rng.randrange(len(enrolled)))
@@ -381,9 +380,9 @@ def test_07_commingled_batch_arithmetic():
     matched = 0
     for outcome, total in expected:
         assert outcome.status is OutcomeStatus.BROADCAST
-        tx = ledger[outcome.chain_tx_id]
+        tx = ledger[outcome.record.chain_tx_id]
         assert tx.amount == total
-        assert tx.from_public_key == v1.public_key
+        assert tx.from_public_key == v1.certificate.subject_public_key
         matched += 1
     assert matched == 100
     print("\nCRITERION 7 PASS: 100/100 batches, on-chain amount == off-chain sum, "

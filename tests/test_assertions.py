@@ -44,9 +44,9 @@ def world():
     reg = ca.register_subject("v1", {"name": "v1", "email": "v@x"}, CertClass.CLASS1, 0)
     vasp_cert = ca.issue_certificate(reg, vasp_key.public_key, DEFAULT_PROFILE, 0, 9_000, 0)
 
-    customer_key = crypto.keypair_from_label("cust", "alice")
+    customer_pair = crypto.keypair_from_label("cust", "alice")
     reg2 = ca.register_subject("alice", {"name": "Alice", "email": "a@x"}, CertClass.CLASS1, 0)
-    customer_cert = ca.issue_certificate(reg2, customer_key.public_key, DEFAULT_PROFILE, 0, 9_000, 0)
+    customer_cert = ca.issue_certificate(reg2, customer_pair.public_key, DEFAULT_PROFILE, 0, 9_000, 0)
 
     def validator(cert):
         return validate_certificate(cert, anchors, 5, view)

@@ -12,7 +12,7 @@ from vaspnet.ca import (
     CertificateAuthority,
     CertificateProfile,
     ClassTooLow,
-    DEFAULT_CLASS_TABLE,
+    CLASS_TABLE,
     DEFAULT_PROFILE,
     InvalidValidity,
     KeyAlreadyBound,
@@ -46,7 +46,7 @@ def required_attrs_for(cls: CertClass) -> set:
     """Independent oracle: cumulative union of the class table."""
     needed = set()
     for c in CertClass:
-        needed |= DEFAULT_CLASS_TABLE[c]
+        needed |= CLASS_TABLE[c]
         if c == cls:
             break
     return needed

@@ -510,7 +510,7 @@ class TestDirectorySync:
             snapshot = v1.directory._last_snapshot
             assert announce.version == snapshot.version
             assert announce.entries_digest == directory_digest(snapshot.entries)
-            assert crypto.check(v1.public_key, announce)
+            assert crypto.check(v1.certificate.subject_public_key, announce)
 
     def test_sync_reads_entries_once_and_hashes_no_key(self, monkeypatch):
         sim = two_network_sim()
@@ -905,7 +905,7 @@ class TestRevocationRace:
         assert record.failure_reason.startswith(DenialCode.ACK_REJECTED.value)
         assert record.ack.decision is AckDecision.REJECT
         assert record.ack.reject_reason is RejectReason.CERT_INVALID
-        assert crypto.check(v2.public_key, record.ack)
+        assert crypto.check(v2.certificate.subject_public_key, record.ack)
         # The beneficiary filed no record for the notice it refused.
         assert v2.records == {} and v2.transfers._records_by_binding == {}
         rejects = [dict(e.details) for e in sim.log_.entries
@@ -1164,8 +1164,9 @@ class TestAdjRibOut:
         assert keepalive.held == routes_digest(held) == routes_digest(c1.reach.links[link].received)
         assert keepalive.received == routes_digest(b2.reach.links[link].received) == routes_digest(
             c1.reach.links[link].sent)
-        assert crypto.check(b2.public_key, keepalive)
-        assert [key for key, _ in signs if key.public_key in (b2.public_key, c1.public_key)] == []
+        assert crypto.check(b2.certificate.subject_public_key, keepalive)
+        gateway_keys = (b2.certificate.subject_public_key, c1.certificate.subject_public_key)
+        assert [key for key, _ in signs if key.public_key in gateway_keys] == []
         # A digest that differs is acted on only if b2 signed it.
         sent.clear()
         c1.on_message("reach_digest", replace(keepalive, held=bytes(32)), "b2")
@@ -1444,6 +1445,6 @@ class TestAdvertisementEncodingMemo:
             **adv.__dict__, "advertised_hashes": adv.advertised_hashes | {b"\x01" * 32},
         })
         assert forged.signed_payload() != payload
-        assert not crypto.check(sim.vasps["v2"].public_key, forged)
+        assert not crypto.check(v2.certificate.subject_public_key, forged)
         assert adv.signed_payload() == payload
-        assert crypto.check(sim.vasps["v2"].public_key, adv)
+        assert crypto.check(v2.certificate.subject_public_key, adv)

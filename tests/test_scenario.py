@@ -21,6 +21,7 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # the same must leave them byte-identical; one that alters a log re-pins the
 # digest and says why.
 SCENARIO_DIGESTS = {
+    "batch_race": "f5f11f4cbaaf878ca9ff4b9d4b9456a23337c0253245250d4acf22377c1c670c",
     "demo": "0d20d71233e2941f139f766050d0fa70adda029923bf96dac8fddf030af22ddf",
     "denials": "0b6487e870d67ca2cf9236ca20a5cb03554dd7342b7769a3059711f163503462",
     "four_networks": "c3a24c290c8a76b71304d18926e9cdc04fb6eaf8fbea92579dcf2ae9ec49f7f6",
@@ -36,6 +37,15 @@ SCENARIO_DIGESTS = {
 # from the event log, so a change that keeps the digests keeps these too,
 # except ``messages_sent``, which is counted beside the log.
 SCENARIO_METRICS = {
+    "batch_race": {
+        "transfers_attempted": "2", "transfers_confirmed": "1",
+        "transfers_denied_total": "1", "transfers_in_flight": "0",
+        "resolution_success_rate": "1.0000", "mean_resolution_hops": "1.0000",
+        "advertisements_accepted": "0", "advertisements_dropped": "0",
+        "messages_sent": "13", "messages_dropped": "0", "ledger_transactions": "1",
+        "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
+        "directory_convergence_tick": "32", "final_tick": "65", "denied.AckRejected": "1",
+    },
     "demo": {
         "transfers_attempted": "4", "transfers_confirmed": "3",
         "transfers_denied_total": "1", "transfers_in_flight": "0",
@@ -249,6 +259,24 @@ def p2p(**params):
     return with_action(action="p2p_transfer", from_wallet="w1", amount=5, **params)
 
 
+def batch(*entries):
+    return with_action(action="batch_transfer", asset="coin", entries=[
+        {"origin": origin, "target": target, "amount": amount}
+        for origin, target, amount in entries
+    ])
+
+
+# ``SMALL`` with a second VASP, whose customer ``dana`` a batch can pay.
+TWO_VASPS = {
+    "vasps": SMALL["vasps"] + [{"vasp_id": "v2", "ca": "ca-1", "networks": ["net-a"]}],
+    "customers": SMALL["customers"] + [
+        {"customer_id": "dana", "vasp": "v2", "attributes": {"name": "D"}},
+        {"customer_id": "emre", "vasp": "v2", "custody_model": "commingled",
+         "attributes": {"name": "E"}},
+    ],
+}
+
+
 # Each of these would fail only once the run starts, or run on a default in
 # its place; each must fail at parse, naming what is wrong.
 BAD_SCENARIOS = {
@@ -268,7 +296,28 @@ BAD_SCENARIOS = {
     "amount-fraction": (with_action(action="transfer", origin="alice",
                                     target={"customer": "chen"}, amount=2.5), "amount"),
     "key-of-commingled": (with_action(action="transfer", origin="alice",
-                                      target={"customer_key": "chen"}, amount=1), "commingled"),
+                                      target={"customer_key": "chen"}, amount=1),
+                          "unrecognized target form"),
+    # Section shapes: each is named, none is an AttributeError or TypeError.
+    "defaults-not-mapping": ({"defaults": 5}, "defaults"),
+    "chain-not-mapping": ({"chain": [1]}, "chain"),
+    "vasps-null": ({"vasps": None}, "vasps"),
+    "attributes-not-mapping": ({"customers": [{"customer_id": "alice", "vasp": "v1",
+                                               "attributes": ["a"]}]}, "attributes"),
+    # A CA is reached by synchronous calls, never over a link.
+    "drop-link-to-ca": (with_action(action="drop_link", a="v1", b="ca-1", period=5), "ca-1"),
+    "batch-empty": (batch(), "entries"),
+    "batch-from-mediated": ({**TWO_VASPS, **batch(("alice", {"customer": "dana"}, 5))},
+                            "'alice' is not a commingled"),
+    "batch-to-account": ({**TWO_VASPS, **batch(("chen", {"vasp": "v2", "account": "x"}, 5))},
+                         "customer: id"),
+    "batch-two-payees": ({**TWO_VASPS, **batch(("chen", {"customer": "dana"}, 5),
+                                               ("chen", {"customer": "bora"}, 5))},
+                         r"to \['v1', 'v2'\]"),
+    "batch-two-payers": ({**TWO_VASPS, **batch(("chen", {"customer": "dana"}, 5),
+                                               ("emre", {"customer": "dana"}, 5))},
+                         r"from \['v1', 'v2'\]"),
+    "batch-amount-zero": ({**TWO_VASPS, **batch(("chen", {"customer": "emre"}, 0))}, "amount"),
 }
 
 
@@ -329,3 +378,35 @@ def test_mixed_ca_relying_party_denies_the_other_cas_revoked_customer():
         assert outcome.denial.code is DenialCode.CERT_INVALID
         assert outcome.denial.detail == "beneficiary-customer:revoked"
     assert confirmed.denial is None and confirmed.record.status is RecordStatus.CONFIRMED
+
+
+def test_batch_race_pays_one_pooled_batch_and_loses_the_revocation_race():
+    """The batch is one ledger transaction of the sum of its entries, from
+    v1's pool to v2, and both sides' records of it confirm. The notice to
+    bob leaves v1 before v1 holds ca-2's CRL of the same tick; v2 holds it
+    when the notice arrives, rejects it ``CertInvalid``, and nothing of the
+    raced transfer goes on chain."""
+    sim = Simulation(load_scenario(SCENARIO_DIR / "batch_race.yaml"))
+    result = sim.run()
+    assert result.breaches == []
+    race, pooled = sim.scripted_transfers
+    v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
+
+    [(tx, _)] = sim.chain.confirmed_transactions()
+    assert tx.amount == sum(entry["amount"] for entry in pooled.action.params["entries"]) == 12
+    assert tx.from_public_key == v1.certificate.subject_public_key
+    assert tx.to_public_key == v2.certificate.subject_public_key
+    assert pooled.outcome.denial is None
+    assert pooled.outcome.record.chain_tx_id == tx.tx_id
+    (received,) = [r for r in v2.records.values() if r.notice.batch_entries is not None]
+    for record in (pooled.outcome.record, received):
+        assert record.status is RecordStatus.CONFIRMED
+        assert record.notice.amount == tx.amount
+
+    assert race.outcome.denial.code is DenialCode.ACK_REJECTED
+    assert race.outcome.denial.detail == "CertInvalid"
+    assert race.outcome.record.status is RecordStatus.FAILED
+    assert race.outcome.record.chain_tx_id is None
+    rejects = [e for e in sim.log_.entries
+               if e.event == "ack_sent" and dict(e.details)["decision"] == "reject"]
+    assert [(e.actor, dict(e.details)["reason"]) for e in rejects] == [("v2", "CertInvalid")]

@@ -112,7 +112,7 @@ class TestAccounts:
             customer_wallet=wallet if model is CustodyModel.MEDIATED else None,
         )
         keys = node.known_keys()
-        assert keys == {node.public_key} | {
+        assert keys == {node.certificate.subject_public_key} | {
             a.customer_public_key for a in node.book.accounts.values()
             if a.customer_public_key is not None
         }
@@ -170,8 +170,8 @@ class TestResolution:
         sim = open_and_enroll()
         sim.advance_to(2)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
-        bob_key = v2.book.accounts["acct-bob"].customer_public_key
-        resolved = v1.resolve_beneficiary(TransferTarget.from_public_key(bob_key), 2)
+        bob_hash = v2.book.accounts["acct-bob"].customer_public_key_hash
+        resolved = v1.resolve_beneficiary(TransferTarget.from_key_hash(bob_hash), 2)
         assert resolved is not None
         assert resolved.resolution_path == ("v1", "ca-1")
         assert resolved.home_vasp_id == "v2"
@@ -220,7 +220,7 @@ class TestTransferPipeline:
         assert roles == ["beneficiary", "originator"]
         assert not result.breaches
 
-    def test_mediated_tx_signed_by_customer_key(self):
+    def test_mediated_tx_signed_by_customer_wallet(self):
         sim = open_and_enroll([
             {"tick": 15, "action": "transfer", "origin": "alice",
              "target": {"customer": "bob"}, "amount": 10, "asset": "coin"},
@@ -403,8 +403,8 @@ class TestCommingledBatch:
         assert len(txs) == 1
         tx = txs[0][0]
         assert tx.amount == 60
-        assert tx.from_public_key == v1.public_key
-        assert tx.to_public_key == sim.vasps["v2"].public_key
+        assert tx.from_public_key == v1.certificate.subject_public_key
+        assert tx.to_public_key == sim.vasps["v2"].certificate.subject_public_key
 
     def test_batch_entries_sum_invariant_enforced(self):
         sim = self.batch_sim()
@@ -600,7 +600,7 @@ class TestPostNoticeEdges:
         record = sim.vasps["v1"].records[outcome.record_id]
         assert outcome.status is OutcomeStatus.DENIED
         assert outcome.denial == DenialReason(code, detail)
-        assert outcome.chain_tx_id is None
+        assert outcome.record is record
         assert record.status is RecordStatus.FAILED
         assert record.failure_reason == (f"{code.value}:{detail}" if detail else code.value)
         assert record.chain_tx_id is None
@@ -631,7 +631,7 @@ class TestPostNoticeEdges:
         assert outcome.status is OutcomeStatus.BROADCAST and outcome.denial is None
         assert record.status is RecordStatus.CONFIRMED
         assert record.chain_tx_id is not None
-        assert outcome.chain_tx_id == record.chain_tx_id
+        assert outcome.record is record
 
     def test_accepting_ack_with_invalid_assertion_rejected(self):
         sim = open_and_enroll(self.TRANSFER)
@@ -884,8 +884,8 @@ class TestDisclosureErrors:
         monkeypatch.setattr(vaspnet.accounts, "issue_assertion", broken)
         with pytest.raises(RuntimeError, match="bug inside a disclosure"):
             if caller == "initiate_transfer":
-                bob_key = v2.book.accounts["acct-bob"].customer_public_key
-                v1.initiate_transfer("acct-alice", TransferTarget.from_public_key(bob_key),
+                bob_hash = v2.book.accounts["acct-bob"].customer_public_key_hash
+                v1.initiate_transfer("acct-alice", TransferTarget.from_key_hash(bob_hash),
                                      100, "coin")
             else:
                 alice_key = v1.book.accounts["acct-alice"].customer_public_key
@@ -1023,7 +1023,7 @@ class TestConfirmationFanOut:
         sim.run()
         return sim, "chain_confirmed"
 
-    def case_p2p_to_customer_key(self):
+    def case_p2p_to_customer_wallet(self):
         sim = open_and_enroll([{"tick": 12, "action": "p2p_transfer",
                                 "from_wallet": "w", "to_customer": "bob", "amount": 3}])
         sim.run()
@@ -1032,7 +1032,8 @@ class TestConfirmationFanOut:
     def case_tx_paying_vasp_key(self):
         sim = open_and_enroll()
         sim.advance_to(3)
-        sim.submit_tx("outsider", self.foreign_tx("pay-v2", sim.vasps["v2"].public_key))
+        v2_key = sim.vasps["v2"].certificate.subject_public_key
+        sim.submit_tx("outsider", self.foreign_tx("pay-v2", v2_key))
         sim.run()
         return sim, "confirmation_unmatched"
 
@@ -1057,21 +1058,21 @@ class TestConfirmationFanOut:
         return sim, "record_failed"
 
     @pytest.mark.parametrize("case", [
-        "demo", "p2p_to_customer_key", "tx_paying_vasp_key", "forged_binding",
+        "demo", "p2p_to_customer_wallet", "tx_paying_vasp_key", "forged_binding",
         "record_filed_under_foreign_tx",
     ])
     def test_log_equals_delivery_to_every_vasp(self, case, monkeypatch):
         build = getattr(self, f"case_{case}")
         calls = count_calls(monkeypatch, vaspnet.vasp.VaspNode, "on_chain_confirmation")
         sim, event = build()
-        targeted = [record.line() for record in sim.log_.entries]
-        assert any(f" {event} " in f"{line} " for line in targeted)
+        targeted = sim.log_.entries
+        assert any(record.event == event for record in targeted)
         delivered = len(calls)
         calls.clear()
         monkeypatch.setattr(Simulation, "_confirmation_watchers",
                             lambda self, tx: set(self.vasps))
         reference, _ = build()
-        assert targeted == [record.line() for record in reference.log_.entries]
+        assert targeted == reference.log_.entries
         assert reference.breaches == sim.breaches
         # Each case but the forged binding confirms a tx some VASP does not watch.
         assert delivered < len(calls) or case == "forged_binding"

@@ -218,7 +218,7 @@ def test_outcome_and_record_agree(workloads, name):
             assert record.status is RecordStatus.FAILED
             assert record.failure_reason.startswith(outcome.denial.code.value)
         elif outcome.status is OutcomeStatus.BROADCAST:
-            assert record.chain_tx_id == outcome.chain_tx_id
+            assert record is outcome.record
             assert record.status in (RecordStatus.PENDING_CHAIN, RecordStatus.CONFIRMED)
         else:
             assert record.status is RecordStatus.PENDING_ACK
@@ -257,11 +257,11 @@ def test_gossip_sends_no_empty_first_message(workloads, name, monkeypatch):
 
 
 # Directory snapshots and advertisements signed over each whole run (the
-# workloads at seed 7). ``demo`` and ``mixed_ca`` have no peering link and
-# pull no snapshot: a held view matches its owner's heartbeat, revocations
+# workloads at seed 7). ``batch_race``, ``demo`` and ``mixed_ca`` have no
+# peering link and pull no snapshot: a held view matches its owner's heartbeat, revocations
 # included.
 SIGNED_SNAPSHOTS_AND_ADVERTISEMENTS = {
-    "churn-lossy": 84, "demo": 0, "denials": 1, "four_networks": 10,
+    "batch_race": 0, "churn-lossy": 84, "demo": 0, "denials": 1, "four_networks": 10,
     "mesh": 43, "mixed_ca": 0, "pipeline": 3,
 }
 
