@@ -10,9 +10,9 @@ from typing import Optional, Sequence
 
 from . import crypto
 from .ca import Certificate, Crl, RevocationView
-from .network import (ApplyResult, DirectoryAnnounce, DirectoryDelta, DirectoryEntry,
-                      DirectorySnapshot, DirectoryView, TrustNetwork, apply_delta,
-                      heartbeat_partner)
+from .network import (AntiEntropy, ApplyResult, DirectoryAnnounce, DirectoryDelta,
+                      DirectoryEntry, DirectorySnapshot, DirectoryView, TrustNetwork,
+                      apply_delta, heartbeat_partner)
 
 
 class DirectoryFeed:
@@ -35,14 +35,7 @@ class DirectoryFeed:
         self._live_from = self._live_until = 0.0
         # Version 0, the empty directory, is never signed or sent.
         self._last_snapshot = DirectorySnapshot(node.vasp_id, 0, frozenset())
-        # Network id -> the signed heartbeat last built for it; rebuilt when
-        # its content would change.
-        self._announces: dict[str, DirectoryAnnounce] = {}
-        # (network id, member id) -> the heartbeat last sent to that member.
-        self._announced: dict[tuple[str, str], DirectoryAnnounce] = {}
-        # Member id -> member id -> the view version that member's verified
-        # heartbeats last listed, its own directory's included.
-        self._listed: defaultdict[str, dict[str, int]] = defaultdict(dict)
+        self.gossip = AntiEntropy(node, "dir_announce")  # heartbeats per network
 
     def certify(self, previous: Optional[Certificate], cert: Certificate, key_hash: bytes) -> None:
         """File ``cert``, an account's new certificate of the key hashing to
@@ -76,9 +69,7 @@ class DirectoryFeed:
 
     def sync(self, now: int) -> None:
         """One sync period: publish a new version if the live entries differ
-        from the last published set, else heartbeat the current version
-        (``announce``). Every member starts from version 0 and its empty set,
-        so a member that certifies no key never publishes."""
+        from the last published set (at first version 0, empty), else ``announce``."""
         entries = self._node.directory_entries(now)
         if entries != self._last_snapshot.entries:
             self._node.publish_directory(now, entries)
@@ -87,9 +78,9 @@ class DirectoryFeed:
 
     def publish(self, now: int,
                 entries: Optional[frozenset[DirectoryEntry]] = None) -> DirectorySnapshot:
-        """Publish the next snapshot version of ``entries`` (by default the
-        node's ``directory_entries(now)``) and broadcast the delta to members.
-        The snapshot stays unsigned until ``on_pull`` first sends it."""
+        """Publish the next version of ``entries`` (by default the node's
+        ``directory_entries(now)``), unsigned until ``_push`` first sends it,
+        and send co-members the delta."""
         if entries is None:
             entries = self._node.directory_entries(now)
         last = self._last_snapshot
@@ -105,103 +96,90 @@ class DirectoryFeed:
             ))
             for member_id in members:
                 self._env.send(self._vasp_id, member_id, "dir_delta", delta)
+            for network in self._node.networks_sorted():
+                for member_id in network.members:
+                    self.gossip.peers[network.network_id, member_id].changed_at = now
         self._env.log(self._vasp_id, "directory_published",
                       version=version, entries=len(entries))
         return snapshot
 
     def on_delta(self, delta: DirectoryDelta, src: str) -> None:
+        """Apply a delta; on a gap, send its owner this member's heartbeat,
+        so the owner pushes its snapshot."""
         if not self._signed_by_owner(delta):
             return
-        view = self.views[delta.owner_vasp_id]
-        result = apply_delta(view, delta)
-        if result is ApplyResult.RESYNC_REQUIRED:
-            self._env.log(self._vasp_id, "directory_resync", owner=delta.owner_vasp_id,
+        owner = delta.owner_vasp_id
+        view = self.views[owner]
+        if apply_delta(view, delta) is ApplyResult.RESYNC_REQUIRED:
+            self._env.log(self._vasp_id, "directory_resync", owner=owner,
                           held=view.version, offered=delta.to_version)
-            self._env.send(self._vasp_id, delta.owner_vasp_id, "dir_pull", None)
+            network = next(n for n in self._node.networks_sorted() if owner in n.members)
+            self._reply(network, owner)
         else:
-            self._env.log(self._vasp_id, "directory_applied", owner=delta.owner_vasp_id,
+            self._env.log(self._vasp_id, "directory_applied", owner=owner,
                           version=view.version)
 
-    def on_pull(self, src: str) -> None:
-        """Answer with the published snapshot, signed on its first pull."""
-        snapshot = self._last_snapshot
-        if not snapshot.version:
-            return
-        if not snapshot.signature:
-            snapshot = self._last_snapshot = self._node.seal(snapshot)
-        self._env.send(self._vasp_id, src, "dir_snapshot", snapshot)
-
     def announce(self, now: int) -> None:
-        """Heartbeat the current directory in each network to the network's
-        ``heartbeat_partner`` for this sync period, unless the partner could
-        not pull anything from it: its last verified heartbeat lists every
-        version this one lists, at least, and this heartbeat already went
-        to it. A receiver pulls only what it holds at a lower version and
-        views install only forwards, so a skipped heartbeat would have made
-        no one pull. Until its first publish a member heartbeats version 0
-        and the digest of the empty set; a network with no one to send to
-        gets none. A member whose view was wiped lists a lower version than
-        before, so its heartbeat changes and goes out the next period, and
-        the partner answers it at once (``on_announce``)."""
+        """Heartbeat each network's ``heartbeat_partner`` for this sync period;
+        the other co-members, only a heartbeat unanswered for a rotation."""
         for network in self._node.networks_sorted():
-            partner = heartbeat_partner(
-                network, self._vasp_id, now // network.rules.directory_sync_period)
-            if partner is None:
-                continue
-            heartbeat = self._heartbeat(network)
-            listed = self._listed[partner]
-            if self._announced.get((network.network_id, partner)) is heartbeat and all(
-                listed.get(member_id, -1) >= version for member_id, version in heartbeat.listing()
-            ):
-                continue
-            self._send_heartbeat(network.network_id, partner, heartbeat)
+            period = network.rules.directory_sync_period
+            partner = heartbeat_partner(network, self._vasp_id, now // period)
+            self._heartbeat(network)
+            rotation = (len(network.members) - 1) * period
+            for member_id in network.member_ids():
+                if member_id != self._vasp_id:
+                    self.gossip.beat((network.network_id, member_id), now, period,
+                                     0 if member_id == partner else rotation)
 
-    def _heartbeat(self, network: TrustNetwork) -> DirectoryAnnounce:
-        """This member's heartbeat for ``network``: built and signed when its
-        content (version or the versions of the views held) changed, else
-        the one held. It carries the digest of the published snapshot, which
-        this member's own view holds and caches."""
-        version = self._last_snapshot.version
+    def _heartbeat(self, network: TrustNetwork) -> None:
+        """Draft this member's heartbeat for ``network``."""
         views = tuple((member_id, self.views[member_id].version)
                       for member_id in network.member_ids() if member_id != self._vasp_id)
-        held = self._announces.get(network.network_id)
-        if held is None or (held.version, held.views) != (version, views):
-            held = self._announces[network.network_id] = self._node.seal(DirectoryAnnounce(
-                self._vasp_id, version, self.views[self._vasp_id].entries_digest(), views))
-        return held
+        self.gossip.draft(network.network_id, DirectoryAnnounce(
+            self._vasp_id, network.network_id, self._last_snapshot.version, views))
 
-    def _send_heartbeat(self, network_id: str, member_id: str,
-                        heartbeat: DirectoryAnnounce) -> None:
-        self._announced[network_id, member_id] = heartbeat
-        self._env.send(self._vasp_id, member_id, "dir_announce", heartbeat)
+    def _reply(self, network: TrustNetwork, member_id: str) -> None:
+        """Reply to ``member_id`` with the last drafted heartbeat: no new sign."""
+        if network.network_id not in self.gossip.heartbeats:
+            self._heartbeat(network)
+        self.gossip.send((network.network_id, member_id), self._env.now,
+                         network.rules.directory_sync_period)
 
     def on_announce(self, announce: DirectoryAnnounce, src: str) -> None:
-        """Compare a verified heartbeat with what this node holds and pull
-        what differs: the snapshot of its sender, or of the owner of any view
-        it lists at a higher version than the one held here (never from the
-        sender on the owner's behalf). The versions it lists replace those
-        its sender listed before. A lower one means the sender lost state, so
-        this node answers at once with its own heartbeat in each network both
-        are members of."""
+        """File a verified heartbeat as what its sender holds. Push the snapshot
+        if it lists this directory behind, not just by this period's delta;
+        reply to the owner (never a relayer) of each view it lists above the
+        one held here, else to the sender if it repeats the last or lists less."""
         if not self._signed_by_owner(announce):
             return
+        network = self._node.memberships.get(announce.network_id)
         owner = announce.owner_vasp_id
-        listed = self._listed[owner]
-        regressed = any(listed.get(member_id, version) > version
-                        for member_id, version in announce.listing())
-        listed.update(announce.listing())
-        view = self.views[owner]
-        if view.version < announce.version or (
-            view.version == announce.version and view.entries_digest() != announce.entries_digest
-        ):
-            self._env.send(self._vasp_id, owner, "dir_pull", None)
-        for member_id, version in announce.views:
-            if member_id != self._vasp_id and self.views[member_id].version < version:
-                self._env.send(self._vasp_id, member_id, "dir_pull", None)
-        if regressed:
-            for network in self._node.networks_sorted():
-                if owner in network.members:
-                    self._send_heartbeat(network.network_id, owner, self._heartbeat(network))
+        if network is None or owner not in network.members:
+            return
+        key = (network.network_id, owner)
+        peer = self.gossip.peers[key]
+        previous, peer.listed = peer.listed, announce
+        version = self._last_snapshot.version
+        held = dict(announce.views).get(self._vasp_id, 0)
+        if held < version and (held < version - 1 or self.gossip.settled(
+                key, self._env.now, network.rules.directory_sync_period)):
+            self._push(network, owner)
+        lacking = [member_id for member_id, listed in announce.listing()
+                   if member_id != self._vasp_id and self.views[member_id].version < listed]
+        if not lacking and previous is not None and (
+                previous == announce or previous.ahead_of(announce)):
+            lacking = [owner]
+        for member_id in lacking:
+            self._reply(network, member_id)
+
+    def _push(self, network: TrustNetwork, member_id: str) -> None:
+        """Send the published snapshot, signed when first sent."""
+        snapshot = self._last_snapshot
+        if not snapshot.signature:
+            snapshot = self._last_snapshot = self._node.seal(snapshot)
+        self.gossip.peers[network.network_id, member_id].changed_at = self._env.now
+        self._env.send(self._vasp_id, member_id, "dir_snapshot", snapshot)
 
     def on_snapshot(self, snapshot: DirectorySnapshot, src: str) -> None:
         if not self._signed_by_owner(snapshot):

@@ -12,10 +12,10 @@ forced down for a scripted period.
 
 The periodic duties run in this order; ``network`` sets out the gossip.
 Every directory sync period, each member publishes a delta if its live
-entries changed, else heartbeats one partner per network
+entries changed, else may heartbeat one partner per network
 (``directory.DirectoryFeed.sync``). Then each gateway sends over each
-peering link its network's advertisement if that changed, else in turn a
-digest of the link's routes (``reachability.ReachabilityFeed``).
+peering link its network's advertisement if that changed, else may send
+the link's digest (``reachability.ReachabilityFeed``).
 Every CRL period, each member then fetches from the issuing CAs the current
 CRL of every CA that certifies a member of its networks, its own included,
 in CA id order (RFC 5280 section 4.2.1.13, CRL distribution points). This

@@ -3,30 +3,36 @@ directory gossip with deltas, and cross-network path-vector reachability
 advertisements through peering gateways.
 
 Inside a network, each member publishes its own directory of live customer
-certificates and every member keeps a per-publisher view. Both gossip feeds
-follow one rule: each sync period, a relation carries at most one message,
-its change if there is one, else one signed digest, and a digest that
-differs from what the receiver holds makes it pull (push-pull anti-entropy,
-Demers et al., PODC 1987).
+certificates and every member keeps a per-publisher view, from version 0,
+the empty directory. Across networks, gateways advertise the union of their
+network's key hashes with an explicit network path; loop prevention and
+route preference follow path-vector discipline. Advertisements carry key
+hashes only; names, serials, and attributes require a routed query answered
+under disclosure policy. A gateway keeps, per peering link, the
+advertisements it sent there (its Adj-RIB-Out, empty at first) and the last
+one it received per origin (its Adj-RIB-In).
 
-Inside a network the feed is the directory. Every member starts from
-version 0, the empty directory. A member sends its co-members a delta
-(``DirectoryDelta``) in the sync period its directory changed; otherwise it
-may send one heartbeat (``DirectoryAnnounce``) per network to a partner
-that rotates (``heartbeat_partner``), so each member receives at most one
-per network per period. A heartbeat carries the sender's directory version
-and digest and the version of each view the sender holds of that network's
-members. A member holding a lower version of a view pulls the snapshot from
-that view's owner. A member skips the period's partner when that partner's
-last verified heartbeat lists every version its own lists, at least, and
-already went to it: such a heartbeat could make no one pull (as in
-Scuttlebutt, van Renesse et al., LADIS 2008). So a quiet network falls
-silent once every member's heartbeat has reached every co-member. While
-the other members are quiet, a lost delta is pulled one sync period later,
-plus the latency of heartbeat, pull and snapshot. A heartbeat listing a
-lower version than its sender listed before is answered at once, so a
-wiped view is pulled one sync period later, plus the latency of heartbeat,
-reply, pull and snapshot.
+Both feeds follow one anti-entropy rule (``AntiEntropy``) per peer, a
+co-member or the far gateway of a link (push-pull, Demers et al., PODC
+1987; Scuttlebutt, van Renesse et al., LADIS 2008). A change goes out at
+once: a delta in the sync period a directory changed, an advertisement
+when what a link holds for its origin changes (RFC 4271's UPDATE). Else,
+once per sync period, a node sends a peer its signed heartbeat, listing
+what it holds (a ``DirectoryAnnounce`` to the ``heartbeat_partner``, a
+``RouteDigest`` over a link), unless a change went to the peer in the
+period, while that is news to the peer (the start state is none, nor is
+catching up with the peer's own directory) or the peer's last verified
+heartbeat lists it behind. A node that learns it lacks a peer's state, from
+a heartbeat or a delta gap, sends the peer its heartbeat; one whose state a
+peer lists behind, not just by the period's change still in flight, pushes
+it whole: a ``DirectorySnapshot``, or the link's Adj-RIB-Out, which
+replaces the far Adj-RIB-In (RFC 7313), so a withdrawal needs no message.
+A node lacking nothing answers a heartbeat that repeats the last or lists
+less. A reply goes to a peer at most once per period, so no reply brings a
+reply; a heartbeat unanswered for a rotation goes again each period. So a
+quiet world falls silent, a lost change comes back one sync period later
+plus three latencies, and a wiped view one period plus four.
+
 Revocations do not ride on gossip: every member fetches the CRLs it relies
 on from their issuing CAs (RFC 5280 section 4.2.1.13), as the harness's
 CRL duty describes. A view holds exactly what its owner published, and only
@@ -34,34 +40,13 @@ CRL duty describes. A view holds exactly what its owner published, and only
 entry stays in the views until its owner publishes the removal, at its
 first sync after merging the CRL; meanwhile a relying party that resolves
 the key refuses its certificate where every certificate is checked
-(``vasp.VaspNode.validate``). ``directory.DirectoryFeed`` runs this feed
-at each member.
-
-Across networks, gateways advertise the union of their network's key hashes
-with an explicit network path; loop prevention and route preference follow
-path-vector discipline. Advertisements carry key hashes only; names,
-serials, and attributes require a routed query answered under disclosure
-policy. A changed advertisement goes out at once (RFC 4271's UPDATE). A
-gateway keeps, per peering link, the advertisements it sent there (its
-Adj-RIB-Out, empty at first) and the last one it received per origin (its
-Adj-RIB-In). A link over which nothing went in a period carries one
-``RouteDigest`` of both, sent by its two gateways in turn; a mismatch
-brings a route refresh (RFC 2918, RFC 7313). So a forwarded route lost in
-flight comes back, although the forwarding network drops every later copy
-of the route it installed as a duplicate and nothing else would resend it.
-``reachability.ReachabilityFeed`` runs this feed at each gateway. The
-functions here take what they read, and reach another VASP only through
-the one callable they are given for it.
-
-Digests are computed once per thing they describe and kept with it. A
-member signs a heartbeat when its content changes and re-sends it, with
-the digest its own view caches. It signs
-a snapshot when it is first pulled, and an advertisement when it first
-goes over a link whose held route differs, so nothing is signed that is
-not sent. A ``DirectoryView``'s entry set and a ``Routes`` map are
-replaced on every write, never changed in place, so the digest (and a
-view's key-hash set) cached with one cannot go stale, and a gateway reuses
-its advertisement while no member view's set has been replaced.
+(``vasp.VaspNode.validate``). ``directory.DirectoryFeed`` and
+``reachability.ReachabilityFeed`` run the two feeds. The functions here take
+what they read, and reach another VASP only through the one callable they
+are given for it. Heartbeats, snapshots and advertisements are signed when
+first sent, so nothing is signed unsent. Entry sets and ``Routes`` maps are
+replaced on every write, so the key-hash set or digest cached with one
+cannot go stale.
 """
 
 from __future__ import annotations
@@ -69,6 +54,7 @@ from __future__ import annotations
 import enum
 import functools
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
@@ -134,11 +120,6 @@ def _entries_bytes(entries: Iterable[DirectoryEntry]) -> bytes:
     return encode_bytes_list(e.to_bytes() for e in sorted(entries, key=_ENTRY_ORDER))
 
 
-def directory_digest(entries: Iterable[DirectoryEntry]) -> bytes:
-    """Digest of an entry set, as carried by a ``DirectoryAnnounce``."""
-    return digest(_entries_bytes(entries))
-
-
 @dataclass(frozen=True)
 class DirectorySnapshot(crypto.Signed):
     SIGNATURE_TAG = 4
@@ -185,31 +166,22 @@ class DirectoryDelta(crypto.Signed):
 
 @dataclass(frozen=True)
 class DirectoryAnnounce(crypto.Signed):
-    """Anti-entropy heartbeat of the directory feed, sent inside one network
-    to the sync period's rotating partner: the publisher's current directory
-    version and entry digest and ``views``, the version of each view the
-    publisher holds of that network's other members. A receiver pulls the
-    snapshot from the publisher when it holds another directory of it, and
-    from the owner of each listed view it holds at a lower version.
-    Snapshots are owner-signed and install only forwards, so a relayed
-    version adds no trust. Once verified, the listed versions (the
-    publisher's own included) tell the receiver what the publisher holds,
-    so it can skip heartbeats that would make the publisher pull nothing;
-    one lower than listed before brings an immediate heartbeat back. The
-    signed payload names no recipient, so a re-sent heartbeat is encoded
-    once."""
+    """Heartbeat of the directory feed in ``network_id``: the publisher's
+    directory version and ``views``, the version of each view it holds of
+    the network's other members. It names no recipient, so a re-sent
+    heartbeat is encoded once; views install only owner-signed versions."""
 
     owner_vasp_id: str
+    network_id: str
     version: int
-    entries_digest: bytes
     views: tuple[tuple[str, int], ...] = ()
     signature: bytes = b""
 
     def tlv_fields(self) -> list[tuple[int, bytes]]:
         return [
             (1, enc_str(self.owner_vasp_id)),
-            (2, enc_u64(self.version)),
-            (3, self.entries_digest),
+            (2, enc_str(self.network_id)),
+            (3, enc_u64(self.version)),
             (4, encode_bytes_list(
                 canonical_encode([(1, enc_str(member_id)), (2, enc_u64(version))])
                 for member_id, version in self.views
@@ -217,9 +189,23 @@ class DirectoryAnnounce(crypto.Signed):
         ]
 
     def listing(self) -> tuple[tuple[str, int], ...]:
-        """Every (member id, version) this heartbeat lists, the publisher's
-        own directory first."""
+        """Every (member id, version) listed, the publisher's own first."""
         return ((self.owner_vasp_id, self.version), *self.views)
+
+    def ahead_of(self, other: Optional["DirectoryAnnounce"]) -> bool:
+        """Whether this lists a higher version than ``other`` (None: all at 0)
+        for a member but ``other``'s publisher."""
+        held, publisher = (dict(other.views), other.owner_vasp_id) if other else ({}, None)
+        return any(held.get(member_id, 0) < version
+                   for member_id, version in self.listing() if member_id != publisher)
+
+    def news_for(self, sent: Optional["DirectoryAnnounce"], peer_id: str) -> bool:
+        """Whether this moves a version against ``sent`` (None: all at 0),
+        bar a rise of ``peer_id``'s own, which its publisher knows."""
+        old = dict(sent.listing()) if sent is not None else {}
+        return any(version < old.get(member_id, 0) if member_id == peer_id
+                   else version != old.get(member_id, 0)
+                   for member_id, version in self.listing())
 
 
 class ApplyResult(enum.Enum):
@@ -229,18 +215,12 @@ class ApplyResult(enum.Enum):
 
 @dataclass
 class DirectoryView:
-    """One member's view of one publisher's directory.
-
-    Writers replace ``entries`` with a new frozenset. The cached digest and
-    key-hash set are each kept with the set they were computed from and
-    recomputed when ``entries`` is another object.
-    """
+    """One member's view of one publisher's directory. Writers replace
+    ``entries`` with a new frozenset; the key-hash set cached with one is
+    recomputed when ``entries`` is another object."""
 
     version: int = 0
     entries: frozenset[DirectoryEntry] = frozenset()
-    _digested: Optional[frozenset[DirectoryEntry]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _digest: bytes = field(default=b"", init=False, repr=False, compare=False)
     _hashed: Optional[frozenset[DirectoryEntry]] = field(
         default=None, init=False, repr=False, compare=False)
     _key_hashes: frozenset[bytes] = field(
@@ -252,12 +232,6 @@ class DirectoryView:
         self.version = snapshot.version
         self.entries = frozenset(snapshot.entries)
         return True
-
-    def entries_digest(self) -> bytes:
-        if self._digested is not self.entries:
-            self._digest = directory_digest(self.entries)
-            self._digested = self.entries
-        return self._digest
 
     def key_hashes(self) -> frozenset[bytes]:
         """The public-key hashes of ``entries``."""
@@ -327,15 +301,11 @@ class ReachabilityAdvertisement(crypto.Signed):
 
 
 def heartbeat_partner(network: "TrustNetwork", vasp_id: str, period: int) -> Optional[str]:
-    """The member ``vasp_id`` may send its heartbeat in ``network`` to in sync
-    period ``period``. With the members sorted as m0..m(n-1), mi sends to
-    m((i + 1 + period mod (n - 1)) mod n): the offset is never 0 and is the
-    same for every sender, so each member receives at most one heartbeat of
-    the network per period, and over n - 1 periods every member is the
-    partner of every other (push-pull anti-entropy with one partner per
-    round, Demers et al., PODC 1987). The sender skips a partner that could
-    pull nothing from it and already holds its heartbeat
-    (``DirectoryFeed.announce``)."""
+    """The member ``vasp_id`` heartbeats in ``network`` in sync period
+    ``period``. With the members sorted as m0..m(n-1), mi sends to
+    m((i + 1 + period mod (n - 1)) mod n): each member is one sender's
+    partner per period, and over n - 1 periods every other's (one partner
+    per round, Demers et al., PODC 1987)."""
     members = network.member_ids()
     if len(members) < 2:
         return None
@@ -377,13 +347,8 @@ class Routes(Mapping[str, ReachabilityAdvertisement]):
 
 @dataclass(frozen=True)
 class RouteDigest(crypto.Signed):
-    """Reachability keepalive of one peering link, sent by its two gateways
-    in turn: the digest of what the sender holds for the link (``held``, its
-    ``AdjRibOut``) and of what it received over it (``received``, its
-    Adj-RIB-In). The receiver compares ``held`` with what it received and
-    asks for a route refresh on a mismatch (RFC 2918, RFC 7313); it compares
-    ``received`` with what it holds and sends those routes on a mismatch. So
-    one message per period checks both directions of the link (push-pull)."""
+    """Heartbeat of one peering link: the digests of what the sending gateway
+    holds for it (``held``, its Adj-RIB-Out) and received (its Adj-RIB-In)."""
 
     gateway_id: str
     held: bytes
@@ -392,6 +357,72 @@ class RouteDigest(crypto.Signed):
 
     def tlv_fields(self) -> list[tuple[int, bytes]]:
         return [(1, enc_str(self.gateway_id)), (2, self.held), (3, self.received)]
+
+    def ahead_of(self, other: Optional["RouteDigest"]) -> bool:
+        """Whether ``other`` (None: nothing yet) did not receive what this holds."""
+        return (other.received if other else Routes().digest) != self.held
+
+    def news_for(self, sent: Optional["RouteDigest"], peer_id: str) -> bool:
+        """Whether this differs from ``sent`` (None: an empty link's)."""
+        return (self.held, self.received) != (
+            (sent.held, sent.received) if sent else (Routes().digest,) * 2)
+
+
+@dataclass
+class Peer:
+    """What a node holds of one anti-entropy peer."""
+
+    sent: Any = None  # the heartbeat last sent to the peer
+    since: float = float("inf")  # when ``sent`` first went (inf: nothing sent)
+    beat_at: float = float("-inf")  # when a heartbeat last went
+    changed_at: float = float("-inf")  # when a change last went
+    listed: Any = None  # the peer's last verified heartbeat: what it holds
+
+
+class AntiEntropy:
+    """The rule of this module's docstring for one feed of ``node``, whose
+    heartbeats (with ``news_for`` and ``ahead_of``) go as ``kind``. A peer is
+    keyed (source, peer id), the source a network id or a peering link;
+    ``heartbeats`` holds each source's last draft, signed when first sent."""
+
+    def __init__(self, node, kind: str) -> None:
+        self._node, self._kind = node, kind
+        self.heartbeats: dict[Any, Any] = {}
+        self.peers: defaultdict[Any, Peer] = defaultdict(Peer)
+
+    def draft(self, source, heartbeat) -> None:
+        """Hold ``heartbeat`` as ``source``'s unless the held one has its content."""
+        held = self.heartbeats.get(source)
+        if held is None or replace(held, signature=b"") != heartbeat:
+            self.heartbeats[source] = heartbeat
+
+    def settled(self, key, now: int, period: int) -> bool:
+        """Whether no change a heartbeat could cross went to the peer this period."""
+        return self.peers[key].changed_at < now - now % period
+
+    def beat(self, key, now: int, period: int, patience: int = 0) -> None:
+        """Send the heartbeat while it is news to the peer or the peer lists
+        less, unless a change went to it this period; with ``patience``, only
+        again, to a peer first sent it that many ticks ago or more."""
+        peer, heartbeat = self.peers[key], self.heartbeats[key[0]]
+        if patience and now - peer.since < patience or not self.settled(key, now, period):
+            return
+        news = heartbeat is not peer.sent and heartbeat.news_for(peer.sent, key[1])
+        if not (news and patience) and (news or heartbeat.ahead_of(peer.listed)):
+            self.send(key, now)
+
+    def send(self, key, now: int, period: int = 0) -> None:
+        """Send the source's heartbeat to the peer, signed on its first send,
+        unless one went to the peer fewer than ``period`` ticks ago."""
+        source, peer_id = key
+        peer, heartbeat = self.peers[key], self.heartbeats[source]
+        if now - peer.beat_at < period:
+            return
+        if not heartbeat.signature:
+            heartbeat = self.heartbeats[source] = self._node.seal(heartbeat)
+        self._node.env.send(self._node.vasp_id, peer_id, self._kind, heartbeat)
+        peer.since = peer.since if heartbeat == peer.sent else now
+        peer.sent, peer.beat_at = heartbeat, now
 
 
 @dataclass(frozen=True)
@@ -507,12 +538,9 @@ def find_link(
 def build_advertisement(
     network: TrustNetwork, gateway_id: str, views: Mapping[str, DirectoryView]
 ) -> ReachabilityAdvertisement:
-    """Summarize the network's directory as seen from a gateway member.
-
-    The advertised set is the union of the member snapshots the gateway
-    holds (``views``); the gateway itself is the home VASP through which the
-    hashes are reachable. The advertisement is unsigned: the gateway signs
-    it if it sends it (``ReachabilityFeed.advertise``).
+    """Summarize the network's directory as seen from a gateway member: the
+    union of the member views it holds, reachable through the gateway, its
+    home VASP. It is unsigned until ``ReachabilityFeed.advertise`` sends it.
     """
     hashes: set[bytes] = set()
     for member_id in network.member_ids():
@@ -534,12 +562,11 @@ def process_advertisement(
 
     ``gateway(vasp_id)`` is the reachability feed of a gateway of
     ``network``; the receiving one checks the sender's signature and holds
-    what it received over the link. On install the advertisement, with the
-    local network appended to its path, is forwarded over the network's
-    other peering links, each by its gateway, which signs it only if it
-    differs from what it holds for that link and holds it for the link's
-    keepalives. A link it is not forwarded over (the one it came in on, or
-    one leading back into its path) stops holding a route to that origin.
+    what it received over the link. On install the advertisement, its path
+    extended, goes over the network's other peering links, each by its
+    gateway (``ReachabilityFeed.advertise``). A link it does not go over (the
+    one it came in on, or one back into its path) stops holding a route to
+    that origin, which the link's digest then shows the far gateway.
     """
     _, link = find_link((network,), sender_gateway_id, receiving_gateway_id)
     if link is None:
@@ -548,9 +575,8 @@ def process_advertisement(
         return "drop", "malformed-path"
     if adv.advertising_gateway_id != sender_gateway_id:
         return "drop", "not-a-gateway"
-    if len(set(adv.network_path)) != len(adv.network_path):
-        return "drop", "loop"
-    if network.network_id in adv.network_path:
+    if len(set(adv.network_path)) != len(adv.network_path) or (
+            network.network_id in adv.network_path):
         return "drop", "loop"
     receiver = gateway(receiving_gateway_id)
     if not receiver.authentic(sender_gateway_id, adv):

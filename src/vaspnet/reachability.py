@@ -1,7 +1,7 @@
 """The reachability feed of one gateway VASP: per peering link, the routes
-it advertises and received there, their keepalive digest, and route
-refresh. ``network.process_advertisement`` installs what arrives;
-``network``'s module docstring sets out the protocol."""
+it advertises and received there, and their digest, its heartbeat.
+``network.process_advertisement`` installs what arrives; ``network``'s
+module docstring sets out the protocol."""
 
 from __future__ import annotations
 
@@ -10,23 +10,19 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 from . import crypto
-from .network import (DirectoryView, PeeringLink, ReachabilityAdvertisement, RouteDigest,
-                      Routes, TrustNetwork, build_advertisement, find_link,
+from .network import (AntiEntropy, DirectoryView, PeeringLink, ReachabilityAdvertisement,
+                      RouteDigest, Routes, TrustNetwork, build_advertisement, find_link,
                       process_advertisement)
 
 
 @dataclass
 class LinkRoutes:
-    """One peering link as its gateway holds it: the last signed
-    advertisement sent there per origin network, its own and those it
-    forwarded (``sent``, the Adj-RIB-Out, re-sent by a route refresh), the
-    tick of the last one sent, the last one received there per origin
-    (``received``, the Adj-RIB-In), and the last keepalive signed for it."""
+    """One peering link as its gateway holds it: the last signed advertisement
+    sent there per origin network, its own and those it forwarded (``sent``,
+    the Adj-RIB-Out), and the last one received (the Adj-RIB-In)."""
 
     sent: Routes = field(default_factory=Routes)
     received: Routes = field(default_factory=Routes)
-    sent_at: int = -1
-    keepalive: Optional[RouteDigest] = None
 
 
 class ReachabilityFeed:
@@ -43,6 +39,7 @@ class ReachabilityFeed:
         self._advertisements: dict[str, tuple[tuple, ReachabilityAdvertisement]] = {}
         # Every link starts holding nothing either way.
         self.links: defaultdict[PeeringLink, LinkRoutes] = defaultdict(LinkRoutes)
+        self.gossip = AntiEntropy(node, "reach_digest")  # heartbeats per link
 
     def on_advertisement(self, adv: ReachabilityAdvertisement, src: str) -> None:
         network, _ = find_link(self._node.networks_sorted(), src, self._vasp_id)
@@ -56,96 +53,83 @@ class ReachabilityFeed:
     def _gateway(self, vasp_id: str) -> ReachabilityFeed:
         return self._env.node(vasp_id).reach
 
-    def authentic(self, sender_id: str, adv: ReachabilityAdvertisement) -> bool:
-        """Whether ``adv`` verifies under the valid certificate of its sender."""
+    def authentic(self, sender_id: str, signed: crypto.Signed) -> bool:
+        """Whether ``signed`` verifies under the valid certificate of its sender."""
         cert = self._node.peer_certificate(sender_id)
         return cert is not None and self._node.validate(cert).ok and crypto.check(
-            cert.subject_public_key, adv)
+            cert.subject_public_key, signed)
 
     def receive(self, link: PeeringLink, adv: ReachabilityAdvertisement) -> None:
         held = self.links[link]
         held.received = held.received.put(adv)
 
     def advertise_reachability(self, now: int) -> None:
-        """One sync period over each of this gateway's peering links: the
-        link is sent its network's directory summary if that changed. Else
-        its signed ``RouteDigest`` is brought up to date, and sent in every
-        other period (the two gateways of a link take turns) if no
-        advertisement went over the link since the last period. A digest is
-        thus signed in the period its content settled, not in the later one
-        that sends it."""
+        """One sync period: each of this gateway's peering links is sent its
+        network's advertisement if that changed, and its ``RouteDigest``."""
         for network in self._node.networks_sorted():
             period = network.rules.directory_sync_period
             for link in network.links_of(self._vasp_id):
                 far_gateway, _ = link.far_side(network.network_id)
-                if self._advertise_own(network, link, far_gateway):
-                    continue
-                held = self.links[link]
-                keepalive = self._keepalive(held)
-                turn = (now // period) % 2 == (link.gateway_vasp_a != self._vasp_id)
-                if turn and held.sent_at <= now - period:
-                    self._env.send(self._vasp_id, far_gateway, "reach_digest", keepalive)
+                self._advertise_own(network, link, far_gateway)
+                self._keepalive(link)
+                self.gossip.beat((link, far_gateway), now, period)
 
-    def _keepalive(self, held: LinkRoutes) -> RouteDigest:
-        """The link's signed ``RouteDigest``, signed again only when one of
-        its two digests changed."""
-        held_digest, received_digest = held.sent.digest, held.received.digest
-        last = held.keepalive
-        if last is None or (last.held, last.received) != (held_digest, received_digest):
-            held.keepalive = self._node.seal(
-                RouteDigest(self._vasp_id, held_digest, received_digest))
-        return held.keepalive
+    def _keepalive(self, link: PeeringLink) -> None:
+        held = self.links[link]
+        self.gossip.draft(link, RouteDigest(self._vasp_id, held.sent.digest, held.received.digest))
 
     def on_route_digest(self, keepalive: RouteDigest, src: str) -> None:
-        """Compare the far gateway's digests with this side of the link: ask
-        for a route refresh when what it holds differs from what was
-        received here, and send the held routes when what it received
-        differs from what is held here. A digest that matches asks for
-        nothing, so only one that differs is verified."""
-        _, link = find_link(self._node.networks_sorted(), src, self._vasp_id)
-        if link is None:
+        """File the far gateway's verified digest. Push what is held here if it
+        did not receive that, unless a change went over the link this period;
+        reply if it holds what was not received here, or repeats."""
+        network, link = find_link(self._node.networks_sorted(), src, self._vasp_id)
+        if link is None or keepalive.gateway_id != src or not self.authentic(src, keepalive):
             return
+        key = (link, src)
+        peer = self.gossip.peers[key]
+        previous, peer.listed = peer.listed, keepalive
         held = self.links[link]
-        pull = held.received.digest != keepalive.held
-        push = held.sent.digest != keepalive.received
-        if not (pull or push) or keepalive.gateway_id != src:
-            return
-        cert = self._node.peer_certificate(src)
-        if cert is None or not crypto.check(cert.subject_public_key, keepalive):
-            return
-        if pull:
-            self._env.send(self._vasp_id, src, "route_refresh", None)
-        if push:
-            self.on_route_refresh(src)
-
-    def on_route_refresh(self, src: str) -> None:
-        """Send the far gateway of the link every advertisement held for it."""
-        _, link = find_link(self._node.networks_sorted(), src, self._vasp_id)
-        if link is not None:
-            routes = tuple(self.links[link].sent.values())
+        now, period = self._env.now, network.rules.directory_sync_period
+        if keepalive.received != held.sent.digest and self.gossip.settled(key, now, period):
+            routes = tuple(held.sent.values())
+            peer.changed_at = now
             self._env.send(self._vasp_id, src, "refreshed_routes", routes)
             self._env.log(self._vasp_id, "routes_refreshed", to=src, routes=len(routes))
+        if keepalive.held != held.received.digest or keepalive == previous:
+            self._keepalive(link)
+            self.gossip.send(key, now, period)
+        self._withdraw_unheld(network, link, src)
 
     def on_refreshed_routes(self, routes: Sequence[ReachabilityAdvertisement], src: str) -> None:
-        """Replace what was received over the link with a refresh's routes,
-        each processed as an advertisement (RFC 7313: routes the refresh
-        leaves out are stale)."""
-        _, link = find_link(self._node.networks_sorted(), src, self._vasp_id)
-        if link is not None:
-            self.links[link].received = Routes()
+        """Replace what was received over the link with the far gateway's
+        Adj-RIB-Out, each route processed as an advertisement (RFC 7313)."""
+        network, link = find_link(self._node.networks_sorted(), src, self._vasp_id)
+        if link is None:
+            return
+        self.links[link].received = Routes()
         for adv in routes:
             self._node.on_reachability_advertisement(adv, src)
+        self._withdraw_unheld(network, link, src)
+
+    def _withdraw_unheld(self, network: TrustNetwork, link: PeeringLink, src: str) -> None:
+        """Once the far gateway's last verified digest lists what was received
+        over ``link``, drop each route installed from it to an origin not among
+        that: a push's routes are signed one by one, but not as a set."""
+        received = self.links[link].received
+        listed = self.gossip.peers[link, src].listed
+        confirmed = listed is not None and listed.held == received.digest
+        for origin, route in list(network.route_table.items()):
+            if confirmed and origin not in received and (
+                    route.via_local_gateway, route.next_hop_gateway) == (self._vasp_id, src):
+                del network.route_table[origin]
 
     def advertise(self, link: PeeringLink, far_gateway: str,
                   adv: ReachabilityAdvertisement) -> Optional[ReachabilityAdvertisement]:
         """Send ``adv`` over ``link`` to ``far_gateway`` and hold it there if
-        its content differs from what the link holds for its origin network;
-        returns it as sent, signed here if it came unsigned, or None. A link
-        starts holding nothing, which counts as the empty route (RFC 4271's
-        Adj-RIB-Out starts empty, and an UPDATE goes out only for a change).
-        Content is compared before signing, so nothing is signed that is not
-        sent; Ed25519 is deterministic, so the bytes are those an
-        advertisement signed earlier would have."""
+        its content differs from what the link holds for its origin network,
+        at first the empty route (RFC 4271: an UPDATE goes out only for a
+        change); returns it as sent, signed here if it came unsigned, or
+        None. Content is compared before signing (Ed25519 is deterministic)."""
         held = self.links[link]
         current = held.sent.get(adv.origin_network_id)
         if current is None:
@@ -156,7 +140,7 @@ class ReachabilityFeed:
         if not adv.signature:
             adv = self._node.seal(adv)
         held.sent = held.sent.put(adv)
-        held.sent_at = self._env.now
+        self.gossip.peers[link, far_gateway].changed_at = self._env.now
         self._env.send(self._vasp_id, far_gateway, "reach_adv", adv)
         self._env.log(self._vasp_id, "advertisement_sent", origin=adv.origin_network_id,
                       to=far_gateway, hashes=len(adv.advertised_hashes))
@@ -168,16 +152,13 @@ class ReachabilityFeed:
         if origin_network_id in held.sent:
             held.sent = Routes({o: a for o, a in held.sent.items() if o != origin_network_id})
 
-    def _advertise_own(self, network: TrustNetwork, link: PeeringLink, far_gateway: str) -> bool:
-        """``advertise`` ``network``'s own advertisement over ``link``;
-        returns whether it went. The advertisement is rebuilt only when a
-        member view's entry set changed, and signed when first sent, once
-        whatever the number of links. Views replace their frozenset on every
-        write, so an unchanged view compares by identity."""
+    def _advertise_own(self, network: TrustNetwork, link: PeeringLink, far_gateway: str) -> None:
+        """``advertise`` ``network``'s own advertisement over ``link``, rebuilt
+        only when a member view's entry set was replaced and signed when
+        first sent, once whatever the number of links."""
         sources = tuple(self._views[m].entries for m in network.member_ids())
         cached = self._advertisements.get(network.network_id)
         if cached is None or cached[0] != sources:
             cached = (sources, build_advertisement(network, self._vasp_id, self._views))
         sent = self.advertise(link, far_gateway, cached[1])
         self._advertisements[network.network_id] = (sources, sent or cached[1])
-        return sent is not None

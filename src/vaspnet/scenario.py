@@ -240,6 +240,20 @@ def _shaped(value: Any, shape: type, context: str) -> Any:
     return value
 
 
+_ID_KEYS = frozenset({"customer", "origin", "vasp", "account", "account_id", "a", "b",
+                      "from_wallet", "to_wallet", "to_customer"})
+
+
+def _ids_are_strings(value: Any, context: str) -> None:
+    """A SchemaError naming the key unless every value in ``value``, at any
+    depth, under a key that names an id (``_ID_KEYS``) is a string."""
+    for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+        if key in _ID_KEYS and not isinstance(item, str):
+            raise SchemaError(f"{context}.{key}: id must be a string, not {item!r}")
+        if isinstance(item, (dict, list)):
+            _ids_are_strings(item, f"{context}.{key}")
+
+
 def _section(data: Mapping[str, Any], key: str) -> list[Mapping[str, Any]]:
     """The list of mappings under ``key``; empty if absent."""
     items = _shaped(data.get(key, []), list, key)
@@ -285,6 +299,8 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
         )
         for raw in _section(data, "customers")
     )
+    _ids_are_strings({key: data[key] for key in ("script", "suspects", "suspect_entries")
+                      if key in data}, "scenario")
     suspects = tuple(
         SuspectSpec(
             customer=raw.get("customer"),

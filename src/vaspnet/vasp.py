@@ -197,16 +197,12 @@ class VaspNode:
             self.on_dir_delta(payload, src)
         elif kind == "dir_snapshot":
             self.on_dir_snapshot(payload, src)
-        elif kind == "dir_pull":
-            self.directory.on_pull(src)
         elif kind == "dir_announce":
             self.on_dir_announce(payload, src)
         elif kind == "reach_adv":
             self.on_reachability_advertisement(payload, src)
         elif kind == "reach_digest":
             self.reach.on_route_digest(payload, src)
-        elif kind == "route_refresh":
-            self.reach.on_route_refresh(src)
         elif kind == "refreshed_routes":
             self.reach.on_refreshed_routes(payload, src)
         else:

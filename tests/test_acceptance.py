@@ -408,11 +408,12 @@ def test_08_determinism_and_seed_variation():
 
 # Event-log digest of the flagship run. A change meant to keep behaviour the
 # same must leave it byte-identical; a change that alters the log re-pins it
-# and says why. It was last re-pinned when a member stopped heartbeating a
-# partner that already holds its heartbeat and lists every version it lists:
-# fewer heartbeats move each link's later latency draws, so some acks are
-# sent and received a tick or two earlier or later.
-FLAGSHIP_DIGEST = "2c6a8f9fb3d13fe7cae2537ae6dbe375cf25ea3957b4cfa451d1e00a095d66fa"
+# and says why. It was last re-pinned when both gossip feeds took one
+# anti-entropy rule: no heartbeat of the state every member starts from goes
+# out, and a heartbeat goes to a partner only while it is news to it or the
+# partner lists less. Fewer heartbeats move each link's later latency draws,
+# so some acks are sent and received a tick or two earlier or later.
+FLAGSHIP_DIGEST = "0aead12b9a41f1e3a3ac10eabadfbe73241fa8adb21a9c4072d24af0d79978b6"
 
 
 def test_08_flagship_digest_pinned():

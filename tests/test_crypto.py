@@ -457,7 +457,7 @@ SIGNED_DRAFTS = [
     (ChainTransaction(SIGNER.public_key, bytes(32), 10, "coin", bytes(8)), "amount", 11),
     (DirectorySnapshot("v1", 1, frozenset({_ENTRY})), "version", 2),
     (DirectoryDelta("v1", 0, 1, frozenset({_ENTRY}), frozenset()), "added", frozenset()),
-    (DirectoryAnnounce("v1", 1, bytes(32), views=(("v2", 1),)), "views", (("v2", 2),)),
+    (DirectoryAnnounce("v1", "net-a", 1, views=(("v2", 1),)), "views", (("v2", 2),)),
     (ReachabilityAdvertisement(frozenset({bytes(32)}), "v1", "net-a", ("net-a",), "v1"),
      "network_path", ("net-a", "net-b")),
     (RouteDigest("v1", bytes(32), bytes(32)), "held", b"\x01" * 32),

@@ -15,6 +15,7 @@ from vaspnet.ca import CertClass, RevocationReason, RevocationView, ValidationSt
 from vaspnet.harness import Simulation
 from vaspnet.network import (
     ApplyResult,
+    DirectoryAnnounce,
     DirectoryDelta,
     DirectoryEntry,
     DirectorySnapshot,
@@ -24,10 +25,8 @@ from vaspnet.network import (
     ReachabilityAdvertisement,
     RulesVersionMismatch,
     TrustNetwork,
-    _entries_bytes,
     apply_delta,
     build_advertisement,
-    directory_digest,
     heartbeat_partner,
     routes_digest,
 )
@@ -162,13 +161,15 @@ class TestDirectoryGossip:
         snapshot = v1.publish_directory(4)
         assert snapshot.entries == before.entries
 
-    def test_member_that_published_nothing_answers_no_pull(self, monkeypatch):
+    def test_member_that_published_nothing_pushes_no_snapshot(self, monkeypatch):
         sim = two_network_sim()
         sim.advance_to(30)
-        v3 = sim.vasps["v3"]  # no customers: still at version 0
+        v3, v4 = sim.vasps["v3"], sim.vasps["v4"]  # v3 has no customers: still at version 0
+        heartbeat = v4.seal(DirectoryAnnounce("v4", "net-b", 1, (("v3", 0),)))
         sent = capture_sends(sim, monkeypatch)
-        v3.on_message("dir_pull", None, "v4")
-        assert v3.directory._last_snapshot.version == 0 and sent == []
+        v3.on_message("dir_announce", heartbeat, "v4")
+        assert v3.directory._last_snapshot.version == 0
+        assert [kind for _, _, kind, _ in sent if kind == "dir_snapshot"] == []
 
     def test_in_order_delta_applied(self):
         view = DirectoryView()
@@ -363,7 +364,7 @@ class TestCaFetch:
         serial = sim.vasps["v2"].book.accounts["acct-bob"].certificate_serial
         assert all(v.revocation.is_revoked("ca-2", serial) for v in sim.vasps.values())
         # Bob's removal is gossiped; no message carries a CRL or asks for one.
-        assert set(kinds) <= {"dir_announce", "dir_delta", "dir_pull", "dir_snapshot"}
+        assert set(kinds) <= {"dir_announce", "dir_delta", "dir_snapshot"}
 
     def test_crl_sent_by_a_peer_is_ignored(self):
         sim = mixed_ca_sim()
@@ -379,34 +380,30 @@ class TestCaFetch:
             "v1", "message_ignored")
 
 
-class TestDirectoryDigestCache:
-    """A view's cached digest must follow every write to its entries."""
-
-    capture_sends = staticmethod(capture_sends)
+class TestDirectoryViewCache:
+    """A view's cached key-hash set follows every write to its entries, and
+    only its owner's messages write them."""
 
     @staticmethod
-    def announce_to(publisher, receiver, sent):
-        """Deliver the publisher's next heartbeat to the receiver; return the
-        messages the receiver sends in answer."""
-        publisher.announce_directory(publisher.env.now)
-        announce = next(p for s, d, k, p in sent
-                        if k == "dir_announce" and d == receiver.vasp_id)
+    def heartbeat_to(publisher, receiver, sent):
+        """Deliver the publisher's current heartbeat to the receiver; return
+        it and the messages the receiver sends in answer."""
+        (network_id,) = publisher.memberships
+        publisher.directory._heartbeat(publisher.memberships[network_id])
+        announce = publisher.directory.gossip.heartbeats[network_id]
         sent.clear()
         receiver.on_dir_announce(announce, publisher.vasp_id)
-        answer = [(s, d, k) for s, d, k, _ in sent]
+        answer = list(sent)
         sent.clear()
         return announce, answer
 
-    def test_digest_follows_install_and_delta(self):
-        view = DirectoryView()
-        entry = DirectoryEntry(b"\x01" * 16, b"\x02" * 32, "ca-1")
-        assert view.entries_digest() == directory_digest(frozenset())
-        apply_delta(view, DirectoryDelta("v9", 0, 1, frozenset({entry}), frozenset()))
-        assert view.entries_digest() == directory_digest({entry})
-        apply_delta(view, DirectoryDelta("v9", 1, 2, frozenset(), frozenset({entry})))
-        assert view.entries_digest() == directory_digest(frozenset())
-        assert view.install_snapshot(DirectorySnapshot("v9", 3, frozenset({entry})))
-        assert view.entries_digest() == directory_digest({entry})
+    @staticmethod
+    def no_pull(answer, publisher, receiver, version):
+        """Whether ``answer`` pushes and asks for nothing: at most the
+        receiver's reply to a repeated heartbeat, listing its view of the
+        publisher at ``version``."""
+        return all((s, d, k) == (receiver, publisher, "dir_announce")
+                   and dict(p.views)[publisher] == version for s, d, k, p in answer)
 
     def test_key_hashes_follow_install_and_delta(self):
         view = DirectoryView()
@@ -433,8 +430,8 @@ class TestDirectoryDigestCache:
         v2.ingest_crls([crl])
         # The relying party's merge leaves the view as v1 published it.
         assert v2.directory.find_owner(alice) == "v1"
-        sent = self.capture_sends(sim, monkeypatch)
-        _, answer = self.announce_to(v1, v2, sent)
+        sent = capture_sends(sim, monkeypatch)
+        _, answer = self.heartbeat_to(v1, v2, sent)
         assert answer == []
         v1.ingest_crls([crl])
         v1.directory.sync(sim.now)
@@ -448,45 +445,41 @@ class TestDirectoryDigestCache:
         sim.advance_to(20)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
         view = v2.directory.views["v1"]
-        sent = self.capture_sends(sim, monkeypatch)
-        announce, answer = self.announce_to(v1, v2, sent)
+        sent = capture_sends(sim, monkeypatch)
+        announce, answer = self.heartbeat_to(v1, v2, sent)
         assert view.version == announce.version and answer == []
         entries = view.entries
         serial = v1.book.accounts["acct-alice"].certificate_serial
         v1.ca.revoke(serial, RevocationReason.KEY_COMPROMISE, sim.now)
         v2.ingest_crls([v1.ca.generate_crl(sim.now)])
         assert view.entries is entries and any(e.serial == serial for e in entries)
-        assert view.entries_digest() == crypto.digest(_entries_bytes(view.entries))
-        # The publisher has not republished: same version, and its digest
-        # still matches the view, which pulls nothing.
-        announce, answer = self.announce_to(v1, v2, sent)
-        assert view.version == announce.version
-        assert announce.entries_digest == view.entries_digest()
-        assert answer == []
+        # The publisher has not republished: its heartbeat is the same, the
+        # view still holds the version it lists, and nothing is pulled.
+        again, answer = self.heartbeat_to(v1, v2, sent)
+        assert again is announce and self.no_pull(answer, "v1", "v2", announce.version)
+        assert view.version == announce.version and view.entries is entries
 
     def test_view_untouched_by_revoked_query_response(self, monkeypatch):
         sim = two_network_sim()
         sim.advance_to(20)
         v3, v4 = sim.vasps["v3"], sim.vasps["v4"]
         view = v3.directory.views["v4"]
-        sent = self.capture_sends(sim, monkeypatch)
+        sent = capture_sends(sim, monkeypatch)
         bob_hash = crypto.digest(v4.book.accounts["acct-bob"].customer_public_key)
         v4.ca.revoke(v4.book.accounts["acct-bob"].certificate_serial,
                      RevocationReason.KEY_COMPROMISE, sim.now)
         v4.ingest_crls([v4.ca.generate_crl(sim.now)])
-        announce, answer = self.announce_to(v4, v3, sent)
-        # The heartbeat carries the published snapshot's digest, which the
-        # publisher's own view, left as published by the merge, still has.
-        assert announce.entries_digest == directory_digest(v4.directory._last_snapshot.entries)
-        assert announce.entries_digest == v4.directory.views["v4"].entries_digest()
+        # The merge moves nothing the heartbeat lists.
+        announce, answer = self.heartbeat_to(v4, v3, sent)
+        assert announce.version == v4.directory._last_snapshot.version
         assert view.version == announce.version and answer == []
         entries = view.entries
         resolved = v3.resolver._resolve_via_directory(bob_hash)
         assert resolved is not None and resolved.revoked
         assert view.entries is entries and bob_hash in view.key_hashes()
-        announce, answer = self.announce_to(v4, v3, sent)
+        again, answer = self.heartbeat_to(v4, v3, sent)
+        assert again is announce and self.no_pull(answer, "v4", "v3", announce.version)
         assert view.version == announce.version
-        assert answer == []
 
 
 class TestDirectorySync:
@@ -494,22 +487,22 @@ class TestDirectorySync:
         sim = two_network_sim()
         sim.advance_to(20)
         v1 = sim.vasps["v1"]
-        sent = TestDirectoryDigestCache.capture_sends(sim, monkeypatch)
+        sent = capture_sends(sim, monkeypatch)
         signed = count_calls(monkeypatch, crypto, "sign")
-        for _round in range(2):  # each published version is signed once
-            v1.publish_directory(sim.now)
+        period = sim.networks["net-a"].rules.directory_sync_period
+        for tick in (30, 50):  # each published version is signed once, when first sent
+            v1.publish_directory(tick - period)
             signed.clear()
             sent.clear()
-            for _beat in range(3):
-                v1.announce_directory(sim.now)
+            for _beat in range(3):  # v2, which nothing reaches, still lists less
+                v1.announce_directory(tick)
             assert len(signed) == 1
             announces = [p for _, _, kind, p in sent if kind == "dir_announce"]
             assert len(announces) == 3 * len(v1.co_member_ids())
             announce = announces[0]
             assert all(a == announce for a in announces)
-            snapshot = v1.directory._last_snapshot
-            assert announce.version == snapshot.version
-            assert announce.entries_digest == directory_digest(snapshot.entries)
+            assert (announce.network_id, announce.version) == (
+                "net-a", v1.directory._last_snapshot.version)
             assert crypto.check(v1.certificate.subject_public_key, announce)
 
     def test_sync_reads_entries_once_and_hashes_no_key(self, monkeypatch):
@@ -520,7 +513,7 @@ class TestDirectorySync:
                         customer_wallet=crypto.generate_keypair(crypto.digest(b"zed")),
                         account_id="acct-zed", now=sim.now)
         v1.book.enroll_customer_certificate("acct-zed", CertClass.CLASS1, sim.now)
-        sent = TestDirectoryDigestCache.capture_sends(sim, monkeypatch)
+        sent = capture_sends(sim, monkeypatch)
         reads = count_calls(monkeypatch, v1, "directory_entries")
         hashed = count_calls(monkeypatch, vaspnet.accounts, "digest")
         version = v1.directory._last_snapshot.version
@@ -528,7 +521,7 @@ class TestDirectorySync:
         assert len(reads) == 1 and v1.directory._last_snapshot.version == version + 1
         assert {kind for _, _, kind, _ in sent} == {"dir_delta"}
         sent.clear()
-        v1.directory.sync(sim.now)
+        v1.directory.sync(sim.now + sim.networks["net-a"].rules.directory_sync_period)
         assert len(reads) == 2 and v1.directory._last_snapshot.version == version + 1
         assert {kind for _, _, kind, _ in sent} == {"dir_announce"}
         assert hashed == []
@@ -540,7 +533,7 @@ class TestDirectorySync:
         sim = mixed_ca_sim()
         sim.advance_to(20)
         v1, v4 = sim.vasps["v1"], sim.vasps["v4"]
-        genuine = v4.directory._announces["net-a"]
+        genuine = v4.directory.gossip.heartbeats["net-a"]
         assert dict(genuine.views)["v2"] == v1.directory.views["v2"].version
         sent = capture_sends(sim, monkeypatch)
         forged = replace(genuine, views=tuple(
@@ -598,10 +591,11 @@ def six_member_sim():
 
 class TestHeartbeatSchedule:
     """Each sync period a member heartbeats, in each network, the partner
-    that the rotation gives it, unless that partner already holds its
-    current heartbeat and lists every version it lists. So each member
-    receives at most one heartbeat per network per period, a change goes
-    out at the next sync period, and a quiet network falls silent."""
+    that the rotation gives it, while that heartbeat is news to the partner
+    or the partner's last heartbeat lists less. So each member receives at
+    most one such heartbeat per network per period, a change goes out at
+    the next sync period, and a quiet network falls silent. Any other
+    heartbeat answers one just received."""
 
     @staticmethod
     def announce_ticks(sim, monkeypatch, src, until):
@@ -622,44 +616,58 @@ class TestHeartbeatSchedule:
         networks = sim.networks
         period = networks["net-a"].rules.directory_sync_period
         assert {kind for tick, _, _, kind, _ in sent if tick != 10} == {"dir_announce"}
+        heartbeats = [(tick, src, dst, payload) for tick, src, dst, kind, payload in sent
+                      if kind == "dir_announce"]
         received = Counter()
-        for tick, src, dst, kind, payload in sent:
-            if kind != "dir_announce":
-                continue
-            (network_id,) = [n for n, net in networks.items()
-                             if src in net.members and dst in net.members]
-            # The heartbeat lists the views its sender holds of that network
-            # and goes to the sender's partner of the period.
+        for tick, src, dst, payload in heartbeats:
+            network = networks[payload.network_id]
+            # The heartbeat lists the views its sender holds of that network.
             assert [m for m, _ in payload.views] == [
-                m for m in networks[network_id].member_ids() if m != src]
-            assert dst == heartbeat_partner(networks[network_id], src, tick // period)
-            received[tick, dst, network_id] += 1
+                m for m in network.member_ids() if m != src]
+            if tick % period == 0:
+                # A sync period's heartbeat goes to the sender's partner.
+                assert dst == heartbeat_partner(network, src, tick // period)
+                received[tick, dst, network.network_id] += 1
+            else:
+                # Any other answers one its receiver sent it.
+                assert any(t < tick and (s, d) == (dst, src) for t, s, d, _ in heartbeats)
         assert set(received.values()) == {1}
-        # v1's delta of tick 10 is the last change. Each member's current
-        # heartbeat has then reached every co-member, and nothing is sent
-        # after tick 40.
-        for network_id, network in networks.items():
-            for src in network.members:
-                current = sim.vasps[src].directory._announces[network_id]
-                assert {d for _, s, d, _, p in sent if s == src and p is current} == (
-                    set(network.members) - {src})
-        assert max(tick for tick, *_ in sent) == 40
+        # net-b never changed, so its members, holding what every member
+        # starts from, heartbeat nothing.
+        assert {payload.network_id for *_, payload in heartbeats} == {"net-a"}
+        # v1's delta of tick 10 is the last change. Every member but v1 sends
+        # the heartbeat listing it to each co-member to whom it is news; v1,
+        # whose own change it is, asks whoever has not answered when the
+        # rotation pairs them, and is answered. Then v1 lists what each
+        # co-member holds, and nothing is sent after tick 50's answer.
+        v1 = sim.vasps["v1"]
+        for member_id in ("v2", "v3", "v4"):
+            assert v1.directory.gossip.peers["net-a", member_id].listed == (
+                sim.vasps[member_id].directory.gossip.heartbeats["net-a"])
+        assert max(tick for tick, *_ in sent) <= 50 + sim.scenario.max_latency
 
     def test_revocation_moves_heartbeats_only_through_the_owners_removal(self, monkeypatch):
         # v4 has no customers: it never publishes and heartbeats version 0.
         # It sends its heartbeat to each co-member once after v1's and v2's
         # deltas of tick 10, then falls silent. Its CRL fetch at tick 40
-        # revokes bob, which changes nothing it lists; v2's removal delta of
-        # tick 50 moves its view of v2, and v4 sends that heartbeat to each
-        # co-member once, always to the period's partner.
+        # revokes bob, which changes nothing it lists. v2's removal delta of
+        # tick 50 moves its view of v2, and v4 sends that heartbeat to the
+        # partners of the next periods to whom it is news, v1 and v3, always
+        # to the period's partner. That v4 holds v2's own removal is no news
+        # to v2, which asks v4 when the rotation next pairs them, at tick
+        # 100, and v4 answers.
         quiet = self.announce_ticks(mixed_ca_sim(), monkeypatch, "v4", 120)
-        assert sorted(quiet) == list(range(0, 41, 10))
+        assert sorted(quiet) == [20, 30, 40]
+        assert sorted(d for targets in quiet.values() for d in targets) == ["v1", "v2", "v3"]
         monkeypatch.undo()
         sim = mixed_ca_sim([TestCaFetch.REVOKE_BOB])
         revoked = self.announce_ticks(sim, monkeypatch, "v4", 120)
         assert {tick: d for tick, d in revoked.items() if tick <= 50} == quiet
-        assert sorted(revoked) == [*range(0, 41, 10), 60, 70, 80]
-        assert sorted(d for tick in (60, 70, 80) for d in revoked[tick]) == ["v1", "v2", "v3"]
+        later = sorted((tick, d) for tick, targets in revoked.items() if tick > 50
+                       for d in targets)
+        assert [(tick, d) for tick, d in later if tick % 10 == 0] == [(60, "v1"), (80, "v3")]
+        (answer,) = [(tick, d) for tick, d in later if tick % 10]
+        assert answer[1] == "v2" and 100 < answer[0] <= 100 + sim.scenario.max_latency
         network = sim.networks["net-a"]
         period = network.rules.directory_sync_period
         for tick, targets in revoked.items():
@@ -671,8 +679,10 @@ class TestHeartbeatSchedule:
         # Every member is certified by ca-1 and fetches its CRL on the CA's
         # tick, so the CRL revoking alice (tick 40) reaches all four at once.
         # v1 publishes the removal at tick 50; every member then heartbeats
-        # its partner only, once per period, until each co-member holds its
-        # heartbeat, and the network falls silent.
+        # its partner only, once per period, while the heartbeat is news to
+        # it. v1's removal is no news to v1, which asks each co-member once
+        # when the rotation next pairs them and is answered, and the network
+        # falls silent.
         vasps = [{"vasp_id": f"v{i}", "ca": "ca-1", "networks": ["net-a"]} for i in (1, 2, 3, 4)]
         customers = [{"customer_id": "alice", "vasp": "v1", "custody_model": "mediated",
                       "attributes": {"name": "Alice", "email": "a@x"}}]
@@ -689,17 +699,25 @@ class TestHeartbeatSchedule:
         assert not any(v.revocation.is_revoked("ca-1", serial) for v in sim.vasps.values())
         sim.advance_to(issued)
         assert all(v.revocation.is_revoked("ca-1", serial) for v in sim.vasps.values())
-        sim.advance_to(120)
+        sim.advance_to(160)
+        network = sim.networks["net-a"]
+        period = network.rules.directory_sync_period
         beats = Counter((tick, src) for tick, src, _, _, _ in sent if tick > issued)
-        assert sorted({tick for tick, _ in beats}) == [60, 70, 80]
         assert set(beats.values()) == {1}
+        assert all(dst == heartbeat_partner(network, src, tick // period)
+                   for tick, src, dst, _, _ in sent if tick > issued and tick % period == 0)
+        assert sorted({tick for tick, _ in beats if tick % period == 0}) == [
+            60, 70, 80, 90, 100, 110]
+        assert {src for tick, src in beats if tick > 80} == {"v1", "v2", "v3", "v4"}
         assert {(src, dst) for tick, src, dst, _, _ in sent if tick > issued} == {
             (src, dst) for src in sim.vasps for dst in sim.vasps if src != dst}
+        assert max(tick for tick, *_ in sent) <= 110 + sim.scenario.max_latency
 
-    def test_lost_delta_is_pulled_from_its_owner_within_one_sync_period(self, monkeypatch):
+    def test_lost_delta_is_pushed_by_its_owner_within_one_sync_period(self, monkeypatch):
         # v1 publishes at 30 (alice enrolled at 25); the delta to v2 is lost.
         # At tick 40 v2's partner is v4, which relays v1's version, so v2
-        # pulls v1's snapshot from v1.
+        # sends v1 its own heartbeat, which lists v1's directory at version
+        # 0, and v1 pushes its snapshot.
         vasps = [{"vasp_id": f"v{i}", "ca": "ca-1", "networks": ["net-a"]} for i in (1, 2, 3, 4)]
         customers = [{"customer_id": "alice", "vasp": "v1", "custody_model": "mediated",
                       "attributes": {"name": "Alice", "email": "a@x"}}]
@@ -708,9 +726,10 @@ class TestHeartbeatSchedule:
             {"tick": 25, "action": "enroll", "customer": "alice"},
             {"tick": 30, "action": "drop_link", "a": "v1", "b": "v2", "period": 4},
         ]))
-        sent = record_sends(sim, monkeypatch, {"dir_announce", "dir_pull", "dir_delta"})
+        sent = record_sends(sim, monkeypatch, {"dir_announce", "dir_snapshot", "dir_delta"})
         sync = sim.networks["net-a"].rules.directory_sync_period
-        # Heartbeat, pull and snapshot each take at most max_latency ticks.
+        # Heartbeat, heartbeat back and snapshot each take at most
+        # max_latency ticks.
         sim.advance_to(30 + sync + 3 * sim.scenario.max_latency)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
         assert v1.directory._last_snapshot.version == 1
@@ -719,10 +738,13 @@ class TestHeartbeatSchedule:
                 for e in lost] == [(30, "v1", "v2", "dir_delta")]
         assert [(src, dst) for tick, src, dst, kind, _ in sent
                 if tick == 40 and kind == "dir_announce" and dst == "v2"] == [("v4", "v2")]
-        pulls = [(tick, dst) for tick, src, dst, kind, _ in sent
-                 if src == "v2" and kind == "dir_pull"]
-        assert [dst for _, dst in pulls] == ["v1"]
-        assert 40 < pulls[0][0] <= 40 + sim.scenario.max_latency
+        (pull,) = [(tick, p) for tick, src, dst, kind, p in sent
+                   if (src, dst, kind) == ("v2", "v1", "dir_announce") and tick > 40]
+        assert pull[0] <= 40 + sim.scenario.max_latency
+        assert dict(pull[1].views)["v1"] == 0
+        (push,) = [(tick, p) for tick, src, dst, kind, p in sent
+                   if (src, dst, kind) == ("v1", "v2", "dir_snapshot")]
+        assert pull[0] < push[0] and push[1].version == 1
         assert v2.directory.views["v1"].version == 1
         assert v2.directory.views["v1"].entries == v1.directory._last_snapshot.entries
 
@@ -765,8 +787,8 @@ class TestHeartbeatSchedule:
         sim = six_member_sim()
         sim.advance_to(20)
         v1, v4 = sim.vasps["v1"], sim.vasps["v4"]
-        heartbeat = v1.directory._announces["net-a"]
-        genuine = v4.directory._announces["net-a"]
+        heartbeat = v1.directory.gossip.heartbeats["net-a"]
+        genuine = v4.directory.gossip.heartbeats["net-a"]
         sent = capture_sends(sim, monkeypatch)
         v1.announce_directory(sim.now)
         assert sent == [("v1", "v4", "dir_announce", heartbeat)]
@@ -790,24 +812,28 @@ class TestHeartbeatSchedule:
 
     def test_replayed_older_heartbeat_is_answered_and_silences_nothing(self, monkeypatch):
         sim = six_member_sim()
-        sim.advance_to(0)
-        old = sim.vasps["v4"].directory._announces["net-a"]  # version 0, every view at 0
         sim.advance_to(100)  # silent since tick 60
-        v1 = sim.vasps["v1"]
-        heartbeat = v1.directory._announces["net-a"]
-        sent = capture_sends(sim, monkeypatch)
-        # Lower versions than v4 listed before: v1 answers with its own
+        v1, v4 = sim.vasps["v1"], sim.vasps["v4"]
+        heartbeat = v1.directory.gossip.heartbeats["net-a"]
+        current = v4.directory.gossip.heartbeats["net-a"]
+        # A heartbeat v4 signed before any member published, replayed.
+        old = v4.seal(DirectoryAnnounce("v4", "net-a", 0, tuple(
+            (member_id, 0) for member_id in sim.networks["net-a"].member_ids()
+            if member_id != "v4")))
+        sent = record_sends(sim, monkeypatch, {"dir_announce", "dir_snapshot"})
+        # It lists v1's directory at version 0, so v1 pushes its snapshot; it
+        # lists less than v4 listed before, so v1 answers with its own
         # heartbeat, and pulls nothing.
         v1.on_message("dir_announce", old, "v4")
-        assert sent == [("v1", "v4", "dir_announce", heartbeat)]
-        sent.clear()
-        # v1 now counts v4 as behind, so it heartbeats v4 again when the
-        # rotation next pairs them, and no other member.
+        assert [(src, dst, p) for _, src, dst, _, p in sent] == [
+            ("v1", "v4", v1.directory._last_snapshot), ("v1", "v4", heartbeat)]
+        # v4 already held that heartbeat, so it answers in turn, and v1 again
+        # lists what v4 holds. Nothing else is sent.
         period = sim.networks["net-a"].rules.directory_sync_period
-        for tick in range(110, 110 + 5 * period, period):
-            v1.announce_directory(tick)
-        assert [(src, dst) for src, dst, _, _ in sent] == [("v1", "v4")]
-
+        sim.advance_to(100 + 5 * period)
+        assert [(src, dst, p) for _, src, dst, _, p in sent[2:]] == [("v4", "v1", current)]
+        assert sent[2][0] <= 100 + sim.scenario.max_latency
+        assert v1.directory.gossip.peers["net-a", "v4"].listed == current
 
 class TestIntraNetworkQuery:
     def test_query_hits_owning_peer(self):
@@ -1136,12 +1162,13 @@ class TestAdjRibOut:
         a_hash = crypto.digest(sim.vasps["a1"].book.accounts["acct-cust-a1"].customer_public_key)
         assert a_hash in sim.networks["net-c"].route_table["net-a"].hashes
 
-    def test_keepalive_is_one_signed_digest_per_period(self, monkeypatch):
+    def test_converged_link_falls_silent(self, monkeypatch):
         sim = line_topology()
-        # The last change over the b2-c1 link is b2's forward of tick 12;
-        # from then on each sync period the link carries one digest, sent by
-        # its two gateways in turn, and nothing is signed for it again.
-        # net-b certifies no key, so its empty route is never advertised.
+        # The last change over the b2-c1 link is b2's forward of tick 11.
+        # Each gateway's digest then changed, and each sends it once, at the
+        # next sync period; from then on the link carries nothing and
+        # nothing is signed for it. net-b certifies no key, so its empty
+        # route is never advertised.
         sim.advance_to(35)
         b2, c1 = sim.vasps["b2"], sim.vasps["c1"]
         (link,) = sim.networks["net-b"].links_of("b2")
@@ -1149,26 +1176,18 @@ class TestAdjRibOut:
         assert sorted(held) == ["net-a"]
         assert held["net-a"].network_path == ("net-a", "net-b")
         assert c1.reach.links[link].received == held
-        sent = record_sends(sim, monkeypatch, {"reach_adv", "reach_digest", "route_refresh",
-                                               "refreshed_routes"})
-        signs = count_calls(monkeypatch, crypto, "sign")
-        sim.advance_to(100)
-        on_link = [(tick, src, kind) for tick, src, dst, kind, _ in sent
-                   if {src, dst} == {"b2", "c1"}]
-        assert [(tick, kind) for tick, _, kind in on_link] == [
-            (tick, "reach_digest") for tick in range(40, 101, 10)]
-        senders = [src for _, src, _ in on_link]
-        assert all(a != b for a, b in zip(senders, senders[1:]))
-        from_b2 = {id(p): p for _, src, _, _, p in sent if src == "b2"}
-        (keepalive,) = from_b2.values()
+        keepalive = b2.reach.gossip.heartbeats[link]
         assert keepalive.held == routes_digest(held) == routes_digest(c1.reach.links[link].received)
         assert keepalive.received == routes_digest(b2.reach.links[link].received) == routes_digest(
             c1.reach.links[link].sent)
         assert crypto.check(b2.certificate.subject_public_key, keepalive)
-        gateway_keys = (b2.certificate.subject_public_key, c1.certificate.subject_public_key)
-        assert [key for key, _ in signs if key.public_key in gateway_keys] == []
+        assert c1.reach.gossip.peers[link, "b2"].listed == keepalive
+        assert b2.reach.gossip.peers[link, "c1"].listed == c1.reach.gossip.heartbeats[link]
+        sent = record_sends(sim, monkeypatch, {"reach_adv", "reach_digest", "refreshed_routes"})
+        signs = count_calls(monkeypatch, crypto, "sign")
+        sim.advance_to(100)
+        assert sent == [] and signs == []
         # A digest that differs is acted on only if b2 signed it.
-        sent.clear()
         c1.on_message("reach_digest", replace(keepalive, held=bytes(32)), "b2")
         assert sent == []
 
@@ -1185,15 +1204,16 @@ class TestAdjRibOut:
 
     def test_lost_forward_is_repaired_by_digest_and_refresh(self, monkeypatch):
         # As in the first test, b2's forward of a1's route to c1 is lost, and
-        # so is c1's changed advertisement of tick 10. The link's next
-        # quiet-period digest (c1's, at 30) shows both: b2 sends c1 the
-        # routes it holds and asks c1 for a refresh, which c1 answers. After
-        # that the link carries one matching digest per period.
+        # so is c1's own advertisement of tick 10. Each gateway's digest
+        # changed with what it sent, and each goes at the next sync period,
+        # 20, and shows the other side what it lacks: each pushes the routes
+        # it holds. Both repairs land within one sync period of the loss plus
+        # two latencies. Each gateway's digest then changed again, goes once
+        # at tick 30, and the link falls silent.
         sim = line_topology([
             {"tick": 11, "action": "drop_link", "a": "b2", "b": "c1", "period": 4}])
-        sent = record_sends(sim, monkeypatch, {"reach_adv", "reach_digest", "route_refresh",
-                                               "refreshed_routes"})
-        sim.advance_to(60)
+        sent = record_sends(sim, monkeypatch, {"reach_adv", "reach_digest", "refreshed_routes"})
+        sim.advance_to(100)
         b2, c1 = sim.vasps["b2"], sim.vasps["c1"]
         (link,) = sim.networks["net-b"].links_of("b2")
         held = b2.reach.links[link].sent
@@ -1201,30 +1221,81 @@ class TestAdjRibOut:
         assert lost and all(11 <= tick < 15 for tick in lost)
         exchange = [(tick, src, kind) for tick, src, dst, kind, _ in sent
                     if {src, dst} == {"b2", "c1"} and tick > 15]
-        assert [(tick, src) for tick, src, kind in exchange if kind == "reach_digest"] == [
-            (30, "c1"), (40, "b2"), (50, "c1"), (60, "b2")]
-        repair = [(tick, src, kind) for tick, src, kind in exchange if kind != "reach_digest"]
-        assert sorted((src, kind) for _, src, kind in repair) == [
-            ("b2", "refreshed_routes"), ("b2", "route_refresh"), ("c1", "refreshed_routes")]
-        assert all(30 < tick < 40 for tick, _, _ in repair)
+        repair = sorted((tick, src, kind) for tick, src, kind in exchange if tick < 30)
+        assert [(src, kind) for _, src, kind in repair] == [
+            ("b2", "reach_digest"), ("c1", "reach_digest"), ("b2", "refreshed_routes"),
+            ("c1", "refreshed_routes")]
+        assert repair[0][0] == 20
+        assert all(tick <= 10 + 10 + 2 * sim.scenario.max_latency for tick, _, _ in repair)
+        assert sorted((tick, src, kind) for tick, src, kind in exchange if tick >= 30) == [
+            (30, "b2", "reach_digest"), (30, "c1", "reach_digest")]
         (reply,) = [payload for tick, src, dst, kind, payload in sent
                     if (src, kind) == ("b2", "refreshed_routes")]
         assert reply == tuple(held.values()) and "net-a" in held
         assert "net-a" in sim.networks["net-c"].route_table
+        assert "net-c" in sim.networks["net-b"].route_table
         assert c1.reach.links[link].received == held
         assert b2.reach.links[link].received == c1.reach.links[link].sent
 
+    def test_withdrawn_route_leaves_the_far_side_within_one_sync_period(self, monkeypatch):
+        # No withdrawal message exists: once b2 stops holding net-a's route
+        # for the link, its digest changes and goes at the next sync period;
+        # c1 lacks what it lists and sends back its own digest, and b2 pushes
+        # what it holds, which no longer names net-a. So the route leaves
+        # c1's Adj-RIB-In and net-c's route table within one sync period plus
+        # three latencies.
+        sim = line_topology()
+        sim.advance_to(35)
+        b2, c1 = sim.vasps["b2"], sim.vasps["c1"]
+        (link,) = sim.networks["net-b"].links_of("b2")
+        assert "net-a" in c1.reach.links[link].received
+        assert sim.networks["net-c"].route_table["net-a"].next_hop_gateway == "b2"
+        sent = record_sends(sim, monkeypatch, {"reach_adv", "reach_digest", "refreshed_routes"})
+        b2.reach.withdraw(link, "net-a")
+        assert "net-a" not in b2.reach.links[link].sent
+        period = sim.networks["net-b"].rules.directory_sync_period
+        sim.advance_to(35 + period + 3 * sim.scenario.max_latency)
+        assert [(src, kind) for tick, src, _, kind, _ in sent if tick < 50] == [
+            ("b2", "reach_digest"), ("c1", "reach_digest"), ("b2", "refreshed_routes")]
+        assert "net-a" not in c1.reach.links[link].received
+        assert "net-a" not in sim.networks["net-c"].route_table
+        # Each digest changed again, goes once, and the link falls silent.
+        sim.advance_to(100)
+        assert sorted((tick, src, kind) for tick, src, _, kind, _ in sent if tick >= 50) == [
+            (50, "b2", "reach_digest"), (50, "c1", "reach_digest")]
+
+    @pytest.mark.parametrize("forged", ["empty", "bad-signature"])
+    def test_push_unlike_the_last_verified_digest_withdraws_no_route(self, forged):
+        # A push is signed route by route, not as a set, so anyone may send
+        # one as b2 that leaves a route out. c1 takes it as its Adj-RIB-In,
+        # but it differs from b2's last verified digest, so net-c's route
+        # table keeps every route. c1's own digest then lists less than b2
+        # holds, and b2's push of what it holds restores the Adj-RIB-In.
+        sim = line_topology()
+        sim.advance_to(35)
+        b2, c1 = sim.vasps["b2"], sim.vasps["c1"]
+        (link,) = sim.networks["net-b"].links_of("b2")
+        held = b2.reach.links[link].sent
+        table = dict(sim.networks["net-c"].route_table)
+        assert table["net-a"].next_hop_gateway == "b2" and sorted(held) == ["net-a"]
+        routes = {"empty": (),
+                  "bad-signature": (replace(held["net-a"], advertised_hashes=frozenset()),)}
+        c1.on_message("refreshed_routes", routes[forged], "b2")
+        assert "net-a" not in c1.reach.links[link].received
+        assert sim.networks["net-c"].route_table == table
+        sim.advance_to(60)
+        assert c1.reach.links[link].received == held
+        assert sim.networks["net-c"].route_table == table
+
     def test_quiet_periods_after_convergence_compute_no_routes_digest(self, monkeypatch):
-        # Both links are quiet from tick 35 (see the keepalive test): their
-        # digests are sent and compared every period, from the digests kept
-        # with the maps they describe.
+        # Both links are quiet from tick 35 (see the silence test): nothing
+        # is sent over them, and no routes digest is computed.
         sim = line_topology()
         sim.advance_to(35)
         digests = count_calls(monkeypatch, vaspnet.network, "routes_digest")
-        sent = record_sends(sim, monkeypatch, {"reach_digest", "route_refresh"})
+        sent = record_sends(sim, monkeypatch, {"reach_digest", "refreshed_routes"})
         sim.advance_to(100)
-        assert {kind for _, _, _, kind, _ in sent} == {"reach_digest"}
-        assert digests == []
+        assert sent == [] and digests == []
 
     def test_routes_digest_is_kept_with_the_map_it_describes(self):
         sim = line_topology()
@@ -1312,10 +1383,10 @@ class TestLiveDirectorySet:
 class TestAdvertisementReuse:
     def test_changed_member_view_gets_a_fresh_advertisement(self, monkeypatch):
         sim = two_network_sim()
-        sim.advance_to(12)
+        sim.advance_to(13)  # v1's delta of tick 10 has reached v2
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
         network = sim.networks["net-a"]
-        sent = TestDirectoryDigestCache.capture_sends(sim, monkeypatch)
+        sent = capture_sends(sim, monkeypatch)
         signed = count_calls(monkeypatch, crypto, "sign")
 
         def advertise():
@@ -1404,7 +1475,7 @@ class TestCrlMergeLeavesViews:
                         customer_wallet=crypto.generate_keypair(crypto.digest(b"zed")),
                         account_id="acct-zed", now=sim.now)
         v1.book.enroll_customer_certificate("acct-zed", CertClass.CLASS1, sim.now)
-        sent = TestDirectoryDigestCache.capture_sends(sim, monkeypatch)
+        sent = capture_sends(sim, monkeypatch)
         v1.publish_directory(sim.now)
         delta = next(p for _, dst, kind, p in sent if kind == "dir_delta" and dst == "v2")
         # v2 learns of the revocation before the delta that lists the entry.

@@ -21,17 +21,19 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # the same must leave them byte-identical; one that alters a log re-pins the
 # digest and says why.
 SCENARIO_DIGESTS = {
-    "batch_race": "f5f11f4cbaaf878ca9ff4b9d4b9456a23337c0253245250d4acf22377c1c670c",
-    "demo": "0d20d71233e2941f139f766050d0fa70adda029923bf96dac8fddf030af22ddf",
-    "denials": "0b6487e870d67ca2cf9236ca20a5cb03554dd7342b7769a3059711f163503462",
-    "four_networks": "c3a24c290c8a76b71304d18926e9cdc04fb6eaf8fbea92579dcf2ae9ec49f7f6",
-    "mixed_ca": "160fc0b1056f309fadd862b37c014933a35e6fe766afc389f59ccbce1466cbf7",
+    "batch_race": "31ed8040b351b762a5587328e74e3c6c7141992cea574cc569d1d22af63f10ef",
+    "demo": "81297337dd46f35bd1584350f5e844e6a56f96f26158c4b5ceea1e2a3f47e116",
+    "denials": "ded6c64b4d8e741a1779d9f79d31c92278042313550690e80dab823206bb05c6",
+    "four_networks": "f777daaf8e118db38bf4ca238dd6ec1083aad2109994d24c77fabe4a7f936805",
+    "mixed_ca": "3bf454091ec4b6a9d814f4a7b6c82d2bea170ab0beb8824bd79de26e7a699b46",
 }
-# ``demo`` last re-pinned when a member stopped heartbeating a partner that
-# already holds its heartbeat and lists every version it lists. Fewer
-# heartbeats on the alpha-beta link move its later latency draws (one per
-# message sent), so alpha applies beta's removal at tick 53, not 51. The other
-# three logs are unchanged; only their ``messages_sent`` fell.
+# All five last re-pinned when both gossip feeds took one anti-entropy rule:
+# no heartbeat of the state every member starts from goes out, a heartbeat
+# goes to a partner only while it is news to it or the partner lists less,
+# ``dir_pull`` gave way to a heartbeat sent back, and link digests went
+# quiet (``four_networks`` 45 -> 28 messages). Fewer messages on a link move
+# its later latency draws (one per message sent), so delivery ticks moved in
+# every log.
 
 # ``Metrics.as_pairs()`` of each tracked scenario. The metrics are counted
 # from the event log, so a change that keeps the digests keeps these too,
@@ -42,25 +44,25 @@ SCENARIO_METRICS = {
         "transfers_denied_total": "1", "transfers_in_flight": "0",
         "resolution_success_rate": "1.0000", "mean_resolution_hops": "1.0000",
         "advertisements_accepted": "0", "advertisements_dropped": "0",
-        "messages_sent": "13", "messages_dropped": "0", "ledger_transactions": "1",
+        "messages_sent": "12", "messages_dropped": "0", "ledger_transactions": "1",
         "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
-        "directory_convergence_tick": "32", "final_tick": "65", "denied.AckRejected": "1",
+        "directory_convergence_tick": "31", "final_tick": "65", "denied.AckRejected": "1",
     },
     "demo": {
         "transfers_attempted": "4", "transfers_confirmed": "3",
         "transfers_denied_total": "1", "transfers_in_flight": "0",
         "resolution_success_rate": "1.0000", "mean_resolution_hops": "1.0000",
         "advertisements_accepted": "0", "advertisements_dropped": "0",
-        "messages_sent": "15", "messages_dropped": "0", "ledger_transactions": "4",
+        "messages_sent": "13", "messages_dropped": "0", "ledger_transactions": "4",
         "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
-        "directory_convergence_tick": "53", "final_tick": "71", "denied.CertInvalid": "1",
+        "directory_convergence_tick": "51", "final_tick": "71", "denied.CertInvalid": "1",
     },
     "denials": {
         "transfers_attempted": "5", "transfers_confirmed": "0",
         "transfers_denied_total": "5", "transfers_in_flight": "0",
         "resolution_success_rate": "0.7500", "mean_resolution_hops": "1.0000",
         "advertisements_accepted": "0", "advertisements_dropped": "0",
-        "messages_sent": "15", "messages_dropped": "5", "ledger_transactions": "0",
+        "messages_sent": "12", "messages_dropped": "5", "ledger_transactions": "0",
         "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
         "directory_convergence_tick": "44", "final_tick": "61",
         "denied.BeneficiaryUnresolved": "1", "denied.CertInvalid": "1",
@@ -71,8 +73,8 @@ SCENARIO_METRICS = {
         "transfers_attempted": "1", "transfers_confirmed": "1",
         "transfers_denied_total": "0", "transfers_in_flight": "0",
         "resolution_success_rate": "1.0000", "mean_resolution_hops": "2.0000",
-        "advertisements_accepted": "8", "advertisements_dropped": "8",
-        "messages_sent": "45", "messages_dropped": "0", "ledger_transactions": "1",
+        "advertisements_accepted": "8", "advertisements_dropped": "6",
+        "messages_sent": "28", "messages_dropped": "0", "ledger_transactions": "1",
         "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
         "directory_convergence_tick": "10", "final_tick": "80",
     },
@@ -81,7 +83,7 @@ SCENARIO_METRICS = {
         "transfers_denied_total": "2", "transfers_in_flight": "0",
         "resolution_success_rate": "1.0000", "mean_resolution_hops": "1.0000",
         "advertisements_accepted": "0", "advertisements_dropped": "0",
-        "messages_sent": "43", "messages_dropped": "0", "ledger_transactions": "1",
+        "messages_sent": "35", "messages_dropped": "0", "ledger_transactions": "1",
         "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
         "directory_convergence_tick": "53", "final_tick": "82", "denied.CertInvalid": "2",
     },
@@ -332,6 +334,27 @@ def test_bad_scenario_rejected_at_parse(name, tmp_path):
     result = CliRunner().invoke(cli_main, ["validate", "--scenario", str(path)])
     assert result.exit_code == 1
     assert "schema error" in result.output
+
+
+# An id reference of another type is named, not a TypeError from a lookup.
+ID_OF_ANOTHER_TYPE = {
+    "open-account-list": ({"action": "open_account", "customer": ["alice"]},
+                          r"script\.\d+\.customer"),
+    "target-customer-list": ({"action": "transfer", "origin": "alice",
+                              "target": {"customer": ["bob"]}, "amount": 5},
+                             r"script\.\d+\.target\.customer"),
+    "drop-link-mapping": ({"action": "drop_link", "a": {"x": 1}, "b": "v1", "period": 5},
+                          r"script\.\d+\.a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ID_OF_ANOTHER_TYPE))
+def test_id_reference_must_be_a_string(name):
+    action, named = ID_OF_ANOTHER_TYPE[name]
+    data = yaml.safe_load((SCENARIO_DIR / "demo.yaml").read_text())
+    data["script"].append({"tick": data["script"][-1]["tick"], **action})
+    with pytest.raises(SchemaError, match=named + ": id must be a string"):
+        parse_scenario(data)
 
 
 def test_rules_build_operating_rules():

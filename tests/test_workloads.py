@@ -7,8 +7,11 @@ Each run's messages per kind are pinned too, so a gossip change shows its
 traffic here, and the ``pipeline`` and ``mesh`` runs hold Ed25519 budgets.
 """
 
+import ast
 import importlib.util
+import inspect
 import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -21,27 +24,28 @@ from vaspnet.network import (
     DirectoryAnnounce,
     DirectorySnapshot,
     ReachabilityAdvertisement,
-    directory_digest,
     heartbeat_partner,
 )
 from vaspnet.scenario import load_scenario, parse_scenario
 from vaspnet.accounts import CustodyModel
 from vaspnet.transfer import OutcomeStatus, RecordRole, RecordStatus
+from vaspnet.vasp import VaspNode
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
 
 WORKLOAD_DIGESTS = {
-    "pipeline": "bb9cf937fb7036f93b03293d97499b8a52a84e10d487d7c917dca807783e42f8",
-    "mesh": "9c12f967bb86c9abb0fd7a0a0fc33280d510bf3058352dd6aae66427384d4736",
-    "churn-lossy": "9540e1bd411ba9e52d63bbccea3a37793854c109de20d1e166abdd2a2643ff27",
+    "pipeline": "ced45bf3595582f4146d470948839d77a380e700c5473c52ecf232f3787ba208",
+    "mesh": "f31aa9ea8d2deb1e2edce0889b968256a73f265eec9377fcc799f2b24295a234",
+    "churn-lossy": "060c462a7e3b1b1d4a671e2f11a44c120e5bb4f7bf8db1333ce57054e106834d",
 }
-# All three last re-pinned when a member stopped heartbeating a partner that
-# already holds its heartbeat and lists every version it lists, so a quiet
-# network falls silent (``dir_announce`` 122 -> 20, 456 -> 144 and
-# 299 -> 285). Each link draws its latencies and losses from one stream, one
-# draw per message sent, so every later draw on a link that carried fewer
-# heartbeats moved: delivery ticks in all three, and outcomes and metrics in
-# ``churn-lossy``.
+# All three last re-pinned when both gossip feeds took one anti-entropy rule:
+# link digests went quiet, pulls gave way to a heartbeat sent back, and no
+# heartbeat of the state every node starts from is sent (``dir_announce``
+# 20 -> 12, 144 -> 120 and 285 -> 293; ``reach_digest`` 18 -> 2, 64 -> 14
+# and 18 -> 32). Each link draws its latencies and losses from one stream,
+# one draw per message sent, so every later draw on a link that carried
+# other gossip moved: delivery ticks in all three, and outcomes and metrics
+# in ``churn-lossy``.
 
 
 # ``Metrics.as_pairs()`` of each seed-7 run. The metrics are counted from the
@@ -49,22 +53,22 @@ WORKLOAD_DIGESTS = {
 # ``messages_sent``, which is counted beside the log.
 WORKLOAD_METRICS = {
     "churn-lossy": {
-        "transfers_attempted": "800", "transfers_confirmed": "579",
-        "transfers_denied_total": "221", "transfers_in_flight": "0",
-        "resolution_success_rate": "0.9712", "mean_resolution_hops": "1.3359",
-        "advertisements_accepted": "49", "advertisements_dropped": "7",
-        "messages_sent": "2064", "messages_dropped": "208", "ledger_transactions": "579",
-        "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "66",
-        "directory_convergence_tick": "437", "final_tick": "479",
-        "denied.BeneficiaryUnresolved": "23", "denied.CertInvalid": "63",
-        "denied.ChannelTimeout": "135",
+        "transfers_attempted": "800", "transfers_confirmed": "577",
+        "transfers_denied_total": "223", "transfers_in_flight": "0",
+        "resolution_success_rate": "0.9725", "mean_resolution_hops": "1.3368",
+        "advertisements_accepted": "52", "advertisements_dropped": "0",
+        "messages_sent": "2032", "messages_dropped": "205", "ledger_transactions": "577",
+        "audit_violations": "0", "reconciliation_orphans": "0",
+        "unconfirmed_records": "72", "directory_convergence_tick": "435",
+        "final_tick": "479", "denied.BeneficiaryUnresolved": "22",
+        "denied.CertInvalid": "64", "denied.ChannelTimeout": "137",
     },
     "mesh": {
         "transfers_attempted": "200", "transfers_confirmed": "200",
         "transfers_denied_total": "0", "transfers_in_flight": "0",
         "resolution_success_rate": "1.0000", "mean_resolution_hops": "2.2800",
         "advertisements_accepted": "28", "advertisements_dropped": "21",
-        "messages_sent": "776", "messages_dropped": "0", "ledger_transactions": "200",
+        "messages_sent": "700", "messages_dropped": "0", "ledger_transactions": "200",
         "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
         "directory_convergence_tick": "13", "final_tick": "199",
     },
@@ -73,7 +77,7 @@ WORKLOAD_METRICS = {
         "transfers_denied_total": "0", "transfers_in_flight": "0",
         "resolution_success_rate": "1.0000", "mean_resolution_hops": "1.3400",
         "advertisements_accepted": "3", "advertisements_dropped": "0",
-        "messages_sent": "1049", "messages_dropped": "0", "ledger_transactions": "500",
+        "messages_sent": "1025", "messages_dropped": "0", "ledger_transactions": "500",
         "audit_violations": "0", "reconciliation_orphans": "0", "unconfirmed_records": "0",
         "directory_convergence_tick": "13", "final_tick": "204",
     },
@@ -142,24 +146,24 @@ def test_ed25519_budget(workloads, name, monkeypatch):
 
 
 # Messages sent per kind over each whole seed-7 run, dropped ones included.
-# No message carries a CRL: members fetch CRLs from the CAs. A sync period
-# sends each peering link one digest, unless a change went instead; a digest
-# that differs brings a route refresh (``route_refresh``, answered or pushed
-# as ``refreshed_routes``). A member heartbeats its partner of the period
-# only while that partner could pull from it or lacks its heartbeat, so the
-# last directory change of ``pipeline`` and ``mesh`` (set-up) is followed by
-# one heartbeat per member and co-member, and then by none.
+# No message carries a CRL: members fetch CRLs from the CAs. A node sends a
+# peer its heartbeat (``dir_announce`` in a network, ``reach_digest`` over a
+# link) only while it is news to the peer or the peer's last heartbeat lists
+# less, and never one of the state every node starts from; a node lacking a
+# peer's state sends back its own, and one whose peer lists it behind pushes
+# its full state (``dir_snapshot``, ``refreshed_routes``). So the last
+# change of ``pipeline`` and ``mesh`` (set-up) is followed by a few
+# heartbeats and digests, and then by none.
 WORKLOAD_MESSAGES = {
-    "pipeline": {"dir_announce": 20, "dir_delta": 8, "reach_adv": 3, "reach_digest": 18,
-                 "route_refresh": 0, "refreshed_routes": 0,
+    "pipeline": {"dir_announce": 12, "dir_delta": 8, "dir_snapshot": 0, "reach_adv": 3,
+                 "reach_digest": 2, "refreshed_routes": 0,
                  "transfer_ack": 500, "transfer_notice": 500},
-    "mesh": {"dir_announce": 144, "dir_delta": 120, "reach_adv": 43, "reach_digest": 64,
-             "route_refresh": 2, "refreshed_routes": 3,
+    "mesh": {"dir_announce": 120, "dir_delta": 120, "dir_snapshot": 0, "reach_adv": 43,
+             "reach_digest": 14, "refreshed_routes": 3,
              "transfer_ack": 200, "transfer_notice": 200},
-    "churn-lossy": {"dir_announce": 285, "dir_delta": 255, "dir_pull": 45,
-                    "dir_snapshot": 39, "reach_adv": 55, "reach_digest": 18,
-                    "route_refresh": 0, "refreshed_routes": 8,
-                    "transfer_ack": 645, "transfer_notice": 714},
+    "churn-lossy": {"dir_announce": 293, "dir_delta": 255, "dir_snapshot": 30,
+                    "reach_adv": 56, "reach_digest": 32, "refreshed_routes": 3,
+                    "transfer_ack": 649, "transfer_notice": 714},
 }
 
 
@@ -258,17 +262,17 @@ def test_gossip_sends_no_empty_first_message(workloads, name, monkeypatch):
 
 # Directory snapshots and advertisements signed over each whole run (the
 # workloads at seed 7). ``batch_race``, ``demo`` and ``mixed_ca`` have no
-# peering link and pull no snapshot: a held view matches its owner's heartbeat, revocations
-# included.
+# peering link and push no snapshot: no member's heartbeat lists another
+# behind, revocations included.
 SIGNED_SNAPSHOTS_AND_ADVERTISEMENTS = {
-    "batch_race": 0, "churn-lossy": 84, "demo": 0, "denials": 1, "four_networks": 10,
-    "mesh": 43, "mixed_ca": 0, "pipeline": 3,
+    "batch_race": 0, "churn-lossy": 82, "demo": 0, "denials": 1,
+    "four_networks": 10, "mesh": 43, "mixed_ca": 0, "pipeline": 3,
 }
 
 
 @pytest.mark.parametrize("name", [*sorted(WORKLOAD_DIGESTS), *sorted(SCENARIO_FILES)])
 def test_no_snapshot_or_advertisement_is_signed_unsent(workloads, name, monkeypatch):
-    """A directory snapshot is signed on its first pull and an advertisement
+    """A directory snapshot is signed on its first push and an advertisement
     when a link is first sent it, so every one signed goes out."""
     sim = Simulation(named_scenario(workloads, name))
     sealed = []
@@ -292,13 +296,14 @@ def test_no_snapshot_or_advertisement_is_signed_unsent(workloads, name, monkeypa
 
 def test_member_certifying_no_key_heartbeats_version_0(workloads, monkeypatch):
     """``pipeline``'s v3 holds only commingled customers, so it certifies no
-    key: it never publishes, and heartbeats version 0 and the empty set's
-    digest, which makes no member pull. It heartbeats the period's partner
-    until every co-member holds its current heartbeat and lists what it
-    lists (tick 30), and then never again. Each co-member holds its view at
-    version 0."""
+    key: it never publishes, and heartbeats version 0, which brings no
+    push. Every member starts from the heartbeat listing every directory at
+    version 0, so v3 sends none until its co-members' deltas of tick 10
+    reach it. Then it heartbeats the period's partner until every co-member
+    holds its current heartbeat (tick 30), and then never again. Each
+    co-member holds its view at version 0."""
     sim = Simulation(parse_scenario(workloads["pipeline"].scenario(7)))
-    sent = record_sends(sim, monkeypatch, {"dir_announce", "dir_delta", "dir_pull", "dir_snapshot"})
+    sent = record_sends(sim, monkeypatch, {"dir_announce", "dir_delta", "dir_snapshot"})
     sim.run()
     v3 = sim.vasps["v3"]
     assert {a.custody_model for a in v3.book.accounts.values()} == {CustodyModel.COMMINGLED}
@@ -306,29 +311,75 @@ def test_member_certifying_no_key_heartbeats_version_0(workloads, monkeypatch):
     period = network.rules.directory_sync_period
     heartbeats = [(tick, dst, payload) for tick, src, dst, kind, payload in sent
                   if src == "v3" and kind == "dir_announce"]
-    assert [tick for tick, _, _ in heartbeats] == list(range(0, 31, period))
+    assert [tick for tick, _, _ in heartbeats] == [20, 30]
     assert all(dst == heartbeat_partner(network, "v3", tick // period)
                for tick, dst, _ in heartbeats)
-    assert {(p.version, p.entries_digest) for _, _, p in heartbeats} == {
-        (0, directory_digest(frozenset()))}
-    current = v3.directory._announces["net-a"]
+    assert {p.version for _, _, p in heartbeats} == {0}
+    current = v3.directory.gossip.heartbeats["net-a"]
     assert {dst for _, dst, p in heartbeats if p is current} == set(network.members) - {"v3"}
-    # Nothing in the run pulls a directory, and v3 sends nothing but heartbeats.
+    # Nothing in the run pushes a directory, and v3 sends nothing but heartbeats.
     assert [(src, dst, kind) for _, src, dst, kind, _ in sent
-            if kind == "dir_pull" or (src == "v3" and kind != "dir_announce")] == []
+            if kind == "dir_snapshot" or (src == "v3" and kind != "dir_announce")] == []
     for member_id in network.member_ids():
         if member_id != "v3":
             view = sim.vasps[member_id].directory.views
             assert "v3" in view and (view["v3"].version, view["v3"].entries) == (0, frozenset())
 
 
-def test_quiet_network_falls_silent(workloads, monkeypatch):
+def test_quiet_world_falls_silent(workloads, monkeypatch):
     """``mesh`` publishes every directory in set-up (tick 10) and never
-    again. Once each member's heartbeat has reached every co-member, no
-    member heartbeats, though transfers run until the last tick."""
+    again, and its routes settle soon after. Once every heartbeat has
+    reached every peer, no member heartbeats and no link carries a digest
+    after tick 60, though transfers run until the last tick."""
     sim = Simulation(parse_scenario(workloads["mesh"].scenario(7)))
-    sent = record_sends(sim, monkeypatch, {"dir_announce", "dir_delta", "transfer_notice"})
+    sent = record_sends(sim, monkeypatch, {"dir_announce", "dir_delta", "reach_digest",
+                                           "transfer_notice"})
     sim.run()
     assert {tick for tick, _, _, kind, _ in sent if kind == "dir_delta"} == {10}
-    assert max(tick for tick, _, _, kind, _ in sent if kind == "dir_announce") <= 80
+    assert [(tick, kind) for tick, _, _, kind, _ in sent
+            if tick > 60 and kind in ("dir_announce", "reach_digest")] == []
     assert max(tick for tick, _, _, kind, _ in sent if kind == "transfer_notice") > 150
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_quiet_world_falls_silent_under_loss(workloads, monkeypatch, seed):
+    """With one message in ten lost, a member whose heartbeat to a peer is
+    lost stays listed there as behind. The peer sends its own heartbeat
+    again, each period once a rotation has passed, and the member, lacking
+    nothing, answers; so ``mesh`` falls silent as well, and ticks 150 to 199
+    carry no heartbeat and no digest."""
+    data = workloads["mesh"].scenario(seed)
+    data["defaults"] = {**data.get("defaults", {}), "drop_probability": 0.1}
+    sim = Simulation(parse_scenario(data))
+    sent = record_sends(sim, monkeypatch, {"dir_announce", "reach_digest"})
+    sim.run()
+    assert any(e.event == "message_dropped" for e in sim.log_.entries)
+    assert [(tick, src, dst, kind) for tick, src, dst, kind, _ in sent
+            if 150 <= tick <= 199] == []
+
+
+def _dispatched_kinds() -> set[str]:
+    """The message kinds ``VaspNode.on_message`` compares ``kind`` with."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(VaspNode.on_message)))
+    return {node.comparators[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "kind"}
+
+
+def test_every_message_kind_sent_is_dispatched_and_no_other(workloads, monkeypatch):
+    """Over seed 7 of every workload and every tracked scenario, the kinds
+    sent are exactly the kinds a node dispatches, and no message is ignored,
+    so a kind no run sends cannot stay behind as an unreached branch."""
+    kinds = set()
+    for name in [*sorted(WORKLOAD_DIGESTS), *sorted(SCENARIO_FILES)]:
+        sim = Simulation(named_scenario(workloads, name))
+        send = sim.send
+
+        def noting_send(src, dst, kind, payload, send=send):
+            kinds.add(kind)
+            send(src, dst, kind, payload)
+
+        monkeypatch.setattr(sim, "send", noting_send)
+        sim.run()
+        assert [e for e in sim.log_.entries if e.event == "message_ignored"] == [], name
+    assert kinds == _dispatched_kinds()
+    assert "dir_pull" not in kinds and "route_refresh" not in kinds
