@@ -258,11 +258,6 @@ class Crl(crypto.Signed):
         ]
 
 
-class CertStatus(enum.Enum):
-    GOOD = "good"
-    REVOKED = "revoked"
-
-
 class ValidationStatus(enum.Enum):
     VALID = "valid"
     UNKNOWN_ISSUER = "unknown-issuer"
@@ -359,7 +354,7 @@ class CertificateLookup:
 
     certificate: Certificate
     attributes: Mapping[str, str]
-    status: CertStatus
+    revoked: bool
 
 
 @dataclass
@@ -557,10 +552,10 @@ class CertificateAuthority:
         live = [s for s in serials if self._is_live(self._issued[s].certificate, now)]
         serial = live[-1] if live else serials[-1]
         record = self._issued[serial]
-        status = CertStatus.REVOKED if serial in self._revoked else CertStatus.GOOD
         shared = {
             k: v
             for k, v in sorted(record.registration.submitted_attributes.items())
             if k in CA_DISCLOSURE
         }
-        return CertificateLookup(certificate=record.certificate, attributes=shared, status=status)
+        return CertificateLookup(certificate=record.certificate, attributes=shared,
+                                 revoked=serial in self._revoked)

@@ -80,7 +80,6 @@ class Block:
 @dataclass(frozen=True)
 class ConfirmationEvent:
     transaction: ChainTransaction
-    confirmed_tick: int
     block_index: int
 
 
@@ -140,7 +139,7 @@ class SimChain:
         self.blocks.append(block)
         self._confirmed.extend((tx, now) for tx in txs)
         index = len(self.blocks) - 1
-        return [ConfirmationEvent(tx, now, index) for tx in txs]
+        return [ConfirmationEvent(tx, index) for tx in txs]
 
     def verify_chain(self) -> bool:
         """Recompute the hash chain and every transaction signature end to end."""

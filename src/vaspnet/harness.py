@@ -560,7 +560,7 @@ class Simulation:
             tx = event.transaction
             self.log("chain", "chain_confirmed", tx=tx.tx_id.hex(), block=event.block_index)
             for vasp_id in sorted(self._confirmation_watchers(tx)):
-                self.vasps[vasp_id].on_chain_confirmation(tx, event.confirmed_tick)
+                self.vasps[vasp_id].on_chain_confirmation(tx)
         self._check_invariants(tick)
 
     def _confirmation_watchers(self, tx: ChainTransaction) -> set[str]:

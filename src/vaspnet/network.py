@@ -445,7 +445,7 @@ class QueryResponse:
     assertion: Optional[AttributeAssertion]
     responder_vasp_id: str
     responder_certificate: Certificate
-    status: str = "ok"
+    revoked: bool = False
 
 
 class TrustNetwork:
@@ -625,10 +625,10 @@ def query_certificate(
 ) -> Optional[QueryResponse]:
     """Consult the requester's directory views and query each owning member.
 
-    ``answer(owner_id, key_hash)`` is the owner's response (ok or
-    revoked-flagged), or None when the owner is unreachable or silent. A
-    revoked response is kept only if no later owner answers "ok"; the views
-    are left as their owners published them.
+    ``answer(owner_id, key_hash)`` is the owner's response (flagged
+    ``revoked`` or not), or None when the owner is unreachable or silent. A
+    revoked response is kept only if no later owner answers unrevoked; the
+    views are left as their owners published them.
     """
     result: Optional[QueryResponse] = None
     for owner_id in sorted(views):
@@ -637,7 +637,7 @@ def query_certificate(
         response = answer(owner_id, key_hash)
         if response is None:
             continue
-        if response.status != "revoked":
+        if not response.revoked:
             return response
         result = result or response
     return result

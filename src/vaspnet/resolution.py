@@ -1,17 +1,17 @@
 """Beneficiary resolution and query answers of one VASP node: a target is
 resolved through the node's accounts, its CA, its directory views, routed
-cross-network queries or the named VASP, and a peer's attributes are taken
-only from a disclosure that verifies."""
+cross-network queries or the named VASP, and a beneficiary's account id is
+taken from a peer only with a disclosure that verifies."""
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 from .accounts import Account, AccountBook, CustodyModel
-from .assertions import AttributeAssertion, verify_assertion
-from .ca import Certificate, CertStatus, ValidationStatus
+from .assertions import verify_assertion
+from .ca import Certificate, ValidationStatus
 from .directory import DirectoryFeed
 from .network import QueryResponse, TrustNetwork, query_certificate, route_cross_network_query
 
@@ -41,9 +41,6 @@ class ResolvedBeneficiary:
     home_vasp_certificate: Optional[Certificate]
     resolution_path: tuple[str, ...]
     account_id: Optional[str] = None
-    custody_model: Optional[str] = None
-    attributes: Optional[Mapping[str, str]] = None
-    assertion: Optional[AttributeAssertion] = None
     revoked: bool = False
 
 
@@ -70,22 +67,21 @@ class Resolver:
 
     def _answer_query(self, account: Account, now: int) -> Optional[QueryResponse]:
         """The account's subject certificate with a disclosure about it. A
-        revoked certificate is answered "revoked" without one, an otherwise
-        invalid one not at all; a commingled pool's answer, this VASP's own
-        certificate, is not re-validated."""
+        revoked certificate is answered flagged ``revoked`` without one, an
+        otherwise invalid one not at all; a commingled pool's answer, this
+        VASP's own certificate, is not re-validated."""
         cert = self._book.subject_certificate(account)
         certificate = self._node.certificate
         if cert is None or certificate is None:
             return None
-        status = "ok"
+        revoked = False
         if account.custody_model is not CustodyModel.COMMINGLED:
             check = self._node.validate(cert)
-            if check.status is ValidationStatus.REVOKED:
-                status = "revoked"
-            elif not check.ok:
+            revoked = check.status is ValidationStatus.REVOKED
+            if not (check.ok or revoked):
                 return None
-        assertion = self._book.customer_assertion(account, now) if status == "ok" else None
-        return QueryResponse(cert, assertion, self._vasp_id, certificate, status)
+        assertion = None if revoked else self._book.customer_assertion(account, now)
+        return QueryResponse(cert, assertion, self._vasp_id, certificate, revoked)
 
     def network(self, network_id: str) -> Optional[TrustNetwork]:
         """This node's network of id ``network_id``, if it is a member."""
@@ -143,8 +139,7 @@ class Resolver:
         return ResolvedBeneficiary(
             certificate=cert, home_vasp_id=self._vasp_id,
             home_vasp_certificate=self._node.certificate, resolution_path=(self._vasp_id,),
-            account_id=account.account_id, custody_model=account.custody_model.value,
-            attributes=dict(account.attributes),
+            account_id=account.account_id,
         )
 
     def _resolve_via_ca(self, target: TransferTarget, now: int) -> Optional[ResolvedBeneficiary]:
@@ -157,7 +152,7 @@ class Resolver:
         return ResolvedBeneficiary(
             certificate=lookup.certificate, home_vasp_id=home_vasp_id,
             home_vasp_certificate=home_cert, resolution_path=(self._vasp_id, ca.ca_id),
-            attributes=dict(lookup.attributes), revoked=lookup.status is CertStatus.REVOKED,
+            revoked=lookup.revoked,
         )
 
     def _resolve_via_directory(self, key_hash: bytes) -> Optional[ResolvedBeneficiary]:
@@ -177,7 +172,7 @@ class Resolver:
         response = owner.respond_certificate_query(key_hash, self._env.now)
         if response is None:
             self._env.log(self._vasp_id, "directory_inconsistency", owner=owner_id)
-        elif response.status == "revoked":
+        elif response.revoked:
             self._env.log(self._vasp_id, "directory_stale_entry", owner=owner_id)
         return response
 
@@ -203,20 +198,16 @@ class Resolver:
 
     def _from_query_response(self, response: QueryResponse, path: tuple[str, ...],
                              account_id: Optional[str] = None) -> ResolvedBeneficiary:
-        """Attributes come only from an answer's assertion that verifies against
-        the responder's certificate and links to the answered certificate."""
+        """An account id not given comes only from an answer's assertion that
+        verifies against the responder's certificate and links to the
+        answered certificate."""
         assertion = response.assertion
-        if assertion is not None and not verify_assertion(
+        if assertion is not None and verify_assertion(
                 assertion, response.responder_certificate, response.certificate,
                 self._node.validate):
-            assertion = None
-        attributes = dict(assertion.attributes) if assertion else None
-        if attributes:
-            account_id = account_id or attributes.get("account_id")
+            account_id = account_id or assertion.attributes.get("account_id")
         return ResolvedBeneficiary(
             certificate=response.certificate, home_vasp_id=response.responder_vasp_id,
             home_vasp_certificate=response.responder_certificate, resolution_path=path,
-            account_id=account_id,
-            custody_model=attributes.get("custody_model") if attributes else None,
-            attributes=attributes, assertion=assertion, revoked=response.status == "revoked",
+            account_id=account_id, revoked=response.revoked,
         )

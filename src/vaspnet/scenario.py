@@ -3,8 +3,8 @@
 A scenario is a YAML key-value tree wiring networks, CAs, VASPs, peering
 links, customers, suspect entries, and a timed action script. Everything is
 validated up front: dangling references, decreasing script ticks, unknown
-rule keys and numbers out of range are schema errors naming the offending
-key or reference.
+top-level or rule keys and numbers out of range are schema errors naming the
+offending key or reference.
 
 Schema (all ids are strings; every referenced id must be declared):
 
@@ -79,7 +79,7 @@ import yaml
 
 from .accounts import CustodyModel
 from .assertions import DisclosurePolicy
-from .ca import CertClass
+from .ca import CertClass, RevocationReason
 from .network import OperatingRules
 
 VALID_ACTIONS = {
@@ -87,10 +87,10 @@ VALID_ACTIONS = {
     "revoke_cert", "drop_link", "advance",
 }
 
-REVOCATION_REASONS = {
-    "keyCompromise", "affiliationChanged", "superseded",
-    "cessationOfOperation", "unspecified",
-}
+_TOP_LEVEL_KEYS = frozenset({
+    "seed", "chain", "defaults", "networks", "cas", "vasps", "peering_links", "customers",
+    "suspect_entries", "script",
+})
 
 
 class SchemaError(Exception):
@@ -261,7 +261,9 @@ def _section(data: Mapping[str, Any], key: str) -> list[Mapping[str, Any]]:
 
 
 def parse_scenario(data: Mapping[str, Any]) -> Scenario:
-    _shaped(data, dict, "scenario root")
+    for key in _shaped(data, dict, "scenario root"):
+        if key not in _TOP_LEVEL_KEYS:
+            raise SchemaError(f"scenario root: unknown key {key!r}")
 
     networks = tuple(
         NetworkSpec(
@@ -299,15 +301,15 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
         )
         for raw in _section(data, "customers")
     )
-    _ids_are_strings({key: data[key] for key in ("script", "suspects", "suspect_entries")
-                      if key in data}, "scenario")
+    _ids_are_strings({key: data[key] for key in ("script", "suspect_entries") if key in data},
+                     "scenario")
     suspects = tuple(
         SuspectSpec(
             customer=raw.get("customer"),
             account_id=raw.get("account_id"),
             key_hash_hex=raw.get("key_hash_hex"),
         )
-        for raw in _section(data, "suspect_entries" if "suspect_entries" in data else "suspects")
+        for raw in _section(data, "suspect_entries")
     )
     script = tuple(
         ScriptAction(
@@ -431,8 +433,10 @@ def validate_scenario(scenario: Scenario) -> None:
         elif action.action == "revoke_cert":
             if params.get("customer") not in customers:
                 raise SchemaError(f"{context}: unknown customer {params.get('customer')!r}")
-            if params.get("reason", "unspecified") not in REVOCATION_REASONS:
-                raise SchemaError(f"{context}: unknown reason {params.get('reason')!r}")
+            try:
+                RevocationReason(params.get("reason", "unspecified"))
+            except ValueError:
+                raise SchemaError(f"{context}: unknown reason {params.get('reason')!r}") from None
         elif action.action == "drop_link":
             for side in ("a", "b"):
                 actor = params.get(side)

@@ -261,8 +261,8 @@ class Transfers:
     def initiate_transfer(
         self, account_id: str, target: TransferTarget, amount: int, asset_type: str
     ) -> TransferOutcome:
-        """Run the pre-transfer pipeline and send the off-chain notice. Any
-        failing pre-check denies the transfer with nothing broadcast. The
+        """Run the pre-transfer checks and send the off-chain notice. Any
+        failing check denies the transfer with nothing broadcast. The
         outcome stays pending until the ack arrives or times out."""
         if amount <= 0:
             raise ValueError("amount must be positive")
@@ -270,32 +270,15 @@ class Transfers:
         account = self._book.accounts[account_id]
         self._env.log(self._vasp_id, "transfer_initiated", account=account_id,
                       amount=amount, asset=asset_type)
-
-        originator_refs = self._account_refs(account)
-        if not self.screen_suspect(originator_refs + self._target_refs(target)):
-            return self._deny(DenialCode.SUSPECT_PARTY, "screening")
-
-        resolved = self._node.resolve_beneficiary(target, now)
-        if resolved is None or resolved.home_vasp_id is None or resolved.home_vasp_certificate is None:
-            return self._deny(DenialCode.BENEFICIARY_UNRESOLVED)
-
-        ben_refs: list[bytes | str] = [resolved.certificate.public_key_hash]
-        if resolved.account_id:
-            ben_refs.append(resolved.account_id)
-        if not self.screen_suspect(ben_refs):
-            return self._deny(DenialCode.SUSPECT_PARTY, "beneficiary")
-
-        origin_cert = self._book.subject_certificate(account)
-        if origin_cert is None:
-            return self._deny(DenialCode.NO_ORIGINATOR_CERT)
-
-        failure = self._validate_transfer_certificates(origin_cert, resolved)
-        if failure is not None:
-            return self._deny(DenialCode.CERT_INVALID, failure)
+        checked = self._check_entries([(account, target)], now)
+        if isinstance(checked, TransferOutcome):
+            return checked
+        (resolved,) = checked
 
         try:
-            assertion = self._book.disclose(account.subject_id, origin_cert, account.attributes,
-                                            now)
+            assertion = self._book.disclose(account.subject_id,
+                                            self._book.subject_certificate(account),
+                                            account.attributes, now)
         except AssertionServiceError as exc:
             return self._deny(DenialCode.CERT_INVALID, f"originator-customer:{exc}")
 
@@ -306,78 +289,84 @@ class Transfers:
                                     now, tx.tx_id, None)
         return self._dispatch_notice(notice, tx, resolved, (account_id,), now)
 
-    def build_commingled_batch(
-        self, requests: Sequence[tuple[str, TransferTarget, int]], asset_type: str
-    ) -> tuple[TransferNotice, ChainTransaction, ResolvedBeneficiary, tuple[str, ...]]:
-        """Merge commingled transfer requests into one notice and one prepared
-        transaction to the single beneficiary VASP; raises MixedDestination
-        when the requests resolve to different VASPs."""
-        if not requests:
-            raise ValueError("batch requires at least one request")
-        now = self._env.now
-        resolved_targets: list[tuple[Account, ResolvedBeneficiary, int]] = []
-        for account_id, target, amount in requests:
-            if amount <= 0:
-                raise ValueError("amount must be positive")
-            account = self._book.accounts[account_id]
-            if account.custody_model is not CustodyModel.COMMINGLED:
-                raise ModelKeyMismatch("batched originators must be commingled accounts")
-            resolved = self._node.resolve_beneficiary(target, now)
-            if resolved is None or resolved.home_vasp_id is None:
-                raise VaspError("unresolvable batch beneficiary")
-            resolved_targets.append((account, resolved, amount))
-        homes = {resolved.home_vasp_id for _, resolved, _ in resolved_targets}
-        if len(homes) != 1:
-            raise MixedDestination(",".join(sorted(h or "?" for h in homes)))
-        home = resolved_targets[0][1]
-        if home.home_vasp_certificate is None:
-            raise VaspError("beneficiary VASP certificate unavailable")
-
-        total = sum(amount for _, _, amount in resolved_targets)
-        tx = self._book.build_transfer_tx(None, home.home_vasp_certificate.subject_public_key,
-                                          total, asset_type)
-        entries = tuple(
-            (BeneficiaryRef(resolved.certificate.public_key_hash, resolved.account_id), amount)
-            for _, resolved, amount in resolved_targets
-        )
-        assertion = self._book.pool_assertion(now)
-        pool = BeneficiaryRef(home.home_vasp_certificate.public_key_hash,
-                              f"{home.home_vasp_id}/pool")
-        notice = self._build_notice(home.home_vasp_id, assertion, pool, asset_type, total, now,
-                                    tx.tx_id, entries)
-        account_ids = tuple(account.account_id for account, _, _ in resolved_targets)
-        return notice, tx, home, account_ids
-
     def initiate_batch_transfer(
         self, requests: Sequence[tuple[str, TransferTarget, int]], asset_type: str
     ) -> TransferOutcome:
-        """Pipeline for a commingled batch: screen, validate, notice, ack, one tx."""
+        """Run the pre-transfer checks over every (account, target, amount)
+        request, then send one notice listing the entries, for one
+        transaction of their sum from this VASP's pool to the beneficiary
+        VASP. Every account must be commingled and every amount positive."""
+        if not requests:
+            raise ValueError("batch requires at least one request")
+        accounts = [self._book.accounts[account_id] for account_id, _, _ in requests]
+        if any(amount <= 0 for _, _, amount in requests):
+            raise ValueError("amount must be positive")
+        if any(account.custody_model is not CustodyModel.COMMINGLED for account in accounts):
+            raise ModelKeyMismatch("batched originators must be commingled accounts")
         now = self._env.now
-        self._env.log(self._vasp_id, "transfer_initiated", batch=len(requests),
-                      amount=sum(a for _, _, a in requests), asset=asset_type)
+        total = sum(amount for _, _, amount in requests)
+        self._env.log(self._vasp_id, "transfer_initiated", batch=len(requests), amount=total,
+                      asset=asset_type)
+        checked = self._check_entries(
+            [(account, target) for account, (_, target, _) in zip(accounts, requests)], now)
+        if isinstance(checked, TransferOutcome):
+            return checked
 
+        home = checked[0]
+        home_cert = home.home_vasp_certificate
+        tx = self._book.build_transfer_tx(None, home_cert.subject_public_key, total, asset_type)
+        assertion = self._book.pool_assertion(now)
+        entries = tuple(
+            (BeneficiaryRef(resolved.certificate.public_key_hash, resolved.account_id), amount)
+            for resolved, (_, _, amount) in zip(checked, requests)
+        )
+        pool = BeneficiaryRef(home_cert.public_key_hash, f"{home.home_vasp_id}/pool")
+        notice = self._build_notice(home.home_vasp_id, assertion, pool, asset_type, total, now,
+                                    tx.tx_id, entries)
+        account_ids = tuple(account_id for account_id, _, _ in requests)
+        return self._dispatch_notice(notice, tx, home, account_ids, now)
+
+    def _check_entries(
+        self, entries: Sequence[tuple[Account, TransferTarget]], now: int
+    ) -> list[ResolvedBeneficiary] | TransferOutcome:
+        """The pre-transfer checks, over each (originator account, target)
+        entry of a transfer: screen the parties, resolve each beneficiary,
+        screen each resolved one, then validate each entry's four
+        certificates. Returns the resolved beneficiaries, one per entry, or
+        the denied outcome of the first check that fails; raises
+        MixedDestination when they have different home VASPs."""
         refs: list[bytes | str] = []
-        for account_id, target, _ in requests:
-            refs.extend(self._account_refs(self._book.accounts[account_id]))
-            refs.extend(self._target_refs(target))
+        for account, target in entries:
+            refs += self._account_refs(account) + self._target_refs(target)
         if not self.screen_suspect(refs):
             return self._deny(DenialCode.SUSPECT_PARTY, "screening")
 
-        try:
-            notice, tx, home, account_ids = self.build_commingled_batch(requests, asset_type)
-        except (VaspError, ValueError) as exc:
-            if isinstance(exc, MixedDestination):
-                raise
-            return self._deny(DenialCode.BENEFICIARY_UNRESOLVED, str(exc))
+        resolved_all: list[ResolvedBeneficiary] = []
+        for _, target in entries:
+            resolved = self._node.resolve_beneficiary(target, now)
+            if (resolved is None or resolved.home_vasp_id is None
+                    or resolved.home_vasp_certificate is None):
+                return self._deny(DenialCode.BENEFICIARY_UNRESOLVED)
+            resolved_all.append(resolved)
+        homes = {resolved.home_vasp_id for resolved in resolved_all}
+        if len(homes) != 1:
+            raise MixedDestination(",".join(sorted(homes)))
 
-        certificate = self._node.certificate
-        if certificate is None:
-            return self._deny(DenialCode.NO_ORIGINATOR_CERT)
-        failure = self._validate_transfer_certificates(certificate, home)
-        if failure is not None:
-            return self._deny(DenialCode.CERT_INVALID, failure)
+        for resolved in resolved_all:
+            ben_refs: list[bytes | str] = [resolved.certificate.public_key_hash]
+            if resolved.account_id:
+                ben_refs.append(resolved.account_id)
+            if not self.screen_suspect(ben_refs):
+                return self._deny(DenialCode.SUSPECT_PARTY, "beneficiary")
 
-        return self._dispatch_notice(notice, tx, home, account_ids, now)
+        for (account, _), resolved in zip(entries, resolved_all):
+            origin_cert = self._book.subject_certificate(account)
+            if origin_cert is None:
+                return self._deny(DenialCode.NO_ORIGINATOR_CERT)
+            failure = self._validate_transfer_certificates(origin_cert, resolved)
+            if failure is not None:
+                return self._deny(DenialCode.CERT_INVALID, failure)
+        return resolved_all
 
     def _dispatch_notice(self, notice: TransferNotice, tx: ChainTransaction,
                          resolved: ResolvedBeneficiary, account_ids: tuple[str, ...],
@@ -637,7 +626,7 @@ class Transfers:
 
     # -- confirmations, reconciliation, audit ---------------------------------------
 
-    def on_chain_confirmation(self, tx: ChainTransaction, confirmed_tick: int) -> None:
+    def on_chain_confirmation(self, tx: ChainTransaction) -> None:
         """Advance records whose binding digest matches the confirmed tx."""
         now = self._env.now
         tx_id = tx.tx_id

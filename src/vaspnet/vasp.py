@@ -181,8 +181,8 @@ class VaspNode:
         return self.transfers.handle_transfer_notice(notice, src)
     def on_transfer_ack(self, ack: TransferAck, src: str) -> None:
         return self.transfers.on_transfer_ack(ack, src)
-    def on_chain_confirmation(self, tx: ChainTransaction, confirmed_tick: int) -> None:
-        return self.transfers.on_chain_confirmation(tx, confirmed_tick)
+    def on_chain_confirmation(self, tx: ChainTransaction) -> None:
+        return self.transfers.on_chain_confirmation(tx)
     def audit_travel_rule(self) -> AuditReport:
         return self.transfers.audit_travel_rule()
     def reconcile(self) -> ReconciliationReport:

@@ -58,7 +58,7 @@ def make_scenario(
     vasps=None,
     peering=(),
     customers=None,
-    suspects=(),
+    suspect_entries=(),
     script=(),
     **overrides,
 ):
@@ -85,7 +85,7 @@ def make_scenario(
         "vasps": vasps,
         "peering_links": list(peering),
         "customers": customers,
-        "suspects": list(suspects),
+        "suspect_entries": list(suspect_entries),
         "script": list(script),
     }
     data.update(overrides)

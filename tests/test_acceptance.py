@@ -128,7 +128,7 @@ def test_03_denial_correctness():
             {"customer_id": "nocert", "vasp": "v1", "custody_model": "mediated",
              "attributes": {"name": "NoCert", "email": "n@x"}},
         ],
-        suspects=[{"customer": "mallory"}],
+        suspect_entries=[{"customer": "mallory"}],
         script=[
             {"tick": 0, "action": "open_account", "customer": c}
             for c in ("alice", "bob", "carol", "mallory", "nocert")
@@ -356,7 +356,7 @@ def test_07_commingled_batch_arithmetic():
     script = [{"tick": 0, "action": "open_account", "customer": c["customer_id"]}
               for c in customers]
     script += [{"tick": 1, "action": "enroll", "customer": f"r{i}"} for i in range(4)]
-    scn = make_scenario(customers=customers, script=script, drain_ticks=60)
+    scn = make_scenario(customers=customers, script=script, defaults={"drain_ticks": 60})
     sim = Simulation(scn)
     sim.advance_to(12)
     rng = random.Random(777)

@@ -7,7 +7,6 @@ from vaspnet import crypto
 from vaspnet.ca import (
     AlreadyRevoked,
     CertClass,
-    CertStatus,
     Certificate,
     CertificateAuthority,
     CertificateProfile,
@@ -155,7 +154,7 @@ class TestIssuance:
         assert first.serial in {e.serial for e in ca.current_crl(1).entries}
         lookup = ca.find_certificate_by_key_hash(crypto.digest(second.subject_public_key), 2)
         assert lookup.certificate.serial == second.serial
-        assert lookup.status is CertStatus.GOOD
+        assert not lookup.revoked
 
     def test_profile_minimum_class_enforced(self):
         ca = make_ca()
@@ -394,7 +393,7 @@ class TestLookup:
         lookup = ca.find_certificate_by_key_hash(crypto.digest(key.public_key), 1)
         assert lookup.certificate == cert
         assert lookup.attributes == {"address": "12 Main", "name": "N", "vasp_id": "v9"}
-        assert lookup.status is CertStatus.GOOD
+        assert not lookup.revoked
 
     def test_lookup_unknown_key(self):
         ca = make_ca()
@@ -406,7 +405,7 @@ class TestLookup:
         ca.revoke(cert.serial, RevocationReason.KEY_COMPROMISE, 1)
         lookup = ca.find_certificate_by_key_hash(crypto.digest(cert.subject_public_key), 2)
         assert lookup is not None
-        assert lookup.status is CertStatus.REVOKED
+        assert lookup.revoked
         assert lookup.certificate.serial == cert.serial
 
 

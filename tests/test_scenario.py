@@ -13,7 +13,8 @@ from vaspnet.cli import main as cli_main
 from vaspnet.harness import Simulation
 from vaspnet.network import OperatingRules
 from vaspnet.scenario import SchemaError, load_scenario, parse_scenario
-from vaspnet.transfer import DenialCode, RecordStatus
+from vaspnet.resolution import TransferTarget
+from vaspnet.transfer import DenialCode, DenialReason, RecordStatus
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -217,7 +218,7 @@ class TestReferenceValidation:
         with pytest.raises(SchemaError, match="exactly one"):
             parse_scenario({
                 "seed": 1, "networks": [], "cas": [], "vasps": [],
-                "suspects": [{"customer": "x", "account_id": "y"}],
+                "suspect_entries": [{"customer": "x", "account_id": "y"}],
             })
 
     def test_bad_key_hash_target(self):
@@ -287,6 +288,7 @@ BAD_SCENARIOS = {
     "ack-timeout-negative": (with_rules(ack_timeout=-5), "ack_timeout"),
     "unknown-class": (with_rules(minimum_certificate_class="class9"), "class9"),
     "unknown-rule-key": (with_rules(sync_period=10), "sync_period"),
+    "unknown-top-level-key": ({"peering_link": []}, "peering_link"),
     "empty-disclosure": (with_rules(required_disclosure=[]), "required_disclosure"),
     "max-latency-zero": ({"defaults": {"max_latency": 0}}, "max_latency"),
     "drop-probability-above-one": ({"defaults": {"drop_probability": 2.0}}, "drop_probability"),
@@ -433,3 +435,44 @@ def test_batch_race_pays_one_pooled_batch_and_loses_the_revocation_race():
     rejects = [e for e in sim.log_.entries
                if e.event == "ack_sent" and dict(e.details)["decision"] == "reject"]
     assert [(e.actor, dict(e.details)["reason"]) for e in rejects] == [("v2", "CertInvalid")]
+
+
+def _batch_race_at_tick_30():
+    """``batch_race.yaml``'s world at tick 30: its own transfers are under
+    way and v1 holds ca-2's CRL of tick 20, which revokes bob."""
+    sim = Simulation(load_scenario(SCENARIO_DIR / "batch_race.yaml"))
+    sim.advance_to(30)
+    v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
+    assert v1.revocation.is_revoked("ca-2", v2.book.accounts["acct-bob"].certificate_serial)
+    return sim, v1, v2
+
+
+def _pay_from_pool(v1, v2, *payees):
+    """A pooled batch of 5 from v1's pool to each of v2's ``payees``, by key."""
+    requests = [("acct-pool-a", TransferTarget.from_key_hash(
+        v2.book.accounts[f"acct-{payee}"].customer_public_key_hash), 5) for payee in payees]
+    return v1.transfers.initiate_batch_transfer(requests, "coin")
+
+
+def test_pooled_batch_validates_every_entry_before_its_notice():
+    """A batch whose second entry pays revoked bob is denied by v1's own
+    check of that entry, as a single transfer to bob is: no notice goes out."""
+    sim, v1, v2 = _batch_race_at_tick_30()
+    outcome = _pay_from_pool(v1, v2, "dana", "bob")
+    assert outcome.denial == DenialReason(DenialCode.CERT_INVALID, "beneficiary-customer:revoked")
+    assert outcome.record is None
+    assert [e for e in sim.log_.entries if e.event == "notice_sent" and e.tick == 30] == []
+
+
+def test_pooled_batch_screens_each_resolved_beneficiary():
+    """dana's account id, learnt only by resolving her key, is on v1's
+    suspect list: a batch to her is denied as a single transfer is, and
+    nothing of it goes on chain."""
+    sim, v1, v2 = _batch_race_at_tick_30()
+    v1.suspect_list.add("acct-dana")
+    outcome = _pay_from_pool(v1, v2, "dana")
+    assert outcome.denial == DenialReason(DenialCode.SUSPECT_PARTY, "beneficiary")
+    assert outcome.record is None
+    sim.run()
+    # Only the scenario's own batch of 5 + 7 is on chain.
+    assert [tx.amount for tx, _ in sim.chain.confirmed_transactions()] == [12]

@@ -409,10 +409,14 @@ class TestCommingledBatch:
     def test_batch_entries_sum_invariant_enforced(self):
         sim = self.batch_sim()
         sim.advance_to(12)
-        notice, tx, home, accounts = sim.vasps["v1"].transfers.build_commingled_batch(
+        outcome = sim.vasps["v1"].transfers.initiate_batch_transfer(
             [("acct-p0", TransferTarget.from_account("v2", "acct-r1"), 10),
              ("acct-p1", TransferTarget.from_account("v2", "acct-r2"), 20)], "coin",
         )
+        sim.run()
+        notice = outcome.record.notice
+        [(tx, _)] = sim.chain.confirmed_transactions()
+        assert notice.intended_chain_tx_binding == tx.tx_id
         assert notice.amount == 30 == tx.amount
         assert sum(a for _, a in notice.batch_entries) == notice.amount
         with pytest.raises(ValueError):
@@ -453,7 +457,7 @@ class TestCommingledBatch:
         )
         sim.advance_to(12)
         with pytest.raises(MixedDestination):
-            sim.vasps["v1"].transfers.build_commingled_batch(
+            sim.vasps["v1"].transfers.initiate_batch_transfer(
                 [("acct-p0", TransferTarget.from_account("v2", "acct-r1"), 10),
                  ("acct-p0", TransferTarget.from_account("v3", "acct-r2"), 20)], "coin",
             )
@@ -465,14 +469,21 @@ class TestCommingledBatch:
         rng = random.Random(42)
         v1 = sim.vasps["v1"]
         targets = ["acct-r1", "acct-r2", "acct-r3"]
+        batches = []
         for _ in range(100):
             requests = [
                 ("acct-p0", TransferTarget.from_account("v2", rng.choice(targets)),
                  rng.randrange(1, 10_000))
                 for _ in range(rng.randrange(1, 6))
             ]
-            notice, tx, _, _ = v1.transfers.build_commingled_batch(requests, "coin")
-            assert tx.amount == sum(a for _, _, a in requests)
+            batches.append((requests, v1.transfers.initiate_batch_transfer(requests, "coin")))
+        sim.run()
+        confirmed = {tx.tx_id: tx for tx, _ in sim.chain.confirmed_transactions()}
+        assert len(confirmed) == 100
+        for requests, outcome in batches:
+            notice = outcome.record.notice
+            tx = confirmed[notice.intended_chain_tx_binding]
+            assert tx.amount == notice.amount == sum(a for _, _, a in requests)
             assert sum(a for _, a in notice.batch_entries) == tx.amount
 
 
@@ -822,8 +833,8 @@ class TestHeldDisclosures:
 
 
 class TestQueryAnswers:
-    """Attributes come only from a query answer whose assertion verifies
-    against the responder's certificate."""
+    """A beneficiary's account id comes only from a query answer whose
+    assertion verifies against the responder's certificate."""
 
     @pytest.mark.parametrize("answer", ["genuine", "tampered", "wrong-signer"])
     def test_unverified_assertion_dropped(self, answer, monkeypatch):
@@ -859,13 +870,8 @@ class TestQueryAnswers:
             TransferTarget.from_key_hash(crypto.digest(bob_key)), sim.now
         )
         assert resolved.resolution_path == ("v1", "v2")
-        if answer == "genuine":
-            assert resolved.assertion is not None
-            assert resolved.account_id == "acct-bob"
-            assert resolved.attributes["account_id"] == "acct-bob"
-        else:
-            assert resolved.assertion is None and resolved.attributes is None
-            assert resolved.account_id is None and resolved.custody_model is None
+        # The account id is taken only from an assertion that verifies.
+        assert resolved.account_id == ("acct-bob" if answer == "genuine" else None)
 
 
 class TestDisclosureErrors:
