@@ -2,9 +2,9 @@
 
 A scenario is a YAML key-value tree wiring networks, CAs, VASPs, peering
 links, customers, suspect entries, and a timed action script. Everything is
-validated up front: dangling references, decreasing script ticks, unknown
-top-level or rule keys and numbers out of range are schema errors naming the
-offending key or reference.
+validated up front: dangling references, decreasing script ticks, a key
+that its mapping does not take and numbers out of range are schema errors
+naming the offending key or reference.
 
 Schema (all ids are strings; every referenced id must be declared):
 
@@ -82,15 +82,35 @@ from .assertions import DisclosurePolicy
 from .ca import CertClass, RevocationReason
 from .network import OperatingRules
 
-VALID_ACTIONS = {
-    "open_account", "enroll", "transfer", "batch_transfer", "p2p_transfer",
-    "revoke_cert", "drop_link", "advance",
+# Each script action and the keys it takes besides ``tick`` and ``action``.
+ACTION_KEYS = {
+    "open_account": frozenset({"customer"}),
+    "enroll": frozenset({"customer"}),
+    "transfer": frozenset({"origin", "target", "amount", "asset"}),
+    "batch_transfer": frozenset({"entries", "asset"}),
+    "p2p_transfer": frozenset({"from_wallet", "to_wallet", "to_customer", "amount", "asset"}),
+    "revoke_cert": frozenset({"customer", "reason"}),
+    "drop_link": frozenset({"a", "b", "period"}),
+    "advance": frozenset({"ticks"}),
 }
 
 _TOP_LEVEL_KEYS = frozenset({
     "seed", "chain", "defaults", "networks", "cas", "vasps", "peering_links", "customers",
     "suspect_entries", "script",
 })
+# The keys an item of each list section but ``script`` may hold.
+_ITEM_KEYS = {
+    "networks": frozenset({"network_id", "rules"}),
+    "cas": frozenset({"ca_id"}),
+    "vasps": frozenset({"vasp_id", "ca", "networks"}),
+    "peering_links": frozenset({"vasp_a", "network_a", "vasp_b", "network_b"}),
+    "customers": frozenset({"customer_id", "vasp", "custody_model", "requested_class",
+                            "attributes"}),
+    "suspect_entries": frozenset({"customer", "account_id", "key_hash_hex"}),
+}
+_CHAIN_KEYS = frozenset({"chain_id", "confirmation_delay"})
+_DEFAULTS_KEYS = frozenset({"max_latency", "drop_probability", "drain_ticks"})
+_BATCH_ENTRY_KEYS = frozenset({"origin", "target", "amount"})
 
 
 class SchemaError(Exception):
@@ -197,9 +217,7 @@ _RULE_KEYS = frozenset({*_INT_RULES, "minimum_certificate_class", "required_disc
 
 
 def _parse_rules(raw: Any, context: str) -> OperatingRules:
-    for key in _shaped(raw, dict, context):
-        if key not in _RULE_KEYS:
-            raise SchemaError(f"{context}: unknown rule key {key!r}")
+    _known(raw, _RULE_KEYS, context)
     kwargs: dict[str, Any] = {
         key: _number(raw[key], int, f"{context}.{key}", low)
         for key, low in _INT_RULES.items() if key in raw
@@ -240,6 +258,15 @@ def _shaped(value: Any, shape: type, context: str) -> Any:
     return value
 
 
+def _known(value: Any, keys: frozenset[str], context: str) -> Mapping[str, Any]:
+    """``value`` if it is a mapping of only ``keys``, else a SchemaError
+    naming ``context`` and the first other key."""
+    for key in _shaped(value, dict, context):
+        if key not in keys:
+            raise SchemaError(f"{context}: unknown key {key!r}")
+    return value
+
+
 _ID_KEYS = frozenset({"customer", "origin", "vasp", "account", "account_id", "a", "b",
                       "from_wallet", "to_wallet", "to_customer"})
 
@@ -255,15 +282,16 @@ def _ids_are_strings(value: Any, context: str) -> None:
 
 
 def _section(data: Mapping[str, Any], key: str) -> list[Mapping[str, Any]]:
-    """The list of mappings under ``key``; empty if absent."""
+    """The list of mappings under ``key``, empty if absent, each of only its
+    ``_ITEM_KEYS`` (a script action's are checked with its action)."""
     items = _shaped(data.get(key, []), list, key)
-    return [_shaped(item, dict, f"{key}[{i}]") for i, item in enumerate(items)]
+    keys = _ITEM_KEYS.get(key)
+    return [_shaped(item, dict, f"{key}[{i}]") if keys is None else
+            _known(item, keys, f"{key}[{i}]") for i, item in enumerate(items)]
 
 
 def parse_scenario(data: Mapping[str, Any]) -> Scenario:
-    for key in _shaped(data, dict, "scenario root"):
-        if key not in _TOP_LEVEL_KEYS:
-            raise SchemaError(f"scenario root: unknown key {key!r}")
+    _known(data, _TOP_LEVEL_KEYS, "scenario root")
 
     networks = tuple(
         NetworkSpec(
@@ -320,8 +348,8 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
         for raw in _section(data, "script")
     )
 
-    chain_cfg = _shaped(data.get("chain", {}), dict, "chain")
-    defaults = _shaped(data.get("defaults", {}), dict, "defaults")
+    chain_cfg = _known(data.get("chain", {}), _CHAIN_KEYS, "chain")
+    defaults = _known(data.get("defaults", {}), _DEFAULTS_KEYS, "defaults")
     scenario = Scenario(
         seed=_number(data.get("seed", 0), int, "seed", 0, 2**64 - 1),
         networks=networks,
@@ -403,9 +431,9 @@ def validate_scenario(scenario: Scenario) -> None:
         if action.tick < previous_tick:
             raise SchemaError(f"{context}: tick {action.tick} decreases")
         previous_tick = action.tick
-        if action.action not in VALID_ACTIONS:
+        if action.action not in ACTION_KEYS:
             raise SchemaError(f"{context}: unknown action")
-        params = action.params
+        params = _known(action.params, ACTION_KEYS[action.action], context)
         if action.action in ("open_account", "enroll"):
             if params.get("customer") not in customers:
                 raise SchemaError(f"{context}: unknown customer {params.get('customer')!r}")
@@ -454,7 +482,7 @@ def _validate_batch(entries: Any, customers: Mapping[str, CustomerSpec], context
     payers, payees = set(), set()
     for index, entry in enumerate(entries):
         where = f"{context}: entries[{index}]"
-        origin = customers.get(_shaped(entry, dict, where).get("origin"))
+        origin = customers.get(_known(entry, _BATCH_ENTRY_KEYS, where).get("origin"))
         if origin is None or origin.custody_model is not CustodyModel.COMMINGLED:
             raise SchemaError(f"{where}: origin {entry.get('origin')!r} is not a commingled customer")
         target = entry.get("target")

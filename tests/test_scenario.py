@@ -322,6 +322,30 @@ BAD_SCENARIOS = {
                                                ("emre", {"customer": "dana"}, 5))},
                          r"from \['v1', 'v2'\]"),
     "batch-amount-zero": ({**TWO_VASPS, **batch(("chen", {"customer": "emre"}, 0))}, "amount"),
+    # Every mapping names a key it does not take.
+    "chain-unknown-key": ({"chain": {"id": "simchain"}}, "chain: unknown key 'id'"),
+    "defaults-unknown-key": ({"defaults": {"max_latncy": 9}}, "unknown key 'max_latncy'"),
+    "network-unknown-key": ({"networks": [{"network_id": "net-a", "rule": {}}]},
+                            r"networks\[0\]: unknown key 'rule'"),
+    "ca-unknown-key": ({"cas": [{"ca_id": "ca-1", "root": "r"}]}, "unknown key 'root'"),
+    "vasp-unknown-key": ({"vasps": [{"vasp_id": "v1", "ca": "ca-1", "network": ["net-a"]}]},
+                         r"vasps\[0\]: unknown key 'network'"),
+    "peering-unknown-key": ({"peering_links": [{"vasp_a": "v1", "network_a": "net-a",
+                                                "vasp_b": "v1", "network_b": "net-a",
+                                                "latency": 2}]}, "unknown key 'latency'"),
+    "customer-unknown-key": ({"customers": [{"customer_id": "alice", "vasp": "v1",
+                                             "custody": "commingled"}]}, "unknown key 'custody'"),
+    "suspect-unknown-key": ({"suspect_entries": [{"customer": "alice", "why": "x"}]},
+                            "unknown key 'why'"),
+    "action-unknown-key": (with_action(action="transfer", origin="alice",
+                                       target={"customer": "chen"}, amount=1, memo="x"),
+                           r"script\[0\] \(transfer\): unknown key 'memo'"),
+    "action-key-of-another-action": (with_action(action="open_account", customer="alice",
+                                                 amount=5), "unknown key 'amount'"),
+    "batch-entry-unknown-key": ({**TWO_VASPS, **with_action(
+        action="batch_transfer", entries=[{"origin": "chen", "target": {"customer": "dana"},
+                                           "amount": 5, "asset": "coin"}])},
+                                r"entries\[0\]: unknown key 'asset'"),
 }
 
 
