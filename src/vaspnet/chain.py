@@ -16,7 +16,7 @@ from .crypto import KeyPair, digest, enc_str, enc_u64
 NONCE_LEN = 8
 GENESIS_HASH = bytes(crypto.HASH_LEN)
 
-DEFAULT_CONFIRMATION_DELAY = 3
+CONFIRMATION_DELAY = 3  # ticks from a transaction's submission to its block
 
 
 @dataclass(frozen=True)
@@ -91,15 +91,8 @@ def _block_hash(previous_hash: bytes, tick: int, txs: tuple[ChainTransaction, ..
 class SimChain:
     """Single simulated chain; one logical actor, ticked by the harness."""
 
-    def __init__(
-        self,
-        chain_id: str = "simchain",
-        confirmation_delay: int = DEFAULT_CONFIRMATION_DELAY,
-    ) -> None:
-        if confirmation_delay < 1:
-            raise ValueError("confirmation delay must be at least 1 tick")
+    def __init__(self, chain_id: str = "simchain") -> None:
         self.chain_id = chain_id
-        self.confirmation_delay = confirmation_delay
         self.blocks: list[Block] = []
         self._confirmed: list[tuple[ChainTransaction, int]] = []
         self._pending: list[tuple[ChainTransaction, int]] = []
@@ -120,13 +113,13 @@ class SimChain:
 
         At most one block per tick; an empty ready set produces no block.
         """
-        ready = [tx for tx, submitted in self._pending if now - submitted >= self.confirmation_delay]
+        ready = [tx for tx, submitted in self._pending if now - submitted >= CONFIRMATION_DELAY]
         if not ready:
             return []
         self._pending = [
             (tx, submitted)
             for tx, submitted in self._pending
-            if now - submitted < self.confirmation_delay
+            if now - submitted < CONFIRMATION_DELAY
         ]
         previous = self.blocks[-1].block_hash if self.blocks else GENESIS_HASH
         txs = tuple(ready)

@@ -10,9 +10,9 @@ from typing import Optional, Sequence
 
 from . import crypto
 from .ca import Certificate, Crl, RevocationView
-from .network import (AntiEntropy, ApplyResult, DirectoryAnnounce, DirectoryDelta,
-                      DirectoryEntry, DirectorySnapshot, DirectoryView, TrustNetwork,
-                      apply_delta, heartbeat_partner)
+from .network import (SYNC_PERIOD, AntiEntropy, ApplyResult, DirectoryAnnounce,
+                      DirectoryDelta, DirectoryEntry, DirectorySnapshot, DirectoryView,
+                      TrustNetwork, apply_delta, heartbeat_partner)
 
 
 class DirectoryFeed:
@@ -123,13 +123,12 @@ class DirectoryFeed:
         """Heartbeat each network's ``heartbeat_partner`` for this sync period;
         the other co-members, only a heartbeat unanswered for a rotation."""
         for network in self._node.networks_sorted():
-            period = network.rules.directory_sync_period
-            partner = heartbeat_partner(network, self._vasp_id, now // period)
+            partner = heartbeat_partner(network, self._vasp_id, now // SYNC_PERIOD)
             self._heartbeat(network)
-            rotation = (len(network.members) - 1) * period
+            rotation = (len(network.members) - 1) * SYNC_PERIOD
             for member_id in network.member_ids():
                 if member_id != self._vasp_id:
-                    self.gossip.beat((network.network_id, member_id), now, period,
+                    self.gossip.beat((network.network_id, member_id), now,
                                      0 if member_id == partner else rotation)
 
     def _heartbeat(self, network: TrustNetwork) -> None:
@@ -143,8 +142,7 @@ class DirectoryFeed:
         """Reply to ``member_id`` with the last drafted heartbeat: no new sign."""
         if network.network_id not in self.gossip.heartbeats:
             self._heartbeat(network)
-        self.gossip.send((network.network_id, member_id), self._env.now,
-                         network.rules.directory_sync_period)
+        self.gossip.send((network.network_id, member_id), self._env.now, reply=True)
 
     def on_announce(self, announce: DirectoryAnnounce, src: str) -> None:
         """File a verified heartbeat as what its sender holds. Push the snapshot
@@ -162,8 +160,7 @@ class DirectoryFeed:
         previous, peer.listed = peer.listed, announce
         version = self._last_snapshot.version
         held = dict(announce.views).get(self._vasp_id, 0)
-        if held < version and (held < version - 1 or self.gossip.settled(
-                key, self._env.now, network.rules.directory_sync_period)):
+        if held < version and (held < version - 1 or self.gossip.settled(key, self._env.now)):
             self._push(network, owner)
         lacking = [member_id for member_id, listed in announce.listing()
                    if member_id != self._vasp_id and self.views[member_id].version < listed]

@@ -7,15 +7,16 @@ sequence), then periodic protocol duties, then ack-timeout sweeps, then the
 chain tick with confirmation fan-out to the VASPs watching each transaction
 (those holding one of its keys or a record filed under its tx id), then the
 invariant sweep. One message hop costs a latency drawn from a seeded
-per-link PRNG in [1, max_latency]; links can drop probabilistically or be
+per-link PRNG in [1, MAX_LATENCY]; links can drop probabilistically or be
 forced down for a scripted period.
 
-The periodic duties run in this order; ``network`` sets out the gossip.
-Every directory sync period, each member publishes a delta if its live
-entries changed, else may heartbeat one partner per network
-(``directory.DirectoryFeed.sync``). Then each gateway sends over each
-peering link its network's advertisement if that changed, else may send
-the link's digest (``reachability.ReachabilityFeed``).
+One clock, the same in every network, times the periodic duties
+(``network.SYNC_PERIOD`` and ``network.CRL_PERIOD``). They run in this
+order; ``network`` sets out the gossip. Every sync period, each member
+publishes a delta if its live entries changed, else may heartbeat one
+partner per network (``directory.DirectoryFeed.sync``). Then each gateway
+sends over each peering link its network's advertisement if that changed,
+else may send the link's digest (``reachability.ReachabilityFeed``).
 Every CRL period, each member then fetches from the issuing CAs the current
 CRL of every CA that certifies a member of its networks, its own included,
 in CA id order (RFC 5280 section 4.2.1.13, CRL distribution points). This
@@ -38,14 +39,14 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from . import crypto
 from .accounts import CustodyModel
 from .ca import CertificateAuthority, Certificate, RevocationReason
 from .chain import ChainTransaction, SimChain, SubmitResult, build_transaction
 from .crypto import FIELD_HEADER, KeyPair, digest
-from .network import PeeringLink, TrustNetwork
+from .network import CRL_PERIOD, SYNC_PERIOD, PeeringLink, TrustNetwork
 from .resolution import TransferTarget
 from .scenario import CustomerSpec, Scenario, ScriptAction
 from .transfer import TransferOutcome
@@ -54,6 +55,7 @@ from .vasp import VaspNode
 ROOT_VALIDITY = 1_000_000
 VASP_CERT_VALIDITY = 500_000
 CUSTOMER_CERT_VALIDITY = 100_000
+MAX_LATENCY = 3  # a hop's latency is drawn from [1, MAX_LATENCY] ticks
 
 
 _TICK_FIELD = struct.Struct(FIELD_HEADER.format + "Q")
@@ -229,9 +231,8 @@ class _Message:
 
 
 class _Link:
-    def __init__(self, rng: random.Random, max_latency: int, drop_probability: float) -> None:
+    def __init__(self, rng: random.Random, drop_probability: float) -> None:
         self.rng = rng
-        self.max_latency = max_latency
         self.drop_probability = drop_probability
         self.down_until = 0
 
@@ -239,7 +240,7 @@ class _Link:
         return now >= self.down_until
 
     def draw_latency(self) -> int:
-        return self.rng.randint(1, self.max_latency)
+        return self.rng.randint(1, MAX_LATENCY)
 
     def draw_drop(self) -> bool:
         if self.drop_probability <= 0.0:
@@ -273,7 +274,7 @@ class Simulation:
         self.now = 0
         self.log_ = EventLog()
         self.breaches: list[str] = []
-        self.chain = SimChain(scenario.chain_id, scenario.confirmation_delay)
+        self.chain = SimChain(scenario.chain_id)
         self._queue: dict[int, list[_Message]] = {}
         self._seq = 0  # one per send, so also the count of messages sent
         self._links: dict[tuple[str, str], _Link] = {}
@@ -343,7 +344,7 @@ class Simulation:
             rng = random.Random(
                 int.from_bytes(digest(f"link:{self.seed}:{key[0]}:{key[1]}".encode()), "big")
             )
-            link = _Link(rng, self.scenario.max_latency, self.scenario.drop_probability)
+            link = _Link(rng, self.scenario.drop_probability)
             self._links[key] = link
         return link
 
@@ -592,29 +593,23 @@ class Simulation:
             target.on_message(message.kind, message.payload, message.src)
 
     def _periodic_duties(self, tick: int) -> None:
-        for vasp_id in self._due(tick, "directory_sync_period", TrustNetwork.member_ids):
-            self.vasps[vasp_id].directory.sync(tick)
-        for vasp_id in self._due(tick, "directory_sync_period", TrustNetwork.gateway_ids):
-            self.vasps[vasp_id].advertise_reachability(tick)
-        for vasp_id in self._due(tick, "crl_exchange_period", TrustNetwork.member_ids):
-            node = self.vasps[vasp_id]
-            issuers = {record.vasp_certificate.issuer_id
-                       for network in node.memberships.values()
-                       for record in network.members.values()}
-            node.ingest_crls([self.cas[ca_id].current_crl(tick) for ca_id in sorted(issuers)])
+        if tick % SYNC_PERIOD == 0:
+            for vasp_id in self._each_once(TrustNetwork.member_ids):
+                self.vasps[vasp_id].directory.sync(tick)
+            for vasp_id in self._each_once(TrustNetwork.gateway_ids):
+                self.vasps[vasp_id].advertise_reachability(tick)
+        if tick % CRL_PERIOD == 0:
+            for vasp_id in self._each_once(TrustNetwork.member_ids):
+                node = self.vasps[vasp_id]
+                issuers = {record.vasp_certificate.issuer_id
+                           for network in node.memberships.values()
+                           for record in network.members.values()}
+                node.ingest_crls([self.cas[ca_id].current_crl(tick) for ca_id in sorted(issuers)])
 
-    def _due(
-        self, tick: int, period: str, ids_of: Callable[[TrustNetwork], list[str]]
-    ) -> Iterator[str]:
-        """Each VASP once, in network order, that ``ids_of`` names in a
-        network whose ``period`` rule divides ``tick``."""
-        seen: set[str] = set()
-        for network in self._network_order:
-            if tick % getattr(network.rules, period) == 0:
-                for vasp_id in ids_of(network):
-                    if vasp_id not in seen:
-                        seen.add(vasp_id)
-                        yield vasp_id
+    def _each_once(self, ids_of: Callable[[TrustNetwork], list[str]]) -> Iterable[str]:
+        """Each VASP that ``ids_of`` names in a network, once, in network order."""
+        return dict.fromkeys(
+            vasp_id for network in self._network_order for vasp_id in ids_of(network))
 
     def _check_invariants(self, tick: int) -> None:
         for node in self._vasp_order:

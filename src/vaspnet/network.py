@@ -17,7 +17,8 @@ co-member or the far gateway of a link (push-pull, Demers et al., PODC
 1987; Scuttlebutt, van Renesse et al., LADIS 2008). A change goes out at
 once: a delta in the sync period a directory changed, an advertisement
 when what a link holds for its origin changes (RFC 4271's UPDATE). Else,
-once per sync period, a node sends a peer its signed heartbeat, listing
+once per sync period (``SYNC_PERIOD``, one clock for every network and
+link), a node sends a peer its signed heartbeat, listing
 what it holds (a ``DirectoryAnnounce`` to the ``heartbeat_partner``, a
 ``RouteDigest`` over a link), unless a change went to the peer in the
 period, while that is news to the peer (the start state is none, nor is
@@ -76,21 +77,20 @@ class MembershipDenied(NetworkError):
     pass
 
 
+# The protocol clock, in ticks, the same in every network.
+SYNC_PERIOD = 10  # between a member's directory syncs and a gateway's link duties
+CRL_PERIOD = 20  # between a member's CRL fetches
+ACK_TIMEOUT = 10  # from a notice sent to its originator giving up on the ack
+
+
 @dataclass(frozen=True)
 class OperatingRules:
-    """Machine-checkable slice of a trust network's operating agreement."""
+    """Machine-checkable slice of a trust network's operating agreement: the
+    policy its members agree to."""
 
     rules_version: int = 1
     minimum_certificate_class: CertClass = CertClass.CLASS1
     required_disclosure_policy: DisclosurePolicy = DisclosurePolicy(REQUIRED_TRAVEL_RULE_CORE)
-    directory_sync_period: int = 10
-    crl_exchange_period: int = 20
-    ack_timeout: int = 10
-
-    def __post_init__(self) -> None:
-        for name in ("directory_sync_period", "crl_exchange_period", "ack_timeout"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1 tick")
 
 
 @dataclass(frozen=True)
@@ -396,27 +396,27 @@ class AntiEntropy:
         if held is None or replace(held, signature=b"") != heartbeat:
             self.heartbeats[source] = heartbeat
 
-    def settled(self, key, now: int, period: int) -> bool:
+    def settled(self, key, now: int) -> bool:
         """Whether no change a heartbeat could cross went to the peer this period."""
-        return self.peers[key].changed_at < now - now % period
+        return self.peers[key].changed_at < now - now % SYNC_PERIOD
 
-    def beat(self, key, now: int, period: int, patience: int = 0) -> None:
+    def beat(self, key, now: int, patience: int = 0) -> None:
         """Send the heartbeat while it is news to the peer or the peer lists
         less, unless a change went to it this period; with ``patience``, only
         again, to a peer first sent it that many ticks ago or more."""
         peer, heartbeat = self.peers[key], self.heartbeats[key[0]]
-        if patience and now - peer.since < patience or not self.settled(key, now, period):
+        if patience and now - peer.since < patience or not self.settled(key, now):
             return
         news = heartbeat is not peer.sent and heartbeat.news_for(peer.sent, key[1])
         if not (news and patience) and (news or heartbeat.ahead_of(peer.listed)):
             self.send(key, now)
 
-    def send(self, key, now: int, period: int = 0) -> None:
-        """Send the source's heartbeat to the peer, signed on its first send,
-        unless one went to the peer fewer than ``period`` ticks ago."""
+    def send(self, key, now: int, reply: bool = False) -> None:
+        """Send the source's heartbeat to the peer, signed on its first send;
+        a ``reply`` only if none went to the peer in the last sync period."""
         source, peer_id = key
         peer, heartbeat = self.peers[key], self.heartbeats[source]
-        if now - peer.beat_at < period:
+        if reply and now - peer.beat_at < SYNC_PERIOD:
             return
         if not heartbeat.signature:
             heartbeat = self.heartbeats[source] = self._node.seal(heartbeat)

@@ -67,12 +67,11 @@ class ReachabilityFeed:
         """One sync period: each of this gateway's peering links is sent its
         network's advertisement if that changed, and its ``RouteDigest``."""
         for network in self._node.networks_sorted():
-            period = network.rules.directory_sync_period
             for link in network.links_of(self._vasp_id):
                 far_gateway, _ = link.far_side(network.network_id)
                 self._advertise_own(network, link, far_gateway)
                 self._keepalive(link)
-                self.gossip.beat((link, far_gateway), now, period)
+                self.gossip.beat((link, far_gateway), now)
 
     def _keepalive(self, link: PeeringLink) -> None:
         held = self.links[link]
@@ -89,15 +88,15 @@ class ReachabilityFeed:
         peer = self.gossip.peers[key]
         previous, peer.listed = peer.listed, keepalive
         held = self.links[link]
-        now, period = self._env.now, network.rules.directory_sync_period
-        if keepalive.received != held.sent.digest and self.gossip.settled(key, now, period):
+        now = self._env.now
+        if keepalive.received != held.sent.digest and self.gossip.settled(key, now):
             routes = tuple(held.sent.values())
             peer.changed_at = now
             self._env.send(self._vasp_id, src, "refreshed_routes", routes)
             self._env.log(self._vasp_id, "routes_refreshed", to=src, routes=len(routes))
         if keepalive.held != held.received.digest or keepalive == previous:
             self._keepalive(link)
-            self.gossip.send(key, now, period)
+            self.gossip.send(key, now, reply=True)
         self._withdraw_unheld(network, link, src)
 
     def on_refreshed_routes(self, routes: Sequence[ReachabilityAdvertisement], src: str) -> None:

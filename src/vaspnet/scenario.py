@@ -9,12 +9,11 @@ naming the offending key or reference.
 Schema (all ids are strings; every referenced id must be declared):
 
     seed: 42                       # 64-bit simulation seed
-    chain: {chain_id: simchain, confirmation_delay: 3}
-    defaults: {max_latency: 3, drop_probability: 0.0, drain_ticks: 40}
+    chain: {chain_id: simchain}
+    defaults: {drop_probability: 0.0}
     networks:
       - network_id: net-a
-        rules: {directory_sync_period: 10, crl_exchange_period: 20,
-                ack_timeout: 10, minimum_certificate_class: class1}
+        rules: {minimum_certificate_class: class1}
     cas:
       - {ca_id: ca-1}
     vasps:
@@ -42,17 +41,17 @@ Schema (all ids are strings; every referenced id must be declared):
 Each top-level key but ``seed``, ``chain`` and ``defaults`` holds a list of
 mappings; those two, rules, attributes and targets are mappings.
 
-Ranges: ``seed`` in [0, 2**64); ``confirmation_delay`` and ``max_latency``
-at least 1; ``drop_probability`` in [0, 1]; ``drain_ticks`` at least 0;
-script ticks at least 0; ``amount``, ``period`` and ``ticks`` at least 1.
+Ranges: ``seed`` in [0, 2**64); ``drop_probability`` in [0, 1]; script
+ticks at least 0; ``amount``, ``period`` and ``ticks`` at least 1.
+
+Timings are the protocol's constants, not keys: ``network.SYNC_PERIOD``,
+``network.CRL_PERIOD``, ``network.ACK_TIMEOUT``, ``chain.CONFIRMATION_DELAY``,
+``harness.MAX_LATENCY`` and ``DRAIN_TICKS`` here.
 
 Network rules (each optional; the default in brackets) build the network's
-``OperatingRules``:
+``OperatingRules``, the policy its members agree to:
 
     rules_version               integer >= 0 [1]
-    directory_sync_period       ticks >= 1 [10]
-    crl_exchange_period         ticks >= 1 [20]
-    ack_timeout                 ticks >= 1 [10]
     minimum_certificate_class   class1 | class2 | class3 [class1]
     required_disclosure         non-empty list of attribute names
                                 [the travel-rule core]
@@ -94,6 +93,8 @@ ACTION_KEYS = {
     "advance": frozenset({"ticks"}),
 }
 
+DRAIN_TICKS = 40  # ticks a run goes on after its script, for what is in flight to settle
+
 _TOP_LEVEL_KEYS = frozenset({
     "seed", "chain", "defaults", "networks", "cas", "vasps", "peering_links", "customers",
     "suspect_entries", "script",
@@ -108,8 +109,6 @@ _ITEM_KEYS = {
                             "attributes"}),
     "suspect_entries": frozenset({"customer", "account_id", "key_hash_hex"}),
 }
-_CHAIN_KEYS = frozenset({"chain_id", "confirmation_delay"})
-_DEFAULTS_KEYS = frozenset({"max_latency", "drop_probability", "drain_ticks"})
 _BATCH_ENTRY_KEYS = frozenset({"origin", "target", "amount"})
 
 
@@ -177,17 +176,15 @@ class Scenario:
     suspects: tuple[SuspectSpec, ...]
     script: tuple[ScriptAction, ...]
     chain_id: str = "simchain"
-    confirmation_delay: int = 3
-    max_latency: int = 3
     drop_probability: float = 0.0
-    drain_ticks: int = 40
 
     def horizon(self) -> int:
+        """The last tick a run processes: the script's, then ``DRAIN_TICKS``."""
         last = max((a.tick for a in self.script), default=0)
         extra = sum(
             int(a.params.get("ticks", 0)) for a in self.script if a.action == "advance"
         )
-        return last + extra + self.drain_ticks
+        return last + extra + DRAIN_TICKS
 
 
 def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:
@@ -209,19 +206,14 @@ def _number(value: Any, kind: type, context: str, low: float, high: float = math
     return number
 
 
-# Each integer rule and its least value.
-_INT_RULES = {
-    "rules_version": 0, "directory_sync_period": 1, "crl_exchange_period": 1, "ack_timeout": 1,
-}
-_RULE_KEYS = frozenset({*_INT_RULES, "minimum_certificate_class", "required_disclosure"})
+_RULE_KEYS = frozenset({"rules_version", "minimum_certificate_class", "required_disclosure"})
 
 
 def _parse_rules(raw: Any, context: str) -> OperatingRules:
     _known(raw, _RULE_KEYS, context)
-    kwargs: dict[str, Any] = {
-        key: _number(raw[key], int, f"{context}.{key}", low)
-        for key, low in _INT_RULES.items() if key in raw
-    }
+    kwargs: dict[str, Any] = {}
+    if "rules_version" in raw:
+        kwargs["rules_version"] = _number(raw["rules_version"], int, f"{context}.rules_version", 0)
     if "minimum_certificate_class" in raw:
         kwargs["minimum_certificate_class"] = _parse_class(
             raw["minimum_certificate_class"], f"{context}.minimum_certificate_class"
@@ -348,8 +340,8 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
         for raw in _section(data, "script")
     )
 
-    chain_cfg = _known(data.get("chain", {}), _CHAIN_KEYS, "chain")
-    defaults = _known(data.get("defaults", {}), _DEFAULTS_KEYS, "defaults")
+    chain_cfg = _known(data.get("chain", {}), frozenset({"chain_id"}), "chain")
+    defaults = _known(data.get("defaults", {}), frozenset({"drop_probability"}), "defaults")
     scenario = Scenario(
         seed=_number(data.get("seed", 0), int, "seed", 0, 2**64 - 1),
         networks=networks,
@@ -360,12 +352,8 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
         suspects=suspects,
         script=script,
         chain_id=str(chain_cfg.get("chain_id", "simchain")),
-        confirmation_delay=_number(
-            chain_cfg.get("confirmation_delay", 3), int, "chain.confirmation_delay", 1),
-        max_latency=_number(defaults.get("max_latency", 3), int, "defaults.max_latency", 1),
         drop_probability=_number(
             defaults.get("drop_probability", 0.0), float, "defaults.drop_probability", 0, 1),
-        drain_ticks=_number(defaults.get("drain_ticks", 40), int, "defaults.drain_ticks", 0),
     )
     validate_scenario(scenario)
     return scenario

@@ -15,7 +15,7 @@ from .assertions import AssertionServiceError, AttributeAssertion, verify_assert
 from .ca import Certificate
 from .chain import ChainTransaction
 from .crypto import canonical_encode, enc_str, enc_u64
-from .network import OperatingRules
+from .network import ACK_TIMEOUT, OperatingRules
 from .resolution import ResolvedBeneficiary, TransferTarget
 
 NOTICE_ID_LEN = 16
@@ -372,12 +372,10 @@ class Transfers:
                          resolved: ResolvedBeneficiary, account_ids: tuple[str, ...],
                          now: int) -> TransferOutcome:
         """Open the originator record and send the notice, its ack due within
-        the ``ack_timeout`` of the beneficiary VASP's network."""
+        ``ACK_TIMEOUT``."""
         outcome = TransferOutcome(self._open_record(RecordRole.ORIGINATOR_SIDE, notice, now,
                                                     account_ids))
-        rules = self._rules_for_peer(notice.beneficiary_vasp_id)
-        ack_timeout = rules.ack_timeout if rules else OperatingRules.ack_timeout
-        self._pending[notice.notice_id] = PendingTransfer(outcome, tx, resolved, now + ack_timeout)
+        self._pending[notice.notice_id] = PendingTransfer(outcome, tx, resolved, now + ACK_TIMEOUT)
         self._env.send(self._vasp_id, notice.beneficiary_vasp_id, "transfer_notice", notice)
         self._env.log(self._vasp_id, "notice_sent", notice=notice.notice_id.hex(),
                       beneficiary=notice.beneficiary_vasp_id,

@@ -14,7 +14,8 @@ from conftest import make_scenario, standard_script
 from vaspnet import crypto
 from vaspnet.ca import CertClass, RevocationReason, RevocationView
 from vaspnet.ca import _entries_payload as crl_entries_payload
-from vaspnet.harness import Simulation
+from vaspnet.harness import MAX_LATENCY, Simulation
+from vaspnet.network import SYNC_PERIOD
 from vaspnet.network import _entries_bytes as directory_entries_bytes
 from vaspnet.resolution import TransferTarget
 from vaspnet.transfer import OutcomeStatus
@@ -281,9 +282,8 @@ def test_05_gossip_convergence_random_topologies():
         sim = Simulation(scn)
         sim.run()
         network = sim.networks["net-a"]
-        sync = network.rules.directory_sync_period
         diameter = 1  # gossip pushes directly to every member
-        bound = diameter * sync + scn.max_latency
+        bound = diameter * SYNC_PERIOD + MAX_LATENCY
         for publisher_id in network.member_ids():
             snapshot = sim.vasps[publisher_id].directory._last_snapshot
             assert snapshot is not None
@@ -356,7 +356,7 @@ def test_07_commingled_batch_arithmetic():
     script = [{"tick": 0, "action": "open_account", "customer": c["customer_id"]}
               for c in customers]
     script += [{"tick": 1, "action": "enroll", "customer": f"r{i}"} for i in range(4)]
-    scn = make_scenario(customers=customers, script=script, defaults={"drain_ticks": 60})
+    scn = make_scenario(customers=customers, script=script)
     sim = Simulation(scn)
     sim.advance_to(12)
     rng = random.Random(777)

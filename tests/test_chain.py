@@ -1,5 +1,6 @@
 from vaspnet import crypto
 from vaspnet.chain import (
+    CONFIRMATION_DELAY,
     ChainTransaction,
     SimChain,
     build_transaction,
@@ -15,14 +16,14 @@ def make_tx(label="a", amount=10, nonce=b"\x00" * 8, to_label="b"):
 
 class TestSubmission:
     def test_confirms_after_delay(self):
-        chain = SimChain(confirmation_delay=3)
+        chain = SimChain()
         tx = make_tx()
         result = chain.submit_transaction(tx, now=0)
         assert result.accepted and result.tx_id == tx.tx_id
-        assert chain.tick(1) == [] and chain.tick(2) == []
-        events = chain.tick(3)
+        assert all(chain.tick(t) == [] for t in range(1, CONFIRMATION_DELAY))
+        events = chain.tick(CONFIRMATION_DELAY)
         assert [e.transaction for e in events] == [tx]
-        assert chain.confirmed_transactions() == [(tx, 3)]
+        assert chain.confirmed_transactions() == [(tx, CONFIRMATION_DELAY)]
 
     def test_duplicate_rejected(self):
         chain = SimChain()
@@ -65,29 +66,29 @@ class TestTicks:
         assert chain.blocks == []
 
     def test_same_tick_txs_one_block_in_submission_order(self):
-        chain = SimChain(confirmation_delay=1)
+        chain = SimChain()
         txs = [make_tx(label=f"s{i}", nonce=bytes([i]) * 8) for i in range(3)]
         for tx in txs:
             chain.submit_transaction(tx, 0)
-        events = chain.tick(1)
+        events = chain.tick(CONFIRMATION_DELAY)
         assert len(chain.blocks) == 1
         assert list(chain.blocks[0].transactions) == txs
         assert [e.transaction for e in events] == txs
 
     def test_confirmed_transactions_follow_the_blocks_without_a_rebuild(self):
-        chain = SimChain(confirmation_delay=1)
+        chain = SimChain()
         txs = [make_tx(label=f"s{i}", nonce=bytes([i]) * 8) for i in range(3)]
         ledger = chain.confirmed_transactions()
         for tick, tx in enumerate(txs):
             chain.submit_transaction(tx, tick)
-            chain.tick(tick + 1)
+            chain.tick(tick + CONFIRMATION_DELAY)
         assert chain.confirmed_transactions() is ledger
         assert ledger == [(tx, block.tick) for block in chain.blocks for tx in block.transactions]
-        assert ledger == [(tx, tick + 1) for tick, tx in enumerate(txs)]
+        assert ledger == [(tx, tick + CONFIRMATION_DELAY) for tick, tx in enumerate(txs)]
 
     def test_replay_identical_block_hashes(self):
         def build():
-            chain = SimChain(confirmation_delay=2)
+            chain = SimChain()
             for i in range(4):
                 chain.submit_transaction(make_tx(label=f"r{i}", nonce=bytes([i]) * 8), i)
             for t in range(10):
@@ -99,18 +100,18 @@ class TestTicks:
 
 class TestImmutability:
     def test_untouched_ledger_verifies(self):
-        chain = SimChain(confirmation_delay=1)
+        chain = SimChain()
         chain.submit_transaction(make_tx(), 0)
-        chain.tick(1)
+        chain.tick(CONFIRMATION_DELAY)
         assert chain.verify_chain()
 
     def test_empty_ledger_verifies(self):
         assert SimChain().verify_chain()
 
     def test_mutating_confirmed_amount_detected(self):
-        chain = SimChain(confirmation_delay=1)
+        chain = SimChain()
         chain.submit_transaction(make_tx(), 0)
-        chain.tick(1)
+        chain.tick(CONFIRMATION_DELAY)
         victim = chain.blocks[0].transactions[0]
         object.__setattr__(victim, "amount", 999_999)
         assert not chain.verify_chain()
@@ -122,10 +123,10 @@ class TestImmutability:
         assert not [n for n in surface if any(f in n.lower() for f in forbidden)]
 
     def test_confirmation_event_content_stable(self):
-        chain = SimChain(confirmation_delay=1)
+        chain = SimChain()
         tx = make_tx(amount=77)
         chain.submit_transaction(tx, 0)
-        events = chain.tick(1)
+        events = chain.tick(CONFIRMATION_DELAY)
         stored = chain.confirmed_transactions()[0][0]
         assert events[0].transaction == stored == tx
         assert stored.tx_id == crypto.digest(stored.to_bytes())
@@ -133,11 +134,11 @@ class TestImmutability:
 
 class TestExport:
     def test_export_line_format(self):
-        chain = SimChain(confirmation_delay=1)
+        chain = SimChain()
         tx = make_tx(amount=42)
         chain.submit_transaction(tx, 0)
-        chain.tick(1)
+        chain.tick(CONFIRMATION_DELAY)
         line = chain.export_lines()[0]
         parts = line.split(",")
         assert parts[0] == tx.tx_id.hex()
-        assert parts[3] == "42" and parts[4] == "coin" and parts[5] == "1"
+        assert parts[3] == "42" and parts[4] == "coin" and parts[5] == str(CONFIRMATION_DELAY)

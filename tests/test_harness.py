@@ -207,7 +207,7 @@ class TestReports:
         assert len(denied_lines) == sim.metrics.denied_total == 1
 
     def test_empty_run_header_only(self):
-        sim = Simulation(make_scenario(script=[], customers=[], defaults={"drain_ticks": 5}))
+        sim = Simulation(make_scenario(script=[], customers=[]))
         result = sim.run()
         text = render_text(result)
         assert text.startswith("vaspnet run report")

@@ -12,8 +12,10 @@ import vaspnet.vasp
 from conftest import count_calls, make_scenario, record_sends, standard_script
 from vaspnet import crypto
 from vaspnet.ca import CertClass, RevocationReason, RevocationView, ValidationStatus
-from vaspnet.harness import Simulation
+from vaspnet.harness import MAX_LATENCY, Simulation
 from vaspnet.network import (
+    CRL_PERIOD,
+    SYNC_PERIOD,
     ApplyResult,
     DirectoryAnnounce,
     DirectoryDelta,
@@ -120,10 +122,6 @@ class TestMembership:
         account_cert = node.book.accounts["acct-alice"].certificate  # class 1
         with pytest.raises(MembershipDenied):
             strict.join_network(account_cert, 1, 2)
-
-    def test_rules_periods_validated(self):
-        with pytest.raises(ValueError):
-            OperatingRules(directory_sync_period=0)
 
 
 class TestDirectoryGossip:
@@ -308,9 +306,8 @@ class TestCaFetch:
         # right after the CRL that revokes bob publishes the delta dropping
         # bob, not a heartbeat.
         sim = mixed_ca_sim([self.REVOKE_BOB], v4_ca=v4_ca)
-        rules = sim.networks["net-a"].rules
         v2 = sim.vasps["v2"]
-        issued = 2 * rules.crl_exchange_period  # ca-2's first CRL after the revocation
+        issued = 2 * CRL_PERIOD  # ca-2's first CRL after the revocation
         sim.advance_to(issued - 1)
         serial = v2.book.accounts["acct-bob"].certificate_serial
         assert not any(v.revocation.is_revoked("ca-2", serial) for v in sim.vasps.values())
@@ -321,7 +318,7 @@ class TestCaFetch:
         version = v2.directory._last_snapshot.version
         # Bob's removal is published at v2's next sync and reaches every
         # member within the link latency.
-        sim.advance_to(issued + rules.directory_sync_period + sim.scenario.max_latency)
+        sim.advance_to(issued + SYNC_PERIOD + MAX_LATENCY)
         assert v2.directory._last_snapshot.version == version + 1
         for member in ("v1", "v3", "v4"):
             view = sim.vasps[member].directory.views["v2"]
@@ -333,18 +330,17 @@ class TestCaFetch:
         same object; after a revocation exactly one new CRL is issued, however
         many members fetch it."""
         sim = mixed_ca_sim([self.REVOKE_BOB])  # bob revoked at tick 21
-        period = sim.networks["net-a"].rules.crl_exchange_period
-        sim.advance_to(period - 1)
+        sim.advance_to(CRL_PERIOD - 1)
         fetched = count_calls(monkeypatch, vaspnet.vasp.VaspNode, "ingest_crls")
         generated = count_calls(monkeypatch, sim.cas["ca-2"], "generate_crl")
-        sim.advance_to(period)
+        sim.advance_to(CRL_PERIOD)
         assert [(node.vasp_id, [crl.issuer_id for crl in crls]) for node, crls in fetched] == [
             (member, ["ca-1", "ca-2"]) for member in ("v1", "v2", "v3", "v4")]
         assert generated == []
         held = fetched[0][1][1]
         assert all(crls[1] is held for _, crls in fetched)
         fetched.clear()
-        sim.advance_to(2 * period)
+        sim.advance_to(2 * CRL_PERIOD)
         assert len(generated) == 1 and len(fetched) == 4
         issued = fetched[0][1][1]
         assert issued.crl_number == held.crl_number + 1
@@ -489,9 +485,8 @@ class TestDirectorySync:
         v1 = sim.vasps["v1"]
         sent = capture_sends(sim, monkeypatch)
         signed = count_calls(monkeypatch, crypto, "sign")
-        period = sim.networks["net-a"].rules.directory_sync_period
         for tick in (30, 50):  # each published version is signed once, when first sent
-            v1.publish_directory(tick - period)
+            v1.publish_directory(tick - SYNC_PERIOD)
             signed.clear()
             sent.clear()
             for _beat in range(3):  # v2, which nothing reaches, still lists less
@@ -521,7 +516,7 @@ class TestDirectorySync:
         assert len(reads) == 1 and v1.directory._last_snapshot.version == version + 1
         assert {kind for _, _, kind, _ in sent} == {"dir_delta"}
         sent.clear()
-        v1.directory.sync(sim.now + sim.networks["net-a"].rules.directory_sync_period)
+        v1.directory.sync(sim.now + SYNC_PERIOD)
         assert len(reads) == 2 and v1.directory._last_snapshot.version == version + 1
         assert {kind for _, _, kind, _ in sent} == {"dir_announce"}
         assert hashed == []
@@ -614,7 +609,6 @@ class TestHeartbeatSchedule:
         sent = record_sends(sim, monkeypatch, {"dir_announce", "dir_delta"})
         sim.advance_to(102)
         networks = sim.networks
-        period = networks["net-a"].rules.directory_sync_period
         assert {kind for tick, _, _, kind, _ in sent if tick != 10} == {"dir_announce"}
         heartbeats = [(tick, src, dst, payload) for tick, src, dst, kind, payload in sent
                       if kind == "dir_announce"]
@@ -624,9 +618,9 @@ class TestHeartbeatSchedule:
             # The heartbeat lists the views its sender holds of that network.
             assert [m for m, _ in payload.views] == [
                 m for m in network.member_ids() if m != src]
-            if tick % period == 0:
+            if tick % SYNC_PERIOD == 0:
                 # A sync period's heartbeat goes to the sender's partner.
-                assert dst == heartbeat_partner(network, src, tick // period)
+                assert dst == heartbeat_partner(network, src, tick // SYNC_PERIOD)
                 received[tick, dst, network.network_id] += 1
             else:
                 # Any other answers one its receiver sent it.
@@ -644,7 +638,7 @@ class TestHeartbeatSchedule:
         for member_id in ("v2", "v3", "v4"):
             assert v1.directory.gossip.peers["net-a", member_id].listed == (
                 sim.vasps[member_id].directory.gossip.heartbeats["net-a"])
-        assert max(tick for tick, *_ in sent) <= 50 + sim.scenario.max_latency
+        assert max(tick for tick, *_ in sent) <= 50 + MAX_LATENCY
 
     def test_revocation_moves_heartbeats_only_through_the_owners_removal(self, monkeypatch):
         # v4 has no customers: it never publishes and heartbeats version 0.
@@ -667,11 +661,10 @@ class TestHeartbeatSchedule:
                        for d in targets)
         assert [(tick, d) for tick, d in later if tick % 10 == 0] == [(60, "v1"), (80, "v3")]
         (answer,) = [(tick, d) for tick, d in later if tick % 10]
-        assert answer[1] == "v2" and 100 < answer[0] <= 100 + sim.scenario.max_latency
+        assert answer[1] == "v2" and 100 < answer[0] <= 100 + MAX_LATENCY
         network = sim.networks["net-a"]
-        period = network.rules.directory_sync_period
         for tick, targets in revoked.items():
-            assert targets == [heartbeat_partner(network, "v4", tick // period)]
+            assert targets == [heartbeat_partner(network, "v4", tick // SYNC_PERIOD)]
         serial = sim.vasps["v2"].book.accounts["acct-bob"].certificate_serial
         assert sim.vasps["v4"].revocation.is_revoked("ca-2", serial)
 
@@ -693,7 +686,7 @@ class TestHeartbeatSchedule:
              "reason": "keyCompromise"},
         ]))
         sent = record_sends(sim, monkeypatch, {"dir_announce"})
-        issued = 2 * sim.networks["net-a"].rules.crl_exchange_period
+        issued = 2 * CRL_PERIOD
         sim.advance_to(issued - 1)
         serial = sim.vasps["v1"].book.accounts["acct-alice"].certificate_serial
         assert not any(v.revocation.is_revoked("ca-1", serial) for v in sim.vasps.values())
@@ -701,17 +694,16 @@ class TestHeartbeatSchedule:
         assert all(v.revocation.is_revoked("ca-1", serial) for v in sim.vasps.values())
         sim.advance_to(160)
         network = sim.networks["net-a"]
-        period = network.rules.directory_sync_period
         beats = Counter((tick, src) for tick, src, _, _, _ in sent if tick > issued)
         assert set(beats.values()) == {1}
-        assert all(dst == heartbeat_partner(network, src, tick // period)
-                   for tick, src, dst, _, _ in sent if tick > issued and tick % period == 0)
-        assert sorted({tick for tick, _ in beats if tick % period == 0}) == [
+        assert all(dst == heartbeat_partner(network, src, tick // SYNC_PERIOD)
+                   for tick, src, dst, _, _ in sent if tick > issued and tick % SYNC_PERIOD == 0)
+        assert sorted({tick for tick, _ in beats if tick % SYNC_PERIOD == 0}) == [
             60, 70, 80, 90, 100, 110]
         assert {src for tick, src in beats if tick > 80} == {"v1", "v2", "v3", "v4"}
         assert {(src, dst) for tick, src, dst, _, _ in sent if tick > issued} == {
             (src, dst) for src in sim.vasps for dst in sim.vasps if src != dst}
-        assert max(tick for tick, *_ in sent) <= 110 + sim.scenario.max_latency
+        assert max(tick for tick, *_ in sent) <= 110 + MAX_LATENCY
 
     def test_lost_delta_is_pushed_by_its_owner_within_one_sync_period(self, monkeypatch):
         # v1 publishes at 30 (alice enrolled at 25); the delta to v2 is lost.
@@ -727,10 +719,9 @@ class TestHeartbeatSchedule:
             {"tick": 30, "action": "drop_link", "a": "v1", "b": "v2", "period": 4},
         ]))
         sent = record_sends(sim, monkeypatch, {"dir_announce", "dir_snapshot", "dir_delta"})
-        sync = sim.networks["net-a"].rules.directory_sync_period
         # Heartbeat, heartbeat back and snapshot each take at most
         # max_latency ticks.
-        sim.advance_to(30 + sync + 3 * sim.scenario.max_latency)
+        sim.advance_to(30 + SYNC_PERIOD + 3 * MAX_LATENCY)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
         assert v1.directory._last_snapshot.version == 1
         lost = [e for e in sim.log_.entries if e.event == "message_dropped"]
@@ -740,7 +731,7 @@ class TestHeartbeatSchedule:
                 if tick == 40 and kind == "dir_announce" and dst == "v2"] == [("v4", "v2")]
         (pull,) = [(tick, p) for tick, src, dst, kind, p in sent
                    if (src, dst, kind) == ("v2", "v1", "dir_announce") and tick > 40]
-        assert pull[0] <= 40 + sim.scenario.max_latency
+        assert pull[0] <= 40 + MAX_LATENCY
         assert dict(pull[1].views)["v1"] == 0
         (push,) = [(tick, p) for tick, src, dst, kind, p in sent
                    if (src, dst, kind) == ("v1", "v2", "dir_snapshot")]
@@ -750,14 +741,13 @@ class TestHeartbeatSchedule:
 
     def test_view_wiped_after_quiet_periods_resyncs_within_three(self):
         sim = two_network_sim()
-        rules = sim.networks["net-a"].rules
         # v1's heartbeat of tick 90, its eighth quiet period, has arrived
         # (latency is at most 3 ticks).
         sim.advance_to(95)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
         assert v1.directory._last_snapshot.version == 1  # published at tick 10 only
         v2.directory.views["v1"] = DirectoryView()
-        sim.advance_to(95 + 3 * rules.directory_sync_period)
+        sim.advance_to(95 + 3 * SYNC_PERIOD)
         view = v2.directory.views["v1"]
         assert view.version == v1.directory._last_snapshot.version
         assert view.entries == v1.directory._last_snapshot.entries
@@ -775,8 +765,7 @@ class TestHeartbeatSchedule:
         sim.advance_to(wiped_at)
         assert [tick for tick, *_ in sent if tick > 60] == []
         sim.vasps[holder].directory.views["v2"] = DirectoryView()
-        period = sim.networks["net-a"].rules.directory_sync_period
-        sim.advance_to(wiped_at + period + 4 * sim.scenario.max_latency)
+        sim.advance_to(wiped_at + SYNC_PERIOD + 4 * MAX_LATENCY)
         view = sim.vasps[holder].directory.views["v2"]
         published = sim.vasps["v2"].directory._last_snapshot
         assert (view.version, view.entries) == (published.version, published.entries)
@@ -829,10 +818,9 @@ class TestHeartbeatSchedule:
             ("v1", "v4", v1.directory._last_snapshot), ("v1", "v4", heartbeat)]
         # v4 already held that heartbeat, so it answers in turn, and v1 again
         # lists what v4 holds. Nothing else is sent.
-        period = sim.networks["net-a"].rules.directory_sync_period
-        sim.advance_to(100 + 5 * period)
+        sim.advance_to(100 + 5 * SYNC_PERIOD)
         assert [(src, dst, p) for _, src, dst, _, p in sent[2:]] == [("v4", "v1", current)]
-        assert sent[2][0] <= 100 + sim.scenario.max_latency
+        assert sent[2][0] <= 100 + MAX_LATENCY
         assert v1.directory.gossip.peers["net-a", "v4"].listed == current
 
 class TestIntraNetworkQuery:
@@ -879,9 +867,8 @@ class TestRevokedBeneficiaryByKey:
 
     def test_denial_follows_the_owners_removal(self):
         sim = mixed_ca_sim([TestCaFetch.REVOKE_BOB])
-        rules = sim.networks["net-a"].rules
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
-        issued = 2 * rules.crl_exchange_period  # ca-2's CRL revoking bob
+        issued = 2 * CRL_PERIOD  # ca-2's CRL revoking bob
         sim.advance_to(issued + 1)
         bob = v2.book.accounts["acct-bob"]
         target = TransferTarget.from_key_hash(bob.customer_public_key_hash)
@@ -894,9 +881,9 @@ class TestRevokedBeneficiaryByKey:
         assert denial() == (DenialCode.CERT_INVALID, "beneficiary-customer:revoked")
         # v2 publishes the removal at its next sync; until v1 applies it,
         # v1's view of v2 lists bob and the denial stays CertInvalid.
-        published = issued + rules.directory_sync_period
+        published = issued + SYNC_PERIOD
         while bob.customer_public_key_hash in v1.directory.views["v2"].key_hashes():
-            assert sim.now <= published + sim.scenario.max_latency
+            assert sim.now <= published + MAX_LATENCY
             assert denial() == (DenialCode.CERT_INVALID, "beneficiary-customer:revoked")
             sim.advance_to(sim.now + 1)
         assert sim.now > published
@@ -911,7 +898,7 @@ class TestRevocationRace:
     in the same tick, refuses the notice."""
 
     def test_beneficiary_rejects_a_notice_for_a_customer_revoked_in_flight(self):
-        crl_tick = 2 * OperatingRules().crl_exchange_period
+        crl_tick = 2 * CRL_PERIOD
         sim = mixed_ca_sim([
             {"tick": crl_tick - 3, "action": "revoke_cert", "customer": "bob",
              "reason": "keyCompromise"},
@@ -1226,7 +1213,7 @@ class TestAdjRibOut:
             ("b2", "reach_digest"), ("c1", "reach_digest"), ("b2", "refreshed_routes"),
             ("c1", "refreshed_routes")]
         assert repair[0][0] == 20
-        assert all(tick <= 10 + 10 + 2 * sim.scenario.max_latency for tick, _, _ in repair)
+        assert all(tick <= 10 + 10 + 2 * MAX_LATENCY for tick, _, _ in repair)
         assert sorted((tick, src, kind) for tick, src, kind in exchange if tick >= 30) == [
             (30, "b2", "reach_digest"), (30, "c1", "reach_digest")]
         (reply,) = [payload for tick, src, dst, kind, payload in sent
@@ -1253,8 +1240,7 @@ class TestAdjRibOut:
         sent = record_sends(sim, monkeypatch, {"reach_adv", "reach_digest", "refreshed_routes"})
         b2.reach.withdraw(link, "net-a")
         assert "net-a" not in b2.reach.links[link].sent
-        period = sim.networks["net-b"].rules.directory_sync_period
-        sim.advance_to(35 + period + 3 * sim.scenario.max_latency)
+        sim.advance_to(35 + SYNC_PERIOD + 3 * MAX_LATENCY)
         assert [(src, kind) for tick, src, _, kind, _ in sent if tick < 50] == [
             ("b2", "reach_digest"), ("c1", "reach_digest"), ("b2", "refreshed_routes")]
         assert "net-a" not in c1.reach.links[link].received

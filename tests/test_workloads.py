@@ -21,6 +21,7 @@ from conftest import count_calls, record_sends
 from vaspnet import crypto
 from vaspnet.harness import Simulation
 from vaspnet.network import (
+    SYNC_PERIOD,
     DirectoryAnnounce,
     DirectorySnapshot,
     ReachabilityAdvertisement,
@@ -308,11 +309,10 @@ def test_member_certifying_no_key_heartbeats_version_0(workloads, monkeypatch):
     v3 = sim.vasps["v3"]
     assert {a.custody_model for a in v3.book.accounts.values()} == {CustodyModel.COMMINGLED}
     network = sim.networks["net-a"]
-    period = network.rules.directory_sync_period
     heartbeats = [(tick, dst, payload) for tick, src, dst, kind, payload in sent
                   if src == "v3" and kind == "dir_announce"]
     assert [tick for tick, _, _ in heartbeats] == [20, 30]
-    assert all(dst == heartbeat_partner(network, "v3", tick // period)
+    assert all(dst == heartbeat_partner(network, "v3", tick // SYNC_PERIOD)
                for tick, dst, _ in heartbeats)
     assert {p.version for _, _, p in heartbeats} == {0}
     current = v3.directory.gossip.heartbeats["net-a"]
