@@ -17,10 +17,11 @@ publishes a delta if its live entries changed, else may heartbeat one
 partner per network (``directory.DirectoryFeed.sync``). Then each gateway
 sends over each peering link its network's advertisement if that changed,
 else may send the link's digest (``reachability.ReachabilityFeed``).
-Every CRL period, each member then fetches from the issuing CAs the current
-CRL of every CA that certifies a member of its networks, its own included,
-in CA id order (RFC 5280 section 4.2.1.13, CRL distribution points). This
-is the only way CRLs move. The fetch is a synchronous call, like a CA
+Every CRL period, each member then fetches the current CRL of every CA, in
+CA id order, from the CA that issues it (RFC 5280 section 4.2.1.13, CRL
+distribution points): a relying party may meet a certificate of any CA,
+across a peering link as well as in its networks. This is the only way
+CRLs move. The fetch is a synchronous call, like a CA
 lookup, because a CA is not a simulated node. The CA issues a new CRL only
 when a revocation came after its last one (``current_crl``), so every
 fetch between two revocations gets the same CRL.
@@ -441,7 +442,8 @@ class Simulation:
 
     # -- script execution ---------------------------------------------------------
 
-    def _run_action(self, action: ScriptAction) -> None:
+    def _run_action(self, index: int, action: ScriptAction) -> None:
+        """Run ``action``, the script's ``index``-th."""
         params = action.params
         if action.action == "open_account":
             self._open_customer(str(params["customer"]))
@@ -471,7 +473,7 @@ class Simulation:
             outcome = vasp.transfers.initiate_batch_transfer(requests, str(params.get("asset", "coin")))
             self.scripted_transfers.append(ScriptedTransfer(action, outcome, vasp.vasp_id))
         elif action.action == "p2p_transfer":
-            self._p2p_transfer(params)
+            self._p2p_transfer(index, params)
         elif action.action == "revoke_cert":
             customer = str(params["customer"])
             vasp = self.vasps[self._customers[customer].vasp]
@@ -520,7 +522,7 @@ class Simulation:
             return TransferTarget.from_account(str(raw["vasp"]), str(raw["account"]))
         return TransferTarget.from_key_hash(bytes.fromhex(str(raw["key_hash_hex"])))
 
-    def _p2p_transfer(self, params) -> None:
+    def _p2p_transfer(self, index: int, params) -> None:
         sender = self._p2p_wallet(str(params["from_wallet"]))
         if "to_wallet" in params:
             receiver_key = self._p2p_wallet(str(params["to_wallet"])).public_key
@@ -530,9 +532,8 @@ class Simulation:
             if wallet is None:
                 raise ValueError(f"p2p target customer {customer} has no key")
             receiver_key = wallet.public_key
-        nonce = digest(
-            f"p2p-nonce:{self.seed}:{params['from_wallet']}:{self.now}:{self._seq}".encode()
-        )[:8]
+        # The action's place in the script makes each scripted transfer its own.
+        nonce = digest(f"p2p-nonce:{self.seed}:{index}".encode())[:8]
         tx = build_transaction(
             sender, sender.public_key, receiver_key,
             int(params["amount"]), str(params.get("asset", "coin")), nonce,
@@ -551,7 +552,7 @@ class Simulation:
         self.now = tick
         script = self.scenario.script
         while self._script_cursor < len(script) and script[self._script_cursor].tick == tick:
-            self._run_action(script[self._script_cursor])
+            self._run_action(self._script_cursor, script[self._script_cursor])
             self._script_cursor += 1
         self._deliver_messages(tick)
         self._periodic_duties(tick)
@@ -599,12 +600,9 @@ class Simulation:
             for vasp_id in self._each_once(TrustNetwork.gateway_ids):
                 self.vasps[vasp_id].advertise_reachability(tick)
         if tick % CRL_PERIOD == 0:
+            crls = [self.cas[ca_id].current_crl(tick) for ca_id in sorted(self.cas)]
             for vasp_id in self._each_once(TrustNetwork.member_ids):
-                node = self.vasps[vasp_id]
-                issuers = {record.vasp_certificate.issuer_id
-                           for network in node.memberships.values()
-                           for record in network.members.values()}
-                node.ingest_crls([self.cas[ca_id].current_crl(tick) for ca_id in sorted(issuers)])
+                self.vasps[vasp_id].ingest_crls(crls)
 
     def _each_once(self, ids_of: Callable[[TrustNetwork], list[str]]) -> Iterable[str]:
         """Each VASP that ``ids_of`` names in a network, once, in network order."""

@@ -408,12 +408,11 @@ def test_08_determinism_and_seed_variation():
 
 # Event-log digest of the flagship run. A change meant to keep behaviour the
 # same must leave it byte-identical; a change that alters the log re-pins it
-# and says why. It was last re-pinned when both gossip feeds took one
-# anti-entropy rule: no heartbeat of the state every member starts from goes
-# out, and a heartbeat goes to a partner only while it is news to it or the
-# partner lists less. Fewer heartbeats move each link's later latency draws,
-# so some acks are sent and received a tick or two earlier or later.
-FLAGSHIP_DIGEST = "0aead12b9a41f1e3a3ac10eabadfbe73241fa8adb21a9c4072d24af0d79978b6"
+# and says why. It was last re-pinned when every member came to fetch every
+# CA's CRL, not only those of its networks' CAs: each member of one network
+# now merges the other network's CA's CRLs too (``crl_merged`` 6 -> 12), and
+# nothing else in the log moved.
+FLAGSHIP_DIGEST = "e237c596ee106ad4e3596433ef5176ba27229c6121c9ef4bb69dd773f91b2d68"
 
 
 def test_08_flagship_digest_pinned():

@@ -34,7 +34,8 @@ from vaspnet.network import (
 )
 from vaspnet.accounts import CustodyModel
 from vaspnet.resolution import TransferTarget
-from vaspnet.transfer import AckDecision, DenialCode, OutcomeStatus, RecordStatus, RejectReason
+from vaspnet.transfer import (AckDecision, DenialCode, DenialReason, OutcomeStatus, RecordStatus,
+                              RejectReason)
 
 
 def two_network_sim(**overrides):
@@ -62,10 +63,10 @@ def two_network_sim(**overrides):
     return Simulation(make_scenario(**defaults))
 
 
-def mixed_ca_sim(extra_script=(), v4_ca="ca-2", v2_customers=()):
+def mixed_ca_sim(extra_script=(), v4_ca="ca-2", v2_customers=(), cas=("ca-1", "ca-2")):
     """One network whose members hold certificates from two CAs: v1 and v3
-    from ca-1, v2 from ca-2 and v4 from ``v4_ca``. Alice banks at v1, bob and
-    the named ``v2_customers`` at v2."""
+    from ca-1, v2 from ca-2 and v4 from ``v4_ca``, in a world of ``cas``.
+    Alice banks at v1, bob and the named ``v2_customers`` at v2."""
     vasps = [
         {"vasp_id": "v1", "ca": "ca-1", "networks": ["net-a"]},
         {"vasp_id": "v2", "ca": "ca-2", "networks": ["net-a"]},
@@ -82,7 +83,7 @@ def mixed_ca_sim(extra_script=(), v4_ca="ca-2", v2_customers=()):
          "attributes": {"name": name, "email": f"{name}@x"}}
         for name in v2_customers
     ]
-    return Simulation(make_scenario(cas=("ca-1", "ca-2"), vasps=vasps, customers=customers,
+    return Simulation(make_scenario(cas=cas, vasps=vasps, customers=customers,
                                     script=standard_script(extra_script)))
 
 
@@ -294,8 +295,8 @@ class TestCrlExchange:
 
 
 class TestCaFetch:
-    """Every CRL period each member fetches from the CAs the CRL of its own
-    CA and of each co-member's CA; nothing else moves a CRL."""
+    """Every CRL period each member fetches the CRL of every CA from its
+    issuer; nothing else moves a CRL."""
 
     REVOKE_BOB = {"tick": 21, "action": "revoke_cert", "customer": "bob",
                   "reason": "keyCompromise"}
@@ -324,27 +325,60 @@ class TestCaFetch:
             view = sim.vasps[member].directory.views["v2"]
             assert not any(e.serial == serial for e in view.entries), member
 
-    def test_fetch_covers_own_and_co_member_cas_in_id_order(self, monkeypatch):
-        """A CA issues a CRL only when a revocation came after its last one:
-        a period with nothing revoked issues none and hands every member the
-        same object; after a revocation exactly one new CRL is issued, however
-        many members fetch it."""
-        sim = mixed_ca_sim([self.REVOKE_BOB])  # bob revoked at tick 21
+    def test_fetch_covers_every_ca_in_id_order(self, monkeypatch):
+        """Each member fetches every CA's CRL, a CA that certifies no member
+        included. A CA issues a CRL only when a revocation came after its
+        last one: a period with nothing revoked issues none and hands every
+        member the same object; after a revocation exactly one new CRL is
+        issued, however many members fetch it."""
+        sim = mixed_ca_sim([self.REVOKE_BOB], v4_ca="ca-1", cas=("ca-0", "ca-1", "ca-2"))
         sim.advance_to(CRL_PERIOD - 1)
         fetched = count_calls(monkeypatch, vaspnet.vasp.VaspNode, "ingest_crls")
         generated = count_calls(monkeypatch, sim.cas["ca-2"], "generate_crl")
         sim.advance_to(CRL_PERIOD)
         assert [(node.vasp_id, [crl.issuer_id for crl in crls]) for node, crls in fetched] == [
-            (member, ["ca-1", "ca-2"]) for member in ("v1", "v2", "v3", "v4")]
+            (member, ["ca-0", "ca-1", "ca-2"]) for member in ("v1", "v2", "v3", "v4")]
         assert generated == []
-        held = fetched[0][1][1]
-        assert all(crls[1] is held for _, crls in fetched)
+        held = fetched[0][1][2]
+        assert all(crls[2] is held for _, crls in fetched)
         fetched.clear()
         sim.advance_to(2 * CRL_PERIOD)
         assert len(generated) == 1 and len(fetched) == 4
-        issued = fetched[0][1][1]
+        issued = fetched[0][1][2]
         assert issued.crl_number == held.crl_number + 1
-        assert all(crls[1] is issued for _, crls in fetched)
+        assert all(crls[2] is issued for _, crls in fetched)
+
+    def test_revoked_vasp_across_a_peering_link_is_refused(self):
+        """v1 sits in net-a, whose members ca-1 certifies; ca-2 certifies
+        v4 in net-b. Once ca-2 revokes v4's certificate, v1 holds the
+        revocation from ca-2's next CRL and denies a transfer to v4's
+        customer, resolved across the v2-v3 link, by its own check."""
+        sim = two_network_sim(script=standard_script([
+            {"tick": 50, "action": "transfer", "origin": "alice",
+             "target": {"customer": "bob"}, "amount": 5, "asset": "coin"}]))
+        sim.advance_to(35)
+        v4 = sim.vasps["v4"]
+        sim.cas["ca-2"].revoke(v4.certificate.serial, RevocationReason.KEY_COMPROMISE, sim.now)
+        sim.run()
+        assert sim.vasps["v1"].revocation.is_revoked("ca-2", v4.certificate.serial)
+        (transfer,) = sim.scripted_transfers
+        assert transfer.outcome.denial == DenialReason(
+            DenialCode.CERT_INVALID, "beneficiary-vasp:revoked")
+        assert sim.chain.confirmed_transactions() == []
+
+    def test_advertisement_of_a_revoked_far_gateway_is_dropped(self):
+        """Once ca-2 revokes v3, the far gateway of v2's link, v2 holds the
+        revocation from ca-2's next CRL and drops v3's signed advertisement."""
+        sim = two_network_sim()
+        sim.advance_to(35)
+        v3 = sim.vasps["v3"]
+        sim.cas["ca-2"].revoke(v3.certificate.serial, RevocationReason.KEY_COMPROMISE, sim.now)
+        sim.advance_to(2 * CRL_PERIOD)
+        adv = v3.seal(build_advertisement(sim.networks["net-b"], "v3", v3.directory.views))
+        sim.vasps["v2"].on_reachability_advertisement(adv, "v3")
+        last = sim.log_.entries[-1]
+        assert (last.actor, last.event) == ("v2", "advertisement")
+        assert dict(last.details)["reason"] == "bad-signature"
 
     def test_revocation_run_sends_no_crl_message(self, monkeypatch):
         sim = mixed_ca_sim([self.REVOKE_BOB])

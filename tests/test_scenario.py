@@ -23,18 +23,20 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # digest and says why.
 SCENARIO_DIGESTS = {
     "batch_race": "31ed8040b351b762a5587328e74e3c6c7141992cea574cc569d1d22af63f10ef",
-    "demo": "81297337dd46f35bd1584350f5e844e6a56f96f26158c4b5ceea1e2a3f47e116",
+    "demo": "5fcc1086a25d9cc1bb08c4ff5675a6840d94f9120df0fa8d9949f281f0693800",
     "denials": "ded6c64b4d8e741a1779d9f79d31c92278042313550690e80dab823206bb05c6",
-    "four_networks": "f777daaf8e118db38bf4ca238dd6ec1083aad2109994d24c77fabe4a7f936805",
+    "four_networks": "8b44b982440b37c79145c7a8d0a2bcdb3c53a4296ff035ee79527f62fb353793",
     "mixed_ca": "3bf454091ec4b6a9d814f4a7b6c82d2bea170ab0beb8824bd79de26e7a699b46",
 }
-# All five last re-pinned when both gossip feeds took one anti-entropy rule:
-# no heartbeat of the state every member starts from goes out, a heartbeat
-# goes to a partner only while it is news to it or the partner lists less,
-# ``dir_pull`` gave way to a heartbeat sent back, and link digests went
-# quiet (``four_networks`` 45 -> 28 messages). Fewer messages on a link move
-# its later latency draws (one per message sent), so delivery ticks moved in
-# every log.
+# ``batch_race``, ``denials`` and ``mixed_ca`` were last re-pinned when
+# both gossip feeds took one anti-entropy rule: fewer messages on a link
+# moved its later latency draws (one per message sent), so delivery ticks
+# moved. ``four_networks`` was re-pinned when every member came to fetch
+# every CA's CRL: its members now merge the other three networks' CAs' CRLs
+# too (``crl_merged`` 4 -> 16), and nothing else moved. ``demo`` was
+# re-pinned when a ``p2p_transfer``'s nonce came to be drawn from its place
+# in the script, not from the count of messages sent before it: its p2p
+# transaction id moved.
 
 # ``Metrics.as_pairs()`` of each tracked scenario. The metrics are counted
 # from the event log, so a change that keeps the digests keeps these too,

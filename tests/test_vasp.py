@@ -512,6 +512,16 @@ class TestReconcileAndAudit:
             assert vasp.reconcile().orphan_chain_txs == ()
         assert len(sim.chain.confirmed_transactions()) == 1
 
+    def test_identical_p2p_transfers_in_one_tick_are_two_transactions(self):
+        # The nonce comes from each action's place in the script, not from
+        # the traffic sent before it.
+        p2p = {"tick": 15, "action": "p2p_transfer", "from_wallet": "wx",
+               "to_wallet": "wy", "amount": 5, "asset": "coin"}
+        sim = open_and_enroll([p2p, p2p])
+        sim.run()
+        assert [e.event for e in sim.log_.entries if e.actor == "p2p:wx"] == ["tx_submitted"] * 2
+        assert len(sim.chain.confirmed_transactions()) == 2
+
     def test_stripped_assertion_flagged(self):
         sim = open_and_enroll([
             {"tick": 15, "action": "transfer", "origin": "alice",

@@ -35,18 +35,14 @@ from vaspnet.vasp import VaspNode
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
 
 WORKLOAD_DIGESTS = {
-    "pipeline": "ced45bf3595582f4146d470948839d77a380e700c5473c52ecf232f3787ba208",
-    "mesh": "f31aa9ea8d2deb1e2edce0889b968256a73f265eec9377fcc799f2b24295a234",
-    "churn-lossy": "060c462a7e3b1b1d4a671e2f11a44c120e5bb4f7bf8db1333ce57054e106834d",
+    "pipeline": "042bb6034b32044e96c6cad94d4269e97f6e8fac00aece55f08f06671f3a96dc",
+    "mesh": "bab82f7b9bd101a6a22a32543d8e5258a698fcd09be904d5d79b0c2616205172",
+    "churn-lossy": "1ab8d0270dfd80e86a83664ce304f1847a40dc0a85efd0f6ad6072f3d04a1667",
 }
-# All three last re-pinned when both gossip feeds took one anti-entropy rule:
-# link digests went quiet, pulls gave way to a heartbeat sent back, and no
-# heartbeat of the state every node starts from is sent (``dir_announce``
-# 20 -> 12, 144 -> 120 and 285 -> 293; ``reach_digest`` 18 -> 2, 64 -> 14
-# and 18 -> 32). Each link draws its latencies and losses from one stream,
-# one draw per message sent, so every later draw on a link that carried
-# other gossip moved: delivery ticks in all three, and outcomes and metrics
-# in ``churn-lossy``.
+# All three last re-pinned when every member came to fetch every CA's CRL,
+# not only those of its networks' CAs: the only events added are the
+# ``crl_merged`` of the other networks' CAs (6 -> 12, 24 -> 96 and
+# 68 -> 136). No message, draw or outcome moved.
 
 
 # ``Metrics.as_pairs()`` of each seed-7 run. The metrics are counted from the
