@@ -478,8 +478,6 @@ class Simulation:
             customer = str(params["customer"])
             vasp = self.vasps[self._customers[customer].vasp]
             account = vasp.book.accounts[self._account_id_for(customer)]
-            if account.certificate_serial is None:
-                raise ValueError(f"customer {customer} has no certificate to revoke")
             reason = RevocationReason(str(params.get("reason", "unspecified")))
             vasp.ca.revoke(account.certificate_serial, reason, self.now)
             self.log(vasp.ca.ca_id, "certificate_revoked",

@@ -3,8 +3,11 @@
 A scenario is a YAML key-value tree wiring networks, CAs, VASPs, peering
 links, customers, suspect entries, and a timed action script. Everything is
 validated up front: dangling references, decreasing script ticks, a key
-that its mapping does not take and numbers out of range are schema errors
-naming the offending key or reference.
+that its mapping does not take, numbers out of range and a script action
+that the run could not carry out are schema errors naming the offending key
+or reference. The script is checked in order: an account opens once, before
+any transfer from it or enrolment of it; a commingled customer holds no key
+to enrol; a certificate is revoked once it is issued, and only once.
 
 Schema (all ids are strings; every referenced id must be declared):
 
@@ -413,6 +416,16 @@ def validate_scenario(scenario: Scenario) -> None:
         if suspect.customer is not None and suspect.customer not in customers:
             raise SchemaError(f"suspect references unknown customer {suspect.customer!r}")
 
+    # The script's effect on the accounts, in order, so an action that the
+    # run could not carry out fails here: the customers with an open
+    # account, and each enrolled one's certificate, True once revoked.
+    opened: set[str] = set()
+    revoked: dict[str, bool] = {}
+
+    def require_open(customer_id: str, context: str) -> None:
+        if customer_id not in opened:
+            raise SchemaError(f"{context}: {customer_id!r} has no open account yet")
+
     previous_tick = 0
     for index, action in enumerate(scenario.script):
         context = f"script[{index}] ({action.action})"
@@ -422,16 +435,30 @@ def validate_scenario(scenario: Scenario) -> None:
         if action.action not in ACTION_KEYS:
             raise SchemaError(f"{context}: unknown action")
         params = _known(action.params, ACTION_KEYS[action.action], context)
-        if action.action in ("open_account", "enroll"):
-            if params.get("customer") not in customers:
-                raise SchemaError(f"{context}: unknown customer {params.get('customer')!r}")
+        if action.action in ("open_account", "enroll", "revoke_cert"):
+            customer_id = params.get("customer")
+            if customer_id not in customers:
+                raise SchemaError(f"{context}: unknown customer {customer_id!r}")
+        if action.action == "open_account":
+            if customer_id in opened:
+                raise SchemaError(f"{context}: {customer_id!r} already has an open account")
+            opened.add(customer_id)
+        elif action.action == "enroll":
+            require_open(customer_id, context)
+            if customers[customer_id].custody_model is CustodyModel.COMMINGLED:
+                raise SchemaError(f"{context}: commingled customer {customer_id!r} holds no "
+                                  "key to certify")
+            revoked[customer_id] = False
         elif action.action == "transfer":
             if params.get("origin") not in customers:
                 raise SchemaError(f"{context}: unknown origin {params.get('origin')!r}")
             _validate_target(params.get("target"), customers, vasp_ids, context)
             _number(params.get("amount", 0), int, f"{context}: amount", 1)
+            require_open(params["origin"], context)
         elif action.action == "batch_transfer":
             _validate_batch(params.get("entries"), customers, context)
+            for entry in params["entries"]:
+                require_open(entry["origin"], context)
         elif action.action == "p2p_transfer":
             if "from_wallet" not in params:
                 raise SchemaError(f"{context}: from_wallet required")
@@ -447,12 +474,15 @@ def validate_scenario(scenario: Scenario) -> None:
                     )
             _number(params.get("amount", 0), int, f"{context}: amount", 1)
         elif action.action == "revoke_cert":
-            if params.get("customer") not in customers:
-                raise SchemaError(f"{context}: unknown customer {params.get('customer')!r}")
             try:
                 RevocationReason(params.get("reason", "unspecified"))
             except ValueError:
                 raise SchemaError(f"{context}: unknown reason {params.get('reason')!r}") from None
+            if customer_id not in revoked:
+                raise SchemaError(f"{context}: {customer_id!r} holds no certificate to revoke")
+            if revoked[customer_id]:
+                raise SchemaError(f"{context}: {customer_id!r}'s certificate is already revoked")
+            revoked[customer_id] = True
         elif action.action == "drop_link":
             for side in ("a", "b"):
                 actor = params.get(side)

@@ -256,8 +256,10 @@ def with_rules(**rules):
     return {"networks": [{"network_id": "net-a", "rules": rules}]}
 
 
-def with_action(**action):
-    return {"script": [{"tick": 0, **action}]}
+def with_action(*opened, **action):
+    """A script of ``action``, after opening the accounts of ``opened``."""
+    return {"script": [*({"tick": 0, "action": "open_account", "customer": customer}
+                         for customer in opened), {"tick": 0, **action}]}
 
 
 def p2p(**params):
@@ -320,6 +322,26 @@ BAD_SCENARIOS = {
                                                ("emre", {"customer": "dana"}, 5))},
                          r"from \['v1', 'v2'\]"),
     "batch-amount-zero": ({**TWO_VASPS, **batch(("chen", {"customer": "emre"}, 0))}, "amount"),
+    # An action the run could not carry out, given the actions before it.
+    "enroll-commingled": (with_action("chen", action="enroll", customer="chen"),
+                          "commingled customer 'chen' holds no key"),
+    "enroll-before-open": (with_action(action="enroll", customer="alice"),
+                           "'alice' has no open account"),
+    "transfer-before-open": (with_action(action="transfer", origin="alice",
+                                         target={"customer": "bora"}, amount=1),
+                             "'alice' has no open account"),
+    "batch-before-open": ({**TWO_VASPS, **batch(("chen", {"customer": "dana"}, 5))},
+                          "'chen' has no open account"),
+    "open-twice": (with_action("alice", action="open_account", customer="alice"),
+                   "'alice' already has an open account"),
+    "revoke-before-enroll": (with_action("alice", action="revoke_cert", customer="alice"),
+                             "'alice' holds no certificate"),
+    "revoke-twice": ({"script": [
+        {"tick": 0, "action": "open_account", "customer": "alice"},
+        {"tick": 1, "action": "enroll", "customer": "alice"},
+        {"tick": 2, "action": "revoke_cert", "customer": "alice"},
+        {"tick": 3, "action": "revoke_cert", "customer": "alice"},
+    ]}, "'alice''s certificate is already revoked"),
     # Every mapping names a key it does not take.
     "chain-unknown-key": ({"chain": {"id": "simchain"}}, "chain: unknown key 'id'"),
     "defaults-unknown-key": ({"defaults": {"max_latncy": 9}}, "unknown key 'max_latncy'"),
