@@ -21,10 +21,10 @@ Every CRL period, each member then fetches the current CRL of every CA, in
 CA id order, from the CA that issues it (RFC 5280 section 4.2.1.13, CRL
 distribution points): a relying party may meet a certificate of any CA,
 across a peering link as well as in its networks. This is the only way
-CRLs move. The fetch is a synchronous call, like a CA
-lookup, because a CA is not a simulated node. The CA issues a new CRL only
-when a revocation came after its last one (``current_crl``), so every
-fetch between two revocations gets the same CRL.
+CRLs move. The fetch is a synchronous call, like a CA lookup, because a CA
+is not a simulated node. The CA issues a new CRL only when a revocation
+came after its last one (``current_crl``), so every fetch between two
+revocations gets the same CRL.
 
 Actor key material derives from (seed, actor name) so construction order
 never affects any byte of the run.

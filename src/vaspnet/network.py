@@ -18,12 +18,12 @@ co-member or the far gateway of a link (push-pull, Demers et al., PODC
 once: a delta in the sync period a directory changed, an advertisement
 when what a link holds for its origin changes (RFC 4271's UPDATE). Else,
 once per sync period (``SYNC_PERIOD``, one clock for every network and
-link), a node sends a peer its signed heartbeat, listing
-what it holds (a ``DirectoryAnnounce`` to the ``heartbeat_partner``, a
-``RouteDigest`` over a link), unless a change went to the peer in the
-period, while that is news to the peer (the start state is none, nor is
-catching up with the peer's own directory) or the peer's last verified
-heartbeat lists it behind. A node that learns it lacks a peer's state, from
+link), a node sends a peer its signed heartbeat, listing what it holds (a
+``DirectoryAnnounce`` to the ``heartbeat_partner``, a ``RouteDigest`` over
+a link), unless a change went to the peer in the period, while that is
+news to the peer (the start state is none, nor is catching up with the
+peer's own directory) or the peer's last verified heartbeat lists it
+behind. A node that learns it lacks a peer's state, from
 a heartbeat or a delta gap, sends the peer its heartbeat; one whose state a
 peer lists behind, not just by the period's change still in flight, pushes
 it whole: a ``DirectorySnapshot``, or the link's Adj-RIB-Out, which
@@ -34,8 +34,8 @@ reply; a heartbeat unanswered for a rotation goes again each period. So a
 quiet world falls silent, a lost change comes back one sync period later
 plus three latencies, and a wiped view one period plus four.
 
-Revocations do not ride on gossip: every member fetches the CRLs it relies
-on from their issuing CAs (RFC 5280 section 4.2.1.13), as the harness's
+Revocations do not ride on gossip: every member fetches every CA's CRL
+from the CA that issues it (RFC 5280 section 4.2.1.13), as the harness's
 CRL duty describes. A view holds exactly what its owner published, and only
 ``apply_delta`` and ``DirectoryView.install_snapshot`` write it. A revoked
 entry stays in the views until its owner publishes the removal, at its

@@ -417,10 +417,10 @@ def validate_scenario(scenario: Scenario) -> None:
             raise SchemaError(f"suspect references unknown customer {suspect.customer!r}")
 
     # The script's effect on the accounts, in order, so an action that the
-    # run could not carry out fails here: the customers with an open
-    # account, and each enrolled one's certificate, True once revoked.
+    # run could not carry out fails here: the customers with an open account
+    # and those holding an unrevoked certificate.
     opened: set[str] = set()
-    revoked: dict[str, bool] = {}
+    certified: set[str] = set()
 
     def require_open(customer_id: str, context: str) -> None:
         if customer_id not in opened:
@@ -435,10 +435,10 @@ def validate_scenario(scenario: Scenario) -> None:
         if action.action not in ACTION_KEYS:
             raise SchemaError(f"{context}: unknown action")
         params = _known(action.params, ACTION_KEYS[action.action], context)
-        if action.action in ("open_account", "enroll", "revoke_cert"):
-            customer_id = params.get("customer")
-            if customer_id not in customers:
-                raise SchemaError(f"{context}: unknown customer {customer_id!r}")
+        customer_id = params.get("customer")
+        if action.action in ("open_account", "enroll", "revoke_cert") and (
+                customer_id not in customers):
+            raise SchemaError(f"{context}: unknown customer {customer_id!r}")
         if action.action == "open_account":
             if customer_id in opened:
                 raise SchemaError(f"{context}: {customer_id!r} already has an open account")
@@ -448,7 +448,7 @@ def validate_scenario(scenario: Scenario) -> None:
             if customers[customer_id].custody_model is CustodyModel.COMMINGLED:
                 raise SchemaError(f"{context}: commingled customer {customer_id!r} holds no "
                                   "key to certify")
-            revoked[customer_id] = False
+            certified.add(customer_id)
         elif action.action == "transfer":
             if params.get("origin") not in customers:
                 raise SchemaError(f"{context}: unknown origin {params.get('origin')!r}")
@@ -478,11 +478,9 @@ def validate_scenario(scenario: Scenario) -> None:
                 RevocationReason(params.get("reason", "unspecified"))
             except ValueError:
                 raise SchemaError(f"{context}: unknown reason {params.get('reason')!r}") from None
-            if customer_id not in revoked:
-                raise SchemaError(f"{context}: {customer_id!r} holds no certificate to revoke")
-            if revoked[customer_id]:
-                raise SchemaError(f"{context}: {customer_id!r}'s certificate is already revoked")
-            revoked[customer_id] = True
+            if customer_id not in certified:
+                raise SchemaError(f"{context}: {customer_id!r} holds no unrevoked certificate")
+            certified.remove(customer_id)
         elif action.action == "drop_link":
             for side in ("a", "b"):
                 actor = params.get(side)

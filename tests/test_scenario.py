@@ -335,13 +335,13 @@ BAD_SCENARIOS = {
     "open-twice": (with_action("alice", action="open_account", customer="alice"),
                    "'alice' already has an open account"),
     "revoke-before-enroll": (with_action("alice", action="revoke_cert", customer="alice"),
-                             "'alice' holds no certificate"),
+                             "'alice' holds no unrevoked certificate"),
     "revoke-twice": ({"script": [
         {"tick": 0, "action": "open_account", "customer": "alice"},
         {"tick": 1, "action": "enroll", "customer": "alice"},
         {"tick": 2, "action": "revoke_cert", "customer": "alice"},
         {"tick": 3, "action": "revoke_cert", "customer": "alice"},
-    ]}, "'alice''s certificate is already revoked"),
+    ]}, "'alice' holds no unrevoked certificate"),
     # Every mapping names a key it does not take.
     "chain-unknown-key": ({"chain": {"id": "simchain"}}, "chain: unknown key 'id'"),
     "defaults-unknown-key": ({"defaults": {"max_latncy": 9}}, "unknown key 'max_latncy'"),
