@@ -7,7 +7,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from . import crypto
 from .assertions import (ASSERTION_ID_LEN, AssertionServiceError, AttributeAssertion,
@@ -130,17 +130,17 @@ del _name
 class AccountBook:
     """The accounts of ``node`` and the disclosures signed about their
     subjects. ``keypair``, the VASP's own, signs disclosures and pool
-    transactions; ``rng`` is the node's one generator; ``certify`` files an
-    account's new certificate, and the one it replaces, with the directory
-    feed."""
+    transactions; ``rng`` is the node's one generator. The book is the one
+    owner of which certificate each account holds: the directory feed reads
+    the accounts' certificates, and ``enrolments``, the count of
+    certificates issued, tells it when they changed."""
 
-    def __init__(self, node, keypair: KeyPair, rng: random.Random,
-                 certify: Callable[[Optional[Certificate], Certificate, bytes], None]) -> None:
+    def __init__(self, node, keypair: KeyPair, rng: random.Random) -> None:
         self._node = node
         self._env = node.env
         self._keypair = keypair
         self._rng = rng
-        self._certify = certify
+        self.enrolments = 0
         self.disclosure_policy = TRAVEL_RULE_POLICY
         self.accounts: dict[str, Account] = {}
         # Ids of the accounts whose key fields were written since the last
@@ -232,8 +232,8 @@ class AccountBook:
             registration, account.customer_public_key, DEFAULT_PROFILE,
             now, now + validity_ticks, now,
         )
-        self._certify(account.certificate, cert, account.customer_public_key_hash)
         account.certificate = cert
+        self.enrolments += 1
         account.key_ownership_evidence = cert.fingerprint()
         self._env.log(self._node.vasp_id, "customer_enrolled",
                       account=account_id, serial=cert.serial_hex)

@@ -102,25 +102,21 @@ class RevocationReason(enum.Enum):
 class CertificateProfile:
     """Mechanical usage constraints carried inside certificates.
 
-    Keys are signature-only by construction; ``permitted_chains`` empty means
-    unrestricted.
+    Every key is for signatures only: field 2, the key usage, is always
+    ``SIGNATURE_USAGE``, and decoding refuses any other. ``permitted_chains``
+    empty means unrestricted.
     """
 
+    SIGNATURE_USAGE = b"signature"
+
     profile_id: str
-    permitted_usage: frozenset[str] = frozenset({"signature"})
     permitted_chains: frozenset[str] = frozenset()
     minimum_class: CertClass = CertClass.CLASS1
-
-    def __post_init__(self) -> None:
-        if "signature" not in self.permitted_usage:
-            raise ValueError("signature usage must always be permitted")
-        if self.permitted_usage - {"signature"}:
-            raise ValueError("only signature usage may be granted")
 
     def to_bytes(self) -> bytes:
         return canonical_encode([
             (1, enc_str(self.profile_id)),
-            (2, enc_str(",".join(sorted(self.permitted_usage)))),
+            (2, self.SIGNATURE_USAGE),
             (3, enc_str(",".join(sorted(self.permitted_chains)))),
             (4, enc_u64(int(self.minimum_class))),
         ])
@@ -128,10 +124,11 @@ class CertificateProfile:
     @classmethod
     def from_bytes(cls, data: bytes) -> "CertificateProfile":
         fields = dict(canonical_decode(data))
+        if fields[2] != cls.SIGNATURE_USAGE:
+            raise crypto.MalformedRecord(f"key usage {fields[2]!r}: only signature is granted")
         chains = dec_str(fields[3])
         return cls(
             profile_id=dec_str(fields[1]),
-            permitted_usage=frozenset(dec_str(fields[2]).split(",")),
             permitted_chains=frozenset(chains.split(",")) if chains else frozenset(),
             minimum_class=CertClass(dec_u64(fields[4])),
         )
@@ -332,8 +329,6 @@ def validate_certificate(
     entry = None if revocation is None else revocation.revocation_entry(cert.issuer_id, cert.serial)
     if entry is not None:
         return ValidationResult(ValidationStatus.REVOKED, entry.reason.value)
-    if "signature" not in cert.profile.permitted_usage:
-        return ValidationResult(ValidationStatus.PROFILE_VIOLATION, "usage")
     if cert.cert_class < cert.profile.minimum_class:
         return ValidationResult(
             ValidationStatus.PROFILE_VIOLATION,

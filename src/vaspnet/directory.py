@@ -9,62 +9,62 @@ from collections import defaultdict
 from typing import Optional, Sequence
 
 from . import crypto
-from .ca import Certificate, Crl, RevocationView
+from .accounts import AccountBook
+from .ca import Crl, RevocationView
 from .network import (SYNC_PERIOD, AntiEntropy, ApplyResult, DirectoryAnnounce,
                       DirectoryDelta, DirectoryEntry, DirectorySnapshot, DirectoryView,
                       TrustNetwork, apply_delta, heartbeat_partner)
 
 
 class DirectoryFeed:
-    """The directory feed of ``node``; it merges the CRLs it fetches into
-    ``revocation``, the node's revocation view."""
+    """The directory feed of ``node``; it publishes the live certificates of
+    ``book``'s accounts and merges the CRLs it fetches into ``revocation``,
+    the node's revocation view."""
 
-    def __init__(self, node, revocation: RevocationView) -> None:
+    def __init__(self, node, revocation: RevocationView, book: AccountBook) -> None:
         self._node = node
         self._env = node.env
         self._vasp_id = node.vasp_id
         self._revocation = revocation
+        self._book = book
         # Publisher id -> its directory as held here, from version 0.
         self.views: defaultdict[str, DirectoryView] = defaultdict(DirectoryView)
-        # Each account's current customer certificate, revoked ones included:
-        # (issuer, serial) -> (entry, not-after).
-        self._certified: dict[tuple[str, bytes], tuple[DirectoryEntry, int]] = {}
-        # ``entries`` at any tick of [_live_from, _live_until]; None after
-        # enrolment or an applied CRL merge.
+        # ``entries`` at any tick of [_live_from, _live_until] while the book
+        # has made ``_live_enrolments`` enrolments; None after an applied CRL
+        # merge.
         self._live_entries: Optional[frozenset[DirectoryEntry]] = None
+        self._live_enrolments = 0
         self._live_from = self._live_until = 0.0
         # Version 0, the empty directory, is never signed or sent.
         self._last_snapshot = DirectorySnapshot(node.vasp_id, 0, frozenset())
         self.gossip = AntiEntropy(node, "dir_announce")  # heartbeats per network
 
-    def certify(self, previous: Optional[Certificate], cert: Certificate, key_hash: bytes) -> None:
-        """File ``cert``, an account's new certificate of the key hashing to
-        ``key_hash``, in place of ``previous``, the one it replaces."""
-        if previous is not None:
-            self._certified.pop((previous.issuer_id, previous.serial), None)
-        self._certified[(cert.issuer_id, cert.serial)] = (
-            DirectoryEntry(cert.serial, key_hash, cert.issuer_id), cert.validity_not_after)
-        self._live_entries = None
-
     def entries(self, now: int) -> frozenset[DirectoryEntry]:
-        """Current live customer certificate entries (revoked/expired excluded).
+        """Current live customer certificate entries: each account's current
+        certificate, less those revoked or expired.
 
-        The set is kept between calls. Enrolment and an applied CRL merge
-        reset it; it is rebuilt from the accounts' current certificates, less
-        those the revocation view names, when ``now`` leaves the ticks it
-        holds for, that is, when a certificate expires."""
-        if self._live_entries is None or not self._live_from <= now <= self._live_until:
+        The set is kept between calls. It is rebuilt from the book's accounts
+        when the book's enrolment count moves, after an applied CRL merge, and
+        when ``now`` leaves the ticks it holds for, that is, when a
+        certificate expires."""
+        book = self._book
+        if (self._live_entries is None or self._live_enrolments != book.enrolments
+                or not self._live_from <= now <= self._live_until):
             live = []
             self._live_from, self._live_until = float("-inf"), float("inf")
-            for (issuer_id, serial), (entry, not_after) in self._certified.items():
-                if self._revocation.is_revoked(issuer_id, serial):
+            for account in book.accounts.values():
+                cert = account.certificate
+                if cert is None or self._revocation.is_revoked(cert.issuer_id, cert.serial):
                     continue
+                not_after = cert.validity_not_after
                 if now > not_after:
                     self._live_from = max(self._live_from, not_after + 1)
                 else:
-                    live.append(entry)
+                    live.append(DirectoryEntry(
+                        cert.serial, account.customer_public_key_hash, cert.issuer_id))
                     self._live_until = min(self._live_until, not_after)
             self._live_entries = frozenset(live)
+            self._live_enrolments = book.enrolments
         return self._live_entries
 
     def sync(self, now: int) -> None:
@@ -113,8 +113,7 @@ class DirectoryFeed:
         if apply_delta(view, delta) is ApplyResult.RESYNC_REQUIRED:
             self._env.log(self._vasp_id, "directory_resync", owner=owner,
                           held=view.version, offered=delta.to_version)
-            network = next(n for n in self._node.networks_sorted() if owner in n.members)
-            self._reply(network, owner)
+            self._reply(self._node.shared_network(owner), owner)
         else:
             self._env.log(self._vasp_id, "directory_applied", owner=owner,
                           version=view.version)

@@ -47,10 +47,10 @@ from .accounts import CustodyModel
 from .ca import CertificateAuthority, Certificate, RevocationReason
 from .chain import ChainTransaction, SimChain, SubmitResult, build_transaction
 from .crypto import FIELD_HEADER, KeyPair, digest
-from .network import CRL_PERIOD, SYNC_PERIOD, PeeringLink, TrustNetwork
+from .network import CRL_PERIOD, SYNC_PERIOD, TrustNetwork
 from .resolution import TransferTarget
 from .scenario import CustomerSpec, Scenario, ScriptAction
-from .transfer import TransferOutcome
+from .transfer import AuditReport, ReconciliationReport, TransferOutcome
 from .vasp import VaspNode
 
 ROOT_VALIDITY = 1_000_000
@@ -281,8 +281,9 @@ class Simulation:
         self._links: dict[tuple[str, str], _Link] = {}
         # Public key or tx id -> the VASPs its confirmations are delivered to.
         self._watchers: dict[bytes, set[str]] = {}
-        self._wallets: dict[str, KeyPair] = {}
         self.scripted_transfers: list[ScriptedTransfer] = []
+        # VASP id -> its audit and reconciliation at the end of the run.
+        self.reports: dict[str, tuple[AuditReport, ReconciliationReport]] = {}
         self._next_tick = 0
         self._script_cursor = 0
 
@@ -353,12 +354,11 @@ class Simulation:
 
     def _build(self) -> None:
         scenario = self.scenario
-        for spec in sorted(scenario.cas, key=lambda c: c.ca_id):
-            keypair = crypto.keypair_from_label(f"ca:{self.seed}", spec.ca_id)
-            rng = self._derived_rng("ca-rng", spec.ca_id)
-            ca = CertificateAuthority(spec.ca_id, keypair, rng)
+        for ca_id in sorted(scenario.cas):
+            keypair = crypto.keypair_from_label(f"ca:{self.seed}", ca_id)
+            ca = CertificateAuthority(ca_id, keypair, self._derived_rng("ca-rng", ca_id))
             ca.self_sign_root(0, ROOT_VALIDITY)
-            self.cas[spec.ca_id] = ca
+            self.cas[ca_id] = ca
 
         anchors: dict[str, Certificate] = {
             ca_id: ca.root_certificate
@@ -385,13 +385,9 @@ class Simulation:
             self.vasps[spec.vasp_id] = node
         self._vasp_order = tuple(self.vasps[v] for v in sorted(self.vasps))
 
-        for spec in scenario.peering_links:
-            link = PeeringLink(
-                gateway_vasp_a=spec.vasp_a, network_a=spec.network_a,
-                gateway_vasp_b=spec.vasp_b, network_b=spec.network_b,
-            )
-            self.networks[spec.network_a].peering_links.append(link)
-            self.networks[spec.network_b].peering_links.append(link)
+        for link in scenario.peering_links:
+            self.networks[link.network_a].peering_links.append(link)
+            self.networks[link.network_b].peering_links.append(link)
 
         self._customers = {c.customer_id: c for c in scenario.customers}
 
@@ -436,9 +432,7 @@ class Simulation:
         return crypto.keypair_from_label(f"customer:{self.seed}", customer_id)
 
     def _p2p_wallet(self, name: str) -> KeyPair:
-        if name not in self._wallets:
-            self._wallets[name] = crypto.keypair_from_label(f"p2p:{self.seed}", name)
-        return self._wallets[name]
+        return crypto.keypair_from_label(f"p2p:{self.seed}", name)
 
     # -- script execution ---------------------------------------------------------
 
@@ -619,8 +613,8 @@ class Simulation:
             self.breaches.append("chain hash verification failed")
         for vasp in self._vasp_order:
             vasp_id = vasp.vasp_id
-            audit = vasp.audit_travel_rule()
-            reconcile = vasp.reconcile()
+            audit, reconcile = vasp.audit_travel_rule(), vasp.reconcile()
+            self.reports[vasp_id] = (audit, reconcile)
             self.log(vasp_id, "audit_report", records=audit.records_checked,
                      violations=len(audit.violations))
             self.log(vasp_id, "reconcile_report", matched=reconcile.matched,
@@ -652,12 +646,6 @@ class Simulation:
                     f"tx {binding[:16]} submitted by {record.actor} without prior accepted ack"
                 )
         return problems
-
-    def audit_reports(self) -> dict[str, Any]:
-        return {node.vasp_id: node.audit_travel_rule() for node in self._vasp_order}
-
-    def reconcile_reports(self) -> dict[str, Any]:
-        return {node.vasp_id: node.reconcile() for node in self._vasp_order}
 
 
 @dataclass

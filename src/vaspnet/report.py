@@ -57,16 +57,10 @@ def render_text(result: RunResult) -> str:
                 f"transfer_denied reason={details.get('reason', '')} "
                 f"detail={details.get('detail', '')}".rstrip()
             )
-    lines.append("")
-    lines.append("[audit]")
-    for vasp_id, report in sim.audit_reports().items():
-        for line in report.report_lines():
-            lines.append(f"{vasp_id} {line}")
-    lines.append("")
-    lines.append("[reconciliation]")
-    for vasp_id, report in sim.reconcile_reports().items():
-        for line in report.report_lines():
-            lines.append(f"{vasp_id} {line}")
+    for index, section in enumerate(("[audit]", "[reconciliation]")):
+        lines += ["", section]
+        for vasp_id, reports in sim.reports.items():
+            lines += [f"{vasp_id} {line}" for line in reports[index].report_lines()]
     if sim.breaches:
         lines.append("")
         lines.append("[invariant breaches]")

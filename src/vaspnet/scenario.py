@@ -59,10 +59,11 @@ Network rules (each optional; the default in brackets) build the network's
     required_disclosure         non-empty list of attribute names
                                 [the travel-rule core]
 
-Transfer targets: {customer: id} (beneficiary key hash; account reference for
-commingled customers), {vasp: id, account: id}, or {key_hash_hex: "..."} for
-arbitrary hashes. A ``p2p_transfer`` to a customer needs a mediated one, the
-only kind that holds its wallet key.
+Transfer targets take one of three forms, each with only its own keys:
+{customer: id} (beneficiary key hash; account reference for commingled
+customers), {vasp: id, account: id}, or {key_hash_hex: "..."} for arbitrary
+hashes. A ``p2p_transfer`` to a customer needs a mediated one, the only kind
+that holds its wallet key. A peering link joins two different networks.
 
 A ``batch_transfer`` (pooled custody) pays one or more entries in one
 transaction: every origin a commingled customer of one VASP, every target a
@@ -82,7 +83,7 @@ import yaml
 from .accounts import CustodyModel
 from .assertions import DisclosurePolicy
 from .ca import CertClass, RevocationReason
-from .network import OperatingRules
+from .network import OperatingRules, PeeringLink
 
 # Each script action and the keys it takes besides ``tick`` and ``action``.
 ACTION_KEYS = {
@@ -126,23 +127,10 @@ class NetworkSpec:
 
 
 @dataclass(frozen=True)
-class CaSpec:
-    ca_id: str
-
-
-@dataclass(frozen=True)
 class VaspSpec:
     vasp_id: str
     ca: str
     networks: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class PeeringSpec:
-    vasp_a: str
-    network_a: str
-    vasp_b: str
-    network_b: str
 
 
 @dataclass(frozen=True)
@@ -172,9 +160,9 @@ class ScriptAction:
 class Scenario:
     seed: int
     networks: tuple[NetworkSpec, ...]
-    cas: tuple[CaSpec, ...]
+    cas: tuple[str, ...]  # CA ids
     vasps: tuple[VaspSpec, ...]
-    peering_links: tuple[PeeringSpec, ...]
+    peering_links: tuple[PeeringLink, ...]
     customers: tuple[CustomerSpec, ...]
     suspects: tuple[SuspectSpec, ...]
     script: tuple[ScriptAction, ...]
@@ -229,6 +217,17 @@ def _parse_rules(raw: Any, context: str) -> OperatingRules:
             frozenset(str(a) for a in attributes)
         )
     return OperatingRules(**kwargs)
+
+
+def _parse_link(raw: Mapping[str, Any]) -> PeeringLink:
+    """The link ``raw`` declares. Two equal networks are a SchemaError
+    here, before ``PeeringLink`` would raise ``ValueError`` for them."""
+    vasp_a, network_a, vasp_b, network_b = (
+        str(_require(raw, key, "peering_links[]"))
+        for key in ("vasp_a", "network_a", "vasp_b", "network_b"))
+    if network_a == network_b:
+        raise SchemaError("peering link must connect two different networks")
+    return PeeringLink(vasp_a, network_a, vasp_b, network_b)
 
 
 def _parse_class(value: Any, context: str) -> CertClass:
@@ -295,7 +294,7 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
         )
         for raw in _section(data, "networks")
     )
-    cas = tuple(CaSpec(ca_id=str(_require(raw, "ca_id", "cas[]"))) for raw in _section(data, "cas"))
+    cas = tuple(str(_require(raw, "ca_id", "cas[]")) for raw in _section(data, "cas"))
     vasps = tuple(
         VaspSpec(
             vasp_id=str(_require(raw, "vasp_id", "vasps[]")),
@@ -304,15 +303,7 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
         )
         for raw in _section(data, "vasps")
     )
-    peering = tuple(
-        PeeringSpec(
-            vasp_a=str(_require(raw, "vasp_a", "peering_links[]")),
-            network_a=str(_require(raw, "network_a", "peering_links[]")),
-            vasp_b=str(_require(raw, "vasp_b", "peering_links[]")),
-            network_b=str(_require(raw, "network_b", "peering_links[]")),
-        )
-        for raw in _section(data, "peering_links")
-    )
+    peering = tuple(_parse_link(raw) for raw in _section(data, "peering_links"))
     customers = tuple(
         CustomerSpec(
             customer_id=str(_require(raw, "customer_id", "customers[]")),
@@ -364,17 +355,17 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
 
 def validate_scenario(scenario: Scenario) -> None:
     network_ids = {n.network_id for n in scenario.networks}
-    ca_ids = {c.ca_id for c in scenario.cas}
+    ca_ids = set(scenario.cas)
     vasp_ids = {v.vasp_id for v in scenario.vasps}
     customers = {c.customer_id: c for c in scenario.customers}
 
-    for collection, name in (
-        (scenario.networks, "network_id"), (scenario.cas, "ca_id"),
-        (scenario.vasps, "vasp_id"), (scenario.customers, "customer_id"),
+    for ids, name in (
+        ((n.network_id for n in scenario.networks), "network_id"), (scenario.cas, "ca_id"),
+        ((v.vasp_id for v in scenario.vasps), "vasp_id"),
+        ((c.customer_id for c in scenario.customers), "customer_id"),
     ):
         seen: set[str] = set()
-        for item in collection:
-            item_id = getattr(item, name)
+        for item_id in ids:
             if item_id in seen:
                 raise SchemaError(f"duplicate {name} {item_id!r}")
             seen.add(item_id)
@@ -389,8 +380,8 @@ def validate_scenario(scenario: Scenario) -> None:
                     f"vasp {vasp.vasp_id!r} references unknown network {network_id!r}"
                 )
     for link in scenario.peering_links:
-        for vasp_id, network_id, side in (
-            (link.vasp_a, link.network_a, "a"), (link.vasp_b, link.network_b, "b"),
+        for vasp_id, network_id in (
+            (link.gateway_vasp_a, link.network_a), (link.gateway_vasp_b, link.network_b),
         ):
             if vasp_id not in vasp_ids:
                 raise SchemaError(f"peering link references unknown vasp {vasp_id!r}")
@@ -400,8 +391,6 @@ def validate_scenario(scenario: Scenario) -> None:
                 raise SchemaError(
                     f"peering gateway {vasp_id!r} is not a member of {network_id!r}"
                 )
-        if link.network_a == link.network_b:
-            raise SchemaError("peering link must connect two different networks")
     for customer in scenario.customers:
         if customer.vasp not in vasp_ids:
             raise SchemaError(
@@ -513,26 +502,39 @@ def _validate_batch(entries: Any, customers: Mapping[str, CustomerSpec], context
                           "not from one VASP to one")
 
 
+# Each transfer target form, by the key that names it: the keys it takes.
+_TARGET_FORMS = {
+    "customer": frozenset({"customer"}),
+    "vasp": frozenset({"vasp", "account"}),
+    "key_hash_hex": frozenset({"key_hash_hex"}),
+}
+
+
 def _validate_target(
     target: Any, customers: Mapping[str, CustomerSpec], vasp_ids: set, context: str
 ) -> None:
-    if "customer" in _shaped(target, dict, f"{context}: target"):
+    """A target of one form, the first whose naming key it holds, and of
+    only that form's keys."""
+    where = f"{context}: target"
+    form = next((key for key in _TARGET_FORMS if key in _shaped(target, dict, where)), None)
+    if form is None:
+        raise SchemaError(f"{context}: unrecognized target form {dict(target)!r}")
+    _known(target, _TARGET_FORMS[form], where)
+    if form == "customer":
         if target["customer"] not in customers:
             raise SchemaError(f"{context}: unknown target customer {target['customer']!r}")
-    elif "vasp" in target:
+    elif form == "vasp":
         if target["vasp"] not in vasp_ids:
             raise SchemaError(f"{context}: unknown target vasp {target['vasp']!r}")
         if "account" not in target:
             raise SchemaError(f"{context}: vasp target needs an account")
-    elif "key_hash_hex" in target:
+    else:
         try:
             raw = bytes.fromhex(str(target["key_hash_hex"]))
         except ValueError as exc:
             raise SchemaError(f"{context}: bad key_hash_hex") from exc
         if len(raw) != 32:
             raise SchemaError(f"{context}: key_hash_hex must be 32 bytes")
-    else:
-        raise SchemaError(f"{context}: unrecognized target form {dict(target)!r}")
 
 
 def load_scenario(path: str | Path) -> Scenario:

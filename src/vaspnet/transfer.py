@@ -145,7 +145,6 @@ class TravelRuleRecord:
     role: RecordRole
     notice: TransferNotice
     ack: Optional[TransferAck]
-    chain_tx_id: Optional[bytes]
     status: RecordStatus
     failure_reason: Optional[str]
     created_at: int
@@ -391,7 +390,6 @@ class Transfers:
         side, with the accepting ack sent, pending the chain."""
         record = TravelRuleRecord(
             record_id=fresh_id(self._rng, RECORD_ID_LEN), role=role, notice=notice, ack=ack,
-            chain_tx_id=None,
             status=RecordStatus.PENDING_ACK if ack is None else RecordStatus.PENDING_CHAIN,
             failure_reason=None, created_at=now, updated_at=now, account_ids=account_ids,
         )
@@ -547,11 +545,10 @@ class Transfers:
         return True
 
     def _rules_for_peer(self, vasp_id: str) -> Optional[OperatingRules]:
-        networks = self._node.networks_sorted()
-        for network in networks:
-            if vasp_id in network.members:
-                return network.rules
-        return networks[0].rules if networks else None
+        network = self._node.shared_network(vasp_id)
+        if network is None:
+            network = next(iter(self._node.networks_sorted()), None)
+        return network.rules if network is not None else None
 
     def _reject_notice(self, notice: TransferNotice, reason: RejectReason) -> TransferAck:
         ack = self._signed_ack(notice.notice_id, AckDecision.REJECT, reason, None)
@@ -593,7 +590,6 @@ class Transfers:
         if not result.accepted:
             self._env.log(self._vasp_id, "chain_reject", reason=result.reason or "")
             return self._fail(pending, now, DenialCode.CHAIN_REJECTED)
-        record.chain_tx_id = result.tx_id
         record.advance(RecordStatus.PENDING_CHAIN, now)
 
     def _accept_assertion_valid(self, ack: TransferAck, pending: PendingTransfer) -> bool:
@@ -642,7 +638,6 @@ class Transfers:
                 self._env.log(self._vasp_id, "record_failed", record=record_id.hex(),
                               reason="BindingMismatch")
                 continue
-            record.chain_tx_id = tx_id
             record.advance(RecordStatus.CONFIRMED, now)
             self._env.log(self._vasp_id, "record_confirmed", record=record_id.hex(),
                           role=record.role.value, tx=tx_id.hex())
@@ -654,8 +649,8 @@ class Transfers:
     def reconcile(self) -> ReconciliationReport:
         """Cross-join local records against ledger entries touching our keys."""
         confirmed_bindings = {
-            record.chain_tx_id for record in self.records.values()
-            if record.status is RecordStatus.CONFIRMED and record.chain_tx_id is not None
+            record.notice.intended_chain_tx_binding for record in self.records.values()
+            if record.status is RecordStatus.CONFIRMED
         }
         orphans = []
         matched = 0

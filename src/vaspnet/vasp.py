@@ -50,8 +50,8 @@ class VaspNode:
         self.trust_anchors: dict[str, Certificate] = {}
         self.memberships: dict[str, TrustNetwork] = {}
         # The roles that draw ids share ``rng``, in the order they run.
-        self.directory = DirectoryFeed(self, self.revocation)
-        self.book = AccountBook(self, keypair, rng, self.directory.certify)
+        self.book = AccountBook(self, keypair, rng)
+        self.directory = DirectoryFeed(self, self.revocation, self.book)
         self.reach = ReachabilityFeed(self, self.directory.views)
         self.resolver = Resolver(self, self.book, self.directory)
         self.transfers = Transfers(self, self.book, rng)
@@ -97,12 +97,16 @@ class VaspNode:
         ids.discard(self.vasp_id)
         return sorted(ids)
 
-    def member_certificate(self, vasp_id: str) -> Optional[Certificate]:
+    def shared_network(self, vasp_id: str) -> Optional[TrustNetwork]:
+        """The first network, in id order, of which ``vasp_id`` is a member too."""
         for network in self.networks_sorted():
-            record = network.members.get(vasp_id)
-            if record is not None:
-                return record.vasp_certificate
+            if vasp_id in network.members:
+                return network
         return None
+
+    def member_certificate(self, vasp_id: str) -> Optional[Certificate]:
+        network = self.shared_network(vasp_id)
+        return network.members[vasp_id].vasp_certificate if network is not None else None
 
     def peer_certificate(self, vasp_id: str) -> Optional[Certificate]:
         """Peer VASP certificate: from shared membership, else fetched over the

@@ -380,7 +380,7 @@ def test_07_commingled_batch_arithmetic():
     matched = 0
     for outcome, total in expected:
         assert outcome.status is OutcomeStatus.BROADCAST
-        tx = ledger[outcome.record.chain_tx_id]
+        tx = ledger[outcome.record.notice.intended_chain_tx_binding]
         assert tx.amount == total
         assert tx.from_public_key == v1.certificate.subject_public_key
         matched += 1

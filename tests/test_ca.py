@@ -170,6 +170,17 @@ class TestIssuance:
         assert decoded.to_bytes() == cert.to_bytes()
         assert decoded.signed_payload() == cert.signed_payload()
 
+    def test_decoding_refuses_a_key_usage_other_than_signature(self):
+        fields = dict(crypto.canonical_decode(DEFAULT_PROFILE.to_bytes()))
+        fields[2] = b"encipherment,signature"
+        profile = crypto.canonical_encode(sorted(fields.items()))
+        with pytest.raises(crypto.MalformedRecord):
+            CertificateProfile.from_bytes(profile)
+        cert_fields = dict(crypto.canonical_decode(issue(make_ca()).to_bytes()))
+        cert_fields[9] = profile
+        with pytest.raises(crypto.MalformedRecord):
+            Certificate.from_bytes(crypto.canonical_encode(sorted(cert_fields.items())))
+
 
 class TestValidationOrder:
     def test_fresh_cert_valid(self):

@@ -74,3 +74,21 @@ def test_no_type_checking_import_and_no_function_level_import():
         names |= {a.name for n in _imports(tree) for a in n.names}
         assert "TYPE_CHECKING" not in names, name
         assert _function_level_imports(tree) == [], name
+
+
+def test_every_import_is_read():
+    """Each name a module imports is read in it, annotations included, unless
+    its import line is marked ``# noqa: F401`` (a re-export); ``__future__``
+    imports are directives."""
+    for name, tree in MODULES.items():
+        if name == "__init__":
+            continue
+        lines = (SRC / f"{name}.py").read_text().splitlines()
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in _imports(tree):
+            if (getattr(node, "module", None) == "__future__"
+                    or "# noqa: F401" in lines[node.end_lineno - 1]):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                assert bound in read, f"{name}.py:{node.lineno} imports {bound}, never read"

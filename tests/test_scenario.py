@@ -302,6 +302,23 @@ BAD_SCENARIOS = {
     "key-of-commingled": (with_action(action="transfer", origin="alice",
                                       target={"customer_key": "chen"}, amount=1),
                           "unrecognized target form"),
+    # A target takes only the keys of its own form.
+    "target-customer-extra-keys": (
+        with_action("alice", action="transfer", origin="alice",
+                    target={"customer": "bora", "vasp": "v9", "acount": "x"}, amount=1),
+        "target: unknown key 'vasp'"),
+    "target-customer-and-account": (
+        with_action("alice", action="transfer", origin="alice",
+                    target={"vasp": "v1", "account": "acct-chen", "customer": "bora"}, amount=1),
+        "target: unknown key 'vasp'"),
+    "target-account-extra-key": (
+        with_action("alice", action="transfer", origin="alice",
+                    target={"vasp": "v1", "account": "acct-chen", "memo": "x"}, amount=1),
+        "target: unknown key 'memo'"),
+    # A schema error, not the ValueError of ``network.PeeringLink``.
+    "peering-same-network": ({"vasps": TWO_VASPS["vasps"], "peering_links": [
+        {"vasp_a": "v1", "network_a": "net-a", "vasp_b": "v2", "network_b": "net-a"}]},
+                             "different networks"),
     # Section shapes: each is named, none is an AttributeError or TypeError.
     "defaults-not-mapping": ({"defaults": 5}, "defaults"),
     "chain-not-mapping": ({"chain": [1]}, "chain"),
@@ -474,7 +491,7 @@ def test_batch_race_pays_one_pooled_batch_and_loses_the_revocation_race():
     assert tx.from_public_key == v1.certificate.subject_public_key
     assert tx.to_public_key == v2.certificate.subject_public_key
     assert pooled.outcome.denial is None
-    assert pooled.outcome.record.chain_tx_id == tx.tx_id
+    assert pooled.outcome.record.notice.intended_chain_tx_binding == tx.tx_id
     (received,) = [r for r in v2.records.values() if r.notice.batch_entries is not None]
     for record in (pooled.outcome.record, received):
         assert record.status is RecordStatus.CONFIRMED
@@ -483,7 +500,7 @@ def test_batch_race_pays_one_pooled_batch_and_loses_the_revocation_race():
     assert race.outcome.denial.code is DenialCode.ACK_REJECTED
     assert race.outcome.denial.detail == "CertInvalid"
     assert race.outcome.record.status is RecordStatus.FAILED
-    assert race.outcome.record.chain_tx_id is None
+    assert race.outcome.record.notice.intended_chain_tx_binding != tx.tx_id
     rejects = [e for e in sim.log_.entries
                if e.event == "ack_sent" and dict(e.details)["decision"] == "reject"]
     assert [(e.actor, dict(e.details)["reason"]) for e in rejects] == [("v2", "CertInvalid")]

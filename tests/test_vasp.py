@@ -625,7 +625,8 @@ class TestPostNoticeEdges:
         assert outcome.record is record
         assert record.status is RecordStatus.FAILED
         assert record.failure_reason == (f"{code.value}:{detail}" if detail else code.value)
-        assert record.chain_tx_id is None
+        ledger = {tx.tx_id for tx, _ in sim.chain.confirmed_transactions()}
+        assert record.notice.intended_chain_tx_binding not in ledger
         return record
 
     def test_ack_with_bad_signature_dropped_then_times_out(self):
@@ -652,7 +653,8 @@ class TestPostNoticeEdges:
         record = v1.records[outcome.record_id]
         assert outcome.status is OutcomeStatus.BROADCAST and outcome.denial is None
         assert record.status is RecordStatus.CONFIRMED
-        assert record.chain_tx_id is not None
+        ledger = {tx.tx_id for tx, _ in sim.chain.confirmed_transactions()}
+        assert record.notice.intended_chain_tx_binding in ledger
         assert outcome.record is record
 
     def test_accepting_ack_with_invalid_assertion_rejected(self):
