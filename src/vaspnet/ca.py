@@ -99,8 +99,9 @@ class RevocationReason(enum.Enum):
 
 
 @dataclass(frozen=True)
-class CertificateProfile:
-    """Mechanical usage constraints carried inside certificates.
+class CertificateProfile(crypto.Record):
+    """Mechanical usage constraints carried inside certificates; encoded once
+    per distinct profile, not once per certificate.
 
     Every key is for signatures only: field 2, the key usage, is always
     ``SIGNATURE_USAGE``, and decoding refuses any other. ``permitted_chains``
@@ -113,13 +114,13 @@ class CertificateProfile:
     permitted_chains: frozenset[str] = frozenset()
     minimum_class: CertClass = CertClass.CLASS1
 
-    def to_bytes(self) -> bytes:
-        return canonical_encode([
+    def tlv_fields(self) -> list[tuple[int, bytes]]:
+        return [
             (1, enc_str(self.profile_id)),
             (2, self.SIGNATURE_USAGE),
             (3, enc_str(",".join(sorted(self.permitted_chains)))),
             (4, enc_u64(int(self.minimum_class))),
-        ])
+        ]
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CertificateProfile":
@@ -274,6 +275,10 @@ class ValidationResult:
         return self.status is ValidationStatus.VALID
 
 
+# Every valid certificate gets this one frozen result.
+VALID = ValidationResult(ValidationStatus.VALID)
+
+
 class RevocationView:
     """A relying party's revocation state: per issuer, the highest-numbered
     full CRL seen, its entries indexed by serial.
@@ -336,7 +341,7 @@ def validate_certificate(
         )
     if chain_id is not None and cert.profile.permitted_chains and chain_id not in cert.profile.permitted_chains:
         return ValidationResult(ValidationStatus.PROFILE_VIOLATION, f"chain {chain_id}")
-    return ValidationResult(ValidationStatus.VALID)
+    return VALID
 
 
 @dataclass(frozen=True)

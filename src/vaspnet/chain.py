@@ -8,7 +8,7 @@ enforced; the ledger records identity and amount flows, nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import crypto
 from .crypto import KeyPair, digest, enc_str, enc_u64
@@ -95,6 +95,8 @@ class SimChain:
         self.chain_id = chain_id
         self.blocks: list[Block] = []
         self._confirmed: list[tuple[ChainTransaction, int]] = []
+        # Public key -> ledger positions of the confirmed transactions it is in.
+        self._positions: dict[bytes, list[int]] = {}
         self._pending: list[tuple[ChainTransaction, int]] = []
         self._seen: set[bytes] = set()
 
@@ -130,7 +132,11 @@ class SimChain:
             block_hash=_block_hash(previous, now, txs),
         )
         self.blocks.append(block)
-        self._confirmed.extend((tx, now) for tx in txs)
+        for tx in txs:
+            position = len(self._confirmed)
+            self._confirmed.append((tx, now))
+            for key in {tx.from_public_key, tx.to_public_key}:
+                self._positions.setdefault(key, []).append(position)
         index = len(self.blocks) - 1
         return [ConfirmationEvent(tx, index) for tx in txs]
 
@@ -151,6 +157,14 @@ class SimChain:
     def confirmed_transactions(self) -> list[tuple[ChainTransaction, int]]:
         """The chain's own (tx, block tick) list, in ledger order; not a copy."""
         return self._confirmed
+
+    def confirmed_transactions_of(self, keys: Iterable[bytes]) -> list[tuple[ChainTransaction, int]]:
+        """The (tx, block tick) of each confirmed transaction from or to one of
+        ``keys``, once, in ledger order."""
+        positions = set()
+        for key in keys:
+            positions.update(self._positions.get(key, ()))
+        return [self._confirmed[position] for position in sorted(positions)]
 
     def export_lines(self) -> list[str]:
         return [

@@ -39,8 +39,10 @@ frozen object itself: equal fields of one type, equal bytes. Nothing is
 stored on the instance, so a copy with one field changed is another key and
 gets its own bytes, and two types with equal field values are never equal.
 The memo holds at most ``ENCODING_MEMO_SIZE`` objects, least recently used
-evicted first. A draft is encoded outside it, since it is never read again.
-A ``Record`` (a directory entry) is encoded through the same memo, unsigned.
+evicted first. ``seal`` stores the payload it signed as the sealed object's,
+so no signed object is encoded twice; the draft itself is kept out of the
+memo, since it is never read again. A ``Record`` (a directory entry) is
+encoded through the same memo, unsigned, and so is a certificate profile.
 
 The same memo entry remembers the public keys the object's signature has
 verified under. Peers check the same certificates, assertions, notices, acks
@@ -74,13 +76,13 @@ KEY_LEN = 32
 SECRET_KEY_LEN = 64
 SIGNATURE_LEN = 64
 
-# Above the objects any benchmark workload encodes, drafts excluded (seed 7,
-# whole run: 2,817 on churn-lossy, 2,773 on mesh, 1,691 on pipeline), so a
-# run's working set stays resident.
+# Above the objects any benchmark workload encodes or seals, drafts excluded
+# (seed 7, whole run: 2,933 on churn-lossy, 2,707 on mesh, 1,667 on
+# pipeline), so a run's working set stays resident.
 ENCODING_MEMO_SIZE = 4096
 
 # Above the distinct keys any benchmark workload derives (seed 7, whole run:
-# 816 on mesh, 134 on churn-lossy, 40 on pipeline), so each key is derived
+# 844 on mesh, 144 on churn-lossy, 48 on pipeline), so each key is derived
 # once a run.
 KEY_CACHE_SIZE = 4096
 
@@ -382,11 +384,20 @@ class Signed(Record):
         return encoding[2]
 
 
+# The object ``seal`` is storing in the memo and the payload it signed. If
+# another thread's seal replaces it, ``_encoding`` encodes the object itself.
+_sealing: tuple[Optional[Signed], bytes] = (None, b"")
+
+
 @functools.lru_cache(maxsize=ENCODING_MEMO_SIZE)
 def _encoding(record: Record) -> list:
     """[payload, full bytes, fingerprint, keys its signature verified under]
-    of ``record``; the full bytes and fingerprint are filled in on first use."""
-    return [canonical_encode(record.tlv_fields()), None, None, ()]
+    of ``record``; the full bytes and fingerprint are filled in on first use.
+    The payload of the object being sealed is the one ``seal`` signed."""
+    sealed, payload = _sealing
+    if sealed is not record:
+        payload = canonical_encode(record.tlv_fields())
+    return [payload, None, None, ()]
 
 
 S = TypeVar("S", bound=Signed)
@@ -394,9 +405,15 @@ S = TypeVar("S", bound=Signed)
 
 def seal(private_key: bytes | KeyPair, unsigned: S) -> S:
     """``unsigned`` with ``signature`` set to the signature by ``private_key``
-    over its signed fields. The draft is encoded outside the memo."""
-    signature = sign(private_key, canonical_encode(unsigned.tlv_fields()))
-    return type(unsigned)(**{**vars(unsigned), "signature": signature})
+    over its signed fields. The draft is encoded outside the memo; the signed
+    object goes into it with the payload just signed."""
+    global _sealing
+    payload = canonical_encode(unsigned.tlv_fields())
+    sealed = type(unsigned)(**{**vars(unsigned), "signature": sign(private_key, payload)})
+    _sealing = (sealed, payload)
+    _encoding(sealed)
+    _sealing = (None, b"")
+    return sealed
 
 
 def check(public_key: bytes, signed: Signed) -> bool:

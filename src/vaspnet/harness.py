@@ -40,7 +40,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from . import crypto
 from .accounts import CustodyModel
@@ -85,21 +85,20 @@ def _event_bytes(tick: int, actor: str, event: str, details: tuple[tuple[str, st
     ))
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     tick: int
     actor: str
     event: str
     details: tuple[tuple[str, str], ...]
 
     def to_bytes(self) -> bytes:
-        return _event_bytes(self.tick, self.actor, self.event, self.details)
+        return _event_bytes(*self)
 
 
 class EventLog:
     """Ordered event records plus a running digest over their canonical
-    bytes. Each record's details are sorted and encoded once, when it is
-    appended."""
+    bytes. Each event is normalised, encoded and hashed in one pass, when it
+    is appended."""
 
     def __init__(self) -> None:
         self.entries: list[EventRecord] = []
@@ -107,9 +106,9 @@ class EventLog:
 
     def append(self, tick: int, actor: str, event: str, **details: Any) -> EventRecord:
         normalized = tuple(sorted((k, str(v)) for k, v in details.items()))
-        record = EventRecord(tick=tick, actor=actor, event=event, details=normalized)
+        record = EventRecord(tick, actor, event, normalized)
         self.entries.append(record)
-        self.running_digest = digest(self.running_digest + record.to_bytes())
+        self.running_digest = digest(self.running_digest + _event_bytes(*record))
         return record
 
     def __len__(self) -> int:

@@ -74,9 +74,10 @@ CA lookups are synchronous calls over no link.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Optional
 
 import yaml
 

@@ -626,7 +626,8 @@ class Transfers:
         tx_id = tx.tx_id
         record_ids = self._records_by_binding.get(tx_id)
         if record_ids is None:
-            if self._involves_my_keys(tx):
+            keys = self._node.known_keys()
+            if tx.from_public_key in keys or tx.to_public_key in keys:
                 self._env.log(self._vasp_id, "confirmation_unmatched", tx=tx_id.hex())
             return
         for record_id in record_ids:
@@ -642,21 +643,16 @@ class Transfers:
             self._env.log(self._vasp_id, "record_confirmed", record=record_id.hex(),
                           role=record.role.value, tx=tx_id.hex())
 
-    def _involves_my_keys(self, tx: ChainTransaction) -> bool:
-        keys = self._node.known_keys()
-        return tx.from_public_key in keys or tx.to_public_key in keys
-
     def reconcile(self) -> ReconciliationReport:
-        """Cross-join local records against ledger entries touching our keys."""
+        """Cross-join local records against ledger entries touching our keys,
+        read from the chain's index by key."""
         confirmed_bindings = {
             record.notice.intended_chain_tx_binding for record in self.records.values()
             if record.status is RecordStatus.CONFIRMED
         }
         orphans = []
         matched = 0
-        for tx, _tick in self._env.chain.confirmed_transactions():
-            if not self._involves_my_keys(tx):
-                continue
+        for tx, _tick in self._env.chain.confirmed_transactions_of(self._node.known_keys()):
             if tx.tx_id in confirmed_bindings:
                 matched += 1
             else:

@@ -142,3 +142,22 @@ class TestExport:
         parts = line.split(",")
         assert parts[0] == tx.tx_id.hex()
         assert parts[3] == "42" and parts[4] == "coin" and parts[5] == str(CONFIRMATION_DELAY)
+
+
+class TestKeyIndex:
+    def test_transactions_of_keys_once_each_in_ledger_order(self):
+        chain = SimChain()
+        key = {label: crypto.keypair_from_label("chain", label).public_key for label in "abcd"}
+        txs = [make_tx("a", to_label="b", nonce=b"\x01" * 8),
+               make_tx("c", to_label="d", nonce=b"\x02" * 8),
+               make_tx("b", to_label="a", nonce=b"\x03" * 8),
+               make_tx("d", to_label="a", nonce=b"\x04" * 8)]
+        for tick, tx in enumerate(txs):
+            chain.submit_transaction(tx, tick)
+            chain.tick(tick + CONFIRMATION_DELAY)
+        ledger = chain.confirmed_transactions()
+        for keys in ([], [key["a"]], [key["c"]], [key["a"], key["b"]], [key["d"], key["a"]],
+                     [bytes(32)], list(key.values())):
+            assert chain.confirmed_transactions_of(keys) == [
+                (tx, tick) for tx, tick in ledger
+                if tx.from_public_key in keys or tx.to_public_key in keys]

@@ -12,6 +12,7 @@ import random
 import struct
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -48,6 +49,7 @@ from vaspnet.crypto import (
     sign,
     verify,
 )
+from vaspnet.harness import Simulation
 from vaspnet.network import (
     DirectoryAnnounce,
     DirectoryDelta,
@@ -56,6 +58,7 @@ from vaspnet.network import (
     ReachabilityAdvertisement,
     RouteDigest,
 )
+from vaspnet.scenario import load_scenario
 from vaspnet.transfer import AckDecision, BeneficiaryRef, TransferAck, TransferNotice
 
 # RFC 8032 section 7.1, tests 1-3: (secret, public, message, signature)
@@ -513,11 +516,28 @@ class TestSignedObjects:
         draft.tlv_fields()  # memoises the records nested in the draft
         before = crypto._encoding.cache_info().currsize
         genuine = crypto.seal(SIGNER, draft)
-        assert crypto._encoding.cache_info().currsize == before
+        assert crypto._encoding.cache_info().currsize == before + 1
         genuine.signed_payload()
         if genuine.SIGNATURE_TAG is not None:
             genuine.to_bytes(), genuine.fingerprint()
         assert crypto._encoding.cache_info().currsize == before + 1
+
+    @signed_drafts
+    def test_seal_memoises_the_payload_it_signed(self, draft, name, value, monkeypatch):
+        crypto._encoding.cache_clear()
+        draft.tlv_fields()  # memoises the records nested in the draft
+        before = crypto._encoding.cache_info()
+        genuine = crypto.seal(SIGNER, draft)
+        sealed = crypto._encoding.cache_info()
+        # One entry more, and it is the sealed object's: reading it is a hit
+        # that encodes nothing. The draft, unequal to it, has none.
+        assert sealed.currsize == before.currsize + 1 and genuine != draft
+        encodes = count_calls(monkeypatch, type(genuine), "tlv_fields")
+        payload = crypto._encoding(genuine)[0]
+        assert crypto._encoding.cache_info().hits == sealed.hits + 1
+        assert encodes == []
+        assert payload == canonical_encode(genuine.tlv_fields())
+        assert crypto.verify(SIGNER.public_key, payload, genuine.signature)
 
     def test_sealing_runs_post_init(self):
         seen = []
@@ -552,6 +572,22 @@ class TestSignedObjects:
         assert twin.signed_payload() != payload
         assert twin.signed_payload() == canonical_encode(twin.tlv_fields())
         assert genuine.signed_payload() == payload
+
+
+def test_each_signed_object_is_encoded_once_in_a_run(monkeypatch):
+    """Over the ``demo`` scenario, the fields of each signed object are
+    encoded once: to sign its draft. The sealed object is never encoded."""
+    crypto._encoding.cache_clear()
+    encodes = Counter()
+    for cls in {type(draft) for draft, _, _ in SIGNED_DRAFTS}:
+        def counting(self, real=cls.tlv_fields):
+            encodes[replace(self, signature=b"")] += 1
+            return real(self)
+
+        monkeypatch.setattr(cls, "tlv_fields", counting)
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "demo.yaml"
+    Simulation(load_scenario(scenario)).run()
+    assert encodes and max(encodes.values()) == 1
 
 
 def route_digest(i: int):

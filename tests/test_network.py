@@ -1455,6 +1455,30 @@ class TestAdvertisementReuse:
         assert signatures == 1 and removed.advertised_hashes == first.advertised_hashes
 
 
+class TestAdvertisedKeySetEncoding:
+    def test_forwarded_key_set_is_sorted_and_encoded_once(self, monkeypatch):
+        # a1's route crosses the line a-b-c: a1 signs it for b1, and b2
+        # signs its forward for c1. Both copies share one key-hash set.
+        vaspnet.network._hashes_bytes.cache_clear()
+        encoded = []
+        encode = vaspnet.network.encode_bytes_list
+
+        def recording(items):
+            items = list(items)
+            encoded.append(items)
+            return encode(items)
+
+        monkeypatch.setattr(vaspnet.network, "encode_bytes_list", recording)
+        sim = line_topology()
+        sim.run()
+        senders = {e.actor for e in sim.log_.entries
+                   if e.event == "advertisement_sent" and dict(e.details)["origin"] == "net-a"}
+        assert senders == {"a1", "b2"}
+        route = sim.networks["net-c"].route_table["net-a"]
+        assert route.network_path == ("net-a", "net-b") and route.hashes
+        assert encoded.count(sorted(route.hashes)) == 1
+
+
 class TestCrlMergeLeavesViews:
     def test_merge_reports_whether_it_applied(self):
         sim = two_network_sim()

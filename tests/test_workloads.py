@@ -29,7 +29,7 @@ from vaspnet.network import (
 )
 from vaspnet.scenario import load_scenario, parse_scenario
 from vaspnet.accounts import CustodyModel
-from vaspnet.transfer import OutcomeStatus, RecordRole, RecordStatus
+from vaspnet.transfer import OutcomeStatus, ReconciliationReport, RecordRole, RecordStatus
 from vaspnet.vasp import VaspNode
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
@@ -379,3 +379,27 @@ def test_every_message_kind_sent_is_dispatched_and_no_other(workloads, monkeypat
         assert [e for e in sim.log_.entries if e.event == "message_ignored"] == [], name
     assert kinds == _dispatched_kinds()
     assert "dir_pull" not in kinds and "route_refresh" not in kinds
+
+
+@pytest.mark.parametrize("name", [*sorted(WORKLOAD_DIGESTS), *sorted(SCENARIO_FILES)])
+def test_reconciliation_equals_a_full_ledger_scan(workloads, name):
+    """Each VASP's report, read through the chain's index by key, equals the
+    one a scan of the whole ledger for the VASP's known keys gives."""
+    sim = Simulation(named_scenario(workloads, name))
+    sim.run()
+    ledger = sim.chain.confirmed_transactions()
+    for vasp_id, node in sorted(sim.vasps.items()):
+        keys = node.known_keys()
+        records = node.transfers.records.values()
+        confirmed = {r.notice.intended_chain_tx_binding for r in records
+                     if r.status is RecordStatus.CONFIRMED}
+        mine = [tx.tx_id for tx, _ in ledger
+                if tx.from_public_key in keys or tx.to_public_key in keys]
+        unconfirmed = tuple(sorted(
+            record_id for record_id, r in node.transfers.records.items()
+            if r.status in (RecordStatus.PENDING_ACK, RecordStatus.PENDING_CHAIN)))
+        assert node.reconcile() == ReconciliationReport(
+            matched=sum(tx_id in confirmed for tx_id in mine),
+            orphan_chain_txs=tuple(tx_id for tx_id in mine if tx_id not in confirmed),
+            unconfirmed_records=unconfirmed,
+        ), (name, vasp_id)
