@@ -1,12 +1,14 @@
-"""Customer accounts of one VASP under three custody models: enrolment,
-the disclosures that carry key-ownership evidence, the keys that sign on
-chain, and the per-tick sweep of the accounts' key invariant."""
+"""Customer accounts of one VASP under three custody models: each
+account's key arrangement, fixed and checked when it opens, enrolment, the
+disclosures that carry key-ownership evidence, and the keys that sign on
+chain."""
 
 from __future__ import annotations
 
 import enum
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Mapping, Optional
 
 from . import crypto
@@ -54,77 +56,60 @@ class KeyOperatorEvidence:
     since_tick: int
 
 
-# The fields ``Account.check_invariants`` reads.
-ACCOUNT_KEY_FIELDS = frozenset((
-    "custody_model", "customer_public_key", "custodied_private_key", "key_operator_evidence",
-))
+@dataclass(frozen=True, slots=True)
+class AccountKeys:
+    """An account's key arrangement, fixed when the account opens. The
+    constructor refuses any arrangement that breaks the rule of its custody
+    model, so no account holds one; the key hash is derived here, once."""
+
+    custody_model: CustodyModel
+    customer_public_key: Optional[bytes] = None
+    custodied_private_key: Optional[bytes] = None
+    key_operator_evidence: Optional[KeyOperatorEvidence] = None
+    customer_public_key_hash: Optional[bytes] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        key = self.customer_public_key
+        if self.custody_model is CustodyModel.MEDIATED:
+            if key is None or self.custodied_private_key is not None:
+                raise ModelKeyMismatch("mediated accounts hold the public key only")
+        elif self.custody_model is CustodyModel.KEY_CUSTODY:
+            if key is None or self.custodied_private_key is None:
+                raise ModelKeyMismatch("key-custody accounts hold both keys")
+            if self.key_operator_evidence is None:
+                raise ModelKeyMismatch("key-custody accounts carry operator evidence")
+        elif key is not None or self.custodied_private_key is not None:
+            raise ModelKeyMismatch("commingled accounts store no customer keys")
+        object.__setattr__(self, "customer_public_key_hash",
+                           digest(key) if key is not None else None)
 
 
 @dataclass(slots=True)
 class Account:
-    """One customer account.
+    """One customer account. Its ``keys`` are set once, when
+    ``AccountBook.open_account`` opens it; the key fields read through them
+    and have no setter. Only its certificate changes, at each enrolment."""
 
-    Its key invariant (``check_invariants``) is checked when the account
-    opens, and by its book's per-tick sweep after each write to one of
-    ``ACCOUNT_KEY_FIELDS``: every such write, those in ``__init__``
-    included, files the account id in ``key_writes``, the book's set,
-    through the field's ``_key_field`` descriptor.
-    """
-
-    # Declared first, so it is assigned in ``__init__`` before the key
-    # fields, whose assignments file the new account.
-    key_writes: Optional[set[str]] = field(default=None, kw_only=True, repr=False, compare=False)
     account_id: str
     subject_id: str
     attributes: dict[str, str]
-    custody_model: CustodyModel
-    customer_public_key: Optional[bytes] = None
-    custodied_private_key: Optional[bytes] = None
+    keys: AccountKeys
     certificate: Optional[Certificate] = None
-    key_ownership_evidence: Optional[bytes] = None
-    key_operator_evidence: Optional[KeyOperatorEvidence] = None
-    customer_public_key_hash: Optional[bytes] = field(init=False)
 
-    def __post_init__(self) -> None:
-        key = self.customer_public_key
-        self.customer_public_key_hash = digest(key) if key is not None else None
+    custody_model = property(attrgetter("keys.custody_model"))
+    customer_public_key = property(attrgetter("keys.customer_public_key"))
+    custodied_private_key = property(attrgetter("keys.custodied_private_key"))
+    key_operator_evidence = property(attrgetter("keys.key_operator_evidence"))
+    customer_public_key_hash = property(attrgetter("keys.customer_public_key_hash"))
 
     @property
     def certificate_serial(self) -> Optional[bytes]:
         return self.certificate.serial if self.certificate is not None else None
 
-    def check_invariants(self) -> None:
-        """Raise ``ModelKeyMismatch`` naming the rule of this account's
-        custody model that its key fields break."""
-        if self.custody_model is CustodyModel.MEDIATED:
-            if self.customer_public_key is None or self.custodied_private_key is not None:
-                raise ModelKeyMismatch("mediated accounts hold the public key only")
-        elif self.custody_model is CustodyModel.KEY_CUSTODY:
-            if self.customer_public_key is None or self.custodied_private_key is None:
-                raise ModelKeyMismatch("key-custody accounts hold both keys")
-            if self.key_operator_evidence is None:
-                raise ModelKeyMismatch("key-custody accounts carry operator evidence")
-        else:
-            if self.customer_public_key is not None or self.custodied_private_key is not None:
-                raise ModelKeyMismatch("commingled accounts store no customer keys")
-
-
-def _key_field(slot) -> property:
-    """Data descriptor over the slot of one of ``ACCOUNT_KEY_FIELDS``: reads
-    go to the slot in C, and a write also files the account in its
-    ``key_writes``."""
-
-    def write(account: Account, value) -> None:
-        slot.__set__(account, value)
-        if account.key_writes is not None:
-            account.key_writes.add(account.account_id)
-
-    return property(slot.__get__, write)
-
-
-for _name in ACCOUNT_KEY_FIELDS:
-    setattr(Account, _name, _key_field(getattr(Account, _name)))
-del _name
+    @property
+    def key_ownership_evidence(self) -> Optional[bytes]:
+        """The hash of the certificate binding the customer's key, if any."""
+        return self.certificate.fingerprint() if self.certificate is not None else None
 
 
 class AccountBook:
@@ -143,10 +128,6 @@ class AccountBook:
         self.enrolments = 0
         self.disclosure_policy = TRAVEL_RULE_POLICY
         self.accounts: dict[str, Account] = {}
-        # Ids of the accounts whose key fields were written since the last
-        # sweep (filed by ``_key_field``), and of those failing now.
-        self._key_writes: set[str] = set()
-        self._failing_accounts: set[str] = set()
         self._wallets: dict[str, KeyPair] = {}
         self._accounts_by_key_hash: dict[bytes, str] = {}
         self._known_keys: frozenset[bytes] = frozenset((keypair.public_key,))
@@ -158,7 +139,8 @@ class AccountBook:
                      custody_model: CustodyModel, customer_public_key: Optional[bytes] = None,
                      customer_wallet: Optional[KeyPair] = None,
                      account_id: Optional[str] = None, now: int = 0) -> Account:
-        """Open an account with the key arrangement its custody model demands.
+        """Open an account with the key arrangement its custody model demands
+        (``AccountKeys`` refuses any other).
 
         Mediated accounts carry the customer's public key (the wallet stays
         with the customer; in simulation it is co-located with this node).
@@ -174,23 +156,15 @@ class AccountBook:
         if account_id in self.accounts:
             raise VaspError(f"account {account_id} already exists")
 
-        custodied_private: Optional[bytes] = None
-        operator_evidence: Optional[KeyOperatorEvidence] = None
-        if custody_model is CustodyModel.MEDIATED:
-            if customer_public_key is None:
-                raise ModelKeyMismatch("mediated accounts require the customer public key")
-        elif custody_model is CustodyModel.KEY_CUSTODY:
+        if custody_model is CustodyModel.KEY_CUSTODY:
             if customer_public_key is not None:
                 raise ModelKeyMismatch("key-custody keys are generated by the VASP")
             generated = crypto.generate_keypair(self._rng.randbytes(32))
             customer_public_key = generated.public_key
-            custodied_private = generated.private_key
-            operator_evidence = KeyOperatorEvidence(
-                operator_vasp_id=vasp_id, custody_agreement_id=f"custody/{vasp_id}/{account_id}",
-                since_tick=now)
+            evidence = KeyOperatorEvidence(vasp_id, f"custody/{vasp_id}/{account_id}", now)
+            keys = AccountKeys(custody_model, customer_public_key, generated.private_key, evidence)
         else:
-            if customer_public_key is not None:
-                raise ModelKeyMismatch("commingled accounts must not supply customer keys")
+            keys = AccountKeys(custody_model, customer_public_key)
 
         merged = dict(attributes)
         merged.setdefault("account_id", account_id)
@@ -198,19 +172,13 @@ class AccountBook:
         merged.setdefault("custody_model", custody_model.value)
         # The on-chain key for the account: the customer's, or the VASP's own
         # for commingled pools.
-        onchain_key = customer_public_key or self._keypair.public_key
-        merged.setdefault("public_key_hash", digest(onchain_key).hex())
+        onchain_key_hash = keys.customer_public_key_hash or self._keypair.public_key_hash
+        merged.setdefault("public_key_hash", onchain_key_hash.hex())
 
-        account = Account(
-            account_id=account_id, subject_id=subject_id, attributes=merged,
-            custody_model=custody_model, customer_public_key=customer_public_key,
-            custodied_private_key=custodied_private, key_operator_evidence=operator_evidence,
-            key_writes=self._key_writes,
-        )
-        account.check_invariants()
+        account = Account(account_id, subject_id, merged, keys)
         self.accounts[account_id] = account
         if customer_public_key is not None:
-            self._accounts_by_key_hash[account.customer_public_key_hash] = account_id
+            self._accounts_by_key_hash[keys.customer_public_key_hash] = account_id
             self._known_keys = self._known_keys | {customer_public_key}
             self._env.watch(customer_public_key, vasp_id)
         if customer_wallet is not None:
@@ -234,7 +202,6 @@ class AccountBook:
         )
         account.certificate = cert
         self.enrolments += 1
-        account.key_ownership_evidence = cert.fingerprint()
         self._env.log(self._node.vasp_id, "customer_enrolled",
                       account=account_id, serial=cert.serial_hex)
         return cert
@@ -302,8 +269,6 @@ class AccountBook:
             return build_transaction(self._keypair, self._keypair.public_key,
                                      to_public_key, amount, asset_type, nonce)
         if account.custody_model is CustodyModel.KEY_CUSTODY:
-            if account.custodied_private_key is None or account.customer_public_key is None:
-                raise KeyUnavailable(account.account_id)
             return build_transaction(account.custodied_private_key, account.customer_public_key,
                                      to_public_key, amount, asset_type, nonce)
         wallet = self._wallets.get(account.account_id)
@@ -311,24 +276,3 @@ class AccountBook:
             raise KeyUnavailable(f"no co-located wallet for {account.account_id}")
         return build_transaction(wallet, wallet.public_key,
                                  to_public_key, amount, asset_type, nonce)
-
-    def check_account_invariants(self) -> None:
-        """The per-tick sweep of the accounts' key invariant: only the
-        accounts filed in ``_key_writes`` since the last sweep are checked;
-        one that fails stays failing until a later write makes it pass.
-        While any account fails, every sweep raises the message of the first
-        failing one in ``accounts`` order, so a breach is reported from the
-        tick after the write and at every tick while it lasts."""
-        failing = self._failing_accounts
-        for account_id in self._key_writes:
-            try:
-                self.accounts[account_id].check_invariants()
-            except ModelKeyMismatch:
-                failing.add(account_id)
-            else:
-                failing.discard(account_id)
-        self._key_writes.clear()
-        if failing:
-            for account_id, account in self.accounts.items():
-                if account_id in failing:
-                    account.check_invariants()

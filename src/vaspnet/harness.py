@@ -5,10 +5,10 @@ Time is integer ticks. Per tick, processing order is fixed: scripted actions,
 then due message deliveries (ascending destination actor id, then send
 sequence), then periodic protocol duties, then ack-timeout sweeps, then the
 chain tick with confirmation fan-out to the VASPs watching each transaction
-(those holding one of its keys or a record filed under its tx id), then the
-invariant sweep. One message hop costs a latency drawn from a seeded
-per-link PRNG in [1, MAX_LATENCY]; links can drop probabilistically or be
-forced down for a scripted period.
+(those holding one of its keys or a record filed under its tx id). One
+message hop costs a latency drawn from a seeded per-link PRNG in
+[1, MAX_LATENCY]; links can drop probabilistically or be forced down for a
+scripted period.
 
 One clock, the same in every network, times the periodic duties
 (``network.SYNC_PERIOD`` and ``network.CRL_PERIOD``). They run in this
@@ -554,7 +554,6 @@ class Simulation:
             self.log("chain", "chain_confirmed", tx=tx.tx_id.hex(), block=event.block_index)
             for vasp_id in sorted(self._confirmation_watchers(tx)):
                 self.vasps[vasp_id].on_chain_confirmation(tx)
-        self._check_invariants(tick)
 
     def _confirmation_watchers(self, tx: ChainTransaction) -> set[str]:
         """The VASPs holding a key of ``tx`` or a record filed under its tx
@@ -599,13 +598,6 @@ class Simulation:
         """Each VASP that ``ids_of`` names in a network, once, in network order."""
         return dict.fromkeys(
             vasp_id for network in self._network_order for vasp_id in ids_of(network))
-
-    def _check_invariants(self, tick: int) -> None:
-        for node in self._vasp_order:
-            try:
-                node.check_account_invariants()
-            except Exception as exc:
-                self.breaches.append(f"tick {tick}: {node.vasp_id}: {exc}")
 
     def _finalize(self) -> None:
         if not self.chain.verify_chain():

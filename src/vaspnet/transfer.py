@@ -697,7 +697,4 @@ class Transfers:
                     continue
                 if account.key_ownership_evidence is None:
                     violations.append((rid, f"key_ownership_evidence:{account_id}"))
-                if (account.custody_model is CustodyModel.KEY_CUSTODY
-                        and account.key_operator_evidence is None):
-                    violations.append((rid, f"key_operator_evidence:{account_id}"))
         return AuditReport(records_checked=checked, violations=tuple(violations))

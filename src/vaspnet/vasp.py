@@ -33,7 +33,8 @@ class VaspNode:
     id, key and certificate, its memberships, trust anchors, revocation view
     and suspect list, and the certificate checks against them. Every other
     method is a one-line entry point into a role; a role calls a method that
-    has one, its own or another role's, through it."""
+    has one, its own or another role's, through it. The one exception,
+    ``check_account_invariants``, does nothing and stays for the tracer."""
 
     def __init__(self, vasp_id: str, keypair: KeyPair, ca: CertificateAuthority,
                  rng: random.Random, env, chain_id: str = "simchain") -> None:
@@ -151,7 +152,9 @@ class VaspNode:
     def known_keys(self) -> frozenset[bytes]:
         return self.book.known_keys()
     def check_account_invariants(self) -> None:
-        return self.book.check_account_invariants()
+        """Does nothing: an account's keys are checked once, when it opens
+        (``accounts.AccountKeys``), and cannot change. Kept because
+        ``benchmark/tracer.py`` wraps it by name."""
 
     def directory_entries(self, now: int) -> frozenset[DirectoryEntry]:
         return self.directory.entries(now)

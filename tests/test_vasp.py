@@ -24,7 +24,6 @@ from vaspnet.harness import Simulation
 from vaspnet.network import ACK_TIMEOUT
 from vaspnet.scenario import load_scenario
 from vaspnet.accounts import (
-    Account,
     CustodyModel,
     ModelKeyMismatch,
     NoCustomerKey,
@@ -535,27 +534,6 @@ class TestReconcileAndAudit:
         audit = v1.audit_travel_rule()
         assert ("beneficiary_assertion" in {what for _, what in audit.violations})
 
-    def test_missing_operator_evidence_flagged(self):
-        sim = build_sim(customers=[
-            {"customer_id": "kay", "vasp": "v1", "custody_model": "key-custody",
-             "attributes": {"name": "Kay", "email": "k@x"}},
-            {"customer_id": "bob", "vasp": "v2", "custody_model": "mediated",
-             "attributes": {"name": "Bob", "email": "b@x"}},
-        ], script=[
-            {"tick": 0, "action": "open_account", "customer": "kay"},
-            {"tick": 0, "action": "open_account", "customer": "bob"},
-            {"tick": 1, "action": "enroll", "customer": "kay"},
-            {"tick": 1, "action": "enroll", "customer": "bob"},
-            {"tick": 15, "action": "transfer", "origin": "kay",
-             "target": {"customer": "bob"}, "amount": 10, "asset": "coin"},
-        ])
-        sim.run()
-        v1 = sim.vasps["v1"]
-        assert v1.audit_travel_rule().violations == ()
-        v1.book.accounts["acct-kay"].key_operator_evidence = None
-        violations = v1.audit_travel_rule().violations
-        assert any(what.startswith("key_operator_evidence") for _, what in violations)
-
     def test_binding_mismatch_fixture(self):
         # a record pointing at a confirmed tx whose content hash differs from
         # the notice binding fails with BindingMismatch
@@ -891,10 +869,10 @@ class TestDisclosureErrors:
                 v1.resolver.respond_certificate_query(crypto.digest(alice_key), sim.now)
 
 
-class TestInvariantSweep:
-    """The per-tick sweep checks the accounts whose key fields were written:
-    a key field changed between ticks is a breach at the next tick and at
-    every tick while it lasts."""
+class TestAccountKeys:
+    """An account's keys are one frozen value, checked when it is built: an
+    arrangement that breaks its custody model's rule cannot be built, and no
+    key field of an open account can be written."""
 
     CUSTOMERS = [
         {"customer_id": "alice", "vasp": "v1", "custody_model": "mediated",
@@ -903,9 +881,15 @@ class TestInvariantSweep:
          "attributes": {"name": "Kay", "email": "k@x"}},
         {"customer_id": "pool", "vasp": "v2", "custody_model": "commingled",
          "attributes": {"name": "Pool", "email": "p@x"}},
-        {"customer_id": "bob", "vasp": "v2", "custody_model": "mediated",
-         "attributes": {"name": "Bob", "email": "b@x"}},
     ]
+
+    def opened(self):
+        sim = build_sim(customers=self.CUSTOMERS, script=[
+            {"tick": 0, "action": "open_account", "customer": c["customer_id"]}
+            for c in self.CUSTOMERS
+        ])
+        sim.advance_to(1)
+        return sim
 
     @pytest.mark.parametrize("vasp_id, account_id, field, value, message", [
         ("v1", "acct-alice", "custodied_private_key", b"\x01" * 32,
@@ -917,82 +901,42 @@ class TestInvariantSweep:
         ("v2", "acct-pool", "customer_public_key", b"\x02" * 32,
          "commingled accounts store no customer keys"),
     ])
-    def test_breach_reported_from_the_next_tick_on(
+    def test_keys_that_break_the_model_cannot_be_built(
         self, vasp_id, account_id, field, value, message
     ):
-        sim = build_sim(customers=self.CUSTOMERS, script=[
-            {"tick": 0, "action": "open_account", "customer": c["customer_id"]}
-            for c in self.CUSTOMERS
-        ])
-        sim.advance_to(5)
-        assert sim.breaches == []
-        account = sim.vasps[vasp_id].book.accounts[account_id]
-        setattr(account, field, value)
+        account = self.opened().vasps[vasp_id].book.accounts[account_id]
         with pytest.raises(ModelKeyMismatch, match=message):
-            account.check_invariants()
-        sim.advance_to(8)
-        assert sim.breaches == [f"tick {t}: {vasp_id}: {message}" for t in (6, 7, 8)]
+            replace(account.keys, **{field: value})
 
-    def opened(self):
-        sim = build_sim(customers=self.CUSTOMERS, script=[
-            {"tick": 0, "action": "open_account", "customer": c["customer_id"]}
-            for c in self.CUSTOMERS
-        ])
-        sim.advance_to(5)
-        assert sim.breaches == []
-        return sim
+    @pytest.mark.parametrize("field", [
+        "custody_model", "customer_public_key", "custodied_private_key",
+        "key_operator_evidence", "customer_public_key_hash",
+    ])
+    def test_a_key_field_of_an_open_account_cannot_be_written(self, field):
+        book = self.opened().vasps["v1"].book
+        account = book.accounts["acct-alice"]
+        with pytest.raises(AttributeError):
+            setattr(account, field, b"\x02" * 32)
+        with pytest.raises(AttributeError):
+            setattr(account.keys, field, b"\x02" * 32)
+        assert account.customer_public_key_hash == crypto.digest(account.customer_public_key)
+        assert book.by_key_hash(account.customer_public_key_hash) is account
 
-    def test_restoring_the_field_ends_the_breach_from_the_next_tick(self, monkeypatch):
+    @pytest.mark.parametrize("model, key, message", [
+        (CustodyModel.MEDIATED, None, "mediated accounts hold the public key only"),
+        (CustodyModel.KEY_CUSTODY, b"\x01" * 32, "key-custody keys are generated by the VASP"),
+        (CustodyModel.COMMINGLED, b"\x01" * 32, "commingled accounts store no customer keys"),
+    ])
+    def test_a_refused_opening_leaves_the_book_as_it_was(self, model, key, message):
         sim = self.opened()
-        account = sim.vasps["v1"].book.accounts["acct-kay"]
-        evidence = account.key_operator_evidence
-        account.key_operator_evidence = None
-        sim.advance_to(7)
-        account.key_operator_evidence = evidence
-        checked = count_calls(monkeypatch, Account, "check_invariants")
-        sim.advance_to(10)
-        message = "key-custody accounts carry operator evidence"
-        assert sim.breaches == [f"tick {t}: v1: {message}" for t in (6, 7)]
-        assert checked == [(account,)]
-
-    def test_first_failing_account_in_opening_order_is_reported(self):
-        sim = self.opened()
-        accounts = sim.vasps["v1"].book.accounts
-        assert list(accounts) == ["acct-alice", "acct-kay"]
-        kay_message = "key-custody accounts hold both keys"
-        alice_message = "mediated accounts hold the public key only"
-        accounts["acct-kay"].custodied_private_key = None
-        sim.advance_to(6)
-        accounts["acct-alice"].custodied_private_key = b"\x01" * 32
-        sim.advance_to(8)
-        accounts["acct-alice"].custodied_private_key = None
-        sim.advance_to(9)
-        assert sim.breaches == [
-            f"tick 6: v1: {kay_message}",
-            f"tick 7: v1: {alice_message}",
-            f"tick 8: v1: {alice_message}",
-            f"tick 9: v1: {kay_message}",
-        ]
-
-    @pytest.mark.parametrize("field", ["certificate", "key_ownership_evidence"])
-    def test_write_to_a_non_key_field_files_nothing(self, field):
-        sim = self.opened()
-        node = sim.vasps["v1"]
-        setattr(node.book.accounts["acct-alice"], field, None)
-        assert node.book._key_writes == set()
-        node.book.accounts["acct-alice"].customer_public_key = None
-        assert node.book._key_writes == {"acct-alice"}
-
-    def test_idle_tick_checks_no_account(self, monkeypatch):
-        sim = self.opened()
-        checked = count_calls(monkeypatch, Account, "check_invariants")
-        sim.advance_to(7)
-        assert checked == []
-        account = sim.vasps["v2"].book.accounts["acct-bob"]
-        account.customer_public_key = account.customer_public_key
-        sim.advance_to(9)
-        assert checked == [(account,)]
-        assert sim.breaches == []
+        book = sim.vasps["v1"].book
+        accounts, known, logged = dict(book.accounts), book.known_keys(), len(sim.log_)
+        with pytest.raises(ModelKeyMismatch, match=message):
+            book.open_account("x", {"name": "X"}, model, customer_public_key=key,
+                              account_id="acct-x", now=1)
+        assert book.accounts == accounts
+        assert book.known_keys() == known
+        assert len(sim.log_) == logged
 
 
 class TestConfirmationFanOut:
