@@ -12,10 +12,11 @@ Modules:
               gateway routes, beneficiary resolution, the transfer pipeline
   vasp        the VASP node: its identity, composing those roles
   chain       append-only hash-chained ledger simulator
-  scenario    scenario file schema and loader
+  scenario    scenario schema and its one-pass parser
   harness     deterministic discrete-event simulation
   report      text and canonical run reports, replay verification
   cli         command-line verbs (run, validate, replay, dump-routes, dump-ledger)
+              and the scenario file loader, the one reader of YAML
 """
 
 from .accounts import Account, CustodyModel
@@ -60,7 +61,7 @@ from .network import (
     TrustNetwork,
 )
 from .resolution import TransferTarget
-from .scenario import Scenario, SchemaError, load_scenario
+from .scenario import Scenario, SchemaError
 from .transfer import TransferOutcome, TravelRuleRecord
 from .vasp import VaspNode
 

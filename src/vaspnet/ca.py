@@ -71,10 +71,13 @@ class CertClass(enum.IntEnum):
 
     @classmethod
     def from_label(cls, label: str) -> "CertClass":
-        for member in cls:
-            if member.label == label:
-                return member
-        raise ValueError(f"unknown certificate class {label!r}")
+        member = _CLASS_BY_LABEL.get(label)
+        if member is None:
+            raise ValueError(f"unknown certificate class {label!r}")
+        return member
+
+
+_CLASS_BY_LABEL = {member.label: member for member in CertClass}
 
 
 # Required attribute sets are cumulative: each class needs its own set plus

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import click
+import yaml
 
 from .harness import run_scenario
 from .report import (
@@ -20,7 +21,20 @@ from .report import (
     emit_report,
     replay_canonical,
 )
-from .scenario import SchemaError, load_scenario
+from .scenario import Scenario, SchemaError, parse_scenario
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    """Parse and validate a scenario file. PyYAML is imported here, by the
+    command line, and not by the simulation."""
+    raw = Path(path).read_text()
+    try:
+        data = yaml.safe_load(raw)
+    except yaml.YAMLError as exc:
+        raise SchemaError(f"unparseable scenario file: {exc}") from exc
+    if data is None:
+        raise SchemaError("empty scenario file")
+    return parse_scenario(data)
 
 
 def _load(path: str):

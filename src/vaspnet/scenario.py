@@ -1,13 +1,15 @@
 """Scenario files: the structured-text schema driving a simulation run.
 
-A scenario is a YAML key-value tree wiring networks, CAs, VASPs, peering
-links, customers, suspect entries, and a timed action script. Everything is
-validated up front: dangling references, decreasing script ticks, a key
-that its mapping does not take, numbers out of range and a script action
-that the run could not carry out are schema errors naming the offending key
-or reference. The script is checked in order: an account opens once, before
-any transfer from it or enrolment of it; a commingled customer holds no key
-to enrol; a certificate is revoked once it is issued, and only once.
+A scenario is a key-value tree (YAML, read by ``cli.load_scenario``) wiring
+networks, CAs, VASPs, peering links, customers, suspect entries, and a timed
+action script. ``parse_scenario`` checks it in one read: each section as it
+is built, the script last and in order. A key that its mapping does not
+take, a dangling reference, a number out of range, an id that is not a
+string (named by its path: ``scenario.script.3.target.customer``), a
+decreasing tick and an action that the run could not carry out are schema
+errors. An account opens once, before any transfer from it or enrolment of
+it; a commingled customer holds no key to enrol; a certificate is revoked
+once it is issued, and only once.
 
 Schema (all ids are strings; every referenced id must be declared):
 
@@ -62,8 +64,10 @@ Network rules (each optional; the default in brackets) build the network's
 Transfer targets take one of three forms, each with only its own keys:
 {customer: id} (beneficiary key hash; account reference for commingled
 customers), {vasp: id, account: id}, or {key_hash_hex: "..."} for arbitrary
-hashes. A ``p2p_transfer`` to a customer needs a mediated one, the only kind
-that holds its wallet key. A peering link joins two different networks.
+hashes, 32 bytes in hex as a suspect's are. An ``asset`` is a name. A
+``p2p_transfer`` pays ``to_wallet`` or ``to_customer``, not both; that
+customer must be mediated, the only kind that holds its wallet key. A
+peering link joins two different networks.
 
 A ``batch_transfer`` (pooled custody) pays one or more entries in one
 transaction: every origin a commingled customer of one VASP, every target a
@@ -74,12 +78,9 @@ CA lookups are synchronous calls over no link.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Optional
-
-import yaml
 
 from .accounts import CustodyModel
 from .assertions import DisclosurePolicy
@@ -179,10 +180,30 @@ class Scenario:
         return last + extra + DRAIN_TICKS
 
 
+class _NotAString(Exception):
+    """An id that is not a string; each reader around it prefixes its place."""
+
+
+def _id(mapping: Mapping[str, Any], key: str, path: str = "") -> Optional[str]:
+    """``mapping[key]``, None if absent; ``path`` leads to ``mapping``."""
+    value = mapping.get(key)
+    if isinstance(value, str) or (value is None and key not in mapping):
+        return value
+    raise _NotAString(f"{path}{key}: id must be a string, not {value!r}")
+
+
 def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:
     if key not in mapping:
         raise SchemaError(f"{context}: missing required key {key!r}")
     return mapping[key]
+
+
+def _new_id(raw: Mapping[str, Any], key: str, seen: Mapping[str, Any], context: str) -> str:
+    """``raw[key]`` as a string that ``seen`` does not hold yet."""
+    item_id = str(_require(raw, key, context))
+    if item_id in seen:
+        raise SchemaError(f"duplicate {key} {item_id!r}")
+    return item_id
 
 
 def _number(value: Any, kind: type, context: str, low: float, high: float = math.inf):
@@ -196,6 +217,12 @@ def _number(value: Any, kind: type, context: str, low: float, high: float = math
     if not low <= number <= high:
         raise SchemaError(f"{context}: {value!r} is out of range [{low}, {high}]")
     return number
+
+
+def _positive(value: Any, name: str) -> None:
+    """A SchemaError naming ``name`` unless ``value`` is a whole number of at least 1."""
+    if type(value) is not int or value < 1:
+        _number(value, int, name, 1)
 
 
 _RULE_KEYS = frozenset({"rules_version", "minimum_certificate_class", "required_disclosure"})
@@ -220,14 +247,22 @@ def _parse_rules(raw: Any, context: str) -> OperatingRules:
     return OperatingRules(**kwargs)
 
 
-def _parse_link(raw: Mapping[str, Any]) -> PeeringLink:
-    """The link ``raw`` declares. Two equal networks are a SchemaError
-    here, before ``PeeringLink`` would raise ``ValueError`` for them."""
+def _parse_link(raw: Mapping[str, Any], vasps: Mapping[str, VaspSpec],
+                networks: Mapping[str, NetworkSpec]) -> PeeringLink:
+    """The link ``raw`` declares, between member gateways of two networks;
+    equal ones are a SchemaError here, not ``PeeringLink``'s ``ValueError``."""
     vasp_a, network_a, vasp_b, network_b = (
         str(_require(raw, key, "peering_links[]"))
         for key in ("vasp_a", "network_a", "vasp_b", "network_b"))
     if network_a == network_b:
         raise SchemaError("peering link must connect two different networks")
+    for vasp_id, network_id in ((vasp_a, network_a), (vasp_b, network_b)):
+        if vasp_id not in vasps:
+            raise SchemaError(f"peering link references unknown vasp {vasp_id!r}")
+        if network_id not in networks:
+            raise SchemaError(f"peering link references unknown network {network_id!r}")
+        if network_id not in vasps[vasp_id].networks:
+            raise SchemaError(f"peering gateway {vasp_id!r} is not a member of {network_id!r}")
     return PeeringLink(vasp_a, network_a, vasp_b, network_b)
 
 
@@ -248,258 +283,225 @@ def _parse_model(value: Any, context: str) -> CustodyModel:
 def _shaped(value: Any, shape: type, context: str) -> Any:
     """``value`` if it is a ``shape`` (``dict`` for any mapping, or ``list``),
     else a SchemaError naming ``context``."""
-    if not isinstance(value, Mapping if shape is dict else list):
-        raise SchemaError(f"{context}: must be a {'mapping' if shape is dict else 'list'}")
-    return value
+    if isinstance(value, shape) or shape is dict and isinstance(value, Mapping):
+        return value
+    raise SchemaError(f"{context}: must be a {'mapping' if shape is dict else 'list'}")
 
 
 def _known(value: Any, keys: frozenset[str], context: str) -> Mapping[str, Any]:
     """``value`` if it is a mapping of only ``keys``, else a SchemaError
     naming ``context`` and the first other key."""
-    for key in _shaped(value, dict, context):
-        if key not in keys:
-            raise SchemaError(f"{context}: unknown key {key!r}")
+    if not keys.issuperset(_shaped(value, dict, context)):
+        key = next(key for key in value if key not in keys)
+        raise SchemaError(f"{context}: unknown key {key!r}")
     return value
 
 
-_ID_KEYS = frozenset({"customer", "origin", "vasp", "account", "account_id", "a", "b",
-                      "from_wallet", "to_wallet", "to_customer"})
-
-
-def _ids_are_strings(value: Any, context: str) -> None:
-    """A SchemaError naming the key unless every value in ``value``, at any
-    depth, under a key that names an id (``_ID_KEYS``) is a string."""
-    for key, item in value.items() if isinstance(value, dict) else enumerate(value):
-        if key in _ID_KEYS and not isinstance(item, str):
-            raise SchemaError(f"{context}.{key}: id must be a string, not {item!r}")
-        if isinstance(item, (dict, list)):
-            _ids_are_strings(item, f"{context}.{key}")
-
-
-def _section(data: Mapping[str, Any], key: str) -> list[Mapping[str, Any]]:
-    """The list of mappings under ``key``, empty if absent, each of only its
-    ``_ITEM_KEYS`` (a script action's are checked with its action)."""
-    items = _shaped(data.get(key, []), list, key)
-    keys = _ITEM_KEYS.get(key)
-    return [_shaped(item, dict, f"{key}[{i}]") if keys is None else
-            _known(item, keys, f"{key}[{i}]") for i, item in enumerate(items)]
+def _items(data: Mapping[str, Any], key: str) -> Iterator[Mapping[str, Any]]:
+    """Each item of the list under ``key`` (none if absent), of only its ``_ITEM_KEYS``."""
+    keys = _ITEM_KEYS[key]
+    for index, item in enumerate(_shaped(data.get(key, []), list, key)):
+        if type(item) is not dict or not keys.issuperset(item):
+            _known(item, keys, f"{key}[{index}]")
+        yield item
 
 
 def parse_scenario(data: Mapping[str, Any]) -> Scenario:
+    """The scenario ``data`` declares, each section checked in the loop that builds it."""
     _known(data, _TOP_LEVEL_KEYS, "scenario root")
+    chain_cfg = _known(data.get("chain", {}), frozenset({"chain_id"}), "chain")
+    defaults = _known(data.get("defaults", {}), frozenset({"drop_probability"}), "defaults")
+    seed = _number(data.get("seed", 0), int, "seed", 0, 2**64 - 1)
+    drop_probability = _number(
+        defaults.get("drop_probability", 0.0), float, "defaults.drop_probability", 0, 1)
 
-    networks = tuple(
-        NetworkSpec(
-            network_id=str(_require(raw, "network_id", "networks[]")),
-            rules=_parse_rules(raw.get("rules", {}), f"network {raw['network_id']!r} rules"),
-        )
-        for raw in _section(data, "networks")
-    )
-    cas = tuple(str(_require(raw, "ca_id", "cas[]")) for raw in _section(data, "cas"))
-    vasps = tuple(
-        VaspSpec(
-            vasp_id=str(_require(raw, "vasp_id", "vasps[]")),
+    networks: dict[str, NetworkSpec] = {}
+    for raw in _items(data, "networks"):
+        network_id = _new_id(raw, "network_id", networks, "networks[]")
+        networks[network_id] = NetworkSpec(network_id, _parse_rules(
+            raw.get("rules", {}), f"network {raw['network_id']!r} rules"))
+    cas: dict[str, None] = {}
+    for raw in _items(data, "cas"):
+        cas[_new_id(raw, "ca_id", cas, "cas[]")] = None
+    vasps: dict[str, VaspSpec] = {}
+    for raw in _items(data, "vasps"):
+        vasp = VaspSpec(
+            vasp_id=_new_id(raw, "vasp_id", vasps, "vasps[]"),
             ca=str(_require(raw, "ca", "vasps[]")),
             networks=tuple(str(n) for n in _shaped(raw.get("networks", []), list, "vasps[].networks")),
         )
-        for raw in _section(data, "vasps")
-    )
-    peering = tuple(_parse_link(raw) for raw in _section(data, "peering_links"))
-    customers = tuple(
-        CustomerSpec(
-            customer_id=str(_require(raw, "customer_id", "customers[]")),
+        if vasp.ca not in cas:
+            raise SchemaError(f"vasp {vasp.vasp_id!r} references unknown ca {vasp.ca!r}")
+        for network_id in vasp.networks:
+            if network_id not in networks:
+                raise SchemaError(f"vasp {vasp.vasp_id!r} references unknown network {network_id!r}")
+        vasps[vasp.vasp_id] = vasp
+    peering = tuple(_parse_link(raw, vasps, networks) for raw in _items(data, "peering_links"))
+    customers: dict[str, CustomerSpec] = {}
+    for raw in _items(data, "customers"):
+        customer = CustomerSpec(
+            customer_id=_new_id(raw, "customer_id", customers, "customers[]"),
             vasp=str(_require(raw, "vasp", "customers[]")),
             custody_model=_parse_model(raw.get("custody_model", "mediated"), "customers[]"),
             requested_class=_parse_class(raw.get("requested_class", "class1"), "customers[]"),
             attributes={str(k): str(v) for k, v in
                         _shaped(raw.get("attributes", {}), dict, "customers[].attributes").items()},
         )
-        for raw in _section(data, "customers")
+        if customer.vasp not in vasps:
+            raise SchemaError(f"customer {customer.customer_id!r} references unknown vasp "
+                              f"{customer.vasp!r}")
+        customers[customer.customer_id] = customer
+    suspects = []
+    for index, raw in enumerate(_items(data, "suspect_entries")):
+        try:
+            customer, account_id = _id(raw, "customer"), _id(raw, "account_id")
+        except _NotAString as exc:
+            raise SchemaError(f"scenario.suspect_entries.{index}.{exc}") from None
+        key_hash_hex = raw.get("key_hash_hex")
+        if len([v for v in (customer, account_id, key_hash_hex) if v]) != 1:
+            raise SchemaError("suspect entries take exactly one of customer/account_id/key_hash_hex")
+        if customer is not None and customer not in customers:
+            raise SchemaError(f"suspect references unknown customer {customer!r}")
+        if key_hash_hex is not None:
+            key_hash_hex = _key_hash(key_hash_hex, f"suspect_entries[{index}]: ")
+        suspects.append(SuspectSpec(customer, account_id, key_hash_hex))
+
+    return Scenario(
+        seed=seed, networks=tuple(networks.values()), cas=tuple(cas), vasps=tuple(vasps.values()),
+        peering_links=peering, customers=tuple(customers.values()), suspects=tuple(suspects),
+        script=_parse_script(data.get("script", []), customers, vasps),
+        chain_id=str(chain_cfg.get("chain_id", "simchain")), drop_probability=drop_probability,
     )
-    _ids_are_strings({key: data[key] for key in ("script", "suspect_entries") if key in data},
-                     "scenario")
-    suspects = tuple(
-        SuspectSpec(
-            customer=raw.get("customer"),
-            account_id=raw.get("account_id"),
-            key_hash_hex=raw.get("key_hash_hex"),
-        )
-        for raw in _section(data, "suspect_entries")
-    )
-    script = tuple(
-        ScriptAction(
-            tick=_number(_require(raw, "tick", "script[]"), int, "script[].tick", 0),
-            action=str(_require(raw, "action", "script[]")),
-            params={k: v for k, v in raw.items() if k not in ("tick", "action")},
-        )
-        for raw in _section(data, "script")
-    )
-
-    chain_cfg = _known(data.get("chain", {}), frozenset({"chain_id"}), "chain")
-    defaults = _known(data.get("defaults", {}), frozenset({"drop_probability"}), "defaults")
-    scenario = Scenario(
-        seed=_number(data.get("seed", 0), int, "seed", 0, 2**64 - 1),
-        networks=networks,
-        cas=cas,
-        vasps=vasps,
-        peering_links=peering,
-        customers=customers,
-        suspects=suspects,
-        script=script,
-        chain_id=str(chain_cfg.get("chain_id", "simchain")),
-        drop_probability=_number(
-            defaults.get("drop_probability", 0.0), float, "defaults.drop_probability", 0, 1),
-    )
-    validate_scenario(scenario)
-    return scenario
 
 
-def validate_scenario(scenario: Scenario) -> None:
-    network_ids = {n.network_id for n in scenario.networks}
-    ca_ids = set(scenario.cas)
-    vasp_ids = {v.vasp_id for v in scenario.vasps}
-    customers = {c.customer_id: c for c in scenario.customers}
-
-    for ids, name in (
-        ((n.network_id for n in scenario.networks), "network_id"), (scenario.cas, "ca_id"),
-        ((v.vasp_id for v in scenario.vasps), "vasp_id"),
-        ((c.customer_id for c in scenario.customers), "customer_id"),
-    ):
-        seen: set[str] = set()
-        for item_id in ids:
-            if item_id in seen:
-                raise SchemaError(f"duplicate {name} {item_id!r}")
-            seen.add(item_id)
-
-    vasp_networks = {v.vasp_id: set(v.networks) for v in scenario.vasps}
-    for vasp in scenario.vasps:
-        if vasp.ca not in ca_ids:
-            raise SchemaError(f"vasp {vasp.vasp_id!r} references unknown ca {vasp.ca!r}")
-        for network_id in vasp.networks:
-            if network_id not in network_ids:
-                raise SchemaError(
-                    f"vasp {vasp.vasp_id!r} references unknown network {network_id!r}"
-                )
-    for link in scenario.peering_links:
-        for vasp_id, network_id in (
-            (link.gateway_vasp_a, link.network_a), (link.gateway_vasp_b, link.network_b),
-        ):
-            if vasp_id not in vasp_ids:
-                raise SchemaError(f"peering link references unknown vasp {vasp_id!r}")
-            if network_id not in network_ids:
-                raise SchemaError(f"peering link references unknown network {network_id!r}")
-            if network_id not in vasp_networks[vasp_id]:
-                raise SchemaError(
-                    f"peering gateway {vasp_id!r} is not a member of {network_id!r}"
-                )
-    for customer in scenario.customers:
-        if customer.vasp not in vasp_ids:
-            raise SchemaError(
-                f"customer {customer.customer_id!r} references unknown vasp {customer.vasp!r}"
-            )
-    for suspect in scenario.suspects:
-        given = [v for v in (suspect.customer, suspect.account_id, suspect.key_hash_hex) if v]
-        if len(given) != 1:
-            raise SchemaError(
-                "suspect entries take exactly one of customer/account_id/key_hash_hex"
-            )
-        if suspect.customer is not None and suspect.customer not in customers:
-            raise SchemaError(f"suspect references unknown customer {suspect.customer!r}")
-
-    # The script's effect on the accounts, in order, so an action that the
-    # run could not carry out fails here: the customers with an open account
-    # and those holding an unrevoked certificate.
-    opened: set[str] = set()
-    certified: set[str] = set()
-
-    def require_open(customer_id: str, context: str) -> None:
-        if customer_id not in opened:
-            raise SchemaError(f"{context}: {customer_id!r} has no open account yet")
-
+def _parse_script(items: Any, customers: Mapping[str, CustomerSpec],
+                  vasps: Mapping[str, VaspSpec]) -> tuple[ScriptAction, ...]:
+    """Each action of ``items``, read once: its tick and keys, then what
+    ``_check_action`` checks. A fault raised there gets the action's place."""
+    opened: set[str] = set()  # customers with an open account
+    certified: set[str] = set()  # customers holding an unrevoked certificate
+    script = []
     previous_tick = 0
-    for index, action in enumerate(scenario.script):
-        context = f"script[{index}] ({action.action})"
-        if action.tick < previous_tick:
-            raise SchemaError(f"{context}: tick {action.tick} decreases")
-        previous_tick = action.tick
-        if action.action not in ACTION_KEYS:
-            raise SchemaError(f"{context}: unknown action")
-        params = _known(action.params, ACTION_KEYS[action.action], context)
-        customer_id = params.get("customer")
-        if action.action in ("open_account", "enroll", "revoke_cert") and (
-                customer_id not in customers):
-            raise SchemaError(f"{context}: unknown customer {customer_id!r}")
-        if action.action == "open_account":
+    for index, raw in enumerate(_shaped(items, list, "script")):
+        if type(raw) is not dict:
+            _shaped(raw, dict, f"script[{index}]")
+        tick = _require(raw, "tick", "script[]")
+        if type(tick) is not int or tick < 0:
+            tick = _number(tick, int, "script[].tick", 0)
+        name = str(_require(raw, "action", "script[]"))
+        params = dict(raw)
+        del params["tick"], params["action"]
+        try:
+            if tick < previous_tick:
+                raise SchemaError(f"tick {tick} decreases")
+            keys = ACTION_KEYS.get(name)
+            if keys is None:
+                raise SchemaError("unknown action")
+            if not keys.issuperset(params):
+                raise SchemaError(f"unknown key {next(k for k in params if k not in keys)!r}")
+            _check_action(name, params, customers, vasps, opened, certified)
+        except SchemaError as exc:
+            raise SchemaError(f"script[{index}] ({name}): {exc}") from None
+        except _NotAString as exc:
+            raise SchemaError(f"scenario.script.{index}.{exc}") from None
+        previous_tick = tick
+        script.append(ScriptAction(tick, name, params))
+    return tuple(script)
+
+
+def _check_action(name: str, params: Mapping[str, Any], customers: Mapping[str, CustomerSpec],
+                  vasps: Mapping[str, VaspSpec], opened: set[str], certified: set[str]) -> None:
+    """A SchemaError, without the action's place, unless the run can carry out
+    ``name`` after the actions ``opened`` and ``certified`` record; records it."""
+    asset = params.get("asset")  # a name; the guard spares most actions the ABC check
+    if asset is not None and type(asset) is not str and isinstance(asset, (Mapping, list)):
+        raise SchemaError(f"asset: {asset!r} is not a name")
+    if name in ("open_account", "enroll", "revoke_cert"):
+        customer_id = _id(params, "customer")
+        if customer_id not in customers:
+            raise SchemaError(f"unknown customer {customer_id!r}")
+        if name == "open_account":
             if customer_id in opened:
-                raise SchemaError(f"{context}: {customer_id!r} already has an open account")
+                raise SchemaError(f"{customer_id!r} already has an open account")
             opened.add(customer_id)
-        elif action.action == "enroll":
-            require_open(customer_id, context)
+        elif name == "enroll":
+            _require_open(customer_id, opened)
             if customers[customer_id].custody_model is CustodyModel.COMMINGLED:
-                raise SchemaError(f"{context}: commingled customer {customer_id!r} holds no "
-                                  "key to certify")
+                raise SchemaError(f"commingled customer {customer_id!r} holds no key to certify")
             certified.add(customer_id)
-        elif action.action == "transfer":
-            if params.get("origin") not in customers:
-                raise SchemaError(f"{context}: unknown origin {params.get('origin')!r}")
-            _validate_target(params.get("target"), customers, vasp_ids, context)
-            _number(params.get("amount", 0), int, f"{context}: amount", 1)
-            require_open(params["origin"], context)
-        elif action.action == "batch_transfer":
-            _validate_batch(params.get("entries"), customers, context)
-            for entry in params["entries"]:
-                require_open(entry["origin"], context)
-        elif action.action == "p2p_transfer":
-            if "from_wallet" not in params:
-                raise SchemaError(f"{context}: from_wallet required")
-            if "to_wallet" not in params:
-                customer = customers.get(params.get("to_customer"))
-                if customer is None:
-                    raise SchemaError(f"{context}: to_wallet or a known to_customer required")
-                model = customer.custody_model
-                if model is not CustodyModel.MEDIATED:
-                    raise SchemaError(
-                        f"{context}: to_customer {params['to_customer']!r} is {model.value}; "
-                        "only a mediated customer holds a wallet key"
-                    )
-            _number(params.get("amount", 0), int, f"{context}: amount", 1)
-        elif action.action == "revoke_cert":
+        else:
             try:
                 RevocationReason(params.get("reason", "unspecified"))
             except ValueError:
-                raise SchemaError(f"{context}: unknown reason {params.get('reason')!r}") from None
+                raise SchemaError(f"unknown reason {params.get('reason')!r}") from None
             if customer_id not in certified:
-                raise SchemaError(f"{context}: {customer_id!r} holds no unrevoked certificate")
+                raise SchemaError(f"{customer_id!r} holds no unrevoked certificate")
             certified.remove(customer_id)
-        elif action.action == "drop_link":
-            for side in ("a", "b"):
-                actor = params.get(side)
-                if actor not in vasp_ids:
-                    raise SchemaError(f"{context}: endpoint {actor!r} is not a VASP")
-            _number(params.get("period", 0), int, f"{context}: period", 1)
-        elif action.action == "advance":
-            _number(params.get("ticks", 0), int, f"{context}: ticks", 1)
+    elif name == "transfer":
+        origin = _id(params, "origin")
+        if origin not in customers:
+            raise SchemaError(f"unknown origin {origin!r}")
+        _check_target(params.get("target"), customers, vasps)
+        _positive(params.get("amount", 0), "amount")
+        _require_open(origin, opened)
+    elif name == "batch_transfer":
+        _check_batch(params.get("entries"), customers)
+        for entry in params["entries"]:
+            _require_open(entry["origin"], opened)
+    elif name == "p2p_transfer":
+        if _id(params, "from_wallet") is None:
+            raise SchemaError("from_wallet required")
+        to_wallet, to_customer = _id(params, "to_wallet"), _id(params, "to_customer")
+        if to_wallet is not None and to_customer is not None:
+            raise SchemaError("to_wallet and to_customer both given; a p2p transfer pays one")
+        if to_wallet is None:
+            customer = customers.get(to_customer)
+            if customer is None:
+                raise SchemaError("to_wallet or a known to_customer required")
+            if customer.custody_model is not CustodyModel.MEDIATED:
+                raise SchemaError(f"to_customer {to_customer!r} is {customer.custody_model.value}; "
+                                  "only a mediated customer holds a wallet key")
+        _positive(params.get("amount", 0), "amount")
+    elif name == "drop_link":
+        for side in ("a", "b"):
+            actor = _id(params, side)
+            if actor not in vasps:
+                raise SchemaError(f"endpoint {actor!r} is not a VASP")
+        _positive(params.get("period", 0), "period")
+    else:  # advance
+        _positive(params.get("ticks", 0), "ticks")
 
 
-def _validate_batch(entries: Any, customers: Mapping[str, CustomerSpec], context: str) -> None:
+def _require_open(customer_id: str, opened: set[str]) -> None:
+    if customer_id not in opened:
+        raise SchemaError(f"{customer_id!r} has no open account yet")
+
+
+def _check_batch(entries: Any, customers: Mapping[str, CustomerSpec]) -> None:
     """A batch is one transaction: from one VASP's pool, to one VASP."""
-    if not _shaped(entries, list, f"{context}: entries"):
-        raise SchemaError(f"{context}: entries must not be empty")
+    if not _shaped(entries, list, "entries"):
+        raise SchemaError("entries must not be empty")
     payers, payees = set(), set()
     for index, entry in enumerate(entries):
-        where = f"{context}: entries[{index}]"
-        origin = customers.get(_known(entry, _BATCH_ENTRY_KEYS, where).get("origin"))
-        if origin is None or origin.custody_model is not CustodyModel.COMMINGLED:
-            raise SchemaError(f"{where}: origin {entry.get('origin')!r} is not a commingled customer")
-        target = entry.get("target")
-        if not isinstance(target, Mapping) or list(target) != ["customer"]:
-            raise SchemaError(f"{where}: target must be {{customer: id}}")
-        _validate_target(target, customers, set(), where)
+        where = f"entries[{index}]"
+        try:
+            origin = customers.get(_id(_known(entry, _BATCH_ENTRY_KEYS, where), "origin"))
+            if origin is None or origin.custody_model is not CustodyModel.COMMINGLED:
+                raise SchemaError(f"{where}: origin {entry.get('origin')!r} is not a commingled "
+                                  "customer")
+            target = entry.get("target")
+            if not isinstance(target, Mapping) or list(target) != ["customer"]:
+                raise SchemaError(f"{where}: target must be {{customer: id}}")
+            payee = customers.get(_id(target, "customer", "target."))
+        except _NotAString as exc:
+            raise _NotAString(f"entries.{index}.{exc}") from None
+        if payee is None:
+            raise SchemaError(f"{where}: unknown target customer {target['customer']!r}")
         payers.add(origin.vasp)
-        payees.add(customers[target["customer"]].vasp)
-        _number(entry.get("amount", 0), int, f"{where}: amount", 1)
+        payees.add(payee.vasp)
+        _positive(entry.get("amount", 0), f"{where}: amount")
     if len(payers) > 1 or len(payees) > 1:
-        raise SchemaError(f"{context}: entries pay from {sorted(payers)} to {sorted(payees)}, "
+        raise SchemaError(f"entries pay from {sorted(payers)} to {sorted(payees)}, "
                           "not from one VASP to one")
 
 
@@ -511,40 +513,37 @@ _TARGET_FORMS = {
 }
 
 
-def _validate_target(
-    target: Any, customers: Mapping[str, CustomerSpec], vasp_ids: set, context: str
-) -> None:
+def _check_target(target: Any, customers: Mapping[str, CustomerSpec],
+                  vasps: Mapping[str, VaspSpec]) -> None:
     """A target of one form, the first whose naming key it holds, and of
     only that form's keys."""
-    where = f"{context}: target"
-    form = next((key for key in _TARGET_FORMS if key in _shaped(target, dict, where)), None)
-    if form is None:
-        raise SchemaError(f"{context}: unrecognized target form {dict(target)!r}")
-    _known(target, _TARGET_FORMS[form], where)
-    if form == "customer":
-        if target["customer"] not in customers:
-            raise SchemaError(f"{context}: unknown target customer {target['customer']!r}")
-    elif form == "vasp":
-        if target["vasp"] not in vasp_ids:
-            raise SchemaError(f"{context}: unknown target vasp {target['vasp']!r}")
-        if "account" not in target:
-            raise SchemaError(f"{context}: vasp target needs an account")
+    _shaped(target, dict, "target")
+    for form, keys in _TARGET_FORMS.items():
+        if form in target:
+            break
     else:
-        try:
-            raw = bytes.fromhex(str(target["key_hash_hex"]))
-        except ValueError as exc:
-            raise SchemaError(f"{context}: bad key_hash_hex") from exc
-        if len(raw) != 32:
-            raise SchemaError(f"{context}: key_hash_hex must be 32 bytes")
+        raise SchemaError(f"unrecognized target form {dict(target)!r}")
+    _known(target, keys, "target")
+    if form == "customer":
+        customer = _id(target, "customer", "target.")
+        if customer not in customers:
+            raise SchemaError(f"unknown target customer {customer!r}")
+    elif form == "vasp":
+        vasp = _id(target, "vasp", "target.")
+        if vasp not in vasps:
+            raise SchemaError(f"unknown target vasp {vasp!r}")
+        if _id(target, "account", "target.") is None:
+            raise SchemaError("vasp target needs an account")
+    else:
+        _key_hash(target["key_hash_hex"], "")
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Parse and validate a scenario file."""
-    raw = Path(path).read_text()
+def _key_hash(value: Any, where: str) -> str:
+    """``value`` as a string if it is 32 bytes in hex, else a SchemaError after ``where``."""
     try:
-        data = yaml.safe_load(raw)
-    except yaml.YAMLError as exc:
-        raise SchemaError(f"unparseable scenario file: {exc}") from exc
-    if data is None:
-        raise SchemaError("empty scenario file")
-    return parse_scenario(data)
+        raw = bytes.fromhex(str(value))
+    except ValueError as exc:
+        raise SchemaError(f"{where}bad key_hash_hex") from exc
+    if len(raw) != 32:
+        raise SchemaError(f"{where}key_hash_hex must be 32 bytes")
+    return str(value)

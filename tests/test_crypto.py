@@ -58,7 +58,7 @@ from vaspnet.network import (
     ReachabilityAdvertisement,
     RouteDigest,
 )
-from vaspnet.scenario import load_scenario
+from vaspnet.cli import load_scenario
 from vaspnet.transfer import AckDecision, BeneficiaryRef, TransferAck, TransferNotice
 
 # RFC 8032 section 7.1, tests 1-3: (secret, public, message, signature)

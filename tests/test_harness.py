@@ -33,7 +33,7 @@ from vaspnet.report import (
     render_text,
     replay_canonical,
 )
-from vaspnet.scenario import load_scenario
+from vaspnet.cli import load_scenario
 
 
 DEMO_YAML = Path(__file__).resolve().parent.parent / "scenarios" / "demo.yaml"
@@ -115,7 +115,7 @@ class TestDeterminism:
             ],
         }))
         code = (
-            "from vaspnet.scenario import load_scenario\n"
+            "from vaspnet.cli import load_scenario\n"
             "from vaspnet.harness import Simulation\n"
             f"print(Simulation(load_scenario({str(scenario_path)!r})).run().digest_hex)\n"
         )

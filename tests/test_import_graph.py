@@ -1,8 +1,12 @@
 """The package's internal import graph: every import of one ``vaspnet``
 module by another, at module level, under ``if TYPE_CHECKING:`` or inside a
-function, is an edge, and the graph has no cycle."""
+function, is an edge, and the graph has no cycle. Outside it, the simulation
+imports no PyYAML."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vaspnet"
@@ -92,3 +96,12 @@ def test_every_import_is_read():
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
                 assert bound in read, f"{name}.py:{node.lineno} imports {bound}, never read"
+
+
+def test_simulation_does_not_import_yaml():
+    """PyYAML is the command line's: a fresh interpreter that imports the
+    package and the harness, as a benchmark worker does, leaves it unloaded."""
+    code = "import sys, vaspnet, vaspnet.harness; sys.exit(2 if 'yaml' in sys.modules else 0)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.returncode == 0, proc.stderr or "vaspnet imported yaml"

@@ -12,7 +12,8 @@ from vaspnet.ca import CertClass
 from vaspnet.cli import main as cli_main
 from vaspnet.harness import Simulation
 from vaspnet.network import OperatingRules
-from vaspnet.scenario import SchemaError, load_scenario, parse_scenario
+from vaspnet.cli import load_scenario
+from vaspnet.scenario import SchemaError, parse_scenario
 from vaspnet.resolution import TransferTarget
 from vaspnet.transfer import DenialCode, DenialReason, RecordStatus
 
@@ -391,6 +392,18 @@ BAD_SCENARIOS = {
         action="batch_transfer", entries=[{"origin": "chen", "target": {"customer": "dana"},
                                            "amount": 5, "asset": "coin"}])},
                                 r"entries\[0\]: unknown key 'asset'"),
+    # A p2p transfer pays one receiver; it would pay to_wallet and drop the other.
+    "p2p-two-receivers": (p2p(to_wallet="w2", to_customer="nobody-at-all"),
+                          "to_wallet and to_customer"),
+    # A suspect's hash is a target's: hex, 32 bytes, else the run could not use it.
+    "suspect-hash-not-hex": ({"suspect_entries": [{"key_hash_hex": "zz"}]},
+                             r"suspect_entries\[0\]: bad key_hash_hex"),
+    "suspect-hash-short": ({"suspect_entries": [{"key_hash_hex": "ab"}]},
+                           "key_hash_hex must be 32 bytes"),
+    # An asset is a name, not a mapping or list (one holding an id key among them).
+    "asset-mapping": (with_action("alice", action="transfer", origin="alice",
+                                  target={"customer": "chen"}, amount=1,
+                                  asset={"customer": ["x"]}), "asset"),
 }
 
 
@@ -416,6 +429,35 @@ ID_OF_ANOTHER_TYPE = {
                              r"script\.\d+\.target\.customer"),
     "drop-link-mapping": ({"action": "drop_link", "a": {"x": 1}, "b": "v1", "period": 5},
                           r"script\.\d+\.a"),
+    "transfer-origin-list": ({"action": "transfer", "origin": ["alice"],
+                              "target": {"customer": "dina"}, "amount": 5},
+                             r"script\.\d+\.origin"),
+    "target-vasp-number": ({"action": "transfer", "origin": "alice",
+                            "target": {"vasp": 7, "account": "acct-dina"}, "amount": 5},
+                           r"script\.\d+\.target\.vasp"),
+    "target-account-list": ({"action": "transfer", "origin": "alice",
+                             "target": {"vasp": "beta", "account": ["acct-dina"]}, "amount": 5},
+                            r"script\.\d+\.target\.account"),
+    "drop-link-b-list": ({"action": "drop_link", "a": "alpha", "b": ["beta"], "period": 5},
+                         r"script\.\d+\.b"),
+    "p2p-from-wallet-number": ({"action": "p2p_transfer", "from_wallet": 5,
+                                "to_wallet": "w-hot", "amount": 5},
+                               r"script\.\d+\.from_wallet"),
+    "p2p-to-wallet-list": ({"action": "p2p_transfer", "from_wallet": "w-cold",
+                            "to_wallet": ["w-hot"], "amount": 5},
+                           r"script\.\d+\.to_wallet"),
+    "p2p-to-customer-mapping": ({"action": "p2p_transfer", "from_wallet": "w-cold",
+                                 "to_customer": {"id": "alice"}, "amount": 5},
+                                r"script\.\d+\.to_customer"),
+    "enroll-number": ({"action": "enroll", "customer": 3}, r"script\.\d+\.customer"),
+    "revoke-list": ({"action": "revoke_cert", "customer": ["alice"]},
+                    r"script\.\d+\.customer"),
+    "batch-origin-list": ({"action": "batch_transfer", "asset": "coin", "entries": [
+        {"origin": ["chen"], "target": {"customer": "emre"}, "amount": 5}]},
+                          r"script\.\d+\.entries\.0\.origin"),
+    "batch-target-customer-list": ({"action": "batch_transfer", "asset": "coin", "entries": [
+        {"origin": "chen", "target": {"customer": ["emre"]}, "amount": 5}]},
+                                   r"script\.\d+\.entries\.0\.target\.customer"),
 }
 
 
@@ -424,6 +466,22 @@ def test_id_reference_must_be_a_string(name):
     action, named = ID_OF_ANOTHER_TYPE[name]
     data = yaml.safe_load((SCENARIO_DIR / "demo.yaml").read_text())
     data["script"].append({"tick": data["script"][-1]["tick"], **action})
+    with pytest.raises(SchemaError, match=named + ": id must be a string"):
+        parse_scenario(data)
+
+
+# The same for a suspect entry's ids.
+SUSPECT_ID_OF_ANOTHER_TYPE = {
+    "suspect-customer-list": ({"customer": ["alice"]}, r"suspect_entries\.0\.customer"),
+    "suspect-account-number": ({"account_id": 12}, r"suspect_entries\.0\.account_id"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUSPECT_ID_OF_ANOTHER_TYPE))
+def test_suspect_id_must_be_a_string(name):
+    entry, named = SUSPECT_ID_OF_ANOTHER_TYPE[name]
+    data = yaml.safe_load((SCENARIO_DIR / "demo.yaml").read_text())
+    data["suspect_entries"] = [entry]
     with pytest.raises(SchemaError, match=named + ": id must be a string"):
         parse_scenario(data)
 

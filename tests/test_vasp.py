@@ -22,7 +22,7 @@ from vaspnet.ca import CertClass, RevocationReason
 from vaspnet.chain import SubmitResult, build_transaction
 from vaspnet.harness import Simulation
 from vaspnet.network import ACK_TIMEOUT
-from vaspnet.scenario import load_scenario
+from vaspnet.cli import load_scenario
 from vaspnet.accounts import (
     CustodyModel,
     ModelKeyMismatch,

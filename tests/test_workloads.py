@@ -27,7 +27,8 @@ from vaspnet.network import (
     ReachabilityAdvertisement,
     heartbeat_partner,
 )
-from vaspnet.scenario import load_scenario, parse_scenario
+from vaspnet.cli import load_scenario
+from vaspnet.scenario import parse_scenario
 from vaspnet.accounts import CustodyModel
 from vaspnet.transfer import OutcomeStatus, ReconciliationReport, RecordRole, RecordStatus
 from vaspnet.vasp import VaspNode
