@@ -55,7 +55,6 @@ from .harness import EventLog, Metrics, RunResult, Simulation, run_scenario
 from .network import (
     DirectoryDelta,
     DirectorySnapshot,
-    OperatingRules,
     PeeringLink,
     ReachabilityAdvertisement,
     TrustNetwork,

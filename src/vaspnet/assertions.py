@@ -48,8 +48,8 @@ TRAVEL_RULE_ATTRIBUTES = frozenset(
     {"name", "account_id", "address", "vasp_id", "public_key_hash", "custody_model"}
 )
 
-# The floor a counterparty may insist on; address is disclosed when known but
-# not every registration carries one.
+# The floor every beneficiary VASP insists on; address is disclosed when
+# known but not every registration carries one.
 REQUIRED_TRAVEL_RULE_CORE = frozenset(
     {"name", "account_id", "vasp_id", "public_key_hash", "custody_model"}
 )

@@ -107,22 +107,19 @@ class CertificateProfile(crypto.Record):
     per distinct profile, not once per certificate.
 
     Every key is for signatures only: field 2, the key usage, is always
-    ``SIGNATURE_USAGE``, and decoding refuses any other. ``permitted_chains``
-    empty means unrestricted.
+    ``SIGNATURE_USAGE``, and decoding refuses any other.
     """
 
     SIGNATURE_USAGE = b"signature"
 
     profile_id: str
-    permitted_chains: frozenset[str] = frozenset()
     minimum_class: CertClass = CertClass.CLASS1
 
     def tlv_fields(self) -> list[tuple[int, bytes]]:
         return [
             (1, enc_str(self.profile_id)),
             (2, self.SIGNATURE_USAGE),
-            (3, enc_str(",".join(sorted(self.permitted_chains)))),
-            (4, enc_u64(int(self.minimum_class))),
+            (3, enc_u64(int(self.minimum_class))),
         ]
 
     @classmethod
@@ -130,12 +127,7 @@ class CertificateProfile(crypto.Record):
         fields = dict(canonical_decode(data))
         if fields[2] != cls.SIGNATURE_USAGE:
             raise crypto.MalformedRecord(f"key usage {fields[2]!r}: only signature is granted")
-        chains = dec_str(fields[3])
-        return cls(
-            profile_id=dec_str(fields[1]),
-            permitted_chains=frozenset(chains.split(",")) if chains else frozenset(),
-            minimum_class=CertClass(dec_u64(fields[4])),
-        )
+        return cls(profile_id=dec_str(fields[1]), minimum_class=CertClass(dec_u64(fields[3])))
 
 
 DEFAULT_PROFILE = CertificateProfile(profile_id="vasp-default")
@@ -320,7 +312,6 @@ def validate_certificate(
     trust_anchors: Mapping[str, Certificate],
     now: int,
     revocation: Optional[RevocationView] = None,
-    chain_id: Optional[str] = None,
 ) -> ValidationResult:
     """Validate a certificate against root anchors at the given tick.
 
@@ -342,8 +333,6 @@ def validate_certificate(
             ValidationStatus.PROFILE_VIOLATION,
             f"class {cert.cert_class.label} below {cert.profile.minimum_class.label}",
         )
-    if chain_id is not None and cert.profile.permitted_chains and chain_id not in cert.profile.permitted_chains:
-        return ValidationResult(ValidationStatus.PROFILE_VIOLATION, f"chain {chain_id}")
     return VALID
 
 

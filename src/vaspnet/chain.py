@@ -91,8 +91,7 @@ def _block_hash(previous_hash: bytes, tick: int, txs: tuple[ChainTransaction, ..
 class SimChain:
     """Single simulated chain; one logical actor, ticked by the harness."""
 
-    def __init__(self, chain_id: str = "simchain") -> None:
-        self.chain_id = chain_id
+    def __init__(self) -> None:
         self.blocks: list[Block] = []
         self._confirmed: list[tuple[ChainTransaction, int]] = []
         # Public key -> ledger positions of the confirmed transactions it is in.

@@ -274,7 +274,7 @@ class Simulation:
         self.now = 0
         self.log_ = EventLog()
         self.breaches: list[str] = []
-        self.chain = SimChain(scenario.chain_id)
+        self.chain = SimChain()
         self._queue: dict[int, list[_Message]] = {}
         self._seq = 0  # one per send, so also the count of messages sent
         self._links: dict[tuple[str, str], _Link] = {}
@@ -294,6 +294,7 @@ class Simulation:
         self._network_order: tuple[TrustNetwork, ...] = ()
         self._vasp_order: tuple[VaspNode, ...] = ()
         self._customers: dict[str, CustomerSpec] = {}
+        self._suspect_customers = frozenset(s.customer for s in scenario.suspects if s.customer)
         self._build()
 
     @property
@@ -364,17 +365,15 @@ class Simulation:
             for ca_id, ca in self.cas.items()
             if ca.root_certificate is not None
         }
-        for spec in sorted(scenario.networks, key=lambda n: n.network_id):
-            self.networks[spec.network_id] = TrustNetwork(spec.network_id, spec.rules, anchors)
+        for network_id in sorted(scenario.networks):
+            self.networks[network_id] = TrustNetwork(network_id, anchors)
         self._network_order = tuple(self.networks[n] for n in sorted(self.networks))
 
         for spec in sorted(scenario.vasps, key=lambda v: v.vasp_id):
             keypair = crypto.keypair_from_label(f"vasp:{self.seed}", spec.vasp_id)
             rng = self._derived_rng("vasp-rng", spec.vasp_id)
-            node = VaspNode(
-                vasp_id=spec.vasp_id, keypair=keypair, ca=self.cas[spec.ca],
-                rng=rng, env=self, chain_id=scenario.chain_id,
-            )
+            node = VaspNode(vasp_id=spec.vasp_id, keypair=keypair, ca=self.cas[spec.ca],
+                            rng=rng, env=self)
             node.enroll_vasp_certificate(
                 self._vasp_registration_attributes(spec.vasp_id), 0, VASP_CERT_VALIDITY
             )
@@ -396,12 +395,8 @@ class Simulation:
             if suspect.key_hash_hex is not None:
                 self._blocklist(bytes.fromhex(suspect.key_hash_hex))
             if suspect.customer is not None:
-                # Account refs resolve when the account opens; the key hash is
-                # derivable now since keys are label-seeded.
+                # Its key hash, if it has a key, when its account opens.
                 self._blocklist(self._account_id_for(suspect.customer))
-                wallet = self._customer_wallet(suspect.customer)
-                if wallet is not None:
-                    self._blocklist(wallet.public_key_hash)
 
     def _vasp_registration_attributes(self, vasp_id: str) -> dict[str, str]:
         return {
@@ -487,7 +482,7 @@ class Simulation:
         spec = self._customers[customer_id]
         vasp = self.vasps[spec.vasp]
         wallet = self._customer_wallet(customer_id)
-        vasp.open_account(
+        account = vasp.open_account(
             subject_id=customer_id,
             attributes=dict(spec.attributes),
             custody_model=spec.custody_model,
@@ -495,6 +490,8 @@ class Simulation:
             account_id=self._account_id_for(customer_id),
             now=self.now,
         )
+        if customer_id in self._suspect_customers and account.customer_public_key_hash:
+            self._blocklist(account.customer_public_key_hash)
 
     def _build_target(self, raw) -> TransferTarget:
         if "customer" in raw:

@@ -1,5 +1,5 @@
-"""Trust networks: membership under operating rules, known-good-key
-directory gossip with deltas, and cross-network path-vector reachability
+"""Trust networks: membership by certificate, known-good-key directory
+gossip with deltas, and cross-network path-vector reachability
 advertisements through peering gateways.
 
 Inside a network, each member publishes its own directory of live customer
@@ -60,16 +60,12 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from . import crypto
-from .assertions import AttributeAssertion, DisclosurePolicy, REQUIRED_TRAVEL_RULE_CORE
-from .ca import CertClass, Certificate, RevocationView, validate_certificate
+from .assertions import AttributeAssertion
+from .ca import Certificate, RevocationView, validate_certificate
 from .crypto import canonical_encode, digest, enc_str, enc_u64, encode_bytes_list
 
 
 class NetworkError(Exception):
-    pass
-
-
-class RulesVersionMismatch(NetworkError):
     pass
 
 
@@ -81,25 +77,6 @@ class MembershipDenied(NetworkError):
 SYNC_PERIOD = 10  # between a member's directory syncs and a gateway's link duties
 CRL_PERIOD = 20  # between a member's CRL fetches
 ACK_TIMEOUT = 10  # from a notice sent to its originator giving up on the ack
-
-
-@dataclass(frozen=True)
-class OperatingRules:
-    """Machine-checkable slice of a trust network's operating agreement: the
-    policy its members agree to."""
-
-    rules_version: int = 1
-    minimum_certificate_class: CertClass = CertClass.CLASS1
-    required_disclosure_policy: DisclosurePolicy = DisclosurePolicy(REQUIRED_TRAVEL_RULE_CORE)
-
-
-@dataclass(frozen=True)
-class MemberRecord:
-    vasp_id: str
-    vasp_certificate: Certificate
-    network_id: str
-    joined_at: int
-    acked_rules_version: int
 
 
 @dataclass(frozen=True)
@@ -461,55 +438,27 @@ class QueryResponse:
 
 
 class TrustNetwork:
-    """Membership registry, operating rules, peering links, and route table.
+    """Membership registry, peering links, and route table.
 
     The registry is one logical actor; members interact with each other only
     through simulator messages and synchronous queries.
     """
 
-    def __init__(
-        self,
-        network_id: str,
-        rules: OperatingRules,
-        recognized_anchors: dict[str, Certificate],
-    ) -> None:
+    def __init__(self, network_id: str, recognized_anchors: dict[str, Certificate]) -> None:
         self.network_id = network_id
-        self.rules = rules
         self.recognized_anchors = dict(recognized_anchors)
-        self.members: dict[str, MemberRecord] = {}
+        # Member id -> its VASP certificate, as admitted.
+        self.members: dict[str, Certificate] = {}
         self.peering_links: list[PeeringLink] = []
         self.route_table: dict[str, RouteEntry] = {}
 
-    def join_network(
-        self,
-        vasp_certificate: Certificate,
-        rules_version_ack: int,
-        now: int,
-        revocation: Optional[RevocationView] = None,
-    ) -> MemberRecord:
-        """Admit a VASP whose certificate validates and whose rules ack is current."""
-        if rules_version_ack != self.rules.rules_version:
-            raise RulesVersionMismatch(
-                f"acked {rules_version_ack}, current {self.rules.rules_version}"
-            )
-        result = validate_certificate(
-            vasp_certificate, self.recognized_anchors, now, revocation
-        )
+    def join_network(self, vasp_certificate: Certificate, now: int,
+                     revocation: Optional[RevocationView] = None) -> None:
+        """Admit a VASP whose certificate validates against a recognised CA."""
+        result = validate_certificate(vasp_certificate, self.recognized_anchors, now, revocation)
         if not result.ok:
             raise MembershipDenied(f"{result.status.value}: {result.detail}")
-        if vasp_certificate.cert_class < self.rules.minimum_certificate_class:
-            raise MembershipDenied(
-                f"certificate class below {self.rules.minimum_certificate_class.label}"
-            )
-        record = MemberRecord(
-            vasp_id=vasp_certificate.subject_id,
-            vasp_certificate=vasp_certificate,
-            network_id=self.network_id,
-            joined_at=now,
-            acked_rules_version=rules_version_ack,
-        )
-        self.members[record.vasp_id] = record
-        return record
+        self.members[vasp_certificate.subject_id] = vasp_certificate
 
     def member_ids(self) -> list[str]:
         return sorted(self.members)

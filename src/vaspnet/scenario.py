@@ -14,11 +14,9 @@ once it is issued, and only once.
 Schema (all ids are strings; every referenced id must be declared):
 
     seed: 42                       # 64-bit simulation seed
-    chain: {chain_id: simchain}
     defaults: {drop_probability: 0.0}
     networks:
-      - network_id: net-a
-        rules: {minimum_certificate_class: class1}
+      - {network_id: net-a}
     cas:
       - {ca_id: ca-1}
     vasps:
@@ -43,23 +41,18 @@ Schema (all ids are strings; every referenced id must be declared):
       - {tick: 30, action: drop_link, a: v1, b: v2, period: 15}
       - {tick: 60, action: advance, ticks: 20}
 
-Each top-level key but ``seed``, ``chain`` and ``defaults`` holds a list of
-mappings; those two, rules, attributes and targets are mappings.
+Each top-level key but ``seed`` and ``defaults`` holds a list of mappings;
+``defaults``, attributes and targets are mappings.
 
 Ranges: ``seed`` in [0, 2**64); ``drop_probability`` in [0, 1]; script
-ticks at least 0; ``amount``, ``period`` and ``ticks`` at least 1.
+ticks at least 0; ``period`` and ``ticks`` at least 1; ``amount`` in
+[1, 2**64), and so is the sum of a batch's amounts, the ledger's u64.
 
 Timings are the protocol's constants, not keys: ``network.SYNC_PERIOD``,
 ``network.CRL_PERIOD``, ``network.ACK_TIMEOUT``, ``chain.CONFIRMATION_DELAY``,
-``harness.MAX_LATENCY`` and ``DRAIN_TICKS`` here.
-
-Network rules (each optional; the default in brackets) build the network's
-``OperatingRules``, the policy its members agree to:
-
-    rules_version               integer >= 0 [1]
-    minimum_certificate_class   class1 | class2 | class3 [class1]
-    required_disclosure         non-empty list of attribute names
-                                [the travel-rule core]
+``harness.MAX_LATENCY`` and ``DRAIN_TICKS`` here. A network has no rules to
+set: it admits every VASP whose certificate validates, and every member
+requires the travel-rule core (``assertions.REQUIRED_TRAVEL_RULE_CORE``).
 
 Transfer targets take one of three forms, each with only its own keys:
 {customer: id} (beneficiary key hash; account reference for commingled
@@ -79,13 +72,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .accounts import CustodyModel
-from .assertions import DisclosurePolicy
 from .ca import CertClass, RevocationReason
-from .network import OperatingRules, PeeringLink
+from .network import PeeringLink
 
 # Each script action and the keys it takes besides ``tick`` and ``action``.
 ACTION_KEYS = {
@@ -100,14 +92,15 @@ ACTION_KEYS = {
 }
 
 DRAIN_TICKS = 40  # ticks a run goes on after its script, for what is in flight to settle
+U64_MAX = 2**64 - 1  # the largest seed, amount and batch sum
 
 _TOP_LEVEL_KEYS = frozenset({
-    "seed", "chain", "defaults", "networks", "cas", "vasps", "peering_links", "customers",
+    "seed", "defaults", "networks", "cas", "vasps", "peering_links", "customers",
     "suspect_entries", "script",
 })
 # The keys an item of each list section but ``script`` may hold.
 _ITEM_KEYS = {
-    "networks": frozenset({"network_id", "rules"}),
+    "networks": frozenset({"network_id"}),
     "cas": frozenset({"ca_id"}),
     "vasps": frozenset({"vasp_id", "ca", "networks"}),
     "peering_links": frozenset({"vasp_a", "network_a", "vasp_b", "network_b"}),
@@ -120,12 +113,6 @@ _BATCH_ENTRY_KEYS = frozenset({"origin", "target", "amount"})
 
 class SchemaError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class NetworkSpec:
-    network_id: str
-    rules: OperatingRules = field(default_factory=OperatingRules)
 
 
 @dataclass(frozen=True)
@@ -161,14 +148,13 @@ class ScriptAction:
 @dataclass(frozen=True)
 class Scenario:
     seed: int
-    networks: tuple[NetworkSpec, ...]
+    networks: tuple[str, ...]  # network ids
     cas: tuple[str, ...]  # CA ids
     vasps: tuple[VaspSpec, ...]
     peering_links: tuple[PeeringLink, ...]
     customers: tuple[CustomerSpec, ...]
     suspects: tuple[SuspectSpec, ...]
     script: tuple[ScriptAction, ...]
-    chain_id: str = "simchain"
     drop_probability: float = 0.0
 
     def horizon(self) -> int:
@@ -219,36 +205,14 @@ def _number(value: Any, kind: type, context: str, low: float, high: float = math
     return number
 
 
-def _positive(value: Any, name: str) -> None:
-    """A SchemaError naming ``name`` unless ``value`` is a whole number of at least 1."""
-    if type(value) is not int or value < 1:
-        _number(value, int, name, 1)
-
-
-_RULE_KEYS = frozenset({"rules_version", "minimum_certificate_class", "required_disclosure"})
-
-
-def _parse_rules(raw: Any, context: str) -> OperatingRules:
-    _known(raw, _RULE_KEYS, context)
-    kwargs: dict[str, Any] = {}
-    if "rules_version" in raw:
-        kwargs["rules_version"] = _number(raw["rules_version"], int, f"{context}.rules_version", 0)
-    if "minimum_certificate_class" in raw:
-        kwargs["minimum_certificate_class"] = _parse_class(
-            raw["minimum_certificate_class"], f"{context}.minimum_certificate_class"
-        )
-    if "required_disclosure" in raw:
-        attributes = raw["required_disclosure"]
-        if not isinstance(attributes, list) or not attributes:
-            raise SchemaError(f"{context}.required_disclosure: must be a non-empty list")
-        kwargs["required_disclosure_policy"] = DisclosurePolicy(
-            frozenset(str(a) for a in attributes)
-        )
-    return OperatingRules(**kwargs)
+def _positive(value: Any, name: str, high: float = math.inf) -> None:
+    """A SchemaError naming ``name`` unless ``value`` is a whole number in [1, high]."""
+    if type(value) is not int or not 1 <= value <= high:
+        _number(value, int, name, 1, high)
 
 
 def _parse_link(raw: Mapping[str, Any], vasps: Mapping[str, VaspSpec],
-                networks: Mapping[str, NetworkSpec]) -> PeeringLink:
+                networks: Mapping[str, None]) -> PeeringLink:
     """The link ``raw`` declares, between member gateways of two networks;
     equal ones are a SchemaError here, not ``PeeringLink``'s ``ValueError``."""
     vasp_a, network_a, vasp_b, network_b = (
@@ -309,17 +273,14 @@ def _items(data: Mapping[str, Any], key: str) -> Iterator[Mapping[str, Any]]:
 def parse_scenario(data: Mapping[str, Any]) -> Scenario:
     """The scenario ``data`` declares, each section checked in the loop that builds it."""
     _known(data, _TOP_LEVEL_KEYS, "scenario root")
-    chain_cfg = _known(data.get("chain", {}), frozenset({"chain_id"}), "chain")
     defaults = _known(data.get("defaults", {}), frozenset({"drop_probability"}), "defaults")
-    seed = _number(data.get("seed", 0), int, "seed", 0, 2**64 - 1)
+    seed = _number(data.get("seed", 0), int, "seed", 0, U64_MAX)
     drop_probability = _number(
         defaults.get("drop_probability", 0.0), float, "defaults.drop_probability", 0, 1)
 
-    networks: dict[str, NetworkSpec] = {}
+    networks: dict[str, None] = {}
     for raw in _items(data, "networks"):
-        network_id = _new_id(raw, "network_id", networks, "networks[]")
-        networks[network_id] = NetworkSpec(network_id, _parse_rules(
-            raw.get("rules", {}), f"network {raw['network_id']!r} rules"))
+        networks[_new_id(raw, "network_id", networks, "networks[]")] = None
     cas: dict[str, None] = {}
     for raw in _items(data, "cas"):
         cas[_new_id(raw, "ca_id", cas, "cas[]")] = None
@@ -367,10 +328,10 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
         suspects.append(SuspectSpec(customer, account_id, key_hash_hex))
 
     return Scenario(
-        seed=seed, networks=tuple(networks.values()), cas=tuple(cas), vasps=tuple(vasps.values()),
+        seed=seed, networks=tuple(networks), cas=tuple(cas), vasps=tuple(vasps.values()),
         peering_links=peering, customers=tuple(customers.values()), suspects=tuple(suspects),
         script=_parse_script(data.get("script", []), customers, vasps),
-        chain_id=str(chain_cfg.get("chain_id", "simchain")), drop_probability=drop_probability,
+        drop_probability=drop_probability,
     )
 
 
@@ -442,7 +403,7 @@ def _check_action(name: str, params: Mapping[str, Any], customers: Mapping[str, 
         if origin not in customers:
             raise SchemaError(f"unknown origin {origin!r}")
         _check_target(params.get("target"), customers, vasps)
-        _positive(params.get("amount", 0), "amount")
+        _positive(params.get("amount", 0), "amount", U64_MAX)
         _require_open(origin, opened)
     elif name == "batch_transfer":
         _check_batch(params.get("entries"), customers)
@@ -461,7 +422,7 @@ def _check_action(name: str, params: Mapping[str, Any], customers: Mapping[str, 
             if customer.custody_model is not CustodyModel.MEDIATED:
                 raise SchemaError(f"to_customer {to_customer!r} is {customer.custody_model.value}; "
                                   "only a mediated customer holds a wallet key")
-        _positive(params.get("amount", 0), "amount")
+        _positive(params.get("amount", 0), "amount", U64_MAX)
     elif name == "drop_link":
         for side in ("a", "b"):
             actor = _id(params, side)
@@ -482,6 +443,7 @@ def _check_batch(entries: Any, customers: Mapping[str, CustomerSpec]) -> None:
     if not _shaped(entries, list, "entries"):
         raise SchemaError("entries must not be empty")
     payers, payees = set(), set()
+    total = 0
     for index, entry in enumerate(entries):
         where = f"entries[{index}]"
         try:
@@ -499,7 +461,10 @@ def _check_batch(entries: Any, customers: Mapping[str, CustomerSpec]) -> None:
             raise SchemaError(f"{where}: unknown target customer {target['customer']!r}")
         payers.add(origin.vasp)
         payees.add(payee.vasp)
-        _positive(entry.get("amount", 0), f"{where}: amount")
+        _positive(entry.get("amount", 0), f"{where}: amount", U64_MAX)
+        total += int(entry["amount"])
+    if total > U64_MAX:
+        raise SchemaError(f"entries: amounts sum to {total}, above the ledger's {U64_MAX}")
     if len(payers) > 1 or len(payees) > 1:
         raise SchemaError(f"entries pay from {sorted(payers)} to {sorted(payees)}, "
                           "not from one VASP to one")

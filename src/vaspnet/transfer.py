@@ -11,11 +11,12 @@ from typing import Iterable, Optional, Sequence
 
 from . import crypto
 from .accounts import Account, AccountBook, CustodyModel, ModelKeyMismatch, VaspError, fresh_id
-from .assertions import AssertionServiceError, AttributeAssertion, verify_assertion
+from .assertions import (REQUIRED_TRAVEL_RULE_CORE, AssertionServiceError, AttributeAssertion,
+                         verify_assertion)
 from .ca import Certificate
 from .chain import ChainTransaction
 from .crypto import canonical_encode, enc_str, enc_u64
-from .network import ACK_TIMEOUT, OperatingRules
+from .network import ACK_TIMEOUT
 from .resolution import ResolvedBeneficiary, TransferTarget
 
 NOTICE_ID_LEN = 16
@@ -423,17 +424,16 @@ class Transfers:
     def _validate_transfer_certificates(self, origin_cert: Certificate,
                                         resolved: ResolvedBeneficiary) -> Optional[str]:
         """Validate the four certificates of the transfer; None means all valid."""
-        chain_id = self._node.chain_id
         checks = [
-            ("originator-customer", origin_cert, chain_id),
-            ("originator-vasp", self._node.certificate, None),
-            ("beneficiary-vasp", resolved.home_vasp_certificate, None),
-            ("beneficiary-customer", resolved.certificate, chain_id),
+            ("originator-customer", origin_cert),
+            ("originator-vasp", self._node.certificate),
+            ("beneficiary-vasp", resolved.home_vasp_certificate),
+            ("beneficiary-customer", resolved.certificate),
         ]
-        for which, cert, cert_chain_id in checks:
+        for which, cert in checks:
             if cert is None:
                 return which
-            result = self._node.validate(cert, cert_chain_id)
+            result = self._node.validate(cert)
             if not result.ok:
                 return f"{which}:{result.status.value}"
         if resolved.revoked:
@@ -488,7 +488,7 @@ class Transfers:
 
         for account in accounts:
             cert = self._book.subject_certificate(account)
-            if cert is None or not self._node.validate(cert, self._node.chain_id).ok:
+            if cert is None or not self._node.validate(cert).ok:
                 return self._reject_notice(notice, RejectReason.CERT_INVALID)
 
         if not self._notice_assertion_acceptable(notice, originator_cert):
@@ -522,9 +522,7 @@ class Transfers:
         assertion = notice.originator_assertion
         if not crypto.check(originator_cert.subject_public_key, assertion):
             return False
-        rules = self._rules_for_peer(notice.originator_vasp_id)
-        required = rules.required_disclosure_policy.allowed_attributes if rules else set()
-        missing = set(required) - set(assertion.attributes)
+        missing = REQUIRED_TRAVEL_RULE_CORE.difference(assertion.attributes)
         if missing:
             self._env.log(self._vasp_id, "policy_refusal",
                           missing=",".join(sorted(missing)))
@@ -543,12 +541,6 @@ class Transfers:
                 if cert is not None and assertion.linked_certificate_hash != cert.fingerprint():
                     return False
         return True
-
-    def _rules_for_peer(self, vasp_id: str) -> Optional[OperatingRules]:
-        network = self._node.shared_network(vasp_id)
-        if network is None:
-            network = next(iter(self._node.networks_sorted()), None)
-        return network.rules if network is not None else None
 
     def _reject_notice(self, notice: TransferNotice, reason: RejectReason) -> TransferAck:
         ack = self._signed_ack(notice.notice_id, AckDecision.REJECT, reason, None)

@@ -37,12 +37,11 @@ class VaspNode:
     ``check_account_invariants``, does nothing and stays for the tracer."""
 
     def __init__(self, vasp_id: str, keypair: KeyPair, ca: CertificateAuthority,
-                 rng: random.Random, env, chain_id: str = "simchain") -> None:
+                 rng: random.Random, env) -> None:
         self.vasp_id = vasp_id
         self._keypair = keypair
         self.ca = ca
         self.env = env
-        self.chain_id = chain_id
         self.certificate: Optional[Certificate] = None
         # Blocked public-key hashes and account ids.
         self.suspect_list: set[bytes | str] = set()
@@ -79,14 +78,11 @@ class VaspNode:
         self.certificate = cert
         return cert
 
-    def join(self, network: TrustNetwork, now: int):
+    def join(self, network: TrustNetwork, now: int) -> None:
         if self.certificate is None:
             raise VaspError("VASP certificate required before joining a network")
-        record = network.join_network(
-            self.certificate, network.rules.rules_version, now, self.revocation
-        )
+        network.join_network(self.certificate, now, self.revocation)
         self.memberships[network.network_id] = network
-        return record
 
     def networks_sorted(self) -> list[TrustNetwork]:
         return [self.memberships[nid] for nid in sorted(self.memberships)]
@@ -107,7 +103,7 @@ class VaspNode:
 
     def member_certificate(self, vasp_id: str) -> Optional[Certificate]:
         network = self.shared_network(vasp_id)
-        return network.members[vasp_id].vasp_certificate if network is not None else None
+        return network.members[vasp_id] if network is not None else None
 
     def peer_certificate(self, vasp_id: str) -> Optional[Certificate]:
         """Peer VASP certificate: from shared membership, else fetched over the
@@ -124,12 +120,10 @@ class VaspNode:
                 return peer.certificate
         return None
 
-    def validate(self, cert: Certificate, chain_id: Optional[str] = None) -> ValidationResult:
+    def validate(self, cert: Certificate) -> ValidationResult:
         """``cert`` checked against this node's trust anchors and revocation
-        view at the current tick, for ``chain_id`` if given."""
-        return validate_certificate(
-            cert, self.trust_anchors, self.env.now, self.revocation, chain_id
-        )
+        view at the current tick."""
+        return validate_certificate(cert, self.trust_anchors, self.env.now, self.revocation)
 
     def vasp_attributes(self) -> dict[str, str]:
         """Identity attributes this VASP asserts about itself (pool transfers)."""

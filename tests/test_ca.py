@@ -241,16 +241,6 @@ class TestValidationOrder:
         for now in range(7, 200, 13):
             assert not validate_certificate(cert, anchors, now=now, revocation=view).ok
 
-    def test_chain_restriction(self):
-        ca = make_ca()
-        profile = CertificateProfile(profile_id="btc-only",
-                                     permitted_chains=frozenset({"btc"}))
-        cert = issue(ca, profile=profile)
-        anchors = {ca.ca_id: ca.root_certificate}
-        assert validate_certificate(cert, anchors, now=1, chain_id="btc").ok
-        result = validate_certificate(cert, anchors, now=1, chain_id="eth")
-        assert result.status is ValidationStatus.PROFILE_VIOLATION
-
 
 class TestRevocationAndStatus:
     def test_unknown_serial(self):

@@ -23,9 +23,7 @@ from vaspnet.network import (
     DirectorySnapshot,
     DirectoryView,
     MembershipDenied,
-    OperatingRules,
     ReachabilityAdvertisement,
-    RulesVersionMismatch,
     TrustNetwork,
     apply_delta,
     build_advertisement,
@@ -95,34 +93,46 @@ def capture_sends(sim, monkeypatch):
 
 
 class TestMembership:
-    def test_join_requires_current_rules_ack(self):
+    def test_members_map_each_id_to_its_admitted_certificate(self):
         sim = two_network_sim()
-        network = sim.networks["net-a"]
-        cert = sim.vasps["v1"].certificate
-        with pytest.raises(RulesVersionMismatch):
-            network.join_network(cert, network.rules.rules_version + 1, 0)
+        assert sim.networks["net-a"].members == {
+            vasp_id: sim.vasps[vasp_id].certificate for vasp_id in ("v1", "v2")}
+        assert sim.vasps["v1"].member_certificate("v2") is sim.vasps["v2"].certificate
+        assert sim.vasps["v1"].member_certificate("v3") is None
 
     def test_expired_cert_denied(self):
         sim = two_network_sim()
         network = sim.networks["net-a"]
         cert = sim.vasps["v1"].certificate
-        with pytest.raises(MembershipDenied):
-            network.join_network(cert, network.rules.rules_version,
-                                 now=cert.validity_not_after + 1)
+        with pytest.raises(MembershipDenied, match="expired"):
+            network.join_network(cert, now=cert.validity_not_after + 1)
 
-    def test_minimum_class_enforced(self):
+    def test_revoked_cert_denied(self):
         sim = two_network_sim()
-        strict = TrustNetwork(
-            "net-strict",
-            OperatingRules(minimum_certificate_class=CertClass.CLASS3),
-            sim.networks["net-a"].recognized_anchors,
-        )
-        node = sim.vasps["v1"]
-        account_cert = None
-        sim.advance_to(2)
-        account_cert = node.book.accounts["acct-alice"].certificate  # class 1
-        with pytest.raises(MembershipDenied):
-            strict.join_network(account_cert, 1, 2)
+        network = TrustNetwork("net-c", sim.networks["net-a"].recognized_anchors)
+        v1 = sim.vasps["v1"]
+        v1.ca.revoke(v1.certificate.serial, RevocationReason.CESSATION_OF_OPERATION, 1)
+        view = RevocationView()
+        view.merge_crl(v1.ca.generate_crl(1))
+        with pytest.raises(MembershipDenied, match="revoked"):
+            network.join_network(v1.certificate, 2, view)
+        assert network.members == {}
+
+    def test_cert_of_an_unrecognised_ca_denied(self):
+        sim = two_network_sim()
+        # net-c recognises ca-2 only; v1 is certified by ca-1.
+        network = TrustNetwork("net-c", {"ca-2": sim.cas["ca-2"].root_certificate})
+        with pytest.raises(MembershipDenied, match="unknown-issuer"):
+            network.join_network(sim.vasps["v1"].certificate, 0)
+        network.join_network(sim.vasps["v3"].certificate, 0)
+        assert list(network.members) == ["v3"]
+
+    def test_cert_with_a_bad_signature_denied(self):
+        sim = two_network_sim()
+        cert = sim.vasps["v1"].certificate
+        forged = replace(cert, validity_not_after=cert.validity_not_after + 1)
+        with pytest.raises(MembershipDenied, match="bad-signature"):
+            TrustNetwork("net-c", sim.networks["net-a"].recognized_anchors).join_network(forged, 0)
 
 
 class TestDirectoryGossip:

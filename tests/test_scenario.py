@@ -8,10 +8,8 @@ import yaml
 from click.testing import CliRunner
 
 import vaspnet
-from vaspnet.ca import CertClass
 from vaspnet.cli import main as cli_main
 from vaspnet.harness import Simulation
-from vaspnet.network import OperatingRules
 from vaspnet.cli import load_scenario
 from vaspnet.scenario import SchemaError, parse_scenario
 from vaspnet.resolution import TransferTarget
@@ -285,21 +283,38 @@ TWO_VASPS = {
 }
 
 
+# A network has no rules and the ledger no id: a file that sets either is
+# refused, naming the key.
+NO_RULES = r"networks\[0\]: unknown key 'rules'"
+NO_CHAIN = "scenario root: unknown key 'chain'"
+
 # Each of these would fail only once the run starts, or run on a default in
 # its place; each must fail at parse, naming what is wrong.
 BAD_SCENARIOS = {
-    "unknown-class": (with_rules(minimum_certificate_class="class9"), "class9"),
-    "unknown-rule-key": (with_rules(sync_period=10), "sync_period"),
+    "rules-set": (with_rules(required_disclosure=["name"]), NO_RULES),
+    "chain-set": ({"chain": {"chain_id": "simchain"}}, NO_CHAIN),
+    "unknown-class": (with_rules(minimum_certificate_class="class9"), NO_RULES),
+    "unknown-rule-key": (with_rules(sync_period=10), NO_RULES),
     "unknown-top-level-key": ({"peering_link": []}, "peering_link"),
-    "empty-disclosure": (with_rules(required_disclosure=[]), "required_disclosure"),
+    "empty-disclosure": (with_rules(required_disclosure=[]), NO_RULES),
     "drop-probability-above-one": ({"defaults": {"drop_probability": 2.0}}, "drop_probability"),
-    "rules-version-negative": (with_rules(rules_version=-1), "rules_version"),
+    "rules-version-negative": (with_rules(rules_version=-1), NO_RULES),
     "p2p-to-commingled": (p2p(to_customer="chen"), "commingled"),
     "p2p-to-key-custody": (p2p(to_customer="bora"), "key-custody"),
     "amount-text": (with_action(action="transfer", origin="alice",
                                 target={"customer": "chen"}, amount="x"), "amount"),
     "amount-fraction": (with_action(action="transfer", origin="alice",
                                     target={"customer": "chen"}, amount=2.5), "amount"),
+    # An amount, and a batch's sum, is a u64 on the ledger.
+    "amount-above-u64": (with_action("alice", action="transfer", origin="alice",
+                                     target={"customer": "bora"}, amount=2**64), "amount"),
+    "p2p-amount-above-u64": (with_action(action="p2p_transfer", from_wallet="w1",
+                                         to_wallet="w2", amount=2**64), "amount"),
+    "batch-sum-above-u64": ({**TWO_VASPS, **with_action("chen", "emre", action="batch_transfer",
+                                                        asset="coin", entries=[
+        {"origin": "chen", "target": {"customer": "dana"}, "amount": 2**63},
+        {"origin": "chen", "target": {"customer": "dana"}, "amount": 2**63}])},
+                            "entries: amounts sum to 18446744073709551616"),
     "key-of-commingled": (with_action(action="transfer", origin="alice",
                                       target={"customer_key": "chen"}, amount=1),
                           "unrecognized target form"),
@@ -361,7 +376,7 @@ BAD_SCENARIOS = {
         {"tick": 3, "action": "revoke_cert", "customer": "alice"},
     ]}, "'alice' holds no unrevoked certificate"),
     # Every mapping names a key it does not take.
-    "chain-unknown-key": ({"chain": {"id": "simchain"}}, "chain: unknown key 'id'"),
+    "chain-unknown-key": ({"chain": {"id": "simchain"}}, NO_CHAIN),
     "defaults-unknown-key": ({"defaults": {"max_latncy": 9}}, "unknown key 'max_latncy'"),
     "network-unknown-key": ({"networks": [{"network_id": "net-a", "rule": {}}]},
                             r"networks\[0\]: unknown key 'rule'"),
@@ -381,13 +396,12 @@ BAD_SCENARIOS = {
     "action-key-of-another-action": (with_action(action="open_account", customer="alice",
                                                  amount=5), "unknown key 'amount'"),
     # The timings are constants: a file that still sets one fails, naming it.
-    "sync-period-set": (with_rules(directory_sync_period=10), "unknown key 'directory_sync_period'"),
-    "crl-period-set": (with_rules(crl_exchange_period=20), "unknown key 'crl_exchange_period'"),
-    "ack-timeout-set": (with_rules(ack_timeout=10), "unknown key 'ack_timeout'"),
+    "sync-period-set": (with_rules(directory_sync_period=10), NO_RULES),
+    "crl-period-set": (with_rules(crl_exchange_period=20), NO_RULES),
+    "ack-timeout-set": (with_rules(ack_timeout=10), NO_RULES),
     "max-latency-set": ({"defaults": {"max_latency": 3}}, "unknown key 'max_latency'"),
     "drain-ticks-set": ({"defaults": {"drain_ticks": 40}}, "unknown key 'drain_ticks'"),
-    "confirmation-delay-set": ({"chain": {"confirmation_delay": 3}},
-                               "unknown key 'confirmation_delay'"),
+    "confirmation-delay-set": ({"chain": {"confirmation_delay": 3}}, NO_CHAIN),
     "batch-entry-unknown-key": ({**TWO_VASPS, **with_action(
         action="batch_transfer", entries=[{"origin": "chen", "target": {"customer": "dana"},
                                            "amount": 5, "asset": "coin"}])},
@@ -486,13 +500,15 @@ def test_suspect_id_must_be_a_string(name):
         parse_scenario(data)
 
 
-def test_rules_build_operating_rules():
-    scenario = parse_scenario({**SMALL, **with_rules(
-        rules_version=2, minimum_certificate_class="class2")})
-    assert scenario.networks[0].rules == OperatingRules(
-        rules_version=2, minimum_certificate_class=CertClass.CLASS2)
-    assert parse_scenario(SMALL).networks[0].rules == OperatingRules()
+def test_amounts_up_to_the_ledgers_u64_parse():
     assert parse_scenario({**SMALL, **p2p(to_customer="alice")}).script[0].params["amount"] == 5
+    top = 2**64 - 1
+    transfer = with_action("alice", action="transfer", origin="alice",
+                           target={"customer": "bora"}, amount=top)
+    assert parse_scenario({**SMALL, **transfer}).script[1].params["amount"] == top
+    pair = batch(("chen", {"customer": "dana"}, top - 1), ("chen", {"customer": "dana"}, 1))
+    pair["script"].insert(0, {"tick": 0, "action": "open_account", "customer": "chen"})
+    assert len(parse_scenario({**SMALL, **TWO_VASPS, **pair}).script) == 2
 
 
 def test_every_tracked_scenario_is_pinned():

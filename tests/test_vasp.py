@@ -295,21 +295,58 @@ class TestNoticeHandling:
         assert outcome.denial.code.value == "AckRejected"
         assert outcome.denial.detail == "SuspectParty"
 
-    def test_disclosure_floor_policy_refusal(self):
-        # the network demands an address disclosure; alice has none to give
+    @pytest.mark.parametrize("custody", ["mediated", "key-custody", "commingled"])
+    def test_suspect_customer_screened_whatever_its_custody_model(self, custody):
+        # bob is listed by customer; a transfer to him is denied at the
+        # originator's screening, so no notice goes out.
         sim = build_sim(
-            networks=({"network_id": "net-a",
-                       "rules": {"required_disclosure": ["name", "address"]}},),
-            script=standard_script([
+            customers=[
+                {"customer_id": "alice", "vasp": "v1",
+                 "attributes": {"name": "Alice", "email": "alice@example"}},
+                {"customer_id": "bob", "vasp": "v2", "custody_model": custody,
+                 "attributes": {"name": "Bob", "email": "bob@example"}},
+            ],
+            suspect_entries=[{"customer": "bob"}],
+            script=[
+                {"tick": 0, "action": "open_account", "customer": "alice"},
+                {"tick": 0, "action": "open_account", "customer": "bob"},
+                {"tick": 1, "action": "enroll", "customer": "alice"},
+                *([] if custody == "commingled" else
+                  [{"tick": 1, "action": "enroll", "customer": "bob"}]),
                 {"tick": 15, "action": "transfer", "origin": "alice",
                  "target": {"customer": "bob"}, "amount": 10, "asset": "coin"},
-            ]),
+            ],
+        )
+        sim.run()
+        outcome = sim.scripted_transfers[0].outcome
+        assert outcome.denial == DenialReason(DenialCode.SUSPECT_PARTY, "screening")
+        assert [e for e in sim.log_.entries if e.event == "notice_sent"] == []
+
+    def test_disclosure_floor_policy_refusal(self):
+        # alice, commingled, registered no name: her disclosure lacks a
+        # travel-rule core attribute, which the beneficiary VASP requires
+        sim = build_sim(
+            customers=[
+                {"customer_id": "alice", "vasp": "v1", "custody_model": "commingled",
+                 "attributes": {"email": "alice@example"}},
+                {"customer_id": "bob", "vasp": "v2",
+                 "attributes": {"name": "Bob", "email": "bob@example"}},
+            ],
+            script=[
+                {"tick": 0, "action": "open_account", "customer": "alice"},
+                {"tick": 0, "action": "open_account", "customer": "bob"},
+                {"tick": 1, "action": "enroll", "customer": "bob"},
+                {"tick": 15, "action": "transfer", "origin": "alice",
+                 "target": {"customer": "bob"}, "amount": 10, "asset": "coin"},
+            ],
         )
         sim.run()
         outcome = sim.scripted_transfers[0].outcome
         assert outcome.status is OutcomeStatus.DENIED
         assert outcome.denial.code.value == "AckRejected"
         assert outcome.denial.detail == "PolicyRefusal"
+        assert [e.details for e in sim.log_.entries if e.event == "policy_refusal"] == [
+            (("missing", "name"),)]
 
     def test_bad_signature_notice_dropped(self):
         sim = open_and_enroll()
