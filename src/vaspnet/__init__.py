@@ -22,9 +22,7 @@ Modules:
 from .accounts import Account, CustodyModel
 from .assertions import (
     AttributeAssertion,
-    DisclosurePolicy,
     TRAVEL_RULE_ATTRIBUTES,
-    TRAVEL_RULE_POLICY,
     filter_attributes,
     issue_assertion,
     verify_assertion,

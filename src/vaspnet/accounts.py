@@ -13,9 +13,8 @@ from typing import Mapping, Optional
 
 from . import crypto
 from .assertions import (ASSERTION_ID_LEN, AssertionServiceError, AttributeAssertion,
-                         HeldDisclosure, TRAVEL_RULE_POLICY, issue_assertion,
-                         require_valid_subject)
-from .ca import Certificate, CertClass, DEFAULT_PROFILE
+                         HeldDisclosure, issue_assertion, require_valid_subject)
+from .ca import Certificate, CertClass
 from .chain import NONCE_LEN, ChainTransaction, build_transaction
 from .crypto import KeyPair, digest
 
@@ -126,7 +125,6 @@ class AccountBook:
         self._keypair = keypair
         self._rng = rng
         self.enrolments = 0
-        self.disclosure_policy = TRAVEL_RULE_POLICY
         self.accounts: dict[str, Account] = {}
         self._wallets: dict[str, KeyPair] = {}
         self._accounts_by_key_hash: dict[bytes, str] = {}
@@ -136,35 +134,31 @@ class AccountBook:
         self._held_disclosures: dict[str, HeldDisclosure] = {}
 
     def open_account(self, subject_id: str, attributes: Mapping[str, str],
-                     custody_model: CustodyModel, customer_public_key: Optional[bytes] = None,
-                     customer_wallet: Optional[KeyPair] = None,
-                     account_id: Optional[str] = None, now: int = 0) -> Account:
+                     custody_model: CustodyModel, customer_wallet: Optional[KeyPair],
+                     account_id: str, now: int) -> Account:
         """Open an account with the key arrangement its custody model demands
         (``AccountKeys`` refuses any other).
 
-        Mediated accounts carry the customer's public key (the wallet stays
-        with the customer; in simulation it is co-located with this node).
-        Key-custody accounts get a VASP-generated keypair held in custody.
-        Commingled accounts store no customer keys at all.
+        Mediated accounts carry the public key of ``customer_wallet`` (the
+        wallet stays with the customer; in simulation it is co-located with
+        this node). Key-custody accounts get a VASP-generated keypair held in
+        custody. Commingled accounts store no customer keys at all. Neither
+        of the last two takes a wallet.
         """
         vasp_id = self._node.vasp_id
-        if customer_wallet is not None:
-            if customer_public_key is not None and customer_public_key != customer_wallet.public_key:
-                raise ModelKeyMismatch("wallet and public key disagree")
-            customer_public_key = customer_wallet.public_key
-        account_id = account_id or f"acct-{fresh_id(self._rng, 8).hex()}"
         if account_id in self.accounts:
             raise VaspError(f"account {account_id} already exists")
 
         if custody_model is CustodyModel.KEY_CUSTODY:
-            if customer_public_key is not None:
+            if customer_wallet is not None:
                 raise ModelKeyMismatch("key-custody keys are generated by the VASP")
             generated = crypto.generate_keypair(self._rng.randbytes(32))
-            customer_public_key = generated.public_key
             evidence = KeyOperatorEvidence(vasp_id, f"custody/{vasp_id}/{account_id}", now)
-            keys = AccountKeys(custody_model, customer_public_key, generated.private_key, evidence)
+            keys = AccountKeys(custody_model, generated.public_key, generated.private_key, evidence)
         else:
-            keys = AccountKeys(custody_model, customer_public_key)
+            keys = AccountKeys(custody_model,
+                               None if customer_wallet is None else customer_wallet.public_key)
+        customer_public_key = keys.customer_public_key
 
         merged = dict(attributes)
         merged.setdefault("account_id", account_id)
@@ -195,10 +189,9 @@ class AccountBook:
             raise NoCustomerKey(f"{account_id} is commingled; no customer key to certify")
         ca = self._node.ca
         registration = ca.register_subject(account.subject_id, account.attributes,
-                                           requested_class, now)
+                                           requested_class)
         cert = ca.issue_certificate(
-            registration, account.customer_public_key, DEFAULT_PROFILE,
-            now, now + validity_ticks, now,
+            registration, account.customer_public_key, now, now + validity_ticks, now,
         )
         account.certificate = cert
         self.enrolments += 1
@@ -225,22 +218,21 @@ class AccountBook:
 
     def disclose(self, subject_id: str, subject_cert: Certificate,
                  registered: Mapping[str, str], now: int) -> AttributeAssertion:
-        """The part of ``registered`` the disclosure policy passes on, signed
+        """The ``assertions.TRAVEL_RULE_ATTRIBUTES`` of ``registered``, signed
         once per subject: the assertion signed about a subject is returned
-        again while the certificate, the policy and the disclosed attributes
-        equal those it was signed over. Every call validates the certificate
-        first, so a revoked or expired one raises ``SubjectCertInvalid`` as a
-        fresh signing would. A miss draws one id, the new assertion's."""
+        again while the certificate and the disclosed attributes equal those
+        it was signed over. Every call validates the certificate first, so a
+        revoked or expired one raises ``SubjectCertInvalid`` as a fresh
+        signing would. A miss draws one id, the new assertion's."""
         validate = self._node.validate
-        policy = self.disclosure_policy
         held = self._held_disclosures.get(subject_id)
-        if held is not None and held.covers(subject_cert, policy, registered):
+        if held is not None and held.covers(subject_cert, registered):
             require_valid_subject(subject_cert, validate)
             return held.assertion
         assertion = issue_assertion(
-            self._keypair, self._node.vasp_id, subject_id, subject_cert, registered, registered,
-            validate, fresh_id(self._rng, ASSERTION_ID_LEN), now, policy=policy)
-        self._held_disclosures[subject_id] = HeldDisclosure(subject_cert, policy, assertion)
+            self._keypair, self._node.vasp_id, subject_id, subject_cert, registered,
+            validate, fresh_id(self._rng, ASSERTION_ID_LEN), now)
+        self._held_disclosures[subject_id] = HeldDisclosure(subject_cert, assertion)
         return assertion
 
     def customer_assertion(self, account: Account, now: int) -> Optional[AttributeAssertion]:

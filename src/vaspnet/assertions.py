@@ -3,16 +3,16 @@
 An assertion bundles customer attributes, is signed by the issuing VASP, and
 links to the customer's public-key certificate by the digest of the full
 certificate bytes. A disclosure is signed by the discloser so recipients can
-hold it accountable, and it is signed once: ``issue_assertion`` with a
-``policy`` signs only the attributes the policy passes on, never the full set
-first. ``filter_attributes`` re-discloses an assertion already held.
+hold it accountable, and it is signed once: ``issue_assertion`` signs only
+the ``TRAVEL_RULE_ATTRIBUTES`` of the attributes it is given, never the full
+set first. ``filter_attributes`` re-discloses an assertion already held.
 
 An assertion is an attribute certificate in the sense of RFC 5755: it names
 no transfer and no recipient, and it is valid while the certificate it links
 to validates. The signed notice or ack that carries it is what binds it to
 one transfer. A VASP therefore signs one assertion per subject and hands it
-out again (``HeldDisclosure``) until the certificate, the policy or the
-disclosed attributes change; every use still validates the certificate.
+out again (``HeldDisclosure``) until the certificate or the disclosed
+attributes change; every use still validates the certificate.
 Reusing it exposes no identifier beyond the disclosed ``public_key_hash``:
 a repeated ``assertion_id`` links transfers that the key hash, and the
 linked certificate digest every assertion about the subject carries,
@@ -42,8 +42,9 @@ from .crypto import (
 
 ASSERTION_ID_LEN = 16
 
-# The attribute names a travel-rule disclosure carries. Amounts and execution
-# dates travel in the transfer notice, not in the identity assertion.
+# The attribute names a travel-rule disclosure carries, and the only ones
+# any disclosure carries. Amounts and execution dates travel in the transfer
+# notice, not in the identity assertion.
 TRAVEL_RULE_ATTRIBUTES = frozenset(
     {"name", "account_id", "address", "vasp_id", "public_key_hash", "custody_model"}
 )
@@ -65,24 +66,6 @@ class SubjectCertInvalid(AssertionServiceError):
 
 class EmptyDisclosure(AssertionServiceError):
     pass
-
-
-class AttributeNotRegistered(AssertionServiceError):
-    pass
-
-
-@dataclass(frozen=True)
-class DisclosurePolicy:
-    """Names of attributes a VASP is willing to pass on."""
-
-    allowed_attributes: frozenset[str]
-
-    def __post_init__(self) -> None:
-        if not self.allowed_attributes:
-            raise ValueError("disclosure policy must allow at least one attribute")
-
-
-TRAVEL_RULE_POLICY = DisclosurePolicy(TRAVEL_RULE_ATTRIBUTES)
 
 
 def require_valid_subject(
@@ -176,33 +159,25 @@ def issue_assertion(
     subject_id: str,
     subject_certificate: Certificate,
     attributes: Mapping[str, str],
-    registered_attributes: Mapping[str, str],
     validator: Callable[[Certificate], ValidationResult],
     assertion_id: bytes,
     issued_at: int,
-    policy: Optional[DisclosurePolicy] = None,
 ) -> AttributeAssertion:
-    """Sign an attribute bundle about a certified subject.
+    """Sign the ``TRAVEL_RULE_ATTRIBUTES`` of ``attributes``, the subject's
+    registered ones, about a certified subject.
 
-    The subject certificate must validate, and every asserted attribute must
-    already be registered for the account (a VASP attests only what it holds).
-    With a ``policy``, only the attributes it allows are signed, and an empty
-    intersection raises ``EmptyDisclosure`` after the certificate check.
-    ``assertion_id`` is the id the new assertion carries; a VASP draws it
-    only when it signs, not when it hands out a held disclosure.
+    The subject certificate must validate; then an empty disclosure raises
+    ``EmptyDisclosure``. ``assertion_id`` is the id the new assertion
+    carries; a VASP draws it only when it signs, not when it hands out a held
+    disclosure.
     """
     require_valid_subject(subject_certificate, validator)
-    unknown = set(attributes) - set(registered_attributes)
-    if unknown:
-        raise AttributeNotRegistered(",".join(sorted(unknown)))
-    if policy is not None:
-        attributes = _disclosed(attributes, policy)
     return crypto.seal(signing_key, AttributeAssertion(
         assertion_id=assertion_id,
         issuer_vasp_id=issuer_vasp_id,
         subject_id=subject_id,
         linked_certificate_hash=subject_certificate.fingerprint(),
-        attributes=attributes,
+        attributes=_disclosed(attributes, TRAVEL_RULE_ATTRIBUTES),
         issued_at=issued_at,
     ))
 
@@ -223,13 +198,13 @@ def verify_assertion(
 
 def filter_attributes(
     assertion: AttributeAssertion,
-    policy: DisclosurePolicy,
+    allowed: frozenset[str],
     signing_key: KeyPair,
     discloser_vasp_id: str,
     assertion_id: bytes,
     issued_at: int,
 ) -> AttributeAssertion:
-    """Produce a new assertion restricted to the policy's attribute names.
+    """Produce a new assertion restricted to the ``allowed`` attribute names.
 
     The output is re-signed by the discloser; the input is untouched. An empty
     intersection is an error rather than an empty disclosure.
@@ -239,44 +214,38 @@ def filter_attributes(
         issuer_vasp_id=discloser_vasp_id,
         subject_id=assertion.subject_id,
         linked_certificate_hash=assertion.linked_certificate_hash,
-        attributes=_disclosed(assertion.attributes, policy),
+        attributes=_disclosed(assertion.attributes, allowed),
         issued_at=issued_at,
     ))
 
 
 @dataclass(frozen=True)
 class HeldDisclosure:
-    """A signed disclosure and the certificate and policy it was issued under.
+    """A signed disclosure and the certificate it was issued about.
 
     The holder may hand ``assertion`` out again, instead of signing a new one,
     while ``covers`` holds and ``certificate`` still validates.
     """
 
     certificate: Certificate
-    policy: DisclosurePolicy
     assertion: AttributeAssertion
 
-    def covers(
-        self, certificate: Certificate, policy: DisclosurePolicy,
-        registered: Mapping[str, str],
-    ) -> bool:
-        """True iff ``assertion`` was signed about ``certificate`` under
-        ``policy``, over exactly the attributes ``policy`` passes on from
-        ``registered``."""
+    def covers(self, certificate: Certificate, registered: Mapping[str, str]) -> bool:
+        """True iff ``assertion`` was signed about ``certificate``, over
+        exactly the ``TRAVEL_RULE_ATTRIBUTES`` of ``registered``."""
         return (
             self.certificate == certificate
-            and self.policy == policy
-            and self.assertion.attributes == _kept(registered, policy)
+            and self.assertion.attributes == _kept(registered, TRAVEL_RULE_ATTRIBUTES)
         )
 
 
-def _kept(attributes: Mapping[str, str], policy: DisclosurePolicy) -> dict[str, str]:
-    return {k: v for k, v in attributes.items() if k in policy.allowed_attributes}
+def _kept(attributes: Mapping[str, str], allowed: frozenset[str]) -> dict[str, str]:
+    return {k: v for k, v in attributes.items() if k in allowed}
 
 
-def _disclosed(attributes: Mapping[str, str], policy: DisclosurePolicy) -> dict[str, str]:
-    kept = _kept(attributes, policy)
+def _disclosed(attributes: Mapping[str, str], allowed: frozenset[str]) -> dict[str, str]:
+    kept = _kept(attributes, allowed)
     if not kept:
-        raise EmptyDisclosure(f"no overlap between {sorted(attributes)} and policy")
+        raise EmptyDisclosure(f"no overlap between {sorted(attributes)} and {sorted(allowed)}")
     return kept
 

@@ -29,6 +29,12 @@ from .crypto import (
 SERIAL_LEN = 16
 SIGNATURE_ALGORITHM = "Ed25519-SHA256"
 
+# Certificate lifetimes in ticks, each from tick 0 or from enrolment. A
+# run's horizon may not pass ``ROOT_VALIDITY``, the life of every root.
+ROOT_VALIDITY = 1_000_000
+VASP_CERT_VALIDITY = 500_000
+CUSTOMER_CERT_VALIDITY = 100_000
+
 
 class CaError(Exception):
     """Base class for CA service errors."""
@@ -43,10 +49,6 @@ class RegistrationRejected(CaError):
 
 
 class KeyAlreadyBound(CaError):
-    pass
-
-
-class ClassTooLow(CaError):
     pass
 
 
@@ -104,7 +106,8 @@ class RevocationReason(enum.Enum):
 @dataclass(frozen=True)
 class CertificateProfile(crypto.Record):
     """Mechanical usage constraints carried inside certificates; encoded once
-    per distinct profile, not once per certificate.
+    per distinct profile, not once per certificate. A CA issues two:
+    ``ROOT_PROFILE`` to its root and ``DEFAULT_PROFILE`` to every subject.
 
     Every key is for signatures only: field 2, the key usage, is always
     ``SIGNATURE_USAGE``, and decoding refuses any other.
@@ -113,13 +116,11 @@ class CertificateProfile(crypto.Record):
     SIGNATURE_USAGE = b"signature"
 
     profile_id: str
-    minimum_class: CertClass = CertClass.CLASS1
 
     def tlv_fields(self) -> list[tuple[int, bytes]]:
         return [
             (1, enc_str(self.profile_id)),
             (2, self.SIGNATURE_USAGE),
-            (3, enc_u64(int(self.minimum_class))),
         ]
 
     @classmethod
@@ -127,11 +128,11 @@ class CertificateProfile(crypto.Record):
         fields = dict(canonical_decode(data))
         if fields[2] != cls.SIGNATURE_USAGE:
             raise crypto.MalformedRecord(f"key usage {fields[2]!r}: only signature is granted")
-        return cls(profile_id=dec_str(fields[1]), minimum_class=CertClass(dec_u64(fields[3])))
+        return cls(profile_id=dec_str(fields[1]))
 
 
 DEFAULT_PROFILE = CertificateProfile(profile_id="vasp-default")
-ROOT_PROFILE = CertificateProfile(profile_id="ca-root", minimum_class=CertClass.CLASS3)
+ROOT_PROFILE = CertificateProfile(profile_id="ca-root")
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,6 @@ class RegistrationRecord:
     submitted_attributes: Mapping[str, str]
     assigned_class: CertClass
     verification_log: tuple[tuple[str, bool], ...]
-    timestamp: int
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,6 @@ class ValidationStatus(enum.Enum):
     BAD_SIGNATURE = "bad-signature"
     EXPIRED = "expired"
     REVOKED = "revoked"
-    PROFILE_VIOLATION = "profile-violation"
 
 
 @dataclass(frozen=True)
@@ -316,7 +315,7 @@ def validate_certificate(
     """Validate a certificate against root anchors at the given tick.
 
     Checks run in a fixed order and the first failure wins: unknown issuer,
-    bad signature, expired, revoked, profile violation.
+    bad signature, expired, revoked.
     """
     anchor = trust_anchors.get(cert.issuer_id)
     if anchor is None:
@@ -328,11 +327,6 @@ def validate_certificate(
     entry = None if revocation is None else revocation.revocation_entry(cert.issuer_id, cert.serial)
     if entry is not None:
         return ValidationResult(ValidationStatus.REVOKED, entry.reason.value)
-    if cert.cert_class < cert.profile.minimum_class:
-        return ValidationResult(
-            ValidationStatus.PROFILE_VIOLATION,
-            f"class {cert.cert_class.label} below {cert.profile.minimum_class.label}",
-        )
     return VALID
 
 
@@ -392,7 +386,6 @@ class CertificateAuthority:
         subject_id: str,
         submitted_attributes: Mapping[str, str],
         requested_class: CertClass,
-        now: int,
     ) -> RegistrationRecord:
         """Vet submitted attributes and assign the highest attainable class.
 
@@ -420,19 +413,18 @@ class CertificateAuthority:
             submitted_attributes=dict(submitted_attributes),
             assigned_class=assigned,
             verification_log=tuple(log),
-            timestamp=now,
         )
 
     def issue_certificate(
         self,
         registration: RegistrationRecord,
         subject_public_key: bytes,
-        profile: CertificateProfile,
         validity_not_before: int,
         validity_not_after: int,
         now: int,
     ) -> Certificate:
-        """Issue a signed certificate binding the registered subject to a key.
+        """Issue a signed certificate, of ``DEFAULT_PROFILE``, binding the
+        registered subject to a key.
 
         A key live-bound to a different subject is refused. Re-issuing for the
         same subject supersedes (revokes) the previous live certificate so the
@@ -442,11 +434,6 @@ class CertificateAuthority:
             raise CaError("root certificate not initialized")
         if validity_not_before >= validity_not_after:
             raise InvalidValidity("not_before must precede not_after")
-        if profile.minimum_class > registration.assigned_class:
-            raise ClassTooLow(
-                f"profile requires {profile.minimum_class.label}, "
-                f"registration assigned {registration.assigned_class.label}"
-            )
         key_hash = digest(subject_public_key)
         for serial in self._by_key_hash.get(key_hash, []):
             existing = self._issued[serial].certificate
@@ -461,7 +448,7 @@ class CertificateAuthority:
             issuer_id=self.ca_id,
             subject_id=registration.subject_id,
             subject_public_key=subject_public_key,
-            profile=profile,
+            profile=DEFAULT_PROFILE,
             cert_class=registration.assigned_class,
             validity=(validity_not_before, validity_not_after),
         )

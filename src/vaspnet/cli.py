@@ -2,7 +2,8 @@
 
 Verbs: run, validate, replay, dump-routes, dump-ledger. Exit codes: 0 on
 success, 1 on scenario schema errors, 2 when an invariant breach is detected
-during a run or a replay digest mismatches.
+during a run or a replay digest mismatches, and 2 on a bad option (click's
+usage error), before any run.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .report import (
     emit_report,
     replay_canonical,
 )
-from .scenario import Scenario, SchemaError, parse_scenario
+from .scenario import U64_MAX, Scenario, SchemaError, parse_scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -49,6 +50,11 @@ def _run(path: str, seed):
     return run_scenario(_load(path), seed=seed)
 
 
+# The seed of every verb that runs a scenario: the schema's range, checked by click.
+_seed_option = click.option("--seed", type=click.IntRange(0, U64_MAX), default=None,
+                           help="Override the scenario seed.")
+
+
 @click.group()
 def main() -> None:
     """Inter-VASP key management and travel-rule simulation stack."""
@@ -56,7 +62,7 @@ def main() -> None:
 
 @main.command()
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
-@click.option("--seed", type=int, default=None, help="Override the scenario seed.")
+@_seed_option
 @click.option("--report", "report_format", type=click.Choice(["text", "canonical"]),
               default="text")
 @click.option("--out", "out_path", type=click.Path(), default=None)
@@ -104,7 +110,7 @@ def replay(log_path: str) -> None:
 
 @main.command("dump-routes")
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
-@click.option("--seed", type=int, default=None)
+@_seed_option
 def dump_routes(scenario_path: str, seed) -> None:
     """Run a scenario and print installed cross-network routes."""
     result = _run(scenario_path, seed)
@@ -114,7 +120,7 @@ def dump_routes(scenario_path: str, seed) -> None:
 
 @main.command("dump-ledger")
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
-@click.option("--seed", type=int, default=None)
+@_seed_option
 def dump_ledger(scenario_path: str, seed) -> None:
     """Run a scenario and print the confirmed ledger."""
     result = _run(scenario_path, seed)

@@ -40,11 +40,13 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from . import crypto
 from .accounts import CustodyModel
-from .ca import CertificateAuthority, Certificate, RevocationReason
+from .ca import (CUSTOMER_CERT_VALIDITY, ROOT_VALIDITY, VASP_CERT_VALIDITY,
+                 CertificateAuthority, Certificate, RevocationReason)
 from .chain import ChainTransaction, SimChain, SubmitResult, build_transaction
 from .crypto import FIELD_HEADER, KeyPair, digest
 from .network import CRL_PERIOD, SYNC_PERIOD, TrustNetwork
@@ -53,9 +55,6 @@ from .scenario import CustomerSpec, Scenario, ScriptAction
 from .transfer import AuditReport, ReconciliationReport, TransferOutcome
 from .vasp import VaspNode
 
-ROOT_VALIDITY = 1_000_000
-VASP_CERT_VALIDITY = 500_000
-CUSTOMER_CERT_VALIDITY = 100_000
 MAX_LATENCY = 3  # a hop's latency is drawn from [1, MAX_LATENCY] ticks
 
 
@@ -354,17 +353,15 @@ class Simulation:
 
     def _build(self) -> None:
         scenario = self.scenario
+        roots: dict[str, Certificate] = {}
         for ca_id in sorted(scenario.cas):
             keypair = crypto.keypair_from_label(f"ca:{self.seed}", ca_id)
             ca = CertificateAuthority(ca_id, keypair, self._derived_rng("ca-rng", ca_id))
-            ca.self_sign_root(0, ROOT_VALIDITY)
+            roots[ca_id] = ca.self_sign_root(0, ROOT_VALIDITY)
             self.cas[ca_id] = ca
 
-        anchors: dict[str, Certificate] = {
-            ca_id: ca.root_certificate
-            for ca_id, ca in self.cas.items()
-            if ca.root_certificate is not None
-        }
+        # The trust anchors: one read-only map, held by every network and node.
+        anchors = MappingProxyType(roots)
         for network_id in sorted(scenario.networks):
             self.networks[network_id] = TrustNetwork(network_id, anchors)
         self._network_order = tuple(self.networks[n] for n in sorted(self.networks))
@@ -373,11 +370,10 @@ class Simulation:
             keypair = crypto.keypair_from_label(f"vasp:{self.seed}", spec.vasp_id)
             rng = self._derived_rng("vasp-rng", spec.vasp_id)
             node = VaspNode(vasp_id=spec.vasp_id, keypair=keypair, ca=self.cas[spec.ca],
-                            rng=rng, env=self)
+                            trust_anchors=anchors, rng=rng, env=self)
             node.enroll_vasp_certificate(
                 self._vasp_registration_attributes(spec.vasp_id), 0, VASP_CERT_VALIDITY
             )
-            node.trust_anchors.update(anchors)
             for network_id in spec.networks:
                 node.join(self.networks[network_id], 0)
             self.vasps[spec.vasp_id] = node

@@ -444,9 +444,10 @@ class TrustNetwork:
     through simulator messages and synchronous queries.
     """
 
-    def __init__(self, network_id: str, recognized_anchors: dict[str, Certificate]) -> None:
+    def __init__(self, network_id: str, recognized_anchors: Mapping[str, Certificate]) -> None:
         self.network_id = network_id
-        self.recognized_anchors = dict(recognized_anchors)
+        # CA id -> root certificate, kept as given, not copied.
+        self.recognized_anchors = recognized_anchors
         # Member id -> its VASP certificate, as admitted.
         self.members: dict[str, Certificate] = {}
         self.peering_links: list[PeeringLink] = []

@@ -46,7 +46,10 @@ Each top-level key but ``seed`` and ``defaults`` holds a list of mappings;
 
 Ranges: ``seed`` in [0, 2**64); ``drop_probability`` in [0, 1]; script
 ticks at least 0; ``period`` and ``ticks`` at least 1; ``amount`` in
-[1, 2**64), and so is the sum of a batch's amounts, the ledger's u64.
+[1, 2**64), and so is the sum of a batch's amounts, the ledger's u64. The
+run's horizon (``Scenario.horizon``: the last tick, plus every ``advance``'s
+``ticks``, plus ``DRAIN_TICKS``) is at most ``ca.ROOT_VALIDITY``, the
+life of every root, so each action's tick is at most that less the drain.
 
 Timings are the protocol's constants, not keys: ``network.SYNC_PERIOD``,
 ``network.CRL_PERIOD``, ``network.ACK_TIMEOUT``, ``chain.CONFIRMATION_DELAY``,
@@ -76,7 +79,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .accounts import CustodyModel
-from .ca import CertClass, RevocationReason
+from .ca import ROOT_VALIDITY, CertClass, RevocationReason
 from .network import PeeringLink
 
 # Each script action and the keys it takes besides ``tick`` and ``action``.
@@ -342,7 +345,7 @@ def _parse_script(items: Any, customers: Mapping[str, CustomerSpec],
     opened: set[str] = set()  # customers with an open account
     certified: set[str] = set()  # customers holding an unrevoked certificate
     script = []
-    previous_tick = 0
+    previous_tick = advanced = 0
     for index, raw in enumerate(_shaped(items, list, "script")):
         if type(raw) is not dict:
             _shaped(raw, dict, f"script[{index}]")
@@ -361,6 +364,11 @@ def _parse_script(items: Any, customers: Mapping[str, CustomerSpec],
             if not keys.issuperset(params):
                 raise SchemaError(f"unknown key {next(k for k in params if k not in keys)!r}")
             _check_action(name, params, customers, vasps, opened, certified)
+            if name == "advance":
+                advanced += int(params["ticks"])
+            if tick + advanced + DRAIN_TICKS > ROOT_VALIDITY:
+                raise SchemaError(f"horizon {tick + advanced + DRAIN_TICKS} passes the "
+                                  f"roots' validity, tick {ROOT_VALIDITY}")
         except SchemaError as exc:
             raise SchemaError(f"script[{index}] ({name}): {exc}") from None
         except _NotAString as exc:

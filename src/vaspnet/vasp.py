@@ -11,8 +11,8 @@ from typing import Mapping, Optional, Sequence
 
 from . import crypto
 from .accounts import Account, AccountBook, CustodyModel, VaspError
-from .ca import (Certificate, CertificateAuthority, CertClass, Crl, DEFAULT_PROFILE,
-                 RevocationView, ValidationResult, validate_certificate)
+from .ca import (Certificate, CertificateAuthority, CertClass, Crl, RevocationView,
+                 ValidationResult, validate_certificate)
 from .chain import ChainTransaction
 from .crypto import KeyPair
 from .directory import DirectoryFeed
@@ -37,7 +37,7 @@ class VaspNode:
     ``check_account_invariants``, does nothing and stays for the tracer."""
 
     def __init__(self, vasp_id: str, keypair: KeyPair, ca: CertificateAuthority,
-                 rng: random.Random, env) -> None:
+                 trust_anchors: Mapping[str, Certificate], rng: random.Random, env) -> None:
         self.vasp_id = vasp_id
         self._keypair = keypair
         self.ca = ca
@@ -46,8 +46,8 @@ class VaspNode:
         # Blocked public-key hashes and account ids.
         self.suspect_list: set[bytes | str] = set()
         self.revocation = RevocationView()
-        # CA id -> root certificate; filled once, when the harness builds it.
-        self.trust_anchors: dict[str, Certificate] = {}
+        # CA id -> root certificate: the run's one read-only map, not a copy.
+        self.trust_anchors = trust_anchors
         self.memberships: dict[str, TrustNetwork] = {}
         # The roles that draw ids share ``rng``, in the order they run.
         self.book = AccountBook(self, keypair, rng)
@@ -70,10 +70,9 @@ class VaspNode:
     def enroll_vasp_certificate(self, attributes: Mapping[str, str], now: int, validity_ticks: int,
                                 requested_class: CertClass = CertClass.CLASS3) -> Certificate:
         """Obtain this VASP's own certificate from the affiliated CA."""
-        registration = self.ca.register_subject(self.vasp_id, attributes, requested_class, now)
+        registration = self.ca.register_subject(self.vasp_id, attributes, requested_class)
         cert = self.ca.issue_certificate(
-            registration, self._keypair.public_key, DEFAULT_PROFILE,
-            now, now + validity_ticks, now,
+            registration, self._keypair.public_key, now, now + validity_ticks, now,
         )
         self.certificate = cert
         return cert
@@ -138,11 +137,10 @@ class VaspNode:
     # -- entry points: one line each, into a role -------------------------------
 
     def open_account(self, subject_id: str, attributes: Mapping[str, str],
-                     custody_model: CustodyModel, customer_public_key: Optional[bytes] = None,
-                     customer_wallet: Optional[KeyPair] = None,
-                     account_id: Optional[str] = None, now: int = 0) -> Account:
-        return self.book.open_account(subject_id, attributes, custody_model, customer_public_key,
-                                      customer_wallet, account_id, now)
+                     custody_model: CustodyModel, customer_wallet: Optional[KeyPair],
+                     account_id: str, now: int) -> Account:
+        return self.book.open_account(subject_id, attributes, custody_model, customer_wallet,
+                                      account_id, now)
     def known_keys(self) -> frozenset[bytes]:
         return self.book.known_keys()
     def check_account_invariants(self) -> None:

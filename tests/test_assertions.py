@@ -10,8 +10,6 @@ from vaspnet import crypto
 from vaspnet.assertions import (
     AttributeAssertion,
     FrozenAttributes,
-    AttributeNotRegistered,
-    DisclosurePolicy,
     EmptyDisclosure,
     SubjectCertInvalid,
     TRAVEL_RULE_ATTRIBUTES,
@@ -22,7 +20,6 @@ from vaspnet.assertions import (
 from vaspnet.ca import (
     CertClass,
     CertificateAuthority,
-    DEFAULT_PROFILE,
     RevocationReason,
     RevocationView,
     validate_certificate,
@@ -30,6 +27,8 @@ from vaspnet.ca import (
 
 ATTRS = {"name": "Alice", "account_id": "a-1", "address": "1 Elm",
          "vasp_id": "v1", "dob": "1999-01-01"}
+# What a disclosure of ``ATTRS`` carries: all but ``dob``.
+DISCLOSED = {k: v for k, v in ATTRS.items() if k in TRAVEL_RULE_ATTRIBUTES}
 
 
 @pytest.fixture
@@ -41,12 +40,12 @@ def world():
     view = RevocationView()
 
     vasp_key = crypto.keypair_from_label("vasp", "v1")
-    reg = ca.register_subject("v1", {"name": "v1", "email": "v@x"}, CertClass.CLASS1, 0)
-    vasp_cert = ca.issue_certificate(reg, vasp_key.public_key, DEFAULT_PROFILE, 0, 9_000, 0)
+    reg = ca.register_subject("v1", {"name": "v1", "email": "v@x"}, CertClass.CLASS1)
+    vasp_cert = ca.issue_certificate(reg, vasp_key.public_key, 0, 9_000, 0)
 
     customer_pair = crypto.keypair_from_label("cust", "alice")
-    reg2 = ca.register_subject("alice", {"name": "Alice", "email": "a@x"}, CertClass.CLASS1, 0)
-    customer_cert = ca.issue_certificate(reg2, customer_pair.public_key, DEFAULT_PROFILE, 0, 9_000, 0)
+    reg2 = ca.register_subject("alice", {"name": "Alice", "email": "a@x"}, CertClass.CLASS1)
+    customer_cert = ca.issue_certificate(reg2, customer_pair.public_key, 0, 9_000, 0)
 
     def validator(cert):
         return validate_certificate(cert, anchors, 5, view)
@@ -64,11 +63,10 @@ def _shared_world():
     return _WORLD_CACHE["world"]
 
 
-def make_assertion(world, attributes=ATTRS, registered=None):
+def make_assertion(world, attributes=ATTRS, assertion_id=bytes(16)):
     return issue_assertion(
-        world["vasp_key"], "v1", "alice", world["customer_cert"],
-        attributes, registered if registered is not None else attributes,
-        world["validator"], assertion_id=bytes(16), issued_at=5,
+        world["vasp_key"], "v1", "alice", world["customer_cert"], attributes,
+        world["validator"], assertion_id=assertion_id, issued_at=5,
     )
 
 
@@ -84,11 +82,6 @@ class TestIssueAndVerify:
         with pytest.raises(SubjectCertInvalid):
             make_assertion(world)
 
-    def test_unregistered_attribute_refused(self, world):
-        with pytest.raises(AttributeNotRegistered):
-            make_assertion(world, attributes={"name": "Alice", "ssn": "123"},
-                           registered={"name": "Alice"})
-
     def test_tampered_attribute_fails_verification(self, world):
         assertion = make_assertion(world)
         tampered = AttributeAssertion(**{
@@ -101,10 +94,9 @@ class TestIssueAndVerify:
         # Re-issuing the subject cert changes its digest, so the old link fails.
         assertion = make_assertion(world)
         ca = world["ca"]
-        reg = ca.register_subject("alice", {"name": "Alice", "email": "a@x"},
-                                  CertClass.CLASS1, 6)
+        reg = ca.register_subject("alice", {"name": "Alice", "email": "a@x"}, CertClass.CLASS1)
         new_cert = ca.issue_certificate(
-            reg, world["customer_cert"].subject_public_key, DEFAULT_PROFILE, 6, 9_000, 6
+            reg, world["customer_cert"].subject_public_key, 6, 9_000, 6
         )
         assert crypto.digest(new_cert.to_bytes()) != assertion.linked_certificate_hash
         assert not verify_assertion(assertion, world["vasp_cert"], new_cert,
@@ -125,15 +117,15 @@ class TestIssueAndVerify:
 class TestFiltering:
     def test_identity_filter_keeps_attributes(self, world):
         assertion = make_assertion(world)
-        policy = DisclosurePolicy(frozenset(assertion.attributes))
-        filtered = filter_attributes(assertion, policy, world["vasp_key"], "v1",
+        filtered = filter_attributes(assertion, frozenset(assertion.attributes),
+                                     world["vasp_key"], "v1",
                                      assertion_id=b"\x01" * 16, issued_at=6)
         assert filtered.attributes == dict(assertion.attributes)
         assert filtered.signature != assertion.signature
 
     def test_subset_filter(self, world):
         assertion = make_assertion(world)
-        filtered = filter_attributes(assertion, DisclosurePolicy(frozenset({"name"})),
+        filtered = filter_attributes(assertion, frozenset({"name"}),
                                      world["vasp_key"], "v1",
                                      assertion_id=b"\x02" * 16, issued_at=6)
         assert filtered.attributes == {"name": "Alice"}
@@ -141,13 +133,13 @@ class TestFiltering:
     def test_empty_intersection_rejected(self, world):
         assertion = make_assertion(world)
         with pytest.raises(EmptyDisclosure):
-            filter_attributes(assertion, DisclosurePolicy(frozenset({"nonexistent"})),
+            filter_attributes(assertion, frozenset({"nonexistent"}),
                               world["vasp_key"], "v1",
                               assertion_id=b"\x03" * 16, issued_at=6)
 
     def test_filtered_assertion_still_verifies(self, world):
         assertion = make_assertion(world)
-        filtered = filter_attributes(assertion, DisclosurePolicy(TRAVEL_RULE_ATTRIBUTES),
+        filtered = filter_attributes(assertion, TRAVEL_RULE_ATTRIBUTES,
                                      world["vasp_key"], "v1",
                                      assertion_id=b"\x04" * 16, issued_at=6)
         assert verify_assertion(filtered, world["vasp_cert"], world["customer_cert"],
@@ -158,9 +150,8 @@ class TestFiltering:
         # filtering is a pure transformation, so one shared world is safe here
         world = _shared_world()
         assertion = make_assertion(world)
-        policy = DisclosurePolicy(frozenset(allowed))
         try:
-            filtered = filter_attributes(assertion, policy, world["vasp_key"], "v1",
+            filtered = filter_attributes(assertion, frozenset(allowed), world["vasp_key"], "v1",
                                          assertion_id=b"\x05" * 16, issued_at=6)
         except EmptyDisclosure:
             assert not (set(assertion.attributes) & allowed)
@@ -168,28 +159,24 @@ class TestFiltering:
         assert set(filtered.attributes) <= set(assertion.attributes)
         assert set(filtered.attributes) <= allowed
 
-    def test_empty_policy_invalid(self):
-        with pytest.raises(ValueError):
-            DisclosurePolicy(frozenset())
-
 
 class TestDisclosureSignedOnce:
-    POLICY = DisclosurePolicy(TRAVEL_RULE_ATTRIBUTES)
+    """``issue_assertion`` signs the travel-rule attributes once, never the
+    full set first."""
 
-    def disclose(self, world, assertion_id, policy=POLICY):
-        return issue_assertion(
-            world["vasp_key"], "v1", "alice", world["customer_cert"], ATTRS, ATTRS,
-            world["validator"], assertion_id=assertion_id, issued_at=5, policy=policy,
-        )
+    # Registered attributes none of which a disclosure carries.
+    UNDISCLOSED = {"dob": "1999-01-01", "email": "a@x"}
 
     def test_one_signature_same_bytes_as_filtering_the_full_set(self, world, monkeypatch):
-        two_step = filter_attributes(make_assertion(world), self.POLICY, world["vasp_key"],
+        full = crypto.seal(world["vasp_key"], AttributeAssertion(
+            bytes(16), "v1", "alice", world["customer_cert"].fingerprint(), ATTRS, 5))
+        two_step = filter_attributes(full, TRAVEL_RULE_ATTRIBUTES, world["vasp_key"],
                                      "v1", assertion_id=b"\x07" * 16, issued_at=5)
         signed = count_calls(monkeypatch, crypto, "sign")
-        once = self.disclose(world, b"\x07" * 16)
+        once = make_assertion(world, assertion_id=b"\x07" * 16)
         assert [message for _, message in signed] == [once.signed_payload()]
         assert once.to_bytes() == two_step.to_bytes()
-        assert once.attributes == {k: v for k, v in ATTRS.items() if k in TRAVEL_RULE_ATTRIBUTES}
+        assert once.attributes == DISCLOSED
         assert verify_assertion(once, world["vasp_cert"], world["customer_cert"],
                                 world["validator"])
 
@@ -197,12 +184,12 @@ class TestDisclosureSignedOnce:
         world["ca"].revoke(world["customer_cert"].serial, RevocationReason.KEY_COMPROMISE, 1)
         world["view"].merge_crl(world["ca"].generate_crl(2))
         with pytest.raises(SubjectCertInvalid):
-            self.disclose(world, bytes(16), policy=DisclosurePolicy(frozenset({"nonexistent"})))
+            make_assertion(world, attributes=self.UNDISCLOSED)
 
     def test_empty_disclosure_after_valid_cert(self, world, monkeypatch):
         signed = count_calls(monkeypatch, crypto, "sign")
         with pytest.raises(EmptyDisclosure):
-            self.disclose(world, bytes(16), policy=DisclosurePolicy(frozenset({"nonexistent"})))
+            make_assertion(world, attributes=self.UNDISCLOSED)
         assert signed == []
 
 
@@ -234,5 +221,5 @@ class TestEncodingMemo:
         with pytest.raises(TypeError):
             assertion.attributes["name"] = "Mallory"
         assert isinstance(assertion.attributes, FrozenAttributes)
-        assert assertion.attributes == ATTRS and hash(assertion)
+        assert assertion.attributes == DISCLOSED and hash(assertion)
         assert assertion.signed_payload() == payload

@@ -10,7 +10,6 @@ from vaspnet.ca import (
     Certificate,
     CertificateAuthority,
     CertificateProfile,
-    ClassTooLow,
     CLASS_TABLE,
     DEFAULT_PROFILE,
     InvalidValidity,
@@ -18,6 +17,7 @@ from vaspnet.ca import (
     RegistrationRejected,
     RevocationReason,
     RevocationView,
+    ROOT_PROFILE,
     UnknownSerial,
     ValidationStatus,
     validate_certificate,
@@ -35,10 +35,10 @@ def make_ca(name="ca-x", seed=1):
 
 
 def issue(ca, subject="sub", attrs=CLASS1_ATTRS, key_label="k", requested=CertClass.CLASS1,
-          profile=DEFAULT_PROFILE, now=0, not_after=10_000):
-    registration = ca.register_subject(subject, attrs, requested, now)
+          now=0, not_after=10_000):
+    registration = ca.register_subject(subject, attrs, requested)
     key = crypto.keypair_from_label("subject", key_label)
-    return ca.issue_certificate(registration, key.public_key, profile, now, not_after, now)
+    return ca.issue_certificate(registration, key.public_key, now, not_after, now)
 
 
 def required_attrs_for(cls: CertClass) -> set:
@@ -94,7 +94,7 @@ class TestRegistration:
     ])
     def test_assignment_table(self, attrs, requested, expected):
         ca = make_ca()
-        record = ca.register_subject("s", attrs, requested, 0)
+        record = ca.register_subject("s", attrs, requested)
         assert record.assigned_class == expected
         assert required_attrs_for(expected) <= set(attrs)
 
@@ -111,17 +111,17 @@ class TestRegistration:
                     expected = cls
             if expected is None:
                 with pytest.raises(RegistrationRejected):
-                    ca.register_subject("s", attrs, requested, 0)
+                    ca.register_subject("s", attrs, requested)
             else:
-                record = ca.register_subject("s", attrs, requested, 0)
+                record = ca.register_subject("s", attrs, requested)
                 assert record.assigned_class == expected
 
     def test_empty_attributes_rejected(self):
         with pytest.raises(RegistrationRejected):
-            make_ca().register_subject("s", {}, CertClass.CLASS1, 0)
+            make_ca().register_subject("s", {}, CertClass.CLASS1)
 
     def test_verification_log_populated(self):
-        record = make_ca().register_subject("s", CLASS2_ATTRS, CertClass.CLASS3, 0)
+        record = make_ca().register_subject("s", CLASS2_ATTRS, CertClass.CLASS3)
         checks = dict(record.verification_log)
         assert checks["class1_attributes"] and checks["class2_attributes"]
         assert not checks["class3_attributes"]
@@ -132,6 +132,7 @@ class TestIssuance:
         ca = make_ca()
         cert = issue(ca)
         assert validate_certificate(cert, {ca.ca_id: ca.root_certificate}, now=1).ok
+        assert (cert.profile, ca.root_certificate.profile) == (DEFAULT_PROFILE, ROOT_PROFILE)
 
     def test_rebind_to_other_subject_refused(self):
         ca = make_ca()
@@ -155,12 +156,6 @@ class TestIssuance:
         lookup = ca.find_certificate_by_key_hash(crypto.digest(second.subject_public_key), 2)
         assert lookup.certificate.serial == second.serial
         assert not lookup.revoked
-
-    def test_profile_minimum_class_enforced(self):
-        ca = make_ca()
-        strict = CertificateProfile(profile_id="strict", minimum_class=CertClass.CLASS2)
-        with pytest.raises(ClassTooLow):
-            issue(ca, attrs=CLASS1_ATTRS, requested=CertClass.CLASS1, profile=strict)
 
     def test_tbs_bytes_reencode_identically(self):
         ca = make_ca()
@@ -388,9 +383,9 @@ class TestLookup:
     def test_lookup_returns_cert_and_disclosed_attributes(self):
         ca = make_ca()
         attrs = {**CLASS1_ATTRS, "address": "12 Main", "vasp_id": "v9", "secret": "hidden"}
-        registration = ca.register_subject("sub", attrs, CertClass.CLASS1, 0)
+        registration = ca.register_subject("sub", attrs, CertClass.CLASS1)
         key = crypto.keypair_from_label("subject", "lk")
-        cert = ca.issue_certificate(registration, key.public_key, DEFAULT_PROFILE, 0, 100, 0)
+        cert = ca.issue_certificate(registration, key.public_key, 0, 100, 0)
         lookup = ca.find_certificate_by_key_hash(crypto.digest(key.public_key), 1)
         assert lookup.certificate == cert
         assert lookup.attributes == {"address": "12 Main", "name": "N", "vasp_id": "v9"}

@@ -410,3 +410,15 @@ class TestCli:
             ])
             outputs.add(out.read_bytes())
         assert len(outputs) == 2
+
+    @pytest.mark.parametrize("verb", ["run", "dump-routes", "dump-ledger"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_the_schemas_range_refused_before_the_run(self, verb, seed,
+                                                                   monkeypatch):
+        ran = []
+        monkeypatch.setattr("vaspnet.cli.run_scenario", lambda *args, **kwargs: ran.append(args))
+        result = CliRunner().invoke(cli_main, [verb, "--scenario", str(DEMO_YAML),
+                                               "--seed", seed])
+        assert result.exit_code == 2
+        assert "Invalid value for '--seed'" in result.output
+        assert ran == []

@@ -93,6 +93,17 @@ def capture_sends(sim, monkeypatch):
 
 
 class TestMembership:
+    def test_one_read_only_anchor_map_held_by_every_node_and_network(self):
+        sim = two_network_sim()
+        anchors = sim.networks["net-a"].recognized_anchors
+        holders = [*(n.trust_anchors for n in sim.vasps.values()),
+                   *(n.recognized_anchors for n in sim.networks.values())]
+        assert len(holders) == 6 and all(held is anchors for held in holders)
+        assert dict(anchors) == {ca_id: ca.root_certificate for ca_id, ca in sim.cas.items()}
+        with pytest.raises(TypeError):
+            anchors["ca-3"] = sim.cas["ca-1"].root_certificate
+        assert set(anchors) == {"ca-1", "ca-2"}
+
     def test_members_map_each_id_to_its_admitted_certificate(self):
         sim = two_network_sim()
         assert sim.networks["net-a"].members == {

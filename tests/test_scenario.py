@@ -11,7 +11,8 @@ import vaspnet
 from vaspnet.cli import main as cli_main
 from vaspnet.harness import Simulation
 from vaspnet.cli import load_scenario
-from vaspnet.scenario import SchemaError, parse_scenario
+from vaspnet.ca import ROOT_VALIDITY
+from vaspnet.scenario import DRAIN_TICKS, SchemaError, parse_scenario
 from vaspnet.resolution import TransferTarget
 from vaspnet.transfer import DenialCode, DenialReason, RecordStatus
 
@@ -418,6 +419,12 @@ BAD_SCENARIOS = {
     "asset-mapping": (with_action("alice", action="transfer", origin="alice",
                                   target={"customer": "chen"}, amount=1,
                                   asset={"customer": ["x"]}), "asset"),
+    # A run ends by the time every root expires; it would otherwise step
+    # through each tick up to its horizon.
+    "late-tick": ({"script": [{"tick": 10**15, "action": "open_account", "customer": "alice"}]},
+                  r"script\[0\] \(open_account\): horizon 1000000000000040 passes"),
+    "long-advance": (with_action(action="advance", ticks=10**15),
+                     r"script\[0\] \(advance\): horizon 1000000000000040 passes"),
 }
 
 
@@ -509,6 +516,17 @@ def test_amounts_up_to_the_ledgers_u64_parse():
     pair = batch(("chen", {"customer": "dana"}, top - 1), ("chen", {"customer": "dana"}, 1))
     pair["script"].insert(0, {"tick": 0, "action": "open_account", "customer": "chen"})
     assert len(parse_scenario({**SMALL, **TWO_VASPS, **pair}).script) == 2
+
+
+def test_horizon_up_to_the_roots_validity_parses():
+    last = ROOT_VALIDITY - DRAIN_TICKS - 5
+
+    def advancing(ticks):
+        return {**SMALL, "script": [{"tick": 0, "action": "advance", "ticks": 2},
+                                    {"tick": last, "action": "advance", "ticks": ticks}]}
+    assert parse_scenario(advancing(3)).horizon() == ROOT_VALIDITY
+    with pytest.raises(SchemaError, match=r"script\[1\] \(advance\): horizon 1000001 passes"):
+        parse_scenario(advancing(4))
 
 
 def test_every_tracked_scenario_is_pinned():

@@ -12,11 +12,11 @@ from conftest import count_calls, make_scenario, standard_script
 from vaspnet import crypto
 from vaspnet.assertions import (
     ASSERTION_ID_LEN,
-    DisclosurePolicy,
+    TRAVEL_RULE_ATTRIBUTES,
+    AttributeAssertion,
     EmptyDisclosure,
     SubjectCertInvalid,
     filter_attributes,
-    issue_assertion,
 )
 from vaspnet.ca import CertClass, RevocationReason
 from vaspnet.chain import SubmitResult, build_transaction
@@ -84,20 +84,20 @@ class TestAccounts:
         node = sim.vasps["v1"]
         with pytest.raises(ModelKeyMismatch):
             node.open_account("x", {"name": "X"}, CustodyModel.COMMINGLED,
-                              customer_public_key=b"\x01" * 32)
+                              crypto.keypair_from_label("late", "x"), "acct-x", 2)
 
     def test_mediated_requires_key(self):
         sim = open_and_enroll()
         node = sim.vasps["v1"]
         with pytest.raises(ModelKeyMismatch):
-            node.open_account("x", {"name": "X"}, CustodyModel.MEDIATED)
+            node.open_account("x", {"name": "X"}, CustodyModel.MEDIATED, None, "acct-x", 0)
 
     def test_key_custody_rejects_supplied_key(self):
         sim = open_and_enroll()
         node = sim.vasps["v1"]
         with pytest.raises(ModelKeyMismatch):
             node.open_account("x", {"name": "X"}, CustodyModel.KEY_CUSTODY,
-                              customer_public_key=b"\x01" * 32)
+                              crypto.keypair_from_label("late", "x"), "acct-x", 0)
 
     @pytest.mark.parametrize("model", [CustodyModel.MEDIATED, CustodyModel.KEY_CUSTODY,
                                        CustodyModel.COMMINGLED])
@@ -110,6 +110,7 @@ class TestAccounts:
         account = node.open_account(
             "carol", {"name": "Carol"}, model,
             customer_wallet=wallet if model is CustodyModel.MEDIATED else None,
+            account_id="acct-carol", now=2,
         )
         keys = node.known_keys()
         assert keys == {node.certificate.subject_public_key} | {
@@ -737,9 +738,9 @@ class TestDisclosure:
         disclosed = disclose()
         assert len(signed) == 1 and len(validated) == 1
         assert node.book._rng.getstate() == state and disclosed.assertion_id == ids[0]
-        full = issue_assertion(node._keypair, node.vasp_id, subject_id, cert, attrs, attrs,
-                               node.validate, bytes(16), now)
-        expected = filter_attributes(full, node.book.disclosure_policy, node._keypair,
+        full = node.seal(AttributeAssertion(bytes(16), node.vasp_id, subject_id,
+                                            cert.fingerprint(), attrs, now))
+        expected = filter_attributes(full, TRAVEL_RULE_ATTRIBUTES, node._keypair,
                                      node.vasp_id, disclosed.assertion_id, now)
         assert disclosed.to_bytes() == expected.to_bytes()
 
@@ -748,11 +749,11 @@ class TestDisclosure:
         sim.advance_to(2)
         node, now = sim.vasps["v1"], sim.now
         account = node.book.accounts["acct-alice"]
-        # A valid certificate with nothing to disclose.
+        # A valid certificate with nothing to disclose: no registered
+        # attribute is a travel-rule one.
         state, _ = self.ids_after(node, 1)
-        node.book.disclosure_policy = DisclosurePolicy(frozenset({"nonexistent"}))
         with pytest.raises(EmptyDisclosure):
-            node.book.disclose(account.subject_id, account.certificate, account.attributes, now)
+            node.book.disclose(account.subject_id, account.certificate, {"email": "a@x"}, now)
         assert node.book._rng.getstate() == state
         # A revoked certificate: the certificate check wins.
         node.ca.revoke(account.certificate_serial, RevocationReason.KEY_COMPROMISE, now)
@@ -765,9 +766,8 @@ class TestDisclosure:
 
 class TestHeldDisclosures:
     """One assertion is signed per subject and handed out again while the
-    certificate, the policy and the disclosed attributes are those it was
-    signed over; every use validates the certificate. A miss draws one id,
-    a hit none."""
+    certificate and the disclosed attributes are those it was signed over;
+    every use validates the certificate. A miss draws one id, a hit none."""
 
     @staticmethod
     def alice():
@@ -817,16 +817,12 @@ class TestHeldDisclosures:
             node.book.disclose(account.subject_id, cert, account.attributes, sim.now)
         assert node.book._rng.getstate() == state
 
-    @pytest.mark.parametrize("change", ["reenrolled", "policy", "attribute"])
+    @pytest.mark.parametrize("change", ["reenrolled", "attribute"])
     def test_changed_input_signs_a_new_assertion(self, change, monkeypatch):
         sim, node, account = self.alice()
         first = self.disclose(node, account)
         if change == "reenrolled":
             node.book.enroll_customer_certificate("acct-alice", CertClass.CLASS1, 2)
-        elif change == "policy":
-            # Not registered: the disclosed attributes stay the same.
-            node.book.disclosure_policy = DisclosurePolicy(
-                node.book.disclosure_policy.allowed_attributes | {"nickname"})
         else:
             account.attributes["name"] = "Alice Liddell"
         signed = count_calls(monkeypatch, crypto, "sign")
@@ -959,17 +955,19 @@ class TestAccountKeys:
         assert account.customer_public_key_hash == crypto.digest(account.customer_public_key)
         assert book.by_key_hash(account.customer_public_key_hash) is account
 
-    @pytest.mark.parametrize("model, key, message", [
+    @pytest.mark.parametrize("model, wallet, message", [
         (CustodyModel.MEDIATED, None, "mediated accounts hold the public key only"),
-        (CustodyModel.KEY_CUSTODY, b"\x01" * 32, "key-custody keys are generated by the VASP"),
-        (CustodyModel.COMMINGLED, b"\x01" * 32, "commingled accounts store no customer keys"),
+        (CustodyModel.KEY_CUSTODY, crypto.keypair_from_label("late", "x"),
+         "key-custody keys are generated by the VASP"),
+        (CustodyModel.COMMINGLED, crypto.keypair_from_label("late", "x"),
+         "commingled accounts store no customer keys"),
     ])
-    def test_a_refused_opening_leaves_the_book_as_it_was(self, model, key, message):
+    def test_a_refused_opening_leaves_the_book_as_it_was(self, model, wallet, message):
         sim = self.opened()
         book = sim.vasps["v1"].book
         accounts, known, logged = dict(book.accounts), book.known_keys(), len(sim.log_)
         with pytest.raises(ModelKeyMismatch, match=message):
-            book.open_account("x", {"name": "X"}, model, customer_public_key=key,
+            book.open_account("x", {"name": "X"}, model, customer_wallet=wallet,
                               account_id="acct-x", now=1)
         assert book.accounts == accounts
         assert book.known_keys() == known
