@@ -5,7 +5,8 @@ Modules:
               the one rule for signed objects (declare, seal, check, memo)
   ca          certificate authority services (issuance, revocation, full CRLs,
               lookup)
-  assertions  VASP-signed attribute assertions with disclosure filtering
+  assertions  customer disclosures, carried unsigned inside signed messages,
+              and their VASP-signed form, with disclosure filtering
   network     trust networks: directory gossip, path-vector routes
   accounts, directory, reachability, resolution, transfer
               the roles of a VASP: custody, directory gossip and CRLs,
@@ -22,6 +23,7 @@ Modules:
 from .accounts import Account, CustodyModel
 from .assertions import (
     AttributeAssertion,
+    Disclosure,
     TRAVEL_RULE_ATTRIBUTES,
     filter_attributes,
     issue_assertion,

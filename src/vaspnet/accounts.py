@@ -12,9 +12,10 @@ from operator import attrgetter
 from typing import Mapping, Optional
 
 from . import crypto
-from .assertions import (ASSERTION_ID_LEN, AssertionServiceError, AttributeAssertion,
-                         HeldDisclosure, issue_assertion, require_valid_subject)
-from .ca import Certificate, CertClass
+from .assertions import (ASSERTION_ID_LEN, AssertionServiceError, AttributeAssertion, Disclosure,
+                         HeldDisclosure, build_disclosure, issue_assertion,
+                         require_valid_subject)
+from .ca import CUSTOMER_CERT_VALIDITY, Certificate, CertClass
 from .chain import NONCE_LEN, ChainTransaction, build_transaction
 from .crypto import KeyPair, digest
 
@@ -112,9 +113,9 @@ class Account:
 
 
 class AccountBook:
-    """The accounts of ``node`` and the disclosures signed about their
-    subjects. ``keypair``, the VASP's own, signs disclosures and pool
-    transactions; ``rng`` is the node's one generator. The book is the one
+    """The accounts of ``node`` and the disclosures made about their
+    subjects. ``keypair``, the VASP's own, signs query answers' assertions
+    and pool transactions; ``rng`` is the node's one generator. The book is the one
     owner of which certificate each account holds: the directory feed reads
     the accounts' certificates, and ``enrolments``, the count of
     certificates issued, tells it when they changed."""
@@ -130,7 +131,7 @@ class AccountBook:
         self._accounts_by_key_hash: dict[bytes, str] = {}
         self._known_keys: frozenset[bytes] = frozenset((keypair.public_key,))
         self._env.watch(keypair.public_key, node.vasp_id)
-        # Subject id -> the last disclosure signed about it (``disclose``).
+        # Subject id -> the last disclosure built about it (``disclose``).
         self._held_disclosures: dict[str, HeldDisclosure] = {}
 
     def open_account(self, subject_id: str, attributes: Mapping[str, str],
@@ -182,7 +183,7 @@ class AccountBook:
         return account
 
     def enroll_customer_certificate(self, account_id: str, requested_class: CertClass, now: int,
-                                    validity_ticks: int = 10_000) -> Certificate:
+                                    validity_ticks: int = CUSTOMER_CERT_VALIDITY) -> Certificate:
         """Register and certify the account's key at the affiliated CA."""
         account = self.accounts[account_id]
         if account.customer_public_key is None:
@@ -217,40 +218,51 @@ class AccountBook:
         return self._known_keys
 
     def disclose(self, subject_id: str, subject_cert: Certificate,
-                 registered: Mapping[str, str], now: int) -> AttributeAssertion:
-        """The ``assertions.TRAVEL_RULE_ATTRIBUTES`` of ``registered``, signed
-        once per subject: the assertion signed about a subject is returned
+                 registered: Mapping[str, str]) -> Disclosure:
+        """The ``assertions.TRAVEL_RULE_ATTRIBUTES`` of ``registered``, built
+        once per subject: the disclosure built about a subject is returned
         again while the certificate and the disclosed attributes equal those
-        it was signed over. Every call validates the certificate first, so a
+        it was built over. Every call validates the certificate first, so a
         revoked or expired one raises ``SubjectCertInvalid`` as a fresh
-        signing would. A miss draws one id, the new assertion's."""
+        disclosure would. It draws no id."""
         validate = self._node.validate
         held = self._held_disclosures.get(subject_id)
         if held is not None and held.covers(subject_cert, registered):
             require_valid_subject(subject_cert, validate)
-            return held.assertion
-        assertion = issue_assertion(
-            self._keypair, self._node.vasp_id, subject_id, subject_cert, registered,
-            validate, fresh_id(self._rng, ASSERTION_ID_LEN), now)
-        self._held_disclosures[subject_id] = HeldDisclosure(subject_cert, assertion)
-        return assertion
+            return held.disclosure
+        disclosure = build_disclosure(subject_id, subject_cert, registered, validate)
+        self._held_disclosures[subject_id] = HeldDisclosure(subject_cert, disclosure)
+        return disclosure
 
-    def customer_assertion(self, account: Account, now: int) -> Optional[AttributeAssertion]:
+    def customer_disclosure(self, account: Account) -> Optional[Disclosure]:
         """The disclosure about the account's subject, or None if refused."""
         subject_cert = self.subject_certificate(account)
         if subject_cert is None:
             return None
         try:
-            return self.disclose(account.subject_id, subject_cert, account.attributes, now)
+            return self.disclose(account.subject_id, subject_cert, account.attributes)
         except AssertionServiceError:
             return None
 
-    def pool_assertion(self, now: int) -> AttributeAssertion:
+    def customer_assertion(self, account: Account, now: int) -> Optional[AttributeAssertion]:
+        """The signed form of ``customer_disclosure``, for a query answer, or
+        None if refused. It is signed, drawing its one id, the first time
+        the disclosure is asked for in this form."""
+        disclosure = self.customer_disclosure(account)
+        if disclosure is None:
+            return None
+        held = self._held_disclosures[account.subject_id]
+        if held.assertion is None:
+            held.assertion = issue_assertion(self._keypair, self._node.vasp_id, disclosure,
+                                             fresh_id(self._rng, ASSERTION_ID_LEN), now)
+        return held.assertion
+
+    def pool_disclosure(self) -> Disclosure:
         """The disclosure this VASP makes about itself for its commingled pool."""
         node = self._node
         if node.certificate is None:
             raise VaspError("VASP certificate required")
-        return self.disclose(node.vasp_id, node.certificate, node.vasp_attributes(), now)
+        return self.disclose(node.vasp_id, node.certificate, node.vasp_attributes())
 
     def build_transfer_tx(self, account: Optional[Account], to_public_key: bytes, amount: int,
                           asset_type: str) -> ChainTransaction:

@@ -1,24 +1,28 @@
-"""VASP-signed customer attribute assertions, hash-linked to certificates.
+"""Customer disclosures, hash-linked to certificates, and their signed form.
 
-An assertion bundles customer attributes, is signed by the issuing VASP, and
-links to the customer's public-key certificate by the digest of the full
-certificate bytes. A disclosure is signed by the discloser so recipients can
-hold it accountable, and it is signed once: ``issue_assertion`` signs only
-the ``TRAVEL_RULE_ATTRIBUTES`` of the attributes it is given, never the full
-set first. ``filter_attributes`` re-discloses an assertion already held.
+A ``Disclosure`` carries a subject's ``TRAVEL_RULE_ATTRIBUTES`` and links to
+the subject's public-key certificate by the digest of the full certificate
+bytes. It is unsigned: it travels inside a transfer notice or ack, whose one
+signature by the discloser covers it and binds it to that transfer, as an
+identity payload travels inside the secured envelope that carries it.
+``build_disclosure`` builds one about a subject whose certificate validates.
 
-An assertion is an attribute certificate in the sense of RFC 5755: it names
-no transfer and no recipient, and it is valid while the certificate it links
-to validates. The signed notice or ack that carries it is what binds it to
-one transfer. A VASP therefore signs one assertion per subject and hands it
-out again (``HeldDisclosure``) until the certificate or the disclosed
-attributes change; every use still validates the certificate.
-Reusing it exposes no identifier beyond the disclosed ``public_key_hash``:
-a repeated ``assertion_id`` links transfers that the key hash, and the
-linked certificate digest every assertion about the subject carries,
-already link.
+A query answer names no transfer, so it carries an ``AttributeAssertion``,
+the signed form of a disclosure: ``issue_assertion`` signs it and
+``verify_assertion`` checks it. An assertion is an attribute certificate in
+the sense of RFC 5755: it names no recipient, and it is valid while the
+certificate it links to validates. ``filter_attributes`` re-discloses an
+assertion already held.
 
-An assertion's attributes are a ``FrozenAttributes``, immutable and
+A VASP holds one disclosure per subject (``HeldDisclosure``) and hands it
+out again until the certificate or the disclosed attributes change; every
+use still validates the certificate. Its signed form is made once, when a
+query answer first needs it. Reusing either exposes no identifier beyond the
+disclosed ``public_key_hash``: a repeated ``assertion_id`` links answers that
+the key hash, and the linked certificate digest every disclosure about the
+subject carries, already link.
+
+A disclosure's attributes are a ``FrozenAttributes``, immutable and
 hashable, so the encoding memo's key covers every field.
 """
 
@@ -114,16 +118,13 @@ class FrozenAttributes(Mapping[str, str]):
 
 
 @dataclass(frozen=True)
-class AttributeAssertion(crypto.Signed):
-    SIGNATURE_TAG = 7
+class Disclosure(crypto.Record):
+    """The disclosed attributes of a subject and the digest of the
+    certificate they are about; unsigned, so signed by what carries it."""
 
-    assertion_id: bytes
-    issuer_vasp_id: str
     subject_id: str
     linked_certificate_hash: bytes
     attributes: Mapping[str, str]
-    issued_at: int
-    signature: bytes = b""
 
     def __post_init__(self) -> None:
         if not isinstance(self.attributes, FrozenAttributes):
@@ -131,53 +132,75 @@ class AttributeAssertion(crypto.Signed):
 
     def tlv_fields(self) -> list[tuple[int, bytes]]:
         return [
+            (1, enc_str(self.subject_id)),
+            (2, self.linked_certificate_hash),
+            (3, encode_str_map(self.attributes)),
+        ]
+
+
+@dataclass(frozen=True)
+class AttributeAssertion(crypto.Signed):
+    """A disclosure signed by ``issuer_vasp_id`` under its own id and tick."""
+
+    SIGNATURE_TAG = 7
+
+    assertion_id: bytes
+    issuer_vasp_id: str
+    disclosure: Disclosure
+    issued_at: int
+    signature: bytes = b""
+
+    def tlv_fields(self) -> list[tuple[int, bytes]]:
+        return [
             (1, self.assertion_id),
             (2, enc_str(self.issuer_vasp_id)),
-            (3, enc_str(self.subject_id)),
-            (4, self.linked_certificate_hash),
-            (5, encode_str_map(self.attributes)),
-            (6, enc_u64(self.issued_at)),
+            (3, self.disclosure.to_bytes()),
+            (4, enc_u64(self.issued_at)),
         ]
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AttributeAssertion":
         fields = dict(canonical_decode(data))
+        disclosed = dict(canonical_decode(fields[3]))
         return cls(
             assertion_id=fields[1],
             issuer_vasp_id=dec_str(fields[2]),
-            subject_id=dec_str(fields[3]),
-            linked_certificate_hash=fields[4],
-            attributes=decode_str_map(fields[5]),
-            issued_at=dec_u64(fields[6]),
+            disclosure=Disclosure(dec_str(disclosed[1]), disclosed[2],
+                                  decode_str_map(disclosed[3])),
+            issued_at=dec_u64(fields[4]),
             signature=fields[7],
         )
+
+
+def build_disclosure(
+    subject_id: str,
+    subject_certificate: Certificate,
+    attributes: Mapping[str, str],
+    validator: Callable[[Certificate], ValidationResult],
+) -> Disclosure:
+    """The ``TRAVEL_RULE_ATTRIBUTES`` of ``attributes``, the subject's
+    registered ones, about a certified subject.
+
+    The subject certificate must validate; then an empty disclosure raises
+    ``EmptyDisclosure``.
+    """
+    require_valid_subject(subject_certificate, validator)
+    return Disclosure(subject_id, subject_certificate.fingerprint(),
+                      _disclosed(attributes, TRAVEL_RULE_ATTRIBUTES))
 
 
 def issue_assertion(
     signing_key: KeyPair,
     issuer_vasp_id: str,
-    subject_id: str,
-    subject_certificate: Certificate,
-    attributes: Mapping[str, str],
-    validator: Callable[[Certificate], ValidationResult],
+    disclosure: Disclosure,
     assertion_id: bytes,
     issued_at: int,
 ) -> AttributeAssertion:
-    """Sign the ``TRAVEL_RULE_ATTRIBUTES`` of ``attributes``, the subject's
-    registered ones, about a certified subject.
-
-    The subject certificate must validate; then an empty disclosure raises
-    ``EmptyDisclosure``. ``assertion_id`` is the id the new assertion
-    carries; a VASP draws it only when it signs, not when it hands out a held
-    disclosure.
-    """
-    require_valid_subject(subject_certificate, validator)
+    """``disclosure`` signed once, as it is. ``assertion_id`` is the id the
+    new assertion carries; a VASP draws it only when it signs, not when it
+    hands out a held assertion."""
     return crypto.seal(signing_key, AttributeAssertion(
-        assertion_id=assertion_id,
-        issuer_vasp_id=issuer_vasp_id,
-        subject_id=subject_id,
-        linked_certificate_hash=subject_certificate.fingerprint(),
-        attributes=_disclosed(attributes, TRAVEL_RULE_ATTRIBUTES),
+        assertion_id=assertion_id, issuer_vasp_id=issuer_vasp_id, disclosure=disclosure,
         issued_at=issued_at,
     ))
 
@@ -191,7 +214,7 @@ def verify_assertion(
     """True iff the signature, the certificate link, and the issuer cert all hold."""
     if not crypto.check(issuer_vasp_certificate.subject_public_key, assertion):
         return False
-    if assertion.linked_certificate_hash != subject_certificate.fingerprint():
+    if assertion.disclosure.linked_certificate_hash != subject_certificate.fingerprint():
         return False
     return validator(issuer_vasp_certificate).ok
 
@@ -209,33 +232,35 @@ def filter_attributes(
     The output is re-signed by the discloser; the input is untouched. An empty
     intersection is an error rather than an empty disclosure.
     """
-    return crypto.seal(signing_key, AttributeAssertion(
-        assertion_id=assertion_id,
-        issuer_vasp_id=discloser_vasp_id,
-        subject_id=assertion.subject_id,
-        linked_certificate_hash=assertion.linked_certificate_hash,
-        attributes=_disclosed(assertion.attributes, allowed),
-        issued_at=issued_at,
-    ))
+    disclosed = assertion.disclosure
+    return issue_assertion(
+        signing_key, discloser_vasp_id,
+        Disclosure(disclosed.subject_id, disclosed.linked_certificate_hash,
+                   _disclosed(disclosed.attributes, allowed)),
+        assertion_id, issued_at,
+    )
 
 
-@dataclass(frozen=True)
+@dataclass
 class HeldDisclosure:
-    """A signed disclosure and the certificate it was issued about.
+    """A disclosure, the certificate it was built about and, once a query
+    answer needed it, its signed form.
 
-    The holder may hand ``assertion`` out again, instead of signing a new one,
-    while ``covers`` holds and ``certificate`` still validates.
+    The holder may hand ``disclosure`` and ``assertion`` out again, instead
+    of building new ones, while ``covers`` holds and ``certificate`` still
+    validates.
     """
 
     certificate: Certificate
-    assertion: AttributeAssertion
+    disclosure: Disclosure
+    assertion: Optional[AttributeAssertion] = None
 
     def covers(self, certificate: Certificate, registered: Mapping[str, str]) -> bool:
-        """True iff ``assertion`` was signed about ``certificate``, over
+        """True iff ``disclosure`` was built about ``certificate``, over
         exactly the ``TRAVEL_RULE_ATTRIBUTES`` of ``registered``."""
         return (
             self.certificate == certificate
-            and self.assertion.attributes == _kept(registered, TRAVEL_RULE_ATTRIBUTES)
+            and self.disclosure.attributes == _kept(registered, TRAVEL_RULE_ATTRIBUTES)
         )
 
 

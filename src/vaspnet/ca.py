@@ -90,6 +90,13 @@ CLASS_TABLE: dict[CertClass, frozenset[str]] = {
     CertClass.CLASS3: frozenset({"organization_vetting_ref"}),
 }
 
+
+def missing_class1_attributes(attributes: Iterable[str]) -> list[str]:
+    """The Class 1 attributes that ``attributes`` lacks, sorted. A CA
+    registers a subject, and a scenario enrols a customer, only if none is."""
+    return sorted(CLASS_TABLE[CertClass.CLASS1].difference(attributes))
+
+
 # Attributes a CA discloses alongside lookup responses. Kept to
 # travel-rule-relevant identity data.
 CA_DISCLOSURE = frozenset({"name", "address", "vasp_id"})
@@ -392,10 +399,11 @@ class CertificateAuthority:
         A request above the attainable class is downgraded, not rejected;
         failing even Class 1 requirements rejects the registration.
         """
-        if not submitted_attributes:
-            raise RegistrationRejected("no attributes submitted")
+        missing = missing_class1_attributes(submitted_attributes)
+        if missing:
+            raise RegistrationRejected("missing mandatory attributes: " + ",".join(missing))
         log: list[tuple[str, bool]] = [("attributes_nonempty", True)]
-        assigned: Optional[CertClass] = None
+        assigned = CertClass.CLASS1
         cumulative: set[str] = set()
         for cls in CertClass:
             cumulative |= CLASS_TABLE[cls]
@@ -403,11 +411,6 @@ class CertificateAuthority:
             log.append((f"{cls.label}_attributes", satisfied))
             if satisfied and cls <= requested_class:
                 assigned = cls
-        if assigned is None:
-            raise RegistrationRejected(
-                "missing mandatory attributes: "
-                + ",".join(sorted(CLASS_TABLE[CertClass.CLASS1] - set(submitted_attributes)))
-            )
         return RegistrationRecord(
             subject_id=subject_id,
             submitted_attributes=dict(submitted_attributes),

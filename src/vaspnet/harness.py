@@ -45,7 +45,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from . import crypto
 from .accounts import CustodyModel
-from .ca import (CUSTOMER_CERT_VALIDITY, ROOT_VALIDITY, VASP_CERT_VALIDITY,
+from .ca import (ROOT_VALIDITY, VASP_CERT_VALIDITY,
                  CertificateAuthority, Certificate, RevocationReason)
 from .chain import ChainTransaction, SimChain, SubmitResult, build_transaction
 from .crypto import FIELD_HEADER, KeyPair, digest
@@ -332,8 +332,8 @@ class Simulation:
     def submit_tx(self, actor: str, tx: ChainTransaction) -> SubmitResult:
         result = self.chain.submit_transaction(tx, self.now)
         if result.accepted:
-            self.log(actor, "tx_submitted", tx=tx.tx_id.hex(),
-                     binding=tx.tx_id.hex(), amount=tx.amount, asset=tx.asset_type)
+            self.log(actor, "tx_submitted", tx=tx.tx_id.hex(), amount=tx.amount,
+                     asset=tx.asset_type)
         else:
             self.log(actor, "tx_rejected", reason=result.reason or "")
         return result
@@ -435,25 +435,21 @@ class Simulation:
             spec = self._customers[str(params["customer"])]
             vasp = self.vasps[spec.vasp]
             vasp.book.enroll_customer_certificate(
-                self._account_id_for(spec.customer_id),
-                spec.requested_class,
-                self.now,
-                CUSTOMER_CERT_VALIDITY,
-            )
+                self._account_id_for(spec.customer_id), spec.requested_class, self.now)
         elif action.action == "transfer":
             origin = str(params["origin"])
             vasp = self.vasps[self._customers[origin].vasp]
             target = self._build_target(params["target"])
             outcome = vasp.initiate_transfer(
                 self._account_id_for(origin), target,
-                int(params["amount"]), str(params.get("asset", "coin")),
+                params["amount"], str(params.get("asset", "coin")),
             )
             self.scripted_transfers.append(ScriptedTransfer(action, outcome, vasp.vasp_id))
         elif action.action == "batch_transfer":
             entries = params["entries"]  # all from one VASP's pool, says the schema
             vasp = self.vasps[self._customers[str(entries[0]["origin"])].vasp]
             requests = [(self._account_id_for(str(e["origin"])), self._build_target(e["target"]),
-                         int(e["amount"])) for e in entries]
+                         e["amount"]) for e in entries]
             outcome = vasp.transfers.initiate_batch_transfer(requests, str(params.get("asset", "coin")))
             self.scripted_transfers.append(ScriptedTransfer(action, outcome, vasp.vasp_id))
         elif action.action == "p2p_transfer":
@@ -468,7 +464,7 @@ class Simulation:
                      serial=account.certificate_serial.hex(), reason=reason.value)
         elif action.action == "drop_link":
             link = self._link(str(params["a"]), str(params["b"]))
-            link.down_until = self.now + int(params["period"])
+            link.down_until = self.now + params["period"]
             self.log("script", "link_down", a=str(params["a"]), b=str(params["b"]),
                      until=link.down_until)
         elif action.action == "advance":
@@ -520,7 +516,7 @@ class Simulation:
         nonce = digest(f"p2p-nonce:{self.seed}:{index}".encode())[:8]
         tx = build_transaction(
             sender, sender.public_key, receiver_key,
-            int(params["amount"]), str(params.get("asset", "coin")), nonce,
+            params["amount"], str(params.get("asset", "coin")), nonce,
         )
         self.submit_tx(f"p2p:{params['from_wallet']}", tx)
 
@@ -611,7 +607,7 @@ class Simulation:
 
     def scan_blind_broadcasts(self) -> list[str]:
         """Event-log scan: every VASP-submitted tx needs a prior accepting ack
-        with the same binding digest."""
+        whose binding digest is its tx id."""
         accepted_bindings: dict[str, int] = {}
         for record in self.log_.entries:
             if record.event != "ack_sent":
@@ -623,11 +619,11 @@ class Simulation:
         for record in self.log_.entries:
             if record.event != "tx_submitted" or record.actor not in self.vasps:
                 continue
-            binding = dict(record.details)["binding"]
-            first_ack = accepted_bindings.get(binding)
+            tx_id = dict(record.details)["tx"]
+            first_ack = accepted_bindings.get(tx_id)
             if first_ack is None or first_ack > record.tick:
                 problems.append(
-                    f"tx {binding[:16]} submitted by {record.actor} without prior accepted ack"
+                    f"tx {tx_id[:16]} submitted by {record.actor} without prior accepted ack"
                 )
         return problems
 

@@ -205,7 +205,7 @@ class Resolver:
         if assertion is not None and verify_assertion(
                 assertion, response.responder_certificate, response.certificate,
                 self._node.validate):
-            account_id = account_id or assertion.attributes.get("account_id")
+            account_id = account_id or assertion.disclosure.attributes.get("account_id")
         return ResolvedBeneficiary(
             certificate=response.certificate, home_vasp_id=response.responder_vasp_id,
             home_vasp_certificate=response.responder_certificate, resolution_path=path,

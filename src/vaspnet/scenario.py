@@ -7,9 +7,11 @@ is built, the script last and in order. A key that its mapping does not
 take, a dangling reference, a number out of range, an id that is not a
 string (named by its path: ``scenario.script.3.target.customer``), a
 decreasing tick and an action that the run could not carry out are schema
-errors. An account opens once, before any transfer from it or enrolment of
-it; a commingled customer holds no key to enrol; a certificate is revoked
-once it is issued, and only once.
+errors, and so is a whole number given as a bool, a string or a float. An
+account opens once, before any transfer from it or enrolment of it; a
+commingled customer holds no key to enrol, and one without the Class 1
+attributes (``ca.missing_class1_attributes``) none that its CA would
+certify; a certificate is revoked once it is issued, and only once.
 
 Schema (all ids are strings; every referenced id must be declared):
 
@@ -79,7 +81,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .accounts import CustodyModel
-from .ca import ROOT_VALIDITY, CertClass, RevocationReason
+from .ca import ROOT_VALIDITY, CertClass, RevocationReason, missing_class1_attributes
 from .network import PeeringLink
 
 # Each script action and the keys it takes besides ``tick`` and ``action``.
@@ -163,9 +165,7 @@ class Scenario:
     def horizon(self) -> int:
         """The last tick a run processes: the script's, then ``DRAIN_TICKS``."""
         last = max((a.tick for a in self.script), default=0)
-        extra = sum(
-            int(a.params.get("ticks", 0)) for a in self.script if a.action == "advance"
-        )
+        extra = sum(a.params["ticks"] for a in self.script if a.action == "advance")
         return last + extra + DRAIN_TICKS
 
 
@@ -195,23 +195,26 @@ def _new_id(raw: Mapping[str, Any], key: str, seen: Mapping[str, Any], context: 
     return item_id
 
 
-def _number(value: Any, kind: type, context: str, low: float, high: float = math.inf):
-    """``value`` as an int or float (``kind``) in [low, high]."""
+def _number(value: Any, context: str, low: float, high: float) -> float:
+    """``value`` as a float in [low, high]."""
     try:
-        number = kind(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise SchemaError(f"{context}: {value!r} is not a number") from None
-    if number != value and isinstance(value, float):
-        raise SchemaError(f"{context}: {value!r} is not an integer")
     if not low <= number <= high:
         raise SchemaError(f"{context}: {value!r} is out of range [{low}, {high}]")
     return number
 
 
-def _positive(value: Any, name: str, high: float = math.inf) -> None:
-    """A SchemaError naming ``name`` unless ``value`` is a whole number in [1, high]."""
-    if type(value) is not int or not 1 <= value <= high:
-        _number(value, int, name, 1, high)
+def _whole(value: Any, context: str, low: int, high: float = math.inf) -> int:
+    """``value`` if it is a whole number in [low, high]: an ``int``, not a
+    bool, a string or a float, each of which a run would coerce; else a
+    SchemaError naming ``context``."""
+    if type(value) is not int:
+        raise SchemaError(f"{context}: {value!r} is not a whole number")
+    if not low <= value <= high:
+        raise SchemaError(f"{context}: {value!r} is out of range [{low}, {high}]")
+    return value
 
 
 def _parse_link(raw: Mapping[str, Any], vasps: Mapping[str, VaspSpec],
@@ -277,9 +280,9 @@ def parse_scenario(data: Mapping[str, Any]) -> Scenario:
     """The scenario ``data`` declares, each section checked in the loop that builds it."""
     _known(data, _TOP_LEVEL_KEYS, "scenario root")
     defaults = _known(data.get("defaults", {}), frozenset({"drop_probability"}), "defaults")
-    seed = _number(data.get("seed", 0), int, "seed", 0, U64_MAX)
+    seed = _whole(data.get("seed", 0), "seed", 0, U64_MAX)
     drop_probability = _number(
-        defaults.get("drop_probability", 0.0), float, "defaults.drop_probability", 0, 1)
+        defaults.get("drop_probability", 0.0), "defaults.drop_probability", 0, 1)
 
     networks: dict[str, None] = {}
     for raw in _items(data, "networks"):
@@ -349,9 +352,7 @@ def _parse_script(items: Any, customers: Mapping[str, CustomerSpec],
     for index, raw in enumerate(_shaped(items, list, "script")):
         if type(raw) is not dict:
             _shaped(raw, dict, f"script[{index}]")
-        tick = _require(raw, "tick", "script[]")
-        if type(tick) is not int or tick < 0:
-            tick = _number(tick, int, "script[].tick", 0)
+        tick = _whole(_require(raw, "tick", "script[]"), "script[].tick", 0)
         name = str(_require(raw, "action", "script[]"))
         params = dict(raw)
         del params["tick"], params["action"]
@@ -365,7 +366,7 @@ def _parse_script(items: Any, customers: Mapping[str, CustomerSpec],
                 raise SchemaError(f"unknown key {next(k for k in params if k not in keys)!r}")
             _check_action(name, params, customers, vasps, opened, certified)
             if name == "advance":
-                advanced += int(params["ticks"])
+                advanced += params["ticks"]
             if tick + advanced + DRAIN_TICKS > ROOT_VALIDITY:
                 raise SchemaError(f"horizon {tick + advanced + DRAIN_TICKS} passes the "
                                   f"roots' validity, tick {ROOT_VALIDITY}")
@@ -395,8 +396,13 @@ def _check_action(name: str, params: Mapping[str, Any], customers: Mapping[str, 
             opened.add(customer_id)
         elif name == "enroll":
             _require_open(customer_id, opened)
-            if customers[customer_id].custody_model is CustodyModel.COMMINGLED:
+            customer = customers[customer_id]
+            if customer.custody_model is CustodyModel.COMMINGLED:
                 raise SchemaError(f"commingled customer {customer_id!r} holds no key to certify")
+            missing = missing_class1_attributes(customer.attributes)
+            if missing:
+                raise SchemaError(f"{customer_id!r} lacks the Class 1 attributes "
+                                  f"{', '.join(missing)}; its CA would refuse it")
             certified.add(customer_id)
         else:
             try:
@@ -411,7 +417,7 @@ def _check_action(name: str, params: Mapping[str, Any], customers: Mapping[str, 
         if origin not in customers:
             raise SchemaError(f"unknown origin {origin!r}")
         _check_target(params.get("target"), customers, vasps)
-        _positive(params.get("amount", 0), "amount", U64_MAX)
+        _whole(params.get("amount", 0), "amount", 1, U64_MAX)
         _require_open(origin, opened)
     elif name == "batch_transfer":
         _check_batch(params.get("entries"), customers)
@@ -430,15 +436,15 @@ def _check_action(name: str, params: Mapping[str, Any], customers: Mapping[str, 
             if customer.custody_model is not CustodyModel.MEDIATED:
                 raise SchemaError(f"to_customer {to_customer!r} is {customer.custody_model.value}; "
                                   "only a mediated customer holds a wallet key")
-        _positive(params.get("amount", 0), "amount", U64_MAX)
+        _whole(params.get("amount", 0), "amount", 1, U64_MAX)
     elif name == "drop_link":
         for side in ("a", "b"):
             actor = _id(params, side)
             if actor not in vasps:
                 raise SchemaError(f"endpoint {actor!r} is not a VASP")
-        _positive(params.get("period", 0), "period")
+        _whole(params.get("period", 0), "period", 1)
     else:  # advance
-        _positive(params.get("ticks", 0), "ticks")
+        _whole(params.get("ticks", 0), "ticks", 1)
 
 
 def _require_open(customer_id: str, opened: set[str]) -> None:
@@ -469,8 +475,7 @@ def _check_batch(entries: Any, customers: Mapping[str, CustomerSpec]) -> None:
             raise SchemaError(f"{where}: unknown target customer {target['customer']!r}")
         payers.add(origin.vasp)
         payees.add(payee.vasp)
-        _positive(entry.get("amount", 0), f"{where}: amount", U64_MAX)
-        total += int(entry["amount"])
+        total += _whole(entry.get("amount", 0), f"{where}: amount", 1, U64_MAX)
     if total > U64_MAX:
         raise SchemaError(f"entries: amounts sum to {total}, above the ledger's {U64_MAX}")
     if len(payers) > 1 or len(payees) > 1:

@@ -11,8 +11,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import crypto
 from .accounts import Account, AccountBook, CustodyModel, ModelKeyMismatch, VaspError, fresh_id
-from .assertions import (REQUIRED_TRAVEL_RULE_CORE, AssertionServiceError, AttributeAssertion,
-                         verify_assertion)
+from .assertions import REQUIRED_TRAVEL_RULE_CORE, AssertionServiceError, Disclosure
 from .ca import Certificate
 from .chain import ChainTransaction
 from .crypto import canonical_encode, enc_str, enc_u64
@@ -46,7 +45,7 @@ class TransferNotice(crypto.Signed):
     notice_id: bytes
     originator_vasp_id: str
     beneficiary_vasp_id: str
-    originator_assertion: AttributeAssertion
+    originator_disclosure: Disclosure
     beneficiary_ref: BeneficiaryRef
     asset_type: str
     amount: int
@@ -66,7 +65,7 @@ class TransferNotice(crypto.Signed):
             (1, self.notice_id),
             (2, enc_str(self.originator_vasp_id)),
             (3, enc_str(self.beneficiary_vasp_id)),
-            (4, self.originator_assertion.to_bytes()),
+            (4, self.originator_disclosure.to_bytes()),
             (5, self.beneficiary_ref.to_bytes()),
             (6, enc_str(self.asset_type)),
             (7, enc_u64(self.amount)),
@@ -103,15 +102,15 @@ class TransferAck(crypto.Signed):
     notice_id: bytes
     decision: AckDecision
     reject_reason: Optional[RejectReason]
-    beneficiary_assertion: Optional[AttributeAssertion]
+    beneficiary_disclosure: Optional[Disclosure]
     signature: bytes = b""
 
     def tlv_fields(self) -> list[tuple[int, bytes]]:
         fields: list[tuple[int, bytes]] = [(1, self.notice_id), (2, enc_str(self.decision.value))]
         if self.reject_reason is not None:
             fields.append((3, enc_str(self.reject_reason.value)))
-        if self.beneficiary_assertion is not None:
-            fields.append((4, self.beneficiary_assertion.to_bytes()))
+        if self.beneficiary_disclosure is not None:
+            fields.append((4, self.beneficiary_disclosure.to_bytes()))
         return fields
 
 
@@ -276,16 +275,16 @@ class Transfers:
         (resolved,) = checked
 
         try:
-            assertion = self._book.disclose(account.subject_id,
-                                            self._book.subject_certificate(account),
-                                            account.attributes, now)
+            disclosure = self._book.disclose(account.subject_id,
+                                             self._book.subject_certificate(account),
+                                             account.attributes)
         except AssertionServiceError as exc:
             return self._deny(DenialCode.CERT_INVALID, f"originator-customer:{exc}")
 
         tx = self._book.build_transfer_tx(account, resolved.certificate.subject_public_key,
                                           amount, asset_type)
         ref = BeneficiaryRef(resolved.certificate.public_key_hash, resolved.account_id)
-        notice = self._build_notice(resolved.home_vasp_id, assertion, ref, asset_type, amount,
+        notice = self._build_notice(resolved.home_vasp_id, disclosure, ref, asset_type, amount,
                                     now, tx.tx_id, None)
         return self._dispatch_notice(notice, tx, resolved, (account_id,), now)
 
@@ -315,13 +314,13 @@ class Transfers:
         home = checked[0]
         home_cert = home.home_vasp_certificate
         tx = self._book.build_transfer_tx(None, home_cert.subject_public_key, total, asset_type)
-        assertion = self._book.pool_assertion(now)
+        disclosure = self._book.pool_disclosure()
         entries = tuple(
             (BeneficiaryRef(resolved.certificate.public_key_hash, resolved.account_id), amount)
             for resolved, (_, _, amount) in zip(checked, requests)
         )
         pool = BeneficiaryRef(home_cert.public_key_hash, f"{home.home_vasp_id}/pool")
-        notice = self._build_notice(home.home_vasp_id, assertion, pool, asset_type, total, now,
+        notice = self._build_notice(home.home_vasp_id, disclosure, pool, asset_type, total, now,
                                     tx.tx_id, entries)
         account_ids = tuple(account_id for account_id, _, _ in requests)
         return self._dispatch_notice(notice, tx, home, account_ids, now)
@@ -441,13 +440,13 @@ class Transfers:
         return None
 
     def _build_notice(
-        self, beneficiary_vasp_id: str, assertion: AttributeAssertion, ref: BeneficiaryRef,
+        self, beneficiary_vasp_id: str, disclosure: Disclosure, ref: BeneficiaryRef,
         asset_type: str, amount: int, now: int, binding: bytes,
         batch_entries: Optional[tuple[tuple[BeneficiaryRef, int], ...]],
     ) -> TransferNotice:
         return self._node.seal(TransferNotice(
             notice_id=fresh_id(self._rng, NOTICE_ID_LEN), originator_vasp_id=self._vasp_id,
-            beneficiary_vasp_id=beneficiary_vasp_id, originator_assertion=assertion,
+            beneficiary_vasp_id=beneficiary_vasp_id, originator_disclosure=disclosure,
             beneficiary_ref=ref, asset_type=asset_type, amount=amount, execution_tick=now,
             intended_chain_tx_binding=binding, batch_entries=batch_entries,
         ))
@@ -491,17 +490,17 @@ class Transfers:
             if cert is None or not self._node.validate(cert).ok:
                 return self._reject_notice(notice, RejectReason.CERT_INVALID)
 
-        if not self._notice_assertion_acceptable(notice, originator_cert):
+        if not self._notice_disclosure_acceptable(notice):
             return self._reject_notice(notice, RejectReason.POLICY_REFUSAL)
 
         if notice.batch_entries is not None:
-            assertion = self._book.pool_assertion(now)
+            disclosure = self._book.pool_disclosure()
         else:
-            assertion = self._book.customer_assertion(accounts[0], now)
-            if assertion is None:
+            disclosure = self._book.customer_disclosure(accounts[0])
+            if disclosure is None:
                 return self._reject_notice(notice, RejectReason.CERT_INVALID)
 
-        ack = self._signed_ack(notice.notice_id, AckDecision.ACCEPT, None, assertion)
+        ack = self._signed_ack(notice.notice_id, AckDecision.ACCEPT, None, disclosure)
         self._open_record(RecordRole.BENEFICIARY_SIDE, notice, now,
                           tuple(a.account_id for a in accounts), ack)
         self._env.send(self._vasp_id, notice.originator_vasp_id, "transfer_ack", ack)
@@ -517,19 +516,19 @@ class Transfers:
                 return account
         return self._book.by_key_hash(ref.public_key_hash)
 
-    def _notice_assertion_acceptable(self, notice: TransferNotice,
-                                     originator_cert: Certificate) -> bool:
-        assertion = notice.originator_assertion
-        if not crypto.check(originator_cert.subject_public_key, assertion):
-            return False
-        missing = REQUIRED_TRAVEL_RULE_CORE.difference(assertion.attributes)
+    def _notice_disclosure_acceptable(self, notice: TransferNotice) -> bool:
+        """The notice's disclosure, covered by the notice's signature, meets
+        the travel-rule core and links to the certificate held here for the
+        key it discloses, if one is."""
+        disclosure = notice.originator_disclosure
+        missing = REQUIRED_TRAVEL_RULE_CORE.difference(disclosure.attributes)
         if missing:
             self._env.log(self._vasp_id, "policy_refusal",
                           missing=",".join(sorted(missing)))
             return False
         # Certificate-link check is best effort: enforceable only when the
         # linked subject certificate is locally resolvable.
-        subject_hash = assertion.attributes.get("public_key_hash")
+        subject_hash = disclosure.attributes.get("public_key_hash")
         if subject_hash:
             try:
                 key_hash = bytes.fromhex(subject_hash)
@@ -538,7 +537,7 @@ class Transfers:
             local = self._book.by_key_hash(key_hash)
             if local is not None:
                 cert = local.certificate
-                if cert is not None and assertion.linked_certificate_hash != cert.fingerprint():
+                if cert is not None and disclosure.linked_certificate_hash != cert.fingerprint():
                     return False
         return True
 
@@ -550,8 +549,8 @@ class Transfers:
         return ack
 
     def _signed_ack(self, notice_id: bytes, decision: AckDecision, reason: Optional[RejectReason],
-                    assertion: Optional[AttributeAssertion]) -> TransferAck:
-        return self._node.seal(TransferAck(notice_id, decision, reason, assertion))
+                    disclosure: Optional[Disclosure]) -> TransferAck:
+        return self._node.seal(TransferAck(notice_id, decision, reason, disclosure))
 
     # -- ack handling and on-chain execution ----------------------------------------
 
@@ -576,24 +575,29 @@ class Transfers:
         if ack.decision is AckDecision.REJECT:
             reason = ack.reject_reason.value if ack.reject_reason else "unspecified"
             return self._fail(pending, now, DenialCode.ACK_REJECTED, reason)
-        if not self._accept_assertion_valid(ack, pending):
-            return self._fail(pending, now, DenialCode.ACK_REJECTED, "invalid-assertion")
+        if not self._accept_disclosure_valid(ack, pending):
+            return self._fail(pending, now, DenialCode.ACK_REJECTED, "invalid-disclosure")
         result = self._env.submit_tx(self._vasp_id, pending.prepared_tx)
         if not result.accepted:
             self._env.log(self._vasp_id, "chain_reject", reason=result.reason or "")
             return self._fail(pending, now, DenialCode.CHAIN_REJECTED)
         record.advance(RecordStatus.PENDING_CHAIN, now)
 
-    def _accept_assertion_valid(self, ack: TransferAck, pending: PendingTransfer) -> bool:
-        if ack.beneficiary_assertion is None:
+    def _accept_disclosure_valid(self, ack: TransferAck, pending: PendingTransfer) -> bool:
+        """The accepting ack, whose signature ``on_transfer_ack`` checked,
+        discloses the beneficiary: its disclosure links to the resolved
+        certificate (the beneficiary VASP's own for a batch), and the
+        beneficiary VASP's certificate still validates."""
+        if ack.beneficiary_disclosure is None:
             return False
         home_cert = pending.resolved.home_vasp_certificate
         batch = pending.outcome.record.notice.batch_entries is not None
         subject_cert = home_cert if batch else pending.resolved.certificate
         if home_cert is None or subject_cert is None:
             return False
-        return verify_assertion(ack.beneficiary_assertion, home_cert, subject_cert,
-                                self._node.validate)
+        if ack.beneficiary_disclosure.linked_certificate_hash != subject_cert.fingerprint():
+            return False
+        return self._node.validate(home_cert).ok
 
     def sweep_ack_timeouts(self, now: int) -> None:
         for notice_id in sorted(self._pending):
@@ -666,13 +670,13 @@ class Transfers:
             checked += 1
             rid = record_id.hex()
             notice = record.notice
-            if notice.originator_assertion is None:
-                violations.append((rid, "originator_assertion"))
-            elif len(notice.originator_assertion.linked_certificate_hash) != crypto.HASH_LEN:
+            if notice.originator_disclosure is None:
+                violations.append((rid, "originator_disclosure"))
+            elif len(notice.originator_disclosure.linked_certificate_hash) != crypto.HASH_LEN:
                 violations.append((rid, "originator_key_ownership_evidence"))
-            if record.ack is None or record.ack.beneficiary_assertion is None:
-                violations.append((rid, "beneficiary_assertion"))
-            elif len(record.ack.beneficiary_assertion.linked_certificate_hash) != crypto.HASH_LEN:
+            if record.ack is None or record.ack.beneficiary_disclosure is None:
+                violations.append((rid, "beneficiary_disclosure"))
+            elif len(record.ack.beneficiary_disclosure.linked_certificate_hash) != crypto.HASH_LEN:
                 violations.append((rid, "beneficiary_key_ownership_evidence"))
             if notice.amount <= 0:
                 violations.append((rid, "amount"))

@@ -408,11 +408,12 @@ def test_08_determinism_and_seed_variation():
 
 # Event-log digest of the flagship run. A change meant to keep behaviour the
 # same must leave it byte-identical; a change that alters the log re-pins it
-# and says why. It was last re-pinned when every member came to fetch every
-# CA's CRL, not only those of its networks' CAs: each member of one network
-# now merges the other network's CA's CRLs too (``crl_merged`` 6 -> 12), and
-# nothing else in the log moved.
-FLAGSHIP_DIGEST = "e237c596ee106ad4e3596433ef5176ba27229c6121c9ef4bb69dd773f91b2d68"
+# and says why. It was last re-pinned when the notice and the ack came to
+# carry an unsigned disclosure inside their own signed payload: their bytes
+# moved, no assertion id is drawn on the transfer path any more, so every id
+# drawn after one moved, and ``tx_submitted`` dropped its ``binding`` detail,
+# a copy of ``tx``. Every event, tick and outcome stayed as it was.
+FLAGSHIP_DIGEST = "6ffb59b6d2ad0cbd4323e45486b68e41a74d4b1264681bee29d0920ccdb6dbbe"
 
 
 def test_08_flagship_digest_pinned():

@@ -1,5 +1,5 @@
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
@@ -9,10 +9,12 @@ from conftest import count_calls
 from vaspnet import crypto
 from vaspnet.assertions import (
     AttributeAssertion,
+    Disclosure,
     FrozenAttributes,
     EmptyDisclosure,
     SubjectCertInvalid,
     TRAVEL_RULE_ATTRIBUTES,
+    build_disclosure,
     filter_attributes,
     issue_assertion,
     verify_assertion,
@@ -63,11 +65,18 @@ def _shared_world():
     return _WORLD_CACHE["world"]
 
 
+def make_disclosure(world, attributes=ATTRS):
+    return build_disclosure("alice", world["customer_cert"], attributes, world["validator"])
+
+
 def make_assertion(world, attributes=ATTRS, assertion_id=bytes(16)):
-    return issue_assertion(
-        world["vasp_key"], "v1", "alice", world["customer_cert"], attributes,
-        world["validator"], assertion_id=assertion_id, issued_at=5,
-    )
+    return issue_assertion(world["vasp_key"], "v1", make_disclosure(world, attributes),
+                           assertion_id=assertion_id, issued_at=5)
+
+
+def with_attributes(assertion, attributes):
+    """``assertion``, signature kept, over a disclosure of ``attributes``."""
+    return replace(assertion, disclosure=replace(assertion.disclosure, attributes=attributes))
 
 
 class TestIssueAndVerify:
@@ -76,17 +85,16 @@ class TestIssueAndVerify:
         assert verify_assertion(assertion, world["vasp_cert"], world["customer_cert"],
                                 world["validator"])
 
-    def test_issue_against_revoked_subject_cert(self, world):
+    def test_disclosure_about_revoked_subject_cert(self, world):
         world["ca"].revoke(world["customer_cert"].serial, RevocationReason.KEY_COMPROMISE, 1)
         world["view"].merge_crl(world["ca"].generate_crl(2))
         with pytest.raises(SubjectCertInvalid):
-            make_assertion(world)
+            make_disclosure(world)
 
     def test_tampered_attribute_fails_verification(self, world):
         assertion = make_assertion(world)
-        tampered = AttributeAssertion(**{
-            **assertion.__dict__, "attributes": {**assertion.attributes, "name": "Mallory"},
-        })
+        tampered = with_attributes(assertion, {**assertion.disclosure.attributes,
+                                               "name": "Mallory"})
         assert not verify_assertion(tampered, world["vasp_cert"], world["customer_cert"],
                                     world["validator"])
 
@@ -98,13 +106,13 @@ class TestIssueAndVerify:
         new_cert = ca.issue_certificate(
             reg, world["customer_cert"].subject_public_key, 6, 9_000, 6
         )
-        assert crypto.digest(new_cert.to_bytes()) != assertion.linked_certificate_hash
+        assert crypto.digest(new_cert.to_bytes()) != assertion.disclosure.linked_certificate_hash
         assert not verify_assertion(assertion, world["vasp_cert"], new_cert,
                                     world["validator"])
 
     def test_linked_hash_is_certificate_digest(self, world):
         assertion = make_assertion(world)
-        assert assertion.linked_certificate_hash == crypto.digest(
+        assert assertion.disclosure.linked_certificate_hash == crypto.digest(
             world["customer_cert"].to_bytes()
         )
 
@@ -113,14 +121,22 @@ class TestIssueAndVerify:
         decoded = AttributeAssertion.from_bytes(assertion.to_bytes())
         assert decoded == assertion
 
+    def test_disclosure_is_unsigned_and_carries_no_id_or_tick(self, world):
+        disclosure = make_disclosure(world)
+        assert not isinstance(disclosure, crypto.Signed)
+        assert {f.name for f in fields(Disclosure)} == {
+            "subject_id", "linked_certificate_hash", "attributes"}
+        assert make_assertion(world).disclosure == disclosure
+
 
 class TestFiltering:
     def test_identity_filter_keeps_attributes(self, world):
         assertion = make_assertion(world)
-        filtered = filter_attributes(assertion, frozenset(assertion.attributes),
+        attributes = assertion.disclosure.attributes
+        filtered = filter_attributes(assertion, frozenset(attributes),
                                      world["vasp_key"], "v1",
                                      assertion_id=b"\x01" * 16, issued_at=6)
-        assert filtered.attributes == dict(assertion.attributes)
+        assert filtered.disclosure.attributes == dict(attributes)
         assert filtered.signature != assertion.signature
 
     def test_subset_filter(self, world):
@@ -128,7 +144,7 @@ class TestFiltering:
         filtered = filter_attributes(assertion, frozenset({"name"}),
                                      world["vasp_key"], "v1",
                                      assertion_id=b"\x02" * 16, issued_at=6)
-        assert filtered.attributes == {"name": "Alice"}
+        assert filtered.disclosure.attributes == {"name": "Alice"}
 
     def test_empty_intersection_rejected(self, world):
         assertion = make_assertion(world)
@@ -154,29 +170,29 @@ class TestFiltering:
             filtered = filter_attributes(assertion, frozenset(allowed), world["vasp_key"], "v1",
                                          assertion_id=b"\x05" * 16, issued_at=6)
         except EmptyDisclosure:
-            assert not (set(assertion.attributes) & allowed)
+            assert not (set(assertion.disclosure.attributes) & allowed)
             return
-        assert set(filtered.attributes) <= set(assertion.attributes)
-        assert set(filtered.attributes) <= allowed
+        assert set(filtered.disclosure.attributes) <= set(assertion.disclosure.attributes)
+        assert set(filtered.disclosure.attributes) <= allowed
 
 
 class TestDisclosureSignedOnce:
-    """``issue_assertion`` signs the travel-rule attributes once, never the
-    full set first."""
+    """``build_disclosure`` keeps the travel-rule attributes and
+    ``issue_assertion`` signs them once, never the full set first."""
 
     # Registered attributes none of which a disclosure carries.
     UNDISCLOSED = {"dob": "1999-01-01", "email": "a@x"}
 
     def test_one_signature_same_bytes_as_filtering_the_full_set(self, world, monkeypatch):
         full = crypto.seal(world["vasp_key"], AttributeAssertion(
-            bytes(16), "v1", "alice", world["customer_cert"].fingerprint(), ATTRS, 5))
+            bytes(16), "v1", Disclosure("alice", world["customer_cert"].fingerprint(), ATTRS), 5))
         two_step = filter_attributes(full, TRAVEL_RULE_ATTRIBUTES, world["vasp_key"],
                                      "v1", assertion_id=b"\x07" * 16, issued_at=5)
         signed = count_calls(monkeypatch, crypto, "sign")
         once = make_assertion(world, assertion_id=b"\x07" * 16)
         assert [message for _, message in signed] == [once.signed_payload()]
         assert once.to_bytes() == two_step.to_bytes()
-        assert once.attributes == DISCLOSED
+        assert once.disclosure.attributes == DISCLOSED
         assert verify_assertion(once, world["vasp_cert"], world["customer_cert"],
                                 world["validator"])
 
@@ -184,12 +200,12 @@ class TestDisclosureSignedOnce:
         world["ca"].revoke(world["customer_cert"].serial, RevocationReason.KEY_COMPROMISE, 1)
         world["view"].merge_crl(world["ca"].generate_crl(2))
         with pytest.raises(SubjectCertInvalid):
-            make_assertion(world, attributes=self.UNDISCLOSED)
+            make_disclosure(world, attributes=self.UNDISCLOSED)
 
     def test_empty_disclosure_after_valid_cert(self, world, monkeypatch):
         signed = count_calls(monkeypatch, crypto, "sign")
         with pytest.raises(EmptyDisclosure):
-            make_assertion(world, attributes=self.UNDISCLOSED)
+            make_disclosure(world, attributes=self.UNDISCLOSED)
         assert signed == []
 
 
@@ -199,9 +215,8 @@ class TestEncodingMemo:
         payload, data = genuine.signed_payload(), genuine.to_bytes()
         # The memo stores nothing on the instance, so the copy carries only fields.
         assert set(vars(genuine)) == {f.name for f in fields(AttributeAssertion)}
-        forged = AttributeAssertion(**{
-            **genuine.__dict__, "attributes": {**genuine.attributes, "address": "2 Elm"},
-        })
+        assert set(vars(genuine.disclosure)) == {f.name for f in fields(Disclosure)}
+        forged = with_attributes(genuine, {**genuine.disclosure.attributes, "address": "2 Elm"})
         assert (forged.assertion_id, forged.signature) == (
             genuine.assertion_id, genuine.signature)
         assert forged.signed_payload() != payload and forged.to_bytes() != data
@@ -217,9 +232,10 @@ class TestEncodingMemo:
         assertion = make_assertion(world, attributes=source)
         payload = assertion.signed_payload()
         source["name"] = "Mallory"  # the caller's dict is not the assertion's
-        assert assertion.attributes["name"] == "Alice"
+        attributes = assertion.disclosure.attributes
+        assert attributes["name"] == "Alice"
         with pytest.raises(TypeError):
-            assertion.attributes["name"] = "Mallory"
-        assert isinstance(assertion.attributes, FrozenAttributes)
-        assert assertion.attributes == DISCLOSED and hash(assertion)
+            attributes["name"] = "Mallory"
+        assert isinstance(attributes, FrozenAttributes)
+        assert attributes == DISCLOSED and hash(assertion)
         assert assertion.signed_payload() == payload

@@ -20,6 +20,7 @@ from vaspnet.ca import (
     ROOT_PROFILE,
     UnknownSerial,
     ValidationStatus,
+    missing_class1_attributes,
     validate_certificate,
 )
 
@@ -109,6 +110,8 @@ class TestRegistration:
             for cls in CertClass:
                 if cls <= requested and required_attrs_for(cls) <= set(attrs):
                     expected = cls
+            # The scenario parser refuses an enrolment by the same predicate.
+            assert bool(missing_class1_attributes(attrs)) == (expected is None)
             if expected is None:
                 with pytest.raises(RegistrationRejected):
                     ca.register_subject("s", attrs, requested)

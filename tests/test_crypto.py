@@ -24,7 +24,7 @@ import ed25519_ref
 import vaspnet
 from conftest import count_calls
 from vaspnet import crypto
-from vaspnet.assertions import AttributeAssertion
+from vaspnet.assertions import AttributeAssertion, Disclosure
 from vaspnet.ca import (
     DEFAULT_PROFILE,
     CertClass,
@@ -447,8 +447,7 @@ class TestEncoderMatchesReference:
 SIGNER = generate_keypair(digest(b"signed-objects"))
 _ENTRY = DirectoryEntry(b"\x01" * 16, b"\x02" * 32, "ca-1")
 _REVOKED = RevocationEntry(b"\x01" * 16, RevocationReason.KEY_COMPROMISE, 3)
-_ASSERTION_DRAFT = AttributeAssertion(bytes(16), "v1", "alice", bytes(32), {"name": "Alice"}, 5)
-_ASSERTION = crypto.seal(SIGNER, _ASSERTION_DRAFT)
+_DISCLOSURE = Disclosure("alice", bytes(32), {"name": "Alice"})
 
 # Each signed type: an unsigned draft, and one signed field with another value.
 SIGNED_DRAFTS = [
@@ -456,7 +455,8 @@ SIGNED_DRAFTS = [
                  SIGNER.public_key, DEFAULT_PROFILE, CertClass.CLASS1),
      "subject_id", "mallory"),
     (Crl("ca-1", 1, frozenset({_REVOKED}), 5), "crl_number", 2),
-    (_ASSERTION_DRAFT, "attributes", {"name": "Mallory"}),
+    (AttributeAssertion(bytes(16), "v1", _DISCLOSURE, 5),
+     "disclosure", Disclosure("alice", bytes(32), {"name": "Mallory"})),
     (ChainTransaction(SIGNER.public_key, bytes(32), 10, "coin", bytes(8)), "amount", 11),
     (DirectorySnapshot("v1", 1, frozenset({_ENTRY})), "version", 2),
     (DirectoryDelta("v1", 0, 1, frozenset({_ENTRY}), frozenset()), "added", frozenset()),
@@ -464,9 +464,9 @@ SIGNED_DRAFTS = [
     (ReachabilityAdvertisement(frozenset({bytes(32)}), "v1", "net-a", ("net-a",), "v1"),
      "network_path", ("net-a", "net-b")),
     (RouteDigest("v1", bytes(32), bytes(32)), "held", b"\x01" * 32),
-    (TransferNotice(b"\x02" * 16, "v1", "v2", _ASSERTION, BeneficiaryRef(bytes(32)),
+    (TransferNotice(b"\x02" * 16, "v1", "v2", _DISCLOSURE, BeneficiaryRef(bytes(32)),
                     "coin", 10, 5, bytes(32), None), "amount", 11),
-    (TransferAck(b"\x02" * 16, AckDecision.ACCEPT, None, _ASSERTION),
+    (TransferAck(b"\x02" * 16, AckDecision.ACCEPT, None, _DISCLOSURE),
      "decision", AckDecision.REJECT),
 ]
 signed_drafts = pytest.mark.parametrize(

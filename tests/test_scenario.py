@@ -22,21 +22,17 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # the same must leave them byte-identical; one that alters a log re-pins the
 # digest and says why.
 SCENARIO_DIGESTS = {
-    "batch_race": "31ed8040b351b762a5587328e74e3c6c7141992cea574cc569d1d22af63f10ef",
-    "demo": "5fcc1086a25d9cc1bb08c4ff5675a6840d94f9120df0fa8d9949f281f0693800",
-    "denials": "ded6c64b4d8e741a1779d9f79d31c92278042313550690e80dab823206bb05c6",
-    "four_networks": "8b44b982440b37c79145c7a8d0a2bcdb3c53a4296ff035ee79527f62fb353793",
-    "mixed_ca": "3bf454091ec4b6a9d814f4a7b6c82d2bea170ab0beb8824bd79de26e7a699b46",
+    "batch_race": "04ca577eb837c8846420721b4673d2ac6daf68f275c46f81eec90a363994bf51",
+    "demo": "c9430c057ba4f42a17c6b0611394d6709efd167e193ed0db973631e8ac86bf8b",
+    "denials": "0dab9b9b57afe3da6aa11fa57c21b070a169621ad354edce62d49db67bd47812",
+    "four_networks": "59475cb1d6e3530f0f8287087f66213525677220fc1944c276020134aabd8d15",
+    "mixed_ca": "90c4f42f11c86d1c90d58769726cb32f4da8671cff5a65b44ea89d759be20f9f",
 }
-# ``batch_race``, ``denials`` and ``mixed_ca`` were last re-pinned when
-# both gossip feeds took one anti-entropy rule: fewer messages on a link
-# moved its later latency draws (one per message sent), so delivery ticks
-# moved. ``four_networks`` was re-pinned when every member came to fetch
-# every CA's CRL: its members now merge the other three networks' CAs' CRLs
-# too (``crl_merged`` 4 -> 16), and nothing else moved. ``demo`` was
-# re-pinned when a ``p2p_transfer``'s nonce came to be drawn from its place
-# in the script, not from the count of messages sent before it: its p2p
-# transaction id moved.
+# All five were last re-pinned when the notice and the ack came to carry an
+# unsigned disclosure inside their own signed payload: their bytes moved, no
+# assertion id is drawn on the transfer path any more, so every id drawn
+# after one moved, and ``tx_submitted`` dropped its ``binding`` detail, a
+# copy of ``tx``. Every event, tick and outcome stayed as it was.
 
 # ``Metrics.as_pairs()`` of each tracked scenario. The metrics are counted
 # from the event log, so a change that keeps the digests keeps these too,
@@ -243,7 +239,7 @@ SMALL = {
     "cas": [{"ca_id": "ca-1"}],
     "vasps": [{"vasp_id": "v1", "ca": "ca-1", "networks": ["net-a"]}],
     "customers": [
-        {"customer_id": "alice", "vasp": "v1", "attributes": {"name": "A"}},
+        {"customer_id": "alice", "vasp": "v1", "attributes": {"name": "A", "email": "a@x"}},
         {"customer_id": "bora", "vasp": "v1", "custody_model": "key-custody",
          "attributes": {"name": "B"}},
         {"customer_id": "chen", "vasp": "v1", "custody_model": "commingled",
@@ -306,6 +302,32 @@ BAD_SCENARIOS = {
                                 target={"customer": "chen"}, amount="x"), "amount"),
     "amount-fraction": (with_action(action="transfer", origin="alice",
                                     target={"customer": "chen"}, amount=2.5), "amount"),
+    # A whole number is an int: a bool, a string or a float, which the run
+    # would coerce, is refused, naming the field.
+    "amount-true": (with_action("alice", action="transfer", origin="alice",
+                                target={"customer": "chen"}, amount=True),
+                    "amount: True is not a whole number"),
+    "amount-string": (with_action("alice", action="transfer", origin="alice",
+                                  target={"customer": "chen"}, amount="5"),
+                      "amount: '5' is not a whole number"),
+    "amount-whole-float": (with_action("alice", action="transfer", origin="alice",
+                                       target={"customer": "chen"}, amount=5.0),
+                           "amount: 5.0 is not a whole number"),
+    "p2p-amount-true": (with_action(action="p2p_transfer", from_wallet="w1", to_wallet="w2",
+                                    amount=True), "amount: True is not"),
+    "batch-amount-string": ({**TWO_VASPS, **with_action("chen", action="batch_transfer",
+                                                        asset="coin", entries=[
+        {"origin": "chen", "target": {"customer": "dana"}, "amount": "5"}])},
+                            r"entries\[0\]: amount: '5' is not a whole number"),
+    "tick-string": (with_action(action="open_account", customer="alice", tick="3"),
+                    "tick: '3' is not a whole number"),
+    "tick-true": (with_action(action="open_account", customer="alice", tick=True),
+                  "tick: True is not a whole number"),
+    "period-whole-float": (with_action(action="drop_link", a="v1", b="v1", period=5.0),
+                           "period: 5.0 is not a whole number"),
+    "ticks-true": (with_action(action="advance", ticks=True), "ticks: True is not"),
+    "seed-string": ({"seed": "7"}, "seed: '7' is not a whole number"),
+    "seed-whole-float": ({"seed": 7.0}, "seed: 7.0 is not a whole number"),
     # An amount, and a batch's sum, is a u64 on the ledger.
     "amount-above-u64": (with_action("alice", action="transfer", origin="alice",
                                      target={"customer": "bora"}, amount=2**64), "amount"),
@@ -359,6 +381,9 @@ BAD_SCENARIOS = {
     # An action the run could not carry out, given the actions before it.
     "enroll-commingled": (with_action("chen", action="enroll", customer="chen"),
                           "commingled customer 'chen' holds no key"),
+    # Its CA would refuse the registration: bora has a name but no email.
+    "enroll-without-class1": (with_action("bora", action="enroll", customer="bora"),
+                              "'bora' lacks the Class 1 attributes email"),
     "enroll-before-open": (with_action(action="enroll", customer="alice"),
                            "'alice' has no open account"),
     "transfer-before-open": (with_action(action="transfer", origin="alice",

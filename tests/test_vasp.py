@@ -14,6 +14,7 @@ from vaspnet.assertions import (
     ASSERTION_ID_LEN,
     TRAVEL_RULE_ATTRIBUTES,
     AttributeAssertion,
+    Disclosure,
     EmptyDisclosure,
     SubjectCertInvalid,
     filter_attributes,
@@ -349,24 +350,54 @@ class TestNoticeHandling:
         assert [e.details for e in sim.log_.entries if e.event == "policy_refusal"] == [
             (("missing", "name"),)]
 
-    def test_bad_signature_notice_dropped(self):
-        sim = open_and_enroll()
-        sim.run()
-        v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
-        account = v1.book.accounts["acct-alice"]
-        assertion = v1.book.disclose(account.subject_id, account.certificate, account.attributes,
-                                     sim.now)
-        notice = v1.transfers._build_notice(
-            beneficiary_vasp_id="v2", assertion=assertion,
+    @staticmethod
+    def sealed_notice(sim, disclosure=None):
+        """A notice v1 seals about ``disclosure``, by default alice's, not sent."""
+        v1 = sim.vasps["v1"]
+        if disclosure is None:
+            account = v1.book.accounts["acct-alice"]
+            disclosure = v1.book.disclose(account.subject_id, account.certificate,
+                                          account.attributes)
+        return v1.transfers._build_notice(
+            beneficiary_vasp_id="v2", disclosure=disclosure,
             ref=BeneficiaryRef(public_key_hash=b"\x00" * 32),
             asset_type="coin", amount=5, now=sim.now, binding=b"\x00" * 32,
             batch_entries=None,
         )
-        forged = TransferNotice(**{**notice.__dict__, "amount": 6, "batch_entries": None})
+
+    @staticmethod
+    def assert_dropped_bad_signature(sim, forged):
+        v2 = sim.vasps["v2"]
         before = len(v2.records)
-        ack = v2.handle_transfer_notice(forged, "v1")
-        assert ack is None
+        assert v2.handle_transfer_notice(forged, "v1") is None
         assert len(v2.records) == before
+        dropped = sim.log_.entries[-1]
+        assert (dropped.event, dict(dropped.details)["reason"]) == (
+            "notice_dropped", "bad-signature")
+
+    def test_bad_signature_notice_dropped(self):
+        sim = open_and_enroll()
+        sim.run()
+        notice = self.sealed_notice(sim)
+        self.assert_dropped_bad_signature(sim, replace(notice, amount=6))
+
+    def test_notice_with_disclosure_altered_after_sealing_dropped(self):
+        # The notice's one signature covers its disclosure.
+        sim = open_and_enroll()
+        sim.run()
+        notice = self.sealed_notice(sim)
+        disclosure = notice.originator_disclosure
+        altered = replace(disclosure, attributes={**disclosure.attributes, "name": "Mallory"})
+        self.assert_dropped_bad_signature(sim, replace(notice, originator_disclosure=altered))
+
+    def test_disclosure_moved_into_another_sealed_notice_dropped(self):
+        sim = open_and_enroll()
+        sim.run()
+        alice = self.sealed_notice(sim)
+        pool = self.sealed_notice(sim, sim.vasps["v1"].book.pool_disclosure())
+        assert alice.originator_disclosure != pool.originator_disclosure
+        self.assert_dropped_bad_signature(
+            sim, replace(alice, originator_disclosure=pool.originator_disclosure))
 
     def test_forged_notice_reusing_id_does_not_suppress_genuine(self):
         sim = open_and_enroll([
@@ -559,7 +590,7 @@ class TestReconcileAndAudit:
         assert [e.event for e in sim.log_.entries if e.actor == "p2p:wx"] == ["tx_submitted"] * 2
         assert len(sim.chain.confirmed_transactions()) == 2
 
-    def test_stripped_assertion_flagged(self):
+    def test_stripped_disclosure_flagged(self):
         sim = open_and_enroll([
             {"tick": 15, "action": "transfer", "origin": "alice",
              "target": {"customer": "bob"}, "amount": 100, "asset": "coin"},
@@ -567,10 +598,9 @@ class TestReconcileAndAudit:
         sim.run()
         v1 = sim.vasps["v1"]
         record = next(iter(v1.records.values()))
-        stripped = record.ack.__class__(**{**record.ack.__dict__, "beneficiary_assertion": None})
-        record.ack = stripped
+        record.ack = replace(record.ack, beneficiary_disclosure=None)
         audit = v1.audit_travel_rule()
-        assert ("beneficiary_assertion" in {what for _, what in audit.violations})
+        assert ("beneficiary_disclosure" in {what for _, what in audit.violations})
 
     def test_binding_mismatch_fixture(self):
         # a record pointing at a confirmed tx whose content hash differs from
@@ -673,7 +703,22 @@ class TestPostNoticeEdges:
         assert record.notice.intended_chain_tx_binding in ledger
         assert outcome.record is record
 
-    def test_accepting_ack_with_invalid_assertion_rejected(self):
+    def test_ack_with_disclosure_altered_after_sealing_dropped_then_times_out(self):
+        # The ack's one signature covers its disclosure.
+        sim = open_and_enroll(self.TRANSFER)
+        message = self.in_flight_ack(sim)
+        disclosure = message.payload.beneficiary_disclosure
+        altered = replace(disclosure, attributes={**disclosure.attributes,
+                                                  "account_id": "acct-mallory"})
+        message.payload = replace(message.payload, beneficiary_disclosure=altered)
+        sim.run()
+        dropped = next(e for e in sim.log_.entries if e.event == "ack_dropped")
+        assert dict(dropped.details)["reason"] == "bad-signature"
+        record = self.assert_failed(sim, DenialCode.CHANNEL_TIMEOUT)
+        assert record.ack is None
+        assert sim.chain.confirmed_transactions() == []
+
+    def test_accepting_ack_with_invalid_disclosure_rejected(self):
         sim = open_and_enroll(self.TRANSFER)
         message = self.in_flight_ack(sim)
         ack = message.payload
@@ -682,10 +727,10 @@ class TestPostNoticeEdges:
         # Signed by the beneficiary VASP, but asserting the originator's customer.
         notice = next(iter(v1.records.values())).notice
         message.payload = v2.seal(TransferAck(
-            ack.notice_id, AckDecision.ACCEPT, None, notice.originator_assertion,
+            ack.notice_id, AckDecision.ACCEPT, None, notice.originator_disclosure,
         ))
         sim.run()
-        record = self.assert_failed(sim, DenialCode.ACK_REJECTED, "invalid-assertion")
+        record = self.assert_failed(sim, DenialCode.ACK_REJECTED, "invalid-disclosure")
         assert record.ack == message.payload
         assert sim.chain.confirmed_transactions() == []
 
@@ -702,9 +747,10 @@ class TestPostNoticeEdges:
 
 
 class TestDisclosure:
-    """Each disclosure is signed once and equals, in its bytes, signing the
-    full attribute set and then filtering it under the disclosure's id. A
-    miss draws one id, the disclosure's."""
+    """A disclosure is built unsigned, drawing no id: the notice or ack that
+    carries it is what is signed. A query answer's assertion is its signed
+    form, signed once, and equals in its bytes signing the full attribute
+    set and then filtering it under the assertion's id, the one it draws."""
 
     @staticmethod
     def ids_after(node, draws):
@@ -716,58 +762,72 @@ class TestDisclosure:
         node.book._rng.setstate(start)
         return state, ids
 
-    @pytest.mark.parametrize("kind", ["originator", "customer", "pool"])
-    def test_signed_once_same_bytes_one_id(self, kind, monkeypatch):
+    @pytest.mark.parametrize("kind", ["originator", "pool"])
+    def test_built_unsigned_drawing_no_id(self, kind, monkeypatch):
+        sim = open_and_enroll()
+        sim.advance_to(2)
+        node = sim.vasps["v1"]
+        account = node.book.accounts["acct-alice"]
+        if kind == "pool":
+            subject_id, cert, attrs = node.vasp_id, node.certificate, node.vasp_attributes()
+            disclose = node.book.pool_disclosure
+        else:
+            subject_id, cert, attrs = account.subject_id, account.certificate, account.attributes
+            disclose = lambda: node.book.disclose(subject_id, cert, attrs)  # noqa: E731
+        state = node.book._rng.getstate()
+        signed = count_calls(monkeypatch, crypto, "sign")
+        validated = count_calls(monkeypatch, vaspnet.vasp, "validate_certificate")
+        disclosed = disclose()
+        assert signed == [] and len(validated) == 1
+        assert node.book._rng.getstate() == state
+        assert disclosed == Disclosure(subject_id, cert.fingerprint(), {
+            k: v for k, v in attrs.items() if k in TRAVEL_RULE_ATTRIBUTES})
+
+    def test_answer_signed_once_same_bytes_one_id(self, monkeypatch):
         sim = open_and_enroll()
         sim.advance_to(2)
         node, now = sim.vasps["v1"], sim.now
         account = node.book.accounts["acct-alice"]
-        if kind == "pool":
-            subject_id, cert, attrs = node.vasp_id, node.certificate, node.vasp_attributes()
-        else:
-            subject_id, cert, attrs = account.subject_id, account.certificate, account.attributes
-        disclose = {
-            "originator": lambda: node.book.disclose(account.subject_id, cert, account.attributes,
-                                                     now),
-            "customer": lambda: node.book.customer_assertion(account, now),
-            "pool": lambda: node.book.pool_assertion(now),
-        }[kind]
+        cert, attrs = account.certificate, account.attributes
         state, ids = self.ids_after(node, 1)
         signed = count_calls(monkeypatch, crypto, "sign")
         validated = count_calls(monkeypatch, vaspnet.vasp, "validate_certificate")
-        disclosed = disclose()
+        assertion = node.book.customer_assertion(account, now)
         assert len(signed) == 1 and len(validated) == 1
-        assert node.book._rng.getstate() == state and disclosed.assertion_id == ids[0]
-        full = node.seal(AttributeAssertion(bytes(16), node.vasp_id, subject_id,
-                                            cert.fingerprint(), attrs, now))
+        assert node.book._rng.getstate() == state and assertion.assertion_id == ids[0]
+        full = node.seal(AttributeAssertion(
+            bytes(16), node.vasp_id, Disclosure(account.subject_id, cert.fingerprint(), attrs),
+            now))
         expected = filter_attributes(full, TRAVEL_RULE_ATTRIBUTES, node._keypair,
-                                     node.vasp_id, disclosed.assertion_id, now)
-        assert disclosed.to_bytes() == expected.to_bytes()
+                                     node.vasp_id, assertion.assertion_id, now)
+        assert assertion.to_bytes() == expected.to_bytes()
+        assert assertion.disclosure is node.book.disclose(account.subject_id, cert, attrs)
 
-    def test_refused_disclosures_on_a_miss_draw_one_id(self):
+    def test_refused_disclosures_draw_no_id(self):
         sim = open_and_enroll()
         sim.advance_to(2)
         node, now = sim.vasps["v1"], sim.now
         account = node.book.accounts["acct-alice"]
         # A valid certificate with nothing to disclose: no registered
         # attribute is a travel-rule one.
-        state, _ = self.ids_after(node, 1)
+        state = node.book._rng.getstate()
         with pytest.raises(EmptyDisclosure):
-            node.book.disclose(account.subject_id, account.certificate, {"email": "a@x"}, now)
+            node.book.disclose(account.subject_id, account.certificate, {"email": "a@x"})
         assert node.book._rng.getstate() == state
         # A revoked certificate: the certificate check wins.
         node.ca.revoke(account.certificate_serial, RevocationReason.KEY_COMPROMISE, now)
         node.ingest_crls([node.ca.generate_crl(now)])
-        state, _ = self.ids_after(node, 1)
         with pytest.raises(SubjectCertInvalid):
-            node.book.disclose(account.subject_id, account.certificate, account.attributes, now)
+            node.book.disclose(account.subject_id, account.certificate, account.attributes)
+        assert node.book.customer_assertion(account, now) is None
         assert node.book._rng.getstate() == state
 
 
 class TestHeldDisclosures:
-    """One assertion is signed per subject and handed out again while the
-    certificate and the disclosed attributes are those it was signed over;
-    every use validates the certificate. A miss draws one id, a hit none."""
+    """One disclosure is built per subject and handed out again while the
+    certificate and the disclosed attributes are those it was built over;
+    every use validates the certificate. Its signed form is signed, drawing
+    one id, the first time a query answer needs it, and then held too."""
 
     @staticmethod
     def alice():
@@ -778,16 +838,15 @@ class TestHeldDisclosures:
 
     @staticmethod
     def disclose(node, account):
-        return node.book.disclose(account.subject_id, account.certificate, account.attributes,
-                                  node.env.now)
+        return node.book.disclose(account.subject_id, account.certificate, account.attributes)
 
     @pytest.mark.parametrize("kind", ["originator", "customer", "pool"])
-    def test_hit_signs_nothing_and_draws_no_id(self, kind, monkeypatch):
+    def test_hit_returns_the_held_object_signing_nothing(self, kind, monkeypatch):
         sim, node, account = self.alice()
         disclose = {
             "originator": lambda: self.disclose(node, account),
             "customer": lambda: node.book.customer_assertion(account, sim.now),
-            "pool": lambda: node.book.pool_assertion(sim.now),
+            "pool": node.book.pool_disclosure,
         }[kind]
         first = disclose()
         sim.advance_to(3)
@@ -796,7 +855,7 @@ class TestHeldDisclosures:
         validated = count_calls(monkeypatch, vaspnet.vasp, "validate_certificate")
         again = disclose()
         assert signed == [] and len(validated) == 1
-        assert again.to_bytes() == first.to_bytes()
+        assert again is first
         assert node.book._rng.getstate() == state
 
     @pytest.mark.parametrize("cause", ["revoked", "expired"])
@@ -814,25 +873,29 @@ class TestHeldDisclosures:
             sim.advance_to(cert.validity_not_after + 1)
         state = node.book._rng.getstate()
         with pytest.raises(SubjectCertInvalid, match=cause):
-            node.book.disclose(account.subject_id, cert, account.attributes, sim.now)
+            node.book.disclose(account.subject_id, cert, account.attributes)
         assert node.book._rng.getstate() == state
 
     @pytest.mark.parametrize("change", ["reenrolled", "attribute"])
-    def test_changed_input_signs_a_new_assertion(self, change, monkeypatch):
+    def test_changed_input_builds_and_signs_anew(self, change, monkeypatch):
         sim, node, account = self.alice()
-        first = self.disclose(node, account)
+        first = node.book.customer_assertion(account, sim.now)
         if change == "reenrolled":
             node.book.enroll_customer_certificate("acct-alice", CertClass.CLASS1, 2)
         else:
             account.attributes["name"] = "Alice Liddell"
+        disclosure = self.disclose(node, account)
+        assert disclosure != first.disclosure
+        assert disclosure.linked_certificate_hash == crypto.digest(account.certificate.to_bytes())
+        assert disclosure.attributes["name"] == account.attributes["name"]
         signed = count_calls(monkeypatch, crypto, "sign")
-        second = self.disclose(node, account)
+        second = node.book.customer_assertion(account, sim.now)
         assert len(signed) == 1
+        assert second.disclosure is disclosure
         assert second.assertion_id != first.assertion_id
-        assert second.linked_certificate_hash == crypto.digest(account.certificate.to_bytes())
-        assert second.attributes["name"] == account.attributes["name"]
         assert list(node.book._held_disclosures) == [account.subject_id]
-        assert self.disclose(node, account) is second
+        assert node.book.customer_assertion(account, sim.now) is second
+        assert self.disclose(node, account) is disclosure
         assert len(signed) == 1
 
 
@@ -859,8 +922,9 @@ class TestQueryAnswers:
             response = real(key_hash, now)
             genuine = response.assertion
             if answer == "tampered":
-                forged = replace(genuine, attributes={**genuine.attributes,
-                                                      "account_id": "acct-mallory"})
+                disclosure = genuine.disclosure
+                forged = replace(genuine, disclosure=replace(disclosure, attributes={
+                    **disclosure.attributes, "account_id": "acct-mallory"}))
             elif answer == "wrong-signer":
                 forged = replace(genuine, signature=crypto.sign(
                     mallory, genuine.signed_payload()))
@@ -880,10 +944,12 @@ class TestQueryAnswers:
 
 class TestDisclosureErrors:
     """A refused disclosure denies the transfer or leaves the answer without
-    an assertion; an error of another kind inside one propagates."""
+    an assertion; an error of another kind inside one propagates. A notice
+    carries the disclosure as built, an answer its signed form."""
 
-    @pytest.mark.parametrize("caller", ["initiate_transfer", "respond_certificate_query"])
-    def test_unexpected_error_propagates(self, caller, monkeypatch):
+    @pytest.mark.parametrize("caller,inside", [("initiate_transfer", "build_disclosure"),
+                                               ("respond_certificate_query", "issue_assertion")])
+    def test_unexpected_error_propagates(self, caller, inside, monkeypatch):
         sim = open_and_enroll()
         sim.advance_to(2)
         v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
@@ -891,7 +957,7 @@ class TestDisclosureErrors:
         def broken(*args, **kwargs):
             raise RuntimeError("bug inside a disclosure")
 
-        monkeypatch.setattr(vaspnet.accounts, "issue_assertion", broken)
+        monkeypatch.setattr(vaspnet.accounts, inside, broken)
         with pytest.raises(RuntimeError, match="bug inside a disclosure"):
             if caller == "initiate_transfer":
                 bob_hash = v2.book.accounts["acct-bob"].customer_public_key_hash

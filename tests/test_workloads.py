@@ -4,7 +4,7 @@ The workloads carry what the tracked scenarios do not: revocation churn
 under loss (``churn-lossy``) and 24-VASP gossip around a ring (``mesh``).
 A change meant to keep behaviour the same must leave them byte-identical.
 Each run's messages per kind are pinned too, so a gossip change shows its
-traffic here, and the ``pipeline`` and ``mesh`` runs hold Ed25519 budgets.
+traffic here, and each run holds an Ed25519 budget.
 """
 
 import ast
@@ -36,14 +36,15 @@ from vaspnet.vasp import VaspNode
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
 
 WORKLOAD_DIGESTS = {
-    "pipeline": "042bb6034b32044e96c6cad94d4269e97f6e8fac00aece55f08f06671f3a96dc",
-    "mesh": "bab82f7b9bd101a6a22a32543d8e5258a698fcd09be904d5d79b0c2616205172",
-    "churn-lossy": "1ab8d0270dfd80e86a83664ce304f1847a40dc0a85efd0f6ad6072f3d04a1667",
+    "pipeline": "efc430e7fda8632e8cfa7d3217ef66bc2e13f13ad39d47cb4b94f3a2c0b6c6a7",
+    "mesh": "b8b58df6d725b38d8f4094826a7ec3be0d9dfbeb22a3342fa3ee3fd37ef828cf",
+    "churn-lossy": "e0279fbedc6eae3474a723ccb47740abe22d322184387ef06fd599ed3f90b94e",
 }
-# All three last re-pinned when every member came to fetch every CA's CRL,
-# not only those of its networks' CAs: the only events added are the
-# ``crl_merged`` of the other networks' CAs (6 -> 12, 24 -> 96 and
-# 68 -> 136). No message, draw or outcome moved.
+# All three last re-pinned when the notice and the ack came to carry an
+# unsigned disclosure inside their own signed payload: their bytes moved, no
+# assertion id is drawn on the transfer path any more, so every id drawn
+# after one moved, and ``tx_submitted`` dropped its ``binding`` detail, a
+# copy of ``tx``. No message, tick or outcome moved.
 
 
 # ``Metrics.as_pairs()`` of each seed-7 run. The metrics are counted from the
@@ -111,23 +112,27 @@ def test_workload_metrics_pinned(workloads, name):
     assert dict(result.metrics.as_pairs()) == WORKLOAD_METRICS[name]
 
 
-# Ed25519 signs and verifications in each seed-7 transfer window (set-up
-# excluded). ``pipeline`` signs one disclosure per subject and holds it while
-# its certificate validates: 1,309 disclosures about 60 subjects. ``mesh`` has
-# no directory change and no revocation, so heartbeats and link digests, signed
-# when their content changes, are signed before it, and no CA issues a CRL in
-# it. ``crypto.verify`` runs only when ``crypto.check`` misses its memo, so its
-# calls are the verifications.
+# Ed25519 signs and verifications, and key derivations, in each seed-7
+# transfer window (set-up excluded), at their exact counts. A notice or ack
+# carries its disclosure unsigned, under its own one signature; only a query
+# answer's assertion signs one, once per subject while its certificate
+# validates. ``mesh`` has no directory change and no revocation, so
+# heartbeats and link digests, signed when their content changes, are signed
+# before it, and no CA issues a CRL in it. ``churn-lossy`` opens 71 accounts
+# holding a new key in its window, so derives 71 keys; the others derive
+# none, so every key they sign with was derived in set-up. ``crypto.verify``
+# runs only when ``crypto.check`` misses its memo, so its calls are the
+# verifications.
 ED25519_BUDGETS = {
-    "pipeline": {"signs": 1_560, "verifies": 1_600},
-    "mesh": {"signs": 939, "verifies": 1_177},
+    "pipeline": {"signs": 1_560, "verifies": 1_600, "derivations": 0},
+    "mesh": {"signs": 750, "verifies": 988, "derivations": 0},
+    "churn-lossy": {"signs": 2_669, "verifies": 2_438, "derivations": 71},
 }
 
 
 @pytest.mark.parametrize("name", sorted(ED25519_BUDGETS))
 def test_ed25519_budget(workloads, name, monkeypatch):
-    """Signs and verifications stay within budget, and every private key the
-    window signs or derives with was derived in set-up."""
+    """Signs, verifications and key derivations stay within budget."""
     workload = workloads[name]
     crypto._encoding.cache_clear()
     crypto._private_key.cache_clear()
@@ -138,9 +143,10 @@ def test_ed25519_budget(workloads, name, monkeypatch):
     verifies = count_calls(monkeypatch, crypto, "verify")
     derivations = count_calls(monkeypatch, crypto, "_seed_keypair")
     sim.run()
-    assert len(signs) <= ED25519_BUDGETS[name]["signs"]
-    assert len(verifies) <= ED25519_BUDGETS[name]["verifies"]
-    assert derivations == []
+    budget = ED25519_BUDGETS[name]
+    assert len(signs) <= budget["signs"]
+    assert len(verifies) <= budget["verifies"]
+    assert len(derivations) <= budget["derivations"]
 
 
 # Messages sent per kind over each whole seed-7 run, dropped ones included.
