@@ -7,11 +7,12 @@ is built, the script last and in order. A key that its mapping does not
 take, a dangling reference, a number out of range, an id that is not a
 string (named by its path: ``scenario.script.3.target.customer``), a
 decreasing tick and an action that the run could not carry out are schema
-errors, and so is a whole number given as a bool, a string or a float. An
-account opens once, before any transfer from it or enrolment of it; a
-commingled customer holds no key to enrol, and one without the Class 1
-attributes (``ca.missing_class1_attributes``) none that its CA would
-certify; a certificate is revoked once it is issued, and only once.
+errors, and so is a number given as a bool or a string, or a whole number
+given as a float. An account opens once, before any transfer from it or
+enrolment of it; a commingled customer holds no key to enrol, and one
+without the Class 1 attributes (``ca.missing_class1_attributes``) none that
+its CA would certify; a certificate is revoked once it is issued, and only
+once.
 
 Schema (all ids are strings; every referenced id must be declared):
 
@@ -196,14 +197,14 @@ def _new_id(raw: Mapping[str, Any], key: str, seen: Mapping[str, Any], context: 
 
 
 def _number(value: Any, context: str, low: float, high: float) -> float:
-    """``value`` as a float in [low, high]."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError(f"{context}: {value!r} is not a number") from None
-    if not low <= number <= high:
+    """``value``, an ``int`` or a ``float`` in [low, high], as a float; a bool
+    or a string, which a run would coerce, is a SchemaError naming
+    ``context``."""
+    if type(value) not in (int, float):
+        raise SchemaError(f"{context}: {value!r} is not a number")
+    if not low <= value <= high:
         raise SchemaError(f"{context}: {value!r} is out of range [{low}, {high}]")
-    return number
+    return float(value)
 
 
 def _whole(value: Any, context: str, low: int, high: float = math.inf) -> int:

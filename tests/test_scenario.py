@@ -295,6 +295,10 @@ BAD_SCENARIOS = {
     "unknown-top-level-key": ({"peering_link": []}, "peering_link"),
     "empty-disclosure": (with_rules(required_disclosure=[]), NO_RULES),
     "drop-probability-above-one": ({"defaults": {"drop_probability": 2.0}}, "drop_probability"),
+    "drop-probability-true": ({"defaults": {"drop_probability": True}},
+                              "drop_probability: True is not a number"),
+    "drop-probability-string": ({"defaults": {"drop_probability": "0.5"}},
+                                "drop_probability: '0.5' is not a number"),
     "rules-version-negative": (with_rules(rules_version=-1), NO_RULES),
     "p2p-to-commingled": (p2p(to_customer="chen"), "commingled"),
     "p2p-to-key-custody": (p2p(to_customer="bora"), "key-custody"),
