@@ -206,7 +206,6 @@ class RegistrationRecord:
     subject_id: str
     submitted_attributes: Mapping[str, str]
     assigned_class: CertClass
-    verification_log: tuple[tuple[str, bool], ...]
 
 
 @dataclass(frozen=True)
@@ -402,20 +401,16 @@ class CertificateAuthority:
         missing = missing_class1_attributes(submitted_attributes)
         if missing:
             raise RegistrationRejected("missing mandatory attributes: " + ",".join(missing))
-        log: list[tuple[str, bool]] = [("attributes_nonempty", True)]
         assigned = CertClass.CLASS1
         cumulative: set[str] = set()
         for cls in CertClass:
             cumulative |= CLASS_TABLE[cls]
-            satisfied = cumulative <= set(submitted_attributes)
-            log.append((f"{cls.label}_attributes", satisfied))
-            if satisfied and cls <= requested_class:
+            if cumulative <= set(submitted_attributes) and cls <= requested_class:
                 assigned = cls
         return RegistrationRecord(
             subject_id=subject_id,
             submitted_attributes=dict(submitted_attributes),
             assigned_class=assigned,
-            verification_log=tuple(log),
         )
 
     def issue_certificate(

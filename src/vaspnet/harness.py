@@ -45,13 +45,14 @@ from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from . import crypto
 from .accounts import CustodyModel
-from .ca import (ROOT_VALIDITY, VASP_CERT_VALIDITY,
-                 CertificateAuthority, Certificate, RevocationReason)
+from .ca import ROOT_VALIDITY, VASP_CERT_VALIDITY, CertificateAuthority, Certificate
 from .chain import ChainTransaction, SimChain, SubmitResult, build_transaction
 from .crypto import FIELD_HEADER, KeyPair, digest
 from .network import CRL_PERIOD, SYNC_PERIOD, TrustNetwork
 from .resolution import TransferTarget
-from .scenario import CustomerSpec, Scenario, ScriptAction
+from .scenario import (AccountTarget, Action, BatchTransfer, CustomerSpec, CustomerTarget,
+                       DropLink, Enroll, KeyHashTarget, OpenAccount, P2pTransfer, RevokeCert,
+                       Scenario, Target, Transfer)
 from .transfer import AuditReport, ReconciliationReport, TransferOutcome
 from .vasp import VaspNode
 
@@ -249,7 +250,7 @@ class _Link:
 
 @dataclass
 class ScriptedTransfer:
-    action: ScriptAction
+    action: Transfer | BatchTransfer
     outcome: TransferOutcome
     origin_vasp: str
 
@@ -293,7 +294,7 @@ class Simulation:
         self._network_order: tuple[TrustNetwork, ...] = ()
         self._vasp_order: tuple[VaspNode, ...] = ()
         self._customers: dict[str, CustomerSpec] = {}
-        self._suspect_customers = frozenset(s.customer for s in scenario.suspects if s.customer)
+        self._suspect_customers = frozenset(s.customer for s in scenario.suspect_entries if s.customer)
         self._build()
 
     @property
@@ -345,7 +346,7 @@ class Simulation:
             rng = random.Random(
                 int.from_bytes(digest(f"link:{self.seed}:{key[0]}:{key[1]}".encode()), "big")
             )
-            link = _Link(rng, self.scenario.drop_probability)
+            link = _Link(rng, self.scenario.defaults.drop_probability)
             self._links[key] = link
         return link
 
@@ -354,7 +355,7 @@ class Simulation:
     def _build(self) -> None:
         scenario = self.scenario
         roots: dict[str, Certificate] = {}
-        for ca_id in sorted(scenario.cas):
+        for ca_id in sorted(spec.ca_id for spec in scenario.cas):
             keypair = crypto.keypair_from_label(f"ca:{self.seed}", ca_id)
             ca = CertificateAuthority(ca_id, keypair, self._derived_rng("ca-rng", ca_id))
             roots[ca_id] = ca.self_sign_root(0, ROOT_VALIDITY)
@@ -362,7 +363,7 @@ class Simulation:
 
         # The trust anchors: one read-only map, held by every network and node.
         anchors = MappingProxyType(roots)
-        for network_id in sorted(scenario.networks):
+        for network_id in sorted(spec.network_id for spec in scenario.networks):
             self.networks[network_id] = TrustNetwork(network_id, anchors)
         self._network_order = tuple(self.networks[n] for n in sorted(self.networks))
 
@@ -385,11 +386,11 @@ class Simulation:
 
         self._customers = {c.customer_id: c for c in scenario.customers}
 
-        for suspect in scenario.suspects:
+        for suspect in scenario.suspect_entries:
             if suspect.account_id is not None:
                 self._blocklist(suspect.account_id)
             if suspect.key_hash_hex is not None:
-                self._blocklist(bytes.fromhex(suspect.key_hash_hex))
+                self._blocklist(suspect.key_hash_hex)
             if suspect.customer is not None:
                 # Its key hash, if it has a key, when its account opens.
                 self._blocklist(self._account_id_for(suspect.customer))
@@ -416,8 +417,7 @@ class Simulation:
         return f"acct-{customer_id}"
 
     def _customer_wallet(self, customer_id: str) -> Optional[KeyPair]:
-        spec = self._customers.get(customer_id)
-        if spec is not None and spec.custody_model is not CustodyModel.MEDIATED:
+        if self._customers[customer_id].custody_model is not CustodyModel.MEDIATED:
             return None  # none for commingled; key custody generates it in the VASP
         return crypto.keypair_from_label(f"customer:{self.seed}", customer_id)
 
@@ -426,49 +426,42 @@ class Simulation:
 
     # -- script execution ---------------------------------------------------------
 
-    def _run_action(self, index: int, action: ScriptAction) -> None:
-        """Run ``action``, the script's ``index``-th."""
-        params = action.params
-        if action.action == "open_account":
-            self._open_customer(str(params["customer"]))
-        elif action.action == "enroll":
-            spec = self._customers[str(params["customer"])]
-            vasp = self.vasps[spec.vasp]
-            vasp.book.enroll_customer_certificate(
-                self._account_id_for(spec.customer_id), spec.requested_class, self.now)
-        elif action.action == "transfer":
-            origin = str(params["origin"])
-            vasp = self.vasps[self._customers[origin].vasp]
-            target = self._build_target(params["target"])
-            outcome = vasp.initiate_transfer(
-                self._account_id_for(origin), target,
-                params["amount"], str(params.get("asset", "coin")),
-            )
-            self.scripted_transfers.append(ScriptedTransfer(action, outcome, vasp.vasp_id))
-        elif action.action == "batch_transfer":
-            entries = params["entries"]  # all from one VASP's pool, says the schema
-            vasp = self.vasps[self._customers[str(entries[0]["origin"])].vasp]
-            requests = [(self._account_id_for(str(e["origin"])), self._build_target(e["target"]),
-                         e["amount"]) for e in entries]
-            outcome = vasp.transfers.initiate_batch_transfer(requests, str(params.get("asset", "coin")))
-            self.scripted_transfers.append(ScriptedTransfer(action, outcome, vasp.vasp_id))
-        elif action.action == "p2p_transfer":
-            self._p2p_transfer(index, params)
-        elif action.action == "revoke_cert":
-            customer = str(params["customer"])
-            vasp = self.vasps[self._customers[customer].vasp]
-            account = vasp.book.accounts[self._account_id_for(customer)]
-            reason = RevocationReason(str(params.get("reason", "unspecified")))
-            vasp.ca.revoke(account.certificate_serial, reason, self.now)
-            self.log(vasp.ca.ca_id, "certificate_revoked",
-                     serial=account.certificate_serial.hex(), reason=reason.value)
-        elif action.action == "drop_link":
-            link = self._link(str(params["a"]), str(params["b"]))
-            link.down_until = self.now + params["period"]
-            self.log("script", "link_down", a=str(params["a"]), b=str(params["b"]),
-                     until=link.down_until)
-        elif action.action == "advance":
-            pass
+    def _run_action(self, index: int, action: Action) -> None:
+        """Run ``action``, the script's ``index``-th. An ``Advance`` does nothing."""
+        match action:
+            case OpenAccount(customer=customer):
+                self._open_customer(customer)
+            case Enroll(customer=customer):
+                spec = self._customers[customer]
+                vasp = self.vasps[spec.vasp]
+                vasp.book.enroll_customer_certificate(
+                    self._account_id_for(spec.customer_id), spec.requested_class, self.now)
+            case Transfer(origin=origin):
+                vasp = self.vasps[self._customers[origin].vasp]
+                outcome = vasp.initiate_transfer(
+                    self._account_id_for(origin), self._build_target(action.target),
+                    action.amount, action.asset,
+                )
+                self.scripted_transfers.append(ScriptedTransfer(action, outcome, vasp.vasp_id))
+            case BatchTransfer(entries=entries):
+                # All from one VASP's pool, says the schema.
+                vasp = self.vasps[self._customers[entries[0].origin].vasp]
+                requests = [(self._account_id_for(e.origin), self._build_target(e.target), e.amount)
+                            for e in entries]
+                outcome = vasp.transfers.initiate_batch_transfer(requests, action.asset)
+                self.scripted_transfers.append(ScriptedTransfer(action, outcome, vasp.vasp_id))
+            case P2pTransfer():
+                self._p2p_transfer(index, action)
+            case RevokeCert(customer=customer, reason=reason):
+                vasp = self.vasps[self._customers[customer].vasp]
+                account = vasp.book.accounts[self._account_id_for(customer)]
+                vasp.ca.revoke(account.certificate_serial, reason, self.now)
+                self.log(vasp.ca.ca_id, "certificate_revoked",
+                         serial=account.certificate_serial.hex(), reason=reason.value)
+            case DropLink(a=a, b=b):
+                link = self._link(a, b)
+                link.down_until = self.now + action.period
+                self.log("script", "link_down", a=a, b=b, until=link.down_until)
 
     def _open_customer(self, customer_id: str) -> None:
         spec = self._customers[customer_id]
@@ -485,40 +478,36 @@ class Simulation:
         if customer_id in self._suspect_customers and account.customer_public_key_hash:
             self._blocklist(account.customer_public_key_hash)
 
-    def _build_target(self, raw) -> TransferTarget:
-        if "customer" in raw:
-            # A mediated customer's key is known up front, a key-custody
-            # one's once the account opens; a commingled one has none.
-            customer = str(raw["customer"])
-            wallet = self._customer_wallet(customer)
-            if wallet is not None:
-                return TransferTarget.from_key_hash(wallet.public_key_hash)
-            home, account_id = self._customers[customer].vasp, self._account_id_for(customer)
-            account = self.vasps[home].book.accounts.get(account_id)
-            if account is not None and account.customer_public_key_hash is not None:
-                return TransferTarget.from_key_hash(account.customer_public_key_hash)
-            return TransferTarget.from_account(home, account_id)
-        if "vasp" in raw:
-            return TransferTarget.from_account(str(raw["vasp"]), str(raw["account"]))
-        return TransferTarget.from_key_hash(bytes.fromhex(str(raw["key_hash_hex"])))
+    def _build_target(self, target: Target) -> TransferTarget:
+        match target:
+            case CustomerTarget(customer=customer):
+                # A mediated customer's key is known up front, a key-custody
+                # one's once the account opens; a commingled one has none.
+                wallet = self._customer_wallet(customer)
+                if wallet is not None:
+                    return TransferTarget.from_key_hash(wallet.public_key_hash)
+                home, account_id = self._customers[customer].vasp, self._account_id_for(customer)
+                account = self.vasps[home].book.accounts.get(account_id)
+                if account is not None and account.customer_public_key_hash is not None:
+                    return TransferTarget.from_key_hash(account.customer_public_key_hash)
+                return TransferTarget.from_account(home, account_id)
+            case AccountTarget(vasp=vasp, account=account_id):
+                return TransferTarget.from_account(vasp, account_id)
+            case KeyHashTarget(key_hash_hex=key_hash):
+                return TransferTarget.from_key_hash(key_hash)
 
-    def _p2p_transfer(self, index: int, params) -> None:
-        sender = self._p2p_wallet(str(params["from_wallet"]))
-        if "to_wallet" in params:
-            receiver_key = self._p2p_wallet(str(params["to_wallet"])).public_key
-        else:
-            customer = str(params["to_customer"])
-            wallet = self._customer_wallet(customer)
-            if wallet is None:
-                raise ValueError(f"p2p target customer {customer} has no key")
-            receiver_key = wallet.public_key
+    def _p2p_transfer(self, index: int, action: P2pTransfer) -> None:
+        sender = self._p2p_wallet(action.from_wallet)
+        if action.to_wallet is not None:
+            receiver = self._p2p_wallet(action.to_wallet)
+        else:  # a mediated customer, says the schema
+            receiver = self._customer_wallet(action.to_customer)
         # The action's place in the script makes each scripted transfer its own.
         nonce = digest(f"p2p-nonce:{self.seed}:{index}".encode())[:8]
         tx = build_transaction(
-            sender, sender.public_key, receiver_key,
-            params["amount"], str(params.get("asset", "coin")), nonce,
+            sender, sender.public_key, receiver.public_key, action.amount, action.asset, nonce,
         )
-        self.submit_tx(f"p2p:{params['from_wallet']}", tx)
+        self.submit_tx(f"p2p:{action.from_wallet}", tx)
 
     # -- main loop ---------------------------------------------------------------
 

@@ -57,7 +57,7 @@ import functools
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from . import crypto
 from .assertions import AttributeAssertion
@@ -227,30 +227,28 @@ def apply_delta(view: DirectoryView, delta: DirectoryDelta) -> ApplyResult:
     return ApplyResult.APPLIED
 
 
-@dataclass(frozen=True)
-class PeeringLink:
-    gateway_vasp_a: str
-    network_a: str
-    gateway_vasp_b: str
-    network_b: str
+class PeeringLink(NamedTuple):
+    """Joins gateway ``vasp_a`` of ``network_a`` to ``vasp_b`` of another
+    network, ``network_b``; a scenario declares it under these keys."""
 
-    def __post_init__(self) -> None:
-        if self.network_a == self.network_b:
-            raise ValueError("peering gateways must sit in different networks")
+    vasp_a: str
+    network_a: str
+    vasp_b: str
+    network_b: str
 
     def far_side(self, network_id: str) -> tuple[str, str]:
         """(gateway, network) on the opposite side of the given network."""
         if network_id == self.network_a:
-            return self.gateway_vasp_b, self.network_b
+            return self.vasp_b, self.network_b
         if network_id == self.network_b:
-            return self.gateway_vasp_a, self.network_a
+            return self.vasp_a, self.network_a
         raise ValueError(f"link does not touch network {network_id}")
 
     def near_gateway(self, network_id: str) -> str:
         if network_id == self.network_a:
-            return self.gateway_vasp_a
+            return self.vasp_a
         if network_id == self.network_b:
-            return self.gateway_vasp_b
+            return self.vasp_b
         raise ValueError(f"link does not touch network {network_id}")
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import random
 import sys
 from pathlib import Path
@@ -9,6 +10,20 @@ sys.path.insert(0, str(Path(__file__).parent))
 from vaspnet import crypto
 from vaspnet.ca import CertificateAuthority
 from vaspnet.scenario import parse_scenario
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """``benchmark/workloads.py``'s workloads by name, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.WORKLOADS
 
 
 @pytest.fixture

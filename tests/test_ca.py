@@ -123,11 +123,10 @@ class TestRegistration:
         with pytest.raises(RegistrationRejected):
             make_ca().register_subject("s", {}, CertClass.CLASS1)
 
-    def test_verification_log_populated(self):
+    def test_class3_request_with_class2_attributes_gets_class2(self):
+        # The attributes meet Class 1 and 2 but not 3.
         record = make_ca().register_subject("s", CLASS2_ATTRS, CertClass.CLASS3)
-        checks = dict(record.verification_log)
-        assert checks["class1_attributes"] and checks["class2_attributes"]
-        assert not checks["class3_attributes"]
+        assert record.assigned_class is CertClass.CLASS2
 
 
 class TestIssuance:

@@ -126,7 +126,7 @@ class TestDeterminism:
         digests = set()
         for hash_seed in ("0", "1", "42"):
             proc = subprocess.run(
-                [sys.executable, "-c", code],
+                [sys.executable, "-B", "-c", code],
                 capture_output=True, text=True,
                 env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin",
                      "PYTHONPATH": import_root},

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import textwrap
+import typing
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,10 @@ import vaspnet
 from vaspnet.cli import main as cli_main
 from vaspnet.harness import Simulation
 from vaspnet.cli import load_scenario
-from vaspnet.ca import ROOT_VALIDITY
-from vaspnet.scenario import DRAIN_TICKS, SchemaError, parse_scenario
+from vaspnet.ca import ROOT_VALIDITY, RevocationReason
+from vaspnet.scenario import (
+    ACTIONS, DRAIN_TICKS, BatchEntry, SchemaError, SuspectSpec, Target, parse_scenario,
+)
 from vaspnet.resolution import TransferTarget
 from vaspnet.transfer import DenialCode, DenialReason, RecordStatus
 
@@ -124,7 +127,7 @@ class TestLoading:
         scenario = load_scenario(write(tmp_path, MINIMAL))
         assert scenario.seed == 5
         assert [v.vasp_id for v in scenario.vasps] == ["v1", "v2"]
-        assert scenario.script[-1].params["amount"] == 100
+        assert scenario.script[-1].amount == 100
 
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(SchemaError):
@@ -198,7 +201,7 @@ class TestReferenceValidation:
         import_root = str(Path(vaspnet.__file__).resolve().parent.parent)
         for hash_seed in ("0", "1"):
             proc = subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True,
+                [sys.executable, "-B", "-c", code], capture_output=True, text=True,
                 env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin",
                      "PYTHONPATH": import_root},
             )
@@ -358,7 +361,7 @@ BAD_SCENARIOS = {
         with_action("alice", action="transfer", origin="alice",
                     target={"vasp": "v1", "account": "acct-chen", "memo": "x"}, amount=1),
         "target: unknown key 'memo'"),
-    # A schema error, not the ValueError of ``network.PeeringLink``.
+    # A peering link joins two different networks.
     "peering-same-network": ({"vasps": TWO_VASPS["vasps"], "peering_links": [
         {"vasp_a": "v1", "network_a": "net-a", "vasp_b": "v2", "network_b": "net-a"}]},
                              "different networks"),
@@ -374,7 +377,7 @@ BAD_SCENARIOS = {
     "batch-from-mediated": ({**TWO_VASPS, **batch(("alice", {"customer": "dana"}, 5))},
                             "'alice' is not a commingled"),
     "batch-to-account": ({**TWO_VASPS, **batch(("chen", {"vasp": "v2", "account": "x"}, 5))},
-                         "customer: id"),
+                         r"entries\[0\]: target: unknown key 'vasp'"),
     "batch-two-payees": ({**TWO_VASPS, **batch(("chen", {"customer": "dana"}, 5),
                                                ("chen", {"customer": "bora"}, 5))},
                          r"to \['v1', 'v2'\]"),
@@ -441,13 +444,42 @@ BAD_SCENARIOS = {
                           "to_wallet and to_customer"),
     # A suspect's hash is a target's: hex, 32 bytes, else the run could not use it.
     "suspect-hash-not-hex": ({"suspect_entries": [{"key_hash_hex": "zz"}]},
-                             r"suspect_entries\[0\]: bad key_hash_hex"),
+                             r"suspect_entries\[0\]: key_hash_hex: 'zz' is not 32 bytes in hex"),
     "suspect-hash-short": ({"suspect_entries": [{"key_hash_hex": "ab"}]},
-                           "key_hash_hex must be 32 bytes"),
+                           "key_hash_hex: 'ab' is not 32 bytes in hex"),
     # An asset is a name, not a mapping or list (one holding an id key among them).
     "asset-mapping": (with_action("alice", action="transfer", origin="alice",
                                   target={"customer": "chen"}, amount=1,
                                   asset={"customer": ["x"]}), "asset"),
+    "asset-number": (with_action("alice", action="transfer", origin="alice",
+                                 target={"customer": "chen"}, amount=1, asset=7),
+                     r"script\[1\] \(transfer\): asset: 7 is not a string"),
+    # An attribute name or value is a string; the CA would certify "None".
+    "attribute-null": ({"customers": [{"customer_id": "alice", "vasp": "v1",
+                                       "attributes": {"name": "A", "email": None}}]},
+                       r"customers\[0\]: attributes: email: None is not a string"),
+    "attribute-number": ({"customers": [{"customer_id": "alice", "vasp": "v1",
+                                         "attributes": {"name": 1, "email": "a@x"}}]},
+                         r"customers\[0\]: attributes: name: 1 is not a string"),
+    "attribute-name-number": ({"customers": [{"customer_id": "alice", "vasp": "v1",
+                                              "attributes": {"name": "A", 5: "a@x"}}]},
+                              r"customers\[0\]: attributes: 5 is not a string"),
+    # A section's ids are strings, as the script's are.
+    "vasp-id-number": ({"vasps": [{"vasp_id": 5, "ca": "ca-1", "networks": ["net-a"]}],
+                        "customers": []},
+                       r"vasps\[0\]: vasp_id: 5 is not a string"),
+    "vasp-ca-number": ({"cas": [{"ca_id": "1"}],
+                        "vasps": [{"vasp_id": "v1", "ca": 1, "networks": ["net-a"]}]},
+                       r"vasps\[0\]: ca: 1 is not a string"),
+    "vasp-network-number": ({"networks": [{"network_id": "7"}],
+                             "vasps": [{"vasp_id": "v1", "ca": "ca-1", "networks": [7]}]},
+                            r"vasps\[0\]: networks\[0\]: 7 is not a string"),
+    "peering-vasp-number": ({"networks": [{"network_id": "net-a"}, {"network_id": "net-b"}],
+                             "vasps": [{"vasp_id": "1", "ca": "ca-1", "networks": ["net-a"]},
+                                       {"vasp_id": "v1", "ca": "ca-1", "networks": ["net-b"]}],
+                             "peering_links": [{"vasp_a": 1, "network_a": "net-a",
+                                                "vasp_b": "v1", "network_b": "net-b"}]},
+                            r"peering_links\[0\]: vasp_a: 1 is not a string"),
     # A run ends by the time every root expires; it would otherwise step
     # through each tick up to its horizon.
     "late-tick": ({"script": [{"tick": 10**15, "action": "open_account", "customer": "alice"}]},
@@ -473,41 +505,41 @@ def test_bad_scenario_rejected_at_parse(name, tmp_path):
 # An id reference of another type is named, not a TypeError from a lookup.
 ID_OF_ANOTHER_TYPE = {
     "open-account-list": ({"action": "open_account", "customer": ["alice"]},
-                          r"script\.\d+\.customer"),
+                          r"script\[\d+\] \(open_account\): customer"),
     "target-customer-list": ({"action": "transfer", "origin": "alice",
                               "target": {"customer": ["bob"]}, "amount": 5},
-                             r"script\.\d+\.target\.customer"),
+                             r"script\[\d+\] \(transfer\): target: customer"),
     "drop-link-mapping": ({"action": "drop_link", "a": {"x": 1}, "b": "v1", "period": 5},
-                          r"script\.\d+\.a"),
+                          r"script\[\d+\] \(drop_link\): a"),
     "transfer-origin-list": ({"action": "transfer", "origin": ["alice"],
                               "target": {"customer": "dina"}, "amount": 5},
-                             r"script\.\d+\.origin"),
+                             r"script\[\d+\] \(transfer\): origin"),
     "target-vasp-number": ({"action": "transfer", "origin": "alice",
                             "target": {"vasp": 7, "account": "acct-dina"}, "amount": 5},
-                           r"script\.\d+\.target\.vasp"),
+                           r"script\[\d+\] \(transfer\): target: vasp"),
     "target-account-list": ({"action": "transfer", "origin": "alice",
                              "target": {"vasp": "beta", "account": ["acct-dina"]}, "amount": 5},
-                            r"script\.\d+\.target\.account"),
+                            r"script\[\d+\] \(transfer\): target: account"),
     "drop-link-b-list": ({"action": "drop_link", "a": "alpha", "b": ["beta"], "period": 5},
-                         r"script\.\d+\.b"),
+                         r"script\[\d+\] \(drop_link\): b"),
     "p2p-from-wallet-number": ({"action": "p2p_transfer", "from_wallet": 5,
                                 "to_wallet": "w-hot", "amount": 5},
-                               r"script\.\d+\.from_wallet"),
+                               r"script\[\d+\] \(p2p_transfer\): from_wallet"),
     "p2p-to-wallet-list": ({"action": "p2p_transfer", "from_wallet": "w-cold",
                             "to_wallet": ["w-hot"], "amount": 5},
-                           r"script\.\d+\.to_wallet"),
+                           r"script\[\d+\] \(p2p_transfer\): to_wallet"),
     "p2p-to-customer-mapping": ({"action": "p2p_transfer", "from_wallet": "w-cold",
                                  "to_customer": {"id": "alice"}, "amount": 5},
-                                r"script\.\d+\.to_customer"),
-    "enroll-number": ({"action": "enroll", "customer": 3}, r"script\.\d+\.customer"),
+                                r"script\[\d+\] \(p2p_transfer\): to_customer"),
+    "enroll-number": ({"action": "enroll", "customer": 3}, r"script\[\d+\] \(enroll\): customer"),
     "revoke-list": ({"action": "revoke_cert", "customer": ["alice"]},
-                    r"script\.\d+\.customer"),
+                    r"script\[\d+\] \(revoke_cert\): customer"),
     "batch-origin-list": ({"action": "batch_transfer", "asset": "coin", "entries": [
         {"origin": ["chen"], "target": {"customer": "emre"}, "amount": 5}]},
-                          r"script\.\d+\.entries\.0\.origin"),
+                          r"script\[\d+\] \(batch_transfer\): entries\[0\]: origin"),
     "batch-target-customer-list": ({"action": "batch_transfer", "asset": "coin", "entries": [
         {"origin": "chen", "target": {"customer": ["emre"]}, "amount": 5}]},
-                                   r"script\.\d+\.entries\.0\.target\.customer"),
+                                   r"script\[\d+\] \(batch_transfer\): entries\[0\]: target: customer"),
 }
 
 
@@ -516,14 +548,14 @@ def test_id_reference_must_be_a_string(name):
     action, named = ID_OF_ANOTHER_TYPE[name]
     data = yaml.safe_load((SCENARIO_DIR / "demo.yaml").read_text())
     data["script"].append({"tick": data["script"][-1]["tick"], **action})
-    with pytest.raises(SchemaError, match=named + ": id must be a string"):
+    with pytest.raises(SchemaError, match=named + ": .+ is not a string$"):
         parse_scenario(data)
 
 
 # The same for a suspect entry's ids.
 SUSPECT_ID_OF_ANOTHER_TYPE = {
-    "suspect-customer-list": ({"customer": ["alice"]}, r"suspect_entries\.0\.customer"),
-    "suspect-account-number": ({"account_id": 12}, r"suspect_entries\.0\.account_id"),
+    "suspect-customer-list": ({"customer": ["alice"]}, r"suspect_entries\[0\]: customer"),
+    "suspect-account-number": ({"account_id": 12}, r"suspect_entries\[0\]: account_id"),
 }
 
 
@@ -532,16 +564,93 @@ def test_suspect_id_must_be_a_string(name):
     entry, named = SUSPECT_ID_OF_ANOTHER_TYPE[name]
     data = yaml.safe_load((SCENARIO_DIR / "demo.yaml").read_text())
     data["suspect_entries"] = [entry]
-    with pytest.raises(SchemaError, match=named + ": id must be a string"):
+    with pytest.raises(SchemaError, match=named + ": .+ is not a string$"):
         parse_scenario(data)
 
 
+WHOLE_NUMBER_FIELDS = {"tick", "amount", "period", "ticks"}
+
+
+def assert_typed(record, raw):
+    """Each field of ``record`` holds its type, read from the mapping ``raw``:
+    an id or a name a ``str``, a whole number an ``int`` (not a bool), a
+    target or a batch entry its record, a key hash 32 bytes."""
+    for key, value in zip(record._fields, record):
+        if key not in raw:
+            assert value == record._field_defaults[key], key
+        elif key in WHOLE_NUMBER_FIELDS:
+            assert type(value) is int and value == raw[key], key
+        elif key == "target":
+            assert type(value) in typing.get_args(Target)
+            assert_typed(value, raw[key])
+        elif key == "entries":
+            for entry, raw_entry in zip(value, raw[key], strict=True):
+                assert type(entry) is BatchEntry
+                assert_typed(entry, raw_entry)
+        elif key == "reason":
+            assert value is RevocationReason(raw[key])
+        elif key == "key_hash_hex":
+            assert type(value) is bytes and value == bytes.fromhex(raw[key])
+        else:
+            assert type(value) is str and value == raw[key], key
+
+
+def typed_sources(workloads):
+    """The scenario mapping of every tracked scenario and seed-7 workload."""
+    for path in sorted(SCENARIO_DIR.glob("*.yaml")):
+        yield path.stem, yaml.safe_load(path.read_text())
+    for name, workload in sorted(workloads.items()):
+        yield name, workload.scenario(7)
+
+
+def test_every_action_parses_to_its_typed_record(workloads):
+    sources = dict(typed_sources(workloads))
+    assert len(sources) == 8
+    for name, data in sources.items():
+        scenario = parse_scenario(data)
+        for action, raw in zip(scenario.script, data["script"], strict=True):
+            assert type(action) is ACTIONS[raw["action"]], name
+            assert_typed(action, raw)
+        for spec in scenario.vasps + scenario.customers:  # vasp_id and ca, customer_id and vasp
+            assert all(type(value) is str for value in spec[:2]), spec
+        for spec in scenario.vasps:
+            assert all(type(network) is str for network in spec.networks), spec
+        for spec in scenario.customers:
+            assert all(type(key) is str and type(value) is str
+                       for key, value in spec.attributes.items()), spec
+        for spec in scenario.suspect_entries:
+            assert all(value is None or type(value) is (bytes if key == "key_hash_hex" else str)
+                       for key, value in zip(SuspectSpec._fields, spec)), spec
+
+
+# Every key of any action, of a target, and one of none.
+ACTION_KEY_CANDIDATES = sorted(
+    {key for record in ACTIONS.values() for key in record._fields}
+    | {key for form in typing.get_args(Target) for key in form._fields} | {"memo"}
+)
+
+
+@pytest.mark.parametrize("name", sorted(ACTIONS))
+def test_action_takes_exactly_the_keys_of_its_record(name):
+    """The parser takes a key in an action's mapping exactly when it is a
+    field of the action's record: any other is refused as unknown."""
+    accepted = set()
+    for key in ACTION_KEY_CANDIDATES:
+        if key == "tick":
+            continue
+        with pytest.raises(SchemaError) as refused:  # None is no field's value
+            parse_scenario({**SMALL, "script": [{"tick": 0, "action": name, key: None}]})
+        if f"unknown key {key!r}" not in str(refused.value):
+            accepted.add(key)
+    assert accepted == set(ACTIONS[name]._fields) - {"tick"}
+
+
 def test_amounts_up_to_the_ledgers_u64_parse():
-    assert parse_scenario({**SMALL, **p2p(to_customer="alice")}).script[0].params["amount"] == 5
+    assert parse_scenario({**SMALL, **p2p(to_customer="alice")}).script[0].amount == 5
     top = 2**64 - 1
     transfer = with_action("alice", action="transfer", origin="alice",
                            target={"customer": "bora"}, amount=top)
-    assert parse_scenario({**SMALL, **transfer}).script[1].params["amount"] == top
+    assert parse_scenario({**SMALL, **transfer}).script[1].amount == top
     pair = batch(("chen", {"customer": "dana"}, top - 1), ("chen", {"customer": "dana"}, 1))
     pair["script"].insert(0, {"tick": 0, "action": "open_account", "customer": "chen"})
     assert len(parse_scenario({**SMALL, **TWO_VASPS, **pair}).script) == 2
@@ -608,7 +717,7 @@ def test_batch_race_pays_one_pooled_batch_and_loses_the_revocation_race():
     v1, v2 = sim.vasps["v1"], sim.vasps["v2"]
 
     [(tx, _)] = sim.chain.confirmed_transactions()
-    assert tx.amount == sum(entry["amount"] for entry in pooled.action.params["entries"]) == 12
+    assert tx.amount == sum(entry.amount for entry in pooled.action.entries) == 12
     assert tx.from_public_key == v1.certificate.subject_public_key
     assert tx.to_public_key == v2.certificate.subject_public_key
     assert pooled.outcome.denial is None

@@ -8,9 +8,7 @@ traffic here, and each run holds an Ed25519 budget.
 """
 
 import ast
-import importlib.util
 import inspect
-import sys
 import textwrap
 from collections import Counter
 from pathlib import Path
@@ -32,8 +30,6 @@ from vaspnet.scenario import parse_scenario
 from vaspnet.accounts import CustodyModel
 from vaspnet.transfer import OutcomeStatus, ReconciliationReport, RecordRole, RecordStatus
 from vaspnet.vasp import VaspNode
-
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "benchmark" / "workloads.py"
 
 WORKLOAD_DIGESTS = {
     "pipeline": "efc430e7fda8632e8cfa7d3217ef66bc2e13f13ad39d47cb4b94f3a2c0b6c6a7",
@@ -81,18 +77,6 @@ WORKLOAD_METRICS = {
         "directory_convergence_tick": "13", "final_tick": "204",
     },
 }
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS_PY)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module.WORKLOADS
 
 
 def test_every_workload_is_pinned(workloads):
